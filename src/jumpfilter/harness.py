@@ -9,16 +9,14 @@ so either stream can be replayed independently.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import expm
 
-from . import wonham, zakai
+from . import wonham
 from .chain import (
     ChainModel,
     JumpPath,
@@ -28,7 +26,7 @@ from .chain import (
     transition_matrix,
     validate_model,
 )
-from .oracle import DiscreteBayesState, bayes_forward_step
+from .kernels import KERNELS, drive
 from .seeding import ROLE_JUMP, ROLE_NOISE, derive_rng
 from .signalpath import (
     ObservationGrid,
@@ -36,16 +34,15 @@ from .signalpath import (
     cumulative_observation,
     synthesize_observations,
     write_observations_csv,
+    write_table,
 )
-from .wonham import FilterState, TelegraphState, finish_simplex_step, wonham_update_raw
-from .zakai import (
-    CLAMP_FAILURE_FRACTION,
-    FilterInstabilityError,
-    LogState,
-    UnnormalizedState,
-    drift_matrix,
-    init_unnormalized,
-)
+from .wonham import FilterState
+from .zakai import UnnormalizedState
+
+# Not called here; benchmark/tracing.py wraps these names as attributes of
+# this module, so they stay bound.
+from .oracle import bayes_forward_step  # noqa: F401
+from .wonham import finish_simplex_step, wonham_update_raw  # noqa: F401
 
 __all__ = [
     "SCHEMES",
@@ -173,14 +170,6 @@ class Trajectory:
     extras: dict = field(default_factory=dict)
 
 
-def _check_clamp_budget(clamps: int, n_steps: int, scheme: str) -> None:
-    if clamps > CLAMP_FAILURE_FRACTION * n_steps:
-        raise FilterInstabilityError(
-            f"{scheme}: {clamps} clamp events over {n_steps} steps exceeds the "
-            f"{CLAMP_FAILURE_FRACTION:.1%} budget; decrease dt"
-        )
-
-
 def run_trajectory(
     model: ChainModel,
     grid: ObservationGrid,
@@ -189,155 +178,32 @@ def run_trajectory(
     sign_variant: str = "innovation",
     initial: UnnormalizedState | FilterState | None = None,
 ) -> Trajectory:
-    """Drive the selected scheme over the whole observation grid."""
+    """Drive the selected scheme over the whole observation grid.
+
+    Builds the scheme's kernel once and runs it through
+    :func:`jumpfilter.kernels.drive`, which owns every check: finite
+    increments, a finite on-simplex history, the pre-renormalization sum
+    guard and the clamp budget.
+    """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    n = grid.n_steps
-    dt, beta = grid.dt, grid.beta
-    times = np.arange(n + 1) * dt
-    k = model.n_states
-
-    if scheme in ("zakai-ito", "zakai-langevin"):
-        state = initial if initial is not None else init_unnormalized(model)
-        probs = np.empty((n + 1, k))
-        log_weights = np.empty((n + 1, k))
-        probs[0] = state.psi / state.psi.sum()
-        log_weights[0] = state.log_repr
-        for r in range(n):
-            if scheme == "zakai-ito":
-                state = zakai.zakai_ito_step(state, model, beta, dt, grid.dy[r])
-            else:
-                state = zakai.zakai_langevin_step(
-                    state, model, beta, dt, grid.dy[r], correction_sign
-                )
-            probs[r + 1] = state.psi / state.psi.sum()
-            log_weights[r + 1] = state.log_repr
-        _check_clamp_budget(state.clamps, n, scheme)
-        return Trajectory(
-            scheme, times, probs, clamps=state.clamps, extras={"log_weights": log_weights}
-        )
-
-    if scheme == "wonham-ito":
-        p = initial.probs if initial is not None else np.array(model.initial_dist)
-        generator, levels = model.generator, model.levels
-        probs = np.empty((n + 1, k))
-        probs[0] = p
-        clamps = 0
-        max_dev = 0.0
-        total_dev = 0.0
-        for r in range(n):
-            raw = wonham_update_raw(p, generator, levels, beta, dt, grid.dy[r], sign_variant)
-            dev = abs(float(raw.sum()) - 1.0)
-            max_dev = max(max_dev, dev)
-            total_dev += dev
-            p, clamped = finish_simplex_step(raw)
-            clamps += clamped
-            probs[r + 1] = p
-        _check_clamp_budget(clamps, n, scheme)
-        return Trajectory(
-            scheme, times, probs, clamps=clamps,
-            presum_max_dev=max_dev, presum_total_dev=total_dev,
-        )
-
-    if scheme == "wonham-langevin":
-        state = initial if initial is not None else FilterState(np.array(model.initial_dist))
-        probs = np.empty((n + 1, k))
-        probs[0] = state.probs
-        for r in range(n):
-            state = wonham.wonham_langevin_step(
-                state, model, beta, dt, grid.dy[r], correction_sign
-            )
-            probs[r + 1] = state.probs
-        _check_clamp_budget(state.clamps, n, scheme)
-        return Trajectory(scheme, times, probs, clamps=state.clamps)
-
-    if scheme == "log":
-        start = initial if initial is not None else init_unnormalized(model)
-        state = LogState(theta=np.log(start.psi) - np.log(start.psi).max(), t=0.0)
-        probs = np.empty((n + 1, k))
-        thetas = np.empty((n + 1, k))
-        probs[0] = _softmax(state.theta)
-        thetas[0] = state.theta
-        for r in range(n):
-            state = zakai.log_step(state, model, beta, dt, grid.dy[r], correction_sign)
-            probs[r + 1] = _softmax(state.theta)
-            thetas[r + 1] = state.theta
-        return Trajectory(scheme, times, probs, extras={"theta": thetas})
-
-    if scheme == "gamma":
-        a_matrix = drift_matrix(model, beta, correction_sign)
-        start = initial if initial is not None else init_unnormalized(model)
-        state = zakai.to_gamma(start, a_matrix, t=0.0)
-        step_forward = expm(a_matrix * dt)
-        step_backward = expm(-a_matrix * dt)
-        probs = np.empty((n + 1, k))
-        probs[0] = _normalize_rows(state.forward @ state.gamma)
-        for r in range(n):
-            state = zakai.gamma_langevin_step(
-                state, model, beta, dt, grid.dy[r], step_forward, step_backward
-            )
-            psi = state.forward @ state.gamma
-            if np.any(psi <= 0) or not np.all(np.isfinite(psi)):
-                raise zakai.GammaRangeError(
-                    "Gamma stepping lost positivity; use the log-domain filter"
-                )
-            probs[r + 1] = psi / psi.sum()
-        return Trajectory(scheme, times, probs)
-
-    if scheme in TELEGRAPH_SCHEMES:
-        nu = float(model.rates[0, 1])
-        p0 = initial.probs if isinstance(initial, FilterState) else model.initial_dist
-        state = TelegraphState(q=float(p0[0] - p0[1]), t=0.0)
-        qs = np.empty(n + 1)
-        qs[0] = state.q
-        for r in range(n):
-            if scheme == "telegraph-ito":
-                state = wonham.telegraph_ito_step(state, nu, beta, dt, grid.dy[r])
-            else:
-                state = wonham.telegraph_langevin_step(state, nu, beta, dt, grid.dy[r])
-            qs[r + 1] = state.q
-        _check_clamp_budget(state.clamps, n, scheme)
-        probs = np.stack([(1.0 + qs) / 2.0, (1.0 - qs) / 2.0], axis=1)
-        return Trajectory(scheme, times, probs, clamps=state.clamps, extras={"q": qs})
-
-    # bayes-oracle
-    trans = transition_matrix(model, dt)
-    state = DiscreteBayesState(probs=np.array(model.initial_dist))
-    probs = np.empty((n + 1, k))
-    probs[0] = state.probs
-    for r in range(n):
-        state = bayes_forward_step(state, model, dt, grid.dy[r], beta, trans=trans)
-        probs[r + 1] = state.probs
-    return Trajectory(scheme, times, probs)
-
-
-def _softmax(theta: np.ndarray) -> np.ndarray:
-    shifted = np.exp(theta - theta.max())
-    return shifted / shifted.sum()
-
-
-def _normalize_rows(v: np.ndarray) -> np.ndarray:
-    return v / v.sum()
+    kernel = KERNELS[scheme](model, grid.dt, grid.beta, correction_sign, sign_variant)
+    run = drive(kernel, kernel.start(initial), grid.dy)
+    return Trajectory(
+        scheme,
+        np.arange(grid.n_steps + 1) * grid.dt,
+        run.probs,
+        clamps=run.clamps,
+        presum_max_dev=run.presum_max_dev,
+        presum_total_dev=run.presum_total_dev,
+        extras=run.extras,
+    )
 
 
 # ---------------------------------------------------------------------------
 # file emission
 
-
-def _format(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{value:.17g}"
-
-
-def _write_csv(destination, header: list[str], rows) -> None:
-    with open(destination, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format(v) for v in row])
+FLOAT = "%.17g"
 
 
 def _write_json(destination, payload: dict) -> None:
@@ -348,29 +214,35 @@ def _write_json(destination, payload: dict) -> None:
 
 def write_path_csv(path: JumpPath, destination) -> None:
     """Jump events as "k,t,state"; row 0 is the initial state at t=0."""
-    rows = [(0, 0.0, path.initial_state)]
-    rows += [
-        (k + 1, t, s)
-        for k, (t, s) in enumerate(zip(path.jump_times, path.jump_states))
-    ]
-    _write_csv(destination, ["k", "t", "state"], rows)
+    write_table(
+        destination,
+        ["k", "t", "state"],
+        ["%d", FLOAT, "%d"],
+        [
+            range(path.n_jumps + 1),
+            np.concatenate(([0.0], path.jump_times)),
+            path.states_visited,
+        ],
+    )
 
 
 def write_trajectory_csv(
     destination, grid: ObservationGrid, trajectory: Trajectory, model: ChainModel
 ) -> None:
     """Normalized trajectory as "r,t,y,x_level,p_1..p_K,xbar,map_state"."""
-    k = trajectory.probs.shape[1]
-    y = cumulative_observation(grid)
-    x_col = np.append(grid.x_level, grid.x_level[-1])
-    xbar = trajectory.probs @ model.levels
-    map_state = np.argmax(trajectory.probs, axis=1)
+    probs = trajectory.probs
+    k = probs.shape[1]
     header = ["r", "t", "y", "x_level"] + [f"p_{j + 1}" for j in range(k)] + ["xbar", "map_state"]
-    rows = (
-        [r, trajectory.times[r], y[r], x_col[r], *trajectory.probs[r], xbar[r], int(map_state[r])]
-        for r in range(len(trajectory.times))
-    )
-    _write_csv(destination, header, rows)
+    columns = [
+        range(len(trajectory.times)),
+        trajectory.times,
+        cumulative_observation(grid),
+        np.append(grid.x_level, grid.x_level[-1]),
+        *probs.T,
+        probs @ model.levels,
+        np.argmax(probs, axis=1),
+    ]
+    write_table(destination, header, ["%d"] + [FLOAT] * (k + 4) + ["%d"], columns)
 
 
 def write_unnormalized_csv(destination, trajectory: Trajectory) -> None:
@@ -387,11 +259,8 @@ def write_unnormalized_csv(destination, trajectory: Trajectory) -> None:
         np.exp(log_weights - log_weights.max(axis=1, keepdims=True)).sum(axis=1)
     )
     header = ["r", "t"] + [f"psi_{j + 1}" for j in range(k)] + ["log_normalizer"]
-    rows = (
-        [r, trajectory.times[r], *psi[r], log_norm[r]]
-        for r in range(len(trajectory.times))
-    )
-    _write_csv(destination, header, rows)
+    columns = [range(len(trajectory.times)), trajectory.times, *psi.T, log_norm]
+    write_table(destination, header, ["%d"] + [FLOAT] * (k + 2), columns)
 
 
 # ---------------------------------------------------------------------------
@@ -543,10 +412,12 @@ def run_convergence(config: ExperimentConfig, halvings: int, write: bool = True)
     if write:
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        _write_csv(
+        names = ["pair", "level", "dt", "max_discrepancy", "order"]
+        write_table(
             out / "convergence.csv",
-            ["pair", "level", "dt", "max_discrepancy", "order"],
-            ([r["pair"], r["level"], r["dt"], r["max_discrepancy"], r["order"]] for r in rows),
+            names,
+            ["%s", "%d", FLOAT, FLOAT, FLOAT],
+            [[row[name] for row in rows] for name in names],
         )
     return rows
 
@@ -651,9 +522,10 @@ def run_predict(
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         k = config.model.n_states
-        _write_csv(
+        write_table(
             out / "prediction.csv",
             ["h"] + [f"p_{j + 1}" for j in range(k)],
-            ([row["h"], *row["probs"]] for row in rows),
+            [FLOAT] * (k + 1),
+            [[row["h"] for row in rows], *np.array([row["probs"] for row in rows]).T],
         )
     return rows

@@ -30,9 +30,13 @@ import numpy as np
 from scipy.stats import poisson
 
 from .chain import ChainModel, simulate_jump_path, step_level_integrals, transition_matrix
+from .kernels import BayesOracle, WonhamIto, check_increment, drive, step_once
 from .seeding import ROLE_JUMP, ROLE_NOISE, derive_rng
 from .signalpath import ObservationGrid, cumulative_observation
-from .wonham import finish_simplex_step, wonham_update_raw
+
+# Not called here; benchmark/tracing.py wraps these names as attributes of
+# this module, so they stay bound.
+from .wonham import finish_simplex_step, wonham_update_raw  # noqa: F401
 
 __all__ = [
     "DiscreteBayesState",
@@ -76,19 +80,9 @@ def bayes_forward_step(
 
     ``trans`` may carry a precomputed transition matrix for this dt.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if not np.isfinite(dy):
-        raise ValueError("observation increment must be finite")
-    if trans is None:
-        trans = transition_matrix(model, dt)
-    prior = state.probs @ trans
-    log_like = -((dy - model.levels * dt) ** 2) / (2.0 * beta**2 * dt)
-    with np.errstate(divide="ignore"):
-        log_post = np.log(prior) + log_like
-    log_post -= log_post.max()
-    post = np.exp(log_post)
-    return DiscreteBayesState(probs=post / post.sum(), step=state.step + 1)
+    check_increment(dt, dy)
+    probs, _ = step_once(BayesOracle(model, dt, beta, trans=trans), state.probs, dy)
+    return DiscreteBayesState(probs=probs, step=state.step + 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,7 +269,6 @@ def tower_property_check(
         raise ValueError(f"dt={dt} does not divide horizon={horizon}")
     k = model.n_states
     levels = model.levels
-    generator = model.generator
 
     increments = np.empty((n_replicas, n_steps))
     terminal_level = np.empty(n_replicas)
@@ -286,12 +279,10 @@ def tower_property_check(
         increments[r] = signal + beta * math.sqrt(dt) * noise
         terminal_level[r] = levels[path.states_visited[-1]]
 
-    probs = np.tile(model.initial_dist, (n_replicas, 1))
-    for step in range(n_steps):
-        raw = wonham_update_raw(
-            probs, generator, levels, beta, dt, increments[:, step : step + 1], "innovation"
-        )
-        probs, _ = finish_simplex_step(raw)
+    kernel = WonhamIto(model, dt, beta, sign_variant="innovation")
+    start = kernel.start(np.tile(model.initial_dist, (n_replicas, 1)))
+    # step r of every replica reads increments[:, r] as an (R, 1) column
+    probs = drive(kernel, start, increments.T[:, :, None], keep_history=False).probs[-1]
 
     target = model.initial_dist @ transition_matrix(model, horizon)
     mean_terminal = probs.mean(axis=0)

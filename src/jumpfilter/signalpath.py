@@ -23,6 +23,7 @@ __all__ = [
     "cumulative_y",
     "cumulative_observation",
     "coarsen",
+    "write_table",
     "write_observations_csv",
     "read_observations_csv",
 ]
@@ -132,21 +133,35 @@ def coarsen(grid: ObservationGrid, factor: int) -> ObservationGrid:
     )
 
 
+# Rows formatted per write: bounds the memory of a table's text and lists.
+ROWS_PER_WRITE = 1024
+
+
+def write_table(destination, header: list[str], formats: list[str], columns) -> None:
+    """Write a CSV table: the header row, then one row per index of ``columns``.
+
+    ``formats`` holds one %-format per column ("%d", "%.17g" or "%s");
+    columns are equal-length 1-d arrays, ranges or lists. Fields never need
+    quoting here, so each row is one format operation on Python scalars;
+    rows end in "\\r\\n" like the csv module's.
+    """
+    line = ",".join(formats) + "\r\n"
+    with open(destination, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(columns[0]), ROWS_PER_WRITE):
+            block = [column[start : start + ROWS_PER_WRITE] for column in columns]
+            block = [c.tolist() if isinstance(c, np.ndarray) else c for c in block]
+            fh.write("".join([line % row for row in zip(*block)]))
+
+
 def write_observations_csv(grid: ObservationGrid, destination) -> None:
     """Write "r,t,dy,dw,x_level" rows with 17 significant digits."""
-    with open(destination, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for r in range(grid.n_steps):
-            writer.writerow(
-                [
-                    r,
-                    f"{r * grid.dt:.17g}",
-                    f"{grid.dy[r]:.17g}",
-                    f"{grid.dw[r]:.17g}",
-                    f"{grid.x_level[r]:.17g}",
-                ]
-            )
+    write_table(
+        destination,
+        CSV_HEADER,
+        ["%d", "%.17g", "%.17g", "%.17g", "%.17g"],
+        [range(grid.n_steps), grid.times, grid.dy, grid.dw, grid.x_level],
+    )
 
 
 def read_observations_csv(source, beta: float) -> ObservationGrid:

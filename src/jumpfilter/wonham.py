@@ -32,6 +32,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainModel, transition_matrix
+# SIGN_VARIANTS, wonham_update_raw, wonham_langevin_field and
+# finish_simplex_step keep their names in this module.
+from .kernels import (  # noqa: F401
+    FLOOR,
+    SIGN_VARIANTS,
+    TelegraphIto,
+    TelegraphLangevin,
+    WonhamIto,
+    WonhamLangevin,
+    check_increment,
+    check_presum,
+    finish_simplex_step,
+    step_once,
+    wonham_langevin_field,
+    wonham_update_raw,
+)
 
 __all__ = [
     "FilterState",
@@ -47,11 +63,9 @@ __all__ = [
     "predict",
 ]
 
-SIGN_VARIANTS = ("innovation", "paper")
-
-# Floor for nonpositive probabilities after an Euler step; matches the
-# unnormalized filter's clamp policy so cross-scheme statistics align.
-PROB_FLOOR = 1e-300
+# Floor for nonpositive probabilities after an Euler step (the kernels' FLOOR,
+# shared with zakai.PSI_FLOOR so cross-scheme clamp statistics align).
+PROB_FLOOR = FLOOR
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,51 +99,6 @@ class TelegraphState:
             raise ValueError(f"q must lie in [-1, 1], got {self.q}")
 
 
-def _check_increment(dt: float, dy: float) -> None:
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if not np.isfinite(dy):
-        raise ValueError("observation increment must be finite")
-
-
-def wonham_update_raw(
-    probs,
-    generator: np.ndarray,
-    levels: np.ndarray,
-    beta: float,
-    dt: float,
-    dy,
-    sign_variant: str = "innovation",
-):
-    """One raw Euler update, before flooring and renormalization.
-
-    Works on any (..., K) array (``dy`` scalar or broadcastable (..., 1)),
-    so Monte Carlo replicas can be stepped in a batch with the identical
-    arithmetic as the scalar API.
-    """
-    if sign_variant not in SIGN_VARIANTS:
-        raise ValueError(f"sign_variant must be one of {SIGN_VARIANTS}")
-    xbar = np.sum(probs * levels, axis=-1, keepdims=probs.ndim > 1)
-    gain = (levels - xbar) * probs / beta**2
-    drift = probs @ generator
-    if sign_variant == "innovation":
-        return probs + dt * drift + gain * (dy - xbar * dt)
-    return probs + dt * drift + gain * dy + gain * (xbar * dt)
-
-
-def finish_simplex_step(raw: np.ndarray) -> tuple[np.ndarray, int]:
-    """Floor nonpositive entries and renormalize the 1e-12-level rounding drift.
-
-    Returns the renormalized vector and the number of floored entries. The
-    pre-renormalization sum is the caller's to inspect (it is an exact
-    invariant of the update in real arithmetic).
-    """
-    clamped = int(np.count_nonzero(raw <= 0.0))
-    if clamped:
-        raw = np.maximum(raw, PROB_FLOOR)
-    return raw / raw.sum(axis=-1, keepdims=raw.ndim > 1), clamped
-
-
 def wonham_step(
     state: FilterState,
     model: ChainModel,
@@ -138,31 +107,16 @@ def wonham_step(
     dy: float,
     sign_variant: str = "innovation",
 ) -> FilterState:
-    """Euler-Maruyama step of the normalized filter."""
-    _check_increment(dt, dy)
-    raw = wonham_update_raw(
-        state.probs, model.generator, model.levels, beta, dt, dy, sign_variant
-    )
-    presum = raw.sum()
-    if not np.isfinite(presum) or abs(presum - 1.0) > 1e-6:
-        raise ValueError(
-            f"step left the simplex (pre-renormalization sum {presum!r}); "
-            "reduce dt or check the inputs"
-        )
-    probs, clamped = finish_simplex_step(raw)
+    """Euler-Maruyama step of the normalized filter.
+
+    Raises ValueError when the sum before renormalization drifts from 1 by
+    more than 1e-6 (an exact invariant of the update in real arithmetic).
+    """
+    check_increment(dt, dy)
+    kernel = WonhamIto(model, dt, beta, sign_variant=sign_variant)
+    (probs, presum), clamped = step_once(kernel, (state.probs, 1.0), dy)
+    check_presum(presum)
     return FilterState(probs=probs, t=state.t + dt, clamps=state.clamps + clamped)
-
-
-def wonham_langevin_field(probs, generator, levels, beta, rate, correction_sign):
-    """Drift field of the smooth-noise normalized filter driven by ``rate``."""
-    xbar = np.sum(probs * levels, axis=-1, keepdims=probs.ndim > 1)
-    second_moment = np.sum(probs * levels**2, axis=-1, keepdims=probs.ndim > 1)
-    correction = 0.5 * probs * (levels**2 - second_moment) / beta**2
-    return (
-        probs @ generator
-        + correction_sign * correction
-        + (levels - xbar) * probs * (rate / beta**2)
-    )
 
 
 def wonham_langevin_step(
@@ -178,53 +132,30 @@ def wonham_langevin_step(
     The correction term sums to zero over states for either sign, so the
     simplex sum is preserved exactly in real arithmetic.
     """
-    _check_increment(dt, dy)
-    generator, levels = model.generator, model.levels
-    rate = dy / dt
-
-    def field(p):
-        return wonham_langevin_field(p, generator, levels, beta, rate, correction_sign)
-
-    predictor = state.probs + dt * field(state.probs)
-    raw = state.probs + 0.5 * dt * (field(state.probs) + field(predictor))
-    probs, clamped = finish_simplex_step(raw)
+    check_increment(dt, dy)
+    kernel = WonhamLangevin(model, dt, beta, correction_sign)
+    probs, clamped = step_once(kernel, state.probs, dy)
     return FilterState(probs=probs, t=state.t + dt, clamps=state.clamps + clamped)
 
 
-def _clamp_q(q: float) -> tuple[float, int]:
-    if q > 1.0:
-        return 1.0, 1
-    if q < -1.0:
-        return -1.0, 1
-    return q, 0
+def _telegraph_step(kernel_type, state: TelegraphState, nu, beta, dt, dy) -> TelegraphState:
+    check_increment(dt, dy)
+    q, clamped = step_once(kernel_type(None, dt, beta, nu=nu), state.q, dy)
+    return TelegraphState(q=q, t=state.t + dt, clamps=state.clamps + clamped)
 
 
 def telegraph_ito_step(
     state: TelegraphState, nu: float, beta: float, dt: float, dy: float
 ) -> TelegraphState:
     """Euler step of  dq = -2 nu q dt - q(1-q^2)/beta^2 dt + (1-q^2)/beta^2 dy."""
-    _check_increment(dt, dy)
-    q = state.q
-    spread = 1.0 - q * q
-    raw = q + dt * (-2.0 * nu * q) - dt * q * spread / beta**2 + spread * dy / beta**2
-    q_new, clamped = _clamp_q(raw)
-    return TelegraphState(q=q_new, t=state.t + dt, clamps=state.clamps + clamped)
+    return _telegraph_step(TelegraphIto, state, nu, beta, dt, dy)
 
 
 def telegraph_langevin_step(
     state: TelegraphState, nu: float, beta: float, dt: float, dy: float
 ) -> TelegraphState:
     """Heun step of the Riccati field  dq/dt = -2 nu q + (1-q^2) r / beta^2."""
-    _check_increment(dt, dy)
-    rate = dy / dt
-
-    def field(q):
-        return -2.0 * nu * q + (1.0 - q * q) * rate / beta**2
-
-    predictor = state.q + dt * field(state.q)
-    raw = state.q + 0.5 * dt * (field(state.q) + field(predictor))
-    q_new, clamped = _clamp_q(raw)
-    return TelegraphState(q=q_new, t=state.t + dt, clamps=state.clamps + clamped)
+    return _telegraph_step(TelegraphLangevin, state, nu, beta, dt, dy)
 
 
 def mean_estimate(state: FilterState, model: ChainModel) -> float:

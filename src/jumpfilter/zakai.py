@@ -25,13 +25,28 @@ constant drift matrix A out of the smooth-noise equation.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .chain import ChainModel
+from .kernels import (
+    CLAMP_FAILURE_FRACTION,
+    FLOOR,
+    FilterInstabilityError,
+    Gamma,
+    GammaRangeError,
+    LogDomain,
+    ZakaiIto,
+    ZakaiLangevin,
+    check_increment,
+    drift_matrix,
+    initial_weights,
+    ito_update,
+    langevin_update,
+    propagator_pair,
+    step_once,
+)
 from .wonham import FilterState
 
 __all__ = [
@@ -55,20 +70,8 @@ __all__ = [
     "gamma_langevin_step",
 ]
 
-# Floor for nonpositive weights; keeps the log-domain filter total.
-PSI_FLOOR = 1e-300
-
-# A run fails when more than this fraction of its steps needed the floor;
-# silently projecting away instability would mask it.
-CLAMP_FAILURE_FRACTION = 1e-3
-
-
-class FilterInstabilityError(RuntimeError):
-    """Raised when a run clamps too often for its output to be trusted."""
-
-
-class GammaRangeError(OverflowError):
-    """exp(+-A t) left floating-point range; use the log-domain filter instead."""
+# Floor for nonpositive weights (the kernels' FLOOR, shared with wonham.PROB_FLOOR).
+PSI_FLOOR = FLOOR
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,86 +141,32 @@ class GammaState:
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "a_matrix", np.asarray(self.a_matrix, dtype=float))
         if self.forward is None or self.backward is None:
-            forward, backward = _propagator_pair(self.a_matrix, self.t)
+            forward, backward = propagator_pair(self.a_matrix, self.t)
             object.__setattr__(self, "forward", forward)
             object.__setattr__(self, "backward", backward)
 
 
-def _check_increment(dt: float, dy: float) -> None:
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if not np.isfinite(dy):
-        raise ValueError("observation increment must be finite")
-
-
-def _propagator_pair(a_matrix: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """exp(+A t), exp(-A t); raises instead of silently returning inf/nan."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        forward = expm(a_matrix * t)
-        backward = expm(-a_matrix * t)
-    if not (np.all(np.isfinite(forward)) and np.all(np.isfinite(backward))):
-        raise GammaRangeError("exp(+-A t) overflowed; use the log-domain filter")
-    return forward, backward
-
-
 def init_unnormalized(model: ChainModel) -> UnnormalizedState:
     """Initial weights equal the initial distribution; zeros floored to 1e-300."""
-    psi = np.array(model.initial_dist, dtype=float)
-    if np.any(psi <= 0):
-        warnings.warn(
-            "zero initial probabilities floored to 1e-300 so every state stays representable",
-            stacklevel=2,
-        )
-        psi = np.maximum(psi, PSI_FLOOR)
-    return UnnormalizedState(psi=psi, log_normalizer=0.0, t=0.0, clamps=0)
+    return UnnormalizedState(psi=initial_weights(model), log_normalizer=0.0, t=0.0, clamps=0)
 
 
-def _floor_and_rescale(raw: np.ndarray) -> tuple[np.ndarray, float, int]:
-    """Floor nonpositive entries, rescale to unit sum, return log scale."""
-    clamped = int(np.count_nonzero(raw <= 0.0))
-    if clamped:
-        raw = np.maximum(raw, PSI_FLOOR)
-    total = float(raw.sum())
-    return raw / total, float(np.log(total)), clamped
-
-
-def ito_update(psi, generator, levels, beta: float, dt: float, dy):
-    """Raw Euler-Maruyama update of the linear unnormalized equation.
-
-    Works on any (..., K) array; no floor or rescale applied.
-    """
-    return psi + dt * (psi @ generator) + psi * levels * (dy / beta**2)
+def _unnormalized_step(kernel, state: UnnormalizedState, dy: float) -> UnnormalizedState:
+    (psi, log_normalizer), clamped = step_once(kernel, (state.psi, state.log_normalizer), dy)
+    return UnnormalizedState(
+        psi=psi,
+        log_normalizer=float(log_normalizer),
+        t=state.t + kernel.dt,
+        clamps=state.clamps + clamped,
+    )
 
 
 def zakai_ito_step(
     state: UnnormalizedState, model: ChainModel, beta: float, dt: float, dy: float
 ) -> UnnormalizedState:
     """Euler-Maruyama step, then rescale by 1/sum(psi), accumulating the log."""
-    _check_increment(dt, dy)
-    raw = ito_update(state.psi, model.generator, model.levels, beta, dt, dy)
-    psi, log_scale, clamped = _floor_and_rescale(raw)
-    return UnnormalizedState(
-        psi=psi,
-        log_normalizer=state.log_normalizer + log_scale,
-        t=state.t + dt,
-        clamps=state.clamps + clamped,
-    )
-
-
-def langevin_update(psi, generator, levels, beta: float, dt: float, dy, correction_sign: int):
-    """Raw Heun update of the smooth-noise unnormalized equation.
-
-    The drift is linear:  psi @ (Q + diag(sign/2 a^2/beta^2 + a r/beta^2))
-    with r = dy/dt held constant over the step.
-    """
-    rate = dy / dt
-    diag = correction_sign * 0.5 * levels**2 / beta**2 + levels * (rate / beta**2)
-
-    def field(v):
-        return v @ generator + v * diag
-
-    predictor = psi + dt * field(psi)
-    return psi + 0.5 * dt * (field(psi) + field(predictor))
+    check_increment(dt, dy)
+    return _unnormalized_step(ZakaiIto(model, dt, beta), state, dy)
 
 
 def zakai_langevin_step(
@@ -229,19 +178,8 @@ def zakai_langevin_step(
     correction_sign: int = -1,
 ) -> UnnormalizedState:
     """Heun step of the smooth-noise form; same rescale and floor policy."""
-    _check_increment(dt, dy)
-    if correction_sign not in (-1, 1):
-        raise ValueError("correction_sign must be -1 or +1")
-    raw = langevin_update(
-        state.psi, model.generator, model.levels, beta, dt, dy, correction_sign
-    )
-    psi, log_scale, clamped = _floor_and_rescale(raw)
-    return UnnormalizedState(
-        psi=psi,
-        log_normalizer=state.log_normalizer + log_scale,
-        t=state.t + dt,
-        clamps=state.clamps + clamped,
-    )
+    check_increment(dt, dy)
+    return _unnormalized_step(ZakaiLangevin(model, dt, beta, correction_sign), state, dy)
 
 
 def log_step(
@@ -259,18 +197,9 @@ def log_step(
     Ito and the smooth-noise scheme. Exponent differences are evaluated after
     the per-step max-shift, which bounds every exponent by the current spread.
     """
-    _check_increment(dt, dy)
-    theta = state.theta
-    levels = model.levels
-    nu = model.exit_rates
-    # coupling_j = sum_{i != j} nu_ij exp(theta_i - theta_j); the shift cancels.
-    # Exponents are masked where the rate is zero so a huge spread between
-    # unconnected states cannot produce 0 * inf.
-    diffs = np.where(model.rates > 0, theta[:, None] - theta[None, :], -np.inf)
-    coupling = np.einsum("ij,ij->j", model.rates, np.exp(diffs))
-    drift = -nu + correction_sign * 0.5 * levels**2 / beta**2 + coupling
-    updated = theta + dt * drift + levels * (dy / beta**2)
-    return LogState(theta=updated - updated.max(), t=state.t + dt)
+    check_increment(dt, dy)
+    theta, _ = step_once(LogDomain(model, dt, beta, correction_sign), state.theta, dy)
+    return LogState(theta=theta, t=state.t + dt)
 
 
 def normalize(state: UnnormalizedState) -> FilterState:
@@ -279,21 +208,12 @@ def normalize(state: UnnormalizedState) -> FilterState:
     return FilterState(probs=state.psi / total, t=state.t)
 
 
-def drift_matrix(model: ChainModel, beta: float, correction_sign: int = -1) -> np.ndarray:
-    """Constant drift matrix of the smooth-noise unnormalized equation.
-
-    A = Q^T + sign * (1/2) diag(a^2) / beta^2, acting on column vectors; the
-    observation enters separately through diag(a) (x + n) / beta^2.
-    """
-    return model.generator.T + correction_sign * 0.5 * np.diag(model.levels**2) / beta**2
-
-
 def to_gamma(state: UnnormalizedState, a_matrix: np.ndarray, t: float | None = None) -> GammaState:
     """Transform psi into Gamma = exp(-A t) psi (keeps the log normalizer)."""
     t = state.t if t is None else t
     if t < 0:
         raise ValueError("t must be nonnegative")
-    forward, backward = _propagator_pair(np.asarray(a_matrix, dtype=float), t)
+    forward, backward = propagator_pair(np.asarray(a_matrix, dtype=float), t)
     return GammaState(
         gamma=backward @ state.psi,
         t=t,
@@ -329,29 +249,21 @@ def gamma_langevin_step(
     """Heun step of  dGamma/dt = exp(-A t) diag(a) exp(A t) (r / beta^2) Gamma.
 
     ``step_forward``/``step_backward`` are exp(+-A dt); pass them in when
-    stepping many times with the same dt to avoid recomputing them.
+    stepping many times with the same dt to avoid recomputing them. Raises
+    GammaRangeError when the propagators overflow or exp(A t) Gamma is no
+    longer positive.
     """
-    _check_increment(dt, dy)
-    a_matrix = state.a_matrix
-    if step_forward is None:
-        step_forward = expm(a_matrix * dt)
-    if step_backward is None:
-        step_backward = expm(-a_matrix * dt)
-    forward_next = state.forward @ step_forward
-    backward_next = step_backward @ state.backward
-    if not (np.all(np.isfinite(forward_next)) and np.all(np.isfinite(backward_next))):
-        raise GammaRangeError("exp(+-A t) overflowed; use the log-domain filter")
-    rate = dy / dt
-    d_scaled = np.diag(model.levels) * (rate / beta**2)
-    field_now = state.backward @ d_scaled @ state.forward
-    field_next = backward_next @ d_scaled @ forward_next
-    predictor = state.gamma + dt * (field_now @ state.gamma)
-    updated = state.gamma + 0.5 * dt * (field_now @ state.gamma + field_next @ predictor)
+    check_increment(dt, dy)
+    kernel = Gamma(model, dt, beta, a_matrix=state.a_matrix,
+                   step_forward=step_forward, step_backward=step_backward)
+    (gamma, forward, backward, _), _ = step_once(
+        kernel, (state.gamma, state.forward, state.backward, None), dy
+    )
     return GammaState(
-        gamma=updated,
+        gamma=gamma,
         t=state.t + dt,
-        a_matrix=a_matrix,
+        a_matrix=state.a_matrix,
         log_normalizer=state.log_normalizer,
-        forward=forward_next,
-        backward=backward_next,
+        forward=forward,
+        backward=backward,
     )

@@ -7,13 +7,17 @@ import pytest
 
 from jumpfilter import ChainModel, telegraph_model
 from jumpfilter.cli import main
+from jumpfilter.signalpath import ObservationGrid
+from jumpfilter.zakai import FilterInstabilityError
 from jumpfilter.harness import (
+    SCHEMES,
     ExperimentConfig,
     run_adjudicate,
     run_convergence,
     run_filter,
     run_predict,
     run_simulate,
+    run_trajectory,
 )
 from jumpfilter.seeding import ROLE_JUMP, ROLE_NOISE, derive_seed, splitmix64
 
@@ -262,3 +266,44 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert "config ok" in proc.stdout
+
+
+class TestDriverErrorPolicy:
+    THREE = ChainModel(
+        levels=[1.0, 0.3, -0.7],
+        rates=[[0.0, 0.6, 0.3], [0.2, 0.0, 0.8], [0.5, 0.4, 0.0]],
+        initial_dist=[0.5, 0.3, 0.2],
+    )
+
+    @staticmethod
+    def grid(dy):
+        dy = np.asarray(dy, dtype=float)
+        return ObservationGrid(dt=1e-3, beta=0.5, dy=dy, dw=np.zeros_like(dy),
+                               x_level=np.ones_like(dy))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_nonfinite_increment_raises(self, scheme, bad):
+        # wonham-ito used to return probs [nan, nan] with zero clamps here
+        model = TELEGRAPH if scheme.startswith("telegraph") else self.THREE
+        dy = np.full(50, 0.01)
+        dy[20] = bad
+        with pytest.raises(ValueError, match="finite"):
+            run_trajectory(model, self.grid(dy), scheme)
+
+    def test_presum_guard_enforced(self):
+        # a 1e12 increment leaves the pre-renormalization sum off by ~1e-4
+        with pytest.raises(ValueError, match="pre-renormalization sum"):
+            run_trajectory(self.THREE, self.grid([0.01, 1e12]), "wonham-ito")
+
+    def test_clamp_budget_applies_to_every_clamping_scheme(self):
+        for scheme in ("zakai-ito", "wonham-ito", "wonham-langevin"):
+            with pytest.raises(FilterInstabilityError, match="budget"):
+                run_trajectory(self.THREE, self.grid([0.01, 1e3, 0.01]), scheme)
+
+    def test_invalid_options_rejected(self):
+        grid = self.grid([0.01])
+        with pytest.raises(ValueError, match="correction_sign"):
+            run_trajectory(self.THREE, grid, "log", correction_sign=0)
+        with pytest.raises(ValueError, match="sign_variant"):
+            run_trajectory(self.THREE, grid, "wonham-ito", sign_variant="typo")
