@@ -10,7 +10,10 @@ rates, never stored independently.
 from __future__ import annotations
 
 import json
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -88,6 +91,37 @@ class ChainModel:
         q = self.rates.copy()
         q[np.diag_indices(self.n_states)] = -self.exit_rates
         return q
+
+    @cached_property
+    def sampling_tables(self) -> tuple[list, list]:
+        """Tables of :func:`simulate_jump_path`, built on first use.
+
+        Returns the CDF of the initial law and, per state, None when the state
+        is absorbing, else (1 / exit rate, CDF of the jump destination).
+        """
+        exits = []
+        for rates, exit_rate in zip(self.rates, self.exit_rates):
+            if exit_rate <= 0.0:
+                exits.append(None)
+            else:
+                exits.append((float(1.0 / exit_rate), _choice_cdf(rates / exit_rate)))
+        return _choice_cdf(self.initial_dist), exits
+
+
+def _choice_cdf(p: np.ndarray) -> list:
+    """The CDF that ``Generator.choice(len(p), p=p)`` searches, as a list.
+
+    Draws ``bisect_right(cdf, rng.random())`` then equal the draws of
+    ``rng.choice(len(p), p=p)`` and consume the same random numbers; p is
+    checked as ``choice`` checks it.
+    """
+    if not np.all(p >= 0):
+        raise ValueError("probabilities are not non-negative")
+    if abs(math.fsum(p) - 1.0) > math.sqrt(np.finfo(np.float64).eps):
+        raise ValueError("probabilities do not sum to 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
 
 
 def telegraph_model(nu: float, initial_dist=(0.5, 0.5)) -> ChainModel:
@@ -180,10 +214,10 @@ class JumpPath:
             raise ValueError("jump_times and jump_states must be 1-d and aligned")
         if times.size and (times[0] <= 0 or times[-1] > self.horizon):
             raise ValueError("jump times must lie in (0, horizon]")
-        if np.any(np.diff(times) <= 0):
+        if (times[1:] <= times[:-1]).any():
             raise ValueError("jump times must be strictly increasing")
         seq = np.concatenate(([self.initial_state], states))
-        if np.any(seq[1:] == seq[:-1]):
+        if (seq[1:] == seq[:-1]).any():
             raise ValueError("consecutive states must differ")
         times.setflags(write=False)
         states.setflags(write=False)
@@ -201,24 +235,24 @@ def simulate_jump_path(model: ChainModel, horizon: float, rng: np.random.Generat
     """Exact simulation: exponential holding times, embedded-chain jumps.
 
     Deterministic given ``rng``; an absorbing state (exit rate 0) ends the
-    jump sequence.
+    jump sequence. Each state is drawn by inverse CDF from one uniform and
+    each holding time is a scaled standard exponential, which is how
+    ``rng.choice(k, p=...)`` and ``rng.exponential(1 / rate)`` draw them: the
+    path and the numbers consumed equal theirs.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
-    k = model.n_states
-    exit_rates = model.exit_rates
-    initial = int(rng.choice(k, p=model.initial_dist))
-    state = initial
+    initial_cdf, exits = model.sampling_tables
+    uniform, exponential = rng.random, rng.standard_exponential
+    state = initial = bisect_right(initial_cdf, uniform())
     times, states = [], []
     t = 0.0
-    while True:
-        rate = exit_rates[state]
-        if rate <= 0.0:
-            break
-        t += rng.exponential(1.0 / rate)
+    while (row := exits[state]) is not None:
+        scale, cdf = row
+        t += scale * exponential()
         if t > horizon:
             break
-        state = int(rng.choice(k, p=model.rates[state] / rate))
+        state = bisect_right(cdf, uniform())
         times.append(t)
         states.append(state)
     return JumpPath(
@@ -240,10 +274,10 @@ def state_at(path: JumpPath, t: float) -> int:
 def _cumulative_level(path: JumpPath, model: ChainModel, times: np.ndarray) -> np.ndarray:
     """Exact values of  t -> integral_0^t a_{x(s)} ds  at the given times."""
     seg_levels = model.levels[path.states_visited]
-    knots = np.concatenate(([0.0], path.jump_times))
-    seg_len = np.diff(np.concatenate((knots, [path.horizon])))
-    cum_at_knots = np.concatenate(([0.0], np.cumsum(seg_levels * seg_len)))
-    idx = np.searchsorted(path.jump_times, times, side="right")
+    edges = np.concatenate(([0.0], path.jump_times, [path.horizon]))
+    knots = edges[:-1]
+    cum_at_knots = np.concatenate(([0.0], (seg_levels * (edges[1:] - knots)).cumsum()))
+    idx = path.jump_times.searchsorted(times, side="right")
     return cum_at_knots[idx] + seg_levels[idx] * (times - knots[idx])
 
 
@@ -257,10 +291,17 @@ def integrate_level(path: JumpPath, model: ChainModel, t0: float, t1: float) -> 
 
 def step_level_integrals(path: JumpPath, model: ChainModel, dt: float, n_steps: int) -> np.ndarray:
     """Exact per-step signal integrals over the uniform grid r*dt, r=0..n."""
+    cum = _cumulative_level(path, model, _uniform_grid(n_steps, dt, path.horizon))
+    return cum[1:] - cum[:-1]
+
+
+@lru_cache(maxsize=16)
+def _uniform_grid(n_steps: int, dt: float, horizon: float) -> np.ndarray:
+    """Read-only grid r*dt, r=0..n, its end capped at ``horizon``."""
     grid = np.arange(n_steps + 1) * dt
-    grid[-1] = min(grid[-1], path.horizon)  # guard against rounding past the end
-    cum = _cumulative_level(path, model, grid)
-    return np.diff(cum)
+    grid[-1] = min(grid[-1], horizon)  # guard against rounding past the end
+    grid.setflags(write=False)
+    return grid
 
 
 def stationary_distribution(model: ChainModel) -> np.ndarray:

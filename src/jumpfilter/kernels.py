@@ -6,10 +6,16 @@ diagonal, rate mask, propagators, transition matrix). It then offers
 
 * ``start(initial)``: the kernel state at t=0 (from a state object of the
   public API, an array, or None for the model's initial law);
-* ``step(state, dy) -> (state, clamped)``: one pure step over a (K,) or
-  (R, K) state, with no validation; ``clamped`` counts floored entries;
+* ``step(state, dy) -> (state, clamped)``: one pure step over a (K,)
+  state, with no validation; ``clamped`` counts floored entries;
 * ``probs(history) -> (probs, extras)``: the normalized (rows, K) history
   and the scheme's extra columns, in one vectorized pass.
+
+Only wonham-ito also steps a batch of R replicas. Its batch is held
+states-first, as a contiguous (K, R) array with one replica per column, so
+the operations of a step run along length-R rows instead of broadcasting
+over a length-K inner axis; ``start`` takes and ``probs`` returns the (R, K)
+layout.
 
 :func:`drive` runs any kernel over an increment record and applies the single
 error policy: finite increments at entry, a finite, on-simplex history, the
@@ -118,16 +124,23 @@ def propagator_pair(a_matrix: np.ndarray, t: float) -> tuple[np.ndarray, np.ndar
 
 
 def _row_sums(x: np.ndarray):
+    """Sums over the last axis of a (..., K) history, kept as a column."""
     return np.add.reduce(x, axis=-1, keepdims=x.ndim > 1)
 
 
+def _state_sums(x: np.ndarray):
+    """Sums over the states of a (K,) state (a scalar) or a states-first
+    (K, R) batch (an (R,) row)."""
+    return np.add.reduce(x, axis=0)
+
+
 def floor_and_total(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Floor nonpositive entries; return the floored array, its row sums and
-    the number of floored entries."""
+    """Floor nonpositive entries of a (K,) or (K, R) state; return the floored
+    array, its state sums and the number of floored entries."""
     clamped = int(np.count_nonzero(raw <= 0.0))
     if clamped:
         raw = np.maximum(raw, FLOOR)
-    return raw, _row_sums(raw), clamped
+    return raw, _state_sums(raw), clamped
 
 
 def finish_simplex_step(raw: np.ndarray) -> tuple[np.ndarray, int]:
@@ -182,23 +195,34 @@ def wonham_update_raw(
     """One raw Euler update of the normalized filter, before flooring and
     renormalization.
 
-    Works on any (..., K) array (``dy`` scalar or broadcastable (..., 1)),
-    so Monte Carlo replicas are stepped in a batch with the arithmetic of
-    the scalar API.
+    Works on a (K,) state with (K,) ``levels`` and a scalar ``dy``, or on a
+    states-first (K, R) batch with (K, 1) ``levels`` and (R,) ``dy``, so
+    Monte Carlo replicas are stepped in a batch with the arithmetic of the
+    scalar API.
     """
     if sign_variant not in SIGN_VARIANTS:
         raise ValueError(f"sign_variant must be one of {SIGN_VARIANTS}")
-    xbar = _row_sums(probs * levels)
-    gain = (levels - xbar) * probs / beta**2
-    drift = probs @ generator
+    # in-place form of  probs + dt * drift + gain * (dy - xbar * dt)  (or
+    # of  ... + gain * dy + gain * (xbar * dt)), same operations and order
+    xbar = _state_sums(probs * levels)
+    gain = levels - xbar
+    gain *= probs
+    gain /= beta**2
+    raw = generator.T @ probs
+    raw *= dt
+    raw += probs
     if sign_variant == "innovation":
-        return probs + dt * drift + gain * (dy - xbar * dt)
-    return probs + dt * drift + gain * dy + gain * (xbar * dt)
+        gain *= dy - xbar * dt
+    else:
+        raw += gain * dy
+        gain *= xbar * dt
+    raw += gain
+    return raw
 
 
 def _wonham_langevin_field(probs, generator, levels, levels_sq, beta_sq, rate, correction_sign):
-    xbar = _row_sums(probs * levels)
-    second_moment = _row_sums(probs * levels_sq)
+    xbar = _state_sums(probs * levels)
+    second_moment = _state_sums(probs * levels_sq)
     correction = 0.5 * probs * (levels_sq - second_moment) / beta_sq
     return (
         probs @ generator
@@ -232,6 +256,9 @@ class Kernel:
     scheme = ""
     # numpy floating-point error handling while stepping
     errstate: dict = {}
+    # whether a state is (probs, presum), presum being the sums before the
+    # renormalization that produced probs
+    carries_presum = False
 
     def __init__(self, model, dt: float, beta: float, correction_sign: int = -1,
                  sign_variant: str = "innovation"):
@@ -300,32 +327,46 @@ class ZakaiLangevin(_Unnormalized):
 
 
 class WonhamIto(Kernel):
-    """State (p, presum): probabilities and the pre-renormalization row sums
-    of the step that produced them (1 at the start)."""
+    """State (p, presum): probabilities and the pre-renormalization sums of
+    the step that produced them (1 at the start).
+
+    p is (K,) for one trajectory or a states-first (K, R) batch, whose step
+    takes an (R,) row of increments.
+    """
 
     scheme = "wonham-ito"
+    carries_presum = True
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.levels_column = self.levels[:, None]
 
     def start(self, initial=None):
+        """(K,) from None, a state object or a (K,) array; (K, R) from an
+        (R, K) array of replica rows."""
         if initial is None:
-            probs = np.array(self.model.initial_dist)
-        else:
-            probs = initial if isinstance(initial, np.ndarray) else initial.probs
-        presum = np.ones(probs.shape[:-1] + (1,)) if probs.ndim > 1 else 1.0
-        return probs, presum
+            return np.array(self.model.initial_dist), 1.0
+        probs = initial if isinstance(initial, np.ndarray) else initial.probs
+        if probs.ndim == 1:
+            return probs, 1.0
+        return np.ascontiguousarray(probs.T), np.ones(probs.shape[0])
 
     def step(self, state, dy):
+        probs = state[0]
+        levels = self.levels if probs.ndim == 1 else self.levels_column
         raw = wonham_update_raw(
-            state[0], self.generator, self.levels, self.beta, self.dt, dy, self.sign_variant
+            probs, self.generator, levels, self.beta, self.dt, dy, self.sign_variant
         )
         floored, total, clamped = floor_and_total(raw)
-        presum = _row_sums(raw) if clamped else total
+        presum = _state_sums(raw) if clamped else total
         return (floored / total, presum), clamped
 
     def probs(self, history):
-        return (
-            np.array([s[0] for s in history]),
-            {"presum": np.array([s[1] for s in history])},
-        )
+        probs = np.array([s[0] for s in history])
+        if probs.ndim == 3:
+            # (rows, K, R) batch history -> C-contiguous (rows, R, K)
+            probs = np.ascontiguousarray(probs.transpose(0, 2, 1))
+        return probs, {"presum": np.array([s[1] for s in history])}
 
 
 class WonhamLangevin(Kernel):
@@ -496,7 +537,7 @@ class BayesOracle(Kernel):
         log_post = np.log(probs @ self.trans) + log_like
         log_post -= np.maximum.reduce(log_post, axis=-1, keepdims=True)
         post = np.exp(log_post)
-        return post / _row_sums(post), 0
+        return post / _state_sums(post), 0
 
 
 KERNELS = {
@@ -534,27 +575,40 @@ def step_once(kernel: Kernel, state, dy):
         return kernel.step(state, dy)
 
 
-def check_presum(presum) -> np.ndarray:
-    """Deviations |presum - 1|; raises when one exceeds PRESUM_TOLERANCE or is NaN."""
-    devs = np.abs(np.asarray(presum, dtype=float) - 1.0)
+def check_presum(devs) -> None:
+    """Raises when a deviation |presum - 1| exceeds PRESUM_TOLERANCE or is NaN."""
     if not np.all(devs <= PRESUM_TOLERANCE):
         raise ValueError(
             f"step left the simplex (pre-renormalization sum off by {float(np.max(devs))!r}); "
             "reduce dt or check the inputs"
         )
-    return devs
 
 
 def _discard(_state) -> None:
     pass
 
 
+def _presum_tally(state):
+    """Per-replica running maximum and total of |presum - 1| over the states
+    passed to the returned ``record``, starting with ``state``'s."""
+    first = np.abs(np.subtract(state[1], 1.0))
+    worst, total = np.array(first, ndmin=1), np.array(first, ndmin=1)
+
+    def record(state):
+        devs = np.abs(state[1] - 1.0)
+        np.maximum(worst, devs, out=worst)
+        np.add(total, devs, out=total)
+
+    return record, worst, total
+
+
 def drive(kernel: Kernel, state, dy: np.ndarray, keep_history: bool = True) -> Run:
     """Step ``kernel`` from ``state`` through the increments ``dy``, then check.
 
-    ``dy`` is (n,) for one trajectory, or (n, R, 1) for R replicas stepped as
-    an (R, K) batch. With ``keep_history`` false only the final state is kept
-    and checked, so memory stays O(R K).
+    ``dy`` is (n,) for one trajectory, or (n, R) for R replicas stepped as a
+    batch (wonham-ito only). With ``keep_history`` false only the final state
+    is kept and checked, so memory stays O(R K); the pre-sum guard then runs
+    on a running maximum of |presum - 1| carried through the loop.
 
     Raises ValueError for non-finite increments, a history that is not finite
     or leaves the simplex, or a pre-renormalization sum off by more than
@@ -566,7 +620,12 @@ def drive(kernel: Kernel, state, dy: np.ndarray, keep_history: bool = True) -> R
         raise ValueError("observation increments must be finite")
     n_steps = len(dy)
     history = [state]
-    record = history.append if keep_history else _discard
+    if keep_history:
+        record = history.append
+    elif kernel.carries_presum:
+        record, presum_worst, presum_total = _presum_tally(state)
+    else:
+        record = _discard
     step = kernel.step
     clamps = 0
     with np.errstate(**kernel.errstate):
@@ -583,9 +642,12 @@ def drive(kernel: Kernel, state, dy: np.ndarray, keep_history: bool = True) -> R
     run = Run(probs, extras, clamps)
     presum = extras.pop("presum", None)
     if presum is not None:
-        devs = check_presum(presum)
-        run.presum_max_dev = float(devs.max())
-        run.presum_total_dev = float(np.cumsum(devs, axis=0)[-1].max())
+        if keep_history:
+            devs = np.abs(presum - 1.0)
+            presum_worst, presum_total = devs.max(axis=0), np.cumsum(devs, axis=0)[-1]
+        check_presum(presum_worst)
+        run.presum_max_dev = float(presum_worst.max())
+        run.presum_total_dev = float(presum_total.max())
     replica_steps = n_steps * (probs[0].size // probs.shape[-1])
     if clamps > CLAMP_FAILURE_FRACTION * replica_steps:
         raise FilterInstabilityError(

@@ -32,7 +32,7 @@ from scipy.stats import poisson
 from .chain import ChainModel, simulate_jump_path, step_level_integrals, transition_matrix
 from .kernels import BayesOracle, WonhamIto, check_increment, drive, step_once
 from .seeding import ROLE_JUMP, ROLE_NOISE, derive_rng
-from .signalpath import ObservationGrid, cumulative_observation
+from .signalpath import ObservationGrid, _step_count, cumulative_observation
 
 # Not called here; benchmark/tracing.py wraps these names as attributes of
 # this module, so they stay bound.
@@ -57,6 +57,8 @@ class DiscreteBayesState:
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
+        if not np.all(np.isfinite(probs)):
+            raise ValueError("posterior must be finite")
         if abs(probs.sum() - 1.0) > 1e-12 or np.any(probs < 0):
             raise ValueError("posterior must be a probability vector (1e-12 tolerance)")
         probs.setflags(write=False)
@@ -264,25 +266,26 @@ def tower_property_check(
     """
     if n_replicas < 100:
         raise ValueError("need at least 100 replicas for meaningful z-scores")
-    n_steps = int(round(horizon / dt))
-    if abs(n_steps * dt - horizon) > 1e-9 * max(1.0, horizon):
-        raise ValueError(f"dt={dt} does not divide horizon={horizon}")
+    n_steps = _step_count(horizon, dt)
     k = model.n_states
     levels = model.levels
 
+    # row r holds replica r's increments  signal + beta sqrt(dt) noise,
+    # written in place: the noise first, then scaled, then the signal added
     increments = np.empty((n_replicas, n_steps))
+    noise_scale = beta * math.sqrt(dt)
     terminal_level = np.empty(n_replicas)
-    for r in range(n_replicas):
+    for r, row in enumerate(increments):
         path = simulate_jump_path(model, horizon, derive_rng(master_seed, r, ROLE_JUMP))
-        signal = step_level_integrals(path, model, dt, n_steps)
-        noise = derive_rng(master_seed, r, ROLE_NOISE).standard_normal(n_steps)
-        increments[r] = signal + beta * math.sqrt(dt) * noise
+        derive_rng(master_seed, r, ROLE_NOISE).standard_normal(n_steps, out=row)
+        row *= noise_scale
+        row += step_level_integrals(path, model, dt, n_steps)
         terminal_level[r] = levels[path.states_visited[-1]]
 
     kernel = WonhamIto(model, dt, beta, sign_variant="innovation")
     start = kernel.start(np.tile(model.initial_dist, (n_replicas, 1)))
-    # step r of every replica reads increments[:, r] as an (R, 1) column
-    probs = drive(kernel, start, increments.T[:, :, None], keep_history=False).probs[-1]
+    # step r of every replica reads column r of the increments, an (R,) view
+    probs = drive(kernel, start, increments.T, keep_history=False).probs[-1]
 
     target = model.initial_dist @ transition_matrix(model, horizon)
     mean_terminal = probs.mean(axis=0)

@@ -115,7 +115,7 @@ def wonham_step(
     check_increment(dt, dy)
     kernel = WonhamIto(model, dt, beta, sign_variant=sign_variant)
     (probs, presum), clamped = step_once(kernel, (state.probs, 1.0), dy)
-    check_presum(presum)
+    check_presum(abs(presum - 1.0))
     return FilterState(probs=probs, t=state.t + dt, clamps=state.clamps + clamped)
 
 

@@ -295,9 +295,13 @@ def test_batched_wonham_rows_equal_separate_runs(k, seed, replicas, sign_variant
     except FilterInstabilityError:
         # 40 steps x at most 6 replicas: a single clamp exceeds either budget
         with pytest.raises(FilterInstabilityError):
-            drive(kernel, start, dy[:, :, None])
+            drive(kernel, start, dy)
         return
-    batch = drive(kernel, start, dy[:, :, None])
+    batch = drive(kernel, start, dy)
     assert batch.probs.shape == (len(dy) + 1, replicas, k)
     for r, single in enumerate(singles):
         assert np.abs(batch.probs[:, r, :] - single.probs).max() <= 1e-15
+        if k <= 3:
+            # from K=4 on, BLAS may round the batched drift (a matrix
+            # product) apart from the single run's (a matrix-vector product)
+            assert np.array_equal(batch.probs[:, r, :], single.probs)

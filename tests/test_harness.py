@@ -7,6 +7,7 @@ import pytest
 
 from jumpfilter import ChainModel, telegraph_model
 from jumpfilter.cli import main
+from jumpfilter.kernels import WonhamIto, drive
 from jumpfilter.signalpath import ObservationGrid
 from jumpfilter.zakai import FilterInstabilityError
 from jumpfilter.harness import (
@@ -295,6 +296,17 @@ class TestDriverErrorPolicy:
         # a 1e12 increment leaves the pre-renormalization sum off by ~1e-4
         with pytest.raises(ValueError, match="pre-renormalization sum"):
             run_trajectory(self.THREE, self.grid([0.01, 1e12]), "wonham-ito")
+
+    @pytest.mark.parametrize("keep_history", [True, False])
+    def test_presum_guard_covers_every_step_of_a_batch(self, keep_history):
+        # only step 50 of replica 7 leaves the simplex (pre-sum off by ~2e-4);
+        # without a history the guard used to see the final state alone
+        kernel = WonhamIto(TELEGRAPH, 1e-3, 0.5)
+        start = kernel.start(np.tile(TELEGRAPH.initial_dist, (2000, 1)))
+        dy = np.full((60, 2000), 0.01)
+        dy[50, 7] = 1e12
+        with pytest.raises(ValueError, match="pre-renormalization sum"):
+            drive(kernel, start, dy, keep_history=keep_history)
 
     def test_clamp_budget_applies_to_every_clamping_scheme(self):
         for scheme in ("zakai-ito", "wonham-ito", "wonham-langevin"):

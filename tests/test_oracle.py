@@ -16,6 +16,28 @@ from jumpfilter.signalpath import coarsen
 from jumpfilter.wonham import finish_simplex_step, wonham_update_raw
 
 TELEGRAPH = telegraph_model(1.0)
+THREE_STATE = ChainModel(
+    levels=[0.9, 0.25, -0.6],
+    rates=[[0.0, 0.6, 0.3], [0.2, 0.0, 0.8], [0.5, 0.4, 0.0]],
+    initial_dist=[0.5, 0.3, 0.2],
+)
+
+# (model, horizon, dt, beta, replicas, master seed) -> (z_scores, mean_terminal,
+# mse_filter, mse_const, mse_margin_se), recorded with the first implementation
+# of the check: one rng.choice per state draw and one rng.exponential per
+# holding time, and the batch held replicas-first as an (R, K) array.
+TOWER_PINS = [
+    ((TELEGRAPH, 0.2, 1e-2, 0.5, 120, 6),
+     ([0.2851892653657731, -0.2851892653649254], [0.5079181618610392, 0.4920818381389608],
+      0.478150164028094, 1.0, 8.549298260731733)),
+    ((TELEGRAPH, 1.0, 1e-3, 0.5, 300, 3),
+     ([-0.0832052373749199, 0.0832052373758924], [0.4984041759602095, 0.5015958240397905],
+      0.5887477614590215, 1.0, 8.080636005958086)),
+    ((THREE_STATE, 0.5, 1e-2, 0.7, 150, 7),
+     ([-0.7234430344855508, 0.9391849048348673, 0.5274747604742522],
+      [0.38420443126653986, 0.3273628328321658, 0.2884327359012939],
+      0.3470578908578087, 0.41122099455192757, 2.878664452993469)),
+]
 
 
 class TestBayesForward:
@@ -55,6 +77,17 @@ class TestBayesForward:
         state = DiscreteBayesState(probs=np.array([1.0, 0.0]))
         stepped = bayes_forward_step(state, absorbing, 0.01, 0.0, 0.5)
         assert stepped.probs[1] == 0.0
+
+    @pytest.mark.parametrize("probs", [[np.nan, np.nan], [np.nan, 1.0], [np.inf, 0.0]])
+    def test_nonfinite_posterior_rejected(self, probs):
+        # abs(nan - 1) > 1e-12 is False, so the sum test alone let NaN through
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteBayesState(probs=probs)
+
+    def test_posterior_sum_tolerance_stays_1e_12(self):
+        DiscreteBayesState(probs=[0.5, 0.5 + 5e-13])
+        with pytest.raises(ValueError, match="1e-12"):
+            DiscreteBayesState(probs=[0.5, 0.5 + 1e-11])
 
 
 class TestPathspace:
@@ -166,19 +199,32 @@ class TestTowerProperty:
         doc = report.to_json()
         assert set(doc) == {"z_scores", "mse_filter", "mse_const", "mse_margin_se", "n_replicas"}
 
+    @pytest.mark.parametrize("case, expected", TOWER_PINS)
+    def test_report_pinned_bit_for_bit(self, case, expected):
+        report = tower_property_check(*case)
+        assert (
+            report.z_scores.tolist(),
+            report.mean_terminal.tolist(),
+            report.mse_filter,
+            report.mse_const,
+            report.mse_margin_se,
+        ) == expected
+
     def test_batched_step_matches_scalar_step(self):
         rng = np.random.default_rng(31)
         probs = rng.uniform(0.05, 1.0, size=(7, 2))
         probs /= probs.sum(axis=1, keepdims=True)
-        dys = rng.normal(scale=0.03, size=(7, 1))
+        dys = rng.normal(scale=0.03, size=7)
+        # states-first batch: one replica per column, levels as a column
         raw = wonham_update_raw(
-            probs, TELEGRAPH.generator, TELEGRAPH.levels, 0.5, 1e-3, dys, "innovation"
+            np.ascontiguousarray(probs.T), TELEGRAPH.generator, TELEGRAPH.levels[:, None],
+            0.5, 1e-3, dys, "innovation",
         )
         batched, _ = finish_simplex_step(raw)
         for i in range(7):
             raw_i = wonham_update_raw(
-                probs[i], TELEGRAPH.generator, TELEGRAPH.levels, 0.5, 1e-3, float(dys[i, 0]),
+                probs[i], TELEGRAPH.generator, TELEGRAPH.levels, 0.5, 1e-3, float(dys[i]),
                 "innovation",
             )
             scalar, _ = finish_simplex_step(raw_i)
-            assert np.array_equal(batched[i], scalar)
+            assert np.array_equal(batched[:, i], scalar)
