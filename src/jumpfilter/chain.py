@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 __all__ = [
     "ChainModel",
@@ -309,6 +307,10 @@ def stationary_distribution(model: ChainModel) -> np.ndarray:
     k = model.n_states
     if k == 1:
         return np.array([1.0])
+    # imported here: scipy.sparse takes ~0.3 s to load and only this check needs it
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     adjacency = csr_matrix((model.rates > 0).astype(np.int8))
     n_comp, labels = connected_components(adjacency, directed=True, connection="strong")
     if n_comp > 1:

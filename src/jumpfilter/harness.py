@@ -23,7 +23,6 @@ from .chain import (
     model_from_json,
     model_to_json,
     simulate_jump_path,
-    transition_matrix,
     validate_model,
 )
 from .kernels import KERNELS, drive
@@ -41,6 +40,7 @@ from .zakai import UnnormalizedState
 
 # Not called here; benchmark/tracing.py wraps these names as attributes of
 # this module, so they stay bound.
+from .chain import transition_matrix  # noqa: F401
 from .oracle import bayes_forward_step  # noqa: F401
 from .wonham import finish_simplex_step, wonham_update_raw  # noqa: F401
 
@@ -512,12 +512,9 @@ def run_predict(
     if terminal is None:
         trajectory, _ = run_filter(config, write=False)
         terminal = trajectory.probs[-1]
-    rows = []
-    for h in horizons:
-        if h < 0:
-            raise ValueError("prediction horizons must be nonnegative")
-        probs = terminal @ transition_matrix(config.model, h)
-        rows.append({"h": h, "probs": probs})
+    # a copy: FilterState marks its array read-only, and this one may be the caller's
+    state = FilterState(probs=np.array(terminal, dtype=float))
+    rows = [{"h": h, "probs": wonham.predict(state, config.model, h)} for h in horizons]
     if write:
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -36,7 +36,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .chain import ChainModel, transition_matrix
 
@@ -111,6 +110,9 @@ def drift_matrix(model: ChainModel, beta: float, correction_sign: int = -1) -> n
 
 def propagator_pair(a_matrix: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
     """exp(+A t), exp(-A t); raises instead of silently returning inf/nan."""
+    # imported here: scipy.linalg takes ~0.3 s to load and only Gamma needs it
+    from scipy.linalg import expm
+
     with np.errstate(over="ignore", invalid="ignore"):
         forward = expm(a_matrix * t)
         backward = expm(-a_matrix * t)
@@ -425,7 +427,12 @@ class LogDomain(Kernel):
 
 class Gamma(Kernel):
     """State (Gamma, exp(+A t), exp(-A t), psi) of the transform
-    Gamma = exp(-A t) psi; steps a single (K,) trajectory."""
+    Gamma = exp(-A t) psi; steps a single (K,) trajectory.
+
+    The step propagators exp(+-A dt) come from ``step_forward`` and
+    ``step_backward`` when both are given, else from :func:`propagator_pair`,
+    which raises GammaRangeError here if they are not finite.
+    """
 
     scheme = "gamma"
 
@@ -434,9 +441,11 @@ class Gamma(Kernel):
         super().__init__(model, dt, beta, correction_sign, sign_variant)
         if a_matrix is None:
             a_matrix = drift_matrix(model, beta, correction_sign)
+        if step_forward is None or step_backward is None:
+            step_forward, step_backward = propagator_pair(a_matrix, dt)
         self.a_matrix = a_matrix
-        self.step_forward = expm(a_matrix * dt) if step_forward is None else step_forward
-        self.step_backward = expm(-a_matrix * dt) if step_backward is None else step_backward
+        self.step_forward = step_forward
+        self.step_backward = step_backward
         self.diag_levels = np.diag(self.levels)
 
     def start(self, initial=None):

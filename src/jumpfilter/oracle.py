@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.stats import poisson
 
 from .chain import ChainModel, simulate_jump_path, step_level_integrals, transition_matrix
 from .kernels import BayesOracle, WonhamIto, check_increment, drive, step_once
@@ -160,6 +159,9 @@ def pathspace_expectation(
     n_steps = int(round(horizon / grid.dt))
     if abs(n_steps * grid.dt - horizon) > 1e-9 * max(1.0, horizon) or n_steps > grid.n_steps:
         raise ValueError("horizon must match a whole number of grid steps")
+    # imported here: scipy.stats takes ~1 s to load and only this bound needs it
+    from scipy.stats import poisson
+
     lam = float(model.exit_rates.max()) * horizon
     truncation_bound = float(poisson.sf(max_jumps, lam))
     if truncation_bound > max_truncation:

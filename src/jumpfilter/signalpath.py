@@ -168,6 +168,8 @@ def read_observations_csv(source, beta: float) -> ObservationGrid:
     """Read a grid written by :func:`write_observations_csv`.
 
     beta is not stored in the CSV; it travels with the experiment config.
+    Every value must be finite, and the times must be the uniform grid r*dt
+    from 0 (to 1e-9 relative, as in :func:`_step_count`) with dt = t_1 - t_0.
     """
     with open(source, newline="") as fh:
         reader = csv.reader(fh)
@@ -177,11 +179,12 @@ def read_observations_csv(source, beta: float) -> ObservationGrid:
         rows = [(float(t), float(dy), float(dw), float(lvl)) for _, t, dy, dw, lvl in reader]
     if len(rows) < 2:
         raise ValueError("need at least 2 rows to recover the step size")
-    t = np.array([row[0] for row in rows])
-    return ObservationGrid(
-        dt=float(t[1] - t[0]),
-        beta=beta,
-        dy=np.array([row[1] for row in rows]),
-        dw=np.array([row[2] for row in rows]),
-        x_level=np.array([row[3] for row in rows]),
-    )
+    columns = dict(zip(CSV_HEADER[1:], map(np.array, zip(*rows))))
+    for name, column in columns.items():
+        if not np.isfinite(column).all():
+            raise ValueError(f"column {name} holds a non-finite value")
+    t = columns.pop("t")
+    dt = float(t[1] - t[0])
+    if t[0] != 0 or np.abs(t - np.arange(len(t)) * dt).max() > 1e-9 * max(1.0, abs(t[-1])):
+        raise ValueError("column t is not the uniform grid r*dt starting at 0")
+    return ObservationGrid(dt=dt, beta=beta, **columns)

@@ -248,7 +248,7 @@ def gamma_langevin_step(
 ) -> GammaState:
     """Heun step of  dGamma/dt = exp(-A t) diag(a) exp(A t) (r / beta^2) Gamma.
 
-    ``step_forward``/``step_backward`` are exp(+-A dt); pass them in when
+    ``step_forward``/``step_backward`` are exp(+-A dt); pass both in when
     stepping many times with the same dt to avoid recomputing them. Raises
     GammaRangeError when the propagators overflow or exp(A t) Gamma is no
     longer positive.

@@ -220,6 +220,21 @@ class TestPredict:
         )
         assert np.abs(direct - composed).max() <= 1e-9
 
+    @pytest.mark.parametrize("terminal", [[2.0, -1.0], [float("nan"), 0.5]],
+                             ids=["negative", "nan"])
+    def test_rejects_invalid_terminal_distribution(self, terminal):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            run_predict(telegraph_config(), [1.0], terminal=np.array(terminal), write=False)
+
+    def test_leaves_callers_terminal_writable(self):
+        terminal = np.array([0.7, 0.3])
+        run_predict(telegraph_config(), [1.0], terminal=terminal, write=False)
+        assert terminal.flags.writeable
+
+    def test_rejects_negative_horizon(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            run_predict(telegraph_config(), [-1.0], terminal=np.array([0.5, 0.5]), write=False)
+
 
 class TestCli:
     @pytest.fixture

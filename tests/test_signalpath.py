@@ -92,6 +92,58 @@ def test_csv_rejects_unknown_header(tmp_path):
         read_observations_csv(file, beta=1.0)
 
 
+def _write_rows(file, rows):
+    file.write_text("r,t,dy,dw,x_level\r\n" + "".join(
+        ",".join([str(r), *map(str, row)]) + "\r\n" for r, row in enumerate(rows)))
+
+
+# 3 * 0.1 != 0.3 in floating point: the grid check has a tolerance
+GOOD_ROWS = [(0.0, 0.01, 0.02, 1.0), (0.1, -0.03, 0.01, 1.0), (0.2, 0.05, 0.0, -1.0),
+             (0.3, 0.02, 0.01, -1.0)]
+
+
+def test_csv_reads_a_valid_hand_written_table(tmp_path):
+    file = tmp_path / "obs.csv"
+    _write_rows(file, GOOD_ROWS)
+    grid = read_observations_csv(file, beta=0.5)
+    assert grid.dt == 0.1 and grid.n_steps == 4
+    assert np.array_equal(grid.x_level, [1.0, 1.0, -1.0, -1.0])
+
+
+def test_csv_rejects_time_not_starting_at_zero(tmp_path):
+    file = tmp_path / "obs.csv"
+    _write_rows(file, [(0.5, 0.1, 0.0, 1.0), (0.6, 0.1, 0.0, 1.0), (0.7, 0.1, 0.0, 1.0)])
+    with pytest.raises(ValueError, match="column t"):
+        read_observations_csv(file, beta=0.5)
+
+
+def test_csv_rejects_time_off_the_uniform_grid(tmp_path):
+    file = tmp_path / "obs.csv"
+    _write_rows(file, [(0.0, 0.1, 0.0, 1.0), (0.1, 0.1, 0.0, 1.0), (5.0, 0.1, 0.0, 1.0)])
+    with pytest.raises(ValueError, match="column t"):
+        read_observations_csv(file, beta=0.5)
+
+
+def test_csv_rejects_broken_time_column_with_nan(tmp_path):
+    # loaded as a 4-step grid with dt ~ 0.1 before the reader checked its input
+    file = tmp_path / "obs.csv"
+    _write_rows(file, [(0.5, 0.1, 0.0, 1.0), (0.6, float("nan"), 0.0, 1.0),
+                       (5.0, 0.1, 0.0, 1.0), (1e9, 0.1, 0.0, 1.0)])
+    with pytest.raises(ValueError):
+        read_observations_csv(file, beta=0.5)
+
+
+@pytest.mark.parametrize("column", [1, 2, 3], ids=["dy", "dw", "x_level"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_csv_rejects_non_finite_values(tmp_path, column, bad):
+    rows = [list(row) for row in GOOD_ROWS]
+    rows[1][column] = bad
+    file = tmp_path / "obs.csv"
+    _write_rows(file, rows)
+    with pytest.raises(ValueError, match="non-finite"):
+        read_observations_csv(file, beta=0.5)
+
+
 def test_parameter_validation():
     path = simulate_jump_path(TELEGRAPH, 1.0, np.random.default_rng(0))
     with pytest.raises(ValueError):

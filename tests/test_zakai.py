@@ -17,6 +17,7 @@ from jumpfilter import (
     zakai_ito_step,
 )
 from jumpfilter.harness import ExperimentConfig, run_trajectory, simulate_pair
+from jumpfilter.kernels import Gamma, propagator_pair
 from jumpfilter.signalpath import coarsen
 from jumpfilter.zakai import (
     FilterInstabilityError,
@@ -270,6 +271,19 @@ class TestGamma:
         a = drift_matrix(TELEGRAPH, 0.05, -1)  # |A| ~ 200, t |A| ~ 1e5
         with pytest.raises(GammaRangeError, match="log-domain"):
             to_gamma(state, a)
+
+    def test_non_finite_step_propagator_raises_when_kernel_is_built(self):
+        with pytest.raises(GammaRangeError, match="log-domain"):
+            Gamma(TELEGRAPH, 500.0, 0.05)
+
+    def test_given_step_propagators_match_computed_ones(self):
+        a = drift_matrix(TELEGRAPH, 0.5, -1)
+        state = to_gamma(UnnormalizedState(psi=np.array([0.3, 0.7]), t=0.4), a)
+        forward, backward = propagator_pair(a, 1e-3)
+        given = gamma_langevin_step(state, TELEGRAPH, 0.5, 1e-3, 0.02, forward, backward)
+        computed = gamma_langevin_step(state, TELEGRAPH, 0.5, 1e-3, 0.02)
+        assert np.array_equal(given.gamma, computed.gamma)
+        assert np.array_equal(given.forward, computed.forward)
 
     def test_equal_levels_step_is_diagonal_scaling(self):
         # levels all equal: diag(a) commutes with exp(A t), so the Gamma field
