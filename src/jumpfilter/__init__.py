@@ -25,7 +25,6 @@ from .chain import (
 from .signalpath import (
     ObservationGrid,
     coarsen,
-    cumulative_y,
     read_observations_csv,
     synthesize_from_brownian,
     synthesize_observations,

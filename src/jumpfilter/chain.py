@@ -59,9 +59,9 @@ class ChainModel:
     initial_dist: np.ndarray
 
     def __post_init__(self):
-        levels = np.atleast_1d(np.asarray(self.levels, dtype=float))
-        rates = np.array(self.rates, dtype=float, copy=True)
-        initial = np.atleast_1d(np.asarray(self.initial_dist, dtype=float))
+        levels = np.atleast_1d(np.array(self.levels, dtype=float))
+        rates = np.array(self.rates, dtype=float)
+        initial = np.atleast_1d(np.array(self.initial_dist, dtype=float))
         k = levels.shape[0]
         if levels.ndim != 1 or k < 1:
             raise ValueError("levels must be a nonempty 1-d array")
@@ -206,8 +206,8 @@ class JumpPath:
     horizon: float
 
     def __post_init__(self):
-        times = np.asarray(self.jump_times, dtype=float)
-        states = np.asarray(self.jump_states, dtype=np.intp)
+        times = np.array(self.jump_times, dtype=float)
+        states = np.array(self.jump_states, dtype=np.intp)
         if times.shape != states.shape or times.ndim != 1:
             raise ValueError("jump_times and jump_states must be 1-d and aligned")
         if times.size and (times[0] <= 0 or times[-1] > self.horizon):
@@ -255,8 +255,8 @@ def simulate_jump_path(model: ChainModel, horizon: float, rng: np.random.Generat
         states.append(state)
     return JumpPath(
         initial_state=initial,
-        jump_times=np.asarray(times, dtype=float),
-        jump_states=np.asarray(states, dtype=np.intp),
+        jump_times=times,
+        jump_states=states,
         horizon=float(horizon),
     )
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,10 +25,11 @@ from .chain import (
     simulate_jump_path,
     validate_model,
 )
-from .kernels import KERNELS, drive
+from .kernels import KERNELS, Trajectory, check_signs, drive
 from .seeding import ROLE_JUMP, ROLE_NOISE, derive_rng
 from .signalpath import (
     ObservationGrid,
+    _step_count,
     coarsen,
     cumulative_observation,
     synthesize_observations,
@@ -56,21 +57,13 @@ __all__ = [
     "run_predict",
 ]
 
-SCHEMES = (
-    "zakai-ito",
-    "zakai-langevin",
-    "wonham-ito",
-    "wonham-langevin",
-    "log",
-    "gamma",
-    "telegraph-ito",
-    "telegraph-langevin",
-    "bayes-oracle",
-)
+SCHEMES = tuple(KERNELS)
 
-# schemes whose native trajectory is the unnormalized-weight CSV format
-LOG_WEIGHT_SCHEMES = ("zakai-ito", "zakai-langevin")
-TELEGRAPH_SCHEMES = ("telegraph-ito", "telegraph-langevin")
+# the keys of a config document, as written by ExperimentConfig.to_json
+CONFIG_KEYS = (
+    "model", "T", "dt", "beta", "scheme", "correction_sign", "sign_variant", "master_seed",
+    "out_dir",
+)
 
 
 @dataclass(eq=False)
@@ -85,7 +78,6 @@ class ExperimentConfig:
     correction_sign: int = -1
     sign_variant: str = "innovation"
     master_seed: int = 0
-    replicas: int = 1
     out_dir: str = "."
 
     def validate(self) -> None:
@@ -96,29 +88,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
         if self.dt <= 0 or self.horizon <= 0 or self.beta <= 0:
             raise ValueError("horizon, dt and beta must be positive")
-        n = round(self.horizon / self.dt)
-        if n < 1 or abs(n * self.dt - self.horizon) > 1e-9 * max(1.0, self.horizon):
-            raise ValueError(f"dt={self.dt} does not divide horizon={self.horizon}")
-        if self.replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        if self.correction_sign not in (-1, 1):
-            raise ValueError("correction_sign must be -1 or +1")
-        if self.sign_variant not in wonham.SIGN_VARIANTS:
-            raise ValueError(f"sign_variant must be one of {wonham.SIGN_VARIANTS}")
-        if self.scheme in TELEGRAPH_SCHEMES:
-            m = self.model
-            if (
-                m.n_states != 2
-                or not np.allclose(m.levels, [1.0, -1.0], atol=1e-12)
-                or abs(m.rates[0, 1] - m.rates[1, 0]) > 1e-12
-            ):
-                raise ValueError(
-                    "telegraph schemes require K=2, levels (1, -1) and a symmetric rate"
-                )
-
-    @property
-    def n_steps(self) -> int:
-        return round(self.horizon / self.dt)
+        _step_count(self.horizon, self.dt)
+        check_signs(self.correction_sign, self.sign_variant)
+        KERNELS[self.scheme].check_model(self.model)
 
     def to_json(self) -> dict:
         return {
@@ -130,13 +102,15 @@ class ExperimentConfig:
             "correction_sign": self.correction_sign,
             "sign_variant": self.sign_variant,
             "master_seed": self.master_seed,
-            "replicas": self.replicas,
             "out_dir": str(self.out_dir),
         }
 
     @classmethod
     def from_json(cls, source: str | dict) -> "ExperimentConfig":
         doc = json.loads(source) if isinstance(source, str) else source
+        unknown = sorted(set(doc) - set(CONFIG_KEYS))
+        if unknown:
+            raise ValueError(f"unknown config keys {unknown}; known keys are {CONFIG_KEYS}")
         return cls(
             model=model_from_json(doc["model"]),
             horizon=float(doc["T"]),
@@ -146,28 +120,8 @@ class ExperimentConfig:
             correction_sign=int(doc.get("correction_sign", -1)),
             sign_variant=doc.get("sign_variant", "innovation"),
             master_seed=int(doc.get("master_seed", 0)),
-            replicas=int(doc.get("replicas", 1)),
             out_dir=doc.get("out_dir", "."),
         )
-
-
-@dataclass(eq=False)
-class Trajectory:
-    """Filter output on a grid: normalized probabilities plus scheme extras.
-
-    ``extras`` may carry 'log_weights' (n+1, K) for unnormalized schemes, 'q'
-    (n+1,) for telegraph schemes, and 'theta' for the log-domain scheme.
-    ``presum_max_dev``/``presum_total_dev`` track the pre-renormalization
-    simplex defect of Euler steps where that invariant applies.
-    """
-
-    scheme: str
-    times: np.ndarray
-    probs: np.ndarray
-    clamps: int = 0
-    presum_max_dev: float = 0.0
-    presum_total_dev: float = 0.0
-    extras: dict = field(default_factory=dict)
 
 
 def run_trajectory(
@@ -180,24 +134,15 @@ def run_trajectory(
 ) -> Trajectory:
     """Drive the selected scheme over the whole observation grid.
 
-    Builds the scheme's kernel once and runs it through
-    :func:`jumpfilter.kernels.drive`, which owns every check: finite
-    increments, a finite on-simplex history, the pre-renormalization sum
-    guard and the clamp budget.
+    Builds the scheme's kernel once, which checks the options and the model,
+    and runs it through :func:`jumpfilter.kernels.drive`, which owns every
+    check of the run: finite increments, a finite on-simplex history, the
+    pre-renormalization sum guard and the clamp budget.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     kernel = KERNELS[scheme](model, grid.dt, grid.beta, correction_sign, sign_variant)
-    run = drive(kernel, kernel.start(initial), grid.dy)
-    return Trajectory(
-        scheme,
-        np.arange(grid.n_steps + 1) * grid.dt,
-        run.probs,
-        clamps=run.clamps,
-        presum_max_dev=run.presum_max_dev,
-        presum_total_dev=run.presum_total_dev,
-        extras=run.extras,
-    )
+    return drive(kernel, kernel.start(initial), grid.dy)
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +198,11 @@ def write_unnormalized_csv(destination, trajectory: Trajectory) -> None:
     """
     log_weights = trajectory.extras["log_weights"]
     k = log_weights.shape[1]
-    psi = np.exp(log_weights - log_weights.max(axis=1, keepdims=True))
-    psi /= psi.sum(axis=1, keepdims=True)
-    log_norm = log_weights.max(axis=1) + np.log(
-        np.exp(log_weights - log_weights.max(axis=1, keepdims=True)).sum(axis=1)
-    )
+    top = log_weights.max(axis=1)
+    psi = np.exp(log_weights - top[:, None])
+    total = psi.sum(axis=1)
+    psi /= total[:, None]
+    log_norm = top + np.log(total)
     header = ["r", "t"] + [f"psi_{j + 1}" for j in range(k)] + ["log_normalizer"]
     columns = [range(len(trajectory.times)), trajectory.times, *psi.T, log_norm]
     write_table(destination, header, ["%d"] + [FLOAT] * (k + 2), columns)
@@ -325,7 +270,7 @@ def run_filter(
     if write:
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        if config.scheme in LOG_WEIGHT_SCHEMES:
+        if "log_weights" in trajectory.extras:
             write_unnormalized_csv(out / "trajectory.csv", trajectory)
             write_trajectory_csv(out / "estimates.csv", grid, trajectory, config.model)
             report["trajectory_csv"] = str(out / "trajectory.csv")
@@ -363,7 +308,7 @@ def run_convergence(config: ExperimentConfig, halvings: int, write: bool = True)
     model = config.model
     telegraphable = True
     try:
-        replace(config, scheme="telegraph-ito").validate()
+        KERNELS["telegraph-ito"].check_model(model)
     except ValueError:
         telegraphable = False
 
@@ -490,10 +435,6 @@ def run_adjudicate(config: ExperimentConfig, halvings: int = 2, write: bool = Tr
         "correction_sign": _adjudicate_dimension((-1, +1), corr),
         "drift_variant": _adjudicate_dimension(("innovation", "paper"), variant),
     }
-    for part in ("correction_sign", "drift_variant"):
-        verdict = report[part]["verdict"]
-        if part == "correction_sign" and verdict in (-1, 1):
-            report[part]["verdict"] = int(verdict)
     if write:
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -512,8 +453,7 @@ def run_predict(
     if terminal is None:
         trajectory, _ = run_filter(config, write=False)
         terminal = trajectory.probs[-1]
-    # a copy: FilterState marks its array read-only, and this one may be the caller's
-    state = FilterState(probs=np.array(terminal, dtype=float))
+    state = FilterState(probs=terminal)
     rows = [{"h": h, "probs": wonham.predict(state, config.model, h)} for h in horizons]
     if write:
         out = Path(config.out_dir)

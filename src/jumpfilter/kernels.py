@@ -11,6 +11,9 @@ diagonal, rate mask, propagators, transition matrix). It then offers
 * ``probs(history) -> (probs, extras)``: the normalized (rows, K) history
   and the scheme's extra columns, in one vectorized pass.
 
+Building a kernel also checks its options (:func:`check_signs`) and, through
+the kernel's ``check_model``, that the scheme can filter the model.
+
 Only wonham-ito also steps a batch of R replicas. Its batch is held
 states-first, as a contiguous (K, R) array with one replica per column, so
 the operations of a step run along length-R rows instead of broadcasting
@@ -48,7 +51,8 @@ __all__ = [
     "FilterInstabilityError",
     "GammaRangeError",
     "KERNELS",
-    "Run",
+    "Trajectory",
+    "check_signs",
     "drive",
     "step_once",
 ]
@@ -77,6 +81,14 @@ class FilterInstabilityError(RuntimeError):
 
 class GammaRangeError(OverflowError):
     """exp(+-A t) left floating-point range; use the log-domain filter instead."""
+
+
+def check_signs(correction_sign: int = -1, sign_variant: str = "innovation") -> None:
+    """The one check of the two variant options every scheme takes."""
+    if correction_sign not in (-1, 1):
+        raise ValueError("correction_sign must be -1 or +1")
+    if sign_variant not in SIGN_VARIANTS:
+        raise ValueError(f"sign_variant must be one of {SIGN_VARIANTS}")
 
 
 def check_increment(dt: float, dy) -> None:
@@ -202,8 +214,7 @@ def wonham_update_raw(
     Monte Carlo replicas are stepped in a batch with the arithmetic of the
     scalar API.
     """
-    if sign_variant not in SIGN_VARIANTS:
-        raise ValueError(f"sign_variant must be one of {SIGN_VARIANTS}")
+    check_signs(sign_variant=sign_variant)
     # in-place form of  probs + dt * drift + gain * (dy - xbar * dt)  (or
     # of  ... + gain * dy + gain * (xbar * dt)), same operations and order
     xbar = _state_sums(probs * levels)
@@ -233,13 +244,6 @@ def _wonham_langevin_field(probs, generator, levels, levels_sq, beta_sq, rate, c
     )
 
 
-def wonham_langevin_field(probs, generator, levels, beta, rate, correction_sign):
-    """Drift field of the smooth-noise normalized filter driven by ``rate``."""
-    return _wonham_langevin_field(
-        probs, generator, levels, levels**2, beta**2, rate, correction_sign
-    )
-
-
 def _clamp_q(q: float) -> tuple[float, int]:
     if q > 1.0:
         return 1.0, 1
@@ -264,10 +268,7 @@ class Kernel:
 
     def __init__(self, model, dt: float, beta: float, correction_sign: int = -1,
                  sign_variant: str = "innovation"):
-        if correction_sign not in (-1, 1):
-            raise ValueError("correction_sign must be -1 or +1")
-        if sign_variant not in SIGN_VARIANTS:
-            raise ValueError(f"sign_variant must be one of {SIGN_VARIANTS}")
+        check_signs(correction_sign, sign_variant)
         self.model = model
         self.dt = dt
         self.beta = beta
@@ -275,8 +276,13 @@ class Kernel:
         self.correction_sign = correction_sign
         self.sign_variant = sign_variant
         if model is not None:
+            self.check_model(model)
             self.generator = model.generator
             self.levels = model.levels
+
+    @staticmethod
+    def check_model(model: ChainModel) -> None:
+        """Raises ValueError when the scheme cannot filter ``model``."""
 
     def probs(self, history: list) -> tuple[np.ndarray, dict]:
         return np.array(history), {}
@@ -490,6 +496,16 @@ class _Telegraph(Kernel):
         self.nu = float(model.rates[0, 1]) if nu is None else nu
         self.minus_two_nu = -2.0 * self.nu
 
+    @staticmethod
+    def check_model(model: ChainModel) -> None:
+        """The scalar filter holds for the symmetric chain with levels (1, -1) only."""
+        if (
+            model.n_states != 2
+            or not np.allclose(model.levels, [1.0, -1.0], atol=1e-12)
+            or abs(model.rates[0, 1] - model.rates[1, 0]) > 1e-12
+        ):
+            raise ValueError("telegraph schemes require K=2, levels (1, -1) and a symmetric rate")
+
     def start(self, initial=None):
         p0 = initial.probs if hasattr(initial, "probs") else self.model.initial_dist
         return float(p0[0] - p0[1])
@@ -563,17 +579,24 @@ KERNELS = {
 
 
 @dataclass(eq=False)
-class Run:
+class Trajectory:
     """Result of :func:`drive`: the checked history and its statistics.
 
-    Without a kept history, ``probs`` holds the final row only.
+    ``times`` is the grid r*dt, r = 0..n. ``probs`` holds the normalized rows
+    (the final row only when no history is kept). ``extras`` may carry
+    'log_weights' (n+1, K) for unnormalized schemes, 'q' (n+1,) for telegraph
+    schemes, and 'theta' for the log-domain scheme.
+    ``presum_max_dev``/``presum_total_dev`` track the pre-renormalization
+    simplex defect of Euler steps where that invariant applies.
     """
 
+    scheme: str
+    times: np.ndarray
     probs: np.ndarray
-    extras: dict = field(default_factory=dict)
     clamps: int = 0
     presum_max_dev: float = 0.0
     presum_total_dev: float = 0.0
+    extras: dict = field(default_factory=dict)
 
 
 def step_once(kernel: Kernel, state, dy):
@@ -611,7 +634,7 @@ def _presum_tally(state):
     return record, worst, total
 
 
-def drive(kernel: Kernel, state, dy: np.ndarray, keep_history: bool = True) -> Run:
+def drive(kernel: Kernel, state, dy: np.ndarray, keep_history: bool = True) -> Trajectory:
     """Step ``kernel`` from ``state`` through the increments ``dy``, then check.
 
     ``dy`` is (n,) for one trajectory, or (n, R) for R replicas stepped as a
@@ -648,7 +671,8 @@ def drive(kernel: Kernel, state, dy: np.ndarray, keep_history: bool = True) -> R
         raise ValueError(f"{kernel.scheme}: the filter state became non-finite")
     if np.any(probs < 0) or np.any(np.abs(_row_sums(probs) - 1.0) > SIMPLEX_TOLERANCE):
         raise ValueError(f"{kernel.scheme}: probabilities left the simplex")
-    run = Run(probs, extras, clamps)
+    run = Trajectory(kernel.scheme, np.arange(n_steps + 1) * kernel.dt, probs, clamps,
+                     extras=extras)
     presum = extras.pop("presum", None)
     if presum is not None:
         if keep_history:

@@ -55,7 +55,7 @@ class DiscreteBayesState:
     step: int = 0
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
+        probs = np.array(self.probs, dtype=float)
         if not np.all(np.isfinite(probs)):
             raise ValueError("posterior must be finite")
         if abs(probs.sum() - 1.0) > 1e-12 or np.any(probs < 0):

@@ -20,7 +20,6 @@ __all__ = [
     "ObservationGrid",
     "synthesize_observations",
     "synthesize_from_brownian",
-    "cumulative_y",
     "cumulative_observation",
     "coarsen",
     "write_table",
@@ -55,7 +54,7 @@ class ObservationGrid:
         if self.beta <= 0:
             raise ValueError("beta must be positive")
         for name in ("dy", "dw", "x_level"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = np.array(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if not (self.dy.ndim == 1 and self.dy.shape == self.dw.shape == self.x_level.shape):
@@ -111,13 +110,6 @@ def synthesize_observations(
 def cumulative_observation(grid: ObservationGrid) -> np.ndarray:
     """y at all grid points 0..n (prefix sums, y(0) = 0), shape (n+1,)."""
     return np.concatenate(([0.0], np.cumsum(grid.dy)))
-
-
-def cumulative_y(grid: ObservationGrid, r: int) -> float:
-    """y(r*dt) as a prefix sum of increments."""
-    if not 0 <= r <= grid.n_steps:
-        raise IndexError(f"index {r} outside [0, {grid.n_steps}]")
-    return float(grid.dy[:r].sum())
 
 
 def coarsen(grid: ObservationGrid, factor: int) -> ObservationGrid:

@@ -32,10 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainModel, transition_matrix
-# SIGN_VARIANTS, wonham_update_raw, wonham_langevin_field and
-# finish_simplex_step keep their names in this module.
+# SIGN_VARIANTS, wonham_update_raw and finish_simplex_step keep their names
+# in this module.
 from .kernels import (  # noqa: F401
-    FLOOR,
     SIGN_VARIANTS,
     TelegraphIto,
     TelegraphLangevin,
@@ -45,7 +44,6 @@ from .kernels import (  # noqa: F401
     check_presum,
     finish_simplex_step,
     step_once,
-    wonham_langevin_field,
     wonham_update_raw,
 )
 
@@ -63,11 +61,6 @@ __all__ = [
     "predict",
 ]
 
-# Floor for nonpositive probabilities after an Euler step (the kernels' FLOOR,
-# shared with zakai.PSI_FLOOR so cross-scheme clamp statistics align).
-PROB_FLOOR = FLOOR
-
-
 @dataclass(frozen=True, eq=False)
 class FilterState:
     """Probability vector over states at time t; ``clamps`` counts floor events."""
@@ -77,7 +70,7 @@ class FilterState:
     clamps: int = 0
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
+        probs = np.array(self.probs, dtype=float)
         if np.any(probs < 0) or not np.all(np.isfinite(probs)):
             raise ValueError("probabilities must be finite and nonnegative")
         if abs(probs.sum() - 1.0) > 1e-9:

@@ -32,7 +32,6 @@ import numpy as np
 from .chain import ChainModel
 from .kernels import (
     CLAMP_FAILURE_FRACTION,
-    FLOOR,
     FilterInstabilityError,
     Gamma,
     GammaRangeError,
@@ -50,7 +49,6 @@ from .kernels import (
 from .wonham import FilterState
 
 __all__ = [
-    "PSI_FLOOR",
     "CLAMP_FAILURE_FRACTION",
     "UnnormalizedState",
     "LogState",
@@ -70,10 +68,6 @@ __all__ = [
     "gamma_langevin_step",
 ]
 
-# Floor for nonpositive weights (the kernels' FLOOR, shared with wonham.PROB_FLOOR).
-PSI_FLOOR = FLOOR
-
-
 @dataclass(frozen=True, eq=False)
 class UnnormalizedState:
     """Rescaled unnormalized weights plus the accumulated log scale.
@@ -89,7 +83,7 @@ class UnnormalizedState:
     clamps: int = 0
 
     def __post_init__(self):
-        psi = np.asarray(self.psi, dtype=float)
+        psi = np.array(self.psi, dtype=float)
         if np.any(psi <= 0) or not np.all(np.isfinite(psi)):
             raise ValueError("psi entries must be positive and finite")
         psi.setflags(write=False)
@@ -109,7 +103,7 @@ class LogState:
     t: float = 0.0
 
     def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=float)
+        theta = np.array(self.theta, dtype=float)
         if not np.all(np.isfinite(theta)):
             raise ValueError("theta entries must be finite")
         theta.setflags(write=False)

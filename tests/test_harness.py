@@ -5,7 +5,15 @@ import sys
 import numpy as np
 import pytest
 
-from jumpfilter import ChainModel, telegraph_model
+from jumpfilter import (
+    ChainModel,
+    DiscreteBayesState,
+    FilterState,
+    JumpPath,
+    LogState,
+    UnnormalizedState,
+    telegraph_model,
+)
 from jumpfilter.cli import main
 from jumpfilter.kernels import WonhamIto, drive
 from jumpfilter.signalpath import ObservationGrid
@@ -45,7 +53,7 @@ class TestSeeding:
 
 class TestConfig:
     def test_round_trip(self):
-        config = telegraph_config(scheme="zakai-langevin", correction_sign=1, replicas=3)
+        config = telegraph_config(scheme="zakai-langevin", correction_sign=1)
         back = ExperimentConfig.from_json(json.dumps(config.to_json()))
         assert back.to_json() == config.to_json()
 
@@ -57,9 +65,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="divide"):
             telegraph_config(dt=0.3).validate()
 
-    def test_replicas_floor(self):
-        with pytest.raises(ValueError, match="replicas"):
-            telegraph_config(replicas=0).validate()
+    def test_unknown_key_rejected(self):
+        # ignoring a misspelled key would silently run the default scheme
+        doc = telegraph_config().to_json()
+        doc["sheme"] = doc.pop("scheme")
+        with pytest.raises(ValueError, match="sheme"):
+            ExperimentConfig.from_json(json.dumps(doc))
 
     def test_telegraph_scheme_needs_telegraph_model(self):
         three = ChainModel(
@@ -196,6 +207,41 @@ class TestAdjudicate:
         assert report["drift_variant"]["verdict"] == "indistinguishable"
 
 
+RATES = [[0.0, 1.0], [1.0, 0.0]]
+
+# (stored attribute, constructor given the caller's array)
+CONSTRUCTORS = {
+    "ChainModel.levels": ("levels", lambda a: ChainModel(levels=a, rates=RATES,
+                                                         initial_dist=[0.5, 0.5])),
+    "ChainModel.initial_dist": ("initial_dist", lambda a: ChainModel(levels=[1.0, -1.0],
+                                                                     rates=RATES,
+                                                                     initial_dist=a)),
+    "JumpPath.jump_times": ("jump_times", lambda a: JumpPath(0, a, [1, 0], 1.0)),
+    "JumpPath.jump_states": ("jump_states", lambda a: JumpPath(0, [0.25, 0.75], a, 1.0)),
+    "ObservationGrid.dy": ("dy", lambda a: ObservationGrid(0.1, 1.0, a, np.zeros(2), np.ones(2))),
+    "ObservationGrid.dw": ("dw", lambda a: ObservationGrid(0.1, 1.0, np.zeros(2), a, np.ones(2))),
+    "ObservationGrid.x_level": ("x_level",
+                                lambda a: ObservationGrid(0.1, 1.0, np.zeros(2), np.zeros(2), a)),
+    "FilterState.probs": ("probs", lambda a: FilterState(probs=a)),
+    "UnnormalizedState.psi": ("psi", lambda a: UnnormalizedState(psi=a)),
+    "LogState.theta": ("theta", lambda a: LogState(theta=a)),
+    "DiscreteBayesState.probs": ("probs", lambda a: DiscreteBayesState(probs=a)),
+}
+
+
+@pytest.mark.parametrize("name", list(CONSTRUCTORS))
+def test_constructor_leaves_callers_array_writable(name):
+    # the object keeps a read-only copy; the caller's array stays theirs to write
+    attribute, build = CONSTRUCTORS[name]
+    mine = np.array([1, 0]) if attribute == "jump_states" else np.array([0.25, 0.75])
+    stored = getattr(build(mine), attribute)
+    assert mine.flags.writeable
+    assert not stored.flags.writeable
+    kept = stored.copy()
+    mine[:] = 0
+    assert np.array_equal(stored, kept)
+
+
 class TestPredict:
     def test_zero_horizon_reproduces_terminal_row(self, tmp_path):
         config = telegraph_config(scheme="wonham-ito", out_dir=str(tmp_path))
@@ -251,6 +297,16 @@ class TestCli:
 
     def test_validate_good_config(self, config_file):
         assert main(["validate", "--config", str(config_file)]) == 0
+
+    def test_misspelled_config_key_exits_2(self, tmp_path, capsys):
+        doc = telegraph_config(out_dir=str(tmp_path / "out")).to_json()
+        doc["replicas"] = 50
+        file = tmp_path / "config.json"
+        file.write_text(json.dumps(doc))
+        assert main(["filter", "--config", str(file)]) == 2
+        assert main(["validate", "--config", str(file)]) == 2
+        assert "replicas" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_validate_bad_model_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -334,3 +390,20 @@ class TestDriverErrorPolicy:
             run_trajectory(self.THREE, grid, "log", correction_sign=0)
         with pytest.raises(ValueError, match="sign_variant"):
             run_trajectory(self.THREE, grid, "wonham-ito", sign_variant="typo")
+
+    @pytest.mark.parametrize("scheme", ["telegraph-ito", "telegraph-langevin"])
+    @pytest.mark.parametrize(
+        "model",
+        [
+            THREE,
+            ChainModel(levels=[1.0, -1.0], rates=[[0.0, 1.0], [3.0, 0.0]],
+                       initial_dist=[0.5, 0.5]),
+            ChainModel(levels=[1.0, 0.0], rates=[[0.0, 1.0], [1.0, 0.0]],
+                       initial_dist=[0.5, 0.5]),
+        ],
+        ids=["three-state", "asymmetric-rates", "levels-1-0"],
+    )
+    def test_telegraph_scheme_rejects_other_models(self, scheme, model):
+        # the scalar telegraph filter would return a wrong two-column posterior here
+        with pytest.raises(ValueError, match="telegraph schemes require"):
+            run_trajectory(model, self.grid([0.01] * 5), scheme)

@@ -4,7 +4,6 @@ import pytest
 from jumpfilter import (
     ChainModel,
     coarsen,
-    cumulative_y,
     read_observations_csv,
     simulate_jump_path,
     synthesize_from_brownian,
@@ -59,16 +58,10 @@ def test_refinement_consistency():
     assert np.array_equal(coarse.x_level, direct.x_level)
 
 
-def test_cumulative_y():
+def test_cumulative_observation():
     grid = ObservationGrid(dt=0.1, beta=1.0, dy=np.array([1.0, 2.0, -0.5]),
                            dw=np.zeros(3), x_level=np.ones(3))
-    assert cumulative_y(grid, 0) == 0.0
-    assert cumulative_y(grid, 3) == pytest.approx(2.5)
-    partial = cumulative_y(grid, 2) - cumulative_y(grid, 1)
-    assert partial == pytest.approx(grid.dy[1])
     assert np.array_equal(cumulative_observation(grid), [0.0, 1.0, 3.0, 2.5])
-    with pytest.raises(IndexError):
-        cumulative_y(grid, 4)
 
 
 def test_csv_round_trip(tmp_path):
