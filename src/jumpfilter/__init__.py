@@ -11,7 +11,6 @@ from .chain import (
     ChainModel,
     JumpPath,
     ReducibleChainError,
-    ValidationReport,
     integrate_level,
     model_from_json,
     model_to_json,
@@ -20,7 +19,6 @@ from .chain import (
     stationary_distribution,
     telegraph_model,
     transition_matrix,
-    validate_model,
 )
 from .signalpath import (
     ObservationGrid,

@@ -20,10 +20,8 @@ import numpy as np
 __all__ = [
     "ChainModel",
     "JumpPath",
-    "ValidationReport",
     "ReducibleChainError",
     "telegraph_model",
-    "validate_model",
     "transition_matrix",
     "simulate_jump_path",
     "state_at",
@@ -52,6 +50,10 @@ class ChainModel:
         rates: off-diagonal jump intensities, shape (K, K). The diagonal is
             zeroed on construction.
         initial_dist: distribution of the state at time 0, shape (K,).
+
+    Construction raises ValueError("invalid model: ...") naming every
+    violated invariant: finite levels, finite nonnegative rates, and a finite
+    initial law in [0, 1] summing to 1 within 1e-12.
     """
 
     levels: np.ndarray
@@ -70,6 +72,22 @@ class ChainModel:
         if initial.shape != (k,):
             raise ValueError(f"initial_dist must have shape ({k},), got {initial.shape}")
         np.fill_diagonal(rates, 0.0)
+        violations = []
+        if not np.all(np.isfinite(levels)):
+            violations.append("nonfinite level")
+        if not np.all(np.isfinite(rates)):
+            violations.append("nonfinite rate")
+        elif np.any(rates < 0):
+            violations.append("negative rate")
+        if not np.all(np.isfinite(initial)):
+            violations.append("nonfinite initial probability")
+        else:
+            if np.any(initial < 0) or np.any(initial > 1):
+                violations.append("initial probability outside [0, 1]")
+            if abs(initial.sum() - 1.0) > 1e-12:
+                violations.append("initial distribution does not sum to 1")
+        if violations:
+            raise ValueError(f"invalid model: {', '.join(violations)}")
         for name, arr in (("levels", levels), ("rates", rates), ("initial_dist", initial)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -129,32 +147,6 @@ def telegraph_model(nu: float, initial_dist=(0.5, 0.5)) -> ChainModel:
         rates=np.array([[0.0, nu], [nu, 0.0]]),
         initial_dist=np.asarray(initial_dist, dtype=float),
     )
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    passed: bool
-    violations: tuple[str, ...]
-
-
-def validate_model(model: ChainModel) -> ValidationReport:
-    """Check model invariants; returns a report instead of raising."""
-    violations = []
-    if not np.all(np.isfinite(model.levels)):
-        violations.append("nonfinite level")
-    if not np.all(np.isfinite(model.rates)):
-        violations.append("nonfinite rate")
-    elif np.any(model.rates < 0):
-        violations.append("negative rate")
-    init = model.initial_dist
-    if not np.all(np.isfinite(init)):
-        violations.append("nonfinite initial probability")
-    else:
-        if np.any(init < 0) or np.any(init > 1):
-            violations.append("initial probability outside [0, 1]")
-        if abs(init.sum() - 1.0) > 1e-12:
-            violations.append("initial distribution does not sum to 1")
-    return ValidationReport(passed=not violations, violations=tuple(violations))
 
 
 def transition_matrix(model: ChainModel, h: float) -> np.ndarray:

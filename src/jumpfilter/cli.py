@@ -18,7 +18,7 @@ import json
 import sys
 from pathlib import Path
 
-from .chain import model_from_json, validate_model
+from .chain import model_from_json
 from .harness import (
     ExperimentConfig,
     run_adjudicate,
@@ -42,14 +42,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _load_config(args) -> ExperimentConfig:
-    config = ExperimentConfig.from_json(Path(args.config).read_text())
-    if args.seed is not None:
-        config.master_seed = args.seed
-    if args.dt is not None:
-        config.dt = args.dt
-    if args.out is not None:
-        config.out_dir = args.out
-    return config
+    """The config file with the command-line overrides, checked as one document."""
+    doc = json.loads(Path(args.config).read_text())
+    for key, value in (("master_seed", args.seed), ("dt", args.dt), ("out_dir", args.out)):
+        if value is not None:
+            doc[key] = value
+    return ExperimentConfig.from_json(doc)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,9 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
     pred.add_argument(
         "--horizons", default="0,1", help="comma-separated lookahead horizons"
     )
-    val = sub.add_parser("validate")
-    val.add_argument("--config", default=None, help="experiment config JSON")
-    val.add_argument("--model", default=None, help="bare model JSON")
+    source = sub.add_parser("validate").add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", help="experiment config JSON")
+    source.add_argument("--model", help="bare model JSON")
     return parser
 
 
@@ -79,7 +77,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "validate":
-            return _cmd_validate(args)
+            if args.model is not None:
+                model_from_json(Path(args.model).read_text())
+                print("model ok")
+            else:
+                ExperimentConfig.from_json(Path(args.config).read_text())
+                print("config ok")
+            return EXIT_OK
         config = _load_config(args)
         if args.command == "simulate":
             result = run_simulate(config)
@@ -114,28 +118,6 @@ def main(argv=None) -> int:
     except (FilterInstabilityError, GammaRangeError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_QUALITY
-    return EXIT_OK
-
-
-def _cmd_validate(args) -> int:
-    if args.model is None and args.config is None:
-        print("error: validate needs --config or --model", file=sys.stderr)
-        return EXIT_VALIDATION
-    if args.model is not None:
-        model = model_from_json(Path(args.model).read_text())
-        report = validate_model(model)
-        if not report.passed:
-            print("invalid model: " + "; ".join(report.violations), file=sys.stderr)
-            return EXIT_VALIDATION
-        print("model ok")
-        return EXIT_OK
-    try:
-        config = ExperimentConfig.from_json(Path(args.config).read_text())
-        config.validate()
-    except (ValueError, KeyError) as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    print("config ok")
     return EXIT_OK
 
 

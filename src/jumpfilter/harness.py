@@ -23,7 +23,6 @@ from .chain import (
     model_from_json,
     model_to_json,
     simulate_jump_path,
-    validate_model,
 )
 from .kernels import KERNELS, Trajectory, check_signs, drive
 from .seeding import ROLE_JUMP, ROLE_NOISE, derive_rng
@@ -66,9 +65,14 @@ CONFIG_KEYS = (
 )
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """One experiment: model + horizon + step + scheme selection + seeds."""
+    """One experiment: model + horizon + step + scheme selection + seeds.
+
+    Construction raises ValueError unless the scheme is known, horizon, dt
+    and beta are finite and positive, dt divides the horizon, the sign
+    options are valid and the scheme can filter the model.
+    """
 
     model: ChainModel
     horizon: float
@@ -80,14 +84,11 @@ class ExperimentConfig:
     master_seed: int = 0
     out_dir: str = "."
 
-    def validate(self) -> None:
-        report = validate_model(self.model)
-        if not report.passed:
-            raise ValueError(f"invalid model: {', '.join(report.violations)}")
+    def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
-        if self.dt <= 0 or self.horizon <= 0 or self.beta <= 0:
-            raise ValueError("horizon, dt and beta must be positive")
+        if not all(math.isfinite(x) and x > 0 for x in (self.horizon, self.dt, self.beta)):
+            raise ValueError("horizon, dt and beta must be finite and positive")
         _step_count(self.horizon, self.dt)
         check_signs(self.correction_sign, self.sign_variant)
         KERNELS[self.scheme].check_model(self.model)
@@ -229,7 +230,6 @@ def simulate_pair(config: ExperimentConfig, replica: int = 0):
 
 def run_simulate(config: ExperimentConfig) -> dict:
     """Simulate one signal/observation pair and write both CSV files."""
-    config.validate()
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path, grid = simulate_pair(config)
@@ -246,7 +246,6 @@ def run_filter(
     write: bool = True,
 ) -> tuple[Trajectory, dict]:
     """Run the configured scheme; co-generates observations when none given."""
-    config.validate()
     if grid is None:
         _, grid = simulate_pair(config)
     trajectory = run_trajectory(
@@ -301,7 +300,6 @@ def run_convergence(config: ExperimentConfig, halvings: int, write: bool = True)
     the same underlying Brownian path) the max-over-time discrepancy of each
     scheme pair is reported together with log2(e_k / e_{k+1}).
     """
-    config.validate()
     if halvings < 2:
         raise ValueError("need at least 2 halvings to estimate an order")
     grids = _refined_grids(config, halvings + 1)
@@ -414,7 +412,6 @@ def run_adjudicate(config: ExperimentConfig, halvings: int = 2, write: bool = Tr
     other plateaus at least ``10x`` above it; otherwise the report says
     'inconclusive' or 'indistinguishable' rather than picking.
     """
-    config.validate()
     grids = _refined_grids(config, halvings + 1)
     model = config.model
     corr: dict = {-1: [], +1: []}
@@ -449,7 +446,6 @@ def run_predict(
     write: bool = True,
 ) -> list[dict]:
     """Predictions from the terminal filter state for each lookahead horizon."""
-    config.validate()
     if terminal is None:
         trajectory, _ = run_filter(config, write=False)
         terminal = trajectory.probs[-1]

@@ -99,6 +99,18 @@ def check_increment(dt: float, dy) -> None:
         raise ValueError("observation increment must be finite")
 
 
+def check_probability_vector(probs) -> np.ndarray:
+    """A read-only float copy of ``probs`` after checking that it is finite,
+    nonnegative and sums to 1 within :data:`SIMPLEX_TOLERANCE`."""
+    probs = np.array(probs, dtype=float)
+    if np.any(probs < 0) or not np.all(np.isfinite(probs)):
+        raise ValueError("probabilities must be finite and nonnegative")
+    if abs(probs.sum() - 1.0) > SIMPLEX_TOLERANCE:
+        raise ValueError(f"probabilities sum to {probs.sum()!r}, not 1")
+    probs.setflags(write=False)
+    return probs
+
+
 def initial_weights(model: ChainModel) -> np.ndarray:
     """Initial unnormalized weights: the initial law, zeros floored to 1e-300."""
     psi = np.array(model.initial_dist, dtype=float)
@@ -501,7 +513,7 @@ class _Telegraph(Kernel):
         """The scalar filter holds for the symmetric chain with levels (1, -1) only."""
         if (
             model.n_states != 2
-            or not np.allclose(model.levels, [1.0, -1.0], atol=1e-12)
+            or not np.allclose(model.levels, [1.0, -1.0], rtol=0.0, atol=1e-12)
             or abs(model.rates[0, 1] - model.rates[1, 0]) > 1e-12
         ):
             raise ValueError("telegraph schemes require K=2, levels (1, -1) and a symmetric rate")

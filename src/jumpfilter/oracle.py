@@ -29,7 +29,8 @@ from itertools import product
 import numpy as np
 
 from .chain import ChainModel, simulate_jump_path, step_level_integrals, transition_matrix
-from .kernels import BayesOracle, WonhamIto, check_increment, drive, step_once
+from .kernels import (BayesOracle, WonhamIto, check_increment, check_probability_vector,
+                      drive, step_once)
 from .seeding import ROLE_JUMP, ROLE_NOISE, derive_rng
 from .signalpath import ObservationGrid, _step_count, cumulative_observation
 
@@ -55,13 +56,7 @@ class DiscreteBayesState:
     step: int = 0
 
     def __post_init__(self):
-        probs = np.array(self.probs, dtype=float)
-        if not np.all(np.isfinite(probs)):
-            raise ValueError("posterior must be finite")
-        if abs(probs.sum() - 1.0) > 1e-12 or np.any(probs < 0):
-            raise ValueError("posterior must be a probability vector (1e-12 tolerance)")
-        probs.setflags(write=False)
-        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "probs", check_probability_vector(self.probs))
 
 
 def bayes_forward_step(

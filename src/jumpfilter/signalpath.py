@@ -10,6 +10,7 @@ coarse one for refinement studies.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +76,10 @@ class ObservationGrid:
 
 
 def _step_count(horizon: float, dt: float) -> int:
-    n = int(round(horizon / dt))
+    ratio = horizon / dt if dt > 0 else math.nan
+    if not math.isfinite(ratio):
+        raise ValueError(f"dt={dt} and horizon={horizon} give no finite step count")
+    n = int(round(ratio))
     if n < 1 or abs(n * dt - horizon) > 1e-9 * max(1.0, abs(horizon)):
         raise ValueError(f"dt={dt} does not divide horizon={horizon}")
     return n

@@ -42,6 +42,7 @@ from .kernels import (  # noqa: F401
     WonhamLangevin,
     check_increment,
     check_presum,
+    check_probability_vector,
     finish_simplex_step,
     step_once,
     wonham_update_raw,
@@ -70,13 +71,7 @@ class FilterState:
     clamps: int = 0
 
     def __post_init__(self):
-        probs = np.array(self.probs, dtype=float)
-        if np.any(probs < 0) or not np.all(np.isfinite(probs)):
-            raise ValueError("probabilities must be finite and nonnegative")
-        if abs(probs.sum() - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {probs.sum()!r}, not 1")
-        probs.setflags(write=False)
-        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "probs", check_probability_vector(self.probs))
 
 
 @dataclass(frozen=True, eq=False)

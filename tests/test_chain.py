@@ -12,7 +12,6 @@ from jumpfilter import (
     stationary_distribution,
     telegraph_model,
     transition_matrix,
-    validate_model,
 )
 from jumpfilter.chain import JumpPath, step_level_integrals
 
@@ -31,28 +30,50 @@ def single_state_model(level=2.0):
 
 class TestValidation:
     def test_telegraph_passes(self):
-        report = validate_model(TELEGRAPH)
-        assert report.passed and report.violations == ()
+        assert TELEGRAPH.n_states == 2
 
     def test_single_state_allowed(self):
         # degenerate chain: exit rate 0 is the natural boundary case
-        assert validate_model(single_state_model()).passed
+        assert single_state_model().n_states == 1
 
+    # Both probe models used to be built and to reach transition_matrix,
+    # predict and run_trajectory, which returned negative "probabilities" or
+    # ran to the end on them.
     def test_negative_rate_fails(self):
-        bad = ChainModel(levels=[1.0, -1.0], rates=[[0, -0.5], [1, 0]], initial_dist=[0.5, 0.5])
-        report = validate_model(bad)
-        assert not report.passed
-        assert "negative rate" in report.violations
+        with pytest.raises(ValueError, match="invalid model: negative rate"):
+            ChainModel(levels=[1.0, -1.0], rates=[[0, -0.5], [1, 0]], initial_dist=[0.5, 0.5])
 
     def test_initial_dist_must_sum_to_one(self):
-        bad = ChainModel(levels=[1.0, -1.0], rates=[[0, 1], [1, 0]], initial_dist=[0.6, 0.6])
-        assert "initial distribution does not sum to 1" in validate_model(bad).violations
+        with pytest.raises(ValueError, match="initial distribution does not sum to 1"):
+            ChainModel(levels=[1.0, -1.0], rates=[[0, 1], [1, 0]], initial_dist=[0.7, 0.7])
+
+    @pytest.mark.parametrize(
+        "levels, rates, initial, violations",
+        [
+            ([np.nan, -1.0], [[0, 1], [1, 0]], [0.5, 0.5], "nonfinite level"),
+            ([1.0, -1.0], [[0, np.inf], [1, 0]], [0.5, 0.5], "nonfinite rate"),
+            ([1.0, -1.0], [[0, 1], [1, 0]], [np.nan, 1.0], "nonfinite initial probability"),
+            ([1.0, -1.0], [[0, 1], [1, 0]], [1.5, -0.5],
+             "initial probability outside \\[0, 1\\]"),
+            # every violation is named, joined by ", "
+            ([np.nan, -1.0], [[0, -1], [1, 0]], [0.7, 0.7],
+             "nonfinite level, negative rate, initial distribution does not sum to 1"),
+        ],
+        ids=["nan-level", "inf-rate", "nan-initial", "initial-outside", "all-named"],
+    )
+    def test_each_violation_named(self, levels, rates, initial, violations):
+        with pytest.raises(ValueError, match=f"^invalid model: {violations}$"):
+            ChainModel(levels=levels, rates=rates, initial_dist=initial)
 
     def test_exit_rates_recomputed(self):
         assert THREE_STATE.exit_rates == pytest.approx([0.9, 1.0, 0.9], abs=1e-15)
 
     def test_diagonal_rates_ignored(self):
         m = ChainModel(levels=[1.0, -1.0], rates=[[5.0, 1.0], [1.0, 5.0]], initial_dist=[0.5, 0.5])
+        assert np.array_equal(m.exit_rates, [1.0, 1.0])
+        # zeroed before the rate checks, so no diagonal value is a violation
+        m = ChainModel(levels=[1.0, -1.0], rates=[[-3.0, 1.0], [1.0, np.nan]],
+                       initial_dist=[0.5, 0.5])
         assert np.array_equal(m.exit_rates, [1.0, 1.0])
 
 

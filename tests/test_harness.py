@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -59,11 +60,11 @@ class TestConfig:
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError, match="scheme"):
-            telegraph_config(scheme="kalman").validate()
+            telegraph_config(scheme="kalman")
 
     def test_step_must_divide_horizon(self):
         with pytest.raises(ValueError, match="divide"):
-            telegraph_config(dt=0.3).validate()
+            telegraph_config(dt=0.3)
 
     def test_unknown_key_rejected(self):
         # ignoring a misspelled key would silently run the default scheme
@@ -78,15 +79,37 @@ class TestConfig:
             rates=[[0, 1, 0], [0, 0, 1], [1, 0, 0]],
             initial_dist=[1.0, 0.0, 0.0],
         )
-        config = ExperimentConfig(model=three, horizon=1.0, dt=1e-3, beta=0.5,
-                                  scheme="telegraph-ito")
         with pytest.raises(ValueError, match="telegraph"):
-            config.validate()
+            ExperimentConfig(model=three, horizon=1.0, dt=1e-3, beta=0.5,
+                             scheme="telegraph-ito")
+
+    def test_telegraph_levels_must_be_exact(self):
+        # np.allclose's default rtol=1e-5 used to let levels (1 + 9e-6, -1) through
+        near = ChainModel(levels=[1.0 + 9e-6, -1.0], rates=TELEGRAPH.rates,
+                          initial_dist=[0.5, 0.5])
+        with pytest.raises(ValueError, match="telegraph"):
+            telegraph_config(model=near, scheme="telegraph-ito")
+        for nu in (0.1, 1.0, 7.5):
+            telegraph_config(model=telegraph_model(nu), scheme="telegraph-ito")
 
     def test_invalid_model_rejected(self):
-        bad = ChainModel(levels=[1.0, -1.0], rates=[[0, -1], [1, 0]], initial_dist=[0.5, 0.5])
         with pytest.raises(ValueError, match="invalid model"):
-            ExperimentConfig(model=bad, horizon=1.0, dt=1e-3, beta=0.5).validate()
+            bad = ChainModel(levels=[1.0, -1.0], rates=[[0, -1], [1, 0]], initial_dist=[0.5, 0.5])
+            ExperimentConfig(model=bad, horizon=1.0, dt=1e-3, beta=0.5)
+
+    @pytest.mark.parametrize("field, value", [
+        ("beta", math.nan), ("beta", math.inf), ("beta", 0.0), ("dt", math.nan),
+        ("dt", -1e-3), ("horizon", math.inf), ("horizon", math.nan),
+    ])
+    def test_numbers_must_be_finite_and_positive(self, field, value):
+        # NaN is not <= 0, so a NaN beta used to pass; an infinite horizon
+        # overflowed in the step count
+        with pytest.raises(ValueError, match="finite and positive"):
+            telegraph_config(**{field: value})
+
+    def test_config_is_frozen(self):
+        with pytest.raises(AttributeError):
+            telegraph_config().dt = 0.3
 
 
 class TestSimulate:
@@ -312,7 +335,35 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text('{"levels": [1, -1], "rates": [[0, -2], [1, 0]], "initial": [0.5, 0.5]}')
         assert main(["validate", "--model", str(bad)]) == 2
-        assert "negative rate" in capsys.readouterr().err
+        assert "error: invalid model: negative rate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("beta", math.nan), ("beta", math.inf), ("dt", math.nan), ("T", math.inf),
+    ])
+    def test_nonfinite_config_number_exits_2(self, tmp_path, capsys, key, value):
+        # a NaN or infinite beta used to validate as "config ok", and an
+        # infinite T crashed with OverflowError (exit 1)
+        doc = telegraph_config(out_dir=str(tmp_path / "out")).to_json()
+        doc[key] = value
+        file = tmp_path / "config.json"
+        file.write_text(json.dumps(doc))
+        assert main(["validate", "--config", str(file)]) == 2
+        assert main(["filter", "--config", str(file)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_overrides_are_validated(self, config_file, tmp_path):
+        assert main(["filter", "--config", str(config_file), "--dt", "nan"]) == 2
+        assert main(["filter", "--config", str(config_file), "--dt", "0.3"]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags", [[], ["--config", "c.json", "--model", "m.json"]],
+                             ids=["neither", "both"])
+    def test_validate_needs_exactly_one_source(self, flags, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["validate", *flags])
+        assert exit_info.value.code == 2
+        assert "--config" in capsys.readouterr().err
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["filter", "--config", str(tmp_path / "nope.json")]) == 2

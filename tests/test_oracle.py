@@ -84,11 +84,6 @@ class TestBayesForward:
         with pytest.raises(ValueError, match="finite"):
             DiscreteBayesState(probs=probs)
 
-    def test_posterior_sum_tolerance_stays_1e_12(self):
-        DiscreteBayesState(probs=[0.5, 0.5 + 5e-13])
-        with pytest.raises(ValueError, match="1e-12"):
-            DiscreteBayesState(probs=[0.5, 0.5 + 1e-11])
-
 
 class TestPathspace:
     def grid(self, horizon=0.2, dt=0.01, seed=0, model=TELEGRAPH):
@@ -193,6 +188,13 @@ class TestTowerProperty:
     def test_replica_count_floor(self):
         with pytest.raises(ValueError):
             tower_property_check(TELEGRAPH, 0.5, 1e-2, 0.5, 50, master_seed=0)
+
+    @pytest.mark.parametrize("horizon, dt", [(np.inf, 1e-2), (np.nan, 1e-2), (0.5, np.nan),
+                                             (0.5, 0.0)])
+    def test_nonfinite_step_count_rejected(self, horizon, dt):
+        # an infinite horizon used to overflow in int(round(horizon / dt))
+        with pytest.raises(ValueError, match="finite step count"):
+            tower_property_check(TELEGRAPH, horizon, dt, 0.5, 100, master_seed=0)
 
     def test_report_json_fields(self):
         report = tower_property_check(TELEGRAPH, 0.2, 1e-2, 0.5, 120, master_seed=6)

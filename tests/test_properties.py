@@ -1,0 +1,98 @@
+"""Property tests of the construction contract on random irreducible models.
+
+A ``ChainModel`` or ``ExperimentConfig`` that exists has passed its checks,
+so its JSON form must load back to the same value, and corrupting one field of
+a valid model must make construction fail with that field's violation.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from jumpfilter.chain import ChainModel, model_from_json, model_to_json
+from jumpfilter.harness import SCHEMES, ExperimentConfig
+
+PROPERTY = settings(max_examples=40, deadline=None)
+
+# the telegraph schemes accept only the symmetric +-1 chain
+GENERAL_SCHEMES = tuple(s for s in SCHEMES if not s.startswith("telegraph"))
+
+
+@st.composite
+def models(draw, min_states=1):
+    """Irreducible K <= 5 models: a cycle of positive rates plus random others."""
+    k = draw(st.integers(min_states, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rates = rng.uniform(0.1, 3.0, size=(k, k)) * (rng.random((k, k)) < 0.6)
+    cycle = np.arange(k)
+    rates[cycle, (cycle + 1) % k] = rng.uniform(0.1, 3.0, size=k)
+    initial = rng.uniform(0.0, 1.0, size=k)
+    return ChainModel(levels=rng.uniform(-1.5, 1.5, size=k), rates=rates,
+                      initial_dist=initial / initial.sum())
+
+
+def assert_same_model(a: ChainModel, b: ChainModel) -> None:
+    for name in ("levels", "rates", "initial_dist"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
+@PROPERTY
+@given(model=models())
+def test_model_json_round_trip_is_exact(model):
+    assert_same_model(model_from_json(json.dumps(model_to_json(model))), model)
+
+
+@PROPERTY
+@given(
+    model=models(),
+    dt=st.floats(1e-5, 0.1),
+    n_steps=st.integers(1, 10_000),
+    beta=st.floats(1e-3, 1e3),
+    scheme=st.sampled_from(GENERAL_SCHEMES),
+    correction_sign=st.sampled_from((-1, 1)),
+    sign_variant=st.sampled_from(("innovation", "paper")),
+    master_seed=st.integers(0, 2**63 - 1),
+    out_dir=st.text(min_size=1, max_size=20),
+)
+def test_config_json_round_trip_is_exact(model, dt, n_steps, beta, scheme, correction_sign,
+                                         sign_variant, master_seed, out_dir):
+    config = ExperimentConfig(model=model, horizon=n_steps * dt, dt=dt, beta=beta,
+                              scheme=scheme, correction_sign=correction_sign,
+                              sign_variant=sign_variant, master_seed=master_seed,
+                              out_dir=out_dir)
+    back = ExperimentConfig.from_json(json.dumps(config.to_json()))
+    assert_same_model(back.model, config.model)
+    for name in ("horizon", "dt", "beta", "scheme", "correction_sign", "sign_variant",
+                 "master_seed", "out_dir"):
+        assert getattr(back, name) == getattr(config, name), name
+
+
+def negative_rate(levels, rates, initial, rng):
+    i, j = rng.choice(len(levels), size=2, replace=False)
+    rates[i, j] = -rng.uniform(1e-3, 3.0)
+    return "negative rate"
+
+
+def nan_level(levels, rates, initial, rng):
+    levels[rng.integers(len(levels))] = np.nan
+    return "nonfinite level"
+
+
+def initial_off_by_1e_9(levels, rates, initial, rng):
+    # the smallest entry, so it stays inside [0, 1]
+    initial[np.argmin(initial)] += 1e-9
+    return "initial distribution does not sum to 1"
+
+
+@PROPERTY
+@pytest.mark.parametrize("corrupt", [negative_rate, nan_level, initial_off_by_1e_9])
+@given(model=models(min_states=2), seed=st.integers(0, 2**32 - 1))
+def test_one_corrupted_field_is_named(corrupt, model, seed):
+    levels, rates, initial = (np.array(getattr(model, name))
+                              for name in ("levels", "rates", "initial_dist"))
+    violation = corrupt(levels, rates, initial, np.random.default_rng(seed))
+    with pytest.raises(ValueError, match=f"^invalid model: {violation}$"):
+        ChainModel(levels=levels, rates=rates, initial_dist=initial)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jumpfilter.chain import ChainModel, simulate_jump_path, step_level_integrals
+from jumpfilter.chain import ChainModel, _choice_cdf, simulate_jump_path, step_level_integrals
 from jumpfilter.harness import run_trajectory
 from jumpfilter.kernels import FilterInstabilityError, WonhamIto, drive
 from jumpfilter.signalpath import ObservationGrid
@@ -72,13 +72,11 @@ def test_tables_draw_the_per_draw_paths(model, seed, horizon):
 
 
 def test_invalid_laws_rejected_like_choice():
-    rates = [[0.0, 1.0], [1.0, 0.0]]
+    # a model cannot hold these laws; the tables check them as rng.choice does
     with pytest.raises(ValueError, match="sum to 1"):
-        simulate_jump_path(ChainModel([1.0, -1.0], rates, [0.5, 0.6]), 1.0,
-                           np.random.default_rng(0))
+        _choice_cdf(np.array([0.5, 0.6]))
     with pytest.raises(ValueError, match="non-negative"):
-        simulate_jump_path(ChainModel([1.0, -1.0], rates, [np.nan, 1.0]), 1.0,
-                           np.random.default_rng(0))
+        _choice_cdf(np.array([np.nan, 1.0]))
 
 
 @PROPERTY

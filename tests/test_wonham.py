@@ -3,6 +3,7 @@ import pytest
 
 from jumpfilter import (
     ChainModel,
+    DiscreteBayesState,
     FilterState,
     TelegraphState,
     map_decision,
@@ -194,6 +195,16 @@ class TestStateValidation:
             FilterState(probs=np.array([0.7, 0.7]))
         with pytest.raises(ValueError):
             FilterState(probs=np.array([-0.1, 1.1]))
+
+    @pytest.mark.parametrize("state", [FilterState, DiscreteBayesState],
+                             ids=["FilterState", "DiscreteBayesState"])
+    def test_one_simplex_tolerance(self, state):
+        # both check at kernels.SIMPLEX_TOLERANCE; DiscreteBayesState used to
+        # hold its own copy of the check at 1e-12
+        state(probs=[0.5, 0.5 + 1e-10])
+        for probs in ([0.5, 0.5 + 1e-8], [np.nan, 1.0]):
+            with pytest.raises(ValueError, match="probabilities"):
+                state(probs=probs)
 
     def test_nonfinite_increment_rejected(self):
         state = FilterState(probs=np.array([0.5, 0.5]))
