@@ -321,9 +321,17 @@ def stationary_distribution(model: ChainModel) -> np.ndarray:
     return np.clip(pi, 0.0, None) / np.clip(pi, 0.0, None).sum()
 
 
+def json_object(source: str | dict, what: str) -> dict:
+    """JSON text or its parsed value as a dict; ValueError unless a JSON object."""
+    doc = json.loads(source) if isinstance(source, str) else source
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(doc).__name__}")
+    return doc
+
+
 def model_from_json(source: str | dict) -> ChainModel:
     """Load a model from the JSON document {"levels":[...], "rates":[[...]], "initial":[...]}."""
-    doc = json.loads(source) if isinstance(source, str) else source
+    doc = json_object(source, "a model")
     return ChainModel(
         levels=np.asarray(doc["levels"], dtype=float),
         rates=np.asarray(doc["rates"], dtype=float),

@@ -18,7 +18,7 @@ import json
 import sys
 from pathlib import Path
 
-from .chain import model_from_json
+from .chain import json_object, model_from_json
 from .harness import (
     ExperimentConfig,
     run_adjudicate,
@@ -43,7 +43,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 def _load_config(args) -> ExperimentConfig:
     """The config file with the command-line overrides, checked as one document."""
-    doc = json.loads(Path(args.config).read_text())
+    doc = json_object(Path(args.config).read_text(), "a config")
     for key, value in (("master_seed", args.seed), ("dt", args.dt), ("out_dir", args.out)):
         if value is not None:
             doc[key] = value

@@ -20,6 +20,7 @@ from . import wonham
 from .chain import (
     ChainModel,
     JumpPath,
+    json_object,
     model_from_json,
     model_to_json,
     simulate_jump_path,
@@ -108,7 +109,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, source: str | dict) -> "ExperimentConfig":
-        doc = json.loads(source) if isinstance(source, str) else source
+        doc = json_object(source, "a config")
         unknown = sorted(set(doc) - set(CONFIG_KEYS))
         if unknown:
             raise ValueError(f"unknown config keys {unknown}; known keys are {CONFIG_KEYS}")
@@ -213,25 +214,26 @@ def write_unnormalized_csv(destination, trajectory: Trajectory) -> None:
 # drivers
 
 
-def _streams(config: ExperimentConfig, replica: int = 0):
-    return (
-        derive_rng(config.master_seed, replica, ROLE_JUMP),
-        derive_rng(config.master_seed, replica, ROLE_NOISE),
+def simulate_pair(config: ExperimentConfig):
+    """Signal path and observation grid of the config (replica 0 of its seed)."""
+    seed = config.master_seed
+    path = simulate_jump_path(config.model, config.horizon, derive_rng(seed, 0, ROLE_JUMP))
+    grid = synthesize_observations(
+        path, config.model, config.dt, config.beta, derive_rng(seed, 0, ROLE_NOISE)
     )
-
-
-def simulate_pair(config: ExperimentConfig, replica: int = 0):
-    """Signal path and observation grid for one replica of the config."""
-    jump_rng, noise_rng = _streams(config, replica)
-    path = simulate_jump_path(config.model, config.horizon, jump_rng)
-    grid = synthesize_observations(path, config.model, config.dt, config.beta, noise_rng)
     return path, grid
+
+
+def _out_dir(config: ExperimentConfig) -> Path:
+    """The config's output directory, created if missing."""
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def run_simulate(config: ExperimentConfig) -> dict:
     """Simulate one signal/observation pair and write both CSV files."""
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(config)
     path, grid = simulate_pair(config)
     path_file = out / "path.csv"
     obs_file = out / "observations.csv"
@@ -240,14 +242,9 @@ def run_simulate(config: ExperimentConfig) -> dict:
     return {"path_csv": str(path_file), "observations_csv": str(obs_file), "n_steps": grid.n_steps}
 
 
-def run_filter(
-    config: ExperimentConfig,
-    grid: ObservationGrid | None = None,
-    write: bool = True,
-) -> tuple[Trajectory, dict]:
-    """Run the configured scheme; co-generates observations when none given."""
-    if grid is None:
-        _, grid = simulate_pair(config)
+def run_filter(config: ExperimentConfig, write: bool = True) -> tuple[Trajectory, dict]:
+    """Run the configured scheme on the config's simulated observations."""
+    _, grid = simulate_pair(config)
     trajectory = run_trajectory(
         config.model,
         grid,
@@ -267,8 +264,7 @@ def run_filter(
         "presum_max_dev": trajectory.presum_max_dev,
     }
     if write:
-        out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        out = _out_dir(config)
         if "log_weights" in trajectory.extras:
             write_unnormalized_csv(out / "trajectory.csv", trajectory)
             write_trajectory_csv(out / "estimates.csv", grid, trajectory, config.model)
@@ -293,7 +289,7 @@ def _refined_grids(config: ExperimentConfig, levels: int) -> list[ObservationGri
     return [coarsen(fine_grid, 2 ** (levels - 1 - k)) for k in range(levels)]
 
 
-def run_convergence(config: ExperimentConfig, halvings: int, write: bool = True) -> list[dict]:
+def run_convergence(config: ExperimentConfig, halvings: int) -> list[dict]:
     """Mesh-refinement table of cross-scheme discrepancies and empirical orders.
 
     For each mesh level (dt halved ``halvings`` times, all levels consuming
@@ -352,21 +348,23 @@ def run_convergence(config: ExperimentConfig, halvings: int, write: bool = True)
                     "order": order,
                 }
             )
-    if write:
-        out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        names = ["pair", "level", "dt", "max_discrepancy", "order"]
-        write_table(
-            out / "convergence.csv",
-            names,
-            ["%s", "%d", FLOAT, FLOAT, FLOAT],
-            [[row[name] for row in rows] for name in names],
-        )
+    names = ["pair", "level", "dt", "max_discrepancy", "order"]
+    write_table(
+        _out_dir(config) / "convergence.csv",
+        names,
+        ["%s", "%d", FLOAT, FLOAT, FLOAT],
+        [[row[name] for row in rows] for name in names],
+    )
     return rows
 
 
-def _classify_ladder(ladder: list[float], tiny: float = 1e-11) -> str:
-    if max(ladder) <= tiny:
+NEGLIGIBLE = 1e-11       # a ladder never above this is rounding noise
+PLATEAU_FACTOR = 10.0    # how far above the convergent variant the other must plateau
+ADJUDICATE_HALVINGS = 2  # three grids: dt, dt/2, dt/4
+
+
+def _classify_ladder(ladder: list[float]) -> str:
+    if max(ladder) <= NEGLIGIBLE:
         return "negligible"
     if ladder[-1] <= 0.5 * ladder[0]:
         return "convergent"
@@ -375,7 +373,7 @@ def _classify_ladder(ladder: list[float], tiny: float = 1e-11) -> str:
     return "unclear"
 
 
-def _adjudicate_dimension(names: tuple, ladders: dict, plateau_factor: float = 10.0) -> dict:
+def _adjudicate_dimension(names: tuple, ladders: dict) -> dict:
     kinds = {name: _classify_ladder(ladders[name]) for name in names}
     result = {
         "discrepancies": {str(name): ladders[name] for name in names},
@@ -394,14 +392,14 @@ def _adjudicate_dimension(names: tuple, ladders: dict, plateau_factor: float = 1
     if len(convergent) == 1 and len(plateau) == 1:
         ratio = ladders[plateau[0]][-1] / ladders[convergent[0]][-1]
         result["plateau_ratio"] = ratio
-        if ratio >= plateau_factor:
+        if ratio >= PLATEAU_FACTOR:
             result["verdict"] = convergent[0]
             return result
     result["verdict"] = "inconclusive"
     return result
 
 
-def run_adjudicate(config: ExperimentConfig, halvings: int = 2, write: bool = True) -> dict:
+def run_adjudicate(config: ExperimentConfig) -> dict:
     """Decide the correction sign and the normalized-filter drift sign.
 
     Both smooth-noise correction signs are run against the Euler scheme of the
@@ -409,10 +407,10 @@ def run_adjudicate(config: ExperimentConfig, halvings: int = 2, write: bool = Tr
     where the signs differ even when all a_j^2 coincide), and both normalized
     drift variants are run against the normalized unnormalized-filter output.
     A variant is accepted only when it converges under mesh halving while the
-    other plateaus at least ``10x`` above it; otherwise the report says
-    'inconclusive' or 'indistinguishable' rather than picking.
+    other plateaus at least ``PLATEAU_FACTOR`` (10x) above it; otherwise the
+    report says 'inconclusive' or 'indistinguishable' rather than picking.
     """
-    grids = _refined_grids(config, halvings + 1)
+    grids = _refined_grids(config, ADJUDICATE_HALVINGS + 1)
     model = config.model
     corr: dict = {-1: [], +1: []}
     variant: dict = {"innovation": [], "paper": []}
@@ -432,33 +430,20 @@ def run_adjudicate(config: ExperimentConfig, halvings: int = 2, write: bool = Tr
         "correction_sign": _adjudicate_dimension((-1, +1), corr),
         "drift_variant": _adjudicate_dimension(("innovation", "paper"), variant),
     }
-    if write:
-        out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "adjudication.json", report)
+    _write_json(_out_dir(config) / "adjudication.json", report)
     return report
 
 
-def run_predict(
-    config: ExperimentConfig,
-    horizons,
-    terminal: np.ndarray | None = None,
-    write: bool = True,
-) -> list[dict]:
+def run_predict(config: ExperimentConfig, horizons) -> list[dict]:
     """Predictions from the terminal filter state for each lookahead horizon."""
-    if terminal is None:
-        trajectory, _ = run_filter(config, write=False)
-        terminal = trajectory.probs[-1]
-    state = FilterState(probs=terminal)
+    trajectory, _ = run_filter(config, write=False)
+    state = FilterState(probs=trajectory.probs[-1])
     rows = [{"h": h, "probs": wonham.predict(state, config.model, h)} for h in horizons]
-    if write:
-        out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        k = config.model.n_states
-        write_table(
-            out / "prediction.csv",
-            ["h"] + [f"p_{j + 1}" for j in range(k)],
-            [FLOAT] * (k + 1),
-            [[row["h"] for row in rows], *np.array([row["probs"] for row in rows]).T],
-        )
+    k = config.model.n_states
+    write_table(
+        _out_dir(config) / "prediction.csv",
+        ["h"] + [f"p_{j + 1}" for j in range(k)],
+        [FLOAT] * (k + 1),
+        [[row["h"] for row in rows], *np.array([row["probs"] for row in rows]).T],
+    )
     return rows

@@ -4,8 +4,8 @@ A kernel is built once per run, ``Kernel(model, dt, beta, correction_sign,
 sign_variant)``, and hoists every per-run constant (generator, correction
 diagonal, rate mask, propagators, transition matrix). It then offers
 
-* ``start(initial)``: the kernel state at t=0 (from a state object of the
-  public API, an array, or None for the model's initial law);
+* ``start(initial)``: the kernel state at t=0, from None (the model's
+  initial law) or a state of the scheme's ``initial_state`` type;
 * ``step(state, dy) -> (state, clamped)``: one pure step over a (K,)
   state, with no validation; ``clamped`` counts floored entries;
 * ``probs(history) -> (probs, extras)``: the normalized (rows, K) history
@@ -129,7 +129,12 @@ def drift_matrix(model: ChainModel, beta: float, correction_sign: int = -1) -> n
     A = Q^T + sign * (1/2) diag(a^2) / beta^2, acting on column vectors; the
     observation enters separately through diag(a) (x + n) / beta^2.
     """
-    return model.generator.T + correction_sign * 0.5 * np.diag(model.levels**2) / beta**2
+    return model.generator.T + np.diag(correction_diagonal(model.levels, beta, correction_sign))
+
+
+def correction_diagonal(levels: np.ndarray, beta: float, correction_sign: int = -1) -> np.ndarray:
+    """The smooth-noise drift correction  sign * (1/2) a_j^2 / beta^2  per state."""
+    return correction_sign * 0.5 * levels**2 / beta**2
 
 
 def propagator_pair(a_matrix: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -186,27 +191,6 @@ def ito_update(psi, generator, levels, beta: float, dt: float, dy):
     Works on any (..., K) array; no floor or rescale applied.
     """
     return psi + dt * (psi @ generator) + psi * levels * (dy / beta**2)
-
-
-def _heun_linear(psi, generator, diag, dt: float):
-    """Heun step of the linear field  v @ generator + v * diag."""
-    now = psi @ generator + psi * diag
-    predictor = psi + dt * now
-    return psi + 0.5 * dt * (now + (predictor @ generator + predictor * diag))
-
-
-def _langevin_correction(levels, beta: float, correction_sign: int):
-    return correction_sign * 0.5 * levels**2 / beta**2
-
-
-def langevin_update(psi, generator, levels, beta: float, dt: float, dy, correction_sign: int):
-    """Raw Heun update of the smooth-noise unnormalized equation.
-
-    The drift is linear:  psi @ (Q + diag(sign/2 a^2/beta^2 + a r/beta^2))
-    with r = dy/dt held constant over the step.
-    """
-    correction = _langevin_correction(levels, beta, correction_sign)
-    return _heun_linear(psi, generator, correction + levels * (dy / dt / beta**2), dt)
 
 
 def wonham_update_raw(
@@ -277,6 +261,8 @@ class Kernel:
     # whether a state is (probs, presum), presum being the sums before the
     # renormalization that produced probs
     carries_presum = False
+    # the public state type that ``start`` takes, and its attribute holding the array
+    initial_state = ("FilterState", "probs")
 
     def __init__(self, model, dt: float, beta: float, correction_sign: int = -1,
                  sign_variant: str = "innovation"):
@@ -296,6 +282,15 @@ class Kernel:
     def check_model(model: ChainModel) -> None:
         """Raises ValueError when the scheme cannot filter ``model``."""
 
+    def initial(self, state) -> np.ndarray:
+        """The array of a given start state; ValueError for another state type."""
+        type_name, attribute = self.initial_state
+        if not hasattr(state, attribute):
+            raise ValueError(
+                f"{self.scheme} starts from a {type_name}, not a {type(state).__name__}"
+            )
+        return getattr(state, attribute)
+
     def probs(self, history: list) -> tuple[np.ndarray, dict]:
         return np.array(history), {}
 
@@ -303,10 +298,12 @@ class Kernel:
 class _Unnormalized(Kernel):
     """State (psi, log_normalizer): unit-sum weights plus the carried log scale."""
 
+    initial_state = ("UnnormalizedState", "psi")
+
     def start(self, initial=None):
         if initial is None:
             return initial_weights(self.model), 0.0
-        return initial.psi, initial.log_normalizer
+        return self.initial(initial), initial.log_normalizer
 
     @staticmethod
     def rescale(raw, log_normalizer):
@@ -338,12 +335,17 @@ class ZakaiLangevin(_Unnormalized):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.correction = _langevin_correction(self.levels, self.beta, self.correction_sign)
+        self.correction = correction_diagonal(self.levels, self.beta, self.correction_sign)
 
     def step(self, state, dy):
+        """Heun step of  psi @ Q + psi * diag(correction + a r / beta^2), r = dy/dt."""
         psi, log_normalizer = state
-        diag = self.correction + self.levels * (dy / self.dt / self.beta_sq)
-        return self.rescale(_heun_linear(psi, self.generator, diag, self.dt), log_normalizer)
+        generator, dt = self.generator, self.dt
+        diag = self.correction + self.levels * (dy / dt / self.beta_sq)
+        now = psi @ generator + psi * diag
+        predictor = psi + dt * now
+        raw = psi + 0.5 * dt * (now + (predictor @ generator + predictor * diag))
+        return self.rescale(raw, log_normalizer)
 
 
 class WonhamIto(Kernel):
@@ -366,7 +368,7 @@ class WonhamIto(Kernel):
         (R, K) array of replica rows."""
         if initial is None:
             return np.array(self.model.initial_dist), 1.0
-        probs = initial if isinstance(initial, np.ndarray) else initial.probs
+        probs = initial if isinstance(initial, np.ndarray) else self.initial(initial)
         if probs.ndim == 1:
             return probs, 1.0
         return np.ascontiguousarray(probs.T), np.ones(probs.shape[0])
@@ -397,22 +399,23 @@ class WonhamLangevin(Kernel):
         self.levels_sq = self.levels**2
 
     def start(self, initial=None):
-        return np.array(self.model.initial_dist) if initial is None else initial.probs
+        return np.array(self.model.initial_dist) if initial is None else self.initial(initial)
 
     def step(self, probs, dy):
         constants = (self.generator, self.levels, self.levels_sq, self.beta_sq, dy / self.dt,
                      self.correction_sign)
         now = _wonham_langevin_field(probs, *constants)
         predictor = probs + self.dt * now
-        raw = probs + 0.5 * self.dt * (now + _wonham_langevin_field(predictor, *constants))
-        raw, total, clamped = floor_and_total(raw)
-        return raw / total, clamped
+        return finish_simplex_step(
+            probs + 0.5 * self.dt * (now + _wonham_langevin_field(predictor, *constants))
+        )
 
 
 class LogDomain(Kernel):
     """State theta = log psi, shifted so that max theta = 0 after every step."""
 
     scheme = "log"
+    initial_state = _Unnormalized.initial_state
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -421,12 +424,12 @@ class LogDomain(Kernel):
         # exponents are masked where the rate is zero, so a huge spread between
         # unconnected states cannot produce 0 * inf
         self.connected = model.rates > 0
-        self.base_drift = (
-            -model.exit_rates + self.correction_sign * 0.5 * self.levels**2 / self.beta_sq
+        self.base_drift = -model.exit_rates + correction_diagonal(
+            self.levels, self.beta, self.correction_sign
         )
 
     def start(self, initial=None):
-        psi = initial_weights(self.model) if initial is None else initial.psi
+        psi = initial_weights(self.model) if initial is None else self.initial(initial)
         return np.log(psi) - np.log(psi).max(axis=-1, keepdims=psi.ndim > 1)
 
     def step(self, theta, dy):
@@ -448,29 +451,30 @@ class Gamma(Kernel):
     Gamma = exp(-A t) psi; steps a single (K,) trajectory.
 
     The step propagators exp(+-A dt) come from ``step_forward`` and
-    ``step_backward`` when both are given, else from :func:`propagator_pair`,
-    which raises GammaRangeError here if they are not finite.
+    ``step_backward`` when both are given, else from :func:`propagator_pair`
+    of the model's :func:`drift_matrix`, which raises GammaRangeError here if
+    they are not finite.
     """
 
     scheme = "gamma"
+    initial_state = _Unnormalized.initial_state
 
     def __init__(self, model, dt, beta, correction_sign=-1, sign_variant="innovation",
-                 a_matrix=None, step_forward=None, step_backward=None):
+                 step_forward=None, step_backward=None):
         super().__init__(model, dt, beta, correction_sign, sign_variant)
-        if a_matrix is None:
-            a_matrix = drift_matrix(model, beta, correction_sign)
         if step_forward is None or step_backward is None:
-            step_forward, step_backward = propagator_pair(a_matrix, dt)
-        self.a_matrix = a_matrix
+            step_forward, step_backward = propagator_pair(
+                drift_matrix(model, beta, correction_sign), dt
+            )
         self.step_forward = step_forward
         self.step_backward = step_backward
         self.diag_levels = np.diag(self.levels)
 
     def start(self, initial=None):
-        psi = initial_weights(self.model) if initial is None else initial.psi
-        forward, backward = propagator_pair(np.asarray(self.a_matrix, dtype=float), 0.0)
-        gamma = backward @ psi
-        return gamma, forward, backward, forward @ gamma
+        """At t=0 both propagators are the identity, so Gamma = psi."""
+        psi = initial_weights(self.model) if initial is None else self.initial(initial)
+        identity = np.eye(len(psi))
+        return psi, identity, identity, psi
 
     def step(self, state, dy):
         """Heun step of  dGamma/dt = exp(-A t) diag(a) exp(A t) (r / beta^2) Gamma."""
@@ -519,7 +523,7 @@ class _Telegraph(Kernel):
             raise ValueError("telegraph schemes require K=2, levels (1, -1) and a symmetric rate")
 
     def start(self, initial=None):
-        p0 = initial.probs if hasattr(initial, "probs") else self.model.initial_dist
+        p0 = self.model.initial_dist if initial is None else self.initial(initial)
         return float(p0[0] - p0[1])
 
     def probs(self, history):
@@ -567,7 +571,7 @@ class BayesOracle(Kernel):
         self.two_variance = 2.0 * self.beta_sq * dt
 
     def start(self, initial=None):
-        return np.array(self.model.initial_dist)
+        return np.array(self.model.initial_dist) if initial is None else self.initial(initial)
 
     def step(self, probs, dy):
         log_like = -((dy - self.mean_increment) ** 2) / self.two_variance

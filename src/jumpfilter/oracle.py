@@ -151,9 +151,8 @@ def pathspace_expectation(
         raise ValueError(f"path enumeration supports K <= 3 states, got {k}")
     if not 0 <= max_jumps <= 3:
         raise ValueError(f"max_jumps must be in 0..3, got {max_jumps}")
-    n_steps = int(round(horizon / grid.dt))
-    if abs(n_steps * grid.dt - horizon) > 1e-9 * max(1.0, horizon) or n_steps > grid.n_steps:
-        raise ValueError("horizon must match a whole number of grid steps")
+    if _step_count(horizon, grid.dt) > grid.n_steps:
+        raise ValueError("horizon must not pass the end of the grid")
     # imported here: scipy.stats takes ~1 s to load and only this bound needs it
     from scipy.stats import poisson
 

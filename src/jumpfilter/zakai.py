@@ -42,7 +42,6 @@ from .kernels import (
     drift_matrix,
     initial_weights,
     ito_update,
-    langevin_update,
     propagator_pair,
     step_once,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "GammaRangeError",
     "init_unnormalized",
     "ito_update",
-    "langevin_update",
     "zakai_ito_step",
     "zakai_langevin_step",
     "log_step",
@@ -122,9 +120,9 @@ class GammaState:
     gamma: np.ndarray
     t: float
     a_matrix: np.ndarray
+    forward: np.ndarray   # exp(+A t)
+    backward: np.ndarray  # exp(-A t)
     log_normalizer: float = 0.0
-    forward: np.ndarray | None = None   # exp(+A t)
-    backward: np.ndarray | None = None  # exp(-A t)
 
     def __post_init__(self):
         gamma = np.asarray(self.gamma, dtype=float)
@@ -134,10 +132,6 @@ class GammaState:
             )
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "a_matrix", np.asarray(self.a_matrix, dtype=float))
-        if self.forward is None or self.backward is None:
-            forward, backward = propagator_pair(self.a_matrix, self.t)
-            object.__setattr__(self, "forward", forward)
-            object.__setattr__(self, "backward", backward)
 
 
 def init_unnormalized(model: ChainModel) -> UnnormalizedState:
@@ -207,14 +201,15 @@ def to_gamma(state: UnnormalizedState, a_matrix: np.ndarray, t: float | None = N
     t = state.t if t is None else t
     if t < 0:
         raise ValueError("t must be nonnegative")
-    forward, backward = propagator_pair(np.asarray(a_matrix, dtype=float), t)
+    a_matrix = np.asarray(a_matrix, dtype=float)
+    forward, backward = propagator_pair(a_matrix, t)
     return GammaState(
         gamma=backward @ state.psi,
         t=t,
-        a_matrix=np.asarray(a_matrix, dtype=float),
-        log_normalizer=state.log_normalizer,
+        a_matrix=a_matrix,
         forward=forward,
         backward=backward,
+        log_normalizer=state.log_normalizer,
     )
 
 
@@ -248,8 +243,9 @@ def gamma_langevin_step(
     longer positive.
     """
     check_increment(dt, dy)
-    kernel = Gamma(model, dt, beta, a_matrix=state.a_matrix,
-                   step_forward=step_forward, step_backward=step_backward)
+    if step_forward is None or step_backward is None:
+        step_forward, step_backward = propagator_pair(state.a_matrix, dt)
+    kernel = Gamma(model, dt, beta, step_forward=step_forward, step_backward=step_backward)
     (gamma, forward, backward, _), _ = step_once(
         kernel, (state.gamma, state.forward, state.backward, None), dy
     )
@@ -257,7 +253,7 @@ def gamma_langevin_step(
         gamma=gamma,
         t=state.t + dt,
         a_matrix=state.a_matrix,
-        log_normalizer=state.log_normalizer,
         forward=forward,
         backward=backward,
+        log_normalizer=state.log_normalizer,
     )

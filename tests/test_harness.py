@@ -13,10 +13,11 @@ from jumpfilter import (
     JumpPath,
     LogState,
     UnnormalizedState,
+    predict,
     telegraph_model,
 )
 from jumpfilter.cli import main
-from jumpfilter.kernels import WonhamIto, drive
+from jumpfilter.kernels import Kernel, TelegraphIto, WonhamIto, drive
 from jumpfilter.signalpath import ObservationGrid
 from jumpfilter.zakai import FilterInstabilityError
 from jumpfilter.harness import (
@@ -211,6 +212,17 @@ class TestConvergence:
         assert minus[-1] <= 0.6 * minus[0]
         assert (tmp_path / "convergence.csv").exists()
 
+    def test_non_telegraph_model_has_no_telegraph_row(self, tmp_path):
+        model = ChainModel(levels=[1.0, 0.3, -0.7], rates=[[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+                           initial_dist=[0.5, 0.3, 0.2])
+        config = ExperimentConfig(model=model, horizon=0.2, dt=1e-3, beta=0.5,
+                                  out_dir=str(tmp_path))
+        rows = run_convergence(config, halvings=2)
+        pairs = {row["pair"] for row in rows}
+        assert len(pairs) == 5 and not any(pair.startswith("telegraph") for pair in pairs)
+        lines = (tmp_path / "convergence.csv").read_text().splitlines()
+        assert len(lines) == 1 + 5 * 3
+
 
 class TestAdjudicate:
     def test_telegraph_verdicts(self, tmp_path):
@@ -222,10 +234,11 @@ class TestAdjudicate:
         assert report["drift_variant"]["plateau_ratio"] >= 10.0
         assert (tmp_path / "adjudication.json").exists()
 
-    def test_equal_levels_indistinguishable(self):
+    def test_equal_levels_indistinguishable(self, tmp_path):
         model = ChainModel(levels=[0.0, 0.0], rates=TELEGRAPH.rates, initial_dist=[0.6, 0.4])
-        config = ExperimentConfig(model=model, horizon=0.5, dt=1e-3, beta=0.5, master_seed=1)
-        report = run_adjudicate(config, write=False)
+        config = ExperimentConfig(model=model, horizon=0.5, dt=1e-3, beta=0.5, master_seed=1,
+                                  out_dir=str(tmp_path))
+        report = run_adjudicate(config)
         assert report["correction_sign"]["verdict"] == "indistinguishable"
         assert report["drift_variant"]["verdict"] == "indistinguishable"
 
@@ -269,21 +282,20 @@ class TestPredict:
     def test_zero_horizon_reproduces_terminal_row(self, tmp_path):
         config = telegraph_config(scheme="wonham-ito", out_dir=str(tmp_path))
         trajectory, _ = run_filter(config, write=False)
-        rows = run_predict(config, [0.0, 0.5], terminal=trajectory.probs[-1], write=True)
+        rows = run_predict(config, [0.0, 0.5])
         assert np.array_equal(rows[0]["probs"], trajectory.probs[-1])
         assert (tmp_path / "prediction.csv").read_text().splitlines()[0] == "h,p_1,p_2"
 
-    def test_far_horizon_is_stationary(self):
-        config = telegraph_config()
-        rows = run_predict(config, [100.0], terminal=np.array([0.9, 0.1]), write=False)
+    def test_far_horizon_is_stationary(self, tmp_path):
+        rows = run_predict(telegraph_config(out_dir=str(tmp_path)), [100.0])
         assert np.abs(rows[0]["probs"] - 0.5).max() <= 1e-8
+        assert np.abs(predict(FilterState(probs=[0.9, 0.1]), TELEGRAPH, 100.0) - 0.5).max() <= 1e-8
 
     def test_composition_consistency(self):
         from jumpfilter import transition_matrix
 
-        config = telegraph_config()
         terminal = np.array([0.7, 0.3])
-        direct = run_predict(config, [2.0], terminal=terminal, write=False)[0]["probs"]
+        direct = predict(FilterState(probs=terminal), TELEGRAPH, 2.0)
         composed = (terminal @ transition_matrix(TELEGRAPH, 0.8)) @ transition_matrix(
             TELEGRAPH, 1.2
         )
@@ -293,16 +305,17 @@ class TestPredict:
                              ids=["negative", "nan"])
     def test_rejects_invalid_terminal_distribution(self, terminal):
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            run_predict(telegraph_config(), [1.0], terminal=np.array(terminal), write=False)
+            predict(FilterState(probs=np.array(terminal)), TELEGRAPH, 1.0)
 
     def test_leaves_callers_terminal_writable(self):
         terminal = np.array([0.7, 0.3])
-        run_predict(telegraph_config(), [1.0], terminal=terminal, write=False)
+        predict(FilterState(probs=terminal), TELEGRAPH, 1.0)
         assert terminal.flags.writeable
 
-    def test_rejects_negative_horizon(self):
+    def test_rejects_negative_horizon(self, tmp_path):
         with pytest.raises(ValueError, match="nonnegative"):
-            run_predict(telegraph_config(), [-1.0], terminal=np.array([0.5, 0.5]), write=False)
+            run_predict(telegraph_config(out_dir=str(tmp_path / "out")), [-1.0])
+        assert not (tmp_path / "out").exists()
 
 
 class TestCli:
@@ -368,6 +381,47 @@ class TestCli:
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["filter", "--config", str(tmp_path / "nope.json")]) == 2
 
+    @pytest.mark.parametrize("command, document", [
+        (["validate", "--config"], {"model": [], "T": 1, "dt": 0.1, "beta": 1}),
+        (["validate", "--config"], [1, 2]),
+        (["filter", "--seed", "5", "--config"], [1, 2]),
+        (["filter", "--config"], {"model": "[1]", "T": 1, "dt": 0.1, "beta": 1}),
+        (["validate", "--model"], [1, 2]),
+        (["validate", "--model"], 3),
+    ], ids=["config-model-list", "validate-config-list", "filter-config-list",
+            "config-model-text", "model-list", "model-number"])
+    def test_document_that_is_not_an_object_exits_2(self, tmp_path, monkeypatch, capsys,
+                                                    command, document):
+        # a JSON array used to escape as TypeError (exit 1) on its first key lookup
+        monkeypatch.chdir(tmp_path)
+        file = tmp_path / "doc.json"
+        file.write_text(json.dumps(document))
+        assert main([*command, str(file)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == [file]
+
+    def test_gamma_out_of_range_exits_3(self, tmp_path, capsys):
+        # exp(+-A t) of this K=8 model overflows the Gamma transform before T=5
+        rates = np.random.default_rng(0).uniform(0.1, 1.0, size=(8, 8))
+        np.fill_diagonal(rates, 0.0)
+        model = ChainModel(levels=np.linspace(-1.0, 1.0, 8), rates=rates,
+                           initial_dist=np.full(8, 1.0 / 8))
+        config = ExperimentConfig(model=model, horizon=5.0, dt=1e-3, beta=0.5, scheme="gamma",
+                                  out_dir=str(tmp_path / "out"))
+        file = tmp_path / "k8.json"
+        file.write_text(json.dumps(config.to_json()))
+        assert main(["filter", "--config", str(file)]) == 3
+        assert "run failed: Gamma" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_filter_instability_exits_3(self, tmp_path, capsys):
+        config = telegraph_config(horizon=10.0, dt=0.5, beta=0.1, scheme="zakai-ito",
+                                  out_dir=str(tmp_path / "out"))
+        file = tmp_path / "coarse.json"
+        file.write_text(json.dumps(config.to_json()))
+        assert main(["filter", "--config", str(file)]) == 3
+        assert "clamp events" in capsys.readouterr().err
+
     def test_seed_override_changes_output(self, config_file, tmp_path):
         out = tmp_path / "out" / "observations.csv"
         main(["simulate", "--config", str(config_file)])
@@ -430,6 +484,30 @@ class TestDriverErrorPolicy:
         with pytest.raises(ValueError, match="pre-renormalization sum"):
             drive(kernel, start, dy, keep_history=keep_history)
 
+    @pytest.mark.parametrize("scheme", ["zakai-ito", "log", "wonham-langevin"])
+    def test_overflowing_state_raises(self, scheme):
+        # a finite but huge increment overflows the step; drive checks the history
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="became non-finite"):
+            run_trajectory(self.THREE, self.grid([0.01, 1e308]), scheme)
+
+    def test_history_off_the_simplex_raises(self):
+        class Inflating(Kernel):
+            scheme = "inflating"
+
+            def step(self, state, dy):
+                return state * 1.5, 0
+
+        with pytest.raises(ValueError, match="left the simplex"):
+            drive(Inflating(None, 1e-3, 0.5), np.array([0.5, 0.5]), np.zeros(3))
+
+    def test_telegraph_q_clamped_at_minus_one(self):
+        # one strongly negative increment drives q below -1; a single clamp
+        # over 2000 steps stays within the budget
+        run = run_trajectory(TELEGRAPH, self.grid([-5.0] + [0.0] * 1999), "telegraph-ito")
+        assert run.clamps == 1
+        assert run.extras["q"][1] == -1.0
+        assert TelegraphIto(TELEGRAPH, 1e-3, 0.5).step(0.0, -5.0) == (-1.0, 1)
+
     def test_clamp_budget_applies_to_every_clamping_scheme(self):
         for scheme in ("zakai-ito", "wonham-ito", "wonham-langevin"):
             with pytest.raises(FilterInstabilityError, match="budget"):
@@ -458,3 +536,33 @@ class TestDriverErrorPolicy:
         # the scalar telegraph filter would return a wrong two-column posterior here
         with pytest.raises(ValueError, match="telegraph schemes require"):
             run_trajectory(model, self.grid([0.01] * 5), scheme)
+
+
+class TestInitialState:
+    """``run_trajectory(initial=...)`` starts every scheme from the state it is given."""
+
+    PROBS = np.array([0.8, 0.2])
+    # the state type each scheme starts from; the other type is refused
+    TAKES_WEIGHTS = {"zakai-ito", "zakai-langevin", "log", "gamma"}
+    GRID = TestDriverErrorPolicy.grid([0.01] * 20)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_row_zero_follows_the_given_state(self, scheme):
+        if scheme in self.TAKES_WEIGHTS:
+            given = UnnormalizedState(psi=3.0 * self.PROBS, log_normalizer=1.5)
+        else:
+            given = FilterState(probs=self.PROBS)
+        run = run_trajectory(TELEGRAPH, self.GRID, scheme, initial=given)
+        assert np.abs(run.probs[0] - self.PROBS).max() <= 1e-15
+        if "log_weights" in run.extras:
+            expected = 1.5 + np.log(3.0 * self.PROBS)
+            assert np.abs(run.extras["log_weights"][0] - expected).max() <= 1e-15
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_other_state_type_raises(self, scheme):
+        if scheme in self.TAKES_WEIGHTS:
+            wrong, wanted = FilterState(probs=self.PROBS), "UnnormalizedState"
+        else:
+            wrong, wanted = UnnormalizedState(psi=self.PROBS), "FilterState"
+        with pytest.raises(ValueError, match=f"{scheme} starts from a {wanted}"):
+            run_trajectory(TELEGRAPH, self.GRID, scheme, initial=wrong)

@@ -151,6 +151,14 @@ class TestPathspace:
             # default threshold 1e-4 refuses the omitted mass of 1.15e-3
             pathspace_expectation(TELEGRAPH, grid, 0.2, 2, 8)
 
+    @pytest.mark.parametrize("horizon, message", [
+        (0.155, "does not divide"), (0.3, "end of the grid"), (np.inf, "finite step count"),
+    ])
+    def test_horizon_must_be_whole_steps_within_the_grid(self, horizon, message):
+        # an infinite horizon used to overflow in int(round(horizon / dt))
+        with pytest.raises(ValueError, match=message):
+            pathspace_expectation(TELEGRAPH, self.grid(), horizon, 2, 8, max_truncation=1.0)
+
     def test_state_sequences_enumeration(self):
         # telegraph: exactly one alternating sequence per (start, parity)
         assert list(_state_sequences(TELEGRAPH.rates, 0, 0, 0)) == [(0,)]

@@ -17,14 +17,13 @@ from jumpfilter import (
     zakai_ito_step,
 )
 from jumpfilter.harness import ExperimentConfig, run_trajectory, simulate_pair
-from jumpfilter.kernels import Gamma, propagator_pair
+from jumpfilter.kernels import Gamma, ZakaiLangevin, propagator_pair
 from jumpfilter.signalpath import coarsen
 from jumpfilter.zakai import (
     FilterInstabilityError,
     LogState,
     gamma_langevin_step,
     ito_update,
-    langevin_update,
 )
 
 TELEGRAPH = telegraph_model(1.0)
@@ -143,20 +142,29 @@ class TestScaleInvariance:
         assert np.abs(base.probs - scaled.probs).max() <= 1e-12
 
 
+def langevin_kernel_step(model, beta, dt, dy, sign, psi):
+    """One zakai-langevin kernel step from weights ``psi`` (log scale 0): the
+    rescaled weights and the log of their sum before rescaling."""
+    (weights, log_normalizer), _ = ZakaiLangevin(model, dt, beta, sign).step((psi, 0.0), dy)
+    return weights, log_normalizer
+
+
 class TestLangevinStep:
     def test_zero_levels_signs_agree_and_equal_heun(self):
         model = ChainModel(levels=[0.0, 0.0], rates=TELEGRAPH.rates, initial_dist=[0.3, 0.7])
         psi = np.array([0.3, 0.7])
-        minus = langevin_update(psi, model.generator, model.levels, 0.5, 1e-2, 0.2, -1)
-        plus = langevin_update(psi, model.generator, model.levels, 0.5, 1e-2, 0.2, +1)
-        assert np.array_equal(minus, plus)
+        minus = langevin_kernel_step(model, 0.5, 1e-2, 0.2, -1, psi)
+        plus = langevin_kernel_step(model, 0.5, 1e-2, 0.2, +1, psi)
+        assert np.array_equal(minus[0], plus[0]) and minus[1] == plus[1]
         q = model.generator
 
         def heun(v):
             pred = v + 1e-2 * (v @ q)
             return v + 0.5e-2 * (v @ q + pred @ q)
 
-        assert minus == pytest.approx(heun(psi), abs=1e-16)
+        expected = heun(psi)
+        assert minus[0] == pytest.approx(expected / expected.sum(), abs=1e-16)
+        assert minus[1] == pytest.approx(np.log(expected.sum()), abs=1e-16)
 
     def test_single_state_closed_form_local_error(self):
         # K=1, nu=0: the smooth-noise equation is scalar linear with constant
@@ -166,9 +174,10 @@ class TestLangevinStep:
         beta, dt, dy = 1.0, 0.01, 0.1
         for sign in (-1, +1):
             c = sign * 0.5 * 4.0 + 2.0 * (dy / dt)
-            heun = langevin_update(np.array([1.0]), model.generator, model.levels, beta, dt, dy, sign)
+            weights, log_normalizer = langevin_kernel_step(model, beta, dt, dy, sign, np.ones(1))
+            assert weights[0] == 1.0
             exact = np.exp(c * dt)
-            assert abs(heun[0] - exact) <= abs(c * dt) ** 3
+            assert abs(np.exp(log_normalizer) - exact) <= abs(c * dt) ** 3
 
     def test_wrong_sign_diverges_from_ito_in_log_weights(self):
         grid = telegraph_grid(horizon=1.0, seed=2)
