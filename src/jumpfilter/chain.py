@@ -27,6 +27,7 @@ __all__ = [
     "state_at",
     "integrate_level",
     "step_level_integrals",
+    "add_path_integrals",
     "stationary_distribution",
     "model_from_json",
     "model_to_json",
@@ -202,13 +203,8 @@ class JumpPath:
         states = np.array(self.jump_states, dtype=np.intp)
         if times.shape != states.shape or times.ndim != 1:
             raise ValueError("jump_times and jump_states must be 1-d and aligned")
-        if times.size and (times[0] <= 0 or times[-1] > self.horizon):
-            raise ValueError("jump times must lie in (0, horizon]")
-        if (times[1:] <= times[:-1]).any():
-            raise ValueError("jump times must be strictly increasing")
         seq = np.concatenate(([self.initial_state], states))
-        if (seq[1:] == seq[:-1]).any():
-            raise ValueError("consecutive states must differ")
+        _check_paths(seq, times, np.array([times.size]), self.horizon)
         times.setflags(write=False)
         states.setflags(write=False)
         object.__setattr__(self, "jump_times", times)
@@ -221,6 +217,24 @@ class JumpPath:
         return self.jump_times.shape[0]
 
 
+def _check_paths(states_visited: np.ndarray, jump_times: np.ndarray, n_jumps: np.ndarray,
+                 horizon: float) -> None:
+    """Raises ValueError unless each of a batch of paths is a valid JumpPath.
+
+    The batch is flat: ``states_visited`` and ``jump_times`` concatenate the
+    paths' visited states (initial state first) and jump times, and
+    ``n_jumps`` holds each path's number of jumps.
+    """
+    if jump_times.size and not (jump_times.min() > 0 and jump_times.max() <= horizon):
+        raise ValueError("jump times must lie in (0, horizon]")
+    owner = np.repeat(np.arange(n_jumps.size), n_jumps)
+    if (jump_times[1:] <= jump_times[:-1])[owner[1:] == owner[:-1]].any():
+        raise ValueError("jump times must be strictly increasing")
+    owner = np.repeat(np.arange(n_jumps.size), n_jumps + 1)
+    if (states_visited[1:] == states_visited[:-1])[owner[1:] == owner[:-1]].any():
+        raise ValueError("consecutive states must differ")
+
+
 def simulate_jump_path(model: ChainModel, horizon: float, rng: np.random.Generator) -> JumpPath:
     """Exact simulation: exponential holding times, embedded-chain jumps.
 
@@ -230,6 +244,17 @@ def simulate_jump_path(model: ChainModel, horizon: float, rng: np.random.Generat
     ``rng.choice(k, p=...)`` and ``rng.exponential(1 / rate)`` draw them: the
     path and the numbers consumed equal theirs.
     """
+    initial, times, states = _draw_jumps(model, horizon, rng)
+    return JumpPath(
+        initial_state=initial,
+        jump_times=times,
+        jump_states=states,
+        horizon=float(horizon),
+    )
+
+
+def _draw_jumps(model: ChainModel, horizon: float, rng: np.random.Generator):
+    """The draws of :func:`simulate_jump_path`: (initial state, jump times, jump states)."""
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     initial_cdf, exits = model.sampling_tables
@@ -245,12 +270,37 @@ def simulate_jump_path(model: ChainModel, horizon: float, rng: np.random.Generat
         state = bisect_right(cdf, uniform())
         times.append(t)
         states.append(state)
-    return JumpPath(
-        initial_state=initial,
-        jump_times=times,
-        jump_states=states,
-        horizon=float(horizon),
-    )
+    return initial, times, states
+
+
+def add_path_integrals(model: ChainModel, horizon: float, dt: float, rng: np.random.Generator,
+                       stream_states, out: np.ndarray) -> np.ndarray:
+    """Draw one path per stream and add its per-step level integrals to ``out``.
+
+    Row r of ``out`` (R, n) gets :func:`step_level_integrals` of the path that
+    :func:`simulate_jump_path` draws from ``rng`` once its
+    ``bit_generator.state`` is set to ``stream_states[r]``. No JumpPath is
+    built: the R paths are checked together, as JumpPath checks one. Returns
+    the state each path ends in, shape (R,).
+    """
+    n_steps = out.shape[1]
+    levels = model.levels
+    bit_generator = rng.bit_generator
+    visited, all_times = [], []
+    n_jumps = np.empty(len(out), dtype=np.intp)
+    final = np.empty(len(out), dtype=np.intp)
+    for r, row in enumerate(out):
+        bit_generator.state = stream_states[r]
+        initial, times, states = _draw_jumps(model, horizon, rng)
+        seq = [initial, *states]
+        row += _step_integrals(levels[seq], np.array(times, dtype=float), horizon, dt, n_steps)
+        visited += seq
+        all_times += times
+        n_jumps[r] = len(times)
+        final[r] = seq[-1]
+    _check_paths(np.array(visited, dtype=np.intp), np.array(all_times, dtype=float), n_jumps,
+                 horizon)
+    return final
 
 
 def state_at(path: JumpPath, t: float) -> int:
@@ -261,13 +311,14 @@ def state_at(path: JumpPath, t: float) -> int:
     return int(path.states_visited[idx])
 
 
-def _cumulative_level(path: JumpPath, model: ChainModel, times: np.ndarray) -> np.ndarray:
-    """Exact values of  t -> integral_0^t a_{x(s)} ds  at the given times."""
-    seg_levels = model.levels[path.states_visited]
-    edges = np.concatenate(([0.0], path.jump_times, [path.horizon]))
+def _cumulative_level(seg_levels: np.ndarray, jump_times: np.ndarray, horizon: float,
+                      times: np.ndarray) -> np.ndarray:
+    """Exact values of  t -> integral_0^t a_{x(s)} ds  at the given times, for
+    the path with levels ``seg_levels`` between its ``jump_times``."""
+    edges = np.concatenate(([0.0], jump_times, [horizon]))
     knots = edges[:-1]
     cum_at_knots = np.concatenate(([0.0], (seg_levels * (edges[1:] - knots)).cumsum()))
-    idx = path.jump_times.searchsorted(times, side="right")
+    idx = jump_times.searchsorted(times, side="right")
     return cum_at_knots[idx] + seg_levels[idx] * (times - knots[idx])
 
 
@@ -275,13 +326,19 @@ def integrate_level(path: JumpPath, model: ChainModel, t0: float, t1: float) -> 
     """Exact integral of the signal level over [t0, t1] (no quadrature error)."""
     if not 0.0 <= t0 <= t1 <= path.horizon:
         raise ValueError(f"bad interval [{t0}, {t1}] for horizon {path.horizon}")
-    vals = _cumulative_level(path, model, np.array([t0, t1]))
+    vals = _cumulative_level(model.levels[path.states_visited], path.jump_times, path.horizon,
+                             np.array([t0, t1]))
     return float(vals[1] - vals[0])
 
 
 def step_level_integrals(path: JumpPath, model: ChainModel, dt: float, n_steps: int) -> np.ndarray:
     """Exact per-step signal integrals over the uniform grid r*dt, r=0..n."""
-    cum = _cumulative_level(path, model, _uniform_grid(n_steps, dt, path.horizon))
+    return _step_integrals(model.levels[path.states_visited], path.jump_times, path.horizon,
+                           dt, n_steps)
+
+
+def _step_integrals(seg_levels, jump_times, horizon, dt, n_steps) -> np.ndarray:
+    cum = _cumulative_level(seg_levels, jump_times, horizon, _uniform_grid(n_steps, dt, horizon))
     return cum[1:] - cum[:-1]
 
 

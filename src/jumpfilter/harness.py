@@ -115,15 +115,25 @@ class ExperimentConfig:
             raise ValueError(f"unknown config keys {unknown}; known keys are {CONFIG_KEYS}")
         return cls(
             model=model_from_json(doc["model"]),
-            horizon=float(doc["T"]),
-            dt=float(doc["dt"]),
-            beta=float(doc["beta"]),
+            horizon=_number(doc, "T", float),
+            dt=_number(doc, "dt", float),
+            beta=_number(doc, "beta", float),
             scheme=doc.get("scheme", "wonham-ito"),
-            correction_sign=int(doc.get("correction_sign", -1)),
+            correction_sign=_number(doc, "correction_sign", int, -1),
             sign_variant=doc.get("sign_variant", "innovation"),
-            master_seed=int(doc.get("master_seed", 0)),
+            master_seed=_number(doc, "master_seed", int, 0),
             out_dir=doc.get("out_dir", "."),
         )
+
+
+def _number(doc: dict, key: str, kind: type, default=None):
+    """``kind`` of the config value at ``key``, or of ``default`` when the key
+    is absent and a default is given; ValueError naming the key otherwise."""
+    value = doc[key] if default is None else doc.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"config key {key!r} must be a number, not {value!r}") from None
 
 
 def run_trajectory(

@@ -256,8 +256,6 @@ class Kernel:
     """Per-run constants of one scheme; subclasses define start/step/probs."""
 
     scheme = ""
-    # numpy floating-point error handling while stepping
-    errstate: dict = {}
     # whether a state is (probs, presum), presum being the sums before the
     # renormalization that produced probs
     carries_presum = False
@@ -561,7 +559,6 @@ class BayesOracle(Kernel):
     Gaussian increment likelihood; state p."""
 
     scheme = "bayes-oracle"
-    errstate = {"divide": "ignore"}
 
     def __init__(self, model, dt, beta, correction_sign=-1, sign_variant="innovation",
                  trans=None):
@@ -615,11 +612,15 @@ class Trajectory:
     extras: dict = field(default_factory=dict)
 
 
+# Kernels step with numpy's floating-point warnings off: a state that overflows
+# or turns NaN is caught by the checks that follow and raised as a typed error,
+# and a zero probability may take log 0 = -inf (bayes-oracle).
+QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
+
+
 def step_once(kernel: Kernel, state, dy):
-    """One kernel step under the kernel's floating-point error handling."""
-    if not kernel.errstate:
-        return kernel.step(state, dy)
-    with np.errstate(**kernel.errstate):
+    """One kernel step, with numpy's floating-point warnings off."""
+    with np.errstate(**QUIET):
         return kernel.step(state, dy)
 
 
@@ -676,12 +677,12 @@ def drive(kernel: Kernel, state, dy: np.ndarray, keep_history: bool = True) -> T
         record = _discard
     step = kernel.step
     clamps = 0
-    with np.errstate(**kernel.errstate):
+    with np.errstate(**QUIET):
         for increment in dy.tolist() if dy.ndim == 1 else dy:
             state, clamped = step(state, increment)
             clamps += clamped
             record(state)
-    probs, extras = kernel.probs(history if keep_history else [state])
+        probs, extras = kernel.probs(history if keep_history else [state])
 
     if not (np.all(np.isfinite(probs)) and all(np.all(np.isfinite(v)) for v in extras.values())):
         raise ValueError(f"{kernel.scheme}: the filter state became non-finite")

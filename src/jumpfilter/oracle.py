@@ -28,14 +28,16 @@ from itertools import product
 
 import numpy as np
 
-from .chain import ChainModel, simulate_jump_path, step_level_integrals, transition_matrix
+from .chain import ChainModel, add_path_integrals, transition_matrix
 from .kernels import (BayesOracle, WonhamIto, check_increment, check_probability_vector,
                       drive, step_once)
-from .seeding import ROLE_JUMP, ROLE_NOISE, derive_rng
+from .seeding import ROLE_JUMP, ROLE_NOISE, derive_states
 from .signalpath import ObservationGrid, _step_count, cumulative_observation
 
 # Not called here; benchmark/tracing.py wraps these names as attributes of
 # this module, so they stay bound.
+from .chain import simulate_jump_path, step_level_integrals  # noqa: F401
+from .seeding import derive_rng  # noqa: F401
 from .wonham import finish_simplex_step, wonham_update_raw  # noqa: F401
 
 __all__ = [
@@ -254,11 +256,12 @@ def tower_property_check(
 ) -> TowerReport:
     """Monte Carlo unbiasedness check of the normalized filter.
 
-    Runs ``n_replicas`` independent (path, observation, filter) triples with
-    per-replica derived seeds and compares the replica mean of p(T) against
-    the unconditional law initial^T P(T), reporting per-state z-scores. Also
-    reports the filter's empirical mean-square error against the best
-    constant predictor and the significance (in standard errors) of the gap.
+    Runs ``n_replicas`` independent (path, observation, filter) triples on
+    the streams ``derive_rng(master_seed, r, role)`` and compares the
+    replica mean of p(T) against the unconditional law initial^T P(T),
+    reporting per-state z-scores. Also reports the filter's empirical
+    mean-square error against the best constant predictor and the
+    significance (in standard errors) of the gap.
     """
     if n_replicas < 100:
         raise ValueError("need at least 100 replicas for meaningful z-scores")
@@ -266,17 +269,21 @@ def tower_property_check(
     k = model.n_states
     levels = model.levels
 
-    # row r holds replica r's increments  signal + beta sqrt(dt) noise,
-    # written in place: the noise first, then scaled, then the signal added
+    # Row r holds replica r's increments  signal + beta sqrt(dt) noise, written
+    # in place: the noise first, then scaled, then the signal added. The
+    # stream states are derived in bulk and set on one generator per role.
     increments = np.empty((n_replicas, n_steps))
     noise_scale = beta * math.sqrt(dt)
-    terminal_level = np.empty(n_replicas)
+    noise_states = derive_states(master_seed, n_replicas, ROLE_NOISE)
+    noise_rng = np.random.default_rng(0)
     for r, row in enumerate(increments):
-        path = simulate_jump_path(model, horizon, derive_rng(master_seed, r, ROLE_JUMP))
-        derive_rng(master_seed, r, ROLE_NOISE).standard_normal(n_steps, out=row)
+        noise_rng.bit_generator.state = noise_states[r]
+        noise_rng.standard_normal(n_steps, out=row)
         row *= noise_scale
-        row += step_level_integrals(path, model, dt, n_steps)
-        terminal_level[r] = levels[path.states_visited[-1]]
+    final_states = add_path_integrals(model, horizon, dt, np.random.default_rng(0),
+                                      derive_states(master_seed, n_replicas, ROLE_JUMP),
+                                      increments)
+    terminal_level = levels[final_states]
 
     kernel = WonhamIto(model, dt, beta, sign_variant="innovation")
     start = kernel.start(np.tile(model.initial_dist, (n_replicas, 1)))

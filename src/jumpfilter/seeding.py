@@ -48,3 +48,98 @@ def derive_seed(master_seed: int, *keys: int) -> int:
 def derive_rng(master_seed: int, *keys: int) -> np.random.Generator:
     """Generator for the stream identified by ``keys`` under ``master_seed``."""
     return np.random.default_rng(derive_seed(master_seed, *keys))
+
+
+def derive_states(master_seed: int, replicas: int, role: int) -> StreamStates:
+    """PCG64 states of ``derive_rng(master_seed, r, role)`` for r = 0..replicas-1.
+
+    Setting ``derive_states(m, R, role)[r]`` as ``bit_generator.state`` of a
+    PCG64 generator gives the stream of ``derive_rng(m, r, role)``, without
+    the per-call SeedSequence hashing of ``default_rng``.
+    """
+    seeds = _splitmix64_output(np.uint64(master_seed & MASK64)
+                               + np.arange(1, replicas + 1, dtype=np.uint64) * GOLDEN)
+    seeds = _splitmix64_output(seeds + np.uint64((role + 1) * GOLDEN & MASK64))
+    return StreamStates(seed_sequence_words(seeds))
+
+
+def _splitmix64_output(z: np.ndarray) -> np.ndarray:
+    """The output function of :func:`splitmix64` over a uint64 array (wraps mod 2**64)."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+    return z ^ (z >> 31)
+
+
+# NumPy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+MASK32 = 0xFFFFFFFF
+INIT_A, MULT_A = 0x43B0D7E5, 0x931E8875
+INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED
+MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def seed_sequence_words(seeds: np.ndarray) -> np.ndarray:
+    """``np.random.SeedSequence(s).generate_state(4, np.uint64)`` for every
+    uint64 seed s, as an (R, 4) uint64 table, in uint32 array arithmetic."""
+    hash_const = INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * MULT_A & MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = x * MIX_MULT_L - y * MIX_MULT_R
+        return result ^ (result >> 16)
+
+    # A seed's entropy words are its 32-bit digits, low first: one word below
+    # 2**32, two above. The pool has 4 slots and a slot past the entropy is
+    # hashed from 0, so the one-word seed s mixes exactly as (s, 0) does.
+    low = (seeds & MASK32).astype(np.uint32)
+    high = (seeds >> 32).astype(np.uint32)
+    zero = np.zeros_like(low)
+    pool = [hashmix(word) for word in (low, high, zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+
+    hash_const = INIT_B
+    halves = []
+    for i in range(8):  # 4 uint64 words, each two uint32 words low first
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * MULT_B & MASK32
+        value = value * hash_const
+        halves.append((value ^ (value >> 16)).astype(np.uint64))
+    return np.stack([halves[2 * w] | halves[2 * w + 1] << 32 for w in range(4)], axis=1)
+
+
+PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+MASK128 = (1 << 128) - 1
+
+
+class StreamStates:
+    """PCG64 generator states of R streams, kept as their (R, 4) seed table.
+
+    Row r holds the four words PCG64 seeds from (initstate high and low,
+    sequence high and low). ``states[r]`` runs PCG64's ``srandom`` on that
+    row and returns the ``bit_generator.state`` dict, so a dict exists only
+    while its stream is in use.
+    """
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def __getitem__(self, r: int) -> dict:
+        state_hi, state_lo, seq_hi, seq_lo = self.words[r].tolist()
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & MASK128
+        # srandom: state = 0; advance; state += initstate; advance, where
+        # advance is state = state * multiplier + inc
+        state = ((inc + (state_hi << 64 | state_lo)) * PCG64_MULTIPLIER + inc) & MASK128
+        return {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }

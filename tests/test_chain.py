@@ -13,7 +13,7 @@ from jumpfilter import (
     telegraph_model,
     transition_matrix,
 )
-from jumpfilter.chain import JumpPath, step_level_integrals
+from jumpfilter.chain import JumpPath, _check_paths, add_path_integrals, step_level_integrals
 
 TELEGRAPH = telegraph_model(1.0)
 
@@ -168,6 +168,39 @@ class TestSimulation:
         expected = model.initial_dist @ transition_matrix(model, t)
         se = np.sqrt(expected * (1.0 - expected) / n)
         assert np.all(np.abs(counts / n - expected) <= 4.0 * se)
+
+
+class TestPathBatch:
+    ABSORBING = ChainModel(levels=[1.0, -0.5, 0.2],
+                           rates=[[0.0, 0.8, 0.4], [0.6, 0.0, 0.5], [0.0, 0.0, 0.0]],
+                           initial_dist=[0.4, 0.3, 0.3])
+
+    @pytest.mark.parametrize("model", [TELEGRAPH, ABSORBING], ids=["telegraph", "absorbing"])
+    def test_rows_equal_one_path_at_a_time(self, model):
+        states = [np.random.default_rng(seed).bit_generator.state for seed in range(40)]
+        base = np.random.default_rng(1).standard_normal((40, 50))
+        out = base.copy()
+        final = add_path_integrals(model, 2.0, 0.04, np.random.default_rng(0), states, out)
+        for r, state in enumerate(states):
+            rng = np.random.default_rng(0)
+            rng.bit_generator.state = state
+            path = simulate_jump_path(model, 2.0, rng)
+            expected = base[r].copy()
+            expected += step_level_integrals(path, model, 0.04, 50)
+            assert np.array_equal(out[r], expected)
+            assert final[r] == path.states_visited[-1]
+
+    def test_checks_each_path_not_across_paths(self):
+        # path 0 jumps at 0.5 and 0.9, path 1 at 0.2: the fall across paths is fine
+        _check_paths(np.array([0, 1, 0, 1, 0]), np.array([0.5, 0.9, 0.2]), np.array([2, 1]), 1.0)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            _check_paths(np.array([0, 1, 0, 1, 0]), np.array([0.2, 0.9, 0.5]),
+                         np.array([1, 2]), 1.0)
+        _check_paths(np.array([0, 1, 1, 0]), np.array([0.5, 0.2]), np.array([1, 1]), 1.0)
+        with pytest.raises(ValueError, match="must differ"):
+            _check_paths(np.array([0, 0, 1, 0]), np.array([0.5, 0.2]), np.array([1, 1]), 1.0)
+        with pytest.raises(ValueError, match=r"\(0, horizon\]"):
+            _check_paths(np.array([0, 1, 1, 0]), np.array([0.5, np.nan]), np.array([1, 1]), 1.0)
 
 
 class TestPathLookup:

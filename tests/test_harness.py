@@ -1,7 +1,9 @@
+import contextlib
 import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +19,8 @@ from jumpfilter import (
     telegraph_model,
 )
 from jumpfilter.cli import main
-from jumpfilter.kernels import Kernel, TelegraphIto, WonhamIto, drive
+from jumpfilter.kernels import (KERNELS, GammaRangeError, Kernel, TelegraphIto, WonhamIto, drive,
+                                step_once)
 from jumpfilter.signalpath import ObservationGrid
 from jumpfilter.zakai import FilterInstabilityError
 from jumpfilter.harness import (
@@ -365,6 +368,19 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key", ["T", "dt", "beta", "correction_sign", "master_seed"])
+    @pytest.mark.parametrize("value", [None, [1, 2]], ids=["null", "list"])
+    def test_config_number_of_wrong_type_exits_2(self, tmp_path, capsys, key, value):
+        # float(None) and int([1, 2]) used to escape as TypeError (exit 1)
+        doc = telegraph_config(out_dir=str(tmp_path / "out")).to_json()
+        doc[key] = value
+        file = tmp_path / "config.json"
+        file.write_text(json.dumps(doc))
+        assert main(["validate", "--config", str(file)]) == 2
+        assert main(["filter", "--config", str(file)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: config key '{key}' must be a number")
+        assert not (tmp_path / "out").exists()
+
     def test_overrides_are_validated(self, config_file, tmp_path):
         assert main(["filter", "--config", str(config_file), "--dt", "nan"]) == 2
         assert main(["filter", "--config", str(config_file), "--dt", "0.3"]) == 2
@@ -487,8 +503,21 @@ class TestDriverErrorPolicy:
     @pytest.mark.parametrize("scheme", ["zakai-ito", "log", "wonham-langevin"])
     def test_overflowing_state_raises(self, scheme):
         # a finite but huge increment overflows the step; drive checks the history
-        with np.errstate(all="ignore"), pytest.raises(ValueError, match="became non-finite"):
+        with pytest.raises(ValueError, match="became non-finite"):
             run_trajectory(self.THREE, self.grid([0.01, 1e308]), scheme)
+
+    @pytest.mark.parametrize("scheme", list(KERNELS))
+    def test_overflow_raises_typed_error_without_numpy_warnings(self, scheme):
+        # numpy used to print RuntimeWarnings before drive raised its own error
+        error = {"gamma": GammaRangeError, "telegraph-ito": FilterInstabilityError}
+        kernel = KERNELS[scheme](TELEGRAPH, 1e-3, 0.5)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(error.get(scheme, ValueError)):
+                drive(kernel, kernel.start(), np.array([0.01, 1e308]))
+            with contextlib.suppress(GammaRangeError):
+                step_once(kernel, kernel.start(), 1e308)
+        assert [str(w.message) for w in caught] == []
 
     def test_history_off_the_simplex_raises(self):
         class Inflating(Kernel):

@@ -21,6 +21,12 @@ THREE_STATE = ChainModel(
     rates=[[0.0, 0.6, 0.3], [0.2, 0.0, 0.8], [0.5, 0.4, 0.0]],
     initial_dist=[0.5, 0.3, 0.2],
 )
+# state 3 has exit rate 0 and starts with mass 0.3, so paths end there early
+ABSORBING = ChainModel(
+    levels=[1.0, -0.5, 0.2],
+    rates=[[0.0, 0.8, 0.4], [0.6, 0.0, 0.5], [0.0, 0.0, 0.0]],
+    initial_dist=[0.4, 0.3, 0.3],
+)
 
 # (model, horizon, dt, beta, replicas, master seed) -> (z_scores, mean_terminal,
 # mse_filter, mse_const, mse_margin_se), recorded with the first implementation
@@ -37,6 +43,11 @@ TOWER_PINS = [
      ([-0.7234430344855508, 0.9391849048348673, 0.5274747604742522],
       [0.38420443126653986, 0.3273628328321658, 0.2884327359012939],
       0.3470578908578087, 0.41122099455192757, 2.878664452993469)),
+    # recorded with one generator seeded per replica and role, one JumpPath each
+    ((ABSORBING, 1.0, 1e-2, 0.6, 200, 11),
+     ([0.026567734027112145, 0.8697483121489252, -1.1508123958361367],
+      [0.21359646634090315, 0.24279621449196997, 0.5436073191671267],
+      0.21482729019013833, 0.2582609681696883, 3.056264974872089)),
 ]
 
 
