@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -72,7 +73,8 @@ class ExperimentConfig:
 
     Construction raises ValueError unless the scheme is known, horizon, dt
     and beta are finite and positive, dt divides the horizon, the sign
-    options are valid and the scheme can filter the model.
+    options are valid, the scheme can filter the model and ``out_dir`` is a
+    str or a path.
     """
 
     model: ChainModel
@@ -93,6 +95,8 @@ class ExperimentConfig:
         _step_count(self.horizon, self.dt)
         check_signs(self.correction_sign, self.sign_variant)
         KERNELS[self.scheme].check_model(self.model)
+        if not isinstance(self.out_dir, (str, os.PathLike)):
+            raise ValueError(f"out_dir must be a str or a path, not {self.out_dir!r}")
 
     def to_json(self) -> dict:
         return {
@@ -119,21 +123,31 @@ class ExperimentConfig:
             dt=_number(doc, "dt", float),
             beta=_number(doc, "beta", float),
             scheme=doc.get("scheme", "wonham-ito"),
-            correction_sign=_number(doc, "correction_sign", int, -1),
+            correction_sign=_number(doc, "correction_sign", _integer, -1),
             sign_variant=doc.get("sign_variant", "innovation"),
-            master_seed=_number(doc, "master_seed", int, 0),
+            master_seed=_number(doc, "master_seed", _integer, 0),
             out_dir=doc.get("out_dir", "."),
         )
 
 
-def _number(doc: dict, key: str, kind: type, default=None):
-    """``kind`` of the config value at ``key``, or of ``default`` when the key
-    is absent and a default is given; ValueError naming the key otherwise."""
+def _integer(value) -> int:
+    """``int(value)`` of an integral value; a bool or a float with a
+    fractional part (which ``int`` would truncate) raises ValueError."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError
+    return int(value)
+
+
+def _number(doc: dict, key: str, kind, default=None):
+    """``kind`` (``float`` or ``_integer``) of the config value at ``key``, or
+    of ``default`` when the key is absent and a default is given; ValueError
+    naming the key otherwise."""
     value = doc[key] if default is None else doc.get(key, default)
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"config key {key!r} must be a number, not {value!r}") from None
+        wanted = "a number" if kind is float else "a number with an integer value"
+        raise ValueError(f"config key {key!r} must be {wanted}, not {value!r}") from None
 
 
 def run_trajectory(

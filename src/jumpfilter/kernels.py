@@ -2,14 +2,23 @@
 
 A kernel is built once per run, ``Kernel(model, dt, beta, correction_sign,
 sign_variant)``, and hoists every per-run constant (generator, correction
-diagonal, rate mask, propagators, transition matrix). It then offers
+diagonal, rate mask, propagators, transition matrix). A run is split so that
+the Python loop over the steps carries only the recurrence:
 
 * ``start(initial)``: the kernel state at t=0, from None (the model's
   initial law) or a state of the scheme's ``initial_state`` type;
-* ``step(state, dy) -> (state, clamped)``: one pure step over a (K,)
-  state, with no validation; ``clamped`` counts floored entries;
+* ``prepare(state, dy)``: the per-step inputs of a run from ``state``
+  through the increments ``dy``, every term that depends on the increment
+  alone, computed in one vectorized pass before the loop (by default the
+  increments themselves, as floats or as (R,) rows);
+* ``step(state, inputs) -> (state, clamped)``: one pure step over a (K,)
+  state, with no validation, doing only the work that the next step reads;
+  ``clamped`` counts floored entries;
 * ``probs(history) -> (probs, extras)``: the normalized (rows, K) history
-  and the scheme's extra columns, in one vectorized pass.
+  and the scheme's extra columns, in one vectorized pass after the loop,
+  including the work that is only ever written out (the running log
+  normalizer of the unnormalized schemes, Gamma's psi = exp(A t) Gamma and
+  its range check).
 
 Building a kernel also checks its options (:func:`check_signs`) and, through
 the kernel's ``check_model``, that the scheme can filter the model.
@@ -22,15 +31,20 @@ layout.
 
 :func:`drive` runs any kernel over an increment record and applies the single
 error policy: finite increments at entry, a finite, on-simplex history, the
-pre-renormalization sum guard and the clamp budget at exit. Per-step checks
-remain only where a step cannot continue (the Gamma transform's range).
+pre-renormalization sum guard and the clamp budget at exit. No step checks
+anything: the Gamma transform's range is checked once over the propagator
+chain in ``prepare`` and once over psi in ``probs``.
 
 The arithmetic of each scheme lives here exactly once; the public step
 functions of :mod:`jumpfilter.zakai`, :mod:`jumpfilter.wonham` and
-:mod:`jumpfilter.oracle` are R=1 wrappers over these kernels. Hoisting keeps
-the operation order of every expression (``psi * levels * (dy / beta**2)``
-stays as written, never ``psi * (levels / beta**2) * dy``): the CLI outputs
-are pinned bit for bit by ``tests/test_golden_outputs.py``.
+:mod:`jumpfilter.oracle` are R=1 wrappers over these kernels, through
+:func:`step_once`. Hoisting keeps the operation order of every expression
+(``psi * levels * (dy / beta**2)`` stays as written, never
+``psi * (levels / beta**2) * dy``), and a vectorized pass computes each
+element with the operations of the per-step code it replaces (a stacked
+``matmul`` runs the same BLAS call per matrix; ``np.add.accumulate`` adds
+left to right): the CLI outputs are pinned bit for bit by
+``tests/test_golden_outputs.py``.
 """
 
 from __future__ import annotations
@@ -253,12 +267,15 @@ def _clamp_q(q: float) -> tuple[float, int]:
 
 
 class Kernel:
-    """Per-run constants of one scheme; subclasses define start/step/probs."""
+    """Per-run constants of one scheme; subclasses define start/step/probs
+    and, where a term depends on the increment alone, prepare."""
 
     scheme = ""
     # whether a state is (probs, presum), presum being the sums before the
     # renormalization that produced probs
     carries_presum = False
+    # whether a state is (psi, scale) and probs needs the scale of every step
+    carries_scale = False
     # the public state type that ``start`` takes, and its attribute holding the array
     initial_state = ("FilterState", "probs")
 
@@ -289,14 +306,25 @@ class Kernel:
             )
         return getattr(state, attribute)
 
+    def prepare(self, state, dy: np.ndarray):
+        """The inputs of the steps from ``state`` through ``dy``; here the
+        increments themselves, floats for (n,) ``dy`` and (R,) rows for (n, R)."""
+        return dy.tolist() if dy.ndim == 1 else dy
+
     def probs(self, history: list) -> tuple[np.ndarray, dict]:
         return np.array(history), {}
 
 
 class _Unnormalized(Kernel):
-    """State (psi, log_normalizer): unit-sum weights plus the carried log scale."""
+    """State (psi, scale): unit-sum weights, and as scale the start's log
+    normalizer or the sum before rescaling of the step that produced psi.
+
+    The log normalizer of step r is  L_0 + log t_1 + ... + log t_r ; only
+    ``probs`` forms it, as one left-to-right ``np.add.accumulate``.
+    """
 
     initial_state = ("UnnormalizedState", "psi")
+    carries_scale = True
 
     def start(self, initial=None):
         if initial is None:
@@ -304,15 +332,18 @@ class _Unnormalized(Kernel):
         return self.initial(initial), initial.log_normalizer
 
     @staticmethod
-    def rescale(raw, log_normalizer):
+    def rescale(raw):
         raw, total, clamped = floor_and_total(raw)
-        return (raw / total, log_normalizer + np.log(total)), clamped
+        return (raw / total, total), clamped
 
     def probs(self, history):
-        psi = np.array([s[0] for s in history])
+        """Rows of the states that kept their weights (a run without a kept
+        history has (None, scale) entries before its final state)."""
         log_normalizer = np.array([s[1] for s in history])
-        if log_normalizer.ndim < psi.ndim:
-            log_normalizer = log_normalizer[..., None]
+        np.log(log_normalizer[1:], out=log_normalizer[1:])
+        np.add.accumulate(log_normalizer, out=log_normalizer)
+        psi = np.array([s[0] for s in history if s[0] is not None])
+        log_normalizer = log_normalizer[len(history) - len(psi):, None]
         return (
             psi / _row_sums(psi),
             {"log_weights": log_normalizer + np.log(psi)},
@@ -323,9 +354,8 @@ class ZakaiIto(_Unnormalized):
     scheme = "zakai-ito"
 
     def step(self, state, dy):
-        psi, log_normalizer = state
-        raw = ito_update(psi, self.generator, self.levels, self.beta, self.dt, dy)
-        return self.rescale(raw, log_normalizer)
+        raw = ito_update(state[0], self.generator, self.levels, self.beta, self.dt, dy)
+        return self.rescale(raw)
 
 
 class ZakaiLangevin(_Unnormalized):
@@ -335,15 +365,22 @@ class ZakaiLangevin(_Unnormalized):
         super().__init__(*args, **kwargs)
         self.correction = correction_diagonal(self.levels, self.beta, self.correction_sign)
 
-    def step(self, state, dy):
+    def prepare(self, state, dy):
+        """The diagonal  correction + a (dy / dt / beta^2)  of every step, (n, K)."""
+        rate = dy / self.dt
+        rate /= self.beta_sq
+        diag = np.multiply.outer(rate, self.levels)
+        diag += self.correction
+        return diag
+
+    def step(self, state, diag):
         """Heun step of  psi @ Q + psi * diag(correction + a r / beta^2), r = dy/dt."""
-        psi, log_normalizer = state
+        psi = state[0]
         generator, dt = self.generator, self.dt
-        diag = self.correction + self.levels * (dy / dt / self.beta_sq)
         now = psi @ generator + psi * diag
         predictor = psi + dt * now
         raw = psi + 0.5 * dt * (now + (predictor @ generator + predictor * diag))
-        return self.rescale(raw, log_normalizer)
+        return self.rescale(raw)
 
 
 class WonhamIto(Kernel):
@@ -430,12 +467,16 @@ class LogDomain(Kernel):
         psi = initial_weights(self.model) if initial is None else self.initial(initial)
         return np.log(psi) - np.log(psi).max(axis=-1, keepdims=psi.ndim > 1)
 
-    def step(self, theta, dy):
+    def prepare(self, state, dy):
+        """The observation term  a (dy / beta^2)  of every step, (n, K)."""
+        return np.multiply.outer(dy / self.beta_sq, self.levels)
+
+    def step(self, theta, observed):
         # coupling_j = sum_{i != j} nu_ij exp(theta_i - theta_j); the shift cancels
         diffs = np.where(self.connected, theta[..., :, None] - theta[..., None, :], -np.inf)
         coupling = np.einsum("ij,...ij->...j", self.rates, np.exp(diffs))
         drift = self.base_drift + coupling
-        updated = theta + self.dt * drift + self.levels * (dy / self.beta_sq)
+        updated = theta + self.dt * drift + observed
         return updated - np.maximum.reduce(updated, axis=-1, keepdims=True), 0
 
     def probs(self, history):
@@ -444,14 +485,29 @@ class LogDomain(Kernel):
         return shifted / _row_sums(shifted), {"theta": theta}
 
 
+def gamma_weights(forward: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """psi = exp(A t) Gamma of one state, or of a stack of them in one batched
+    matrix-vector product; GammaRangeError unless psi is positive and finite."""
+    psi = np.matmul(forward, gamma[..., None])[..., 0]
+    # exp(A t) is finite and invertible here, so psi is finite only if Gamma is
+    if not ((psi > 0).all() and np.isfinite(psi).all()):
+        raise GammaRangeError(
+            "Gamma stepping left floating-point range or lost positivity; "
+            "use the log-domain filter"
+        )
+    return psi
+
+
 class Gamma(Kernel):
-    """State (Gamma, exp(+A t), exp(-A t), psi) of the transform
+    """State (Gamma, exp(+A t), exp(-A t)) of the transform
     Gamma = exp(-A t) psi; steps a single (K,) trajectory.
 
     The step propagators exp(+-A dt) come from ``step_forward`` and
     ``step_backward`` when both are given, else from :func:`propagator_pair`
     of the model's :func:`drift_matrix`, which raises GammaRangeError here if
-    they are not finite.
+    they are not finite. ``prepare`` forms the propagators of every step and
+    the two Heun fields that use them, ``step`` advances Gamma alone, and
+    ``probs`` maps the history back to psi = exp(A t) Gamma.
     """
 
     scheme = "gamma"
@@ -472,32 +528,49 @@ class Gamma(Kernel):
         """At t=0 both propagators are the identity, so Gamma = psi."""
         psi = initial_weights(self.model) if initial is None else self.initial(initial)
         identity = np.eye(len(psi))
-        return psi, identity, identity, psi
+        return psi, identity, identity
 
-    def step(self, state, dy):
-        """Heun step of  dGamma/dt = exp(-A t) diag(a) exp(A t) (r / beta^2) Gamma."""
-        gamma, forward, backward, _ = state
-        forward_next = forward @ self.step_forward
-        backward_next = self.step_backward @ backward
-        if not (np.isfinite(forward_next).all() and np.isfinite(backward_next).all()):
+    def prepare(self, state, dy):
+        """(field_now, field_next, exp(A t'), exp(-A t')) of every step t -> t',
+        with the fields  exp(-A s) D exp(A s), D = diag(a) (dy / dt / beta^2),
+        at s = t and s = t'.
+
+        The propagators exp(+-A t) of every grid time come from those of
+        ``state`` by one product with exp(+-A dt) per step; GammaRangeError
+        when any of them is not finite.
+        """
+        _, forward, backward = state
+        n_steps, k = len(dy), len(forward)
+        forwards = np.empty((n_steps + 1, k, k))
+        backwards = np.empty((n_steps + 1, k, k))
+        forwards[0], backwards[0] = forward, backward
+        step_forward, step_backward = self.step_forward, self.step_backward
+        for r in range(n_steps):
+            np.matmul(forwards[r], step_forward, out=forwards[r + 1])
+            np.matmul(step_backward, backwards[r], out=backwards[r + 1])
+        if not (np.isfinite(forwards).all() and np.isfinite(backwards).all()):
             raise GammaRangeError("exp(+-A t) overflowed; use the log-domain filter")
-        d_scaled = self.diag_levels * (dy / self.dt / self.beta_sq)
-        field_now = backward @ d_scaled @ forward
-        field_next = backward_next @ d_scaled @ forward_next
+        rate = dy / self.dt
+        rate /= self.beta_sq
+        scaled = np.multiply(self.diag_levels, rate[:, None, None])
+        work = np.matmul(backwards[:-1], scaled)
+        field_now = np.matmul(work, forwards[:-1])
+        np.matmul(backwards[1:], scaled, out=work)
+        field_next = np.matmul(work, forwards[1:], out=scaled)
+        return zip(field_now, field_next, forwards[1:], backwards[1:])
+
+    def step(self, state, inputs):
+        """Heun step of  dGamma/dt = exp(-A t) diag(a) exp(A t) (r / beta^2) Gamma."""
+        field_now, field_next, forward, backward = inputs
+        gamma = state[0]
         slope_now = field_now @ gamma
         predictor = gamma + self.dt * slope_now
         updated = gamma + 0.5 * self.dt * (slope_now + field_next @ predictor)
-        # exp(A t) is finite and invertible here, so psi is finite only if Gamma is
-        psi = forward_next @ updated
-        if not ((psi > 0).all() and np.isfinite(psi).all()):
-            raise GammaRangeError(
-                "Gamma stepping left floating-point range or lost positivity; "
-                "use the log-domain filter"
-            )
-        return (updated, forward_next, backward_next, psi), 0
+        return (updated, forward, backward), 0
 
     def probs(self, history):
-        psi = np.array([s[3] for s in history])
+        psi = gamma_weights(np.array([s[1] for s in history]),
+                            np.array([s[0] for s in history]))
         return psi / _row_sums(psi), {}
 
 
@@ -570,8 +643,16 @@ class BayesOracle(Kernel):
     def start(self, initial=None):
         return np.array(self.model.initial_dist) if initial is None else self.initial(initial)
 
-    def step(self, probs, dy):
-        log_like = -((dy - self.mean_increment) ** 2) / self.two_variance
+    def prepare(self, state, dy):
+        """The increment log-likelihood  -(dy - a dt)^2 / (2 beta^2 dt)  of every
+        step, (n, K)."""
+        log_like = np.subtract.outer(dy, self.mean_increment)
+        np.square(log_like, out=log_like)
+        np.negative(log_like, out=log_like)
+        log_like /= self.two_variance
+        return log_like
+
+    def step(self, probs, log_like):
         log_post = np.log(probs @ self.trans) + log_like
         log_post -= np.maximum.reduce(log_post, axis=-1, keepdims=True)
         post = np.exp(log_post)
@@ -619,9 +700,11 @@ QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
 
 def step_once(kernel: Kernel, state, dy):
-    """One kernel step, with numpy's floating-point warnings off."""
+    """One kernel step over the increment ``dy`` (through ``prepare``), with
+    numpy's floating-point warnings off."""
     with np.errstate(**QUIET):
-        return kernel.step(state, dy)
+        (inputs,) = kernel.prepare(state, np.array([dy], dtype=float))
+        return kernel.step(state, inputs)
 
 
 def check_presum(devs) -> None:
@@ -635,6 +718,15 @@ def check_presum(devs) -> None:
 
 def _discard(_state) -> None:
     pass
+
+
+def _keep_scales(history: list):
+    """A ``record`` that appends only the scale of each state, as (None, scale)."""
+
+    def record(state):
+        history.append((None, state[1]))
+
+    return record
 
 
 def _presum_tally(state):
@@ -657,7 +749,8 @@ def drive(kernel: Kernel, state, dy: np.ndarray, keep_history: bool = True) -> T
     ``dy`` is (n,) for one trajectory, or (n, R) for R replicas stepped as a
     batch (wonham-ito only). With ``keep_history`` false only the final state
     is kept and checked, so memory stays O(R K); the pre-sum guard then runs
-    on a running maximum of |presum - 1| carried through the loop.
+    on a running maximum of |presum - 1| carried through the loop, and an
+    unnormalized kernel keeps the O(n) scales its log normalizer sums.
 
     Raises ValueError for non-finite increments, a history that is not finite
     or leaves the simplex, or a pre-renormalization sum off by more than
@@ -673,16 +766,22 @@ def drive(kernel: Kernel, state, dy: np.ndarray, keep_history: bool = True) -> T
         record = history.append
     elif kernel.carries_presum:
         record, presum_worst, presum_total = _presum_tally(state)
+    elif kernel.carries_scale:
+        history = [(None, state[1])]
+        record = _keep_scales(history)
     else:
         record = _discard
     step = kernel.step
     clamps = 0
     with np.errstate(**QUIET):
-        for increment in dy.tolist() if dy.ndim == 1 else dy:
-            state, clamped = step(state, increment)
+        # the loop holds the prepared inputs and releases them when it ends
+        for inputs in kernel.prepare(state, dy):
+            state, clamped = step(state, inputs)
             clamps += clamped
             record(state)
-        probs, extras = kernel.probs(history if keep_history else [state])
+        if not keep_history:
+            history[-1] = state
+        probs, extras = kernel.probs(history)
 
     if not (np.all(np.isfinite(probs)) and all(np.all(np.isfinite(v)) for v in extras.values())):
         raise ValueError(f"{kernel.scheme}: the filter state became non-finite")

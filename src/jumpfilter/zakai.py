@@ -36,10 +36,12 @@ from .kernels import (
     Gamma,
     GammaRangeError,
     LogDomain,
+    QUIET,
     ZakaiIto,
     ZakaiLangevin,
     check_increment,
     drift_matrix,
+    gamma_weights,
     initial_weights,
     ito_update,
     propagator_pair,
@@ -140,10 +142,10 @@ def init_unnormalized(model: ChainModel) -> UnnormalizedState:
 
 
 def _unnormalized_step(kernel, state: UnnormalizedState, dy: float) -> UnnormalizedState:
-    (psi, log_normalizer), clamped = step_once(kernel, (state.psi, state.log_normalizer), dy)
+    (psi, total), clamped = step_once(kernel, (state.psi, state.log_normalizer), dy)
     return UnnormalizedState(
         psi=psi,
-        log_normalizer=float(log_normalizer),
+        log_normalizer=float(state.log_normalizer + np.log(total)),
         t=state.t + kernel.dt,
         clamps=state.clamps + clamped,
     )
@@ -246,9 +248,11 @@ def gamma_langevin_step(
     if step_forward is None or step_backward is None:
         step_forward, step_backward = propagator_pair(state.a_matrix, dt)
     kernel = Gamma(model, dt, beta, step_forward=step_forward, step_backward=step_backward)
-    (gamma, forward, backward, _), _ = step_once(
-        kernel, (state.gamma, state.forward, state.backward, None), dy
+    (gamma, forward, backward), _ = step_once(
+        kernel, (state.gamma, state.forward, state.backward), dy
     )
+    with np.errstate(**QUIET):
+        gamma_weights(forward, gamma)
     return GammaState(
         gamma=gamma,
         t=state.t + dt,

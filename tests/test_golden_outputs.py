@@ -138,6 +138,11 @@ def produce_outputs(tmp_path) -> dict:
     three = _write_config(tmp_path, "three", THREE_STATE)
     assert main(["simulate", "--config", three, "--out", "simulate"]) == 0
     assert main(["predict", "--config", three, "--horizons", "0,0.5,2", "--out", "predict"]) == 0
+    return digests(tmp_path)
+
+
+def digests(tmp_path) -> dict:
+    """sha256 of every file written below ``tmp_path``, by relative path."""
     return {
         str(path.relative_to(tmp_path)): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(tmp_path.rglob("*"))
@@ -148,6 +153,70 @@ def produce_outputs(tmp_path) -> dict:
 def test_cli_outputs_match_golden_digests(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert produce_outputs(tmp_path) == GOLDEN
+
+
+# From K=4 on, BLAS may round a matrix product apart from a matrix-vector
+# product, so the K=2 and K=3 digests above cannot see a stacked product that
+# replaced a per-step one. These pin the same commands on a five-state model
+# (T=0.2, dt=1e-3, beta=0.7, master seed 0), recorded before the step
+# kernels moved their increment-only terms into one vectorized pass.
+FIVE_STATE = ChainModel(
+    levels=[1.3, 0.55, -0.15, -0.8, 0.35],
+    rates=[[0.0, 0.7, 0.2, 0.45, 0.1],
+           [0.3, 0.0, 0.9, 0.15, 0.6],
+           [0.25, 0.5, 0.0, 0.8, 0.35],
+           [0.65, 0.1, 0.4, 0.0, 0.55],
+           [0.2, 0.85, 0.3, 0.5, 0.0]],
+    initial_dist=[0.3, 0.25, 0.2, 0.15, 0.1],
+)
+
+GOLDEN_K5 = {
+    "filter/bayes-oracle/run_report.json":
+        "f9194f4cb42847591ffa06779e732475f8a1a95c54743d828d3da6aaf97ef8c7",
+    "filter/bayes-oracle/trajectory.csv":
+        "942dacead12dd71a8930e728b24ab53082a74169d1798344536652dc9fb1e55a",
+    "filter/gamma/run_report.json":
+        "bcc323100744472d593a35488fb6aba2815a146ac311f9ef16a603ad5e786913",
+    "filter/gamma/trajectory.csv":
+        "3cc30906c23597cd28136f92ca23ac0d2d15b7d8b4abb8ed41d770059c6f6eb8",
+    "filter/log/run_report.json":
+        "1dc4ec68982eee4aae84c3f74b75822abd71e681f21487c1d034f06432f71432",
+    "filter/log/trajectory.csv":
+        "ad87630988ed9f26b15947b0e26511f58c26e4fcc6f272651625d18ce97481d7",
+    "filter/wonham-ito/run_report.json":
+        "ca3039a6c05df32ef6797a39efbe8e369530ffd137fe1592593c872d8e721a73",
+    "filter/wonham-ito/trajectory.csv":
+        "15c09504ad9db1edabda77bc57b8577725f62f5d757646527ab98ecbc5ab0907",
+    "filter/wonham-langevin/run_report.json":
+        "4833d98e7a969b769f04e6abff37fcf0499fc4ab67334c09de0737dbc50cd0f9",
+    "filter/wonham-langevin/trajectory.csv":
+        "abcb0e6f6e937788df47fedeced2485731d3c8dc91cc362d9b2388e14173e3ba",
+    "filter/zakai-ito/estimates.csv":
+        "84de12648a83db07925d0a20eed6181acd67f2da919b021bd9dd99b0dcbe20d4",
+    "filter/zakai-ito/run_report.json":
+        "d67f9744f9460659ad0e88edacaab55e78f3464196826796f938f3d2a4d25d31",
+    "filter/zakai-ito/trajectory.csv":
+        "e913a1a321f762716d0a0626494f8504707936a6dffeddf488cbba3be4053a28",
+    "filter/zakai-langevin/estimates.csv":
+        "fa3645e8385e850a42bf5b0734e54c06c7db331b7e9e16ce99895e653c093ec9",
+    "filter/zakai-langevin/run_report.json":
+        "889a7cdba9df18f7cd31422322e51a4d070ab0a68a67cdd06aef4a0b6f17b120",
+    "filter/zakai-langevin/trajectory.csv":
+        "aa3e23915b248949dda8f9b7774007a5f7577d0f323a09cd3b354be866c582e5",
+    "study/convergence.csv":
+        "52ec570f736ddcf5191f94f103b8cb853c70731ac4dc55a79d5c45739b5740ed",
+}
+
+
+def test_five_state_outputs_match_golden_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for scheme in SCHEMES:
+        if not scheme.startswith("telegraph"):
+            config = _write_config(tmp_path, scheme, FIVE_STATE, scheme)
+            assert main(["filter", "--config", config, "--out", f"filter/{scheme}"]) == 0
+    five = _write_config(tmp_path, "five", FIVE_STATE)
+    assert main(["convergence", "--config", five, "--halvings", "2", "--out", "study"]) == 0
+    assert digests(tmp_path) == GOLDEN_K5
 
 
 # ---------------------------------------------------------------------------

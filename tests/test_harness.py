@@ -381,6 +381,40 @@ class TestCli:
         assert capsys.readouterr().err.startswith(f"error: config key '{key}' must be a number")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("correction_sign", -1.9), ("correction_sign", True), ("master_seed", 0.9),
+        ("master_seed", False), ("master_seed", math.nan),
+    ])
+    def test_config_integer_must_be_integral_exits_2(self, tmp_path, capsys, key, value):
+        # int() used to truncate: correction_sign -1.9 ran as -1, master_seed 0.9 as seed 0
+        doc = telegraph_config(out_dir=str(tmp_path / "out")).to_json()
+        doc[key] = value
+        file = tmp_path / "config.json"
+        file.write_text(json.dumps(doc))
+        assert main(["validate", "--config", str(file)]) == 2
+        assert main(["filter", "--config", str(file)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: config key '{key}' must be a number with an integer value")
+        assert not (tmp_path / "out").exists()
+
+    def test_config_integer_written_as_float_is_read(self):
+        doc = telegraph_config(scheme="zakai-langevin").to_json()
+        doc.update(correction_sign=1.0, master_seed=12.0)
+        config = ExperimentConfig.from_json(doc)
+        assert (config.correction_sign, config.master_seed) == (1, 12)
+        assert type(config.master_seed) is int
+
+    def test_out_dir_must_be_a_path_exits_2(self, tmp_path, capsys):
+        # a list used to validate as "config ok", then fail in filter (exit 1)
+        doc = telegraph_config().to_json()
+        doc["out_dir"] = [1]
+        file = tmp_path / "config.json"
+        file.write_text(json.dumps(doc))
+        assert main(["validate", "--config", str(file)]) == 2
+        assert main(["filter", "--config", str(file)]) == 2
+        assert capsys.readouterr().err.startswith("error: out_dir must be a str or a path")
+        assert telegraph_config(out_dir=tmp_path).out_dir == tmp_path
+
     def test_overrides_are_validated(self, config_file, tmp_path):
         assert main(["filter", "--config", str(config_file), "--dt", "nan"]) == 2
         assert main(["filter", "--config", str(config_file), "--dt", "0.3"]) == 2
@@ -565,6 +599,27 @@ class TestDriverErrorPolicy:
         # the scalar telegraph filter would return a wrong two-column posterior here
         with pytest.raises(ValueError, match="telegraph schemes require"):
             run_trajectory(model, self.grid([0.01] * 5), scheme)
+
+
+@pytest.mark.parametrize("scheme", list(KERNELS))
+def test_run_without_history_ends_on_the_last_kept_row(scheme):
+    # every part of a run without a kept history: the final row, its extras
+    # (log_weights, theta, q), the clamps and the pre-sum statistics
+    model = TELEGRAPH if scheme.startswith("telegraph") else TestDriverErrorPolicy.THREE
+    kernel = KERNELS[scheme](model, 1e-3, 0.5)
+    initial = None
+    if kernel.initial_state[0] == "UnnormalizedState":
+        # a start with a log scale of its own, which the log normalizer carries
+        initial = UnnormalizedState(psi=[0.6, 0.3, 0.1][:model.n_states], log_normalizer=1.5)
+    dy = 3e-4 + 0.5 * np.sqrt(1e-3) * np.random.default_rng(4).standard_normal(400)
+    full = drive(kernel, kernel.start(initial), dy)
+    last = drive(kernel, kernel.start(initial), dy, keep_history=False)
+    assert np.array_equal(last.probs, full.probs[-1:])
+    assert last.extras.keys() == full.extras.keys()
+    for name, rows in full.extras.items():
+        assert np.array_equal(last.extras[name], rows[-1:]), name
+    assert (last.clamps, last.presum_max_dev, last.presum_total_dev) == (
+        full.clamps, full.presum_max_dev, full.presum_total_dev)
 
 
 class TestInitialState:

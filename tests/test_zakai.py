@@ -17,7 +17,7 @@ from jumpfilter import (
     zakai_ito_step,
 )
 from jumpfilter.harness import ExperimentConfig, run_trajectory, simulate_pair
-from jumpfilter.kernels import Gamma, ZakaiLangevin, propagator_pair
+from jumpfilter.kernels import Gamma, ZakaiLangevin, propagator_pair, step_once
 from jumpfilter.signalpath import coarsen
 from jumpfilter.zakai import (
     FilterInstabilityError,
@@ -145,8 +145,8 @@ class TestScaleInvariance:
 def langevin_kernel_step(model, beta, dt, dy, sign, psi):
     """One zakai-langevin kernel step from weights ``psi`` (log scale 0): the
     rescaled weights and the log of their sum before rescaling."""
-    (weights, log_normalizer), _ = ZakaiLangevin(model, dt, beta, sign).step((psi, 0.0), dy)
-    return weights, log_normalizer
+    (weights, total), _ = step_once(ZakaiLangevin(model, dt, beta, sign), (psi, 0.0), dy)
+    return weights, np.log(total)
 
 
 class TestLangevinStep:
