@@ -156,10 +156,11 @@ def transition_matrix(model: ChainModel, h: float) -> np.ndarray:
     The series  exp(hQ) = sum_m  Pois(lam*h, m) * S^m  with S = I + Q/lam and
     lam = max exit rate is truncated once the accumulated Poisson mass reaches
     1 - 1e-13. Every term is entrywise nonnegative and row-stochastic, so the
-    result is a probability matrix by construction.
+    result is a probability matrix by construction. ValueError unless ``h``
+    is finite and nonnegative.
     """
-    if h < 0:
-        raise ValueError("horizon must be nonnegative")
+    if not 0 <= h < math.inf:
+        raise ValueError(f"horizon must be finite and nonnegative, not {h!r}")
     k = model.n_states
     lam = float(model.exit_rates.max(initial=0.0))
     mu = lam * h

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -60,21 +61,24 @@ __all__ = [
 
 SCHEMES = tuple(KERNELS)
 
-# the keys of a config document, as written by ExperimentConfig.to_json
-CONFIG_KEYS = (
-    "model", "T", "dt", "beta", "scheme", "correction_sign", "sign_variant", "master_seed",
-    "out_dir",
-)
+# config document key -> ExperimentConfig field, in the order to_json writes them
+CONFIG_FIELDS = {
+    "model": "model", "T": "horizon", "dt": "dt", "beta": "beta", "scheme": "scheme",
+    "correction_sign": "correction_sign", "sign_variant": "sign_variant",
+    "master_seed": "master_seed", "out_dir": "out_dir",
+}
 
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     """One experiment: model + horizon + step + scheme selection + seeds.
 
-    Construction raises ValueError unless the scheme is known, horizon, dt
-    and beta are finite and positive, dt divides the horizon, the sign
-    options are valid, the scheme can filter the model and ``out_dir`` is a
-    str or a path.
+    Construction is the one check of a config. It raises ValueError unless
+    the scheme is known; horizon, dt and beta are real numbers (not bools),
+    finite and positive, stored as float; correction_sign and master_seed
+    are numbers of integral value (not bools), stored as int; dt divides the
+    horizon; the sign options are valid; the scheme can filter the model;
+    and ``out_dir`` is a str or a path. Messages name the config key.
     """
 
     model: ChainModel
@@ -90,8 +94,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
-        if not all(math.isfinite(x) and x > 0 for x in (self.horizon, self.dt, self.beta)):
-            raise ValueError("horizon, dt and beta must be finite and positive")
+        for key, kind in (("T", float), ("dt", float), ("beta", float),
+                          ("correction_sign", int), ("master_seed", int)):
+            name = CONFIG_FIELDS[key]
+            object.__setattr__(self, name, _number(key, getattr(self, name), kind))
         _step_count(self.horizon, self.dt)
         check_signs(self.correction_sign, self.sign_variant)
         KERNELS[self.scheme].check_model(self.model)
@@ -99,55 +105,46 @@ class ExperimentConfig:
             raise ValueError(f"out_dir must be a str or a path, not {self.out_dir!r}")
 
     def to_json(self) -> dict:
-        return {
-            "model": model_to_json(self.model),
-            "T": self.horizon,
-            "dt": self.dt,
-            "beta": self.beta,
-            "scheme": self.scheme,
-            "correction_sign": self.correction_sign,
-            "sign_variant": self.sign_variant,
-            "master_seed": self.master_seed,
-            "out_dir": str(self.out_dir),
-        }
+        doc = {key: getattr(self, name) for key, name in CONFIG_FIELDS.items()}
+        doc.update(model=model_to_json(self.model), out_dir=str(self.out_dir))
+        return doc
 
     @classmethod
     def from_json(cls, source: str | dict) -> "ExperimentConfig":
+        """The config of a JSON document; ValueError for an unknown or a
+        missing key, and for every value that construction refuses."""
         doc = json_object(source, "a config")
-        unknown = sorted(set(doc) - set(CONFIG_KEYS))
+        unknown = sorted(set(doc) - set(CONFIG_FIELDS))
         if unknown:
-            raise ValueError(f"unknown config keys {unknown}; known keys are {CONFIG_KEYS}")
-        return cls(
-            model=model_from_json(doc["model"]),
-            horizon=_number(doc, "T", float),
-            dt=_number(doc, "dt", float),
-            beta=_number(doc, "beta", float),
-            scheme=doc.get("scheme", "wonham-ito"),
-            correction_sign=_number(doc, "correction_sign", _integer, -1),
-            sign_variant=doc.get("sign_variant", "innovation"),
-            master_seed=_number(doc, "master_seed", _integer, 0),
-            out_dir=doc.get("out_dir", "."),
-        )
+            raise ValueError(f"unknown config keys {unknown}; "
+                             f"known keys are {tuple(CONFIG_FIELDS)}")
+        missing = [key for key in ("model", "T", "dt", "beta") if key not in doc]
+        if missing:
+            raise ValueError(f"missing config keys {missing}")
+        values = {CONFIG_FIELDS[key]: value for key, value in doc.items()}
+        values["model"] = model_from_json(values["model"])
+        return cls(**values)
 
 
-def _integer(value) -> int:
-    """``int(value)`` of an integral value; a bool or a float with a
-    fractional part (which ``int`` would truncate) raises ValueError."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError
-    return int(value)
-
-
-def _number(doc: dict, key: str, kind, default=None):
-    """``kind`` (``float`` or ``_integer``) of the config value at ``key``, or
-    of ``default`` when the key is absent and a default is given; ValueError
-    naming the key otherwise."""
-    value = doc[key] if default is None else doc.get(key, default)
+def _number(key: str, value, kind: type):
+    """``value`` of the config key ``key`` as ``kind``: a float for a finite,
+    positive real number, an int for a number of integral value; ValueError
+    naming the key for a bool, a value of another type or out of range."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+    if kind is int:
+        if real and (isinstance(value, numbers.Integral) or float(value).is_integer()):
+            return int(value)
+        raise ValueError(f"config key {key!r} must be a number with an integer value, "
+                         f"not {value!r}")
+    if not real:
+        raise ValueError(f"config key {key!r} must be a number, not {value!r}")
     try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        wanted = "a number" if kind is float else "a number with an integer value"
-        raise ValueError(f"config key {key!r} must be {wanted}, not {value!r}") from None
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not 0 < number < math.inf:
+        raise ValueError(f"config key {key!r} must be finite and positive, not {value!r}")
+    return number
 
 
 def run_trajectory(

@@ -20,8 +20,9 @@ the Python loop over the steps carries only the recurrence:
   normalizer of the unnormalized schemes, Gamma's psi = exp(A t) Gamma and
   its range check).
 
-Building a kernel also checks its options (:func:`check_signs`) and, through
-the kernel's ``check_model``, that the scheme can filter the model.
+Building a kernel also checks that dt and beta are finite and positive, its
+options (:func:`check_signs`) and, through the kernel's ``check_model``,
+that the scheme can filter the model.
 
 Only wonham-ito also steps a batch of R replicas. Its batch is held
 states-first, as a contiguous (K, R) array with one replica per column, so
@@ -30,10 +31,12 @@ over a length-K inner axis; ``start`` takes and ``probs`` returns the (R, K)
 layout.
 
 :func:`drive` runs any kernel over an increment record and applies the single
-error policy: finite increments at entry, a finite, on-simplex history, the
-pre-renormalization sum guard and the clamp budget at exit. No step checks
-anything: the Gamma transform's range is checked once over the propagator
-chain in ``prepare`` and once over psi in ``probs``.
+error policy: finite increments at entry (:func:`check_increments`, a
+ValueError), then at exit a finite, on-simplex history, the
+pre-renormalization sum guard and the clamp budget, whose failures raise
+FilterInstabilityError. No step checks anything: the Gamma transform's range
+is checked once over the propagator chain in ``prepare`` and once over psi in
+``probs`` (GammaRangeError).
 
 The arithmetic of each scheme lives here exactly once; the public step
 functions of :mod:`jumpfilter.zakai`, :mod:`jumpfilter.wonham` and
@@ -66,6 +69,7 @@ __all__ = [
     "GammaRangeError",
     "KERNELS",
     "Trajectory",
+    "check_increments",
     "check_signs",
     "drive",
     "step_once",
@@ -90,7 +94,9 @@ SIGN_VARIANTS = ("innovation", "paper")
 
 
 class FilterInstabilityError(RuntimeError):
-    """Raised when a run clamps too often for its output to be trusted."""
+    """Raised when a run's output cannot be trusted: its state became
+    non-finite or left the simplex, a pre-renormalization sum drifted, or it
+    clamped too often."""
 
 
 class GammaRangeError(OverflowError):
@@ -105,12 +111,11 @@ def check_signs(correction_sign: int = -1, sign_variant: str = "innovation") -> 
         raise ValueError(f"sign_variant must be one of {SIGN_VARIANTS}")
 
 
-def check_increment(dt: float, dy) -> None:
-    """Input contract of a single public step: positive dt, finite increment."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if not np.all(np.isfinite(dy)):
-        raise ValueError("observation increment must be finite")
+def check_increments(dy: np.ndarray) -> None:
+    """The one check that an array of observation increments is finite."""
+    # min and max propagate NaN and expose +-inf without a full-size temporary
+    if dy.size and not (np.isfinite(dy.min()) and np.isfinite(dy.max())):
+        raise ValueError("observation increments must be finite")
 
 
 def check_probability_vector(probs) -> np.ndarray:
@@ -281,6 +286,8 @@ class Kernel:
 
     def __init__(self, model, dt: float, beta: float, correction_sign: int = -1,
                  sign_variant: str = "innovation"):
+        if not (0 < dt < np.inf and 0 < beta < np.inf):
+            raise ValueError(f"dt and beta must be finite and positive, not {dt!r} and {beta!r}")
         check_signs(correction_sign, sign_variant)
         self.model = model
         self.dt = dt
@@ -701,16 +708,18 @@ QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
 def step_once(kernel: Kernel, state, dy):
     """One kernel step over the increment ``dy`` (through ``prepare``), with
-    numpy's floating-point warnings off."""
+    numpy's floating-point warnings off; ValueError unless ``dy`` is finite."""
+    dy = np.array([dy], dtype=float)
+    check_increments(dy)
     with np.errstate(**QUIET):
-        (inputs,) = kernel.prepare(state, np.array([dy], dtype=float))
+        (inputs,) = kernel.prepare(state, dy)
         return kernel.step(state, inputs)
 
 
 def check_presum(devs) -> None:
     """Raises when a deviation |presum - 1| exceeds PRESUM_TOLERANCE or is NaN."""
     if not np.all(devs <= PRESUM_TOLERANCE):
-        raise ValueError(
+        raise FilterInstabilityError(
             f"step left the simplex (pre-renormalization sum off by {float(np.max(devs))!r}); "
             "reduce dt or check the inputs"
         )
@@ -752,14 +761,12 @@ def drive(kernel: Kernel, state, dy: np.ndarray, keep_history: bool = True) -> T
     on a running maximum of |presum - 1| carried through the loop, and an
     unnormalized kernel keeps the O(n) scales its log normalizer sums.
 
-    Raises ValueError for non-finite increments, a history that is not finite
-    or leaves the simplex, or a pre-renormalization sum off by more than
-    PRESUM_TOLERANCE; FilterInstabilityError when more than
-    CLAMP_FAILURE_FRACTION of the replica-steps clamp.
+    Raises ValueError for non-finite increments, before the first step;
+    FilterInstabilityError for a history that is not finite or leaves the
+    simplex, a pre-renormalization sum off by more than PRESUM_TOLERANCE, or
+    more than CLAMP_FAILURE_FRACTION of the replica-steps clamping.
     """
-    # min and max propagate NaN and expose +-inf without a full-size temporary
-    if dy.size and not np.isfinite([np.min(dy), np.max(dy)]).all():
-        raise ValueError("observation increments must be finite")
+    check_increments(dy)
     n_steps = len(dy)
     history = [state]
     if keep_history:
@@ -784,9 +791,9 @@ def drive(kernel: Kernel, state, dy: np.ndarray, keep_history: bool = True) -> T
         probs, extras = kernel.probs(history)
 
     if not (np.all(np.isfinite(probs)) and all(np.all(np.isfinite(v)) for v in extras.values())):
-        raise ValueError(f"{kernel.scheme}: the filter state became non-finite")
+        raise FilterInstabilityError(f"{kernel.scheme}: the filter state became non-finite")
     if np.any(probs < 0) or np.any(np.abs(_row_sums(probs) - 1.0) > SIMPLEX_TOLERANCE):
-        raise ValueError(f"{kernel.scheme}: probabilities left the simplex")
+        raise FilterInstabilityError(f"{kernel.scheme}: probabilities left the simplex")
     run = Trajectory(kernel.scheme, np.arange(n_steps + 1) * kernel.dt, probs, clamps,
                      extras=extras)
     presum = extras.pop("presum", None)

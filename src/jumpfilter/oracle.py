@@ -29,7 +29,7 @@ from itertools import product
 import numpy as np
 
 from .chain import ChainModel, add_path_integrals, transition_matrix
-from .kernels import (BayesOracle, WonhamIto, check_increment, check_probability_vector,
+from .kernels import (BayesOracle, WonhamIto, check_probability_vector,
                       drive, step_once)
 from .seeding import ROLE_JUMP, ROLE_NOISE, derive_states
 from .signalpath import ObservationGrid, _step_count, cumulative_observation
@@ -78,7 +78,6 @@ def bayes_forward_step(
 
     ``trans`` may carry a precomputed transition matrix for this dt.
     """
-    check_increment(dt, dy)
     probs, _ = step_once(BayesOracle(model, dt, beta, trans=trans), state.probs, dy)
     return DiscreteBayesState(probs=probs, step=state.step + 1)
 

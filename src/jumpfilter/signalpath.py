@@ -36,8 +36,8 @@ class ObservationGrid:
     """Observation increments on a uniform grid, with y(0) = 0.
 
     Attributes:
-        dt: step size (> 0).
-        beta: noise intensity (> 0).
+        dt: step size, finite and > 0.
+        beta: noise intensity, finite and > 0.
         dy: observation increments, shape (n,).
         dw: Brownian increments used to build ``dy``, shape (n,).
         x_level: signal level at the start of each step, shape (n,).
@@ -50,10 +50,9 @@ class ObservationGrid:
     x_level: np.ndarray
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
+        if not (0 < self.dt < math.inf and 0 < self.beta < math.inf):
+            raise ValueError(f"dt and beta must be finite and positive, not {self.dt!r} and "
+                             f"{self.beta!r}")
         for name in ("dy", "dw", "x_level"):
             arr = np.array(getattr(self, name), dtype=float)
             arr.setflags(write=False)
@@ -104,8 +103,6 @@ def synthesize_observations(
     path: JumpPath, model: ChainModel, dt: float, beta: float, rng: np.random.Generator
 ) -> ObservationGrid:
     """Draw Brownian increments and synthesize  dy_r = integral of x + beta dw_r."""
-    if dt <= 0 or beta <= 0:
-        raise ValueError("dt and beta must be positive")
     n = _step_count(path.horizon, dt)
     dw = np.sqrt(dt) * rng.standard_normal(n)
     return synthesize_from_brownian(path, model, dt, beta, dw)

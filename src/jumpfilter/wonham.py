@@ -40,7 +40,6 @@ from .kernels import (  # noqa: F401
     TelegraphLangevin,
     WonhamIto,
     WonhamLangevin,
-    check_increment,
     check_presum,
     check_probability_vector,
     finish_simplex_step,
@@ -97,10 +96,10 @@ def wonham_step(
 ) -> FilterState:
     """Euler-Maruyama step of the normalized filter.
 
-    Raises ValueError when the sum before renormalization drifts from 1 by
-    more than 1e-6 (an exact invariant of the update in real arithmetic).
+    Raises FilterInstabilityError when the sum before renormalization drifts
+    from 1 by more than 1e-6 (an exact invariant of the update in real
+    arithmetic).
     """
-    check_increment(dt, dy)
     kernel = WonhamIto(model, dt, beta, sign_variant=sign_variant)
     (probs, presum), clamped = step_once(kernel, (state.probs, 1.0), dy)
     check_presum(abs(presum - 1.0))
@@ -120,14 +119,12 @@ def wonham_langevin_step(
     The correction term sums to zero over states for either sign, so the
     simplex sum is preserved exactly in real arithmetic.
     """
-    check_increment(dt, dy)
     kernel = WonhamLangevin(model, dt, beta, correction_sign)
     probs, clamped = step_once(kernel, state.probs, dy)
     return FilterState(probs=probs, t=state.t + dt, clamps=state.clamps + clamped)
 
 
 def _telegraph_step(kernel_type, state: TelegraphState, nu, beta, dt, dy) -> TelegraphState:
-    check_increment(dt, dy)
     q, clamped = step_once(kernel_type(None, dt, beta, nu=nu), state.q, dy)
     return TelegraphState(q=q, t=state.t + dt, clamps=state.clamps + clamped)
 
@@ -160,8 +157,7 @@ def predict(state: FilterState, model: ChainModel, h: float) -> np.ndarray:
     """Distribution of the state h time units ahead:  p(t)^T P(h).
 
     Future evolution is independent of the observations given the present
-    state, so prediction is one transition-matrix application.
+    state, so prediction is one transition-matrix application, which refuses
+    a negative or non-finite ``h``.
     """
-    if h < 0:
-        raise ValueError("prediction horizon must be nonnegative")
     return state.probs @ transition_matrix(model, h)

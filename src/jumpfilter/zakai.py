@@ -39,7 +39,6 @@ from .kernels import (
     QUIET,
     ZakaiIto,
     ZakaiLangevin,
-    check_increment,
     drift_matrix,
     gamma_weights,
     initial_weights,
@@ -155,7 +154,6 @@ def zakai_ito_step(
     state: UnnormalizedState, model: ChainModel, beta: float, dt: float, dy: float
 ) -> UnnormalizedState:
     """Euler-Maruyama step, then rescale by 1/sum(psi), accumulating the log."""
-    check_increment(dt, dy)
     return _unnormalized_step(ZakaiIto(model, dt, beta), state, dy)
 
 
@@ -168,7 +166,6 @@ def zakai_langevin_step(
     correction_sign: int = -1,
 ) -> UnnormalizedState:
     """Heun step of the smooth-noise form; same rescale and floor policy."""
-    check_increment(dt, dy)
     return _unnormalized_step(ZakaiLangevin(model, dt, beta, correction_sign), state, dy)
 
 
@@ -187,7 +184,6 @@ def log_step(
     Ito and the smooth-noise scheme. Exponent differences are evaluated after
     the per-step max-shift, which bounds every exponent by the current spread.
     """
-    check_increment(dt, dy)
     theta, _ = step_once(LogDomain(model, dt, beta, correction_sign), state.theta, dy)
     return LogState(theta=theta, t=state.t + dt)
 
@@ -216,13 +212,9 @@ def to_gamma(state: UnnormalizedState, a_matrix: np.ndarray, t: float | None = N
 
 
 def from_gamma(state: GammaState) -> UnnormalizedState:
-    """Invert the transform: psi = exp(A t) Gamma; psi must come back positive."""
-    psi = state.forward @ state.gamma
-    if np.any(psi <= 0) or not np.all(np.isfinite(psi)):
-        raise GammaRangeError(
-            "inverting Gamma did not recover positive weights; "
-            "the transform has left its valid range"
-        )
+    """Invert the transform: psi = exp(A t) Gamma; GammaRangeError unless psi
+    comes back positive and finite."""
+    psi = gamma_weights(state.forward, state.gamma)
     return UnnormalizedState(
         psi=psi, log_normalizer=state.log_normalizer, t=state.t, clamps=0
     )
@@ -244,7 +236,6 @@ def gamma_langevin_step(
     GammaRangeError when the propagators overflow or exp(A t) Gamma is no
     longer positive.
     """
-    check_increment(dt, dy)
     if step_forward is None or step_backward is None:
         step_forward, step_backward = propagator_pair(state.a_matrix, dt)
     kernel = Gamma(model, dt, beta, step_forward=step_forward, step_backward=step_backward)

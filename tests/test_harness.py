@@ -111,6 +111,31 @@ class TestConfig:
         with pytest.raises(ValueError, match="finite and positive"):
             telegraph_config(**{field: value})
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("correction_sign", True, "'correction_sign' must be a number with an integer value"),
+        ("master_seed", 0.5, "'master_seed' must be a number with an integer value"),
+        ("horizon", True, "'T' must be a number, not True"),
+        ("beta", "0.5", "'beta' must be a number, not '0.5'"),
+    ])
+    def test_types_are_checked_at_construction(self, field, value, message):
+        # a bool sign and a fractional seed used to build a config whose own
+        # to_json() document from_json then refused
+        with pytest.raises(ValueError, match=message):
+            telegraph_config(**{field: value})
+
+    def test_numpy_scalars_are_stored_as_python_numbers(self):
+        config = telegraph_config(horizon=np.float64(1.0), beta=np.float32(0.5),
+                                  correction_sign=np.int64(1), master_seed=np.float64(3.0))
+        assert [type(getattr(config, name)) for name in
+                ("horizon", "beta", "correction_sign", "master_seed")] == [float, float, int, int]
+        assert (config.beta, config.correction_sign, config.master_seed) == (0.5, 1, 3)
+
+    def test_missing_key_rejected(self):
+        doc = telegraph_config().to_json()
+        del doc["beta"]
+        with pytest.raises(ValueError, match=r"missing config keys \['beta'\]"):
+            ExperimentConfig.from_json(doc)
+
     def test_config_is_frozen(self):
         with pytest.raises(AttributeError):
             telegraph_config().dt = 0.3
@@ -369,9 +394,11 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key", ["T", "dt", "beta", "correction_sign", "master_seed"])
-    @pytest.mark.parametrize("value", [None, [1, 2]], ids=["null", "list"])
+    @pytest.mark.parametrize("value", [None, [1, 2], True, "0.5"],
+                             ids=["null", "list", "bool", "text"])
     def test_config_number_of_wrong_type_exits_2(self, tmp_path, capsys, key, value):
-        # float(None) and int([1, 2]) used to escape as TypeError (exit 1)
+        # float(None) and int([1, 2]) used to escape as TypeError (exit 1), and
+        # float() read "T": true as 1.0 and "beta": "0.5" as 0.5
         doc = telegraph_config(out_dir=str(tmp_path / "out")).to_json()
         doc[key] = value
         file = tmp_path / "config.json"
@@ -485,6 +512,25 @@ class TestCli:
         assert len(lines) == 2
         assert lines[0].startswith("h=0")
 
+    @pytest.mark.parametrize("horizons", ["nan", "inf", "0,nan"])
+    def test_predict_nonfinite_horizon_exits_2(self, config_file, tmp_path, capsys, horizons):
+        # nan used to write NaN rows with exit 0, inf to recurse until RecursionError
+        assert main(["predict", "--config", str(config_file), "--horizons", horizons]) == 2
+        assert "error: horizon must be finite and nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "prediction.csv").exists()
+
+    def test_log_overflow_from_point_mass_exits_3(self, tmp_path, capsys):
+        # the state floored to 1e-300 overflows the first log step; this used
+        # to exit 2, as a validation failure, where other schemes exit 3
+        model = ChainModel(levels=[1.0, -1.0], rates=TELEGRAPH.rates, initial_dist=[1.0, 0.0])
+        config = telegraph_config(model=model, horizon=0.05, scheme="log",
+                                  out_dir=str(tmp_path / "out"))
+        file = tmp_path / "point-mass.json"
+        file.write_text(json.dumps(config.to_json()))
+        with pytest.warns(UserWarning, match="floored"):
+            assert main(["filter", "--config", str(file)]) == 3
+        assert "run failed: log: the filter state became non-finite" in capsys.readouterr().err
+
     def test_entry_point_runs(self, config_file):
         proc = subprocess.run(
             [sys.executable, "-m", "jumpfilter.cli", "validate", "--config", str(config_file)],
@@ -520,7 +566,7 @@ class TestDriverErrorPolicy:
 
     def test_presum_guard_enforced(self):
         # a 1e12 increment leaves the pre-renormalization sum off by ~1e-4
-        with pytest.raises(ValueError, match="pre-renormalization sum"):
+        with pytest.raises(FilterInstabilityError, match="pre-renormalization sum"):
             run_trajectory(self.THREE, self.grid([0.01, 1e12]), "wonham-ito")
 
     @pytest.mark.parametrize("keep_history", [True, False])
@@ -531,23 +577,23 @@ class TestDriverErrorPolicy:
         start = kernel.start(np.tile(TELEGRAPH.initial_dist, (2000, 1)))
         dy = np.full((60, 2000), 0.01)
         dy[50, 7] = 1e12
-        with pytest.raises(ValueError, match="pre-renormalization sum"):
+        with pytest.raises(FilterInstabilityError, match="pre-renormalization sum"):
             drive(kernel, start, dy, keep_history=keep_history)
 
     @pytest.mark.parametrize("scheme", ["zakai-ito", "log", "wonham-langevin"])
     def test_overflowing_state_raises(self, scheme):
         # a finite but huge increment overflows the step; drive checks the history
-        with pytest.raises(ValueError, match="became non-finite"):
+        with pytest.raises(FilterInstabilityError, match="became non-finite"):
             run_trajectory(self.THREE, self.grid([0.01, 1e308]), scheme)
 
     @pytest.mark.parametrize("scheme", list(KERNELS))
     def test_overflow_raises_typed_error_without_numpy_warnings(self, scheme):
         # numpy used to print RuntimeWarnings before drive raised its own error
-        error = {"gamma": GammaRangeError, "telegraph-ito": FilterInstabilityError}
+        error = {"gamma": GammaRangeError}
         kernel = KERNELS[scheme](TELEGRAPH, 1e-3, 0.5)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with pytest.raises(error.get(scheme, ValueError)):
+            with pytest.raises(error.get(scheme, FilterInstabilityError)):
                 drive(kernel, kernel.start(), np.array([0.01, 1e308]))
             with contextlib.suppress(GammaRangeError):
                 step_once(kernel, kernel.start(), 1e308)
@@ -560,7 +606,7 @@ class TestDriverErrorPolicy:
             def step(self, state, dy):
                 return state * 1.5, 0
 
-        with pytest.raises(ValueError, match="left the simplex"):
+        with pytest.raises(FilterInstabilityError, match="left the simplex"):
             drive(Inflating(None, 1e-3, 0.5), np.array([0.5, 0.5]), np.zeros(3))
 
     def test_telegraph_q_clamped_at_minus_one(self):

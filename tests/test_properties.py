@@ -1,11 +1,14 @@
-"""Property tests of the construction contract on random irreducible models.
+"""Property tests of the construction contract and of the run contract.
 
 A ``ChainModel`` or ``ExperimentConfig`` that exists has passed its checks,
 so its JSON form must load back to the same value, and corrupting one field of
-a valid model must make construction fail with that field's violation.
+a valid model must make construction fail with that field's violation. A run
+on any valid model, however stiff, returns a finite on-simplex history or
+raises one of the run-failure types, without numpy warnings.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jumpfilter.chain import ChainModel, model_from_json, model_to_json
-from jumpfilter.harness import SCHEMES, ExperimentConfig
+from jumpfilter.harness import SCHEMES, ExperimentConfig, run_trajectory
+from jumpfilter.kernels import SIMPLEX_TOLERANCE, FilterInstabilityError, GammaRangeError
+from jumpfilter.signalpath import ObservationGrid
 
 PROPERTY = settings(max_examples=40, deadline=None)
 
@@ -96,3 +101,44 @@ def test_one_corrupted_field_is_named(corrupt, model, seed):
     violation = corrupt(levels, rates, initial, np.random.default_rng(seed))
     with pytest.raises(ValueError, match=f"^invalid model: {violation}$"):
         ChainModel(levels=levels, rates=rates, initial_dist=initial)
+
+
+@st.composite
+def stiff_models(draw):
+    """K <= 4 models with log-uniform rates from 1e-6 to 1e6, absent edges,
+    absorbing states and, half the time, a point-mass initial law."""
+    k = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rates = 10.0 ** rng.uniform(-6.0, 6.0, size=(k, k)) * (rng.random((k, k)) < 0.5)
+    rates[rng.random(k) < 0.25] = 0.0
+    if draw(st.booleans()):
+        initial = np.eye(k)[rng.integers(k)]
+    else:
+        initial = rng.uniform(0.0, 1.0, size=k)
+        initial /= initial.sum()
+    return ChainModel(levels=rng.uniform(-2.0, 2.0, size=k), rates=rates, initial_dist=initial)
+
+
+@PROPERTY
+@pytest.mark.parametrize("scheme", GENERAL_SCHEMES)
+@given(model=stiff_models(), beta=st.floats(0.05, 5.0), n_steps=st.integers(1, 200),
+       seed=st.integers(0, 2**32 - 1))
+def test_run_is_on_the_simplex_or_raises_a_run_failure(scheme, model, beta, n_steps, seed):
+    dt = 1e-3
+    rng = np.random.default_rng(seed)
+    level = model.levels[rng.integers(model.n_states)]
+    dy = level * dt + beta * np.sqrt(dt) * rng.standard_normal(n_steps)
+    grid = ObservationGrid(dt=dt, beta=beta, dy=dy, dw=np.zeros(n_steps),
+                           x_level=np.full(n_steps, level))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            run = run_trajectory(model, grid, scheme)
+        except (FilterInstabilityError, GammaRangeError):
+            run = None
+    # a point-mass start floors its zero weights with a UserWarning; numpy's
+    # floating-point warnings are RuntimeWarnings and must not escape
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    if run is not None:
+        assert np.isfinite(run.probs).all() and (run.probs >= 0).all()
+        assert np.abs(run.probs.sum(axis=1) - 1.0).max() <= SIMPLEX_TOLERANCE

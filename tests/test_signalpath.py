@@ -148,6 +148,14 @@ def test_parameter_validation():
         synthesize_observations(path, TELEGRAPH, 0.3, 0.5, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("dt, beta", [(np.nan, 0.5), (np.inf, 0.5), (0.1, np.nan),
+                                      (0.1, np.inf), (0.0, 0.5), (0.1, -1.0)])
+def test_grid_step_and_noise_must_be_finite_and_positive(dt, beta):
+    # NaN is not <= 0, so a NaN dt or beta used to build a grid
+    with pytest.raises(ValueError, match="finite and positive"):
+        ObservationGrid(dt=dt, beta=beta, dy=[0.1], dw=[0.0], x_level=[1.0])
+
+
 def test_coarsen_requires_divisible_factor():
     path = simulate_jump_path(TELEGRAPH, 1.0, np.random.default_rng(0))
     grid = synthesize_observations(path, TELEGRAPH, 0.01, 0.5, np.random.default_rng(0))
