@@ -28,6 +28,7 @@ __all__ = [
     "integrate_level",
     "step_level_integrals",
     "add_path_integrals",
+    "check_jump_budget",
     "stationary_distribution",
     "model_from_json",
     "model_to_json",
@@ -35,6 +36,14 @@ __all__ = [
 
 # Poisson tail mass dropped when truncating the uniformization series.
 UNIFORMIZATION_TAIL = 1e-13
+
+# Most jumps a simulated path may expect, horizon * max exit rate. Its jump
+# lists then stay well under 100 MB, and the holding times stay far above one
+# ulp of the horizon, below which the path's time would stop advancing.
+JUMP_BUDGET = 1e6
+
+# model document key -> ChainModel field; every key is required
+MODEL_FIELDS = {"levels": "levels", "rates": "rates", "initial": "initial_dist"}
 
 
 class ReducibleChainError(ValueError):
@@ -102,6 +111,10 @@ class ChainModel:
         """Total jump intensity out of each state (derived, not stored)."""
         return self.rates.sum(axis=1)
 
+    @cached_property
+    def max_exit_rate(self) -> float:
+        return float(self.exit_rates.max(initial=0.0))
+
     @property
     def generator(self) -> np.ndarray:
         """Rate matrix Q with off-diagonals ``rates[i, j]`` and diagonal -exit_rates."""
@@ -162,7 +175,7 @@ def transition_matrix(model: ChainModel, h: float) -> np.ndarray:
     if not 0 <= h < math.inf:
         raise ValueError(f"horizon must be finite and nonnegative, not {h!r}")
     k = model.n_states
-    lam = float(model.exit_rates.max(initial=0.0))
+    lam = model.max_exit_rate
     mu = lam * h
     if mu == 0.0:
         return np.eye(k)
@@ -254,10 +267,19 @@ def simulate_jump_path(model: ChainModel, horizon: float, rng: np.random.Generat
     )
 
 
-def _draw_jumps(model: ChainModel, horizon: float, rng: np.random.Generator):
-    """The draws of :func:`simulate_jump_path`: (initial state, jump times, jump states)."""
+def check_jump_budget(model: ChainModel, horizon: float) -> None:
+    """ValueError unless ``horizon`` is positive and a path over it expects at
+    most :data:`JUMP_BUDGET` jumps."""
     if horizon <= 0:
         raise ValueError("horizon must be positive")
+    if not horizon * model.max_exit_rate <= JUMP_BUDGET:
+        raise ValueError(f"horizon * max exit rate = {horizon * model.max_exit_rate:.3g} "
+                         f"expected jumps, above the budget of {JUMP_BUDGET:.0e}")
+
+
+def _draw_jumps(model: ChainModel, horizon: float, rng: np.random.Generator):
+    """The draws of :func:`simulate_jump_path`: (initial state, jump times, jump states)."""
+    check_jump_budget(model, horizon)
     initial_cdf, exits = model.sampling_tables
     uniform, exponential = rng.random, rng.standard_exponential
     state = initial = bisect_right(initial_cdf, uniform())
@@ -387,20 +409,26 @@ def json_object(source: str | dict, what: str) -> dict:
     return doc
 
 
+def json_fields(source: str | dict, what: str, fields: dict, required) -> dict:
+    """The JSON object ``source`` with its keys mapped through the key table
+    ``fields``; ValueError naming any unknown key, or any ``required`` key
+    that is missing."""
+    doc = json_object(source, f"a {what}")
+    unknown = sorted(set(doc) - set(fields))
+    if unknown:
+        raise ValueError(f"unknown {what} keys {unknown}; known keys are {tuple(fields)}")
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise ValueError(f"missing {what} keys {missing}")
+    return {fields[key]: value for key, value in doc.items()}
+
+
 def model_from_json(source: str | dict) -> ChainModel:
     """Load a model from the JSON document {"levels":[...], "rates":[[...]], "initial":[...]}."""
-    doc = json_object(source, "a model")
-    return ChainModel(
-        levels=np.asarray(doc["levels"], dtype=float),
-        rates=np.asarray(doc["rates"], dtype=float),
-        initial_dist=np.asarray(doc["initial"], dtype=float),
-    )
+    values = json_fields(source, "model", MODEL_FIELDS, MODEL_FIELDS)
+    return ChainModel(**{name: np.asarray(value, dtype=float) for name, value in values.items()})
 
 
 def model_to_json(model: ChainModel) -> dict:
     """Inverse of :func:`model_from_json` (diagonal rates emitted as 0)."""
-    return {
-        "levels": model.levels.tolist(),
-        "rates": model.rates.tolist(),
-        "initial": model.initial_dist.tolist(),
-    }
+    return {key: getattr(model, name).tolist() for key, name in MODEL_FIELDS.items()}

@@ -22,7 +22,8 @@ from . import wonham
 from .chain import (
     ChainModel,
     JumpPath,
-    json_object,
+    check_jump_budget,
+    json_fields,
     model_from_json,
     model_to_json,
     simulate_jump_path,
@@ -78,7 +79,8 @@ class ExperimentConfig:
     finite and positive, stored as float; correction_sign and master_seed
     are numbers of integral value (not bools), stored as int; dt divides the
     horizon; the sign options are valid; the scheme can filter the model;
-    and ``out_dir`` is a str or a path. Messages name the config key.
+    a path over the horizon expects at most ``JUMP_BUDGET`` jumps; and
+    ``out_dir`` is a str or a path. Messages name the config key.
     """
 
     model: ChainModel
@@ -92,15 +94,15 @@ class ExperimentConfig:
     out_dir: str = "."
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
+        kernel = _kernel(self.scheme)
         for key, kind in (("T", float), ("dt", float), ("beta", float),
                           ("correction_sign", int), ("master_seed", int)):
             name = CONFIG_FIELDS[key]
             object.__setattr__(self, name, _number(key, getattr(self, name), kind))
         _step_count(self.horizon, self.dt)
         check_signs(self.correction_sign, self.sign_variant)
-        KERNELS[self.scheme].check_model(self.model)
+        kernel.check_model(self.model)
+        check_jump_budget(self.model, self.horizon)
         if not isinstance(self.out_dir, (str, os.PathLike)):
             raise ValueError(f"out_dir must be a str or a path, not {self.out_dir!r}")
 
@@ -113,17 +115,16 @@ class ExperimentConfig:
     def from_json(cls, source: str | dict) -> "ExperimentConfig":
         """The config of a JSON document; ValueError for an unknown or a
         missing key, and for every value that construction refuses."""
-        doc = json_object(source, "a config")
-        unknown = sorted(set(doc) - set(CONFIG_FIELDS))
-        if unknown:
-            raise ValueError(f"unknown config keys {unknown}; "
-                             f"known keys are {tuple(CONFIG_FIELDS)}")
-        missing = [key for key in ("model", "T", "dt", "beta") if key not in doc]
-        if missing:
-            raise ValueError(f"missing config keys {missing}")
-        values = {CONFIG_FIELDS[key]: value for key, value in doc.items()}
+        values = json_fields(source, "config", CONFIG_FIELDS, ("model", "T", "dt", "beta"))
         values["model"] = model_from_json(values["model"])
         return cls(**values)
+
+
+def _kernel(scheme: str):
+    """The kernel class of ``scheme``: the one check that a scheme is known."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
+    return KERNELS[scheme]
 
 
 def _number(key: str, value, kind: type):
@@ -162,9 +163,7 @@ def run_trajectory(
     check of the run: finite increments, a finite on-simplex history, the
     pre-renormalization sum guard and the clamp budget.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    kernel = KERNELS[scheme](model, grid.dt, grid.beta, correction_sign, sign_variant)
+    kernel = _kernel(scheme)(model, grid.dt, grid.beta, correction_sign, sign_variant)
     return drive(kernel, kernel.start(initial), grid.dy)
 
 
@@ -298,16 +297,62 @@ def run_filter(config: ExperimentConfig, write: bool = True) -> tuple[Trajectory
     return trajectory, report
 
 
-def _sup_diff(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.abs(a - b).max())
+def _field(run: Trajectory, field: str) -> np.ndarray:
+    """probs, an extra, or for "q" without a "q" extra probs[:, 0] - probs[:, 1]."""
+    if field == "q" and "q" not in run.extras:
+        return run.probs[:, 0] - run.probs[:, 1]
+    return run.probs if field == "probs" else run.extras[field]
 
 
-def _refined_grids(config: ExperimentConfig, levels: int) -> list[ObservationGrid]:
-    """Grids at dt, dt/2, ..., dt/2^(levels-1), all from one Brownian path."""
-    fine_factor = 2 ** (levels - 1)
-    fine = replace(config, dt=config.dt / fine_factor)
-    _, fine_grid = simulate_pair(fine)
-    return [coarsen(fine_grid, 2 ** (levels - 1 - k)) for k in range(levels)]
+def _filters(scheme: str, model: ChainModel) -> bool:
+    try:
+        KERNELS[scheme].check_model(model)
+    except ValueError:
+        return False
+    return True
+
+
+def _ladders(config: ExperimentConfig, halvings: int, pairs: dict):
+    """The grids dt, dt/2, ..., dt/2^halvings, all coarsened from one Brownian
+    path, and for each pair label its max-over-time discrepancy on each grid.
+
+    A pair is (side, side, field): a side is the (scheme, correction_sign,
+    sign_variant) of one run and the field is "probs", "log_weights" or "q".
+    Each distinct side runs once per grid. A pair is left out when the
+    scheme of either side cannot filter the config's model.
+    """
+    _, fine = simulate_pair(replace(config, dt=config.dt / 2**halvings))
+    grids = [coarsen(fine, 2 ** (halvings - k)) for k in range(halvings + 1)]
+    pairs = {label: pair for label, pair in pairs.items()
+             if all(_filters(side[0], config.model) for side in pair[:2])}
+    sides = dict.fromkeys(side for pair in pairs.values() for side in pair[:2])
+    ladders = {label: [] for label in pairs}
+    for grid in grids:
+        runs = {side: run_trajectory(config.model, grid, *side) for side in sides}
+        for label, (a, b, field) in pairs.items():
+            diff = _field(runs[a], field) - _field(runs[b], field)
+            ladders[label].append(float(np.abs(diff).max()))
+    return grids, ladders
+
+
+ITO = ("zakai-ito", -1, "innovation")
+WONHAM = ("wonham-ito", -1, "innovation")
+LANGEVIN = {sign: ("zakai-langevin", sign, "innovation") for sign in (-1, +1)}
+
+CONVERGENCE_PAIRS = {
+    "zakai-ito|wonham-ito": (ITO, WONHAM, "probs"),
+    "zakai-langevin(-1)|zakai-ito": (LANGEVIN[-1], ITO, "log_weights"),
+    "zakai-langevin(+1)|zakai-ito": (LANGEVIN[+1], ITO, "log_weights"),
+    "log|wonham-ito": (("log", -1, "innovation"), WONHAM, "probs"),
+    "gamma|zakai-langevin(-1)": (("gamma", -1, "innovation"), LANGEVIN[-1], "probs"),
+    "telegraph-ito|wonham-ito": (("telegraph-ito", -1, "innovation"), WONHAM, "q"),
+}
+ADJUDICATE_PAIRS = {
+    -1: CONVERGENCE_PAIRS["zakai-langevin(-1)|zakai-ito"],
+    +1: CONVERGENCE_PAIRS["zakai-langevin(+1)|zakai-ito"],
+    "innovation": (WONHAM, ITO, "probs"),
+    "paper": (("wonham-ito", -1, "paper"), ITO, "probs"),
+}
 
 
 def run_convergence(config: ExperimentConfig, halvings: int) -> list[dict]:
@@ -315,60 +360,20 @@ def run_convergence(config: ExperimentConfig, halvings: int) -> list[dict]:
 
     For each mesh level (dt halved ``halvings`` times, all levels consuming
     the same underlying Brownian path) the max-over-time discrepancy of each
-    scheme pair is reported together with log2(e_k / e_{k+1}).
+    pair of :data:`CONVERGENCE_PAIRS` is reported together with
+    log2(e_k / e_{k+1}).
     """
     if halvings < 2:
         raise ValueError("need at least 2 halvings to estimate an order")
-    grids = _refined_grids(config, halvings + 1)
-    model = config.model
-    telegraphable = True
-    try:
-        KERNELS["telegraph-ito"].check_model(model)
-    except ValueError:
-        telegraphable = False
-
-    ladders: dict[str, list[float]] = {}
-    for grid in grids:
-        ito = run_trajectory(model, grid, "zakai-ito")
-        won = run_trajectory(model, grid, "wonham-ito", sign_variant="innovation")
-        lan_minus = run_trajectory(model, grid, "zakai-langevin", correction_sign=-1)
-        lan_plus = run_trajectory(model, grid, "zakai-langevin", correction_sign=+1)
-        logf = run_trajectory(model, grid, "log", correction_sign=-1)
-        gam = run_trajectory(model, grid, "gamma", correction_sign=-1)
-        pairs = {
-            "zakai-ito|wonham-ito": _sup_diff(ito.probs, won.probs),
-            "zakai-langevin(-1)|zakai-ito": _sup_diff(
-                lan_minus.extras["log_weights"], ito.extras["log_weights"]
-            ),
-            "zakai-langevin(+1)|zakai-ito": _sup_diff(
-                lan_plus.extras["log_weights"], ito.extras["log_weights"]
-            ),
-            "log|wonham-ito": _sup_diff(logf.probs, won.probs),
-            "gamma|zakai-langevin(-1)": _sup_diff(gam.probs, lan_minus.probs),
-        }
-        if telegraphable:
-            tel = run_trajectory(model, grid, "telegraph-ito")
-            pairs["telegraph-ito|wonham-ito"] = _sup_diff(
-                tel.extras["q"], won.probs[:, 0] - won.probs[:, 1]
-            )
-        for name, value in pairs.items():
-            ladders.setdefault(name, []).append(value)
-
+    grids, ladders = _ladders(config, halvings, CONVERGENCE_PAIRS)
     rows = []
     for name, ladder in ladders.items():
         for k, value in enumerate(ladder):
             order = math.log2(ladder[k] / ladder[k + 1]) if (
                 k + 1 < len(ladder) and ladder[k + 1] > 0 and ladder[k] > 0
             ) else math.nan
-            rows.append(
-                {
-                    "pair": name,
-                    "level": k,
-                    "dt": grids[k].dt,
-                    "max_discrepancy": value,
-                    "order": order,
-                }
-            )
+            rows.append({"pair": name, "level": k, "dt": grids[k].dt,
+                         "max_discrepancy": value, "order": order})
     names = ["pair", "level", "dt", "max_discrepancy", "order"]
     write_table(
         _out_dir(config) / "convergence.csv",
@@ -431,25 +436,11 @@ def run_adjudicate(config: ExperimentConfig) -> dict:
     other plateaus at least ``PLATEAU_FACTOR`` (10x) above it; otherwise the
     report says 'inconclusive' or 'indistinguishable' rather than picking.
     """
-    grids = _refined_grids(config, ADJUDICATE_HALVINGS + 1)
-    model = config.model
-    corr: dict = {-1: [], +1: []}
-    variant: dict = {"innovation": [], "paper": []}
-    for grid in grids:
-        ito = run_trajectory(model, grid, "zakai-ito")
-        for sign in (-1, +1):
-            lan = run_trajectory(model, grid, "zakai-langevin", correction_sign=sign)
-            corr[sign].append(
-                _sup_diff(lan.extras["log_weights"], ito.extras["log_weights"])
-            )
-        for name in ("innovation", "paper"):
-            won = run_trajectory(model, grid, "wonham-ito", sign_variant=name)
-            variant[name].append(_sup_diff(won.probs, ito.probs))
-
+    grids, ladders = _ladders(config, ADJUDICATE_HALVINGS, ADJUDICATE_PAIRS)
     report = {
         "dt_levels": [g.dt for g in grids],
-        "correction_sign": _adjudicate_dimension((-1, +1), corr),
-        "drift_variant": _adjudicate_dimension(("innovation", "paper"), variant),
+        "correction_sign": _adjudicate_dimension((-1, +1), ladders),
+        "drift_variant": _adjudicate_dimension(("innovation", "paper"), ladders),
     }
     _write_json(_out_dir(config) / "adjudication.json", report)
     return report

@@ -25,6 +25,7 @@ constant drift matrix A out of the smooth-noise equation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,8 +198,8 @@ def normalize(state: UnnormalizedState) -> FilterState:
 def to_gamma(state: UnnormalizedState, a_matrix: np.ndarray, t: float | None = None) -> GammaState:
     """Transform psi into Gamma = exp(-A t) psi (keeps the log normalizer)."""
     t = state.t if t is None else t
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"t must be finite and nonnegative, not {t!r}")
     a_matrix = np.asarray(a_matrix, dtype=float)
     forward, backward = propagator_pair(a_matrix, t)
     return GammaState(

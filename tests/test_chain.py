@@ -13,7 +13,8 @@ from jumpfilter import (
     telegraph_model,
     transition_matrix,
 )
-from jumpfilter.chain import JumpPath, _check_paths, add_path_integrals, step_level_integrals
+from jumpfilter.chain import (JUMP_BUDGET, JumpPath, _check_paths, add_path_integrals,
+                              step_level_integrals)
 
 TELEGRAPH = telegraph_model(1.0)
 
@@ -316,3 +317,14 @@ class TestJson:
     def test_from_string(self):
         m = model_from_json('{"levels": [1, -1], "rates": [[9, 2], [2, 9]], "initial": [0.5, 0.5]}')
         assert np.array_equal(m.exit_rates, [2.0, 2.0])
+
+
+class TestJumpBudget:
+    def test_path_over_the_budget_is_refused(self):
+        # 2e6 expected jumps; rates of 1e308 used to stall the time and hang
+        model = telegraph_model(2 * JUMP_BUDGET)
+        with pytest.raises(ValueError, match="budget"):
+            simulate_jump_path(model, 1.0, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="budget"):
+            add_path_integrals(model, 1.0, 0.1, np.random.default_rng(0),
+                               [np.random.default_rng(0).bit_generator.state], np.zeros((1, 10)))

@@ -159,7 +159,9 @@ def test_cli_outputs_match_golden_digests(tmp_path, monkeypatch):
 # product, so the K=2 and K=3 digests above cannot see a stacked product that
 # replaced a per-step one. These pin the same commands on a five-state model
 # (T=0.2, dt=1e-3, beta=0.7, master seed 0), recorded before the step
-# kernels moved their increment-only terms into one vectorized pass.
+# kernels moved their increment-only terms into one vectorized pass; the
+# adjudication.json digest was recorded before convergence and adjudicate
+# shared one ladder engine.
 FIVE_STATE = ChainModel(
     levels=[1.3, 0.55, -0.15, -0.8, 0.35],
     rates=[[0.0, 0.7, 0.2, 0.45, 0.1],
@@ -203,6 +205,8 @@ GOLDEN_K5 = {
         "889a7cdba9df18f7cd31422322e51a4d070ab0a68a67cdd06aef4a0b6f17b120",
     "filter/zakai-langevin/trajectory.csv":
         "aa3e23915b248949dda8f9b7774007a5f7577d0f323a09cd3b354be866c582e5",
+    "study/adjudication.json":
+        "ac90cf700e13aeb249010c8bdbc3223f9dc18e69232cf547fd792354d9d2e143",
     "study/convergence.csv":
         "52ec570f736ddcf5191f94f103b8cb853c70731ac4dc55a79d5c45739b5740ed",
 }
@@ -216,6 +220,7 @@ def test_five_state_outputs_match_golden_digests(tmp_path, monkeypatch):
             assert main(["filter", "--config", config, "--out", f"filter/{scheme}"]) == 0
     five = _write_config(tmp_path, "five", FIVE_STATE)
     assert main(["convergence", "--config", five, "--halvings", "2", "--out", "study"]) == 0
+    assert main(["adjudicate", "--config", five, "--out", "study"]) in (0, 3)
     assert digests(tmp_path) == GOLDEN_K5
 
 

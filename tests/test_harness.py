@@ -18,6 +18,7 @@ from jumpfilter import (
     predict,
     telegraph_model,
 )
+from jumpfilter import harness
 from jumpfilter.cli import main
 from jumpfilter.kernels import (KERNELS, GammaRangeError, Kernel, TelegraphIto, WonhamIto, drive,
                                 step_once)
@@ -32,7 +33,9 @@ from jumpfilter.harness import (
     run_predict,
     run_simulate,
     run_trajectory,
+    simulate_pair,
 )
+from jumpfilter.chain import JUMP_BUDGET
 from jumpfilter.seeding import ROLE_JUMP, ROLE_NOISE, derive_seed, splitmix64
 
 TELEGRAPH = telegraph_model(1.0)
@@ -65,6 +68,23 @@ class TestConfig:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError, match="scheme"):
             telegraph_config(scheme="kalman")
+
+    def test_unknown_scheme_has_one_message(self):
+        # run_trajectory used to keep its own check, without the list of schemes
+        with pytest.raises(ValueError) as from_config:
+            telegraph_config(scheme="x")
+        with pytest.raises(ValueError) as from_run:
+            run_trajectory(TELEGRAPH, simulate_pair(telegraph_config())[1], "x")
+        assert str(from_config.value) == str(from_run.value)
+        assert str(from_run.value) == f"unknown scheme 'x'; choose from {SCHEMES}"
+
+    def test_jump_budget_is_checked_at_construction(self):
+        # the jumps of one path are bounded before any is drawn
+        with pytest.raises(ValueError, match="budget"):
+            telegraph_config(model=telegraph_model(1e308))
+        with pytest.raises(ValueError, match="budget"):
+            telegraph_config(model=telegraph_model(2 * JUMP_BUDGET))
+        telegraph_config(model=telegraph_model(JUMP_BUDGET))
 
     def test_step_must_divide_horizon(self):
         with pytest.raises(ValueError, match="divide"):
@@ -270,6 +290,24 @@ class TestAdjudicate:
         assert report["correction_sign"]["verdict"] == "indistinguishable"
         assert report["drift_variant"]["verdict"] == "indistinguishable"
 
+
+def test_ladders_run_each_distinct_side_once_per_grid(tmp_path, monkeypatch):
+    runs = []
+
+    def counted(model, grid, *side):
+        runs.append((grid.dt, *side))
+        return run_trajectory(model, grid, *side)
+
+    monkeypatch.setattr(harness, "run_trajectory", counted)
+    config = telegraph_config(horizon=0.2, out_dir=str(tmp_path))
+    rows = run_convergence(config, halvings=2)
+    assert len(runs) == len(set(runs)) == 7 * 3
+    runs.clear()
+    report = run_adjudicate(config)
+    assert len(runs) == len(set(runs)) == 5 * 3
+    # a pair that both tables hold gives one ladder
+    shared = [row["max_discrepancy"] for row in rows if row["pair"] == "zakai-ito|wonham-ito"]
+    assert report["drift_variant"]["discrepancies"]["innovation"] == shared
 
 RATES = [[0.0, 1.0], [1.0, 0.0]]
 
@@ -530,6 +568,40 @@ class TestCli:
         with pytest.warns(UserWarning, match="floored"):
             assert main(["filter", "--config", str(file)]) == 3
         assert "run failed: log: the filter state became non-finite" in capsys.readouterr().err
+
+    def test_out_dir_under_a_regular_file_exits_2(self, config_file, tmp_path, capsys):
+        # NotADirectoryError used to escape uncaught (exit 1)
+        out = config_file / "x"
+        assert main(["filter", "--config", str(config_file), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda model: model.update(foo=1), "unknown model keys ['foo']"),
+        (lambda model: model.pop("initial"), "missing model keys ['initial']"),
+    ], ids=["unknown", "missing"])
+    def test_model_key_outside_the_table_exits_2(self, tmp_path, capsys, edit, message):
+        # an unknown model key used to validate as "config ok", a missing one
+        # to fail with a bare KeyError: 'initial'
+        doc = telegraph_config(out_dir=str(tmp_path / "out")).to_json()
+        edit(doc["model"])
+        file = tmp_path / "config.json"
+        file.write_text(json.dumps(doc))
+        assert main(["validate", "--config", str(file)]) == 2
+        file.write_text(json.dumps(doc["model"]))
+        assert main(["validate", "--model", str(file)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+    def test_rates_beyond_the_jump_budget_exit_2(self, tmp_path, capsys):
+        # "filter" on these rates used to loop forever drawing jumps
+        model = {"levels": [1.0, -1.0], "rates": [[0.0, 1e308], [1e308, 0.0]],
+                 "initial": [0.5, 0.5]}
+        doc = dict(telegraph_config(out_dir=str(tmp_path / "out")).to_json(), model=model)
+        file = tmp_path / "config.json"
+        file.write_text(json.dumps(doc))
+        assert main(["validate", "--config", str(file)]) == 2
+        assert main(["filter", "--config", str(file)]) == 2
+        assert capsys.readouterr().err.startswith("error: horizon * max exit rate")
+        assert not (tmp_path / "out").exists()
 
     def test_entry_point_runs(self, config_file):
         proc = subprocess.run(

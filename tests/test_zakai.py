@@ -281,6 +281,13 @@ class TestGamma:
         with pytest.raises(GammaRangeError, match="log-domain"):
             to_gamma(state, a)
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), -1.0])
+    def test_invalid_time_is_an_input_error(self, t):
+        # a NaN or infinite t used to reach the propagators and raise
+        # GammaRangeError, the run-failure type (exit 3)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            to_gamma(init_unnormalized(TELEGRAPH), drift_matrix(TELEGRAPH, 0.5), t=t)
+
     def test_non_finite_step_propagator_raises_when_kernel_is_built(self):
         with pytest.raises(GammaRangeError, match="log-domain"):
             Gamma(TELEGRAPH, 500.0, 0.05)
