@@ -27,7 +27,7 @@ from .harness import (
     run_predict,
     run_simulate,
 )
-from .zakai import FilterInstabilityError, GammaRangeError
+from .kernels import FilterInstabilityError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -115,7 +115,7 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (FilterInstabilityError, GammaRangeError) as exc:
+    except FilterInstabilityError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_QUALITY
     return EXIT_OK

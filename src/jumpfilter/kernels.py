@@ -32,11 +32,10 @@ layout.
 
 :func:`drive` runs any kernel over an increment record and applies the single
 error policy: finite increments at entry (:func:`check_increments`, a
-ValueError), then at exit a finite, on-simplex history, the
-pre-renormalization sum guard and the clamp budget, whose failures raise
-FilterInstabilityError. No step checks anything: the Gamma transform's range
-is checked once over the propagator chain in ``prepare`` and once over psi in
-``probs`` (GammaRangeError).
+ValueError), then at exit :func:`check_states` and the clamp budget, whose
+failures raise FilterInstabilityError (GammaRangeError, from Gamma's
+``probs``, is one). No step checks anything; :func:`step_once` runs the same
+:func:`check_states` on the state it steps to.
 
 The arithmetic of each scheme lives here exactly once; the public step
 functions of :mod:`jumpfilter.zakai`, :mod:`jumpfilter.wonham` and
@@ -99,7 +98,7 @@ class FilterInstabilityError(RuntimeError):
     clamped too often."""
 
 
-class GammaRangeError(OverflowError):
+class GammaRangeError(FilterInstabilityError):
     """exp(+-A t) left floating-point range; use the log-domain filter instead."""
 
 
@@ -118,14 +117,17 @@ def check_increments(dy: np.ndarray) -> None:
         raise ValueError("observation increments must be finite")
 
 
+def on_simplex(probs: np.ndarray) -> bool:
+    """Whether each row of ``probs`` is finite, nonnegative and sums to 1 +- SIMPLEX_TOLERANCE."""
+    return bool(np.isfinite(probs).all() and (probs >= 0).all()
+                and (np.abs(_row_sums(probs) - 1.0) <= SIMPLEX_TOLERANCE).all())
+
+
 def check_probability_vector(probs) -> np.ndarray:
-    """A read-only float copy of ``probs`` after checking that it is finite,
-    nonnegative and sums to 1 within :data:`SIMPLEX_TOLERANCE`."""
+    """A read-only float copy of ``probs``; ValueError unless :func:`on_simplex`."""
     probs = np.array(probs, dtype=float)
-    if np.any(probs < 0) or not np.all(np.isfinite(probs)):
-        raise ValueError("probabilities must be finite and nonnegative")
-    if abs(probs.sum() - 1.0) > SIMPLEX_TOLERANCE:
-        raise ValueError(f"probabilities sum to {probs.sum()!r}, not 1")
+    if not on_simplex(probs):
+        raise ValueError("probabilities must be finite and nonnegative and sum to 1")
     probs.setflags(write=False)
     return probs
 
@@ -543,8 +545,7 @@ class Gamma(Kernel):
         at s = t and s = t'.
 
         The propagators exp(+-A t) of every grid time come from those of
-        ``state`` by one product with exp(+-A dt) per step; GammaRangeError
-        when any of them is not finite.
+        ``state`` by one product with exp(+-A dt) per step.
         """
         _, forward, backward = state
         n_steps, k = len(dy), len(forward)
@@ -555,8 +556,6 @@ class Gamma(Kernel):
         for r in range(n_steps):
             np.matmul(forwards[r], step_forward, out=forwards[r + 1])
             np.matmul(step_backward, backwards[r], out=backwards[r + 1])
-        if not (np.isfinite(forwards).all() and np.isfinite(backwards).all()):
-            raise GammaRangeError("exp(+-A t) overflowed; use the log-domain filter")
         rate = dy / self.dt
         rate /= self.beta_sq
         scaled = np.multiply(self.diag_levels, rate[:, None, None])
@@ -707,21 +706,33 @@ QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
 
 def step_once(kernel: Kernel, state, dy):
-    """One kernel step over the increment ``dy`` (through ``prepare``), with
-    numpy's floating-point warnings off; ValueError unless ``dy`` is finite."""
+    """One kernel step over the increment ``dy`` (through ``prepare``), with numpy's
+    floating-point warnings off; ValueError unless ``dy`` is finite, then
+    :func:`check_states` of the stepped state as a one-state history."""
     dy = np.array([dy], dtype=float)
     check_increments(dy)
     with np.errstate(**QUIET):
         (inputs,) = kernel.prepare(state, dy)
-        return kernel.step(state, inputs)
+        stepped = kernel.step(state, inputs)
+        probs, extras = kernel.probs([stepped[0]])
+    check_states(kernel.scheme, probs, extras,
+                 np.abs(extras["presum"] - 1.0) if kernel.carries_presum else None)
+    return stepped
 
 
-def check_presum(devs) -> None:
-    """Raises when a deviation |presum - 1| exceeds PRESUM_TOLERANCE or is NaN."""
-    if not np.all(devs <= PRESUM_TOLERANCE):
+def check_states(scheme: str, probs: np.ndarray, extras: dict, presum_devs=None) -> None:
+    """The one check of filter states, for a run or for one step: raises
+    FilterInstabilityError unless ``probs`` and every extra are finite, every
+    row of ``probs`` is :func:`on_simplex`, and no deviation |presum - 1| in
+    ``presum_devs`` (wonham-ito) exceeds PRESUM_TOLERANCE or is NaN."""
+    if not (np.all(np.isfinite(probs)) and all(np.all(np.isfinite(v)) for v in extras.values())):
+        raise FilterInstabilityError(f"{scheme}: the filter state became non-finite")
+    if not on_simplex(probs):
+        raise FilterInstabilityError(f"{scheme}: probabilities left the simplex")
+    if presum_devs is not None and not np.all(presum_devs <= PRESUM_TOLERANCE):
         raise FilterInstabilityError(
-            f"step left the simplex (pre-renormalization sum off by {float(np.max(devs))!r}); "
-            "reduce dt or check the inputs"
+            f"{scheme}: step left the simplex (pre-renormalization sum off by "
+            f"{float(np.max(presum_devs))!r}); reduce dt or check the inputs"
         )
 
 
@@ -762,9 +773,8 @@ def drive(kernel: Kernel, state, dy: np.ndarray, keep_history: bool = True) -> T
     unnormalized kernel keeps the O(n) scales its log normalizer sums.
 
     Raises ValueError for non-finite increments, before the first step;
-    FilterInstabilityError for a history that is not finite or leaves the
-    simplex, a pre-renormalization sum off by more than PRESUM_TOLERANCE, or
-    more than CLAMP_FAILURE_FRACTION of the replica-steps clamping.
+    FilterInstabilityError from :func:`check_states`, or for more than
+    CLAMP_FAILURE_FRACTION of the replica-steps clamping.
     """
     check_increments(dy)
     n_steps = len(dy)
@@ -790,18 +800,13 @@ def drive(kernel: Kernel, state, dy: np.ndarray, keep_history: bool = True) -> T
             history[-1] = state
         probs, extras = kernel.probs(history)
 
-    if not (np.all(np.isfinite(probs)) and all(np.all(np.isfinite(v)) for v in extras.values())):
-        raise FilterInstabilityError(f"{kernel.scheme}: the filter state became non-finite")
-    if np.any(probs < 0) or np.any(np.abs(_row_sums(probs) - 1.0) > SIMPLEX_TOLERANCE):
-        raise FilterInstabilityError(f"{kernel.scheme}: probabilities left the simplex")
+    if kernel.carries_presum and keep_history:
+        devs = np.abs(extras["presum"] - 1.0)
+        presum_worst, presum_total = devs.max(axis=0), np.cumsum(devs, axis=0)[-1]
+    check_states(kernel.scheme, probs, extras, presum_worst if kernel.carries_presum else None)
     run = Trajectory(kernel.scheme, np.arange(n_steps + 1) * kernel.dt, probs, clamps,
                      extras=extras)
-    presum = extras.pop("presum", None)
-    if presum is not None:
-        if keep_history:
-            devs = np.abs(presum - 1.0)
-            presum_worst, presum_total = devs.max(axis=0), np.cumsum(devs, axis=0)[-1]
-        check_presum(presum_worst)
+    if extras.pop("presum", None) is not None:
         run.presum_max_dev = float(presum_worst.max())
         run.presum_total_dev = float(presum_total.max())
     replica_steps = n_steps * (probs[0].size // probs.shape[-1])

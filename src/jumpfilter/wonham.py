@@ -40,7 +40,6 @@ from .kernels import (  # noqa: F401
     TelegraphLangevin,
     WonhamIto,
     WonhamLangevin,
-    check_presum,
     check_probability_vector,
     finish_simplex_step,
     step_once,
@@ -101,8 +100,7 @@ def wonham_step(
     arithmetic).
     """
     kernel = WonhamIto(model, dt, beta, sign_variant=sign_variant)
-    (probs, presum), clamped = step_once(kernel, (state.probs, 1.0), dy)
-    check_presum(abs(presum - 1.0))
+    (probs, _), clamped = step_once(kernel, (state.probs, 1.0), dy)
     return FilterState(probs=probs, t=state.t + dt, clamps=state.clamps + clamped)
 
 

@@ -1,4 +1,3 @@
-import contextlib
 import json
 import math
 import subprocess
@@ -14,9 +13,22 @@ from jumpfilter import (
     FilterState,
     JumpPath,
     LogState,
+    TelegraphState,
     UnnormalizedState,
+    bayes_forward_step,
+    drift_matrix,
+    gamma_langevin_step,
+    init_unnormalized,
+    log_step,
     predict,
+    telegraph_ito_step,
+    telegraph_langevin_step,
     telegraph_model,
+    to_gamma,
+    wonham_langevin_step,
+    wonham_step,
+    zakai_ito_step,
+    zakai_langevin_step,
 )
 from jumpfilter import harness
 from jumpfilter.cli import main
@@ -667,8 +679,50 @@ class TestDriverErrorPolicy:
             warnings.simplefilter("always")
             with pytest.raises(error.get(scheme, FilterInstabilityError)):
                 drive(kernel, kernel.start(), np.array([0.01, 1e308]))
-            with contextlib.suppress(GammaRangeError):
-                step_once(kernel, kernel.start(), 1e308)
+            if scheme == "telegraph-ito":
+                # the Euler step's q overflows and is clamped to 1: a finite state
+                assert step_once(kernel, kernel.start(), 1e308) == (1.0, 1)
+            else:
+                with pytest.raises(error.get(scheme, FilterInstabilityError)):
+                    step_once(kernel, kernel.start(), 1e308)
+        assert [str(w.message) for w in caught] == []
+
+    @staticmethod
+    def step_from_start(step, dy):
+        """The public step function ``step`` over one increment ``dy``, from
+        its initial state on the three-state (telegraph: two-state) model."""
+        model, beta, dt = TestDriverErrorPolicy.THREE, 0.5, 1e-3
+        weights = init_unnormalized(model)
+        probs = FilterState(probs=model.initial_dist)
+        if step in (telegraph_ito_step, telegraph_langevin_step):
+            return step(TelegraphState(q=0.0), 1.0, beta, dt, dy)
+        if step in (zakai_ito_step, zakai_langevin_step, wonham_step, wonham_langevin_step):
+            return step(weights if step.__name__.startswith("zakai") else probs,
+                        model, beta, dt, dy)
+        if step is log_step:
+            return step(LogState(theta=np.log(weights.psi)), model, beta, dt, dy)
+        if step is gamma_langevin_step:
+            return step(to_gamma(weights, drift_matrix(model, beta)), model, beta, dt, dy)
+        return step(DiscreteBayesState(probs=model.initial_dist), model, dt, dy, beta)
+
+    @pytest.mark.parametrize("step", [
+        zakai_ito_step, zakai_langevin_step, log_step, gamma_langevin_step, wonham_step,
+        wonham_langevin_step, bayes_forward_step, telegraph_ito_step, telegraph_langevin_step,
+    ], ids=lambda step: step.__name__)
+    def test_public_step_fails_as_a_run_does(self, step):
+        # zakai_ito_step, zakai_langevin_step, log_step, wonham_langevin_step,
+        # bayes_forward_step and telegraph_langevin_step used to raise
+        # ValueError, the invalid-input type, from their state's construction
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if step is telegraph_ito_step:
+                # the Euler step's q overflows and is clamped to 1: a finite state
+                state = self.step_from_start(step, 1e308)
+                assert (state.q, state.clamps) == (1.0, 1)
+            else:
+                # GammaRangeError is one; telegraph-langevin's Heun step forms inf - inf
+                with pytest.raises(FilterInstabilityError):
+                    self.step_from_start(step, 1e308)
         assert [str(w.message) for w in caught] == []
 
     def test_history_off_the_simplex_raises(self):
