@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -41,6 +42,11 @@ UNIFORMIZATION_TAIL = 1e-13
 # lists then stay well under 100 MB, and the holding times stay far above one
 # ulp of the horizon, below which the path's time would stop advancing.
 JUMP_BUDGET = 1e6
+
+# Most steps a grid may have, horizon / dt. Each per-step float array of
+# such a grid fits in 80 MB, where a dt far too small would ask numpy for
+# terabytes. The tests and benchmarks use at most 1e5 steps.
+STEP_BUDGET = 1e7
 
 # model document key -> ChainModel field; every key is required
 MODEL_FIELDS = {"levels": "levels", "rates": "rates", "initial": "initial_dist"}
@@ -176,13 +182,16 @@ def transition_matrix(model: ChainModel, h: float) -> np.ndarray:
         raise ValueError(f"horizon must be finite and nonnegative, not {h!r}")
     k = model.n_states
     lam = model.max_exit_rate
+    # keep the series short: halve h until mu <= 400, then square back,
+    # renormalizing the rows after each squaring, or their sums' defect
+    # (1e-13 from the series, then rounding) would double every time
+    squarings = 0
+    while lam * h > 400.0:
+        h /= 2.0
+        squarings += 1
     mu = lam * h
     if mu == 0.0:
         return np.eye(k)
-    if mu > 400.0:
-        # keep the series short; squaring preserves stochastic structure
-        half = transition_matrix(model, h / 2.0)
-        return half @ half
     stoch = np.eye(k) + model.generator / lam
     weight = np.exp(-mu)
     total = weight
@@ -195,6 +204,9 @@ def transition_matrix(model: ChainModel, h: float) -> np.ndarray:
         weight *= mu / m
         out += weight * power
         total += weight
+    for _ in range(squarings):
+        out = out @ out
+        out /= out.sum(axis=1, keepdims=True)
     return out
 
 
@@ -403,7 +415,10 @@ def stationary_distribution(model: ChainModel) -> np.ndarray:
 
 def json_object(source: str | dict, what: str) -> dict:
     """JSON text or its parsed value as a dict; ValueError unless a JSON object."""
-    doc = json.loads(source) if isinstance(source, str) else source
+    try:
+        doc = json.loads(source) if isinstance(source, str) else source
+    except RecursionError:
+        raise ValueError(f"{what} is nested too deeply to parse") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{what} must be a JSON object, not {type(doc).__name__}")
     return doc
@@ -426,7 +441,17 @@ def json_fields(source: str | dict, what: str, fields: dict, required) -> dict:
 def model_from_json(source: str | dict) -> ChainModel:
     """Load a model from the JSON document {"levels":[...], "rates":[[...]], "initial":[...]}."""
     values = json_fields(source, "model", MODEL_FIELDS, MODEL_FIELDS)
-    return ChainModel(**{name: np.asarray(value, dtype=float) for name, value in values.items()})
+    arrays = {}
+    for key, name in MODEL_FIELDS.items():
+        try:
+            arrays[name] = np.asarray(values[name], dtype=float)
+            entries = np.asarray(values[name], dtype=object).flat
+        except (TypeError, ValueError, OverflowError):
+            entries = [None]
+        if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in entries):
+            raise ValueError(f"model key {key!r} must be a number or nested lists of numbers, "
+                             "not bools, strings, nulls or objects")
+    return ChainModel(**arrays)
 
 
 def model_to_json(model: ChainModel) -> dict:

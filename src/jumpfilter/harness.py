@@ -28,7 +28,7 @@ from .chain import (
     model_to_json,
     simulate_jump_path,
 )
-from .kernels import KERNELS, Trajectory, check_signs, drive
+from .kernels import KERNELS, Trajectory, check_signs, check_step, drive
 from .seeding import ROLE_JUMP, ROLE_NOISE, derive_rng
 from .signalpath import (
     ObservationGrid,
@@ -76,11 +76,12 @@ class ExperimentConfig:
 
     Construction is the one check of a config. It raises ValueError unless
     the scheme is known; horizon, dt and beta are real numbers (not bools),
-    finite and positive, stored as float; correction_sign and master_seed
-    are numbers of integral value (not bools), stored as int; dt divides the
-    horizon; the sign options are valid; the scheme can filter the model;
-    a path over the horizon expects at most ``JUMP_BUDGET`` jumps; and
-    ``out_dir`` is a str or a path. Messages name the config key.
+    finite and positive, stored as float; beta**2 and 1/beta**2 are finite
+    and nonzero; correction_sign and master_seed are numbers of integral
+    value (not bools), stored as int; dt divides the horizon into at most
+    ``STEP_BUDGET`` steps; the sign options are valid; the scheme can filter
+    the model; a path over the horizon expects at most ``JUMP_BUDGET``
+    jumps; and ``out_dir`` is a str or a path. Messages name the config key.
     """
 
     model: ChainModel
@@ -99,6 +100,7 @@ class ExperimentConfig:
                           ("correction_sign", int), ("master_seed", int)):
             name = CONFIG_FIELDS[key]
             object.__setattr__(self, name, _number(key, getattr(self, name), kind))
+        check_step(self.dt, self.beta)
         _step_count(self.horizon, self.dt)
         check_signs(self.correction_sign, self.sign_variant)
         kernel.check_model(self.model)
@@ -321,7 +323,7 @@ def _ladders(config: ExperimentConfig, halvings: int, pairs: dict):
     Each distinct side runs once per grid. A pair is left out when the
     scheme of either side cannot filter the config's model.
     """
-    _, fine = simulate_pair(replace(config, dt=config.dt / 2**halvings))
+    _, fine = simulate_pair(replace(config, dt=math.ldexp(config.dt, -halvings)))
     grids = [coarsen(fine, 2 ** (halvings - k)) for k in range(halvings + 1)]
     pairs = {label: pair for label, pair in pairs.items()
              if all(_filters(side[0], config.model) for side in pair[:2])}

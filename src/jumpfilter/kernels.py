@@ -20,9 +20,9 @@ the Python loop over the steps carries only the recurrence:
   normalizer of the unnormalized schemes, Gamma's psi = exp(A t) Gamma and
   its range check).
 
-Building a kernel also checks that dt and beta are finite and positive, its
-options (:func:`check_signs`) and, through the kernel's ``check_model``,
-that the scheme can filter the model.
+Building a kernel also checks dt and beta (:func:`check_step`), its options
+(:func:`check_signs`) and, through the kernel's ``check_model``, that the
+scheme can filter the model.
 
 Only wonham-ito also steps a batch of R replicas. Its batch is held
 states-first, as a contiguous (K, R) array with one replica per column, so
@@ -70,6 +70,7 @@ __all__ = [
     "Trajectory",
     "check_increments",
     "check_signs",
+    "check_step",
     "drive",
     "step_once",
 ]
@@ -102,6 +103,18 @@ class GammaRangeError(FilterInstabilityError):
     """exp(+-A t) left floating-point range; use the log-domain filter instead."""
 
 
+def check_step(dt: float, beta: float) -> None:
+    """The one check of a step size and a noise intensity: ValueError unless
+    both are finite and positive and beta**2 and 1/beta**2 are finite and
+    nonzero, as the schemes divide by beta**2."""
+    if not (0 < dt < np.inf and 0 < beta < np.inf):
+        raise ValueError(f"dt and beta must be finite and positive, not {dt!r} and {beta!r}")
+    beta_sq = float(beta) * float(beta)  # Python floats overflow to inf without raising
+    if not (0 < beta_sq < np.inf and 1.0 / beta_sq < np.inf):
+        raise ValueError(f"beta={beta!r} is out of range: beta**2 and 1/beta**2 must be "
+                         "finite and nonzero")
+
+
 def check_signs(correction_sign: int = -1, sign_variant: str = "innovation") -> None:
     """The one check of the two variant options every scheme takes."""
     if correction_sign not in (-1, 1):
@@ -118,9 +131,9 @@ def check_increments(dy: np.ndarray) -> None:
 
 
 def on_simplex(probs: np.ndarray) -> bool:
-    """Whether each row of ``probs`` is finite, nonnegative and sums to 1 +- SIMPLEX_TOLERANCE."""
-    return bool(np.isfinite(probs).all() and (probs >= 0).all()
-                and (np.abs(_row_sums(probs) - 1.0) <= SIMPLEX_TOLERANCE).all())
+    """Whether each row of ``probs`` is nonnegative and sums to 1 +- SIMPLEX_TOLERANCE, so
+    also finite: NaN fails the first test, an infinite entry the second."""
+    return bool((probs >= 0).all() and (abs(_row_sums(probs) - 1.0) <= SIMPLEX_TOLERANCE).all())
 
 
 def check_probability_vector(probs) -> np.ndarray:
@@ -154,8 +167,10 @@ def drift_matrix(model: ChainModel, beta: float, correction_sign: int = -1) -> n
 
 
 def correction_diagonal(levels: np.ndarray, beta: float, correction_sign: int = -1) -> np.ndarray:
-    """The smooth-noise drift correction  sign * (1/2) a_j^2 / beta^2  per state."""
-    return correction_sign * 0.5 * levels**2 / beta**2
+    """The smooth-noise drift correction  sign * (1/2) a_j^2 / beta^2  per state;
+    an entry beyond the float range is infinite, and a run over it fails."""
+    with np.errstate(over="ignore"):
+        return correction_sign * 0.5 * levels**2 / beta**2
 
 
 def propagator_pair(a_matrix: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -288,8 +303,7 @@ class Kernel:
 
     def __init__(self, model, dt: float, beta: float, correction_sign: int = -1,
                  sign_variant: str = "innovation"):
-        if not (0 < dt < np.inf and 0 < beta < np.inf):
-            raise ValueError(f"dt and beta must be finite and positive, not {dt!r} and {beta!r}")
+        check_step(dt, beta)
         check_signs(correction_sign, sign_variant)
         self.model = model
         self.dt = dt
@@ -440,7 +454,8 @@ class WonhamLangevin(Kernel):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.levels_sq = self.levels**2
+        with np.errstate(over="ignore"):
+            self.levels_sq = self.levels**2
 
     def start(self, initial=None):
         return np.array(self.model.initial_dist) if initial is None else self.initial(initial)
@@ -635,7 +650,10 @@ class TelegraphLangevin(_Telegraph):
 
 class BayesOracle(Kernel):
     """Discrete Bayes forward filter: exact transition matrix, then the
-    Gaussian increment likelihood; state p."""
+    Gaussian increment likelihood; state p. This is the Lie-Trotter
+    splitting-up scheme of the filtering equation (Le Gland 1992; Bensoussan,
+    Glowinski & Rascanu 1990): the signal's forward equation is solved
+    exactly over a step, then the observation part alone."""
 
     scheme = "bayes-oracle"
 
@@ -725,11 +743,11 @@ def check_states(scheme: str, probs: np.ndarray, extras: dict, presum_devs=None)
     FilterInstabilityError unless ``probs`` and every extra are finite, every
     row of ``probs`` is :func:`on_simplex`, and no deviation |presum - 1| in
     ``presum_devs`` (wonham-ito) exceeds PRESUM_TOLERANCE or is NaN."""
-    if not (np.all(np.isfinite(probs)) and all(np.all(np.isfinite(v)) for v in extras.values())):
+    if not all(np.isfinite(v).all() for v in (probs, *extras.values())):
         raise FilterInstabilityError(f"{scheme}: the filter state became non-finite")
     if not on_simplex(probs):
         raise FilterInstabilityError(f"{scheme}: probabilities left the simplex")
-    if presum_devs is not None and not np.all(presum_devs <= PRESUM_TOLERANCE):
+    if presum_devs is not None and not (presum_devs <= PRESUM_TOLERANCE).all():
         raise FilterInstabilityError(
             f"{scheme}: step left the simplex (pre-renormalization sum off by "
             f"{float(np.max(presum_devs))!r}); reduce dt or check the inputs"
@@ -806,7 +824,8 @@ def drive(kernel: Kernel, state, dy: np.ndarray, keep_history: bool = True) -> T
     check_states(kernel.scheme, probs, extras, presum_worst if kernel.carries_presum else None)
     run = Trajectory(kernel.scheme, np.arange(n_steps + 1) * kernel.dt, probs, clamps,
                      extras=extras)
-    if extras.pop("presum", None) is not None:
+    if kernel.carries_presum:
+        del extras["presum"]
         run.presum_max_dev = float(presum_worst.max())
         run.presum_total_dev = float(presum_total.max())
     replica_steps = n_steps * (probs[0].size // probs.shape[-1])

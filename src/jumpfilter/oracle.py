@@ -69,7 +69,8 @@ def bayes_forward_step(
     beta: float,
     trans: np.ndarray | None = None,
 ) -> DiscreteBayesState:
-    """One predict-correct cycle of the discrete Bayes filter.
+    """One predict-correct cycle of the discrete Bayes filter, the Lie-Trotter
+    splitting-up scheme (Le Gland 1992; Bensoussan, Glowinski & Rascanu 1990).
 
     Predict with the exact one-step transition matrix (all transitions
     counted), then weight state j by the Gaussian likelihood of the increment,

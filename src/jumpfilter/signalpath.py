@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainModel, JumpPath, step_level_integrals
+from .chain import STEP_BUDGET, ChainModel, JumpPath, step_level_integrals
+from .kernels import check_step
 
 __all__ = [
     "ObservationGrid",
@@ -37,7 +38,8 @@ class ObservationGrid:
 
     Attributes:
         dt: step size, finite and > 0.
-        beta: noise intensity, finite and > 0.
+        beta: noise intensity, finite and > 0, with beta**2 and 1/beta**2
+            finite and nonzero (:func:`jumpfilter.kernels.check_step`).
         dy: observation increments, shape (n,).
         dw: Brownian increments used to build ``dy``, shape (n,).
         x_level: signal level at the start of each step, shape (n,).
@@ -50,9 +52,7 @@ class ObservationGrid:
     x_level: np.ndarray
 
     def __post_init__(self):
-        if not (0 < self.dt < math.inf and 0 < self.beta < math.inf):
-            raise ValueError(f"dt and beta must be finite and positive, not {self.dt!r} and "
-                             f"{self.beta!r}")
+        check_step(self.dt, self.beta)
         for name in ("dy", "dw", "x_level"):
             arr = np.array(getattr(self, name), dtype=float)
             arr.setflags(write=False)
@@ -79,6 +79,9 @@ def _step_count(horizon: float, dt: float) -> int:
     if not math.isfinite(ratio):
         raise ValueError(f"dt={dt} and horizon={horizon} give no finite step count")
     n = int(round(ratio))
+    if n > STEP_BUDGET:
+        raise ValueError(f"dt={dt} gives {n} steps over horizon={horizon}, above the budget "
+                         f"of {STEP_BUDGET:.0e}")
     if n < 1 or abs(n * dt - horizon) > 1e-9 * max(1.0, abs(horizon)):
         raise ValueError(f"dt={dt} does not divide horizon={horizon}")
     return n

@@ -97,6 +97,13 @@ class TestTransitionMatrix:
         off = ~np.eye(3, dtype=bool)
         assert np.abs(p[off] - THREE_STATE.rates[off] * h).max() <= 1e-10
 
+    @pytest.mark.parametrize("h", [1e3, 1e16, 1e308])
+    def test_long_horizon_reaches_the_stationary_law(self, h):
+        # the rows' defect used to double with each squaring (row sums 0.078
+        # at h=1e16, 0 at 1e20), and h=1e308 recursed past Python's limit
+        p = transition_matrix(THREE_STATE, h)
+        assert np.abs(p - stationary_distribution(THREE_STATE)).max() <= 1e-12
+
     @pytest.mark.parametrize("h", [1e-6, 0.1, 1.0, 10.0])
     def test_stochastic_rows(self, h):
         p = transition_matrix(THREE_STATE, h)
@@ -317,6 +324,17 @@ class TestJson:
     def test_from_string(self):
         m = model_from_json('{"levels": [1, -1], "rates": [[9, 2], [2, 9]], "initial": [0.5, 0.5]}')
         assert np.array_equal(m.exit_rates, [2.0, 2.0])
+
+    @pytest.mark.parametrize("value", [{"a": 1}, [{"a": 1}, 0.5], 10**400, ["0.5", 0.5],
+                                       [True, 0.0], None],
+                             ids=["object", "object-entry", "huge-int", "string-entry",
+                                  "bool-entry", "null"])
+    def test_value_of_the_wrong_type_names_its_key(self, value):
+        # the first three used to escape as TypeError or OverflowError, the
+        # string and the bool were read as numbers, and null as NaN
+        doc = dict(model_to_json(TELEGRAPH), initial=value)
+        with pytest.raises(ValueError, match="model key 'initial'"):
+            model_from_json(doc)
 
 
 class TestJumpBudget:

@@ -98,6 +98,24 @@ class TestConfig:
             telegraph_config(model=telegraph_model(2 * JUMP_BUDGET))
         telegraph_config(model=telegraph_model(JUMP_BUDGET))
 
+    @pytest.mark.parametrize("beta", [1e300, 1e-200])
+    def test_beta_whose_square_leaves_the_float_range_is_refused(self, beta):
+        # each used to pass construction, then fail a run with OverflowError,
+        # ZeroDivisionError or a numpy warning
+        with pytest.raises(ValueError, match="beta"):
+            telegraph_config(beta=beta)
+        with pytest.raises(ValueError, match="beta"):
+            KERNELS["wonham-langevin"](TELEGRAPH, 1e-3, beta)
+        with pytest.raises(ValueError, match="beta"):
+            ObservationGrid(dt=1e-3, beta=beta, dy=[0.0], dw=[0.0], x_level=[1.0])
+
+    def test_step_budget_is_checked_before_allocating(self):
+        # a 5e13-step grid used to reach numpy's allocator
+        with pytest.raises(ValueError, match="budget"):
+            telegraph_config(dt=1e-15)
+        with pytest.raises(ValueError, match="budget"):
+            run_convergence(telegraph_config(), 60)
+
     def test_step_must_divide_horizon(self):
         with pytest.raises(ValueError, match="divide"):
             telegraph_config(dt=0.3)
@@ -614,6 +632,14 @@ class TestCli:
         assert main(["filter", "--config", str(file)]) == 2
         assert capsys.readouterr().err.startswith("error: horizon * max exit rate")
         assert not (tmp_path / "out").exists()
+
+    def test_config_nested_past_the_parser_limit_exits_2(self, tmp_path, capsys):
+        # json.loads used to raise RecursionError (exit 1)
+        file = tmp_path / "deep.json"
+        file.write_text("[" * 100_000)
+        assert main(["validate", "--config", str(file)]) == 2
+        assert main(["filter", "--config", str(file)]) == 2
+        assert capsys.readouterr().err.startswith("error: a config is nested too deeply")
 
     def test_entry_point_runs(self, config_file):
         proc = subprocess.run(
