@@ -20,6 +20,7 @@ import numpy as np
 
 from . import wonham
 from .chain import (
+    STEP_BUDGET,
     ChainModel,
     JumpPath,
     check_jump_budget,
@@ -81,7 +82,8 @@ class ExperimentConfig:
     value (not bools), stored as int; dt divides the horizon into at most
     ``STEP_BUDGET`` steps; the sign options are valid; the scheme can filter
     the model; a path over the horizon expects at most ``JUMP_BUDGET``
-    jumps; and ``out_dir`` is a str or a path. Messages name the config key.
+    jumps; and ``out_dir`` is a str or a path, not the empty str. Messages
+    name the config key.
     """
 
     model: ChainModel
@@ -107,6 +109,8 @@ class ExperimentConfig:
         check_jump_budget(self.model, self.horizon)
         if not isinstance(self.out_dir, (str, os.PathLike)):
             raise ValueError(f"out_dir must be a str or a path, not {self.out_dir!r}")
+        if self.out_dir == "":
+            raise ValueError("out_dir must not be empty; write '.' for the working directory")
 
     def to_json(self) -> dict:
         doc = {key: getattr(self, name) for key, name in CONFIG_FIELDS.items()}
@@ -367,6 +371,9 @@ def run_convergence(config: ExperimentConfig, halvings: int) -> list[dict]:
     """
     if halvings < 2:
         raise ValueError("need at least 2 halvings to estimate an order")
+    if _step_count(config.horizon, config.dt) * 2**halvings > STEP_BUDGET:
+        raise ValueError(f"--halvings {halvings} refines dt={config.dt} beyond the step budget "
+                         f"of {STEP_BUDGET:.0e} steps over T={config.horizon}")
     grids, ladders = _ladders(config, halvings, CONVERGENCE_PAIRS)
     rows = []
     for name, ladder in ladders.items():

@@ -17,8 +17,7 @@ the Python loop over the steps carries only the recurrence:
 * ``probs(history) -> (probs, extras)``: the normalized (rows, K) history
   and the scheme's extra columns, in one vectorized pass after the loop,
   including the work that is only ever written out (the running log
-  normalizer of the unnormalized schemes, Gamma's psi = exp(A t) Gamma and
-  its range check).
+  normalizer of the Zakai schemes).
 
 Building a kernel also checks dt and beta (:func:`check_step`), its options
 (:func:`check_signs`) and, through the kernel's ``check_model``, that the
@@ -33,9 +32,8 @@ layout.
 :func:`drive` runs any kernel over an increment record and applies the single
 error policy: finite increments at entry (:func:`check_increments`, a
 ValueError), then at exit :func:`check_states` and the clamp budget, whose
-failures raise FilterInstabilityError (GammaRangeError, from Gamma's
-``probs``, is one). No step checks anything; :func:`step_once` runs the same
-:func:`check_states` on the state it steps to.
+failures raise FilterInstabilityError. No step checks anything;
+:func:`step_once` runs the same :func:`check_states` on the state it steps to.
 
 The arithmetic of each scheme lives here exactly once; the public step
 functions of :mod:`jumpfilter.zakai`, :mod:`jumpfilter.wonham` and
@@ -276,6 +274,14 @@ def _wonham_langevin_field(probs, generator, levels, levels_sq, beta_sq, rate, c
     )
 
 
+def observation_diagonal(dy: np.ndarray, dt: float, beta_sq: float, levels: np.ndarray):
+    """The diagonal  a (dy / dt / beta^2)  of the smooth-noise field of every
+    step, (n, K)."""
+    rate = dy / dt
+    rate /= beta_sq
+    return np.multiply.outer(rate, levels)
+
+
 def _clamp_q(q: float) -> tuple[float, int]:
     if q > 1.0:
         return 1.0, 1
@@ -296,8 +302,6 @@ class Kernel:
     # whether a state is (probs, presum), presum being the sums before the
     # renormalization that produced probs
     carries_presum = False
-    # whether a state is (psi, scale) and probs needs the scale of every step
-    carries_scale = False
     # the public state type that ``start`` takes, and its attribute holding the array
     initial_state = ("FilterState", "probs")
 
@@ -347,7 +351,6 @@ class _Unnormalized(Kernel):
     """
 
     initial_state = ("UnnormalizedState", "psi")
-    carries_scale = True
 
     def start(self, initial=None):
         if initial is None:
@@ -360,17 +363,11 @@ class _Unnormalized(Kernel):
         return (raw / total, total), clamped
 
     def probs(self, history):
-        """Rows of the states that kept their weights (a run without a kept
-        history has (None, scale) entries before its final state)."""
         log_normalizer = np.array([s[1] for s in history])
         np.log(log_normalizer[1:], out=log_normalizer[1:])
         np.add.accumulate(log_normalizer, out=log_normalizer)
-        psi = np.array([s[0] for s in history if s[0] is not None])
-        log_normalizer = log_normalizer[len(history) - len(psi):, None]
-        return (
-            psi / _row_sums(psi),
-            {"log_weights": log_normalizer + np.log(psi)},
-        )
+        psi = np.array([s[0] for s in history])
+        return psi / _row_sums(psi), {"log_weights": log_normalizer[:, None] + np.log(psi)}
 
 
 class ZakaiIto(_Unnormalized):
@@ -390,9 +387,7 @@ class ZakaiLangevin(_Unnormalized):
 
     def prepare(self, state, dy):
         """The diagonal  correction + a (dy / dt / beta^2)  of every step, (n, K)."""
-        rate = dy / self.dt
-        rate /= self.beta_sq
-        diag = np.multiply.outer(rate, self.levels)
+        diag = observation_diagonal(dy, self.dt, self.beta_sq, self.levels)
         diag += self.correction
         return diag
 
@@ -509,33 +504,21 @@ class LogDomain(Kernel):
         return shifted / _row_sums(shifted), {"theta": theta}
 
 
-def gamma_weights(forward: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """psi = exp(A t) Gamma of one state, or of a stack of them in one batched
-    matrix-vector product; GammaRangeError unless psi is positive and finite."""
-    psi = np.matmul(forward, gamma[..., None])[..., 0]
-    # exp(A t) is finite and invertible here, so psi is finite only if Gamma is
-    if not ((psi > 0).all() and np.isfinite(psi).all()):
-        raise GammaRangeError(
-            "Gamma stepping left floating-point range or lost positivity; "
-            "use the log-domain filter"
-        )
-    return psi
+class Gamma(_Unnormalized):
+    """The transform Gamma = exp(-A t) psi, re-based at the start of every
+    step, where Gamma = psi: the Heun step of  dGamma/ds = B(s) D F(s) Gamma,
+    F(s), B(s) = exp(+-A s), over s in [0, dt], mapped back by F = F(dt),
 
+        psi <- F (psi + dt/2 (D psi + B D F (psi + dt D psi))),
 
-class Gamma(Kernel):
-    """State (Gamma, exp(+A t), exp(-A t)) of the transform
-    Gamma = exp(-A t) psi; steps a single (K,) trajectory.
-
-    The step propagators exp(+-A dt) come from ``step_forward`` and
-    ``step_backward`` when both are given, else from :func:`propagator_pair`
-    of the model's :func:`drift_matrix`, which raises GammaRangeError here if
-    they are not finite. ``prepare`` forms the propagators of every step and
-    the two Heun fields that use them, ``step`` advances Gamma alone, and
-    ``probs`` maps the history back to psi = exp(A t) Gamma.
+    with D = diag(a r / beta^2), r = dy/dt; then the rescale of the other
+    unnormalized kernels. The step propagators F and B come from
+    ``step_forward`` and ``step_backward`` when both are given, else from
+    :func:`propagator_pair` of the model's :func:`drift_matrix`, which raises
+    GammaRangeError here if they are not finite.
     """
 
     scheme = "gamma"
-    initial_state = _Unnormalized.initial_state
 
     def __init__(self, model, dt, beta, correction_sign=-1, sign_variant="innovation",
                  step_forward=None, step_backward=None):
@@ -546,52 +529,22 @@ class Gamma(Kernel):
             )
         self.step_forward = step_forward
         self.step_backward = step_backward
-        self.diag_levels = np.diag(self.levels)
-
-    def start(self, initial=None):
-        """At t=0 both propagators are the identity, so Gamma = psi."""
-        psi = initial_weights(self.model) if initial is None else self.initial(initial)
-        identity = np.eye(len(psi))
-        return psi, identity, identity
 
     def prepare(self, state, dy):
-        """(field_now, field_next, exp(A t'), exp(-A t')) of every step t -> t',
-        with the fields  exp(-A s) D exp(A s), D = diag(a) (dy / dt / beta^2),
-        at s = t and s = t'.
+        """The diagonal  a (dy / dt / beta^2)  of every step, (n, K); the drift
+        correction is inside A."""
+        return observation_diagonal(dy, self.dt, self.beta_sq, self.levels)
 
-        The propagators exp(+-A t) of every grid time come from those of
-        ``state`` by one product with exp(+-A dt) per step.
-        """
-        _, forward, backward = state
-        n_steps, k = len(dy), len(forward)
-        forwards = np.empty((n_steps + 1, k, k))
-        backwards = np.empty((n_steps + 1, k, k))
-        forwards[0], backwards[0] = forward, backward
-        step_forward, step_backward = self.step_forward, self.step_backward
-        for r in range(n_steps):
-            np.matmul(forwards[r], step_forward, out=forwards[r + 1])
-            np.matmul(step_backward, backwards[r], out=backwards[r + 1])
-        rate = dy / self.dt
-        rate /= self.beta_sq
-        scaled = np.multiply(self.diag_levels, rate[:, None, None])
-        work = np.matmul(backwards[:-1], scaled)
-        field_now = np.matmul(work, forwards[:-1])
-        np.matmul(backwards[1:], scaled, out=work)
-        field_next = np.matmul(work, forwards[1:], out=scaled)
-        return zip(field_now, field_next, forwards[1:], backwards[1:])
-
-    def step(self, state, inputs):
-        """Heun step of  dGamma/dt = exp(-A t) diag(a) exp(A t) (r / beta^2) Gamma."""
-        field_now, field_next, forward, backward = inputs
-        gamma = state[0]
-        slope_now = field_now @ gamma
-        predictor = gamma + self.dt * slope_now
-        updated = gamma + 0.5 * self.dt * (slope_now + field_next @ predictor)
-        return (updated, forward, backward), 0
+    def step(self, state, diag):
+        psi = state[0]
+        forward, dt = self.step_forward, self.dt
+        now = psi * diag
+        predictor = psi + dt * now
+        after = self.step_backward @ (diag * (forward @ predictor))
+        return self.rescale(forward @ (psi + 0.5 * dt * (now + after)))
 
     def probs(self, history):
-        psi = gamma_weights(np.array([s[1] for s in history]),
-                            np.array([s[0] for s in history]))
+        psi = np.array([s[0] for s in history])
         return psi / _row_sums(psi), {}
 
 
@@ -702,7 +655,7 @@ class Trajectory:
 
     ``times`` is the grid r*dt, r = 0..n. ``probs`` holds the normalized rows
     (the final row only when no history is kept). ``extras`` may carry
-    'log_weights' (n+1, K) for unnormalized schemes, 'q' (n+1,) for telegraph
+    'log_weights' (n+1, K) for the Zakai schemes, 'q' (n+1,) for telegraph
     schemes, and 'theta' for the log-domain scheme.
     ``presum_max_dev``/``presum_total_dev`` track the pre-renormalization
     simplex defect of Euler steps where that invariant applies.
@@ -758,15 +711,6 @@ def _discard(_state) -> None:
     pass
 
 
-def _keep_scales(history: list):
-    """A ``record`` that appends only the scale of each state, as (None, scale)."""
-
-    def record(state):
-        history.append((None, state[1]))
-
-    return record
-
-
 def _presum_tally(state):
     """Per-replica running maximum and total of |presum - 1| over the states
     passed to the returned ``record``, starting with ``state``'s."""
@@ -787,23 +731,23 @@ def drive(kernel: Kernel, state, dy: np.ndarray, keep_history: bool = True) -> T
     ``dy`` is (n,) for one trajectory, or (n, R) for R replicas stepped as a
     batch (wonham-ito only). With ``keep_history`` false only the final state
     is kept and checked, so memory stays O(R K); the pre-sum guard then runs
-    on a running maximum of |presum - 1| carried through the loop, and an
-    unnormalized kernel keeps the O(n) scales its log normalizer sums.
+    on a running maximum of |presum - 1| carried through the loop. An
+    unnormalized kernel needs the scale of every step, so it keeps its history.
 
-    Raises ValueError for non-finite increments, before the first step;
+    Raises ValueError for non-finite increments or an unnormalized kernel
+    without a kept history, before the first step;
     FilterInstabilityError from :func:`check_states`, or for more than
     CLAMP_FAILURE_FRACTION of the replica-steps clamping.
     """
     check_increments(dy)
+    if not keep_history and isinstance(kernel, _Unnormalized):
+        raise ValueError(f"{kernel.scheme} needs the scale of every step: keep the history")
     n_steps = len(dy)
     history = [state]
     if keep_history:
         record = history.append
     elif kernel.carries_presum:
         record, presum_worst, presum_total = _presum_tally(state)
-    elif kernel.carries_scale:
-        history = [(None, state[1])]
-        record = _keep_scales(history)
     else:
         record = _discard
     step = kernel.step

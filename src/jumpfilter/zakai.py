@@ -40,7 +40,6 @@ from .kernels import (
     ZakaiIto,
     ZakaiLangevin,
     drift_matrix,
-    gamma_weights,
     initial_weights,
     ito_update,
     propagator_pair,
@@ -113,24 +112,31 @@ class LogState:
 class GammaState:
     """Similarity-transformed weights Gamma = exp(-A t) psi.
 
-    Carries the constant drift matrix A and the propagators exp(+-A t) at the
-    current time, so stepping advances them by one factor instead of
-    recomputing a matrix exponential from scratch.
+    Carries the weights psi that the Gamma step advances (rescaled, with
+    their log scale, as in :class:`UnnormalizedState`), the constant drift
+    matrix A and the propagators exp(+-A t) at the current time, which a step
+    advances by one factor each; ``gamma`` is derived from psi.
     """
 
-    gamma: np.ndarray
+    psi: np.ndarray
     t: float
     a_matrix: np.ndarray
     forward: np.ndarray   # exp(+A t)
     backward: np.ndarray  # exp(-A t)
     log_normalizer: float = 0.0
+    clamps: int = 0
 
     def __post_init__(self):
-        gamma = np.asarray(self.gamma, dtype=float)
-        if not np.all(np.isfinite(gamma)):
-            raise ValueError("Gamma entries must be finite")
-        object.__setattr__(self, "gamma", gamma)
+        psi = np.asarray(self.psi, dtype=float)
+        if np.any(psi <= 0) or not np.all(np.isfinite(psi)):
+            raise ValueError("psi entries must be positive and finite")
+        object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "a_matrix", np.asarray(self.a_matrix, dtype=float))
+
+    @property
+    def gamma(self) -> np.ndarray:
+        """Gamma = exp(-A t) psi."""
+        return self.backward @ self.psi
 
 
 def init_unnormalized(model: ChainModel) -> UnnormalizedState:
@@ -200,21 +206,28 @@ def to_gamma(state: UnnormalizedState, a_matrix: np.ndarray, t: float | None = N
     a_matrix = np.asarray(a_matrix, dtype=float)
     forward, backward = propagator_pair(a_matrix, t)
     return GammaState(
-        gamma=backward @ state.psi,
+        psi=state.psi,
         t=t,
         a_matrix=a_matrix,
         forward=forward,
         backward=backward,
         log_normalizer=state.log_normalizer,
+        clamps=state.clamps,
     )
 
 
 def from_gamma(state: GammaState) -> UnnormalizedState:
     """Invert the transform: psi = exp(A t) Gamma; GammaRangeError unless psi
     comes back positive and finite."""
-    psi = gamma_weights(state.forward, state.gamma)
+    psi = state.forward @ state.gamma
+    # exp(A t) is finite and invertible here, so psi is finite only if Gamma is
+    if not ((psi > 0).all() and np.isfinite(psi).all()):
+        raise GammaRangeError(
+            "exp(A t) Gamma left floating-point range or lost positivity; "
+            "use the log-domain filter"
+        )
     return UnnormalizedState(
-        psi=psi, log_normalizer=state.log_normalizer, t=state.t, clamps=0
+        psi=psi, log_normalizer=state.log_normalizer, t=state.t, clamps=state.clamps
     )
 
 
@@ -227,24 +240,23 @@ def gamma_langevin_step(
     step_forward: np.ndarray | None = None,
     step_backward: np.ndarray | None = None,
 ) -> GammaState:
-    """Heun step of  dGamma/dt = exp(-A t) diag(a) exp(A t) (r / beta^2) Gamma.
+    """Heun step of  dGamma/dt = exp(-A t) diag(a) exp(A t) (r / beta^2) Gamma,
+    re-based at t (the Gamma kernel's step of psi), then the rescale.
 
     ``step_forward``/``step_backward`` are exp(+-A dt); pass both in when
     stepping many times with the same dt to avoid recomputing them. Raises
-    GammaRangeError when the propagators overflow or exp(A t) Gamma is no
-    longer positive.
+    GammaRangeError when they overflow.
     """
     if step_forward is None or step_backward is None:
         step_forward, step_backward = propagator_pair(state.a_matrix, dt)
     kernel = Gamma(model, dt, beta, step_forward=step_forward, step_backward=step_backward)
-    (gamma, forward, backward), _ = step_once(
-        kernel, (state.gamma, state.forward, state.backward), dy
-    )
+    (psi, total), clamped = step_once(kernel, (state.psi, state.log_normalizer), dy)
     return GammaState(
-        gamma=gamma,
+        psi=psi,
         t=state.t + dt,
         a_matrix=state.a_matrix,
-        forward=forward,
-        backward=backward,
-        log_normalizer=state.log_normalizer,
+        forward=state.forward @ step_forward,
+        backward=step_backward @ state.backward,
+        log_normalizer=float(state.log_normalizer + np.log(total)),
+        clamps=state.clamps + clamped,
     )

@@ -32,8 +32,7 @@ from jumpfilter import (
 )
 from jumpfilter import harness
 from jumpfilter.cli import main
-from jumpfilter.kernels import (KERNELS, GammaRangeError, Kernel, TelegraphIto, WonhamIto, drive,
-                                step_once)
+from jumpfilter.kernels import KERNELS, Kernel, TelegraphIto, WonhamIto, drive, step_once
 from jumpfilter.signalpath import ObservationGrid
 from jumpfilter.zakai import FilterInstabilityError
 from jumpfilter.harness import (
@@ -545,8 +544,9 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
         assert list(tmp_path.iterdir()) == [file]
 
-    def test_gamma_out_of_range_exits_3(self, tmp_path, capsys):
-        # exp(+-A t) of this K=8 model overflows the Gamma transform before T=5
+    def test_gamma_on_the_k8_model_exits_0(self, tmp_path):
+        # exp(+-A t) of this K=8 model used to overflow the Gamma transform
+        # before T=5 (exit 3); re-based at every step, Gamma tracks zakai-langevin
         rates = np.random.default_rng(0).uniform(0.1, 1.0, size=(8, 8))
         np.fill_diagonal(rates, 0.0)
         model = ChainModel(levels=np.linspace(-1.0, 1.0, 8), rates=rates,
@@ -555,8 +555,35 @@ class TestCli:
                                   out_dir=str(tmp_path / "out"))
         file = tmp_path / "k8.json"
         file.write_text(json.dumps(config.to_json()))
-        assert main(["filter", "--config", str(file)]) == 3
-        assert "run failed: Gamma" in capsys.readouterr().err
+        assert main(["filter", "--config", str(file)]) == 0
+        assert (tmp_path / "out" / "trajectory.csv").exists()
+        _, grid = simulate_pair(config)
+        gamma = run_trajectory(model, grid, "gamma", correction_sign=-1)
+        langevin = run_trajectory(model, grid, "zakai-langevin", correction_sign=-1)
+        assert gamma.clamps == 0
+        assert np.abs(gamma.probs - langevin.probs).max() <= 2e-3
+
+    def test_empty_out_dir_exits_2(self, config_file, tmp_path, monkeypatch, capsys):
+        # "" used to write trajectory.csv and run_report.json into the working
+        # directory, since Path("") is "."
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["filter", "--config", str(config_file), "--out", ""]) == 2
+        doc = json.loads(config_file.read_text())
+        doc["out_dir"] = ""
+        config_file.write_text(json.dumps(doc))
+        assert main(["filter", "--config", str(config_file)]) == 2
+        assert capsys.readouterr().err.count("error: out_dir must not be empty") == 2
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("halvings", ["20", "2000"])
+    def test_halvings_beyond_the_step_budget_exits_2(self, tmp_path, capsys, halvings):
+        # the refined grid's check used to blame dt, a key the user did not set
+        config = telegraph_config(horizon=0.05, out_dir=str(tmp_path / "out"))
+        file = tmp_path / "config.json"
+        file.write_text(json.dumps(config.to_json()))
+        assert main(["convergence", "--config", str(file), "--halvings", halvings]) == 2
+        assert capsys.readouterr().err.startswith(f"error: --halvings {halvings} refines")
         assert not (tmp_path / "out").exists()
 
     def test_filter_instability_exits_3(self, tmp_path, capsys):
@@ -699,17 +726,17 @@ class TestDriverErrorPolicy:
     @pytest.mark.parametrize("scheme", list(KERNELS))
     def test_overflow_raises_typed_error_without_numpy_warnings(self, scheme):
         # numpy used to print RuntimeWarnings before drive raised its own error
-        error = {"gamma": GammaRangeError}
+        # (gamma's used to be GammaRangeError, from the range check of its probs)
         kernel = KERNELS[scheme](TELEGRAPH, 1e-3, 0.5)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with pytest.raises(error.get(scheme, FilterInstabilityError)):
+            with pytest.raises(FilterInstabilityError):
                 drive(kernel, kernel.start(), np.array([0.01, 1e308]))
             if scheme == "telegraph-ito":
                 # the Euler step's q overflows and is clamped to 1: a finite state
                 assert step_once(kernel, kernel.start(), 1e308) == (1.0, 1)
             else:
-                with pytest.raises(error.get(scheme, FilterInstabilityError)):
+                with pytest.raises(FilterInstabilityError):
                     step_once(kernel, kernel.start(), 1e308)
         assert [str(w.message) for w in caught] == []
 
@@ -746,7 +773,7 @@ class TestDriverErrorPolicy:
                 state = self.step_from_start(step, 1e308)
                 assert (state.q, state.clamps) == (1.0, 1)
             else:
-                # GammaRangeError is one; telegraph-langevin's Heun step forms inf - inf
+                # telegraph-langevin's Heun step forms inf - inf
                 with pytest.raises(FilterInstabilityError):
                     self.step_from_start(step, 1e308)
         assert [str(w.message) for w in caught] == []
@@ -802,14 +829,18 @@ class TestDriverErrorPolicy:
 @pytest.mark.parametrize("scheme", list(KERNELS))
 def test_run_without_history_ends_on_the_last_kept_row(scheme):
     # every part of a run without a kept history: the final row, its extras
-    # (log_weights, theta, q), the clamps and the pre-sum statistics
+    # (theta, q), the clamps and the pre-sum statistics
     model = TELEGRAPH if scheme.startswith("telegraph") else TestDriverErrorPolicy.THREE
     kernel = KERNELS[scheme](model, 1e-3, 0.5)
     initial = None
     if kernel.initial_state[0] == "UnnormalizedState":
-        # a start with a log scale of its own, which the log normalizer carries
         initial = UnnormalizedState(psi=[0.6, 0.3, 0.1][:model.n_states], log_normalizer=1.5)
     dy = 3e-4 + 0.5 * np.sqrt(1e-3) * np.random.default_rng(4).standard_normal(400)
+    if scheme in ("zakai-ito", "zakai-langevin", "gamma"):
+        # the log normalizer sums the scale of every step, so these keep a history
+        with pytest.raises(ValueError, match="keep the history"):
+            drive(kernel, kernel.start(initial), dy, keep_history=False)
+        return
     full = drive(kernel, kernel.start(initial), dy)
     last = drive(kernel, kernel.start(initial), dy, keep_history=False)
     assert np.array_equal(last.probs, full.probs[-1:])

@@ -4,7 +4,9 @@ A ``ChainModel`` or ``ExperimentConfig`` that exists has passed its checks,
 so its JSON form must load back to the same value, and corrupting one field of
 a valid model must make construction fail with that field's violation. A run
 on any valid model, however stiff, returns a finite on-simplex history or
-raises one of the run-failure types, without numpy warnings.
+raises one of the run-failure types, without numpy warnings. The
+unnormalized schemes are linear, so scaling their start weights leaves the
+normalized history unchanged.
 """
 
 import json
@@ -19,6 +21,7 @@ from jumpfilter.chain import ChainModel, model_from_json, model_to_json
 from jumpfilter.harness import SCHEMES, ExperimentConfig, run_trajectory
 from jumpfilter.kernels import SIMPLEX_TOLERANCE, FilterInstabilityError, GammaRangeError
 from jumpfilter.signalpath import ObservationGrid
+from jumpfilter.zakai import UnnormalizedState
 
 PROPERTY = settings(max_examples=40, deadline=None)
 
@@ -142,3 +145,19 @@ def test_run_is_on_the_simplex_or_raises_a_run_failure(scheme, model, beta, n_st
     if run is not None:
         assert np.isfinite(run.probs).all() and (run.probs >= 0).all()
         assert np.abs(run.probs.sum(axis=1) - 1.0).max() <= SIMPLEX_TOLERANCE
+
+
+@PROPERTY
+@pytest.mark.parametrize("scheme", ["zakai-ito", "zakai-langevin", "gamma"])
+@given(model=models(), scale=st.floats(1e-100, 1e100), beta=st.floats(0.3, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_scaled_start_weights_leave_the_probabilities(scheme, model, scale, beta, seed):
+    dt, n_steps = 1e-3, 100
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.1, 1.0, size=model.n_states)
+    dy = model.levels[0] * dt + beta * np.sqrt(dt) * rng.standard_normal(n_steps)
+    grid = ObservationGrid(dt=dt, beta=beta, dy=dy, dw=np.zeros(n_steps),
+                           x_level=np.zeros(n_steps))
+    plain, scaled = (run_trajectory(model, grid, scheme, initial=UnnormalizedState(psi=c * weights))
+                     for c in (1.0, scale))
+    assert np.abs(plain.probs - scaled.probs).max() <= 1e-12

@@ -311,12 +311,16 @@ class TestGamma:
         ratios = stepped.gamma / state.gamma
         assert ratios[0] == pytest.approx(ratios[1], rel=1e-12)
 
-    def test_zero_levels_leave_gamma_constant(self):
+    def test_zero_levels_propagate_once(self):
+        # no observation term: the step is the one propagation F psi = exp(A dt) psi
         model = ChainModel(levels=[0.0, 0.0], rates=TELEGRAPH.rates, initial_dist=[0.5, 0.5])
-        a = drift_matrix(model, 0.5, -1)
-        state = to_gamma(UnnormalizedState(psi=np.array([0.3, 0.7])), a, t=0.0)
-        stepped = gamma_langevin_step(state, model, 0.5, 1e-3, 0.37)
-        assert np.array_equal(stepped.gamma, state.gamma)
+        kernel = Gamma(model, 1e-3, 0.5)
+        psi = np.array([0.3, 0.7])
+        (stepped, total), clamped = step_once(kernel, kernel.start(UnnormalizedState(psi=psi)),
+                                              0.37)
+        propagated = kernel.step_forward @ psi
+        assert np.array_equal(stepped, propagated / propagated.sum())
+        assert (total, clamped) == (propagated.sum(), 0)
 
     def test_tracks_langevin_filter_through_transform(self):
         cfg = ExperimentConfig(model=TELEGRAPH, horizon=1.0, dt=5e-4, beta=0.5, master_seed=9)
