@@ -49,6 +49,7 @@ left to right): the CLI outputs are pinned bit for bit by
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -171,11 +172,46 @@ def correction_diagonal(levels: np.ndarray, beta: float, correction_sign: int = 
         return correction_sign * 0.5 * levels**2 / beta**2
 
 
+# Coefficients b_0..b_13 of the [13/13] Pade approximant to exp, and the largest
+# 1-norm at which its backward error stays below double-precision unit
+# roundoff (Higham 2005, "The scaling and squaring method for the matrix
+# exponential revisited", SIAM J. Matrix Anal. Appl. 26(4), Table 2.3).
+PADE_13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+    40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+THETA_13 = 5.371920351148152
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) of a square matrix by scaling and squaring with the [13/13] Pade
+    approximant (Higham 2005): a is scaled by 2^-s so that its 1-norm is at
+    most THETA_13, and the approximant is squared s times. A matrix whose
+    1-norm is not finite gives an all-NaN result; an overflowing square gives
+    inf or NaN entries, as the caller's finite check expects."""
+    norm = np.abs(a).sum(axis=0).max()
+    if not norm < np.inf:
+        return np.full(a.shape, np.nan)
+    s = math.ceil(math.log2(norm / THETA_13)) if norm > THETA_13 else 0
+    a = np.ldexp(a, -s)
+    b = PADE_13
+    ident = np.eye(len(a))
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
 def propagator_pair(a_matrix: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
     """exp(+A t), exp(-A t); raises instead of silently returning inf/nan."""
-    # imported here: scipy.linalg takes ~0.3 s to load and only Gamma needs it
-    from scipy.linalg import expm
-
     with np.errstate(over="ignore", invalid="ignore"):
         forward = expm(a_matrix * t)
         backward = expm(-a_matrix * t)

@@ -137,6 +137,10 @@ def in_directory(path):
          dt=None, halvings=None, horizons=None, out=None)
 @example(mutations=[], command="predict", seed=None, dt=None, halvings=None, horizons="1e308",
          out=None)
+# a 1e300 level makes A t infinite: the Gamma propagators must raise
+# GammaRangeError (exit 3), not OverflowError from the scaling exponent
+@example(mutations=[("set", ("model", "levels", 0), 1e300), ("set", ("scheme",), "gamma")],
+         command="filter", seed=None, dt=None, halvings=None, horizons=None, out=None)
 def test_cli_exits_0_2_or_3_without_warnings(mutations, command, seed, dt, halvings, horizons,
                                              out):
     with tempfile.TemporaryDirectory() as tmp, in_directory(tmp):

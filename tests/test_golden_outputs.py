@@ -5,8 +5,10 @@ configs (T=0.2, dt=1e-3, beta=0.7, master seed 0), as written by the
 original per-scheme implementation of every filter, except those of
 ``filter/gamma/trajectory.csv`` and ``study/convergence.csv`` (whose gamma
 ladder it holds), re-recorded when the Gamma kernel was re-based at every
-step. Any change to the arithmetic, its operation order, or the CSV/JSON
-emission changes a digest.
+step and again when its propagators exp(+-A dt) moved from scipy's ``expm``
+to the package's own Pade [13/13] ``kernels.expm`` (gamma probabilities
+moved by at most 3.9e-15). Any change to the arithmetic, its operation
+order, or the CSV/JSON emission changes a digest.
 The property tests check that the driver and the public R=1 step functions
 run the same arithmetic, bit for bit, and that a batched (R, K) run
 reproduces R separate runs.
@@ -69,7 +71,7 @@ GOLDEN = {
     "filter/gamma/run_report.json":
         "bcc323100744472d593a35488fb6aba2815a146ac311f9ef16a603ad5e786913",
     "filter/gamma/trajectory.csv":
-        "7bbab04e3cf2e985744271fd79fb72f5346bef893406e6e31cf44a98cfe2cba6",
+        "59cf8ded9185976e1f06368fc80445ad869ca39846efea7c99796722c67dd003",
     "filter/log/run_report.json":
         "1dc4ec68982eee4aae84c3f74b75822abd71e681f21487c1d034f06432f71432",
     "filter/log/trajectory.csv":
@@ -111,7 +113,7 @@ GOLDEN = {
     "study/adjudication.json":
         "52f78a79bb12c88ae2d891871f628d0b4c5327f8a18af37ae30874256478204d",
     "study/convergence.csv":
-        "f0bd11897163cfe688407c87546058d1f4831f2a3e21d92508779f7a56eddbb7",
+        "8f2f7a5058f93adbd8600ffabe2f742dc4bdcfb294c5556c4760fdaa2e03ea37",
 }
 
 
@@ -165,7 +167,8 @@ def test_cli_outputs_match_golden_digests(tmp_path, monkeypatch):
 # kernels moved their increment-only terms into one vectorized pass; the
 # adjudication.json digest was recorded before convergence and adjudicate
 # shared one ladder engine. The gamma trajectory and convergence.csv digests
-# were re-recorded, as above, when the Gamma kernel was re-based.
+# were re-recorded, as above, when the Gamma kernel was re-based and when its
+# propagators moved to ``kernels.expm``.
 FIVE_STATE = ChainModel(
     levels=[1.3, 0.55, -0.15, -0.8, 0.35],
     rates=[[0.0, 0.7, 0.2, 0.45, 0.1],
@@ -184,7 +187,7 @@ GOLDEN_K5 = {
     "filter/gamma/run_report.json":
         "bcc323100744472d593a35488fb6aba2815a146ac311f9ef16a603ad5e786913",
     "filter/gamma/trajectory.csv":
-        "c34493f79f737a615cd6326246cd9760f26184dc0a022f9cf051d13ea51bb5ad",
+        "108a8749da37f75b56a14f446878e1c1150d1f5e425ebf1a09b9de99a8b320b1",
     "filter/log/run_report.json":
         "1dc4ec68982eee4aae84c3f74b75822abd71e681f21487c1d034f06432f71432",
     "filter/log/trajectory.csv":
@@ -212,7 +215,7 @@ GOLDEN_K5 = {
     "study/adjudication.json":
         "ac90cf700e13aeb249010c8bdbc3223f9dc18e69232cf547fd792354d9d2e143",
     "study/convergence.csv":
-        "efca948cef2356a871248217ccb72f31758447e3e43405e936da3ea4b3230bf5",
+        "9bbe05d18a973329f7a40a0499daae5148c80ec715c8bcd0c4e2e1a3b9c7fd3f",
 }
 
 

@@ -6,7 +6,9 @@ a valid model must make construction fail with that field's violation. A run
 on any valid model, however stiff, returns a finite on-simplex history or
 raises one of the run-failure types, without numpy warnings. The
 unnormalized schemes are linear, so scaling their start weights leaves the
-normalized history unchanged.
+normalized history unchanged. The Pade [13/13] ``expm`` behind the Gamma
+propagators agrees with scipy's on every drift matrix, and Gamma converges to
+zakai-langevin(-1) at first order.
 """
 
 import json
@@ -16,11 +18,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm as scipy_expm
 
 from jumpfilter.chain import ChainModel, model_from_json, model_to_json
-from jumpfilter.harness import SCHEMES, ExperimentConfig, run_trajectory
-from jumpfilter.kernels import SIMPLEX_TOLERANCE, FilterInstabilityError, GammaRangeError
-from jumpfilter.signalpath import ObservationGrid
+from jumpfilter.harness import SCHEMES, ExperimentConfig, run_trajectory, simulate_pair
+from jumpfilter.kernels import (
+    SIMPLEX_TOLERANCE,
+    FilterInstabilityError,
+    GammaRangeError,
+    drift_matrix,
+    expm,
+)
+from jumpfilter.signalpath import ObservationGrid, coarsen
 from jumpfilter.zakai import UnnormalizedState
 
 PROPERTY = settings(max_examples=40, deadline=None)
@@ -161,3 +170,41 @@ def test_scaled_start_weights_leave_the_probabilities(scheme, model, scale, beta
     plain, scaled = (run_trajectory(model, grid, scheme, initial=UnnormalizedState(psi=c * weights))
                      for c in (1.0, scale))
     assert np.abs(plain.probs - scaled.probs).max() <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=st.one_of(models(), stiff_models()), beta=st.floats(0.05, 5.0),
+       correction_sign=st.sampled_from((-1, 1)), log_norm=st.floats(-6.0, np.log10(50.0)),
+       sign=st.sampled_from((-1.0, 1.0)))
+def test_expm_of_a_drift_matrix_matches_scipy(model, beta, correction_sign, log_norm, sign):
+    a = drift_matrix(model, beta, correction_sign)
+    size = np.abs(a).sum(axis=0).max()
+    # t of either sign, chosen so that ||A t||_1 = 10**log_norm, up to 50
+    at = a * (sign * 10.0**log_norm / size)
+    norm = np.abs(at).sum(axis=0).max()
+    ours, reference = expm(at), scipy_expm(at)
+    relative = np.abs(ours - reference).sum(axis=0).max() / np.abs(reference).sum(axis=0).max()
+    assert relative <= (1e-14 if norm <= 0.1 else 1e-10)
+    if norm <= 1.0:
+        assert np.abs(ours @ expm(-at) - np.eye(len(a))).max() <= 1e-12
+
+
+@settings(max_examples=20, deadline=None)
+@given(model=models(min_states=2), beta=st.floats(0.3, 1.0),
+       master_seed=st.integers(0, 2**32 - 1))
+def test_gamma_meets_zakai_langevin_at_first_order(model, beta, master_seed):
+    # one Brownian path at dt = 2.5e-4, coarsened to 5e-4 and 1e-3. A single
+    # halving's factor is noisy, as the time of the largest gap can move
+    # between grids (1.48 at least over 1300 random models, median 2.0), so
+    # each halving must cut the gap by 1.25x and the two together by 1.5**2.
+    config = ExperimentConfig(model=model, horizon=0.5, dt=2.5e-4, beta=beta,
+                              master_seed=master_seed)
+    _, fine = simulate_pair(config)
+    gaps = []
+    for factor in (4, 2, 1):
+        grid = coarsen(fine, factor)
+        gamma, langevin = (run_trajectory(model, grid, scheme, correction_sign=-1)
+                           for scheme in ("gamma", "zakai-langevin"))
+        gaps.append(np.abs(gamma.probs - langevin.probs).max())
+    assert gaps[0] >= 1.25 * gaps[1] and gaps[1] >= 1.25 * gaps[2]
+    assert gaps[0] >= 1.5**2 * gaps[2]

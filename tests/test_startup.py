@@ -1,7 +1,7 @@
 """Start-up cost: the package and its CLI load no scipy module until a
-scipy-backed computation runs (the Gamma propagators, the irreducibility
-check of ``stationary_distribution``, the Poisson tail of
-``pathspace_expectation``).
+scipy-backed computation runs (the irreducibility check of
+``stationary_distribution``, the Poisson tail of ``pathspace_expectation``).
+No CLI command is one: the Gamma propagators use the package's own ``expm``.
 
 Other tests import scipy into the pytest process, so the check runs in a
 fresh interpreter.
@@ -12,13 +12,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import jumpfilter
 from jumpfilter import telegraph_model
 from jumpfilter.harness import ExperimentConfig
 
-LAZY_MODULES = ("scipy.linalg", "scipy.sparse.csgraph", "scipy.stats")
+LAZY_MODULES = ("scipy.sparse.csgraph", "scipy.stats")
 
 
 def lazy_results(config_file):
@@ -26,11 +27,10 @@ def lazy_results(config_file):
     from dataclasses import replace
 
     from jumpfilter import ChainModel, pathspace_expectation, stationary_distribution
-    from jumpfilter.harness import ExperimentConfig, run_filter, simulate_pair
+    from jumpfilter.harness import ExperimentConfig, simulate_pair
 
     with open(config_file) as fh:
         config = ExperimentConfig.from_json(fh.read())
-    gamma, _ = run_filter(replace(config, scheme="gamma"), write=False)
     three = ChainModel(
         levels=[1.0, 0.3, -0.7],
         rates=[[0.0, 0.6, 0.3], [0.2, 0.0, 0.8], [0.5, 0.4, 0.0]],
@@ -39,7 +39,6 @@ def lazy_results(config_file):
     _, grid = simulate_pair(replace(config, horizon=0.2))
     path = pathspace_expectation(config.model, grid, 0.2, 2, 8, max_truncation=2e-3)
     return {
-        "gamma": gamma.probs.tolist(),
         "stationary": stationary_distribution(three).tolist(),
         "pathspace": [path.probs.tolist(), path.unnormalized.tolist(), path.truncation_bound],
     }
@@ -57,7 +56,7 @@ def scipy_modules():
 
 
 after_import = scipy_modules()
-config_file, out_dir = sys.argv[1:3]
+config_file, gamma_file, out_dir = sys.argv[1:4]
 common = ["--config", config_file, "--out", out_dir]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [jumpfilter.cli.main(argv) for argv in (
@@ -65,6 +64,8 @@ with contextlib.redirect_stdout(io.StringIO()):
         ["simulate", *common],
         ["filter", *common],
         ["predict", *common, "--horizons", "0,1"],
+        ["convergence", *common, "--halvings", "2"],
+        ["filter", "--config", gamma_file, "--out", out_dir + "-gamma"],
     )]
 after_cli = scipy_modules()
 
@@ -81,20 +82,25 @@ def test_cli_runs_without_scipy_and_lazy_paths_match(tmp_path):
                               scheme="wonham-ito", master_seed=7)
     config_file = tmp_path / "config.json"
     config_file.write_text(json.dumps(config.to_json()))
+    gamma_file = tmp_path / "gamma.json"
+    gamma_file.write_text(json.dumps(replace(config, scheme="gamma").to_json()))
     out = tmp_path / "out"
     package_root = str(Path(jumpfilter.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     script = CHILD.format(lazy_results=inspect.getsource(lazy_results))
 
-    proc = subprocess.run([sys.executable, "-c", script, str(config_file), str(out)],
+    proc = subprocess.run([sys.executable, "-c", script, str(config_file), str(gamma_file),
+                           str(out)],
                           capture_output=True, text=True, cwd=tmp_path, env=env)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
 
     assert report["after_import"] == []
-    assert report["codes"] == [0, 0, 0, 0]
-    assert (out / "trajectory.csv").exists() and (out / "prediction.csv").exists()
+    assert report["codes"] == [0] * 6
+    for written in ("trajectory.csv", "prediction.csv", "convergence.csv"):
+        assert (out / written).exists()
+    assert (tmp_path / "out-gamma" / "trajectory.csv").exists()
     assert report["after_cli"] == []
     # the lazy paths ran cold in the child, and return what they return here
     assert set(LAZY_MODULES) <= set(report["after_lazy"])

@@ -281,6 +281,15 @@ class TestGamma:
         with pytest.raises(GammaRangeError, match="log-domain"):
             to_gamma(state, a)
 
+    def test_infinite_a_t_raises_gamma_range_error(self):
+        # A t overflows to inf: the propagators fail as a run (exit 3), not
+        # with OverflowError from the scaling exponent of expm
+        a = drift_matrix(TELEGRAPH, 0.5, -1)
+        with pytest.raises(GammaRangeError, match="log-domain"):
+            propagator_pair(a, 1e308)
+        with pytest.raises(GammaRangeError, match="log-domain"):
+            to_gamma(init_unnormalized(TELEGRAPH), a, t=1e308)
+
     @pytest.mark.parametrize("t", [float("nan"), float("inf"), -1.0])
     def test_invalid_time_is_an_input_error(self, t):
         # a NaN or infinite t used to reach the propagators and raise
