@@ -13,6 +13,9 @@ import json
 import math
 import numbers
 import os
+import sys
+import threading
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -333,12 +336,92 @@ def _ladders(config: ExperimentConfig, halvings: int, pairs: dict):
              if all(_filters(side[0], config.model) for side in pair[:2])}
     sides = dict.fromkeys(side for pair in pairs.values() for side in pair[:2])
     ladders = {label: [] for label in pairs}
-    for grid in grids:
-        runs = {side: run_trajectory(config.model, grid, *side) for side in sides}
-        for label, (a, b, field) in pairs.items():
-            diff = _field(runs[a], field) - _field(runs[b], field)
-            ladders[label].append(float(np.abs(diff).max()))
+    for values in _map_grids([(config.model, grid, sides, pairs) for grid in grids]):
+        for label, value in zip(pairs, values):
+            ladders[label].append(value)
     return grids, ladders
+
+
+def _grid_discrepancies(task) -> list[float]:
+    """For ``task = (model, grid, sides, pairs)``: run each side once on the
+    grid and return the max-over-time discrepancy of each pair, in order."""
+    model, grid, sides, pairs = task
+    runs = {side: run_trajectory(model, grid, *side) for side in sides}
+    return [float(np.abs(_field(runs[a], field) - _field(runs[b], field)).max())
+            for a, b, field in pairs.values()]
+
+
+def _map_grids(tasks: list):
+    """:func:`_grid_discrepancies` of each task, yielded in task order.
+
+    With more than one usable CPU, the tasks fan out over
+    ``min(CPUs, tasks)`` forked workers, longest (finest grid) first. Every
+    outcome is collected; then, task by task, the warnings a worker recorded
+    are issued here and its failure is raised, so callers see what the
+    serial loop shows: the first failing task's exception, and the warnings
+    of it and of the tasks before it. One usable CPU, no "fork" start
+    method, a daemon process (a ``multiprocessing.Pool`` worker, which may
+    not have children) or another running Python thread (whose locks a fork
+    could copy held) runs the tasks in this process, lazily, under plain
+    ``map``.
+    """
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    workers = min(cpus, len(tasks))
+    if workers > 1 and threading.active_count() == 1:
+        import multiprocessing
+
+        if ("fork" in multiprocessing.get_all_start_methods()
+                and not multiprocessing.current_process().daemon):
+            from concurrent.futures import ProcessPoolExecutor
+
+            # unlike multiprocessing.Pool, which waits forever for the task of
+            # a killed worker, the executor raises BrokenProcessPool
+            fork = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(workers, mp_context=fork) as pool:
+                outcomes = list(pool.map(_grid_outcome, tasks[::-1]))[::-1]
+            return _replay(outcomes)
+    return map(_grid_discrepancies, tasks)
+
+
+class WorkerTraceback(Exception):
+    """The formatted traceback of a failure raised in a ladder worker, chained
+    as the ``__cause__`` of the failure the caller re-raises."""
+
+
+def _grid_outcome(task):
+    """:func:`_grid_discrepancies` of ``task`` in a pool worker: its result,
+    the exception it raised with its formatted traceback (or None), and the
+    warnings it issued under the filters the worker inherited, as
+    (message, category, filename, lineno)."""
+    import traceback
+
+    failure = result = None
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            result = _grid_discrepancies(task)
+        except Exception as exc:
+            failure = exc, traceback.format_exc()
+    return result, failure, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
+def _replay(outcomes):
+    """Issue each outcome's warnings, then yield its result or raise its
+    exception. A warning goes through the registry of the module that issued
+    it, so the default filter shows it once per location, as ``warn`` does."""
+    modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
+    for result, failure, caught in outcomes:
+        for message, category, filename, lineno in caught:
+            module = modules.get(filename)
+            warnings.warn_explicit(
+                message, category, filename, lineno,
+                module=module.__name__ if module else None,
+                registry=vars(module).setdefault("__warningregistry__", {}) if module else None,
+            )
+        if failure:
+            exc, text = failure
+            raise exc from WorkerTraceback(text)
+        yield result
 
 
 ITO = ("zakai-ito", -1, "innovation")

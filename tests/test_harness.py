@@ -1,7 +1,10 @@
 import json
 import math
+import os
 import subprocess
 import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -321,22 +324,187 @@ class TestAdjudicate:
 
 
 def test_ladders_run_each_distinct_side_once_per_grid(tmp_path, monkeypatch):
-    runs = []
+    # one line per call in a file, so calls made in pool workers count too
+    log = tmp_path / "runs.log"
 
     def counted(model, grid, *side):
-        runs.append((grid.dt, *side))
+        with open(log, "a") as fh:
+            fh.write(f"{grid.dt!r} {side}\n")
         return run_trajectory(model, grid, *side)
+
+    def runs():
+        lines = log.read_text().splitlines()
+        log.unlink()
+        return lines
 
     monkeypatch.setattr(harness, "run_trajectory", counted)
     config = telegraph_config(horizon=0.2, out_dir=str(tmp_path))
     rows = run_convergence(config, halvings=2)
-    assert len(runs) == len(set(runs)) == 7 * 3
-    runs.clear()
+    conv_runs = runs()
+    assert len(conv_runs) == len(set(conv_runs)) == 7 * 3
     report = run_adjudicate(config)
-    assert len(runs) == len(set(runs)) == 5 * 3
+    adj_runs = runs()
+    assert len(adj_runs) == len(set(adj_runs)) == 5 * 3
     # a pair that both tables hold gives one ladder
     shared = [row["max_discrepancy"] for row in rows if row["pair"] == "zakai-ito|wonham-ito"]
     assert report["drift_variant"]["discrepancies"]["innovation"] == shared
+
+
+def _set_cpus(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _record_pids(tmp_path, monkeypatch):
+    """Make each run_trajectory call append its pid to the returned file;
+    forked workers inherit the patch."""
+    log = tmp_path / "pids.log"
+
+    def traced(*args):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return run_trajectory(*args)
+
+    monkeypatch.setattr(harness, "run_trajectory", traced)
+    return log
+
+
+def _convergence_rows(out_dir: str) -> str:
+    """A pool task: the repr of run_convergence's rows (repr, as rows hold NaN)."""
+    rows = run_convergence(telegraph_config(horizon=0.2, out_dir=out_dir), halvings=2)
+    return repr(rows)
+
+
+# run_convergence over 3 CPUs whose workers are killed at their first run
+KILLED_WORKERS = """
+import os, signal, sys
+from jumpfilter import harness, telegraph_model
+from jumpfilter.harness import ExperimentConfig, run_convergence
+
+run, parent = harness.run_trajectory, os.getpid()
+
+def killed(model, grid, *side):
+    if os.getpid() != parent:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return run(model, grid, *side)
+
+harness.run_trajectory = killed
+os.sched_getaffinity = lambda pid: {0, 1, 2}
+config = ExperimentConfig(model=telegraph_model(1.0), horizon=0.2, dt=1e-3, beta=0.5,
+                          out_dir=sys.argv[1])
+run_convergence(config, halvings=2)
+"""
+
+
+class TestLadderFanOut:
+    """The grids of a ladder fan out over forked workers; outputs, warnings
+    and failures are those of the serial loop."""
+
+    def test_outputs_do_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch):
+        log = _record_pids(tmp_path, monkeypatch)
+        outputs = {}
+        for cpus in (1, 3):
+            _set_cpus(monkeypatch, cpus)
+            out = tmp_path / str(cpus)
+            config = telegraph_config(horizon=0.2, out_dir=str(out))
+            rows = run_convergence(config, halvings=2)
+            report = run_adjudicate(config)
+            pids = set(log.read_text().split())
+            log.unlink()
+            outputs[cpus] = (repr(rows), json.dumps(report, sort_keys=True),
+                             (out / "convergence.csv").read_bytes(),
+                             (out / "adjudication.json").read_bytes())
+            # one CPU runs in this process; three fan the grids out
+            assert (pids == {str(os.getpid())}) == (cpus == 1)
+        assert outputs[1] == outputs[3]
+
+    def test_runs_serially_inside_a_pool_worker(self, tmp_path):
+        import multiprocessing
+
+        # a daemon pool worker may not have children: the fan-out used to
+        # raise AssertionError there
+        expected = _convergence_rows(str(tmp_path / "here"))
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            done = pool.apply_async(_convergence_rows, (str(tmp_path / "worker"),))
+            assert done.get(timeout=120) == expected
+        assert ((tmp_path / "worker" / "convergence.csv").read_bytes()
+                == (tmp_path / "here" / "convergence.csv").read_bytes())
+
+    def test_a_killed_worker_fails_the_run(self, tmp_path):
+        # a multiprocessing.Pool would wait forever for the lost task
+        proc = subprocess.run([sys.executable, "-c", KILLED_WORKERS, str(tmp_path)],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert "BrokenProcessPool" in proc.stderr
+        assert not (tmp_path / "convergence.csv").exists()
+
+    def test_runs_serially_beside_another_thread(self, tmp_path, monkeypatch):
+        # a fork copies the locks other threads hold, so they stay serial
+        _set_cpus(monkeypatch, 3)
+        log = _record_pids(tmp_path, monkeypatch)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(60,))
+        other.start()
+        try:
+            run_convergence(telegraph_config(horizon=0.2, out_dir=str(tmp_path)), halvings=2)
+        finally:
+            release.set()
+            other.join(timeout=60)
+        assert not other.is_alive()
+        assert set(log.read_text().split()) == {str(os.getpid())}
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_worker_warnings_reach_the_caller(self, tmp_path, monkeypatch, cpus):
+        _set_cpus(monkeypatch, cpus)
+        model = ChainModel(levels=[1.0, -1.0], rates=TELEGRAPH.rates, initial_dist=[1.0, 0.0])
+        config = telegraph_config(model=model, horizon=0.05, out_dir=str(tmp_path))
+        # the log scheme overflows from the floored point mass on the first grid
+        with pytest.warns(UserWarning, match="floored"), \
+                pytest.raises(FilterInstabilityError, match="log: the filter state"):
+            run_convergence(config, halvings=2)
+        # as in the serial loop, only the grids up to the failing one warn:
+        # zakai-ito, zakai-langevin(-1) and (+1) on the first grid, then log
+        # fails; adjudicate runs those three Zakai sides on each of 3 grids
+        with warnings.catch_warnings(record=True) as always:
+            warnings.simplefilter("always")
+            with pytest.raises(FilterInstabilityError):
+                run_convergence(config, halvings=2)
+            run_adjudicate(config)
+        assert len(always) == 4 + 9
+        assert len({(str(w.message), w.category, w.filename, w.lineno) for w in always}) == 1
+        # the default filter shows it once per location, across grids and calls
+        with warnings.catch_warnings(record=True) as default:
+            warnings.simplefilter("default")
+            run_adjudicate(config)
+            run_adjudicate(config)
+        assert [(w.filename, w.lineno) for w in default] == [(always[0].filename,
+                                                              always[0].lineno)]
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_the_coarsest_failing_grid_raises(self, tmp_path, monkeypatch, cpus):
+        _set_cpus(monkeypatch, cpus)
+        config = telegraph_config(horizon=0.2, out_dir=str(tmp_path))
+        coarse = round(config.horizon / config.dt)
+
+        def failing(model, grid, *side):
+            if grid.n_steps == coarse:
+                time.sleep(0.2)  # the finest grid's failure arrives first
+                raise FilterInstabilityError("coarse grid failed")
+            if grid.n_steps == 4 * coarse:
+                raise ValueError("fine grid failed")
+            return run_trajectory(model, grid, *side)
+
+        monkeypatch.setattr(harness, "run_trajectory", failing)
+        with pytest.raises(FilterInstabilityError, match="^coarse grid failed$") as raised:
+            run_convergence(config, halvings=2)
+        assert not (tmp_path / "convergence.csv").exists()
+        # a worker's failure carries the worker's traceback as its cause
+        cause = raised.value.__cause__
+        if cpus > 1:
+            assert isinstance(cause, harness.WorkerTraceback)
+            assert 'in failing\n    raise FilterInstabilityError("coarse grid failed")' in str(cause)
+        else:
+            assert cause is None
+
 
 RATES = [[0.0, 1.0], [1.0, 0.0]]
 

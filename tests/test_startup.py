@@ -2,6 +2,8 @@
 scipy-backed computation runs (the irreducibility check of
 ``stationary_distribution``, the Poisson tail of ``pathspace_expectation``).
 No CLI command is one: the Gamma propagators use the package's own ``expm``.
+Commands that run one trajectory load no ``multiprocessing`` either; only the
+refinement ladders of ``convergence`` and ``adjudicate`` fan out over CPUs.
 
 Other tests import scipy into the pytest process, so the check runs in a
 fresh interpreter.
@@ -64,15 +66,17 @@ with contextlib.redirect_stdout(io.StringIO()):
         ["simulate", *common],
         ["filter", *common],
         ["predict", *common, "--horizons", "0,1"],
-        ["convergence", *common, "--halvings", "2"],
         ["filter", "--config", gamma_file, "--out", out_dir + "-gamma"],
     )]
+    single_runs_load_multiprocessing = "multiprocessing" in sys.modules
+    codes.append(jumpfilter.cli.main(["convergence", *common, "--halvings", "2"]))
 after_cli = scipy_modules()
 
 {lazy_results}
 
 results = lazy_results(config_file)
 print(json.dumps({{"after_import": after_import, "codes": codes, "after_cli": after_cli,
+                  "single_runs_load_multiprocessing": single_runs_load_multiprocessing,
                   "results": results, "after_lazy": scipy_modules()}}))
 """
 
@@ -102,6 +106,8 @@ def test_cli_runs_without_scipy_and_lazy_paths_match(tmp_path):
         assert (out / written).exists()
     assert (tmp_path / "out-gamma" / "trajectory.csv").exists()
     assert report["after_cli"] == []
+    # only the ladder fan-out of convergence and adjudicate loads multiprocessing
+    assert report["single_runs_load_multiprocessing"] is False
     # the lazy paths ran cold in the child, and return what they return here
     assert set(LAZY_MODULES) <= set(report["after_lazy"])
     assert report["results"] == lazy_results(config_file)
