@@ -351,24 +351,49 @@ def _grid_discrepancies(task) -> list[float]:
             for a, b, field in pairs.values()]
 
 
-def _map_grids(tasks: list):
-    """:func:`_grid_discrepancies` of each task, yielded in task order.
+# cgroup CPU quota, v2 then v1: "<quota> <period>" in one file ("max": none),
+# or quota (-1: none) and period in two
+CPU_QUOTA_FILES = (
+    ("/sys/fs/cgroup/cpu.max",),
+    ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "/sys/fs/cgroup/cpu/cpu.cfs_period_us"),
+)
 
-    With more than one usable CPU, the tasks fan out over
-    ``min(CPUs, tasks)`` forked workers, longest (finest grid) first. Every
-    outcome is collected; then, task by task, the warnings a worker recorded
-    are issued here and its failure is raised, so callers see what the
-    serial loop shows: the first failing task's exception, and the warnings
-    of it and of the tasks before it. One usable CPU, no "fork" start
-    method, a daemon process (a ``multiprocessing.Pool`` worker, which may
-    not have children) or another running Python thread (whose locks a fork
-    could copy held) runs the tasks in this process, lazily, under plain
-    ``map``.
-    """
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity, or ``os.cpu_count()``
+    where that is unknown), capped by the cgroup CPU quota when one is set."""
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    workers = min(cpus, len(tasks))
-    if workers > 1 and threading.active_count() == 1:
+    for files in CPU_QUOTA_FILES:
+        try:
+            quota, period = " ".join(Path(name).read_text() for name in files).split()
+            if quota not in ("max", "-1"):
+                cpus = min(cpus, max(1, math.ceil(int(quota) / int(period))))
+        except (OSError, ValueError):
+            continue
+        break
+    return cpus
+
+
+def _map_grids(tasks: list):
+    """:func:`_grid_discrepancies` of each task, in task order.
+
+    With more than one usable CPU, the tasks fan out over
+    ``min(CPUs, tasks)`` forked workers, longest (finest grid) first; a
+    worker reads its task from the list it inherited, so only an index and
+    one float per pair cross the pipe. The results are then taken in task
+    order: each task's warnings, recorded in the worker, are issued here,
+    and the first failing task's exception is raised, so callers see what
+    the serial loop shows. The tasks run in this process, lazily, under
+    plain ``map`` with one usable CPU, without the "fork" start method, in
+    a daemon process (a ``multiprocessing.Pool`` worker, which may not have
+    children), while another Python thread runs (a fork could copy a lock it
+    holds), or when ``run_trajectory`` is a ``functools.wraps`` wrapper (a
+    tracer's or profiler's), whose records a worker would keep to itself.
+    """
+    workers = min(_usable_cpus(), len(tasks))
+    if (workers > 1 and threading.active_count() == 1
+            and not hasattr(run_trajectory, "__wrapped__")):
         import multiprocessing
 
         if ("fork" in multiprocessing.get_all_start_methods()
@@ -378,50 +403,62 @@ def _map_grids(tasks: list):
             # unlike multiprocessing.Pool, which waits forever for the task of
             # a killed worker, the executor raises BrokenProcessPool
             fork = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, mp_context=fork) as pool:
-                outcomes = list(pool.map(_grid_outcome, tasks[::-1]))[::-1]
-            return _replay(outcomes)
+            with ProcessPoolExecutor(workers, mp_context=fork, initializer=_hold_tasks,
+                                     initargs=(tasks,)) as pool:
+                futures = [pool.submit(_grid_outcome, i) for i in reversed(range(len(tasks)))]
+                return [_replay(future) for future in reversed(futures)]
     return map(_grid_discrepancies, tasks)
 
 
-class WorkerTraceback(Exception):
-    """The formatted traceback of a failure raised in a ladder worker, chained
-    as the ``__cause__`` of the failure the caller re-raises."""
+_TASKS: list = []  # a pool worker's copy of the caller's tasks
 
 
-def _grid_outcome(task):
-    """:func:`_grid_discrepancies` of ``task`` in a pool worker: its result,
-    the exception it raised with its formatted traceback (or None), and the
-    warnings it issued under the filters the worker inherited, as
-    (message, category, filename, lineno)."""
-    import traceback
+def _hold_tasks(tasks: list) -> None:
+    global _TASKS
+    _TASKS = tasks
 
-    failure = result = None
+
+def _grid_outcome(index: int):
+    """In a pool worker: :func:`_grid_discrepancies` of task ``index`` and the
+    warnings it issued under the filters the worker inherited, as (message,
+    category, filename, lineno). A failure is raised with those warnings as
+    its ``ladder_warnings``."""
     with warnings.catch_warnings(record=True) as caught:
         try:
-            result = _grid_discrepancies(task)
+            return _grid_discrepancies(_TASKS[index]), _records(caught)
         except Exception as exc:
-            failure = exc, traceback.format_exc()
-    return result, failure, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+            exc.ladder_warnings = _records(caught)
+            raise
 
 
-def _replay(outcomes):
-    """Issue each outcome's warnings, then yield its result or raise its
-    exception. A warning goes through the registry of the module that issued
-    it, so the default filter shows it once per location, as ``warn`` does."""
+def _records(caught: list) -> list[tuple]:
+    return [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
+def _replay(future):
+    """The result of a :func:`_grid_outcome` future, or its exception, raised
+    once the warnings the task recorded are issued here."""
+    try:
+        result, caught = future.result()
+    except Exception as exc:
+        _warn_again(vars(exc).pop("ladder_warnings", []))
+        raise
+    _warn_again(caught)
+    return result
+
+
+def _warn_again(caught: list) -> None:
+    """Issue recorded warnings, each through the registry of the module that
+    issued it, so the default filter shows it once per location, as ``warn``
+    does."""
     modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
-    for result, failure, caught in outcomes:
-        for message, category, filename, lineno in caught:
-            module = modules.get(filename)
-            warnings.warn_explicit(
-                message, category, filename, lineno,
-                module=module.__name__ if module else None,
-                registry=vars(module).setdefault("__warningregistry__", {}) if module else None,
-            )
-        if failure:
-            exc, text = failure
-            raise exc from WorkerTraceback(text)
-        yield result
+    for message, category, filename, lineno in caught:
+        module = modules.get(filename)
+        warnings.warn_explicit(
+            message, category, filename, lineno,
+            module=module.__name__ if module else None,
+            registry=vars(module).setdefault("__warningregistry__", {}) if module else None,
+        )
 
 
 ITO = ("zakai-ito", -1, "innovation")

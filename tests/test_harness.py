@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -351,7 +352,9 @@ def test_ladders_run_each_distinct_side_once_per_grid(tmp_path, monkeypatch):
 
 
 def _set_cpus(monkeypatch, n: int) -> None:
+    """Give this process n usable CPUs: that affinity, and no CPU quota."""
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(harness, "CPU_QUOTA_FILES", ())
 
 
 def _record_pids(tmp_path, monkeypatch):
@@ -389,6 +392,7 @@ def killed(model, grid, *side):
 
 harness.run_trajectory = killed
 os.sched_getaffinity = lambda pid: {0, 1, 2}
+harness.CPU_QUOTA_FILES = ()
 config = ExperimentConfig(model=telegraph_model(1.0), horizon=0.2, dt=1e-3, beta=0.5,
                           out_dir=sys.argv[1])
 run_convergence(config, halvings=2)
@@ -500,10 +504,44 @@ class TestLadderFanOut:
         # a worker's failure carries the worker's traceback as its cause
         cause = raised.value.__cause__
         if cpus > 1:
-            assert isinstance(cause, harness.WorkerTraceback)
             assert 'in failing\n    raise FilterInstabilityError("coarse grid failed")' in str(cause)
         else:
             assert cause is None
+        assert not hasattr(raised.value, "ladder_warnings")
+
+    def test_runs_serially_under_a_wrapping_tracer(self, tmp_path, monkeypatch):
+        # a functools.wraps wrapper records in this process, which workers
+        # would not reach: the tracer must see every run
+        _set_cpus(monkeypatch, 3)
+        spans = []
+
+        @functools.wraps(run_trajectory)
+        def traced(model, grid, *side):
+            spans.append((grid.dt, *side))
+            return run_trajectory(model, grid, *side)
+
+        monkeypatch.setattr(harness, "run_trajectory", traced)
+        run_convergence(telegraph_config(horizon=0.2, out_dir=str(tmp_path)), halvings=2)
+        assert len(spans) == len(set(spans)) == 7 * 3
+
+
+@pytest.mark.parametrize("quota, cpus", [
+    ({"cpu.max": "max 100000\n"}, 8),
+    ({"cpu.max": "100000 100000\n"}, 1),
+    ({"cpu.max": "250000 100000\n"}, 3),
+    ({"cpu.max": "5000 100000\n"}, 1),
+    ({"cpu.max": "1000000 100000\n"}, 8),
+    ({"quota": "-1\n", "period": "100000\n"}, 8),
+    ({"quota": "200000\n", "period": "100000\n"}, 2),
+    ({}, 8),
+])
+def test_usable_cpus_are_capped_by_the_cgroup_quota(tmp_path, monkeypatch, quota, cpus):
+    for name, text in quota.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(harness, "CPU_QUOTA_FILES", (
+        (str(tmp_path / "cpu.max"),), (str(tmp_path / "quota"), str(tmp_path / "period"))))
+    assert harness._usable_cpus() == cpus
 
 
 RATES = [[0.0, 1.0], [1.0, 0.0]]
