@@ -314,28 +314,81 @@ def add_path_integrals(model: ChainModel, horizon: float, dt: float, rng: np.ran
 
     Row r of ``out`` (R, n) gets :func:`step_level_integrals` of the path that
     :func:`simulate_jump_path` draws from ``rng`` once its
-    ``bit_generator.state`` is set to ``stream_states[r]``. No JumpPath is
-    built: the R paths are checked together, as JumpPath checks one. Returns
-    the state each path ends in, shape (R,).
+    ``bit_generator.state`` is set to ``stream_states[r]``, bit for bit. No
+    JumpPath is built: the R paths are checked together, as JumpPath checks
+    one, and their integrals are computed together, in chunks of rows (see
+    :func:`_add_step_integrals`). Returns the state each path ends in, shape
+    (R,).
     """
-    n_steps = out.shape[1]
-    levels = model.levels
     bit_generator = rng.bit_generator
     visited, all_times = [], []
     n_jumps = np.empty(len(out), dtype=np.intp)
-    final = np.empty(len(out), dtype=np.intp)
-    for r, row in enumerate(out):
+    for r in range(len(out)):
         bit_generator.state = stream_states[r]
         initial, times, states = _draw_jumps(model, horizon, rng)
-        seq = [initial, *states]
-        row += _step_integrals(levels[seq], np.array(times, dtype=float), horizon, dt, n_steps)
-        visited += seq
+        visited.append(initial)
+        visited += states
         all_times += times
         n_jumps[r] = len(times)
-        final[r] = seq[-1]
-    _check_paths(np.array(visited, dtype=np.intp), np.array(all_times, dtype=float), n_jumps,
-                 horizon)
-    return final
+    visited = np.array(visited, dtype=np.intp)
+    all_times = np.array(all_times, dtype=float)
+    _check_paths(visited, all_times, n_jumps, horizon)
+    _add_step_integrals(model.levels[visited], all_times, n_jumps,
+                        _uniform_grid(out.shape[1], dt, horizon), out)
+    return visited[np.cumsum(n_jumps + 1) - 1]
+
+
+# Values per temporary array of :func:`_add_step_integrals`: 32 rows of a
+# 1000-step grid, 256 kB, so the few temporaries of a chunk stay under 1 MB.
+CHUNK_VALUES = 1 << 15
+
+
+def _add_step_integrals(seg_levels: np.ndarray, jump_times: np.ndarray, n_jumps: np.ndarray,
+                        grid: np.ndarray, out: np.ndarray) -> None:
+    """Add to row r of ``out`` (R, n) the per-step level integrals over
+    ``grid`` of path r, with the operations of :func:`_step_integrals`.
+
+    The R paths are given flat, path after path: ``seg_levels`` holds the
+    level of each of a path's ``n_jumps[r] + 1`` segments and ``jump_times``
+    its jump times. As :func:`_cumulative_level` does per path, the integral
+    at grid time g in segment j is  c_j + a_j (g - knot_j), where c_j sums
+    the areas of the path's segments before j left to right. Here the areas
+    are summed by ``cumsum`` along axis 1 of a zero-padded (rows, most
+    jumps) array, and segment j covers the grid points from
+    ``grid.searchsorted(knot_j, "left")`` on, so c_j, a_j and knot_j are
+    repeated over that run of points. Rows are done ``CHUNK_VALUES //
+    grid.size`` at a time.
+    """
+    paths, segments = len(n_jumps), len(seg_levels)
+    # path r's segments are edges[r]:edges[r + 1], its jumps edges[r] - r:edges[r + 1] - r - 1
+    edges = np.concatenate(([0], np.cumsum(n_jumps + 1)))
+    inner = np.ones(segments, dtype=bool)  # the segments that start at a jump
+    inner[edges[:-1]] = False
+    inner_at = np.flatnonzero(inner)
+    knots = np.zeros(segments)
+    knots[inner] = jump_times
+    ends = np.roll(inner, -1)  # the segments that end at a jump
+    areas = seg_levels[ends] * (jump_times - knots[ends])
+    # each segment's run of grid points, as offsets into the flattened rows
+    starts = np.repeat(np.arange(paths) * grid.size, n_jumps + 1)
+    starts[inner] += grid.searchsorted(jump_times, side="left")
+    runs = np.diff(starts, append=paths * grid.size)
+    cum_at_knots = np.zeros(segments)
+    rows = max(1, CHUNK_VALUES // grid.size)
+    for lo in range(0, paths, rows):
+        hi = min(lo + rows, paths)
+        jumps = slice(edges[lo] - lo, edges[hi] - hi)
+        padded = np.arange(n_jumps[lo:hi].max(initial=0)) < n_jumps[lo:hi, None]
+        summed = np.zeros(padded.shape)
+        summed[padded] = areas[jumps]
+        cum_at_knots[inner_at[jumps]] = summed.cumsum(axis=1)[padded]
+
+        chunk = slice(edges[lo], edges[hi])
+        cum = np.repeat(knots[chunk], runs[chunk]).reshape(hi - lo, grid.size)
+        np.subtract(grid, cum, out=cum)
+        cum *= np.repeat(seg_levels[chunk], runs[chunk]).reshape(cum.shape)
+        cum += np.repeat(cum_at_knots[chunk], runs[chunk]).reshape(cum.shape)
+        out[lo:hi] += np.subtract(cum[:, 1:], cum[:, :-1])
 
 
 def state_at(path: JumpPath, t: float) -> int:

@@ -13,9 +13,6 @@ import json
 import math
 import numbers
 import os
-import sys
-import threading
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -32,6 +29,7 @@ from .chain import (
     model_to_json,
     simulate_jump_path,
 )
+from .fanout import fan_out, fork_workers
 from .kernels import KERNELS, Trajectory, check_signs, check_step, drive
 from .seeding import ROLE_JUMP, ROLE_NOISE, derive_rng
 from .signalpath import (
@@ -336,7 +334,11 @@ def _ladders(config: ExperimentConfig, halvings: int, pairs: dict):
              if all(_filters(side[0], config.model) for side in pair[:2])}
     sides = dict.fromkeys(side for pair in pairs.values() for side in pair[:2])
     ladders = {label: [] for label in pairs}
-    for values in _map_grids([(config.model, grid, sides, pairs) for grid in grids]):
+    tasks = [(config.model, grid, sides, pairs) for grid in grids]
+    # the finest grid, the last task, starts first; a traced run stays in this
+    # process, as a worker would keep a wrapping tracer's records to itself
+    workers = 1 if hasattr(run_trajectory, "__wrapped__") else fork_workers(len(tasks))
+    for values in fan_out(_grid_discrepancies, tasks, workers):
         for label, value in zip(pairs, values):
             ladders[label].append(value)
     return grids, ladders
@@ -344,121 +346,21 @@ def _ladders(config: ExperimentConfig, halvings: int, pairs: dict):
 
 def _grid_discrepancies(task) -> list[float]:
     """For ``task = (model, grid, sides, pairs)``: run each side once on the
-    grid and return the max-over-time discrepancy of each pair, in order."""
+    grid and return the max-over-time discrepancy of each pair, in order.
+
+    A pair is reduced as soon as both of its sides have run, and a side's
+    trajectory is dropped after its last pair, so at most the sides of the
+    pairs still open are held at once."""
     model, grid, sides, pairs = task
-    runs = {side: run_trajectory(model, grid, *side) for side in sides}
-    return [float(np.abs(_field(runs[a], field) - _field(runs[b], field)).max())
-            for a, b, field in pairs.values()]
-
-
-# cgroup CPU quota, v2 then v1: "<quota> <period>" in one file ("max": none),
-# or quota (-1: none) and period in two
-CPU_QUOTA_FILES = (
-    ("/sys/fs/cgroup/cpu.max",),
-    ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "/sys/fs/cgroup/cpu/cpu.cfs_period_us"),
-)
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on (its affinity, or ``os.cpu_count()``
-    where that is unknown), capped by the cgroup CPU quota when one is set."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    for files in CPU_QUOTA_FILES:
-        try:
-            quota, period = " ".join(Path(name).read_text() for name in files).split()
-            if quota not in ("max", "-1"):
-                cpus = min(cpus, max(1, math.ceil(int(quota) / int(period))))
-        except (OSError, ValueError):
-            continue
-        break
-    return cpus
-
-
-def _map_grids(tasks: list):
-    """:func:`_grid_discrepancies` of each task, in task order.
-
-    With more than one usable CPU, the tasks fan out over
-    ``min(CPUs, tasks)`` forked workers, longest (finest grid) first; a
-    worker reads its task from the list it inherited, so only an index and
-    one float per pair cross the pipe. The results are then taken in task
-    order: each task's warnings, recorded in the worker, are issued here,
-    and the first failing task's exception is raised, so callers see what
-    the serial loop shows. The tasks run in this process, lazily, under
-    plain ``map`` with one usable CPU, without the "fork" start method, in
-    a daemon process (a ``multiprocessing.Pool`` worker, which may not have
-    children), while another Python thread runs (a fork could copy a lock it
-    holds), or when ``run_trajectory`` is a ``functools.wraps`` wrapper (a
-    tracer's or profiler's), whose records a worker would keep to itself.
-    """
-    workers = min(_usable_cpus(), len(tasks))
-    if (workers > 1 and threading.active_count() == 1
-            and not hasattr(run_trajectory, "__wrapped__")):
-        import multiprocessing
-
-        if ("fork" in multiprocessing.get_all_start_methods()
-                and not multiprocessing.current_process().daemon):
-            from concurrent.futures import ProcessPoolExecutor
-
-            # unlike multiprocessing.Pool, which waits forever for the task of
-            # a killed worker, the executor raises BrokenProcessPool
-            fork = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(workers, mp_context=fork, initializer=_hold_tasks,
-                                     initargs=(tasks,)) as pool:
-                futures = [pool.submit(_grid_outcome, i) for i in reversed(range(len(tasks)))]
-                return [_replay(future) for future in reversed(futures)]
-    return map(_grid_discrepancies, tasks)
-
-
-_TASKS: list = []  # a pool worker's copy of the caller's tasks
-
-
-def _hold_tasks(tasks: list) -> None:
-    global _TASKS
-    _TASKS = tasks
-
-
-def _grid_outcome(index: int):
-    """In a pool worker: :func:`_grid_discrepancies` of task ``index`` and the
-    warnings it issued under the filters the worker inherited, as (message,
-    category, filename, lineno). A failure is raised with those warnings as
-    its ``ladder_warnings``."""
-    with warnings.catch_warnings(record=True) as caught:
-        try:
-            return _grid_discrepancies(_TASKS[index]), _records(caught)
-        except Exception as exc:
-            exc.ladder_warnings = _records(caught)
-            raise
-
-
-def _records(caught: list) -> list[tuple]:
-    return [(w.message, w.category, w.filename, w.lineno) for w in caught]
-
-
-def _replay(future):
-    """The result of a :func:`_grid_outcome` future, or its exception, raised
-    once the warnings the task recorded are issued here."""
-    try:
-        result, caught = future.result()
-    except Exception as exc:
-        _warn_again(vars(exc).pop("ladder_warnings", []))
-        raise
-    _warn_again(caught)
-    return result
-
-
-def _warn_again(caught: list) -> None:
-    """Issue recorded warnings, each through the registry of the module that
-    issued it, so the default filter shows it once per location, as ``warn``
-    does."""
-    modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
-    for message, category, filename, lineno in caught:
-        module = modules.get(filename)
-        warnings.warn_explicit(
-            message, category, filename, lineno,
-            module=module.__name__ if module else None,
-            registry=vars(module).setdefault("__warningregistry__", {}) if module else None,
-        )
+    runs, values = {}, {}
+    for side in sides:
+        runs[side] = run_trajectory(model, grid, *side)
+        for label, (a, b, field) in pairs.items():
+            if label not in values and a in runs and b in runs:
+                values[label] = float(np.abs(_field(runs[a], field) - _field(runs[b], field)).max())
+        open_sides = {s for label, pair in pairs.items() if label not in values for s in pair[:2]}
+        runs = {s: run for s, run in runs.items() if s in open_sides}
+    return [values[label] for label in pairs]
 
 
 ITO = ("zakai-ito", -1, "innovation")

@@ -31,8 +31,10 @@ layout.
 
 :func:`drive` runs any kernel over an increment record and applies the single
 error policy: finite increments at entry (:func:`check_increments`, a
-ValueError), then at exit :func:`check_states` and the clamp budget, whose
-failures raise FilterInstabilityError. No step checks anything;
+ValueError), then at exit :func:`check_run`: :func:`check_states` and the
+clamp budget, whose failures raise FilterInstabilityError. The loop alone is
+:func:`run_steps`, so a batch stepped in blocks is checked once, joined, as
+one batch would be (the tower check). No step checks anything;
 :func:`step_once` runs the same :func:`check_states` on the state it steps to.
 
 The arithmetic of each scheme lives here exactly once; the public step
@@ -68,9 +70,11 @@ __all__ = [
     "KERNELS",
     "Trajectory",
     "check_increments",
+    "check_run",
     "check_signs",
     "check_step",
     "drive",
+    "run_steps",
     "step_once",
 ]
 
@@ -736,10 +740,13 @@ def check_states(scheme: str, probs: np.ndarray, extras: dict, presum_devs=None)
         raise FilterInstabilityError(f"{scheme}: the filter state became non-finite")
     if not on_simplex(probs):
         raise FilterInstabilityError(f"{scheme}: probabilities left the simplex")
-    if presum_devs is not None and not (presum_devs <= PRESUM_TOLERANCE).all():
+    if presum_devs is None:
+        return
+    worst = float(np.max(presum_devs))
+    if not worst <= PRESUM_TOLERANCE:  # NaN fails too
         raise FilterInstabilityError(
             f"{scheme}: step left the simplex (pre-renormalization sum off by "
-            f"{float(np.max(presum_devs))!r}); reduce dt or check the inputs"
+            f"{worst!r}); reduce dt or check the inputs"
         )
 
 
@@ -762,18 +769,23 @@ def _presum_tally(state):
 
 
 def drive(kernel: Kernel, state, dy: np.ndarray, keep_history: bool = True) -> Trajectory:
-    """Step ``kernel`` from ``state`` through the increments ``dy``, then check.
+    """Step ``kernel`` from ``state`` through the increments ``dy``, then check:
+    :func:`check_run` of :func:`run_steps`."""
+    return check_run(run_steps(kernel, state, dy, keep_history))
+
+
+def run_steps(kernel: Kernel, state, dy: np.ndarray, keep_history: bool = True) -> Trajectory:
+    """Step ``kernel`` from ``state`` through the increments ``dy``; the run
+    is not yet checked at exit, and its ``extras`` still hold "presum".
 
     ``dy`` is (n,) for one trajectory, or (n, R) for R replicas stepped as a
     batch (wonham-ito only). With ``keep_history`` false only the final state
-    is kept and checked, so memory stays O(R K); the pre-sum guard then runs
-    on a running maximum of |presum - 1| carried through the loop. An
-    unnormalized kernel needs the scale of every step, so it keeps its history.
+    is kept, so memory stays O(R K); the pre-sum guard then reads a running
+    maximum of |presum - 1| carried through the loop. An unnormalized kernel
+    needs the scale of every step, so it keeps its history.
 
     Raises ValueError for non-finite increments or an unnormalized kernel
-    without a kept history, before the first step;
-    FilterInstabilityError from :func:`check_states`, or for more than
-    CLAMP_FAILURE_FRACTION of the replica-steps clamping.
+    without a kept history, before the first step.
     """
     check_increments(dy)
     if not keep_history and isinstance(kernel, _Unnormalized):
@@ -798,20 +810,30 @@ def drive(kernel: Kernel, state, dy: np.ndarray, keep_history: bool = True) -> T
             history[-1] = state
         probs, extras = kernel.probs(history)
 
-    if kernel.carries_presum and keep_history:
-        devs = np.abs(extras["presum"] - 1.0)
-        presum_worst, presum_total = devs.max(axis=0), np.cumsum(devs, axis=0)[-1]
-    check_states(kernel.scheme, probs, extras, presum_worst if kernel.carries_presum else None)
     run = Trajectory(kernel.scheme, np.arange(n_steps + 1) * kernel.dt, probs, clamps,
                      extras=extras)
     if kernel.carries_presum:
-        del extras["presum"]
-        run.presum_max_dev = float(presum_worst.max())
-        run.presum_total_dev = float(presum_total.max())
-    replica_steps = n_steps * (probs[0].size // probs.shape[-1])
-    if clamps > CLAMP_FAILURE_FRACTION * replica_steps:
+        if keep_history:
+            devs = np.abs(extras["presum"] - 1.0)
+            presum_worst, presum_total = devs.max(axis=0), np.cumsum(devs, axis=0)[-1]
+        run.presum_max_dev = float(np.max(presum_worst))
+        run.presum_total_dev = float(np.max(presum_total))
+    return run
+
+
+def check_run(run: Trajectory) -> Trajectory:
+    """The exit checks of a :func:`run_steps` run, or of such runs of replica
+    blocks joined along axis 1, and ``run`` once they pass: :func:`check_states`
+    (its pre-sum guard on ``presum_max_dev``, 0 without a "presum" extra,
+    which is dropped after the check), then the clamp budget, which raises
+    FilterInstabilityError for more than CLAMP_FAILURE_FRACTION of the
+    replica-steps clamping."""
+    check_states(run.scheme, run.probs, run.extras, run.presum_max_dev)
+    run.extras.pop("presum", None)
+    replica_steps = (len(run.times) - 1) * (run.probs[0].size // run.probs.shape[-1])
+    if run.clamps > CLAMP_FAILURE_FRACTION * replica_steps:
         raise FilterInstabilityError(
-            f"{kernel.scheme}: {clamps} clamp events over {replica_steps} steps exceeds the "
+            f"{run.scheme}: {run.clamps} clamp events over {replica_steps} steps exceeds the "
             f"{CLAMP_FAILURE_FRACTION:.1%} budget; decrease dt"
         )
     return run

@@ -23,15 +23,16 @@ unconditional law, and its mean-square error must beat the best constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
 
 from .chain import ChainModel, add_path_integrals, transition_matrix
-from .kernels import (BayesOracle, WonhamIto, check_probability_vector,
-                      drive, step_once)
-from .seeding import ROLE_JUMP, ROLE_NOISE, derive_states
+from .fanout import fan_out, fork_workers
+from .kernels import (BayesOracle, WonhamIto, check_probability_vector, check_run,
+                      run_steps, step_once)
+from .seeding import ROLE_JUMP, ROLE_NOISE, StreamStates, derive_states
 from .signalpath import ObservationGrid, _step_count, cumulative_observation
 
 # Not called here; benchmark/tracing.py wraps these names as attributes of
@@ -246,6 +247,13 @@ class TowerReport:
         }
 
 
+# Fewest replicas a forked worker of the tower check gets. A pool costs ~8 ms
+# to start and a replica ~110 us (T=1, dt=1e-3, 2 vCPUs), so 500 replicas
+# (~55 ms) keep the pool under a sixth of each worker's share, and checks of
+# up to 999 replicas (the tests' 100-300 among them) run in this process.
+REPLICA_FLOOR = 500
+
+
 def tower_property_check(
     model: ChainModel,
     horizon: float,
@@ -262,33 +270,38 @@ def tower_property_check(
     reporting per-state z-scores. Also reports the filter's empirical
     mean-square error against the best constant predictor and the
     significance (in standard errors) of the gap.
+
+    The replicas run in contiguous blocks (:func:`_replica_block`), fanned
+    out over forked workers when each gets at least ``REPLICA_FLOOR``
+    replicas. The blocks' final states are joined and checked once, as one
+    batch (:func:`jumpfilter.kernels.check_run`), so the report, or the
+    error, is the same at any CPU count.
     """
     if n_replicas < 100:
         raise ValueError("need at least 100 replicas for meaningful z-scores")
-    n_steps = _step_count(horizon, dt)
+    _step_count(horizon, dt)  # its ValueError comes before any work
     k = model.n_states
     levels = model.levels
 
-    # Row r holds replica r's increments  signal + beta sqrt(dt) noise, written
-    # in place: the noise first, then scaled, then the signal added. The
-    # stream states are derived in bulk and set on one generator per role.
-    increments = np.empty((n_replicas, n_steps))
-    noise_scale = beta * math.sqrt(dt)
-    noise_states = derive_states(master_seed, n_replicas, ROLE_NOISE)
-    noise_rng = np.random.default_rng(0)
-    for r, row in enumerate(increments):
-        noise_rng.bit_generator.state = noise_states[r]
-        noise_rng.standard_normal(n_steps, out=row)
-        row *= noise_scale
-    final_states = add_path_integrals(model, horizon, dt, np.random.default_rng(0),
-                                      derive_states(master_seed, n_replicas, ROLE_JUMP),
-                                      increments)
-    terminal_level = levels[final_states]
-
     kernel = WonhamIto(model, dt, beta, sign_variant="innovation")
-    start = kernel.start(np.tile(model.initial_dist, (n_replicas, 1)))
-    # step r of every replica reads column r of the increments, an (R,) view
-    probs = drive(kernel, start, increments.T, keep_history=False).probs[-1]
+    noise = derive_states(master_seed, n_replicas, ROLE_NOISE).words
+    jumps = derive_states(master_seed, n_replicas, ROLE_JUMP).words
+    blocks = fork_workers(n_replicas // REPLICA_FLOOR)
+    edges = [n_replicas * b // blocks for b in range(blocks + 1)]
+    tasks = [(kernel, horizon, noise[lo:hi], jumps[lo:hi]) for lo, hi in zip(edges, edges[1:])]
+    runs, terminal_levels = zip(*fan_out(_replica_block, tasks, blocks))
+    # a final-state batch is (1, R, K), with extras (1, R): replicas on axis 1
+    run = check_run(replace(
+        runs[0],
+        probs=np.concatenate([r.probs for r in runs], axis=1),
+        clamps=sum(r.clamps for r in runs),
+        presum_max_dev=float(np.max([r.presum_max_dev for r in runs])),
+        presum_total_dev=float(np.max([r.presum_total_dev for r in runs])),
+        extras={name: np.concatenate([r.extras[name] for r in runs], axis=1)
+                for name in runs[0].extras},
+    ))
+    probs = run.probs[-1]
+    terminal_level = np.concatenate(terminal_levels)
 
     target = model.initial_dist @ transition_matrix(model, horizon)
     mean_terminal = probs.mean(axis=0)
@@ -314,3 +327,32 @@ def tower_property_check(
         mse_margin_se=float(gap.mean() / gap_se) if gap_se > 0 else math.inf,
         n_replicas=n_replicas,
     )
+
+
+def _replica_block(task) -> tuple:
+    """For ``task = (kernel, horizon, noise_words, jump_words)``, the
+    wonham-ito ``kernel``'s unchecked final-state run
+    (:func:`jumpfilter.kernels.run_steps`) over the replicas whose stream
+    seed tables (``derive_states(...).words`` rows) are given, and the level
+    each replica's path ends on.
+
+    Row r of the (R, n) increments is written in place: the replica's noise,
+    drawn from one generator set to its noise stream, then scaled; then
+    :func:`jumpfilter.chain.add_path_integrals` adds the exact per-step
+    signal integrals of the path drawn from its jump stream. The filter
+    reads the transpose view, one (R,) column per step.
+    """
+    kernel, horizon, noise_words, jump_words = task
+    model, dt = kernel.model, kernel.dt
+    increments = np.empty((len(noise_words), _step_count(horizon, dt)))
+    noise_scale = kernel.beta * math.sqrt(dt)
+    noise_states = StreamStates(noise_words)
+    rng = np.random.default_rng(0)
+    for r, row in enumerate(increments):
+        rng.bit_generator.state = noise_states[r]
+        rng.standard_normal(row.size, out=row)
+        row *= noise_scale
+    final_states = add_path_integrals(model, horizon, dt, rng, StreamStates(jump_words),
+                                      increments)
+    start = kernel.start(np.tile(model.initial_dist, (len(increments), 1)))
+    return run_steps(kernel, start, increments.T, keep_history=False), model.levels[final_states]

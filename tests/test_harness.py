@@ -34,7 +34,7 @@ from jumpfilter import (
     zakai_ito_step,
     zakai_langevin_step,
 )
-from jumpfilter import harness
+from jumpfilter import fanout, harness
 from jumpfilter.cli import main
 from jumpfilter.kernels import KERNELS, Kernel, TelegraphIto, WonhamIto, drive, step_once
 from jumpfilter.signalpath import ObservationGrid
@@ -351,12 +351,6 @@ def test_ladders_run_each_distinct_side_once_per_grid(tmp_path, monkeypatch):
     assert report["drift_variant"]["discrepancies"]["innovation"] == shared
 
 
-def _set_cpus(monkeypatch, n: int) -> None:
-    """Give this process n usable CPUs: that affinity, and no CPU quota."""
-    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-    monkeypatch.setattr(harness, "CPU_QUOTA_FILES", ())
-
-
 def _record_pids(tmp_path, monkeypatch):
     """Make each run_trajectory call append its pid to the returned file;
     forked workers inherit the patch."""
@@ -380,7 +374,7 @@ def _convergence_rows(out_dir: str) -> str:
 # run_convergence over 3 CPUs whose workers are killed at their first run
 KILLED_WORKERS = """
 import os, signal, sys
-from jumpfilter import harness, telegraph_model
+from jumpfilter import fanout, harness, telegraph_model
 from jumpfilter.harness import ExperimentConfig, run_convergence
 
 run, parent = harness.run_trajectory, os.getpid()
@@ -392,7 +386,7 @@ def killed(model, grid, *side):
 
 harness.run_trajectory = killed
 os.sched_getaffinity = lambda pid: {0, 1, 2}
-harness.CPU_QUOTA_FILES = ()
+fanout.CPU_QUOTA_FILES = ()
 config = ExperimentConfig(model=telegraph_model(1.0), horizon=0.2, dt=1e-3, beta=0.5,
                           out_dir=sys.argv[1])
 run_convergence(config, halvings=2)
@@ -403,11 +397,11 @@ class TestLadderFanOut:
     """The grids of a ladder fan out over forked workers; outputs, warnings
     and failures are those of the serial loop."""
 
-    def test_outputs_do_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch):
+    def test_outputs_do_not_depend_on_the_cpu_count(self, tmp_path, monkeypatch, set_cpus):
         log = _record_pids(tmp_path, monkeypatch)
         outputs = {}
         for cpus in (1, 3):
-            _set_cpus(monkeypatch, cpus)
+            set_cpus(cpus)
             out = tmp_path / str(cpus)
             config = telegraph_config(horizon=0.2, out_dir=str(out))
             rows = run_convergence(config, halvings=2)
@@ -441,9 +435,9 @@ class TestLadderFanOut:
         assert "BrokenProcessPool" in proc.stderr
         assert not (tmp_path / "convergence.csv").exists()
 
-    def test_runs_serially_beside_another_thread(self, tmp_path, monkeypatch):
+    def test_runs_serially_beside_another_thread(self, tmp_path, monkeypatch, set_cpus):
         # a fork copies the locks other threads hold, so they stay serial
-        _set_cpus(monkeypatch, 3)
+        set_cpus(3)
         log = _record_pids(tmp_path, monkeypatch)
         release = threading.Event()
         other = threading.Thread(target=release.wait, args=(60,))
@@ -457,8 +451,8 @@ class TestLadderFanOut:
         assert set(log.read_text().split()) == {str(os.getpid())}
 
     @pytest.mark.parametrize("cpus", [1, 3])
-    def test_worker_warnings_reach_the_caller(self, tmp_path, monkeypatch, cpus):
-        _set_cpus(monkeypatch, cpus)
+    def test_worker_warnings_reach_the_caller(self, tmp_path, set_cpus, cpus):
+        set_cpus(cpus)
         model = ChainModel(levels=[1.0, -1.0], rates=TELEGRAPH.rates, initial_dist=[1.0, 0.0])
         config = telegraph_config(model=model, horizon=0.05, out_dir=str(tmp_path))
         # the log scheme overflows from the floored point mass on the first grid
@@ -484,8 +478,8 @@ class TestLadderFanOut:
                                                               always[0].lineno)]
 
     @pytest.mark.parametrize("cpus", [1, 3])
-    def test_the_coarsest_failing_grid_raises(self, tmp_path, monkeypatch, cpus):
-        _set_cpus(monkeypatch, cpus)
+    def test_the_coarsest_failing_grid_raises(self, tmp_path, monkeypatch, set_cpus, cpus):
+        set_cpus(cpus)
         config = telegraph_config(horizon=0.2, out_dir=str(tmp_path))
         coarse = round(config.horizon / config.dt)
 
@@ -507,12 +501,12 @@ class TestLadderFanOut:
             assert 'in failing\n    raise FilterInstabilityError("coarse grid failed")' in str(cause)
         else:
             assert cause is None
-        assert not hasattr(raised.value, "ladder_warnings")
+        assert not hasattr(raised.value, "worker_warnings")
 
-    def test_runs_serially_under_a_wrapping_tracer(self, tmp_path, monkeypatch):
+    def test_runs_serially_under_a_wrapping_tracer(self, tmp_path, monkeypatch, set_cpus):
         # a functools.wraps wrapper records in this process, which workers
         # would not reach: the tracer must see every run
-        _set_cpus(monkeypatch, 3)
+        set_cpus(3)
         spans = []
 
         @functools.wraps(run_trajectory)
@@ -538,10 +532,10 @@ class TestLadderFanOut:
 def test_usable_cpus_are_capped_by_the_cgroup_quota(tmp_path, monkeypatch, quota, cpus):
     for name, text in quota.items():
         (tmp_path / name).write_text(text)
-    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    monkeypatch.setattr(harness, "CPU_QUOTA_FILES", (
+    monkeypatch.setattr(fanout.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(fanout, "CPU_QUOTA_FILES", (
         (str(tmp_path / "cpu.max"),), (str(tmp_path / "quota"), str(tmp_path / "period"))))
-    assert harness._usable_cpus() == cpus
+    assert fanout.usable_cpus() == cpus
 
 
 RATES = [[0.0, 1.0], [1.0, 0.0]]

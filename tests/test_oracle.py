@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,9 @@ from jumpfilter import (
     tower_property_check,
     transition_matrix,
 )
+from jumpfilter import oracle
 from jumpfilter.harness import ExperimentConfig, run_trajectory, simulate_pair
+from jumpfilter.kernels import FilterInstabilityError
 from jumpfilter.oracle import _ordered_times, _state_sequences
 from jumpfilter.signalpath import coarsen
 from jumpfilter.wonham import finish_simplex_step, wonham_update_raw
@@ -49,6 +53,25 @@ TOWER_PINS = [
       [0.21359646634090315, 0.24279621449196997, 0.5436073191671267],
       0.21482729019013833, 0.2582609681696883, 3.056264974872089)),
 ]
+
+
+# a K=8 chain with random rates, as the benchmark's filter-k8 model
+K8 = ChainModel(
+    levels=np.linspace(-1.0, 1.0, 8),
+    rates=np.random.default_rng(0).uniform(0.1, 1.0, (8, 8)),
+    initial_dist=np.full(8, 0.125),
+)
+# (model, horizon, dt, beta, replicas, master seed) of tower checks that fail:
+# beta=0.05 clamps ~1 in 3 replica-steps; levels of 1e7 leave the pre-sum of
+# a clamped step off by ~4e-5
+CLAMPING = (TELEGRAPH, 0.5, 2e-2, 0.05, 120, 0)
+PRESUM_OFF = (ChainModel(levels=[1e7, -3.7e6, 1.1e6], rates=np.ones((3, 3)),
+                         initial_dist=[0.2, 0.3, 0.5]), 0.1, 1e-2, 1.0, 120, 0)
+
+
+def report_values(report) -> tuple:
+    return (report.z_scores.tolist(), report.mean_terminal.tolist(), report.mse_filter,
+            report.mse_const, report.mse_margin_se)
 
 
 class TestBayesForward:
@@ -222,14 +245,7 @@ class TestTowerProperty:
 
     @pytest.mark.parametrize("case, expected", TOWER_PINS)
     def test_report_pinned_bit_for_bit(self, case, expected):
-        report = tower_property_check(*case)
-        assert (
-            report.z_scores.tolist(),
-            report.mean_terminal.tolist(),
-            report.mse_filter,
-            report.mse_const,
-            report.mse_margin_se,
-        ) == expected
+        assert report_values(tower_property_check(*case)) == expected
 
     def test_batched_step_matches_scalar_step(self):
         rng = np.random.default_rng(31)
@@ -249,3 +265,68 @@ class TestTowerProperty:
             )
             scalar, _ = finish_simplex_step(raw_i)
             assert np.array_equal(batched[:, i], scalar)
+
+
+class TestTowerFanOut:
+    """With the replica floor lowered, the replica blocks of a tower check fan
+    out over forked workers; reports and failures are those of one batch."""
+
+    @pytest.fixture
+    def block_pids(self, tmp_path, monkeypatch):
+        """Lower the floor to 40 replicas, and make each replica block append
+        its pid to the returned file; forked workers inherit the patch."""
+        monkeypatch.setattr(oracle, "REPLICA_FLOOR", 40)
+        log = tmp_path / "pids.log"
+        block = oracle._replica_block
+
+        def traced(task):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return block(task)
+
+        monkeypatch.setattr(oracle, "_replica_block", traced)
+        return log
+
+    @pytest.mark.parametrize("case", [case for case, _ in TOWER_PINS]
+                             + [(K8, 0.5, 1e-2, 0.5, 200, 4)])
+    def test_report_does_not_depend_on_the_cpu_count(self, case, block_pids, set_cpus):
+        reports = {}
+        for cpus in (1, 2, 3):
+            set_cpus(cpus)
+            reports[cpus] = report_values(tower_property_check(*case))
+            pids = block_pids.read_text().split()
+            block_pids.unlink()
+            # one block per CPU, in this process only for one CPU
+            assert len(pids) == cpus
+            assert (str(os.getpid()) in pids) == (cpus == 1)
+        assert reports[1] == reports[2] == reports[3]
+
+    @pytest.mark.parametrize("case, match", [(CLAMPING, "clamp events over 3000 steps"),
+                                             (PRESUM_OFF, "pre-renormalization sum")])
+    def test_failure_does_not_depend_on_the_cpu_count(self, case, match, block_pids,
+                                                      set_cpus):
+        failures = {}
+        for cpus in (1, 2):
+            set_cpus(cpus)
+            with pytest.raises(FilterInstabilityError, match=match) as raised:
+                tower_property_check(*case)
+            failures[cpus] = (type(raised.value), str(raised.value))
+            assert len(block_pids.read_text().split()) == cpus
+            block_pids.unlink()
+        assert failures[1] == failures[2]
+
+    @pytest.mark.parametrize("replicas, blocks", [(2 * oracle.REPLICA_FLOOR - 1, 1),
+                                                  (2 * oracle.REPLICA_FLOOR, 2),
+                                                  (4 * oracle.REPLICA_FLOOR, 3)])
+    def test_each_worker_gets_at_least_the_floor(self, replicas, blocks, set_cpus,
+                                                 monkeypatch):
+        set_cpus(3)
+        calls = []
+
+        def in_this_process(function, tasks, workers):
+            calls.append((len(tasks), workers))
+            return map(function, tasks)
+
+        monkeypatch.setattr(oracle, "fan_out", in_this_process)
+        tower_property_check(TELEGRAPH, 0.1, 1e-2, 0.5, replicas, 0)
+        assert calls == [(blocks, blocks)]

@@ -8,11 +8,14 @@ raises one of the run-failure types, without numpy warnings. The
 unnormalized schemes are linear, so scaling their start weights leaves the
 normalized history unchanged. The Pade [13/13] ``expm`` behind the Gamma
 propagators agrees with scipy's on every drift matrix, and Gamma converges to
-zakai-langevin(-1) at first order.
+zakai-langevin(-1) at first order. The tower check's vectorized path
+integrals equal those of one path at a time, bit for bit, on models with
+absorbing states, on paths without jumps and on jumps at grid nodes.
 """
 
 import json
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +23,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm as scipy_expm
 
-from jumpfilter.chain import ChainModel, model_from_json, model_to_json
+from jumpfilter import chain
+from jumpfilter.chain import (ChainModel, JumpPath, add_path_integrals, model_from_json,
+                              model_to_json, simulate_jump_path, step_level_integrals)
 from jumpfilter.harness import SCHEMES, ExperimentConfig, run_trajectory, simulate_pair
 from jumpfilter.kernels import (
     SIMPLEX_TOLERANCE,
@@ -29,6 +34,7 @@ from jumpfilter.kernels import (
     drift_matrix,
     expm,
 )
+from jumpfilter.seeding import ROLE_JUMP, derive_rng, derive_states
 from jumpfilter.signalpath import ObservationGrid, coarsen
 from jumpfilter.zakai import UnnormalizedState
 
@@ -208,3 +214,64 @@ def test_gamma_meets_zakai_langevin_at_first_order(model, beta, master_seed):
         gaps.append(np.abs(gamma.probs - langevin.probs).max())
     assert gaps[0] >= 1.25 * gaps[1] and gaps[1] >= 1.25 * gaps[2]
     assert gaps[0] >= 1.5**2 * gaps[2]
+
+
+@st.composite
+def jump_models(draw):
+    """K <= 5 models with rates up to 30 or down to 1e-3 (most paths then
+    have no jump), absent edges and absorbing states."""
+    k = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rates = 10.0 ** rng.uniform(-3.0, 1.5, size=(k, k)) * (rng.random((k, k)) < 0.7)
+    rates[rng.random(k) < 0.3] = 0.0
+    initial = rng.uniform(0.0, 1.0, size=k)
+    return ChainModel(levels=rng.uniform(-2.0, 2.0, size=k), rates=rates,
+                      initial_dist=initial / initial.sum())
+
+
+@PROPERTY
+@given(model=jump_models(), dt=st.floats(1e-3, 0.1), n_steps=st.integers(1, 300),
+       replicas=st.integers(1, 40), master_seed=st.integers(0, 2**63 - 1),
+       chunk=st.integers(1, 2000))
+def test_path_integrals_equal_one_path_at_a_time(model, dt, n_steps, replicas, master_seed,
+                                                 chunk):
+    horizon = n_steps * dt
+    base = np.random.default_rng(master_seed % 2**32).standard_normal((replicas, n_steps))
+    out = base.copy()
+    with mock.patch.object(chain, "CHUNK_VALUES", chunk):
+        final = add_path_integrals(model, horizon, dt, np.random.default_rng(0),
+                                   derive_states(master_seed, replicas, ROLE_JUMP), out)
+    for r in range(replicas):
+        path = simulate_jump_path(model, horizon, derive_rng(master_seed, r, ROLE_JUMP))
+        expected = base[r].copy()
+        expected += step_level_integrals(path, model, dt, n_steps)
+        assert out[r].tobytes() == expected.tobytes()
+        assert final[r] == path.states_visited[-1]
+
+
+@PROPERTY
+@given(model=jump_models(), dt=st.floats(1e-3, 0.1), n_steps=st.integers(1, 300),
+       seed=st.integers(0, 2**32 - 1), chunk=st.integers(1, 2000), data=st.data())
+def test_path_integrals_of_jumps_on_grid_nodes(model, dt, n_steps, seed, chunk, data):
+    # paths drawn by hand, so that jump times can land exactly on grid nodes
+    horizon = n_steps * dt
+    grid = chain._uniform_grid(n_steps, dt, horizon)
+    rng = np.random.default_rng(seed)
+    paths = []
+    for _ in range(data.draw(st.integers(1, 12))):
+        n_jumps = data.draw(st.integers(0, 6)) if model.n_states > 1 else 0
+        nodes = data.draw(st.lists(st.booleans(), min_size=n_jumps, max_size=n_jumps))
+        times = np.unique([grid[rng.integers(1, n_steps + 1)] if on_node
+                           else horizon * (1.0 - rng.random()) for on_node in nodes])
+        states = [rng.integers(model.n_states)]
+        for _ in times:
+            states.append((states[-1] + rng.integers(1, model.n_states)) % model.n_states)
+        paths.append(JumpPath(states[0], times, states[1:], horizon))
+    out = np.zeros((len(paths), n_steps))
+    with mock.patch.object(chain, "CHUNK_VALUES", chunk):
+        chain._add_step_integrals(
+            model.levels[np.concatenate([p.states_visited for p in paths])],
+            np.concatenate([p.jump_times for p in paths]),
+            np.array([p.n_jumps for p in paths]), grid, out)
+    for row, path in zip(out, paths):
+        assert row.tobytes() == step_level_integrals(path, model, dt, n_steps).tobytes()

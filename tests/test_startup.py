@@ -2,8 +2,11 @@
 scipy-backed computation runs (the irreducibility check of
 ``stationary_distribution``, the Poisson tail of ``pathspace_expectation``).
 No CLI command is one: the Gamma propagators use the package's own ``expm``.
-Commands that run one trajectory load no ``multiprocessing`` either; only the
-refinement ladders of ``convergence`` and ``adjudicate`` fan out over CPUs.
+Nor do the package, the commands that run one trajectory and a test-sized
+(300-replica) tower check load ``multiprocessing`` or ``concurrent.futures``:
+only a fan-out over CPUs imports them: that of the refinement ladders of
+``convergence`` and ``adjudicate``, or that of a tower check of at least
+``2 * oracle.REPLICA_FLOOR`` replicas.
 
 Other tests import scipy into the pytest process, so the check runs in a
 fresh interpreter.
@@ -57,7 +60,13 @@ def scipy_modules():
     return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 
 
+def pool_modules():
+    return sorted(name for name in sys.modules
+                  if name.split(".")[0] == "multiprocessing" or name == "concurrent.futures")
+
+
 after_import = scipy_modules()
+pools_after_import = pool_modules()
 config_file, gamma_file, out_dir = sys.argv[1:4]
 common = ["--config", config_file, "--out", out_dir]
 with contextlib.redirect_stdout(io.StringIO()):
@@ -68,7 +77,8 @@ with contextlib.redirect_stdout(io.StringIO()):
         ["predict", *common, "--horizons", "0,1"],
         ["filter", "--config", gamma_file, "--out", out_dir + "-gamma"],
     )]
-    single_runs_load_multiprocessing = "multiprocessing" in sys.modules
+    jumpfilter.tower_property_check(jumpfilter.telegraph_model(1.0), 0.2, 1e-2, 0.5, 300, 0)
+    pools_after_single_runs = pool_modules()
     codes.append(jumpfilter.cli.main(["convergence", *common, "--halvings", "2"]))
 after_cli = scipy_modules()
 
@@ -76,7 +86,8 @@ after_cli = scipy_modules()
 
 results = lazy_results(config_file)
 print(json.dumps({{"after_import": after_import, "codes": codes, "after_cli": after_cli,
-                  "single_runs_load_multiprocessing": single_runs_load_multiprocessing,
+                  "pools_after_import": pools_after_import,
+                  "pools_after_single_runs": pools_after_single_runs,
                   "results": results, "after_lazy": scipy_modules()}}))
 """
 
@@ -106,8 +117,9 @@ def test_cli_runs_without_scipy_and_lazy_paths_match(tmp_path):
         assert (out / written).exists()
     assert (tmp_path / "out-gamma" / "trajectory.csv").exists()
     assert report["after_cli"] == []
-    # only the ladder fan-out of convergence and adjudicate loads multiprocessing
-    assert report["single_runs_load_multiprocessing"] is False
+    # only a fan-out over CPUs loads multiprocessing and concurrent.futures
+    assert report["pools_after_import"] == []
+    assert report["pools_after_single_runs"] == []
     # the lazy paths ran cold in the child, and return what they return here
     assert set(LAZY_MODULES) <= set(report["after_lazy"])
     assert report["results"] == lazy_results(config_file)
