@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -34,6 +35,11 @@ __all__ = [
     "model_from_json",
     "model_to_json",
 ]
+
+# Floor for nonpositive weights and probabilities after an Euler step and for
+# zero start weights; keeps the log-domain filter total and aligns clamp
+# statistics across schemes.
+FLOOR = 1e-300
 
 # Poisson tail mass dropped when truncating the uniformization series.
 UNIFORMIZATION_TAIL = 1e-13
@@ -69,7 +75,8 @@ class ChainModel:
 
     Construction raises ValueError("invalid model: ...") naming every
     violated invariant: finite levels, finite nonnegative rates, and a finite
-    initial law in [0, 1] summing to 1 within 1e-12.
+    initial law in [0, 1] summing to 1 within 1e-12. A zero initial
+    probability warns once, here, as :attr:`start_weights` floors it.
     """
 
     levels: np.ndarray
@@ -107,6 +114,19 @@ class ChainModel:
         for name, arr in (("levels", levels), ("rates", rates), ("initial_dist", initial)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        if np.any(initial <= 0):
+            warnings.warn("zero initial probabilities floored to 1e-300 so every state stays "
+                          "representable (unnormalized and log-domain schemes)", stacklevel=3)
+
+    @cached_property
+    def start_weights(self) -> np.ndarray:
+        """The unnormalized weights the unnormalized and log-domain schemes
+        start from, read-only: the initial law, its zeros floored to FLOOR."""
+        if not np.any(self.initial_dist <= 0):
+            return self.initial_dist
+        weights = np.maximum(self.initial_dist, FLOOR)
+        weights.setflags(write=False)
+        return weights
 
     @property
     def n_states(self) -> int:

@@ -4,18 +4,16 @@ The refinement ladders (:mod:`jumpfilter.harness`) run one grid per task and
 the tower check (:mod:`jumpfilter.oracle`) one block of replicas per task.
 Both size their fan-out with :func:`fork_workers` and run it with
 :func:`fan_out`, which returns what the serial loop returns: the results in
-task order, each task's warnings issued in the caller, and the first failing
-task's exception. ``multiprocessing`` and ``concurrent.futures`` are
-imported only when a fan-out forks.
+task order, or the first failing task's exception; tasks do not warn (a
+model warns when it is built). ``multiprocessing`` and ``concurrent.futures``
+are imported only when a fan-out forks.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import sys
 import threading
-import warnings
 from pathlib import Path
 
 __all__ = ["CPU_QUOTA_FILES", "fan_out", "fork_workers", "usable_cpus"]
@@ -69,9 +67,9 @@ def fan_out(function, tasks: list, workers: int):
     processes forked from this one, submitted last task first (callers list
     their longest task last); a worker reads the function and its task from
     what it inherited, so only an index and the result cross the pipe. The
-    results are then taken in task order: each task's warnings, recorded in
-    the worker, are issued here, and the first failing task's exception is
-    raised, so callers see what the serial loop shows.
+    results are then taken in task order, and the first failing task's
+    exception is raised here with the worker's traceback as its cause, so
+    callers see what the serial loop shows. No warning is carried back.
     """
     if workers < 2:
         return map(function, tasks)
@@ -83,8 +81,8 @@ def fan_out(function, tasks: list, workers: int):
     fork = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(workers, mp_context=fork, initializer=_hold,
                              initargs=(function, tasks)) as pool:
-        futures = [pool.submit(_outcome, i) for i in reversed(range(len(tasks)))]
-        return [_replay(future) for future in reversed(futures)]
+        futures = [pool.submit(_run, i) for i in reversed(range(len(tasks)))]
+        return [future.result() for future in reversed(futures)]
 
 
 _WORK: tuple = (None, [])  # a pool worker's copy of the caller's function and tasks
@@ -95,45 +93,7 @@ def _hold(function, tasks: list) -> None:
     _WORK = function, tasks
 
 
-def _outcome(index: int):
-    """In a pool worker: the result of task ``index`` and the warnings it
-    issued under the filters the worker inherited, as (message, category,
-    filename, lineno). A failure is raised with those warnings as its
-    ``worker_warnings``."""
+def _run(index: int):
+    """In a pool worker: the result of task ``index``."""
     function, tasks = _WORK
-    with warnings.catch_warnings(record=True) as caught:
-        try:
-            return function(tasks[index]), _records(caught)
-        except Exception as exc:
-            exc.worker_warnings = _records(caught)
-            raise
-
-
-def _records(caught: list) -> list[tuple]:
-    return [(w.message, w.category, w.filename, w.lineno) for w in caught]
-
-
-def _replay(future):
-    """The result of an :func:`_outcome` future, or its exception, raised
-    once the warnings the task recorded are issued here."""
-    try:
-        result, caught = future.result()
-    except Exception as exc:
-        _warn_again(vars(exc).pop("worker_warnings", []))
-        raise
-    _warn_again(caught)
-    return result
-
-
-def _warn_again(caught: list) -> None:
-    """Issue recorded warnings, each through the registry of the module that
-    issued it, so the default filter shows it once per location, as ``warn``
-    does."""
-    modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
-    for message, category, filename, lineno in caught:
-        module = modules.get(filename)
-        warnings.warn_explicit(
-            message, category, filename, lineno,
-            module=module.__name__ if module else None,
-            registry=vars(module).setdefault("__warningregistry__", {}) if module else None,
-        )
+    return function(tasks[index])

@@ -52,12 +52,11 @@ left to right): the CLI outputs are pinned bit for bit by
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import ChainModel, transition_matrix
+from .chain import FLOOR, ChainModel, transition_matrix
 
 __all__ = [
     "FLOOR",
@@ -77,10 +76,6 @@ __all__ = [
     "run_steps",
     "step_once",
 ]
-
-# Floor for nonpositive weights and probabilities after an Euler step; keeps
-# the log-domain filter total and aligns clamp statistics across schemes.
-FLOOR = 1e-300
 
 # A run fails when more than this fraction of its (replica-)steps needed the
 # floor; silently projecting away instability would mask it.
@@ -146,18 +141,6 @@ def check_probability_vector(probs) -> np.ndarray:
         raise ValueError("probabilities must be finite and nonnegative and sum to 1")
     probs.setflags(write=False)
     return probs
-
-
-def initial_weights(model: ChainModel) -> np.ndarray:
-    """Initial unnormalized weights: the initial law, zeros floored to 1e-300."""
-    psi = np.array(model.initial_dist, dtype=float)
-    if np.any(psi <= 0):
-        warnings.warn(
-            "zero initial probabilities floored to 1e-300 so every state stays representable",
-            stacklevel=3,
-        )
-        psi = np.maximum(psi, FLOOR)
-    return psi
 
 
 def drift_matrix(model: ChainModel, beta: float, correction_sign: int = -1) -> np.ndarray:
@@ -394,7 +377,7 @@ class _Unnormalized(Kernel):
 
     def start(self, initial=None):
         if initial is None:
-            return initial_weights(self.model), 0.0
+            return self.model.start_weights, 0.0
         return self.initial(initial), initial.log_normalizer
 
     @staticmethod
@@ -523,7 +506,7 @@ class LogDomain(Kernel):
         )
 
     def start(self, initial=None):
-        psi = initial_weights(self.model) if initial is None else self.initial(initial)
+        psi = self.model.start_weights if initial is None else self.initial(initial)
         return np.log(psi) - np.log(psi).max(axis=-1, keepdims=psi.ndim > 1)
 
     def prepare(self, state, dy):

@@ -23,6 +23,7 @@ unconditional law, and its mean-square error must beat the best constant.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from itertools import product
 
@@ -277,8 +278,9 @@ def tower_property_check(
     batch (:func:`jumpfilter.kernels.check_run`), so the report, or the
     error, is the same at any CPU count.
     """
-    if n_replicas < 100:
-        raise ValueError("need at least 100 replicas for meaningful z-scores")
+    if not isinstance(n_replicas, numbers.Integral) or n_replicas < 100:
+        raise ValueError("n_replicas must be an integer of at least 100 for meaningful "
+                         f"z-scores, not {n_replicas!r}")
     _step_count(horizon, dt)  # its ValueError comes before any work
     k = model.n_states
     levels = model.levels

@@ -40,7 +40,6 @@ from .kernels import (
     ZakaiIto,
     ZakaiLangevin,
     drift_matrix,
-    initial_weights,
     ito_update,
     propagator_pair,
     step_once,
@@ -141,7 +140,7 @@ class GammaState:
 
 def init_unnormalized(model: ChainModel) -> UnnormalizedState:
     """Initial weights equal the initial distribution; zeros floored to 1e-300."""
-    return UnnormalizedState(psi=initial_weights(model), log_normalizer=0.0, t=0.0, clamps=0)
+    return UnnormalizedState(psi=model.start_weights, log_normalizer=0.0, t=0.0, clamps=0)
 
 
 def _unnormalized_step(kernel, state: UnnormalizedState, dy: float) -> UnnormalizedState:

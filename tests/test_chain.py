@@ -153,7 +153,9 @@ class TestSimulation:
         assert path.n_jumps / horizon == pytest.approx(nu, rel=0.05)
 
     def test_absorbing_state_stops_jumping(self):
-        m = ChainModel(levels=[1.0, -1.0], rates=[[0.0, 2.0], [0.0, 0.0]], initial_dist=[1.0, 0.0])
+        with pytest.warns(UserWarning, match="floored"):
+            m = ChainModel(levels=[1.0, -1.0], rates=[[0.0, 2.0], [0.0, 0.0]],
+                           initial_dist=[1.0, 0.0])
         path = simulate_jump_path(m, 50.0, np.random.default_rng(5))
         assert path.n_jumps <= 1
         if path.n_jumps == 1:
@@ -290,21 +292,23 @@ class TestStationary:
     def test_three_state_cycle_hand_solved(self):
         # cycle 0->1->2->0 with rates 1, 2, 3: flow balance pi_0*1 = pi_1*2 = pi_2*3
         # gives pi proportional to (1, 1/2, 1/3) = (6, 3, 2)/11
-        m = ChainModel(
-            levels=[1.0, 2.0, 3.0],
-            rates=[[0, 1.0, 0], [0, 0, 2.0], [3.0, 0, 0]],
-            initial_dist=[1.0, 0.0, 0.0],
-        )
+        with pytest.warns(UserWarning, match="floored"):
+            m = ChainModel(
+                levels=[1.0, 2.0, 3.0],
+                rates=[[0, 1.0, 0], [0, 0, 2.0], [3.0, 0, 0]],
+                initial_dist=[1.0, 0.0, 0.0],
+            )
         pi = stationary_distribution(m)
         assert pi == pytest.approx([6 / 11, 3 / 11, 2 / 11], abs=1e-10)
         assert np.abs(pi @ m.generator).max() <= 1e-10
 
     def test_reducible_chain_names_blocks(self):
-        m = ChainModel(
-            levels=[1.0, -1.0],
-            rates=[[0.0, 2.0], [0.0, 0.0]],
-            initial_dist=[1.0, 0.0],
-        )
+        with pytest.warns(UserWarning, match="floored"):
+            m = ChainModel(
+                levels=[1.0, -1.0],
+                rates=[[0.0, 2.0], [0.0, 0.0]],
+                initial_dist=[1.0, 0.0],
+            )
         with pytest.raises(ReducibleChainError, match="block"):
             stationary_distribution(m)
 

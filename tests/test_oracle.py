@@ -105,9 +105,10 @@ class TestBayesForward:
         assert errors[-1] <= 0.65 * errors[0]
 
     def test_zero_prior_states_stay_at_zero_probability(self):
-        absorbing = ChainModel(
-            levels=[1.0, -1.0], rates=[[0.0, 0.0], [0.0, 0.0]], initial_dist=[1.0, 0.0]
-        )
+        with pytest.warns(UserWarning, match="floored"):
+            absorbing = ChainModel(
+                levels=[1.0, -1.0], rates=[[0.0, 0.0], [0.0, 0.0]], initial_dist=[1.0, 0.0]
+            )
         state = DiscreteBayesState(probs=np.array([1.0, 0.0]))
         stepped = bayes_forward_step(state, absorbing, 0.01, 0.0, 0.5)
         assert stepped.probs[1] == 0.0
@@ -230,6 +231,12 @@ class TestTowerProperty:
     def test_replica_count_floor(self):
         with pytest.raises(ValueError):
             tower_property_check(TELEGRAPH, 0.5, 1e-2, 0.5, 50, master_seed=0)
+
+    @pytest.mark.parametrize("n_replicas", [1000.0, np.float64(120.0), 150.5, "1000"])
+    def test_non_integral_replica_count_rejected(self, n_replicas):
+        # 1000.0 used to escape as TypeError: slice indices must be integers
+        with pytest.raises(ValueError, match="n_replicas must be an integer of at least 100"):
+            tower_property_check(TELEGRAPH, 0.5, 1e-2, 0.5, n_replicas, master_seed=0)
 
     @pytest.mark.parametrize("horizon, dt", [(np.inf, 1e-2), (np.nan, 1e-2), (0.5, np.nan),
                                              (0.5, 0.0)])

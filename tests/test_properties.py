@@ -10,11 +10,14 @@ normalized history unchanged. The Pade [13/13] ``expm`` behind the Gamma
 propagators agrees with scipy's on every drift matrix, and Gamma converges to
 zakai-langevin(-1) at first order. The tower check's vectorized path
 integrals equal those of one path at a time, bit for bit, on models with
-absorbing states, on paths without jumps and on jumps at grid nodes.
+absorbing states, on paths without jumps and on jumps at grid nodes. A model
+warns once, when it is built, exactly when its initial law has a zero, and
+its read-only start weights floor that law as the schemes always did.
 """
 
 import json
 import warnings
+from contextlib import nullcontext
 from unittest import mock
 
 import numpy as np
@@ -121,6 +124,43 @@ def test_one_corrupted_field_is_named(corrupt, model, seed):
         ChainModel(levels=levels, rates=rates, initial_dist=initial)
 
 
+def floored_start(initial: np.ndarray) -> np.ndarray:
+    """The start weights as the unnormalized and log-domain schemes floored
+    them at each start before models kept their own: a copy of the initial
+    law, all of it floored to 1e-300 when it has a nonpositive entry."""
+    psi = np.array(initial, dtype=float)
+    return np.maximum(psi, 1e-300) if np.any(psi <= 0) else psi
+
+
+@PROPERTY
+@given(k=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), zeros=st.integers(0, 4),
+       tiny=st.sampled_from((0.0, 5e-324, 1e-310, 1e-300, 1e-200)))
+def test_a_model_warns_once_exactly_when_its_start_has_a_zero(k, seed, zeros, tiny):
+    # entry 0 takes the mass the others leave; some others are zero and the
+    # last is tiny: a positive entry below 1e-300 is floored only when the
+    # law also has a zero
+    initial = np.random.default_rng(seed).uniform(0.1, 1.0, size=k)
+    initial[1:1 + zeros] = 0.0
+    initial[1:] *= 0.5 / initial.sum()
+    if k > 1:
+        initial[-1] = tiny
+    initial[0] = 1.0 - initial[1:].sum()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        model = ChainModel(levels=np.zeros(k), rates=np.zeros((k, k)), initial_dist=initial)
+    assert len(caught) == (model.initial_dist == 0).any()
+    assert all(w.category is UserWarning and str(w.message).startswith(
+        "zero initial probabilities floored to 1e-300") for w in caught)
+    # reading the weights warns no more, and gives one read-only array
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        weights = model.start_weights
+        assert model.start_weights is weights
+    assert not weights.flags.writeable
+    expected = floored_start(model.initial_dist)
+    assert weights.dtype == expected.dtype and weights.tobytes() == expected.tobytes()
+
+
 @st.composite
 def stiff_models(draw):
     """K <= 4 models with log-uniform rates from 1e-6 to 1e6, absent edges,
@@ -134,7 +174,9 @@ def stiff_models(draw):
     else:
         initial = rng.uniform(0.0, 1.0, size=k)
         initial /= initial.sum()
-    return ChainModel(levels=rng.uniform(-2.0, 2.0, size=k), rates=rates, initial_dist=initial)
+    with pytest.warns(UserWarning, match="floored") if (initial == 0).any() else nullcontext():
+        return ChainModel(levels=rng.uniform(-2.0, 2.0, size=k), rates=rates,
+                          initial_dist=initial)
 
 
 @PROPERTY
@@ -154,9 +196,9 @@ def test_run_is_on_the_simplex_or_raises_a_run_failure(scheme, model, beta, n_st
             run = run_trajectory(model, grid, scheme)
         except (FilterInstabilityError, GammaRangeError):
             run = None
-    # a point-mass start floors its zero weights with a UserWarning; numpy's
-    # floating-point warnings are RuntimeWarnings and must not escape
-    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    # a run issues no warnings: numpy's floating-point warnings must not
+    # escape, and the floor of a zero start warned when the model was built
+    assert caught == []
     if run is not None:
         assert np.isfinite(run.probs).all() and (run.probs >= 0).all()
         assert np.abs(run.probs.sum(axis=1) - 1.0).max() <= SIMPLEX_TOLERANCE

@@ -8,6 +8,8 @@ leave the generator in the same state, so every stream derived by
 increments synthesized from such paths must reproduce the separate runs.
 """
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,10 +54,12 @@ def models(draw):
     if k > 1 and draw(st.booleans()):
         rates[draw(st.integers(0, k - 1))] = 0.0
     initial = rng.uniform(0.1, 1.0, size=k)
-    if k > 1 and draw(st.booleans()):
+    zero_start = k > 1 and draw(st.booleans())
+    if zero_start:
         initial[draw(st.integers(0, k - 1))] = 0.0
-    return ChainModel(levels=rng.uniform(-1.5, 1.5, size=k), rates=rates,
-                      initial_dist=initial / initial.sum())
+    with pytest.warns(UserWarning, match="floored") if zero_start else nullcontext():
+        return ChainModel(levels=rng.uniform(-1.5, 1.5, size=k), rates=rates,
+                          initial_dist=initial / initial.sum())
 
 
 @PROPERTY

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -45,8 +47,11 @@ class TestInit:
         assert state.log_normalizer == 0.0
 
     def test_point_mass_floored_with_warning(self):
-        model = telegraph_model(1.0, initial_dist=(1.0, 0.0))
+        # the model warns once, when it is built; the start reads it silently
         with pytest.warns(UserWarning, match="floored"):
+            model = telegraph_model(1.0, initial_dist=(1.0, 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             state = init_unnormalized(model)
         assert state.psi[1] == 1e-300
 
