@@ -19,6 +19,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .seeding import stream
+
 __all__ = [
     "ChainModel",
     "JumpPath",
@@ -328,24 +330,21 @@ def _draw_jumps(model: ChainModel, horizon: float, rng: np.random.Generator):
     return initial, times, states
 
 
-def add_path_integrals(model: ChainModel, horizon: float, dt: float, rng: np.random.Generator,
-                       stream_states, out: np.ndarray) -> np.ndarray:
+def add_path_integrals(model: ChainModel, horizon: float, dt: float, seed_words: np.ndarray,
+                       out: np.ndarray) -> np.ndarray:
     """Draw one path per stream and add its per-step level integrals to ``out``.
 
     Row r of ``out`` (R, n) gets :func:`step_level_integrals` of the path that
-    :func:`simulate_jump_path` draws from ``rng`` once its
-    ``bit_generator.state`` is set to ``stream_states[r]``, bit for bit. No
-    JumpPath is built: the R paths are checked together, as JumpPath checks
-    one, and their integrals are computed together, in chunks of rows (see
-    :func:`_add_step_integrals`). Returns the state each path ends in, shape
-    (R,).
+    :func:`simulate_jump_path` draws from ``seeding.stream(seed_words[r])``,
+    bit for bit. No JumpPath is built: the R paths are checked together, as
+    JumpPath checks one, and their integrals are computed together, in chunks
+    of rows (see :func:`_add_step_integrals`). Returns the state each path
+    ends in, shape (R,).
     """
-    bit_generator = rng.bit_generator
     visited, all_times = [], []
     n_jumps = np.empty(len(out), dtype=np.intp)
     for r in range(len(out)):
-        bit_generator.state = stream_states[r]
-        initial, times, states = _draw_jumps(model, horizon, rng)
+        initial, times, states = _draw_jumps(model, horizon, stream(seed_words[r]))
         visited.append(initial)
         visited += states
         all_times += times

@@ -7,10 +7,10 @@ the Python loop over the steps carries only the recurrence:
 
 * ``start(initial)``: the kernel state at t=0, from None (the model's
   initial law) or a state of the scheme's ``initial_state`` type;
-* ``prepare(state, dy)``: the per-step inputs of a run from ``state``
-  through the increments ``dy``, every term that depends on the increment
-  alone, computed in one vectorized pass before the loop (by default the
-  increments themselves, as floats or as (R,) rows);
+* ``prepare(dy)``: the per-step inputs of a run through the increments
+  ``dy``, every term that depends on the increment alone, computed in one
+  vectorized pass before the loop (by default the increments themselves, as
+  floats or as (R,) rows);
 * ``step(state, inputs) -> (state, clamped)``: one pure step over a (K,)
   state, with no validation, doing only the work that the next step reads;
   ``clamped`` counts floored entries;
@@ -318,8 +318,8 @@ def _clamp_q(q: float) -> tuple[float, int]:
 
 
 class Kernel:
-    """Per-run constants of one scheme; subclasses define start/step/probs
-    and, where a term depends on the increment alone, prepare."""
+    """Per-run constants of one scheme; subclasses define step and, where
+    they differ from these, start, prepare and probs."""
 
     scheme = ""
     # whether a state is (probs, presum), presum being the sums before the
@@ -347,6 +347,10 @@ class Kernel:
     def check_model(model: ChainModel) -> None:
         """Raises ValueError when the scheme cannot filter ``model``."""
 
+    def start(self, initial=None):
+        """The state at t=0: the model's initial law, or the array of ``initial``."""
+        return np.array(self.model.initial_dist) if initial is None else self.initial(initial)
+
     def initial(self, state) -> np.ndarray:
         """The array of a given start state; ValueError for another state type."""
         type_name, attribute = self.initial_state
@@ -356,9 +360,9 @@ class Kernel:
             )
         return getattr(state, attribute)
 
-    def prepare(self, state, dy: np.ndarray):
-        """The inputs of the steps from ``state`` through ``dy``; here the
-        increments themselves, floats for (n,) ``dy`` and (R,) rows for (n, R)."""
+    def prepare(self, dy: np.ndarray):
+        """The inputs of the steps through ``dy``; here the increments
+        themselves, floats for (n,) ``dy`` and (R,) rows for (n, R)."""
         return dy.tolist() if dy.ndim == 1 else dy
 
     def probs(self, history: list) -> tuple[np.ndarray, dict]:
@@ -408,7 +412,7 @@ class ZakaiLangevin(_Unnormalized):
         super().__init__(*args, **kwargs)
         self.correction = correction_diagonal(self.levels, self.beta, self.correction_sign)
 
-    def prepare(self, state, dy):
+    def prepare(self, dy):
         """The diagonal  correction + a (dy / dt / beta^2)  of every step, (n, K)."""
         diag = observation_diagonal(dy, self.dt, self.beta_sq, self.levels)
         diag += self.correction
@@ -475,9 +479,6 @@ class WonhamLangevin(Kernel):
         with np.errstate(over="ignore"):
             self.levels_sq = self.levels**2
 
-    def start(self, initial=None):
-        return np.array(self.model.initial_dist) if initial is None else self.initial(initial)
-
     def step(self, probs, dy):
         constants = (self.generator, self.levels, self.levels_sq, self.beta_sq, dy / self.dt,
                      self.correction_sign)
@@ -509,7 +510,7 @@ class LogDomain(Kernel):
         psi = self.model.start_weights if initial is None else self.initial(initial)
         return np.log(psi) - np.log(psi).max(axis=-1, keepdims=psi.ndim > 1)
 
-    def prepare(self, state, dy):
+    def prepare(self, dy):
         """The observation term  a (dy / beta^2)  of every step, (n, K)."""
         return np.multiply.outer(dy / self.beta_sq, self.levels)
 
@@ -553,7 +554,7 @@ class Gamma(_Unnormalized):
         self.step_forward = step_forward
         self.step_backward = step_backward
 
-    def prepare(self, state, dy):
+    def prepare(self, dy):
         """The diagonal  a (dy / dt / beta^2)  of every step, (n, K); the drift
         correction is inside A."""
         return observation_diagonal(dy, self.dt, self.beta_sq, self.levels)
@@ -640,10 +641,7 @@ class BayesOracle(Kernel):
         self.mean_increment = self.levels * dt
         self.two_variance = 2.0 * self.beta_sq * dt
 
-    def start(self, initial=None):
-        return np.array(self.model.initial_dist) if initial is None else self.initial(initial)
-
-    def prepare(self, state, dy):
+    def prepare(self, dy):
         """The increment log-likelihood  -(dy - a dt)^2 / (2 beta^2 dt)  of every
         step, (n, K)."""
         log_like = np.subtract.outer(dy, self.mean_increment)
@@ -706,7 +704,7 @@ def step_once(kernel: Kernel, state, dy):
     dy = np.array([dy], dtype=float)
     check_increments(dy)
     with np.errstate(**QUIET):
-        (inputs,) = kernel.prepare(state, dy)
+        (inputs,) = kernel.prepare(dy)
         stepped = kernel.step(state, inputs)
         probs, extras = kernel.probs([stepped[0]])
     check_states(kernel.scheme, probs, extras,
@@ -785,7 +783,7 @@ def run_steps(kernel: Kernel, state, dy: np.ndarray, keep_history: bool = True) 
     clamps = 0
     with np.errstate(**QUIET):
         # the loop holds the prepared inputs and releases them when it ends
-        for inputs in kernel.prepare(state, dy):
+        for inputs in kernel.prepare(dy):
             state, clamped = step(state, inputs)
             clamps += clamped
             record(state)

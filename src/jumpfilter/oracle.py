@@ -29,11 +29,11 @@ from itertools import product
 
 import numpy as np
 
-from .chain import ChainModel, add_path_integrals, transition_matrix
+from .chain import STEP_BUDGET, ChainModel, add_path_integrals, transition_matrix
 from .fanout import fan_out, fork_workers
 from .kernels import (BayesOracle, WonhamIto, check_probability_vector, check_run,
                       run_steps, step_once)
-from .seeding import ROLE_JUMP, ROLE_NOISE, StreamStates, derive_states
+from .seeding import ROLE_JUMP, ROLE_NOISE, derive_states, stream
 from .signalpath import ObservationGrid, _step_count, cumulative_observation
 
 # Not called here; benchmark/tracing.py wraps these names as attributes of
@@ -276,18 +276,22 @@ def tower_property_check(
     out over forked workers when each gets at least ``REPLICA_FLOOR``
     replicas. The blocks' final states are joined and checked once, as one
     batch (:func:`jumpfilter.kernels.check_run`), so the report, or the
-    error, is the same at any CPU count.
+    error, is the same at any CPU count. ValueError, before any work, unless
+    ``n_replicas`` (at least 100) and ``master_seed`` are integers, numpy's
+    too, not bools, and the replica-steps are within ``STEP_BUDGET``.
     """
     if not isinstance(n_replicas, numbers.Integral) or n_replicas < 100:
         raise ValueError("n_replicas must be an integer of at least 100 for meaningful "
                          f"z-scores, not {n_replicas!r}")
-    _step_count(horizon, dt)  # its ValueError comes before any work
-    k = model.n_states
-    levels = model.levels
-
+    if isinstance(master_seed, bool) or not isinstance(master_seed, numbers.Integral):
+        raise ValueError(f"master_seed must be an integer, not {master_seed!r}")
+    n_steps = _step_count(horizon, dt)  # its ValueError comes before any work
+    if int(n_replicas) * n_steps > STEP_BUDGET:
+        raise ValueError(f"n_replicas={n_replicas} replicas of {n_steps} steps are above the "
+                         f"budget of {STEP_BUDGET:.0e} replica-steps")
     kernel = WonhamIto(model, dt, beta, sign_variant="innovation")
-    noise = derive_states(master_seed, n_replicas, ROLE_NOISE).words
-    jumps = derive_states(master_seed, n_replicas, ROLE_JUMP).words
+    noise = derive_states(master_seed, n_replicas, ROLE_NOISE)
+    jumps = derive_states(master_seed, n_replicas, ROLE_JUMP)
     blocks = fork_workers(n_replicas // REPLICA_FLOOR)
     edges = [n_replicas * b // blocks for b in range(blocks + 1)]
     tasks = [(kernel, horizon, noise[lo:hi], jumps[lo:hi]) for lo, hi in zip(edges, edges[1:])]
@@ -309,13 +313,13 @@ def tower_property_check(
     mean_terminal = probs.mean(axis=0)
     spread = probs.std(axis=0, ddof=1)
     deviation = mean_terminal - target
-    z_scores = np.zeros(k)
+    z_scores = np.zeros(model.n_states)
     nonzero = spread > 0
     z_scores[nonzero] = deviation[nonzero] / (spread[nonzero] / math.sqrt(n_replicas))
     z_scores[~nonzero & (np.abs(deviation) > 1e-12)] = np.inf
 
-    xbar = probs @ levels
-    const = float(target @ levels)
+    xbar = probs @ model.levels
+    const = float(target @ model.levels)
     err_filter = (terminal_level - xbar) ** 2
     err_const = (terminal_level - const) ** 2
     gap = err_const - err_filter
@@ -334,12 +338,12 @@ def tower_property_check(
 def _replica_block(task) -> tuple:
     """For ``task = (kernel, horizon, noise_words, jump_words)``, the
     wonham-ito ``kernel``'s unchecked final-state run
-    (:func:`jumpfilter.kernels.run_steps`) over the replicas whose stream
-    seed tables (``derive_states(...).words`` rows) are given, and the level
-    each replica's path ends on.
+    (:func:`jumpfilter.kernels.run_steps`) over the replicas whose streams'
+    seed words (rows of :func:`jumpfilter.seeding.derive_states`) are given,
+    and the level each replica's path ends on.
 
     Row r of the (R, n) increments is written in place: the replica's noise,
-    drawn from one generator set to its noise stream, then scaled; then
+    drawn from its noise stream, then scaled; then
     :func:`jumpfilter.chain.add_path_integrals` adds the exact per-step
     signal integrals of the path drawn from its jump stream. The filter
     reads the transpose view, one (R,) column per step.
@@ -348,13 +352,9 @@ def _replica_block(task) -> tuple:
     model, dt = kernel.model, kernel.dt
     increments = np.empty((len(noise_words), _step_count(horizon, dt)))
     noise_scale = kernel.beta * math.sqrt(dt)
-    noise_states = StreamStates(noise_words)
-    rng = np.random.default_rng(0)
-    for r, row in enumerate(increments):
-        rng.bit_generator.state = noise_states[r]
-        rng.standard_normal(row.size, out=row)
+    for words, row in zip(noise_words, increments):
+        stream(words).standard_normal(row.size, out=row)
         row *= noise_scale
-    final_states = add_path_integrals(model, horizon, dt, rng, StreamStates(jump_words),
-                                      increments)
+    final_states = add_path_integrals(model, horizon, dt, jump_words, increments)
     start = kernel.start(np.tile(model.initial_dist, (len(increments), 1)))
     return run_steps(kernel, start, increments.T, keep_history=False), model.levels[final_states]

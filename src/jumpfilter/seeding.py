@@ -3,7 +3,8 @@
 Every random stream in the package is a ``numpy.random.Generator`` seeded by
 ``derive_seed(master_seed, replica_index, role)``, so jump randomness and
 observation randomness are independently replayable, and replicas never share
-a stream.
+a stream. :func:`stream` seeds PCG64, in C, from a row of :func:`derive_states`,
+the seed words of a batch of replicas' streams.
 
 The mixing function is splitmix64 (Steele, Lea & Flood 2014): the master seed
 is advanced once per key through
@@ -18,6 +19,9 @@ and the final state is the derived 64-bit seed.
 
 from __future__ import annotations
 
+import functools
+import operator
+
 import numpy as np
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -31,15 +35,16 @@ __all__ = ["derive_seed", "derive_rng", "splitmix64", "ROLE_JUMP", "ROLE_NOISE"]
 
 def splitmix64(state: int, key: int) -> int:
     """One splitmix64 round: absorb ``key`` into ``state``."""
-    z = (state + (key & MASK64) * GOLDEN) & MASK64
+    z = (state + (operator.index(key) & MASK64) * GOLDEN) & MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
     return (z ^ (z >> 31)) & MASK64
 
 
 def derive_seed(master_seed: int, *keys: int) -> int:
-    """Fold integer keys (replica index, stream role, ...) into a 64-bit seed."""
-    state = master_seed & MASK64
+    """Fold integer keys (replica index, stream role, ...) into a 64-bit seed;
+    any integer, numpy's included, is taken mod 2**64."""
+    state = operator.index(master_seed) & MASK64
     for key in keys:
         state = splitmix64(state, key + 1)
     return state
@@ -50,17 +55,43 @@ def derive_rng(master_seed: int, *keys: int) -> np.random.Generator:
     return np.random.default_rng(derive_seed(master_seed, *keys))
 
 
-def derive_states(master_seed: int, replicas: int, role: int) -> StreamStates:
-    """PCG64 states of ``derive_rng(master_seed, r, role)`` for r = 0..replicas-1.
+def derive_states(master_seed: int, replicas: int, role: int) -> np.ndarray:
+    """PCG64 seed words of ``derive_rng(master_seed, r, role)`` for r = 0..replicas-1.
 
-    Setting ``derive_states(m, R, role)[r]`` as ``bit_generator.state`` of a
-    PCG64 generator gives the stream of ``derive_rng(m, r, role)``, without
-    the per-call SeedSequence hashing of ``default_rng``.
+    Row r of the (replicas, 4) uint64 table is what ``SeedSequence`` hands
+    PCG64 for that stream, so ``stream(derive_states(m, R, role)[r])`` is the
+    stream of ``derive_rng(m, r, role)``, without the per-call SeedSequence
+    hashing of ``default_rng``.
     """
-    seeds = _splitmix64_output(np.uint64(master_seed & MASK64)
+    seeds = _splitmix64_output(np.uint64(operator.index(master_seed) & MASK64)
                                + np.arange(1, replicas + 1, dtype=np.uint64) * GOLDEN)
     seeds = _splitmix64_output(seeds + np.uint64((role + 1) * GOLDEN & MASK64))
-    return StreamStates(seed_sequence_words(seeds))
+    return seed_sequence_words(seeds)
+
+
+def stream(words) -> np.random.Generator:
+    """The generator whose PCG64 seeds itself from the four uint64 ``words``,
+    a row of :func:`derive_states`."""
+    words = np.ascontiguousarray(words, dtype=np.uint64)
+    if words.shape != (4,):
+        raise ValueError(f"a stream is seeded from 4 words, not from shape {words.shape}")
+    return np.random.Generator(np.random.PCG64(_seed_words_class()(words)))
+
+
+@functools.cache
+def _seed_words_class() -> type:
+    """The seed sequence that gives PCG64 fixed words, built by the first
+    stream: importing the package loads no ``numpy.random``."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):  # PCG64 asks for 4 uint64
+            return self.words
+
+    return SeedWords
 
 
 def _splitmix64_output(z: np.ndarray) -> np.ndarray:
@@ -113,33 +144,3 @@ def seed_sequence_words(seeds: np.ndarray) -> np.ndarray:
         value = value * hash_const
         halves.append((value ^ (value >> 16)).astype(np.uint64))
     return np.stack([halves[2 * w] | halves[2 * w + 1] << 32 for w in range(4)], axis=1)
-
-
-PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
-MASK128 = (1 << 128) - 1
-
-
-class StreamStates:
-    """PCG64 generator states of R streams, kept as their (R, 4) seed table.
-
-    Row r holds the four words PCG64 seeds from (initstate high and low,
-    sequence high and low). ``states[r]`` runs PCG64's ``srandom`` on that
-    row and returns the ``bit_generator.state`` dict, so a dict exists only
-    while its stream is in use.
-    """
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def __getitem__(self, r: int) -> dict:
-        state_hi, state_lo, seq_hi, seq_lo = self.words[r].tolist()
-        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & MASK128
-        # srandom: state = 0; advance; state += initstate; advance, where
-        # advance is state = state * multiplier + inc
-        state = ((inc + (state_hi << 64 | state_lo)) * PCG64_MULTIPLIER + inc) & MASK128
-        return {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }

@@ -15,6 +15,7 @@ from jumpfilter import (
 )
 from jumpfilter.chain import (JUMP_BUDGET, JumpPath, _check_paths, add_path_integrals,
                               step_level_integrals)
+from jumpfilter.seeding import ROLE_JUMP, derive_rng, derive_states
 
 TELEGRAPH = telegraph_model(1.0)
 
@@ -187,14 +188,11 @@ class TestPathBatch:
 
     @pytest.mark.parametrize("model", [TELEGRAPH, ABSORBING], ids=["telegraph", "absorbing"])
     def test_rows_equal_one_path_at_a_time(self, model):
-        states = [np.random.default_rng(seed).bit_generator.state for seed in range(40)]
         base = np.random.default_rng(1).standard_normal((40, 50))
         out = base.copy()
-        final = add_path_integrals(model, 2.0, 0.04, np.random.default_rng(0), states, out)
-        for r, state in enumerate(states):
-            rng = np.random.default_rng(0)
-            rng.bit_generator.state = state
-            path = simulate_jump_path(model, 2.0, rng)
+        final = add_path_integrals(model, 2.0, 0.04, derive_states(8, 40, ROLE_JUMP), out)
+        for r in range(40):
+            path = simulate_jump_path(model, 2.0, derive_rng(8, r, ROLE_JUMP))
             expected = base[r].copy()
             expected += step_level_integrals(path, model, 0.04, 50)
             assert np.array_equal(out[r], expected)
@@ -348,5 +346,4 @@ class TestJumpBudget:
         with pytest.raises(ValueError, match="budget"):
             simulate_jump_path(model, 1.0, np.random.default_rng(0))
         with pytest.raises(ValueError, match="budget"):
-            add_path_integrals(model, 1.0, 0.1, np.random.default_rng(0),
-                               [np.random.default_rng(0).bit_generator.state], np.zeros((1, 10)))
+            add_path_integrals(model, 1.0, 0.1, derive_states(0, 1, ROLE_JUMP), np.zeros((1, 10)))

@@ -238,6 +238,30 @@ class TestTowerProperty:
         with pytest.raises(ValueError, match="n_replicas must be an integer of at least 100"):
             tower_property_check(TELEGRAPH, 0.5, 1e-2, 0.5, n_replicas, master_seed=0)
 
+    @pytest.mark.parametrize("master_seed", [np.int64(6), np.int32(6), np.uint64(6)])
+    def test_numpy_integer_seed_gives_the_int_report(self, master_seed):
+        # np.int64 and np.int32 used to raise OverflowError
+        case = (TELEGRAPH, 0.2, 1e-2, 0.5, 120)
+        assert (report_values(tower_property_check(*case, master_seed))
+                == report_values(tower_property_check(*case, 6)))
+
+    @pytest.mark.parametrize("master_seed", [1.5, 3.0, "3", True, np.bool_(True), None])
+    def test_non_integer_seed_rejected(self, master_seed, monkeypatch):
+        # 1.5 used to escape as TypeError from &; nothing is derived first
+        monkeypatch.setattr(oracle, "derive_states", None)
+        with pytest.raises(ValueError, match="master_seed must be an integer"):
+            tower_property_check(TELEGRAPH, 0.5, 1e-2, 0.5, 120, master_seed)
+
+    def test_replica_steps_over_the_budget_rejected(self, monkeypatch):
+        # 120 replicas of 50 steps are 6000 replica-steps; no seed is derived
+        monkeypatch.setattr(oracle, "derive_states", None)
+        monkeypatch.setattr(oracle, "STEP_BUDGET", 5999)
+        with pytest.raises(ValueError, match="n_replicas=120 .* budget"):
+            tower_property_check(TELEGRAPH, 0.5, 1e-2, 0.5, 120, master_seed=0)
+        monkeypatch.undo()
+        monkeypatch.setattr(oracle, "STEP_BUDGET", 6000)
+        tower_property_check(TELEGRAPH, 0.5, 1e-2, 0.5, 120, master_seed=0)
+
     @pytest.mark.parametrize("horizon, dt", [(np.inf, 1e-2), (np.nan, 1e-2), (0.5, np.nan),
                                              (0.5, 0.0)])
     def test_nonfinite_step_count_rejected(self, horizon, dt):

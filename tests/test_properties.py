@@ -281,7 +281,7 @@ def test_path_integrals_equal_one_path_at_a_time(model, dt, n_steps, replicas, m
     base = np.random.default_rng(master_seed % 2**32).standard_normal((replicas, n_steps))
     out = base.copy()
     with mock.patch.object(chain, "CHUNK_VALUES", chunk):
-        final = add_path_integrals(model, horizon, dt, np.random.default_rng(0),
+        final = add_path_integrals(model, horizon, dt,
                                    derive_states(master_seed, replicas, ROLE_JUMP), out)
     for r in range(replicas):
         path = simulate_jump_path(model, horizon, derive_rng(master_seed, r, ROLE_JUMP))

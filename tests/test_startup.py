@@ -6,7 +6,8 @@ Nor do the package, the commands that run one trajectory and a test-sized
 (300-replica) tower check load ``multiprocessing`` or ``concurrent.futures``:
 only a fan-out over CPUs imports them: that of the refinement ladders of
 ``convergence`` and ``adjudicate``, or that of a tower check of at least
-``2 * oracle.REPLICA_FLOOR`` replicas.
+``2 * oracle.REPLICA_FLOOR`` replicas. Importing the package and its CLI
+loads no ``numpy.random`` either (~10 ms): the first generator imports it.
 
 Other tests import scipy into the pytest process, so the check runs in a
 fresh interpreter.
@@ -67,6 +68,7 @@ def pool_modules():
 
 after_import = scipy_modules()
 pools_after_import = pool_modules()
+random_after_import = sorted(name for name in sys.modules if name.startswith("numpy.random"))
 config_file, gamma_file, out_dir = sys.argv[1:4]
 common = ["--config", config_file, "--out", out_dir]
 with contextlib.redirect_stdout(io.StringIO()):
@@ -87,6 +89,7 @@ after_cli = scipy_modules()
 results = lazy_results(config_file)
 print(json.dumps({{"after_import": after_import, "codes": codes, "after_cli": after_cli,
                   "pools_after_import": pools_after_import,
+                  "random_after_import": random_after_import,
                   "pools_after_single_runs": pools_after_single_runs,
                   "results": results, "after_lazy": scipy_modules()}}))
 """
@@ -112,6 +115,7 @@ def test_cli_runs_without_scipy_and_lazy_paths_match(tmp_path):
     report = json.loads(proc.stdout.splitlines()[-1])
 
     assert report["after_import"] == []
+    assert report["random_after_import"] == []
     assert report["codes"] == [0] * 6
     for written in ("trajectory.csv", "prediction.csv", "convergence.csv"):
         assert (out / written).exists()
