@@ -365,7 +365,7 @@ CHUNK_VALUES = 1 << 15
 def _add_step_integrals(seg_levels: np.ndarray, jump_times: np.ndarray, n_jumps: np.ndarray,
                         grid: np.ndarray, out: np.ndarray) -> None:
     """Add to row r of ``out`` (R, n) the per-step level integrals over
-    ``grid`` of path r, with the operations of :func:`_step_integrals`.
+    ``grid`` of path r, with the operations of :func:`step_level_integrals`.
 
     The R paths are given flat, path after path: ``seg_levels`` holds the
     level of each of a path's ``n_jumps[r] + 1`` segments and ``jump_times``
@@ -440,12 +440,8 @@ def integrate_level(path: JumpPath, model: ChainModel, t0: float, t1: float) -> 
 
 def step_level_integrals(path: JumpPath, model: ChainModel, dt: float, n_steps: int) -> np.ndarray:
     """Exact per-step signal integrals over the uniform grid r*dt, r=0..n."""
-    return _step_integrals(model.levels[path.states_visited], path.jump_times, path.horizon,
-                           dt, n_steps)
-
-
-def _step_integrals(seg_levels, jump_times, horizon, dt, n_steps) -> np.ndarray:
-    cum = _cumulative_level(seg_levels, jump_times, horizon, _uniform_grid(n_steps, dt, horizon))
+    cum = _cumulative_level(model.levels[path.states_visited], path.jump_times, path.horizon,
+                            _uniform_grid(n_steps, dt, path.horizon))
     return cum[1:] - cum[:-1]
 
 

@@ -23,19 +23,20 @@ Building a kernel also checks dt and beta (:func:`check_step`), its options
 (:func:`check_signs`) and, through the kernel's ``check_model``, that the
 scheme can filter the model.
 
-Only wonham-ito also steps a batch of R replicas. Its batch is held
-states-first, as a contiguous (K, R) array with one replica per column, so
-the operations of a step run along length-R rows instead of broadcasting
-over a length-K inner axis; ``start`` takes and ``probs`` returns the (R, K)
-layout.
+Only wonham-ito also steps a batch of R replicas, held states-first (this
+module alone knows the layout) as a contiguous (K, R) array with one replica
+per column, so the operations of a step run along length-R rows instead of
+broadcasting over a length-K inner axis; ``start`` takes and ``probs``
+returns the (R, K) layout.
 
 :func:`drive` runs any kernel over an increment record and applies the single
 error policy: finite increments at entry (:func:`check_increments`, a
 ValueError), then at exit :func:`check_run`: :func:`check_states` and the
 clamp budget, whose failures raise FilterInstabilityError. The loop alone is
-:func:`run_steps`, so a batch stepped in blocks is checked once, joined, as
-one batch would be (the tower check). No step checks anything;
-:func:`step_once` runs the same :func:`check_states` on the state it steps to.
+:func:`run_steps`, and :func:`check_run` joins the runs of replica blocks
+itself, so a batch stepped in blocks (the tower check) is checked once, as
+one batch would be. No step checks anything; :func:`step_once` runs the same
+:func:`check_states` on the state it steps to.
 
 The arithmetic of each scheme lives here exactly once; the public step
 functions of :mod:`jumpfilter.zakai`, :mod:`jumpfilter.wonham` and
@@ -52,7 +53,7 @@ left to right): the CLI outputs are pinned bit for bit by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -143,6 +144,15 @@ def check_probability_vector(probs) -> np.ndarray:
     return probs
 
 
+def given_matrix(matrix, k: int, message: str, valid=lambda m: np.isfinite(m).all()):
+    """A (k, k) constant given to a kernel, as a float array; ValueError with
+    ``message`` unless it has that shape and ``valid`` holds (None fails)."""
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.shape != (k, k) or not valid(matrix):
+        raise ValueError(message)
+    return matrix
+
+
 def drift_matrix(model: ChainModel, beta: float, correction_sign: int = -1) -> np.ndarray:
     """Constant drift matrix of the smooth-noise unnormalized equation.
 
@@ -208,11 +218,11 @@ def propagator_pair(a_matrix: np.ndarray, t: float) -> tuple[np.ndarray, np.ndar
 
 
 # ---------------------------------------------------------------------------
-# raw updates: the arithmetic of each scheme on any (..., K) array
+# raw updates: the arithmetic of each scheme on a (K,) state or a (K, R) batch
 
 
 def _row_sums(x: np.ndarray):
-    """Sums over the last axis of a (..., K) history, kept as a column."""
+    """Sums over the last axis of a (K,) vector, or of a (rows, K) history as a column."""
     return np.add.reduce(x, axis=-1, keepdims=x.ndim > 1)
 
 
@@ -243,10 +253,8 @@ def finish_simplex_step(raw: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def ito_update(psi, generator, levels, beta: float, dt: float, dy):
-    """Raw Euler-Maruyama update of the linear unnormalized equation.
-
-    Works on any (..., K) array; no floor or rescale applied.
-    """
+    """Raw Euler-Maruyama update of the linear unnormalized equation on a
+    (K,) state; no floor or rescale applied."""
     return psi + dt * (psi @ generator) + psi * levels * (dy / beta**2)
 
 
@@ -444,14 +452,11 @@ class WonhamIto(Kernel):
         self.levels_column = self.levels[:, None]
 
     def start(self, initial=None):
-        """(K,) from None, a state object or a (K,) array; (K, R) from an
-        (R, K) array of replica rows."""
-        if initial is None:
-            return np.array(self.model.initial_dist), 1.0
-        probs = initial if isinstance(initial, np.ndarray) else self.initial(initial)
-        if probs.ndim == 1:
-            return probs, 1.0
-        return np.ascontiguousarray(probs.T), np.ones(probs.shape[0])
+        """(K,) from None or a FilterState; a (K, R) batch from an (R, K) array
+        of replica rows."""
+        if isinstance(initial, np.ndarray) and initial.ndim == 2:
+            return np.ascontiguousarray(initial.T), np.ones(len(initial))
+        return super().start(initial), 1.0
 
     def step(self, state, dy):
         probs = state[0]
@@ -508,7 +513,7 @@ class LogDomain(Kernel):
 
     def start(self, initial=None):
         psi = self.model.start_weights if initial is None else self.initial(initial)
-        return np.log(psi) - np.log(psi).max(axis=-1, keepdims=psi.ndim > 1)
+        return np.log(psi) - np.log(psi).max()
 
     def prepare(self, dy):
         """The observation term  a (dy / beta^2)  of every step, (n, K)."""
@@ -516,11 +521,11 @@ class LogDomain(Kernel):
 
     def step(self, theta, observed):
         # coupling_j = sum_{i != j} nu_ij exp(theta_i - theta_j); the shift cancels
-        diffs = np.where(self.connected, theta[..., :, None] - theta[..., None, :], -np.inf)
-        coupling = np.einsum("ij,...ij->...j", self.rates, np.exp(diffs))
+        diffs = np.where(self.connected, theta[:, None] - theta, -np.inf)
+        coupling = np.einsum("ij,ij->j", self.rates, np.exp(diffs))
         drift = self.base_drift + coupling
         updated = theta + self.dt * drift + observed
-        return updated - np.maximum.reduce(updated, axis=-1, keepdims=True), 0
+        return updated - np.maximum.reduce(updated), 0
 
     def probs(self, history):
         theta = np.array(history)
@@ -536,10 +541,10 @@ class Gamma(_Unnormalized):
         psi <- F (psi + dt/2 (D psi + B D F (psi + dt D psi))),
 
     with D = diag(a r / beta^2), r = dy/dt; then the rescale of the other
-    unnormalized kernels. The step propagators F and B come from
-    ``step_forward`` and ``step_backward`` when both are given, else from
-    :func:`propagator_pair` of the model's :func:`drift_matrix`, which raises
-    GammaRangeError here if they are not finite.
+    unnormalized kernels. F and B are ``step_forward`` and ``step_backward``
+    (both or neither, each (K, K) and finite, else ValueError), or else come
+    from :func:`propagator_pair` of the model's :func:`drift_matrix`, which
+    raises GammaRangeError here if they are not finite.
     """
 
     scheme = "gamma"
@@ -547,10 +552,15 @@ class Gamma(_Unnormalized):
     def __init__(self, model, dt, beta, correction_sign=-1, sign_variant="innovation",
                  step_forward=None, step_backward=None):
         super().__init__(model, dt, beta, correction_sign, sign_variant)
-        if step_forward is None or step_backward is None:
+        if step_forward is None and step_backward is None:
             step_forward, step_backward = propagator_pair(
                 drift_matrix(model, beta, correction_sign), dt
             )
+        else:
+            k = model.n_states
+            message = f"give both step propagators or neither, each a finite ({k}, {k}) matrix"
+            step_forward = given_matrix(step_forward, k, message)
+            step_backward = given_matrix(step_backward, k, message)
         self.step_forward = step_forward
         self.step_backward = step_backward
 
@@ -573,12 +583,15 @@ class Gamma(_Unnormalized):
 
 
 class _Telegraph(Kernel):
-    """State q = p_plus - p_minus of the symmetric two-state chain, a float."""
+    """State q = p_plus - p_minus of the symmetric two-state chain, a float;
+    the switching rate is ``nu``, finite and nonnegative, or the model's."""
 
     def __init__(self, model, dt, beta, correction_sign=-1, sign_variant="innovation",
                  nu=None):
         super().__init__(model, dt, beta, correction_sign, sign_variant)
         self.nu = float(model.rates[0, 1]) if nu is None else nu
+        if not 0 <= self.nu < np.inf:
+            raise ValueError(f"nu must be finite and nonnegative, not {nu!r}")
         self.minus_two_nu = -2.0 * self.nu
 
     @staticmethod
@@ -630,14 +643,17 @@ class BayesOracle(Kernel):
     Gaussian increment likelihood; state p. This is the Lie-Trotter
     splitting-up scheme of the filtering equation (Le Gland 1992; Bensoussan,
     Glowinski & Rascanu 1990): the signal's forward equation is solved
-    exactly over a step, then the observation part alone."""
+    exactly over a step, then the observation part alone. A given ``trans``
+    must be (K, K) with rows on the simplex (else ValueError)."""
 
     scheme = "bayes-oracle"
 
     def __init__(self, model, dt, beta, correction_sign=-1, sign_variant="innovation",
                  trans=None):
         super().__init__(model, dt, beta, correction_sign, sign_variant)
-        self.trans = transition_matrix(model, dt) if trans is None else trans
+        k = model.n_states
+        self.trans = transition_matrix(model, dt) if trans is None else given_matrix(
+            trans, k, f"trans must be a ({k}, {k}) matrix with rows on the simplex", on_simplex)
         self.mean_increment = self.levels * dt
         self.two_variance = 2.0 * self.beta_sq * dt
 
@@ -652,7 +668,7 @@ class BayesOracle(Kernel):
 
     def step(self, probs, log_like):
         log_post = np.log(probs @ self.trans) + log_like
-        log_post -= np.maximum.reduce(log_post, axis=-1, keepdims=True)
+        log_post -= np.maximum.reduce(log_post)
         post = np.exp(log_post)
         return post / _state_sums(post), 0
 
@@ -802,13 +818,21 @@ def run_steps(kernel: Kernel, state, dy: np.ndarray, keep_history: bool = True) 
     return run
 
 
-def check_run(run: Trajectory) -> Trajectory:
-    """The exit checks of a :func:`run_steps` run, or of such runs of replica
-    blocks joined along axis 1, and ``run`` once they pass: :func:`check_states`
-    (its pre-sum guard on ``presum_max_dev``, 0 without a "presum" extra,
-    which is dropped after the check), then the clamp budget, which raises
-    FilterInstabilityError for more than CLAMP_FAILURE_FRACTION of the
-    replica-steps clamping."""
+def check_run(*runs: Trajectory) -> Trajectory:
+    """The exit checks of a :func:`run_steps` run, and the run once they pass.
+    The final-state runs of replica blocks are first joined into one batch:
+    probs and extras along replica axis 1, clamps summed, pre-sum statistics
+    maxed. Then :func:`check_states` (its pre-sum guard on ``presum_max_dev``;
+    a "presum" extra is dropped after it) and the clamp budget, which raises
+    FilterInstabilityError when over CLAMP_FAILURE_FRACTION of replica-steps clamp."""
+    run = runs[0]
+    if len(runs) > 1:
+        run = replace(run, probs=np.concatenate([r.probs for r in runs], axis=1),
+                      clamps=sum(r.clamps for r in runs),
+                      presum_max_dev=float(np.max([r.presum_max_dev for r in runs])),
+                      presum_total_dev=float(np.max([r.presum_total_dev for r in runs])),
+                      extras={name: np.concatenate([r.extras[name] for r in runs], axis=1)
+                              for name in run.extras})
     check_states(run.scheme, run.probs, run.extras, run.presum_max_dev)
     run.extras.pop("presum", None)
     replica_steps = (len(run.times) - 1) * (run.probs[0].size // run.probs.shape[-1])

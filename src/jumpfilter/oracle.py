@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -33,7 +33,7 @@ from .chain import STEP_BUDGET, ChainModel, add_path_integrals, transition_matri
 from .fanout import fan_out, fork_workers
 from .kernels import (BayesOracle, WonhamIto, check_probability_vector, check_run,
                       run_steps, step_once)
-from .seeding import ROLE_JUMP, ROLE_NOISE, derive_states, stream
+from .seeding import ROLE_JUMP, ROLE_NOISE, _seed_words_class, derive_states, stream
 from .signalpath import ObservationGrid, _step_count, cumulative_observation
 
 # Not called here; benchmark/tracing.py wraps these names as attributes of
@@ -274,9 +274,9 @@ def tower_property_check(
 
     The replicas run in contiguous blocks (:func:`_replica_block`), fanned
     out over forked workers when each gets at least ``REPLICA_FLOOR``
-    replicas. The blocks' final states are joined and checked once, as one
-    batch (:func:`jumpfilter.kernels.check_run`), so the report, or the
-    error, is the same at any CPU count. ValueError, before any work, unless
+    replicas. :func:`jumpfilter.kernels.check_run` joins the blocks' final
+    states and checks them once, as one batch, so the report, or the error,
+    is the same at any CPU count. ValueError, before any work, unless
     ``n_replicas`` (at least 100) and ``master_seed`` are integers, numpy's
     too, not bools, and the replica-steps are within ``STEP_BUDGET``.
     """
@@ -295,18 +295,9 @@ def tower_property_check(
     blocks = fork_workers(n_replicas // REPLICA_FLOOR)
     edges = [n_replicas * b // blocks for b in range(blocks + 1)]
     tasks = [(kernel, horizon, noise[lo:hi], jumps[lo:hi]) for lo, hi in zip(edges, edges[1:])]
+    _seed_words_class()  # loads numpy.random here, so forked workers inherit it
     runs, terminal_levels = zip(*fan_out(_replica_block, tasks, blocks))
-    # a final-state batch is (1, R, K), with extras (1, R): replicas on axis 1
-    run = check_run(replace(
-        runs[0],
-        probs=np.concatenate([r.probs for r in runs], axis=1),
-        clamps=sum(r.clamps for r in runs),
-        presum_max_dev=float(np.max([r.presum_max_dev for r in runs])),
-        presum_total_dev=float(np.max([r.presum_total_dev for r in runs])),
-        extras={name: np.concatenate([r.extras[name] for r in runs], axis=1)
-                for name in runs[0].extras},
-    ))
-    probs = run.probs[-1]
+    probs = check_run(*runs).probs[-1]
     terminal_level = np.concatenate(terminal_levels)
 
     target = model.initial_dist @ transition_matrix(model, horizon)

@@ -32,10 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainModel, transition_matrix
-# SIGN_VARIANTS, wonham_update_raw and finish_simplex_step keep their names
-# in this module.
-from .kernels import (  # noqa: F401
-    SIGN_VARIANTS,
+from .kernels import (
     TelegraphIto,
     TelegraphLangevin,
     WonhamIto,

@@ -107,29 +107,22 @@ class LogState:
         object.__setattr__(self, "theta", theta)
 
 
-@dataclass(frozen=True, eq=False)
-class GammaState:
+@dataclass(frozen=True, eq=False, kw_only=True)
+class GammaState(UnnormalizedState):
     """Similarity-transformed weights Gamma = exp(-A t) psi.
 
-    Carries the weights psi that the Gamma step advances (rescaled, with
-    their log scale, as in :class:`UnnormalizedState`), the constant drift
-    matrix A and the propagators exp(+-A t) at the current time, which a step
-    advances by one factor each; ``gamma`` is derived from psi.
+    An :class:`UnnormalizedState` of the weights psi that the Gamma step
+    advances, plus the constant drift matrix A and the propagators
+    exp(+-A t) at the current time, which a step advances by one factor
+    each; ``gamma`` is derived from psi.
     """
 
-    psi: np.ndarray
-    t: float
     a_matrix: np.ndarray
     forward: np.ndarray   # exp(+A t)
     backward: np.ndarray  # exp(-A t)
-    log_normalizer: float = 0.0
-    clamps: int = 0
 
     def __post_init__(self):
-        psi = np.asarray(self.psi, dtype=float)
-        if np.any(psi <= 0) or not np.all(np.isfinite(psi)):
-            raise ValueError("psi entries must be positive and finite")
-        object.__setattr__(self, "psi", psi)
+        super().__post_init__()
         object.__setattr__(self, "a_matrix", np.asarray(self.a_matrix, dtype=float))
 
     @property
@@ -204,15 +197,8 @@ def to_gamma(state: UnnormalizedState, a_matrix: np.ndarray, t: float | None = N
         raise ValueError(f"t must be finite and nonnegative, not {t!r}")
     a_matrix = np.asarray(a_matrix, dtype=float)
     forward, backward = propagator_pair(a_matrix, t)
-    return GammaState(
-        psi=state.psi,
-        t=t,
-        a_matrix=a_matrix,
-        forward=forward,
-        backward=backward,
-        log_normalizer=state.log_normalizer,
-        clamps=state.clamps,
-    )
+    return GammaState(psi=state.psi, log_normalizer=state.log_normalizer, t=t,
+                      clamps=state.clamps, a_matrix=a_matrix, forward=forward, backward=backward)
 
 
 def from_gamma(state: GammaState) -> UnnormalizedState:
@@ -243,10 +229,11 @@ def gamma_langevin_step(
     re-based at t (the Gamma kernel's step of psi), then the rescale.
 
     ``step_forward``/``step_backward`` are exp(+-A dt); pass both in when
-    stepping many times with the same dt to avoid recomputing them. Raises
-    GammaRangeError when they overflow.
+    stepping many times with the same dt to avoid recomputing them (ValueError
+    unless both or neither are given, each (K, K) and finite). Raises
+    GammaRangeError when computed ones overflow.
     """
-    if step_forward is None or step_backward is None:
+    if step_forward is None and step_backward is None:
         step_forward, step_backward = propagator_pair(state.a_matrix, dt)
     kernel = Gamma(model, dt, beta, step_forward=step_forward, step_backward=step_backward)
     (psi, total), clamped = step_once(kernel, (state.psi, state.log_normalizer), dy)
@@ -254,8 +241,8 @@ def gamma_langevin_step(
         psi=psi,
         t=state.t + dt,
         a_matrix=state.a_matrix,
-        forward=state.forward @ step_forward,
-        backward=step_backward @ state.backward,
+        forward=state.forward @ kernel.step_forward,
+        backward=kernel.step_backward @ state.backward,
         log_normalizer=float(state.log_normalizer + np.log(total)),
         clamps=state.clamps + clamped,
     )

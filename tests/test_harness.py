@@ -16,6 +16,7 @@ from jumpfilter import (
     ChainModel,
     DiscreteBayesState,
     FilterState,
+    GammaState,
     JumpPath,
     LogState,
     TelegraphState,
@@ -546,6 +547,9 @@ CONSTRUCTORS = {
                                 lambda a: ObservationGrid(0.1, 1.0, np.zeros(2), np.zeros(2), a)),
     "FilterState.probs": ("probs", lambda a: FilterState(probs=a)),
     "UnnormalizedState.psi": ("psi", lambda a: UnnormalizedState(psi=a)),
+    # GammaState used to keep the caller's writable array
+    "GammaState.psi": ("psi", lambda a: GammaState(psi=a, t=0.0, a_matrix=np.zeros((2, 2)),
+                                                   forward=np.eye(2), backward=np.eye(2))),
     "LogState.theta": ("theta", lambda a: LogState(theta=a)),
     "DiscreteBayesState.probs": ("probs", lambda a: DiscreteBayesState(probs=a)),
 }
@@ -1071,3 +1075,10 @@ class TestInitialState:
             wrong, wanted = UnnormalizedState(psi=self.PROBS), "FilterState"
         with pytest.raises(ValueError, match=f"{scheme} starts from a {wanted}"):
             run_trajectory(TELEGRAPH, self.GRID, scheme, initial=wrong)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_bare_array_raises(self, scheme):
+        # wonham-ito took a (K,) array as its start; only its batch start
+        # takes an array, of (R, K) replica rows
+        with pytest.raises(ValueError, match=f"{scheme} starts from a .*, not a ndarray"):
+            run_trajectory(TELEGRAPH, self.GRID, scheme, initial=self.PROBS)

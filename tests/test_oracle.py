@@ -14,8 +14,9 @@ from jumpfilter import (
 )
 from jumpfilter import oracle
 from jumpfilter.harness import ExperimentConfig, run_trajectory, simulate_pair
-from jumpfilter.kernels import FilterInstabilityError
+from jumpfilter.kernels import FilterInstabilityError, WonhamIto, check_run, run_steps
 from jumpfilter.oracle import _ordered_times, _state_sequences
+from jumpfilter.seeding import ROLE_JUMP, ROLE_NOISE, derive_states
 from jumpfilter.signalpath import coarsen
 from jumpfilter.wonham import finish_simplex_step, wonham_update_raw
 
@@ -103,6 +104,14 @@ class TestBayesForward:
             won = run_trajectory(TELEGRAPH, grid, "wonham-ito")
             errors.append(np.abs(bayes.probs - won.probs).max())
         assert errors[-1] <= 0.65 * errors[0]
+
+    @pytest.mark.parametrize("trans", [[[2.0, -1.0], [0.0, 1.0]], [[0.5, 0.5], [np.nan, 1.0]],
+                                       np.eye(3)], ids=["negative", "nan", "3x3"])
+    def test_given_transition_matrix_is_checked(self, trans):
+        # [[2, -1], [0, 1]] used to give probs [1, 0] with no error
+        state = DiscreteBayesState(probs=[0.5, 0.5])
+        with pytest.raises(ValueError, match="trans must be a"):
+            bayes_forward_step(state, TELEGRAPH, 1e-3, 0.01, 0.5, trans=trans)
 
     def test_zero_prior_states_stay_at_zero_probability(self):
         with pytest.warns(UserWarning, match="floored"):
@@ -296,6 +305,54 @@ class TestTowerProperty:
             )
             scalar, _ = finish_simplex_step(raw_i)
             assert np.array_equal(batched[:, i], scalar)
+
+
+class TestBlockJoin:
+    """``check_run(*runs)`` joins the final-state runs of replica blocks and
+    checks them as the one batch they split."""
+
+    @staticmethod
+    def block_runs(case, edges):
+        model, horizon, dt, beta, replicas, seed = case
+        kernel = WonhamIto(model, dt, beta)
+        noise = derive_states(seed, replicas, ROLE_NOISE)
+        jumps = derive_states(seed, replicas, ROLE_JUMP)
+        return [oracle._replica_block((kernel, horizon, noise[lo:hi], jumps[lo:hi]))[0]
+                for lo, hi in zip(edges, edges[1:])]
+
+    @pytest.mark.parametrize("case", [TOWER_PINS[2][0], (K8, 0.5, 1e-2, 0.5, 200, 4)])
+    def test_joined_blocks_equal_the_one_batch(self, case):
+        replicas = case[4]
+        joined = check_run(*self.block_runs(case, [0, 37, 100, replicas]))
+        batch = check_run(*self.block_runs(case, [0, replicas]))
+        assert np.array_equal(joined.probs, batch.probs)
+        assert joined.probs.shape == (1, replicas, case[0].n_states)
+        assert (joined.clamps, joined.presum_max_dev, joined.presum_total_dev) == (
+            batch.clamps, batch.presum_max_dev, batch.presum_total_dev)
+        assert joined.extras == batch.extras == {}
+
+    @pytest.mark.parametrize("bad_block", [0, 1])
+    @pytest.mark.parametrize("beta, dy, match", [
+        # the observed level at beta=0.05 clamps one of the batch's 100 replica-steps
+        (0.05, 0.02, "1 clamp events over 100 steps"),
+        # a gain of ~1e16 rounds the sum of the first raw step away from 1
+        (1e-9, 0.02, "pre-renormalization sum"),
+    ], ids=["clamps", "presum"])
+    def test_a_failing_block_fails_as_the_one_batch(self, beta, dy, match, bad_block):
+        # two blocks of two replicas; the one replica that observes the level
+        # fails, the others see zero increments and stay at (1/2, 1/2)
+        kernel = WonhamIto(TELEGRAPH, 2e-2, beta)
+        increments = np.zeros((25, 4))
+        increments[:, 2 * bad_block + 1] = dy
+        failures = []
+        for edges in ([0, 4], [0, 2, 4]):
+            runs = [run_steps(kernel, kernel.start(np.full((hi - lo, 2), 0.5)),
+                              increments[:, lo:hi], keep_history=False)
+                    for lo, hi in zip(edges, edges[1:])]
+            with pytest.raises(FilterInstabilityError, match=match) as raised:
+                check_run(*runs)
+            failures.append((type(raised.value), str(raised.value)))
+        assert failures[0] == failures[1]
 
 
 class TestTowerFanOut:

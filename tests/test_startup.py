@@ -127,3 +127,29 @@ def test_cli_runs_without_scipy_and_lazy_paths_match(tmp_path):
     # the lazy paths ran cold in the child, and return what they return here
     assert set(LAZY_MODULES) <= set(report["after_lazy"])
     assert report["results"] == lazy_results(config_file)
+
+
+FANNED_OUT_CHECK = """
+import sys
+
+from jumpfilter import fanout, oracle, telegraph_model
+
+fanout.usable_cpus = lambda: 2
+oracle.REPLICA_FLOOR = 100
+oracle.tower_property_check(telegraph_model(1.0), 0.2, 1e-2, 0.5, 200, 0)
+print(json.dumps(["concurrent.futures" in sys.modules, "numpy.random" in sys.modules]))
+"""
+
+
+def test_fanned_out_tower_check_loads_numpy_random_in_the_caller(tmp_path):
+    # the caller loads numpy.random before it forks, so the two workers
+    # inherit it instead of each importing it on its first stream
+    package_root = str(Path(jumpfilter.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", "import json" + FANNED_OUT_CHECK],
+                          capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr
+    forked, random_loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert forked
+    assert random_loaded

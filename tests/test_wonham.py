@@ -141,6 +141,15 @@ class TestTelegraphSteps:
         with pytest.raises(ValueError):
             TelegraphState(q=1.5)
 
+    @pytest.mark.parametrize("step", [telegraph_ito_step, telegraph_langevin_step],
+                             ids=lambda step: step.__name__)
+    @pytest.mark.parametrize("nu", [-5.0, np.nan, np.inf])
+    def test_switching_rate_must_be_finite_and_nonnegative(self, step, nu):
+        # a negative nu used to step silently (q = 0.04 from 0 at nu = -5), and
+        # a NaN one raised FilterInstabilityError, the run-failure type
+        with pytest.raises(ValueError, match="nu must be finite and nonnegative"):
+            step(TelegraphState(q=0.0), nu, 0.5, 1e-3, 0.01)
+
 
 class TestEstimates:
     def test_mean_estimate_uniform_telegraph(self):

@@ -315,6 +315,20 @@ class TestGamma:
         assert np.array_equal(given.gamma, computed.gamma)
         assert np.array_equal(given.forward, computed.forward)
 
+    @pytest.mark.parametrize("given", [
+        {"step_forward": np.eye(2)},
+        {"step_backward": np.eye(2)},
+        {"step_forward": np.full((2, 2), np.nan), "step_backward": np.eye(2)},
+        {"step_forward": np.eye(2), "step_backward": np.eye(3)},
+    ], ids=["forward-alone", "backward-alone", "nan-forward", "3x3-backward"])
+    def test_given_step_propagators_are_checked(self, given):
+        # a lone step_forward used to be ignored, both recomputed; NaN
+        # propagators raised FilterInstabilityError, the run-failure type
+        state = to_gamma(init_unnormalized(TELEGRAPH), drift_matrix(TELEGRAPH, 0.5))
+        with pytest.raises(ValueError, match=r"both step propagators or neither, each a "
+                                             r"finite \(2, 2\) matrix"):
+            gamma_langevin_step(state, TELEGRAPH, 0.5, 1e-3, 0.02, **given)
+
     def test_equal_levels_step_is_diagonal_scaling(self):
         # levels all equal: diag(a) commutes with exp(A t), so the Gamma field
         # rescales every component by the same factor
