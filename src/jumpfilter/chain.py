@@ -32,6 +32,7 @@ __all__ = [
     "integrate_level",
     "step_level_integrals",
     "add_path_integrals",
+    "check_horizon",
     "check_jump_budget",
     "stationary_distribution",
     "model_from_json",
@@ -191,6 +192,13 @@ def telegraph_model(nu: float, initial_dist=(0.5, 0.5)) -> ChainModel:
     )
 
 
+def check_horizon(h: float) -> None:
+    """The one check of a lookahead horizon: ValueError unless ``h`` is finite
+    and nonnegative."""
+    if not 0 <= h < math.inf:
+        raise ValueError(f"horizon must be finite and nonnegative, not {h!r}")
+
+
 def transition_matrix(model: ChainModel, h: float) -> np.ndarray:
     """Transition probabilities over horizon ``h``: exp(h Q) by uniformization.
 
@@ -200,8 +208,7 @@ def transition_matrix(model: ChainModel, h: float) -> np.ndarray:
     result is a probability matrix by construction. ValueError unless ``h``
     is finite and nonnegative.
     """
-    if not 0 <= h < math.inf:
-        raise ValueError(f"horizon must be finite and nonnegative, not {h!r}")
+    check_horizon(h)
     k = model.n_states
     lam = model.max_exit_rate
     # keep the series short: halve h until mu <= 400, then square back,

@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 validation failure, 3 run-quality failure
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -50,6 +51,7 @@ def _load_config(args) -> ExperimentConfig:
     return ExperimentConfig.from_json(doc)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jumpfilter",

@@ -23,6 +23,7 @@ from .chain import (
     STEP_BUDGET,
     ChainModel,
     JumpPath,
+    check_horizon,
     check_jump_budget,
     json_fields,
     model_from_json,
@@ -203,20 +204,27 @@ def write_path_csv(path: JumpPath, destination) -> None:
 def write_trajectory_csv(
     destination, grid: ObservationGrid, trajectory: Trajectory, model: ChainModel
 ) -> None:
-    """Normalized trajectory as "r,t,y,x_level,p_1..p_K,xbar,map_state"."""
+    """Normalized trajectory as "r,t,y,x_level,p_1..p_K,xbar,map_state".
+
+    The x_level column repeats at most K values, so each distinct value (by
+    its bits, which keeps -0.0 apart from 0.0) is formatted once."""
     probs = trajectory.probs
     k = probs.shape[1]
     header = ["r", "t", "y", "x_level"] + [f"p_{j + 1}" for j in range(k)] + ["xbar", "map_state"]
+    x_bits, x_index = np.unique(np.append(grid.x_level, grid.x_level[-1]).view(np.uint64),
+                                return_inverse=True)
+    x_text = [FLOAT % x for x in x_bits.view(float).tolist()]
     columns = [
         range(len(trajectory.times)),
         trajectory.times,
         cumulative_observation(grid),
-        np.append(grid.x_level, grid.x_level[-1]),
+        [x_text[i] for i in x_index.tolist()],
         *probs.T,
         probs @ model.levels,
         np.argmax(probs, axis=1),
     ]
-    write_table(destination, header, ["%d"] + [FLOAT] * (k + 4) + ["%d"], columns)
+    write_table(destination, header, ["%d", FLOAT, FLOAT, "%s"] + [FLOAT] * k + [FLOAT, "%d"],
+                columns)
 
 
 def write_unnormalized_csv(destination, trajectory: Trajectory) -> None:
@@ -478,7 +486,15 @@ def run_adjudicate(config: ExperimentConfig) -> dict:
 
 
 def run_predict(config: ExperimentConfig, horizons) -> list[dict]:
-    """Predictions from the terminal filter state for each lookahead horizon."""
+    """Predictions from the terminal filter state for each lookahead horizon.
+
+    ValueError, before any work, unless ``horizons`` holds at least one
+    horizon and each is finite and nonnegative."""
+    horizons = list(horizons)
+    if not horizons:
+        raise ValueError("give at least one prediction horizon")
+    for h in horizons:
+        check_horizon(h)
     trajectory, _ = run_filter(config, write=False)
     state = FilterState(probs=trajectory.probs[-1])
     rows = [{"h": h, "probs": wonham.predict(state, config.model, h)} for h in horizons]

@@ -41,13 +41,17 @@ one batch would be. No step checks anything; :func:`step_once` runs the same
 The arithmetic of each scheme lives here exactly once; the public step
 functions of :mod:`jumpfilter.zakai`, :mod:`jumpfilter.wonham` and
 :mod:`jumpfilter.oracle` are R=1 wrappers over these kernels, through
-:func:`step_once`. Hoisting keeps the operation order of every expression
+:func:`step_once`. A step takes its products through ``ndarray.dot`` (the
+BLAS call of ``@`` without the matmul dispatch) and reads per-run decisions
+made at build. Hoisting keeps the operation order of every expression
 (``psi * levels * (dy / beta**2)`` stays as written, never
-``psi * (levels / beta**2) * dy``), and a vectorized pass computes each
+``psi * (levels / beta**2) * dy``; ``0.5 * dt * x`` becomes ``half_dt * x``,
+the same left-to-right product), and a vectorized pass computes each
 element with the operations of the per-step code it replaces (a stacked
 ``matmul`` runs the same BLAS call per matrix; ``np.add.accumulate`` adds
 left to right): the CLI outputs are pinned bit for bit by
-``tests/test_golden_outputs.py``.
+``tests/test_golden_outputs.py``, and each kernel's step arithmetic by
+``tests/test_hot_path.py``.
 """
 
 from __future__ import annotations
@@ -145,9 +149,13 @@ def check_probability_vector(probs) -> np.ndarray:
 
 
 def given_matrix(matrix, k: int, message: str, valid=lambda m: np.isfinite(m).all()):
-    """A (k, k) constant given to a kernel, as a float array; ValueError with
-    ``message`` unless it has that shape and ``valid`` holds (None fails)."""
-    matrix = np.asarray(matrix, dtype=float)
+    """A (k, k) constant given to a kernel or a state, as a float array;
+    ValueError with ``message`` unless it converts to floats, has that shape
+    and ``valid`` holds (None fails)."""
+    try:
+        matrix = np.asarray(matrix, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(message) from None
     if matrix.shape != (k, k) or not valid(matrix):
         raise ValueError(message)
     return matrix
@@ -226,19 +234,14 @@ def _row_sums(x: np.ndarray):
     return np.add.reduce(x, axis=-1, keepdims=x.ndim > 1)
 
 
-def _state_sums(x: np.ndarray):
-    """Sums over the states of a (K,) state (a scalar) or a states-first
-    (K, R) batch (an (R,) row)."""
-    return np.add.reduce(x, axis=0)
-
-
 def floor_and_total(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Floor nonpositive entries of a (K,) or (K, R) state; return the floored
-    array, its state sums and the number of floored entries."""
+    array, its sums over the states (a scalar, or an (R,) row) and the number
+    of floored entries."""
     clamped = int(np.count_nonzero(raw <= 0.0))
     if clamped:
         raw = np.maximum(raw, FLOOR)
-    return raw, _state_sums(raw), clamped
+    return raw, np.add.reduce(raw, axis=0), clamped
 
 
 def finish_simplex_step(raw: np.ndarray) -> tuple[np.ndarray, int]:
@@ -255,7 +258,7 @@ def finish_simplex_step(raw: np.ndarray) -> tuple[np.ndarray, int]:
 def ito_update(psi, generator, levels, beta: float, dt: float, dy):
     """Raw Euler-Maruyama update of the linear unnormalized equation on a
     (K,) state; no floor or rescale applied."""
-    return psi + dt * (psi @ generator) + psi * levels * (dy / beta**2)
+    return psi + dt * psi.dot(generator) + psi * levels * (dy / beta**2)
 
 
 def wonham_update_raw(
@@ -276,33 +279,28 @@ def wonham_update_raw(
     scalar API.
     """
     check_signs(sign_variant=sign_variant)
+    return _wonham_raw(probs, generator.T, levels, beta**2, dt, dy, sign_variant == "innovation")
+
+
+def _wonham_raw(probs, generator_t, levels, beta_sq: float, dt: float, dy, innovation: bool):
+    """:func:`wonham_update_raw` with the generator transposed, beta**2 and
+    the variant decided by the caller."""
     # in-place form of  probs + dt * drift + gain * (dy - xbar * dt)  (or
     # of  ... + gain * dy + gain * (xbar * dt)), same operations and order
-    xbar = _state_sums(probs * levels)
+    xbar = np.add.reduce(probs * levels, axis=0)
     gain = levels - xbar
     gain *= probs
-    gain /= beta**2
-    raw = generator.T @ probs
+    gain /= beta_sq
+    raw = generator_t.dot(probs)
     raw *= dt
     raw += probs
-    if sign_variant == "innovation":
+    if innovation:
         gain *= dy - xbar * dt
     else:
         raw += gain * dy
         gain *= xbar * dt
     raw += gain
     return raw
-
-
-def _wonham_langevin_field(probs, generator, levels, levels_sq, beta_sq, rate, correction_sign):
-    xbar = _state_sums(probs * levels)
-    second_moment = _state_sums(probs * levels_sq)
-    correction = 0.5 * probs * (levels_sq - second_moment) / beta_sq
-    return (
-        probs @ generator
-        + correction_sign * correction
-        + (levels - xbar) * probs * (rate / beta_sq)
-    )
 
 
 def observation_diagonal(dy: np.ndarray, dt: float, beta_sq: float, levels: np.ndarray):
@@ -344,6 +342,7 @@ class Kernel:
         self.dt = dt
         self.beta = beta
         self.beta_sq = beta**2
+        self.half_dt = 0.5 * dt
         self.correction_sign = correction_sign
         self.sign_variant = sign_variant
         if model is not None:
@@ -429,10 +428,10 @@ class ZakaiLangevin(_Unnormalized):
     def step(self, state, diag):
         """Heun step of  psi @ Q + psi * diag(correction + a r / beta^2), r = dy/dt."""
         psi = state[0]
-        generator, dt = self.generator, self.dt
-        now = psi @ generator + psi * diag
-        predictor = psi + dt * now
-        raw = psi + 0.5 * dt * (now + (predictor @ generator + predictor * diag))
+        generator = self.generator
+        now = psi.dot(generator) + psi * diag
+        predictor = psi + self.dt * now
+        raw = psi + self.half_dt * (now + (predictor.dot(generator) + predictor * diag))
         return self.rescale(raw)
 
 
@@ -450,6 +449,8 @@ class WonhamIto(Kernel):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.levels_column = self.levels[:, None]
+        self.generator_t = self.generator.T
+        self.innovation = self.sign_variant == "innovation"
 
     def start(self, initial=None):
         """(K,) from None or a FilterState; a (K, R) batch from an (R, K) array
@@ -461,11 +462,10 @@ class WonhamIto(Kernel):
     def step(self, state, dy):
         probs = state[0]
         levels = self.levels if probs.ndim == 1 else self.levels_column
-        raw = wonham_update_raw(
-            probs, self.generator, levels, self.beta, self.dt, dy, self.sign_variant
-        )
+        raw = _wonham_raw(probs, self.generator_t, levels, self.beta_sq, self.dt, dy,
+                          self.innovation)
         floored, total, clamped = floor_and_total(raw)
-        presum = _state_sums(raw) if clamped else total
+        presum = np.add.reduce(raw, axis=0) if clamped else total
         return (floored / total, presum), clamped
 
     def probs(self, history):
@@ -477,20 +477,40 @@ class WonhamIto(Kernel):
 
 
 class WonhamLangevin(Kernel):
+    """Heun step of the smooth-noise normalized filter: the field
+
+        p Q + sign * (1/2) p (a^2 - E a^2) / beta^2 + (a - E a) p (r / beta^2)
+
+    with r = dy/dt; both moments E a, E a^2 come from one (2, K) product and
+    one row-sum pass, and the signed correction is added or subtracted."""
+
     scheme = "wonham-langevin"
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         with np.errstate(over="ignore"):
             self.levels_sq = self.levels**2
+        self.powers = np.stack([self.levels, self.levels_sq])
+        # x + (-1 * c) is x - c exactly, and x + (+1 * c) is x + c
+        self.apply_correction = np.subtract if self.correction_sign == -1 else np.add
 
-    def step(self, probs, dy):
-        constants = (self.generator, self.levels, self.levels_sq, self.beta_sq, dy / self.dt,
-                     self.correction_sign)
-        now = _wonham_langevin_field(probs, *constants)
+    def prepare(self, dy):
+        """The scaled rate  dy / dt / beta^2  of every step, as floats."""
+        rate = dy / self.dt
+        rate /= self.beta_sq
+        return rate.tolist()
+
+    def field(self, probs, scaled_rate):
+        xbar, second_moment = np.add.reduce(probs * self.powers, axis=1).tolist()
+        correction = 0.5 * probs * (self.levels_sq - second_moment) / self.beta_sq
+        return (self.apply_correction(probs.dot(self.generator), correction)
+                + (self.levels - xbar) * probs * scaled_rate)
+
+    def step(self, probs, scaled_rate):
+        now = self.field(probs, scaled_rate)
         predictor = probs + self.dt * now
         return finish_simplex_step(
-            probs + 0.5 * self.dt * (now + _wonham_langevin_field(predictor, *constants))
+            probs + self.half_dt * (now + self.field(predictor, scaled_rate))
         )
 
 
@@ -571,11 +591,11 @@ class Gamma(_Unnormalized):
 
     def step(self, state, diag):
         psi = state[0]
-        forward, dt = self.step_forward, self.dt
+        forward = self.step_forward
         now = psi * diag
-        predictor = psi + dt * now
-        after = self.step_backward @ (diag * (forward @ predictor))
-        return self.rescale(forward @ (psi + 0.5 * dt * (now + after)))
+        predictor = psi + self.dt * now
+        after = self.step_backward.dot(diag * forward.dot(predictor))
+        return self.rescale(forward.dot(psi + self.half_dt * (now + after)))
 
     def probs(self, history):
         psi = np.array([s[0] for s in history])
@@ -667,10 +687,10 @@ class BayesOracle(Kernel):
         return log_like
 
     def step(self, probs, log_like):
-        log_post = np.log(probs @ self.trans) + log_like
+        log_post = np.log(probs.dot(self.trans)) + log_like
         log_post -= np.maximum.reduce(log_post)
         post = np.exp(log_post)
-        return post / _state_sums(post), 0
+        return post / np.add.reduce(post, axis=0), 0
 
 
 KERNELS = {

@@ -61,6 +61,10 @@ class DiscreteBayesState:
 
     def __post_init__(self):
         object.__setattr__(self, "probs", check_probability_vector(self.probs))
+        if isinstance(self.step, bool) or not (
+            isinstance(self.step, numbers.Integral) and self.step >= 0
+        ):
+            raise ValueError(f"step must be a nonnegative integer, not {self.step!r}")
 
 
 def bayes_forward_step(

@@ -27,6 +27,7 @@ step by step, not just asymptotically.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,8 +79,9 @@ class TelegraphState:
     clamps: int = 0
 
     def __post_init__(self):
-        if not np.isfinite(self.q) or abs(self.q) > 1.0:
-            raise ValueError(f"q must lie in [-1, 1], got {self.q}")
+        real = isinstance(self.q, numbers.Real) and not isinstance(self.q, bool)
+        if not (real and -1.0 <= self.q <= 1.0):  # NaN fails too
+            raise ValueError(f"q must be a number in [-1, 1], not {self.q!r}")
 
 
 def wonham_step(

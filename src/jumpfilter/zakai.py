@@ -40,6 +40,7 @@ from .kernels import (
     ZakaiIto,
     ZakaiLangevin,
     drift_matrix,
+    given_matrix,
     ito_update,
     propagator_pair,
     step_once,
@@ -114,7 +115,8 @@ class GammaState(UnnormalizedState):
     An :class:`UnnormalizedState` of the weights psi that the Gamma step
     advances, plus the constant drift matrix A and the propagators
     exp(+-A t) at the current time, which a step advances by one factor
-    each; ``gamma`` is derived from psi.
+    each; ``gamma`` is derived from psi. ValueError naming the field unless
+    each matrix is a finite (K, K) float array, K = len(psi).
     """
 
     a_matrix: np.ndarray
@@ -123,12 +125,17 @@ class GammaState(UnnormalizedState):
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "a_matrix", np.asarray(self.a_matrix, dtype=float))
+        for name in ("a_matrix", "forward", "backward"):
+            object.__setattr__(self, name, _state_matrix(getattr(self, name), len(self.psi), name))
 
     @property
     def gamma(self) -> np.ndarray:
         """Gamma = exp(-A t) psi."""
         return self.backward @ self.psi
+
+
+def _state_matrix(matrix, k: int, name: str) -> np.ndarray:
+    return given_matrix(matrix, k, f"{name} must be a finite ({k}, {k}) matrix")
 
 
 def init_unnormalized(model: ChainModel) -> UnnormalizedState:
@@ -191,11 +198,14 @@ def normalize(state: UnnormalizedState) -> FilterState:
 
 
 def to_gamma(state: UnnormalizedState, a_matrix: np.ndarray, t: float | None = None) -> GammaState:
-    """Transform psi into Gamma = exp(-A t) psi (keeps the log normalizer)."""
+    """Transform psi into Gamma = exp(-A t) psi (keeps the log normalizer).
+
+    ValueError unless ``t`` is finite and nonnegative and ``a_matrix`` is a
+    finite (K, K) matrix; GammaRangeError when exp(+-A t) overflows."""
     t = state.t if t is None else t
     if not 0 <= t < math.inf:
         raise ValueError(f"t must be finite and nonnegative, not {t!r}")
-    a_matrix = np.asarray(a_matrix, dtype=float)
+    a_matrix = _state_matrix(a_matrix, len(state.psi), "a_matrix")
     forward, backward = propagator_pair(a_matrix, t)
     return GammaState(psi=state.psi, log_normalizer=state.log_normalizer, t=t,
                       clamps=state.clamps, a_matrix=a_matrix, forward=forward, backward=backward)
@@ -231,18 +241,25 @@ def gamma_langevin_step(
     ``step_forward``/``step_backward`` are exp(+-A dt); pass both in when
     stepping many times with the same dt to avoid recomputing them (ValueError
     unless both or neither are given, each (K, K) and finite). Raises
-    GammaRangeError when computed ones overflow.
+    GammaRangeError when computed ones, or the advanced exp(+-A t), overflow.
     """
     if step_forward is None and step_backward is None:
         step_forward, step_backward = propagator_pair(state.a_matrix, dt)
     kernel = Gamma(model, dt, beta, step_forward=step_forward, step_backward=step_backward)
     (psi, total), clamped = step_once(kernel, (state.psi, state.log_normalizer), dy)
-    return GammaState(
-        psi=psi,
-        t=state.t + dt,
-        a_matrix=state.a_matrix,
-        forward=state.forward @ kernel.step_forward,
-        backward=kernel.step_backward @ state.backward,
-        log_normalizer=float(state.log_normalizer + np.log(total)),
-        clamps=state.clamps + clamped,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        forward = state.forward @ kernel.step_forward
+        backward = kernel.step_backward @ state.backward
+    try:
+        return GammaState(
+            psi=psi,
+            t=state.t + dt,
+            a_matrix=state.a_matrix,
+            forward=forward,
+            backward=backward,
+            log_normalizer=float(state.log_normalizer + np.log(total)),
+            clamps=state.clamps + clamped,
+        )
+    except ValueError:
+        # psi passed the step's state check, so a propagator left the float range
+        raise GammaRangeError("exp(+-A t) overflowed; use the log-domain filter") from None

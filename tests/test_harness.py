@@ -607,6 +607,22 @@ class TestPredict:
             run_predict(telegraph_config(out_dir=str(tmp_path / "out")), [-1.0])
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("horizons, message", [
+        ([], "at least one"), ([0.5, math.nan], "finite"), ([1.0, -1.0], "nonnegative"),
+        ([math.inf], "finite"),
+    ], ids=["empty", "nan", "negative", "inf"])
+    def test_horizons_checked_before_the_filter_runs(self, tmp_path, monkeypatch, horizons,
+                                                     message):
+        # an empty list used to run the filter and write a header-only file,
+        # and a bad horizon was refused only after the filter had run
+        def no_filter(*args, **kwargs):
+            raise AssertionError("the filter ran")
+
+        monkeypatch.setattr(harness, "run_filter", no_filter)
+        with pytest.raises(ValueError, match=message):
+            run_predict(telegraph_config(out_dir=str(tmp_path / "out")), horizons)
+        assert not (tmp_path / "out").exists()
+
 
 class TestCli:
     @pytest.fixture
@@ -623,6 +639,14 @@ class TestCli:
 
     def test_validate_good_config(self, config_file):
         assert main(["validate", "--config", str(config_file)]) == 0
+
+    @pytest.mark.parametrize("horizons", [",,,", "", "0,nan", "1,-1"])
+    def test_predict_refuses_bad_horizons_and_writes_nothing(self, config_file, tmp_path,
+                                                              horizons, capsys):
+        # "--horizons ,,," used to exit 0 with a header-only prediction.csv
+        assert main(["predict", "--config", str(config_file), "--horizons", horizons]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "out").exists()
 
     def test_misspelled_config_key_exits_2(self, tmp_path, capsys):
         doc = telegraph_config(out_dir=str(tmp_path / "out")).to_json()

@@ -122,6 +122,12 @@ class TestBayesForward:
         stepped = bayes_forward_step(state, absorbing, 0.01, 0.0, 0.5)
         assert stepped.probs[1] == 0.0
 
+    @pytest.mark.parametrize("step", [-3, 1.5, "2", True, None])
+    def test_step_must_be_a_nonnegative_integer(self, step):
+        # step=-3 used to be accepted
+        with pytest.raises(ValueError, match="step must be a nonnegative integer"):
+            DiscreteBayesState(probs=[0.5, 0.5], step=step)
+
     @pytest.mark.parametrize("probs", [[np.nan, np.nan], [np.nan, 1.0], [np.inf, 0.0]])
     def test_nonfinite_posterior_rejected(self, probs):
         # abs(nan - 1) > 1e-12 is False, so the sum test alone let NaN through

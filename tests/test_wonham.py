@@ -141,6 +141,12 @@ class TestTelegraphSteps:
         with pytest.raises(ValueError):
             TelegraphState(q=1.5)
 
+    @pytest.mark.parametrize("q", ["0.1", None, True, np.nan, [0.1]])
+    def test_q_must_be_a_number(self, q):
+        # a str q used to raise TypeError from np.isfinite
+        with pytest.raises(ValueError, match="q must be a number in"):
+            TelegraphState(q=q)
+
     @pytest.mark.parametrize("step", [telegraph_ito_step, telegraph_langevin_step],
                              ids=lambda step: step.__name__)
     @pytest.mark.parametrize("nu", [-5.0, np.nan, np.inf])

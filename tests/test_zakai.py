@@ -23,6 +23,7 @@ from jumpfilter.kernels import Gamma, ZakaiLangevin, propagator_pair, step_once
 from jumpfilter.signalpath import coarsen
 from jumpfilter.zakai import (
     FilterInstabilityError,
+    GammaState,
     LogState,
     gamma_langevin_step,
     ito_update,
@@ -301,6 +302,32 @@ class TestGamma:
         # GammaRangeError, the run-failure type (exit 3)
         with pytest.raises(ValueError, match="finite and nonnegative"):
             to_gamma(init_unnormalized(TELEGRAPH), drift_matrix(TELEGRAPH, 0.5), t=t)
+
+    @pytest.mark.parametrize("a_matrix", [[[np.nan, 0.0], [0.0, 0.0]], [[0.0, 0.0]],
+                                          np.zeros((3, 3)), "x", None],
+                             ids=["nan", "1x2", "3x3", "str", "none"])
+    def test_malformed_a_matrix_is_an_input_error(self, a_matrix):
+        # NaN raised GammaRangeError (the run-failure type), a 1x2 matrix
+        # numpy's matmul message, and a 3x3 one was accepted for a K=2 psi
+        with pytest.raises(ValueError, match=r"a_matrix must be a finite \(2, 2\) matrix"):
+            to_gamma(init_unnormalized(TELEGRAPH), a_matrix)
+
+    @pytest.mark.parametrize("field", ["a_matrix", "forward", "backward"])
+    @pytest.mark.parametrize("value", ["x", np.eye(3), np.full((2, 2), np.inf), [[1.0], [2.0]]],
+                             ids=["str", "3x3", "inf", "2x1"])
+    def test_gamma_state_checks_its_matrices(self, field, value):
+        fields = {"a_matrix": np.zeros((2, 2)), "forward": np.eye(2), "backward": np.eye(2)}
+        fields[field] = value
+        with pytest.raises(ValueError, match=rf"{field} must be a finite \(2, 2\) matrix"):
+            GammaState(psi=[0.5, 0.5], **fields)
+
+    def test_overflowing_advanced_propagator_is_a_range_error(self):
+        huge = np.full((2, 2), 1e308)
+        state = GammaState(psi=[0.5, 0.5], a_matrix=np.zeros((2, 2)), forward=huge,
+                           backward=np.eye(2))
+        with pytest.raises(GammaRangeError, match="log-domain"):
+            gamma_langevin_step(state, TELEGRAPH, 0.5, 1e-3, 0.0, np.full((2, 2), 2.0),
+                                np.eye(2))
 
     def test_non_finite_step_propagator_raises_when_kernel_is_built(self):
         with pytest.raises(GammaRangeError, match="log-domain"):
