@@ -14,10 +14,11 @@ the Python loop over the steps carries only the recurrence:
 * ``step(state, inputs) -> (state, clamped)``: one pure step over a (K,)
   state, with no validation, doing only the work that the next step reads;
   ``clamped`` counts floored entries;
-* ``probs(history) -> (probs, extras)``: the normalized (rows, K) history
-  and the scheme's extra columns, in one vectorized pass after the loop,
-  including the work that is only ever written out (the running log
-  normalizer of the Zakai schemes).
+* ``probs(states, sums) -> (probs, extras)``: the normalized (rows, K)
+  history and the scheme's extra columns, from the arrays that
+  :func:`run_steps` wrote, in one vectorized pass after the loop that may
+  overwrite them, including the work that is only ever written out (the
+  running log normalizer of the Zakai schemes).
 
 Building a kernel also checks dt and beta (:func:`check_step`), its options
 (:func:`check_signs`) and, through the kernel's ``check_model``, that the
@@ -57,6 +58,7 @@ left to right): the CLI outputs are pinned bit for bit by
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -146,6 +148,28 @@ def check_probability_vector(probs) -> np.ndarray:
         raise ValueError("probabilities must be finite and nonnegative and sum to 1")
     probs.setflags(write=False)
     return probs
+
+
+def check_scalars(state) -> None:
+    """ValueError naming the field unless, where ``state`` has them, ``t`` is
+    finite and nonnegative, ``log_normalizer`` is finite and the counts
+    ``clamps`` and ``step`` are nonnegative integers (numpy's too, not bools)."""
+    t, log_normalizer = getattr(state, "t", 0.0), getattr(state, "log_normalizer", 0.0)
+    if not (isinstance(t, numbers.Real) and 0 <= t < math.inf):
+        raise ValueError(f"t must be finite and nonnegative, not {t!r}")
+    if not (isinstance(log_normalizer, numbers.Real) and math.isfinite(log_normalizer)):
+        raise ValueError(f"log_normalizer must be a finite number, not {log_normalizer!r}")
+    for name in ("clamps", "step"):
+        count = getattr(state, name, 0)
+        if isinstance(count, bool) or not (isinstance(count, numbers.Integral) and count >= 0):
+            raise ValueError(f"{name} must be a nonnegative integer, not {count!r}")
+
+
+def check_state_size(size: int, model: ChainModel) -> None:
+    """ValueError unless a state of ``size`` entries has the model's K."""
+    if size != model.n_states:
+        raise ValueError(f"the state has K={size} entries but the model has "
+                         f"K={model.n_states} states")
 
 
 def given_matrix(matrix, k: int, message: str, valid=lambda m: np.isfinite(m).all()):
@@ -359,12 +383,14 @@ class Kernel:
         return np.array(self.model.initial_dist) if initial is None else self.initial(initial)
 
     def initial(self, state) -> np.ndarray:
-        """The array of a given start state; ValueError for another state type."""
+        """The array of a given start state; ValueError for another state type
+        or another K than the model's."""
         type_name, attribute = self.initial_state
         if not hasattr(state, attribute):
             raise ValueError(
                 f"{self.scheme} starts from a {type_name}, not a {type(state).__name__}"
             )
+        check_state_size(len(getattr(state, attribute)), self.model)
         return getattr(state, attribute)
 
     def prepare(self, dy: np.ndarray):
@@ -372,8 +398,8 @@ class Kernel:
         themselves, floats for (n,) ``dy`` and (R,) rows for (n, R)."""
         return dy.tolist() if dy.ndim == 1 else dy
 
-    def probs(self, history: list) -> tuple[np.ndarray, dict]:
-        return np.array(history), {}
+    def probs(self, states: np.ndarray, sums) -> tuple[np.ndarray, dict]:
+        return states, {}
 
 
 class _Unnormalized(Kernel):
@@ -396,12 +422,13 @@ class _Unnormalized(Kernel):
         raw, total, clamped = floor_and_total(raw)
         return (raw / total, total), clamped
 
-    def probs(self, history):
-        log_normalizer = np.array([s[1] for s in history])
+    def probs(self, psi, log_normalizer):
         np.log(log_normalizer[1:], out=log_normalizer[1:])
         np.add.accumulate(log_normalizer, out=log_normalizer)
-        psi = np.array([s[0] for s in history])
-        return psi / _row_sums(psi), {"log_weights": log_normalizer[:, None] + np.log(psi)}
+        log_weights = np.log(psi)
+        log_weights += log_normalizer[-len(psi):, None]
+        psi /= _row_sums(psi)
+        return psi, {"log_weights": log_weights}
 
 
 class ZakaiIto(_Unnormalized):
@@ -468,12 +495,11 @@ class WonhamIto(Kernel):
         presum = np.add.reduce(raw, axis=0) if clamped else total
         return (floored / total, presum), clamped
 
-    def probs(self, history):
-        probs = np.array([s[0] for s in history])
+    def probs(self, probs, _presum):
         if probs.ndim == 3:
             # (rows, K, R) batch history -> C-contiguous (rows, R, K)
             probs = np.ascontiguousarray(probs.transpose(0, 2, 1))
-        return probs, {"presum": np.array([s[1] for s in history])}
+        return probs, {}
 
 
 class WonhamLangevin(Kernel):
@@ -547,8 +573,7 @@ class LogDomain(Kernel):
         updated = theta + self.dt * drift + observed
         return updated - np.maximum.reduce(updated), 0
 
-    def probs(self, history):
-        theta = np.array(history)
+    def probs(self, theta, _sums):
         shifted = np.exp(theta - np.maximum.reduce(theta, axis=-1, keepdims=True))
         return shifted / _row_sums(shifted), {"theta": theta}
 
@@ -597,8 +622,7 @@ class Gamma(_Unnormalized):
         after = self.step_backward.dot(diag * forward.dot(predictor))
         return self.rescale(forward.dot(psi + self.half_dt * (now + after)))
 
-    def probs(self, history):
-        psi = np.array([s[0] for s in history])
+    def probs(self, psi, _scale):
         return psi / _row_sums(psi), {}
 
 
@@ -628,8 +652,7 @@ class _Telegraph(Kernel):
         p0 = self.model.initial_dist if initial is None else self.initial(initial)
         return float(p0[0] - p0[1])
 
-    def probs(self, history):
-        q = np.array(history)
+    def probs(self, q, _sums):
         return np.stack([(1.0 + q) / 2.0, (1.0 - q) / 2.0], axis=1), {"q": q}
 
 
@@ -736,53 +759,56 @@ QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 def step_once(kernel: Kernel, state, dy):
     """One kernel step over the increment ``dy`` (through ``prepare``), with numpy's
     floating-point warnings off; ValueError unless ``dy`` is finite, then
-    :func:`check_states` of the stepped state as a one-state history."""
+    :func:`check_states` of the stepped state as a one-row history."""
     dy = np.array([dy], dtype=float)
     check_increments(dy)
     with np.errstate(**QUIET):
         (inputs,) = kernel.prepare(dy)
         stepped = kernel.step(state, inputs)
-        probs, extras = kernel.probs([stepped[0]])
-    check_states(kernel.scheme, probs, extras,
-                 np.abs(extras["presum"] - 1.0) if kernel.carries_presum else None)
+        array, total = stepped[0] if isinstance(stepped[0], tuple) else (stepped[0], None)
+        probs, extras = kernel.probs(_rows(array, 1), None if total is None else _rows(total, 1))
+    check_states(kernel.scheme, probs, extras, abs(total - 1.0) if kernel.carries_presum else 0.0)
     return stepped
 
 
-def check_states(scheme: str, probs: np.ndarray, extras: dict, presum_devs=None) -> None:
+def check_states(scheme: str, probs: np.ndarray, extras: dict, presum_max_dev=0.0) -> None:
     """The one check of filter states, for a run or for one step: raises
     FilterInstabilityError unless ``probs`` and every extra are finite, every
-    row of ``probs`` is :func:`on_simplex`, and no deviation |presum - 1| in
-    ``presum_devs`` (wonham-ito) exceeds PRESUM_TOLERANCE or is NaN."""
+    row of ``probs`` is :func:`on_simplex`, and ``presum_max_dev``, the largest
+    deviation |presum - 1| (wonham-ito), is at most PRESUM_TOLERANCE, not NaN."""
     if not all(np.isfinite(v).all() for v in (probs, *extras.values())):
         raise FilterInstabilityError(f"{scheme}: the filter state became non-finite")
     if not on_simplex(probs):
         raise FilterInstabilityError(f"{scheme}: probabilities left the simplex")
-    if presum_devs is None:
-        return
-    worst = float(np.max(presum_devs))
-    if not worst <= PRESUM_TOLERANCE:  # NaN fails too
+    if not presum_max_dev <= PRESUM_TOLERANCE:  # NaN fails too
         raise FilterInstabilityError(
             f"{scheme}: step left the simplex (pre-renormalization sum off by "
-            f"{worst!r}); reduce dt or check the inputs"
+            f"{float(presum_max_dev)!r}); reduce dt or check the inputs"
         )
 
 
-def _discard(_state) -> None:
-    pass
+def _rows(first, n_rows: int, kept: bool = True) -> np.ndarray:
+    """An (n_rows, *shape) buffer with ``first`` as row 0; unless ``kept``,
+    its rows are views of one row, the last one written."""
+    rows = np.empty((n_rows if kept else 1, *np.shape(first)))
+    rows[0] = first
+    return rows if kept else np.lib.stride_tricks.as_strided(
+        rows, (n_rows, *rows.shape[1:]), (0, *rows.strides[1:]))
 
 
-def _presum_tally(state):
-    """Per-replica running maximum and total of |presum - 1| over the states
-    passed to the returned ``record``, starting with ``state``'s."""
-    first = np.abs(np.subtract(state[1], 1.0))
-    worst, total = np.array(first, ndmin=1), np.array(first, ndmin=1)
+class _PresumTally:
+    """The presum column of a batch without a kept history, which would be as
+    large as its increments: writing a row folds |presum - 1| into the
+    per-replica running maximum and total."""
 
-    def record(state):
-        devs = np.abs(state[1] - 1.0)
-        np.maximum(worst, devs, out=worst)
-        np.add(total, devs, out=total)
+    def __init__(self, first: np.ndarray):
+        self.worst = np.abs(first - 1.0)
+        self.total = self.worst.copy()
 
-    return record, worst, total
+    def __setitem__(self, _row: int, presum: np.ndarray) -> None:
+        devs = np.abs(presum - 1.0)
+        np.maximum(self.worst, devs, out=self.worst)
+        self.total += devs
 
 
 def drive(kernel: Kernel, state, dy: np.ndarray, keep_history: bool = True) -> Trajectory:
@@ -793,58 +819,58 @@ def drive(kernel: Kernel, state, dy: np.ndarray, keep_history: bool = True) -> T
 
 def run_steps(kernel: Kernel, state, dy: np.ndarray, keep_history: bool = True) -> Trajectory:
     """Step ``kernel`` from ``state`` through the increments ``dy``; the run
-    is not yet checked at exit, and its ``extras`` still hold "presum".
+    is not yet checked at exit.
 
     ``dy`` is (n,) for one trajectory, or (n, R) for R replicas stepped as a
-    batch (wonham-ito only). With ``keep_history`` false only the final state
-    is kept, so memory stays O(R K); the pre-sum guard then reads a running
-    maximum of |presum - 1| carried through the loop. An unnormalized kernel
-    needs the scale of every step, so it keeps its history.
+    batch (wonham-ito only). The history is allocated once: an (n+1, *shape)
+    buffer for the state array and, for a state ``(array, sum)``, an
+    (n+1, *shape) column for the sum (the unnormalized kernels' scale,
+    wonham-ito's presum); step i writes row i. With ``keep_history`` false
+    the state buffer is one row, the last, and a batch folds its presum into
+    a :class:`_PresumTally`, so it allocates O(R K) beyond its increments.
 
-    Raises ValueError for non-finite increments or an unnormalized kernel
-    without a kept history, before the first step.
+    Raises ValueError for non-finite increments, before the first step.
     """
     check_increments(dy)
-    if not keep_history and isinstance(kernel, _Unnormalized):
-        raise ValueError(f"{kernel.scheme} needs the scale of every step: keep the history")
-    n_steps = len(dy)
-    history = [state]
-    if keep_history:
-        record = history.append
-    elif kernel.carries_presum:
-        record, presum_worst, presum_total = _presum_tally(state)
+    n_rows = len(dy) + 1
+    array, total = state if isinstance(state, tuple) else (state, None)
+    states = _rows(array, n_rows, keep_history)
+    if total is None or keep_history or np.ndim(total) == 0:
+        sums = None if total is None else _rows(total, n_rows)
     else:
-        record = _discard
+        sums = _PresumTally(total)
     step = kernel.step
     clamps = 0
     with np.errstate(**QUIET):
         # the loop holds the prepared inputs and releases them when it ends
-        for inputs in kernel.prepare(dy):
+        for i, inputs in enumerate(kernel.prepare(dy), 1):
             state, clamped = step(state, inputs)
             clamps += clamped
-            record(state)
-        if not keep_history:
-            history[-1] = state
-        probs, extras = kernel.probs(history)
-
-    run = Trajectory(kernel.scheme, np.arange(n_steps + 1) * kernel.dt, probs, clamps,
-                     extras=extras)
-    if kernel.carries_presum:
-        if keep_history:
-            devs = np.abs(extras["presum"] - 1.0)
-            presum_worst, presum_total = devs.max(axis=0), np.cumsum(devs, axis=0)[-1]
-        run.presum_max_dev = float(np.max(presum_worst))
-        run.presum_total_dev = float(np.max(presum_total))
-    return run
+            if sums is None:
+                states[i] = state
+            else:
+                states[i], sums[i] = state
+        presum_devs = ()
+        if isinstance(sums, _PresumTally):
+            presum_devs, sums = (float(sums.worst.max()), float(sums.total.max())), None
+        elif kernel.carries_presum:
+            # |presum - 1| in one temporary, then summed left to right in place
+            devs = sums - 1.0
+            np.abs(devs, out=devs)
+            presum_devs = (float(devs.max()),
+                           float(np.add.accumulate(devs, axis=0, out=devs)[-1].max()))
+        probs, extras = kernel.probs(states if keep_history else states[-1:], sums)
+    return Trajectory(kernel.scheme, np.arange(n_rows) * kernel.dt, probs, clamps, *presum_devs,
+                      extras=extras)
 
 
 def check_run(*runs: Trajectory) -> Trajectory:
     """The exit checks of a :func:`run_steps` run, and the run once they pass.
     The final-state runs of replica blocks are first joined into one batch:
     probs and extras along replica axis 1, clamps summed, pre-sum statistics
-    maxed. Then :func:`check_states` (its pre-sum guard on ``presum_max_dev``;
-    a "presum" extra is dropped after it) and the clamp budget, which raises
-    FilterInstabilityError when over CLAMP_FAILURE_FRACTION of replica-steps clamp."""
+    maxed. Then :func:`check_states` (its pre-sum guard on ``presum_max_dev``)
+    and the clamp budget, which raises FilterInstabilityError when over
+    CLAMP_FAILURE_FRACTION of replica-steps clamp."""
     run = runs[0]
     if len(runs) > 1:
         run = replace(run, probs=np.concatenate([r.probs for r in runs], axis=1),
@@ -854,7 +880,6 @@ def check_run(*runs: Trajectory) -> Trajectory:
                       extras={name: np.concatenate([r.extras[name] for r in runs], axis=1)
                               for name in run.extras})
     check_states(run.scheme, run.probs, run.extras, run.presum_max_dev)
-    run.extras.pop("presum", None)
     replica_steps = (len(run.times) - 1) * (run.probs[0].size // run.probs.shape[-1])
     if run.clamps > CLAMP_FAILURE_FRACTION * replica_steps:
         raise FilterInstabilityError(

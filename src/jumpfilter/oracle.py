@@ -31,8 +31,8 @@ import numpy as np
 
 from .chain import STEP_BUDGET, ChainModel, add_path_integrals, transition_matrix
 from .fanout import fan_out, fork_workers
-from .kernels import (BayesOracle, WonhamIto, check_probability_vector, check_run,
-                      run_steps, step_once)
+from .kernels import (BayesOracle, WonhamIto, check_probability_vector, check_run, check_scalars,
+                      check_state_size, run_steps, step_once)
 from .seeding import ROLE_JUMP, ROLE_NOISE, _seed_words_class, derive_states, stream
 from .signalpath import ObservationGrid, _step_count, cumulative_observation
 
@@ -61,10 +61,7 @@ class DiscreteBayesState:
 
     def __post_init__(self):
         object.__setattr__(self, "probs", check_probability_vector(self.probs))
-        if isinstance(self.step, bool) or not (
-            isinstance(self.step, numbers.Integral) and self.step >= 0
-        ):
-            raise ValueError(f"step must be a nonnegative integer, not {self.step!r}")
+        check_scalars(self)
 
 
 def bayes_forward_step(
@@ -85,6 +82,7 @@ def bayes_forward_step(
 
     ``trans`` may carry a precomputed transition matrix for this dt.
     """
+    check_state_size(len(state.probs), model)
     probs, _ = step_once(BayesOracle(model, dt, beta, trans=trans), state.probs, dy)
     return DiscreteBayesState(probs=probs, step=state.step + 1)
 

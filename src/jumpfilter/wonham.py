@@ -39,6 +39,8 @@ from .kernels import (
     WonhamIto,
     WonhamLangevin,
     check_probability_vector,
+    check_scalars,
+    check_state_size,
     finish_simplex_step,
     step_once,
     wonham_update_raw,
@@ -68,6 +70,7 @@ class FilterState:
 
     def __post_init__(self):
         object.__setattr__(self, "probs", check_probability_vector(self.probs))
+        check_scalars(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,6 +85,7 @@ class TelegraphState:
         real = isinstance(self.q, numbers.Real) and not isinstance(self.q, bool)
         if not (real and -1.0 <= self.q <= 1.0):  # NaN fails too
             raise ValueError(f"q must be a number in [-1, 1], not {self.q!r}")
+        check_scalars(self)
 
 
 def wonham_step(
@@ -98,6 +102,7 @@ def wonham_step(
     from 1 by more than 1e-6 (an exact invariant of the update in real
     arithmetic).
     """
+    check_state_size(len(state.probs), model)
     kernel = WonhamIto(model, dt, beta, sign_variant=sign_variant)
     (probs, _), clamped = step_once(kernel, (state.probs, 1.0), dy)
     return FilterState(probs=probs, t=state.t + dt, clamps=state.clamps + clamped)
@@ -116,6 +121,7 @@ def wonham_langevin_step(
     The correction term sums to zero over states for either sign, so the
     simplex sum is preserved exactly in real arithmetic.
     """
+    check_state_size(len(state.probs), model)
     kernel = WonhamLangevin(model, dt, beta, correction_sign)
     probs, clamped = step_once(kernel, state.probs, dy)
     return FilterState(probs=probs, t=state.t + dt, clamps=state.clamps + clamped)

@@ -39,6 +39,8 @@ from .kernels import (
     LogDomain,
     ZakaiIto,
     ZakaiLangevin,
+    check_scalars,
+    check_state_size,
     drift_matrix,
     given_matrix,
     ito_update,
@@ -86,6 +88,7 @@ class UnnormalizedState:
             raise ValueError("psi entries must be positive and finite")
         psi.setflags(write=False)
         object.__setattr__(self, "psi", psi)
+        check_scalars(self)
 
     @property
     def log_repr(self) -> np.ndarray:
@@ -106,6 +109,7 @@ class LogState:
             raise ValueError("theta entries must be finite")
         theta.setflags(write=False)
         object.__setattr__(self, "theta", theta)
+        check_scalars(self)
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)
@@ -157,6 +161,7 @@ def zakai_ito_step(
     state: UnnormalizedState, model: ChainModel, beta: float, dt: float, dy: float
 ) -> UnnormalizedState:
     """Euler-Maruyama step, then rescale by 1/sum(psi), accumulating the log."""
+    check_state_size(len(state.psi), model)
     return _unnormalized_step(ZakaiIto(model, dt, beta), state, dy)
 
 
@@ -169,6 +174,7 @@ def zakai_langevin_step(
     correction_sign: int = -1,
 ) -> UnnormalizedState:
     """Heun step of the smooth-noise form; same rescale and floor policy."""
+    check_state_size(len(state.psi), model)
     return _unnormalized_step(ZakaiLangevin(model, dt, beta, correction_sign), state, dy)
 
 
@@ -187,6 +193,7 @@ def log_step(
     Ito and the smooth-noise scheme. Exponent differences are evaluated after
     the per-step max-shift, which bounds every exponent by the current spread.
     """
+    check_state_size(len(state.theta), model)
     theta, _ = step_once(LogDomain(model, dt, beta, correction_sign), state.theta, dy)
     return LogState(theta=theta, t=state.t + dt)
 
@@ -243,6 +250,7 @@ def gamma_langevin_step(
     unless both or neither are given, each (K, K) and finite). Raises
     GammaRangeError when computed ones, or the advanced exp(+-A t), overflow.
     """
+    check_state_size(len(state.psi), model)
     if step_forward is None and step_backward is None:
         step_forward, step_backward = propagator_pair(state.a_matrix, dt)
     kernel = Gamma(model, dt, beta, step_forward=step_forward, step_backward=step_backward)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -38,7 +39,8 @@ from jumpfilter import (
 )
 from jumpfilter import fanout, harness
 from jumpfilter.cli import main
-from jumpfilter.kernels import KERNELS, Kernel, TelegraphIto, WonhamIto, drive, step_once
+from jumpfilter.kernels import (KERNELS, Kernel, TelegraphIto, WonhamIto, drive, run_steps,
+                                step_once)
 from jumpfilter.signalpath import ObservationGrid
 from jumpfilter.zakai import FilterInstabilityError
 from jumpfilter.harness import (
@@ -568,6 +570,48 @@ def test_constructor_leaves_callers_array_writable(name):
     assert np.array_equal(stored, kept)
 
 
+# a valid state of each public state type, given extra fields
+STATES = {
+    "FilterState": lambda **kw: FilterState(probs=[0.5, 0.5], **kw),
+    "UnnormalizedState": lambda **kw: UnnormalizedState(psi=[0.5, 0.5], **kw),
+    "GammaState": lambda **kw: GammaState(psi=[0.5, 0.5], a_matrix=np.zeros((2, 2)),
+                                          forward=np.eye(2), backward=np.eye(2), **kw),
+    "LogState": lambda **kw: LogState(theta=[0.0, 0.0], **kw),
+    "TelegraphState": lambda **kw: TelegraphState(q=0.0, **kw),
+}
+BAD_SCALARS = [
+    (name, field, bad)
+    for name in STATES
+    for field, values in [
+        ("t", [math.nan, math.inf, -1.0, "1"]),
+        ("clamps", [-1, 1.5, True, None]),
+        ("log_normalizer", [math.nan, math.inf, -math.inf, None]),
+    ]
+    if (field != "clamps" or name != "LogState")
+    and (field != "log_normalizer" or name in ("UnnormalizedState", "GammaState"))
+    for bad in values
+]
+
+
+@pytest.mark.parametrize("name, field, bad", BAD_SCALARS)
+def test_state_rejects_bad_scalar(name, field, bad):
+    # each of these used to be accepted: FilterState(t=nan, clamps=-5),
+    # UnnormalizedState(log_normalizer=inf, t=-1), ...
+    with pytest.raises(ValueError, match=field):
+        STATES[name](**{field: bad})
+
+
+@pytest.mark.parametrize("name", list(STATES))
+def test_state_takes_numpy_scalars(name):
+    fields = {"t": np.float64(0.5)}
+    if name != "LogState":
+        fields["clamps"] = np.int64(3)
+    if name in ("UnnormalizedState", "GammaState"):
+        fields["log_normalizer"] = np.float64(-2.0)
+    state = STATES[name](**fields)
+    assert [getattr(state, field) for field in fields] == list(fields.values())
+
+
 class TestPredict:
     def test_zero_horizon_reproduces_terminal_row(self, tmp_path):
         config = telegraph_config(scheme="wonham-ito", out_dir=str(tmp_path))
@@ -961,12 +1005,13 @@ class TestDriverErrorPolicy:
         assert [str(w.message) for w in caught] == []
 
     @staticmethod
-    def step_from_start(step, dy):
+    def step_from_start(step, dy, model=THREE):
         """The public step function ``step`` over one increment ``dy``, from
-        its initial state on the three-state (telegraph: two-state) model."""
-        model, beta, dt = TestDriverErrorPolicy.THREE, 0.5, 1e-3
-        weights = init_unnormalized(model)
-        probs = FilterState(probs=model.initial_dist)
+        its initial state on the three-state (telegraph: two-state) model, on
+        ``model``."""
+        three, beta, dt = TestDriverErrorPolicy.THREE, 0.5, 1e-3
+        weights = init_unnormalized(three)
+        probs = FilterState(probs=three.initial_dist)
         if step in (telegraph_ito_step, telegraph_langevin_step):
             return step(TelegraphState(q=0.0), 1.0, beta, dt, dy)
         if step in (zakai_ito_step, zakai_langevin_step, wonham_step, wonham_langevin_step):
@@ -975,8 +1020,18 @@ class TestDriverErrorPolicy:
         if step is log_step:
             return step(LogState(theta=np.log(weights.psi)), model, beta, dt, dy)
         if step is gamma_langevin_step:
-            return step(to_gamma(weights, drift_matrix(model, beta)), model, beta, dt, dy)
-        return step(DiscreteBayesState(probs=model.initial_dist), model, dt, dy, beta)
+            return step(to_gamma(weights, drift_matrix(three, beta)), model, beta, dt, dy)
+        return step(DiscreteBayesState(probs=three.initial_dist), model, dt, dy, beta)
+
+    @pytest.mark.parametrize("step", [
+        zakai_ito_step, zakai_langevin_step, log_step, gamma_langevin_step, wonham_step,
+        wonham_langevin_step, bayes_forward_step,
+    ], ids=lambda step: step.__name__)
+    def test_public_step_checks_the_state_k_against_the_model(self, step):
+        # numpy's shape message used to leak out, and gamma_langevin_step blamed
+        # its propagators; the telegraph steps take no model, their state has K=2
+        with pytest.raises(ValueError, match="K=3 entries but the model has K=2 states"):
+            self.step_from_start(step, 0.01, model=TELEGRAPH)
 
     @pytest.mark.parametrize("step", [
         zakai_ito_step, zakai_langevin_step, log_step, gamma_langevin_step, wonham_step,
@@ -1048,27 +1103,79 @@ class TestDriverErrorPolicy:
 
 @pytest.mark.parametrize("scheme", list(KERNELS))
 def test_run_without_history_ends_on_the_last_kept_row(scheme):
-    # every part of a run without a kept history: the final row, its extras
-    # (theta, q), the clamps and the pre-sum statistics
+    # every part of a run without a kept history, bit for bit: the final row,
+    # its extras (log_weights, theta, q), the clamps and the pre-sum statistics;
+    # the unnormalized kernels used to refuse to run without a history
     model = TELEGRAPH if scheme.startswith("telegraph") else TestDriverErrorPolicy.THREE
     kernel = KERNELS[scheme](model, 1e-3, 0.5)
     initial = None
     if kernel.initial_state[0] == "UnnormalizedState":
         initial = UnnormalizedState(psi=[0.6, 0.3, 0.1][:model.n_states], log_normalizer=1.5)
     dy = 3e-4 + 0.5 * np.sqrt(1e-3) * np.random.default_rng(4).standard_normal(400)
-    if scheme in ("zakai-ito", "zakai-langevin", "gamma"):
-        # the log normalizer sums the scale of every step, so these keep a history
-        with pytest.raises(ValueError, match="keep the history"):
-            drive(kernel, kernel.start(initial), dy, keep_history=False)
-        return
     full = drive(kernel, kernel.start(initial), dy)
     last = drive(kernel, kernel.start(initial), dy, keep_history=False)
-    assert np.array_equal(last.probs, full.probs[-1:])
+    assert last.probs.tobytes() == full.probs[-1:].tobytes()
     assert last.extras.keys() == full.extras.keys()
+    assert ("log_weights" in full.extras) == (scheme in ("zakai-ito", "zakai-langevin"))
     for name, rows in full.extras.items():
-        assert np.array_equal(last.extras[name], rows[-1:]), name
+        assert last.extras[name].tobytes() == rows[-1:].tobytes(), name
     assert (last.clamps, last.presum_max_dev, last.presum_total_dev) == (
         full.clamps, full.presum_max_dev, full.presum_total_dev)
+
+
+def test_run_history_peaks_near_its_output():
+    # a run used to keep one Python (state, scale) tuple per step and stack the
+    # list after the loop, peaking at ~6x its output and increments at any length
+    kernel = KERNELS["zakai-ito"](TELEGRAPH, 1e-3, 0.5)
+    dy = 0.5 * np.sqrt(1e-3) * np.random.default_rng(5).standard_normal(64_000)
+    start = kernel.start()
+    tracemalloc.start()
+    try:
+        run = drive(kernel, start, dy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = sum(a.nbytes for a in (run.times, run.probs, *run.extras.values()))
+    assert peak <= 2 * (output + dy.nbytes)
+
+
+def test_batch_without_history_keeps_no_presum_column():
+    # a batch's (n+1, R) presum column would be as large as its increments
+    kernel = WonhamIto(TELEGRAPH, 1e-3, 0.5)
+    start = kernel.start(np.tile(TELEGRAPH.initial_dist, (500, 1)))
+    dy = 1e-3 + 0.5 * np.sqrt(1e-3) * np.random.default_rng(6).standard_normal((1000, 500))
+    tracemalloc.start()
+    try:
+        run_steps(kernel, start, dy, keep_history=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dy.nbytes / 2
+
+
+@pytest.mark.parametrize("replicas", [None, 3])
+@pytest.mark.parametrize("keep_history", [True, False])
+def test_presum_total_dev_sums_left_to_right(replicas, keep_history):
+    # a 1-d np.add.reduce sums pairwise, with other bits than the running
+    # total of a batch without a history
+    class Drifting(WonhamIto):
+        def step(self, state, dy):
+            return (state[0], 1.0 + dy), 0
+
+    kernel = Drifting(TELEGRAPH, 1e-3, 0.5)
+    shape = (3000,) if replicas is None else (3000, replicas)
+    dy = np.random.default_rng(7).uniform(-0.3, 0.3, shape)
+    start = kernel.start() if replicas is None else kernel.start(
+        np.tile(TELEGRAPH.initial_dist, (replicas, 1)))
+    run = run_steps(kernel, start, dy, keep_history)
+    presums = np.concatenate([np.ones((1, *shape[1:])), 1.0 + dy]).reshape(len(dy) + 1, -1)
+    totals = []
+    for column in presums.T.tolist():
+        total = 0.0
+        for presum in column:
+            total += abs(presum - 1.0)
+        totals.append(total)
+    assert run.presum_total_dev == max(totals)
 
 
 class TestInitialState:
@@ -1106,3 +1213,13 @@ class TestInitialState:
         # takes an array, of (R, K) replica rows
         with pytest.raises(ValueError, match=f"{scheme} starts from a .*, not a ndarray"):
             run_trajectory(TELEGRAPH, self.GRID, scheme, initial=self.PROBS)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_state_of_another_k_raises(self, scheme):
+        # numpy's shape message used to leak out; the telegraph schemes read
+        # the first two of three probabilities as q
+        probs = np.array([0.5, 0.3, 0.2])
+        given = UnnormalizedState(psi=probs) if scheme in self.TAKES_WEIGHTS else FilterState(
+            probs=probs)
+        with pytest.raises(ValueError, match="K=3 entries but the model has K=2 states"):
+            run_trajectory(TELEGRAPH, self.GRID, scheme, initial=given)

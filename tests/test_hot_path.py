@@ -2,8 +2,9 @@
 
 The step kernels take their products through ``ndarray.dot``, make their
 per-run decisions when they are built and hoist constants such as ``0.5 * dt``.
-Every such trim must leave each output bit unchanged, so each kernel's
-:func:`jumpfilter.kernels.drive` is compared here with a reference loop
+Every such trim must leave each output bit unchanged, so each kernel's run
+(:func:`jumpfilter.kernels.run_steps`, the loop of ``drive``, whose exit
+checks a random model may fail) is compared here with a reference loop
 written with the plain expressions: ``@`` products, ``correction_sign *
 correction``, two separate moment sums and the sign variant chosen inside the
 step.
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from jumpfilter import ChainModel
 from jumpfilter.chain import FLOOR
-from jumpfilter.kernels import KERNELS, QUIET, correction_diagonal, drive
+from jumpfilter.kernels import KERNELS, QUIET, correction_diagonal, run_steps
 
 DT = 1e-3
 BETA = 0.7  # not a power of two, so a division by beta**2 is no multiplication
@@ -168,7 +169,9 @@ REFERENCES = {
 
 
 def reference_history(kernel, start, dy):
-    """The states of a plain loop of the reference step, and its clamp count."""
+    """The states of a plain loop of the reference step, as the arrays that
+    ``probs`` takes (the stacked state arrays, and for a state (array, sum)
+    the column of sums, else None), and its clamp count."""
     step, prepare = REFERENCES[kernel.scheme](kernel)
     history, state, clamps = [start], start, 0
     with np.errstate(**QUIET):
@@ -176,15 +179,16 @@ def reference_history(kernel, start, dy):
             state, clamped = step(state, inputs)
             clamps += clamped
             history.append(state)
-    return history, clamps
+    if isinstance(start, tuple):
+        return np.array([s[0] for s in history]), np.array([s[1] for s in history]), clamps
+    return np.array(history), None, clamps
 
 
 def assert_same_run(kernel, start, dy):
-    run = drive(kernel, start, dy)
-    history, clamps = reference_history(kernel, start, dy)
+    run = run_steps(kernel, start, dy)
+    states, sums, clamps = reference_history(kernel, start, dy)
     with np.errstate(**QUIET):
-        probs, extras = kernel.probs(history)
-    extras.pop("presum", None)
+        probs, extras = kernel.probs(states, sums)
     assert run.clamps == clamps
     assert bits(run.probs) == bits(probs)
     assert run.extras.keys() == extras.keys()
@@ -212,7 +216,7 @@ def test_wonham_ito_batch_equals_reference_loop_bitwise(sign_variant):
     kernel = KERNELS["wonham-ito"](model, DT, BETA, sign_variant=sign_variant)
     start = kernel.start(np.tile(model.initial_dist, (9, 1)))
     dy = increments(rng, model, BETA, 200, replicas=9)
-    run = drive(kernel, start, dy)
-    history, clamps = reference_history(kernel, start, dy)
+    run = run_steps(kernel, start, dy)
+    states, sums, clamps = reference_history(kernel, start, dy)
     assert run.clamps == clamps
-    assert bits(run.probs) == bits(kernel.probs(history)[0])
+    assert bits(run.probs) == bits(kernel.probs(states, sums)[0])
