@@ -1,22 +1,24 @@
-"""Independent tasks fanned out over forked worker processes.
+"""Independent tasks fanned out over forked child processes.
 
 The refinement ladders (:mod:`jumpfilter.harness`) run one grid per task and
 the tower check (:mod:`jumpfilter.oracle`) one block of replicas per task.
 Both size their fan-out with :func:`fork_workers` and run it with
 :func:`fan_out`, which returns what the serial loop returns: the results in
 task order, or the first failing task's exception; tasks do not warn (a
-model warns when it is built). ``multiprocessing`` and ``concurrent.futures``
-are imported only when a fan-out forks.
+model warns when it is built). A fan-out is ``os.fork`` and one pipe per
+child, so no command imports ``multiprocessing`` or ``concurrent.futures``.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import pickle
+import sys
 import threading
 from pathlib import Path
 
-__all__ = ["CPU_QUOTA_FILES", "fan_out", "fork_workers", "usable_cpus"]
+__all__ = ["BrokenProcessPool", "CPU_QUOTA_FILES", "fan_out", "fork_workers", "usable_cpus"]
 
 # cgroup CPU quota, v2 then v1: "<quota> <period>" in one file ("max": none),
 # or quota (-1: none) and period in two
@@ -24,6 +26,17 @@ CPU_QUOTA_FILES = (
     ("/sys/fs/cgroup/cpu.max",),
     ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "/sys/fs/cgroup/cpu/cpu.cfs_period_us"),
 )
+SIGKILL = 9  # on every POSIX system; importing the signal module takes ~1 ms of start-up
+
+
+class BrokenProcessPool(RuntimeError):
+    """A fan-out child ended without sending its share's results back (it
+    was killed, say)."""
+
+
+class RemoteTraceback(Exception):
+    """The formatted traceback of a task that failed in a child: the
+    ``__cause__`` of the exception :func:`fan_out` raises for it."""
 
 
 def usable_cpus() -> int:
@@ -43,18 +56,17 @@ def usable_cpus() -> int:
 
 
 def fork_workers(tasks: int) -> int:
-    """How many forked workers ``tasks`` independent tasks may use:
+    """How many forked children ``tasks`` independent tasks may use:
     ``min(usable CPUs, tasks)``, or 1 (run in this process) when that is 1,
-    without the "fork" start method, in a daemon process (a
+    without ``os.fork``, in a ``multiprocessing`` daemon (a
     ``multiprocessing.Pool`` worker, which may not have children), or while
     another Python thread runs (a fork could copy a lock it holds)."""
     workers = min(usable_cpus(), tasks)
-    if workers < 2 or threading.active_count() > 1:
+    if workers < 2 or threading.active_count() > 1 or not hasattr(os, "fork"):
         return 1
-    import multiprocessing
-
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon):
+    # only a process that loaded multiprocessing can be one of its daemons
+    multiprocessing = sys.modules.get("multiprocessing")
+    if multiprocessing is not None and multiprocessing.current_process().daemon:
         return 1
     return workers
 
@@ -63,37 +75,92 @@ def fan_out(function, tasks: list, workers: int):
     """``function(task)`` of each task, in task order.
 
     With one worker the tasks run in this process, lazily, under plain
-    ``map``. Otherwise they run on a ``ProcessPoolExecutor`` of ``workers``
-    processes forked from this one, submitted last task first (callers list
-    their longest task last); a worker reads the function and its task from
-    what it inherited, so only an index and the result cross the pipe. The
-    results are then taken in task order, and the first failing task's
-    exception is raised here with the worker's traceback as its cause, so
-    callers see what the serial loop shows. No warning is carried back.
+    ``map``. Otherwise the tasks are split into ``workers`` shares, and one
+    child forked from this process runs each: child c < workers - 1 takes
+    task n - 1 - c (callers list their longest task last), and the last
+    child takes tasks 0 .. n - workers in order, stopping at its first
+    failure. A child reads the function and its tasks from what it
+    inherited, and pickles its results, or its failure with the formatted
+    traceback, into its pipe. This process waits idle, reads every pipe and
+    reaps every child, then returns the results in task order, or raises
+    the lowest-index failing task's exception with the child's traceback as
+    its cause, so callers see what the serial loop shows. A child that ends
+    without a result raises :class:`BrokenProcessPool`. However the call
+    ends, no child outlives it: those still running are killed and reaped.
+    No warning is carried back.
     """
     if workers < 2:
         return map(function, tasks)
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    n = len(tasks)
+    shares = [[n - 1 - c] for c in range(workers - 1)] + [list(range(n - workers + 1))]
+    # a child must not write out what this process has buffered
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children = {}  # pid -> (share, read end of its pipe), until reaped
+    try:
+        for share in shares:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _run_share(function, tasks, share, write)
+            os.close(write)
+            children[pid] = share, open(read, "rb")
+        results, failures = {}, []
+        for pid, (share, pipe) in list(children.items()):
+            with pipe:
+                sent = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del children[pid]
+            if status or not sent:  # a child that sent its results exits 0
+                code = os.waitstatus_to_exitcode(status)  # -N: killed by signal N
+                failures.append((share[0], BrokenProcessPool(
+                    f"a fan-out child ended without a result (exit code {code})"), None))
+                continue
+            done, failure = pickle.loads(sent)
+            results.update(zip(share, done))
+            if failure is not None:
+                failures.append(failure)
+    finally:
+        for pid, (_, pipe) in children.items():
+            pipe.close()
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+    if failures:
+        _, error, trace = min(failures, key=lambda failure: failure[0])
+        raise error from (RemoteTraceback(trace) if trace is not None else None)
+    return [results[index] for index in range(n)]
 
-    # unlike multiprocessing.Pool, which waits forever for the task of a
-    # killed worker, the executor raises BrokenProcessPool
-    fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(workers, mp_context=fork, initializer=_hold,
-                             initargs=(function, tasks)) as pool:
-        futures = [pool.submit(_run, i) for i in reversed(range(len(tasks)))]
-        return [future.result() for future in reversed(futures)]
+
+def _run_share(function, tasks: list, share: list, write: int):
+    """In a fan-out child: run ``share`` in order, send ``(results, failure)``
+    through the pipe ``write``, where ``failure`` is None or ``(index,
+    exception, traceback text)`` of the first failing task, and exit."""
+    try:
+        done, failure = [], None
+        for index in share:
+            try:
+                done.append(function(tasks[index]))
+            except BaseException as error:  # sent to the caller, which raises it
+                failure = index, error, _formatted_traceback()
+                break
+        try:
+            sent = pickle.dumps((done, failure), pickle.HIGHEST_PROTOCOL)
+        except Exception as error:  # a result or an exception that does not pickle
+            sent = pickle.dumps(([], (share[0], error, _formatted_traceback())))
+        with open(write, "wb") as pipe:
+            pipe.write(sent)
+        sys.stdout.flush()
+        sys.stderr.flush()
+    finally:
+        os._exit(0)
 
 
-_WORK: tuple = (None, [])  # a pool worker's copy of the caller's function and tasks
+def _formatted_traceback() -> str:
+    import traceback  # only a child that fails pays for the import
 
-
-def _hold(function, tasks: list) -> None:
-    global _WORK
-    _WORK = function, tasks
-
-
-def _run(index: int):
-    """In a pool worker: the result of task ``index``."""
-    function, tasks = _WORK
-    return function(tasks[index])
+    return traceback.format_exc()

@@ -262,7 +262,9 @@ def floor_and_total(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Floor nonpositive entries of a (K,) or (K, R) state; return the floored
     array, its sums over the states (a scalar, or an (R,) row) and the number
     of floored entries."""
-    clamped = int(np.count_nonzero(raw <= 0.0))
+    # one argmin settles the common case, a positive minimum; a NaN, +-0 or
+    # negative minimum fails it and is counted
+    clamped = 0 if raw.flat[raw.argmin()] > 0.0 else int(np.count_nonzero(raw <= 0.0))
     if clamped:
         raw = np.maximum(raw, FLOOR)
     return raw, np.add.reduce(raw, axis=0), clamped

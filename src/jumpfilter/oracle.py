@@ -250,10 +250,11 @@ class TowerReport:
         }
 
 
-# Fewest replicas a forked worker of the tower check gets. A pool costs ~8 ms
-# to start and a replica ~110 us (T=1, dt=1e-3, 2 vCPUs), so 500 replicas
-# (~55 ms) keep the pool under a sixth of each worker's share, and checks of
-# up to 999 replicas (the tests' 100-300 among them) run in this process.
+# Fewest replicas a forked child of the tower check gets. A two-child fan-out
+# costs ~6 ms to start and a replica ~110 us (T=1, dt=1e-3, 2 vCPUs), so 500
+# replicas (~55 ms) keep the start under a ninth of each child's share, and
+# checks of up to 999 replicas (the tests' 100-300 among them) run in this
+# process.
 REPLICA_FLOOR = 500
 
 

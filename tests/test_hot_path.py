@@ -6,8 +6,9 @@ Every such trim must leave each output bit unchanged, so each kernel's run
 (:func:`jumpfilter.kernels.run_steps`, the loop of ``drive``, whose exit
 checks a random model may fail) is compared here with a reference loop
 written with the plain expressions: ``@`` products, ``correction_sign *
-correction``, two separate moment sums and the sign variant chosen inside the
-step.
+correction``, two separate moment sums, the sign variant chosen inside the
+step, the log kernel's shift through ``np.max`` and a clamp count taken before
+every floor.
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from jumpfilter import ChainModel
 from jumpfilter.chain import FLOOR
-from jumpfilter.kernels import KERNELS, QUIET, correction_diagonal, run_steps
+from jumpfilter.kernels import KERNELS, QUIET, correction_diagonal, floor_and_total, run_steps
 
 DT = 1e-3
 BETA = 0.7  # not a power of two, so a division by beta**2 is no multiplication
@@ -37,6 +38,34 @@ def test_dot_equals_matmul_bitwise(k, replicas, seed):
     assert bits(vector.dot(matrix)) == bits(vector @ matrix)
     assert bits(matrix.dot(vector)) == bits(matrix @ vector)
     assert bits(matrix.T.dot(batch)) == bits(matrix.T @ batch)
+
+
+def counted_floor(raw):
+    """``floor_and_total`` as it was first written: count, then floor."""
+    clamped = int(np.count_nonzero(raw <= 0.0))
+    if clamped:
+        raw = np.maximum(raw, FLOOR)
+    return raw, np.add.reduce(raw, axis=0), clamped
+
+
+EDGES = [0.0, -0.0, -1.0, -5e-324, np.nan, np.inf, -np.inf, 5e-324]
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(1, 32), replicas=st.one_of(st.none(), st.integers(1, 40)),
+       edges=st.lists(st.sampled_from(EDGES), max_size=6), seed=st.integers(0, 2**32 - 1))
+def test_floor_and_total_equals_counting_first_bitwise(k, replicas, edges, seed):
+    # the argmin test that skips the count must floor and count exactly
+    # where counting first does: NaN, +-0, negatives and infinities included
+    rng = np.random.default_rng(seed)
+    raw = rng.uniform(1e-300, 1.0, k if replicas is None else (k, replicas))
+    raw.flat[rng.integers(raw.size, size=len(edges))] = edges
+    with np.errstate(**QUIET):
+        floored, total, clamped = floor_and_total(raw.copy())
+        expected = counted_floor(raw.copy())
+    assert clamped == expected[2]
+    assert bits(floored) == bits(expected[0])
+    assert bits(total) == bits(expected[1])
 
 
 def random_model(rng, k: int) -> ChainModel:
@@ -146,6 +175,20 @@ def gamma(kernel):
     return step, list
 
 
+def log(kernel):
+    connected, rates, dt = kernel.rates > 0, kernel.rates, kernel.dt
+    drift = -kernel.model.exit_rates + correction_diagonal(kernel.levels, kernel.beta,
+                                                          kernel.correction_sign)
+
+    def step(theta, observed):
+        diffs = np.where(connected, theta[:, None] - theta, -np.inf)
+        coupling = np.einsum("ij,ij->j", rates, np.exp(diffs))
+        updated = theta + dt * (drift + coupling) + observed
+        return updated - np.max(updated), 0
+
+    return step, kernel.prepare
+
+
 def bayes_oracle(kernel):
     trans = kernel.trans
 
@@ -164,6 +207,7 @@ REFERENCES = {
     "wonham-ito": wonham_ito,
     "wonham-langevin": wonham_langevin,
     "gamma": gamma,
+    "log": log,
     "bayes-oracle": bayes_oracle,
 }
 

@@ -16,6 +16,7 @@ its read-only start weights floor that law as the schemes always did.
 """
 
 import json
+import os
 import warnings
 from contextlib import nullcontext
 from unittest import mock
@@ -317,3 +318,13 @@ def test_path_integrals_of_jumps_on_grid_nodes(model, dt, n_steps, seed, chunk, 
             np.array([p.n_jumps for p in paths]), grid, out)
     for row, path in zip(out, paths):
         assert row.tobytes() == step_level_integrals(path, model, dt, n_steps).tobytes()
+
+
+def test_hypothesis_profiles_fix_tier1_draws_and_explore_draws_fresh():
+    # tests/conftest.py: tier-1 replays fixed draws without an example
+    # database; HYPOTHESIS_PROFILE=explore draws fresh examples
+    default, explore = settings.get_profile("default"), settings.get_profile("explore")
+    assert default.derandomize is True and default.database is None
+    assert explore.derandomize is False and explore.database is None
+    loaded = os.environ.get("HYPOTHESIS_PROFILE", "default")
+    assert settings.default.derandomize is settings.get_profile(loaded).derandomize

@@ -2,11 +2,11 @@
 scipy-backed computation runs (the irreducibility check of
 ``stationary_distribution``, the Poisson tail of ``pathspace_expectation``).
 No CLI command is one: the Gamma propagators use the package's own ``expm``.
-Nor do the package, the commands that run one trajectory and a test-sized
-(300-replica) tower check load ``multiprocessing`` or ``concurrent.futures``:
-only a fan-out over CPUs imports them: that of the refinement ladders of
+No command loads ``multiprocessing`` or ``concurrent.futures``: neither the
+package, nor the commands that run one trajectory, nor a fan-out over CPUs,
+which forks its children itself (that of the refinement ladders of
 ``convergence`` and ``adjudicate``, or that of a tower check of at least
-``2 * oracle.REPLICA_FLOOR`` replicas. Importing the package and its CLI
+``2 * oracle.REPLICA_FLOOR`` replicas). Importing the package and its CLI
 loads no ``numpy.random`` either (~10 ms): the first generator imports it.
 
 Other tests import scipy into the pytest process, so the check runs in a
@@ -51,10 +51,11 @@ def lazy_results(config_file):
 
 
 CHILD = """
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 
 import jumpfilter
 import jumpfilter.cli
+from jumpfilter import fanout
 
 
 def scipy_modules():
@@ -81,7 +82,12 @@ with contextlib.redirect_stdout(io.StringIO()):
     )]
     jumpfilter.tower_property_check(jumpfilter.telegraph_model(1.0), 0.2, 1e-2, 0.5, 300, 0)
     pools_after_single_runs = pool_modules()
+    # the ladder's three grids fan out over two CPUs
+    forks = []
+    os.register_at_fork(after_in_parent=lambda: forks.append(1))
+    fanout.usable_cpus = lambda: 2
     codes.append(jumpfilter.cli.main(["convergence", *common, "--halvings", "2"]))
+pools_after_fan_out = pool_modules()
 after_cli = scipy_modules()
 
 {lazy_results}
@@ -91,6 +97,7 @@ print(json.dumps({{"after_import": after_import, "codes": codes, "after_cli": af
                   "pools_after_import": pools_after_import,
                   "random_after_import": random_after_import,
                   "pools_after_single_runs": pools_after_single_runs,
+                  "ladder_forks": len(forks), "pools_after_fan_out": pools_after_fan_out,
                   "results": results, "after_lazy": scipy_modules()}}))
 """
 
@@ -121,28 +128,34 @@ def test_cli_runs_without_scipy_and_lazy_paths_match(tmp_path):
         assert (out / written).exists()
     assert (tmp_path / "out-gamma" / "trajectory.csv").exists()
     assert report["after_cli"] == []
-    # only a fan-out over CPUs loads multiprocessing and concurrent.futures
+    # no command loads multiprocessing or concurrent.futures, a fan-out included
     assert report["pools_after_import"] == []
     assert report["pools_after_single_runs"] == []
+    assert report["ladder_forks"] == 2
+    assert report["pools_after_fan_out"] == []
     # the lazy paths ran cold in the child, and return what they return here
     assert set(LAZY_MODULES) <= set(report["after_lazy"])
     assert report["results"] == lazy_results(config_file)
 
 
 FANNED_OUT_CHECK = """
-import sys
+import os, sys
 
 from jumpfilter import fanout, oracle, telegraph_model
 
+forks = []
+os.register_at_fork(after_in_parent=lambda: forks.append(1))
 fanout.usable_cpus = lambda: 2
 oracle.REPLICA_FLOOR = 100
 oracle.tower_property_check(telegraph_model(1.0), 0.2, 1e-2, 0.5, 200, 0)
-print(json.dumps(["concurrent.futures" in sys.modules, "numpy.random" in sys.modules]))
+pools = [name for name in sys.modules
+         if name.split(".")[0] == "multiprocessing" or name == "concurrent.futures"]
+print(json.dumps([len(forks), "numpy.random" in sys.modules, pools]))
 """
 
 
 def test_fanned_out_tower_check_loads_numpy_random_in_the_caller(tmp_path):
-    # the caller loads numpy.random before it forks, so the two workers
+    # the caller loads numpy.random before it forks, so the two children
     # inherit it instead of each importing it on its first stream
     package_root = str(Path(jumpfilter.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -150,6 +163,7 @@ def test_fanned_out_tower_check_loads_numpy_random_in_the_caller(tmp_path):
     proc = subprocess.run([sys.executable, "-c", "import json" + FANNED_OUT_CHECK],
                           capture_output=True, text=True, cwd=tmp_path, env=env)
     assert proc.returncode == 0, proc.stderr
-    forked, random_loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert forked
+    forks, random_loaded, pools = json.loads(proc.stdout.splitlines()[-1])
+    assert forks == 2
     assert random_loaded
+    assert pools == []
