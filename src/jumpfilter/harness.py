@@ -15,10 +15,10 @@ import numbers
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import wonham
 from .chain import (
     STEP_BUDGET,
     ChainModel,
@@ -42,14 +42,24 @@ from .signalpath import (
     write_observations_csv,
     write_table,
 )
-from .wonham import FilterState
-from .zakai import UnnormalizedState
+
+if TYPE_CHECKING:
+    from .wonham import FilterState
+    from .zakai import UnnormalizedState
 
 # Not called here; benchmark/tracing.py wraps these names as attributes of
-# this module, so they stay bound.
+# this module, so they stay bound. bayes_forward_step is served by
+# __getattr__ below, so that loading this module does not load the oracle.
 from .chain import transition_matrix  # noqa: F401
-from .oracle import bayes_forward_step  # noqa: F401
-from .wonham import finish_simplex_step, wonham_update_raw  # noqa: F401
+from .kernels import finish_simplex_step, wonham_update_raw  # noqa: F401
+
+
+def __getattr__(name: str):
+    if name == "bayes_forward_step":
+        from .oracle import bayes_forward_step
+
+        return bayes_forward_step
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "SCHEMES",
@@ -495,9 +505,11 @@ def run_predict(config: ExperimentConfig, horizons) -> list[dict]:
         raise ValueError("give at least one prediction horizon")
     for h in horizons:
         check_horizon(h)
+    from .wonham import FilterState, predict  # the one runner that loads wonham
+
     trajectory, _ = run_filter(config, write=False)
     state = FilterState(probs=trajectory.probs[-1])
-    rows = [{"h": h, "probs": wonham.predict(state, config.model, h)} for h in horizons]
+    rows = [{"h": h, "probs": predict(state, config.model, h)} for h in horizons]
     k = config.model.n_states
     write_table(
         _out_dir(config) / "prediction.csv",

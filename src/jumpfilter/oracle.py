@@ -40,7 +40,7 @@ from .signalpath import ObservationGrid, _step_count, cumulative_observation
 # this module, so they stay bound.
 from .chain import simulate_jump_path, step_level_integrals  # noqa: F401
 from .seeding import derive_rng  # noqa: F401
-from .wonham import finish_simplex_step, wonham_update_raw  # noqa: F401
+from .kernels import finish_simplex_step, wonham_update_raw  # noqa: F401
 
 __all__ = [
     "DiscreteBayesState",

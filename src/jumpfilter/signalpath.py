@@ -9,7 +9,6 @@ coarse one for refinement studies.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -167,6 +166,8 @@ def read_observations_csv(source, beta: float) -> ObservationGrid:
     Every value must be finite, and the times must be the uniform grid r*dt
     from 0 (to 1e-9 relative, as in :func:`_step_count`) with dt = t_1 - t_0.
     """
+    import csv  # its one user; no command reads a grid back
+
     with open(source, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)

@@ -7,7 +7,8 @@ Documents are the telegraph config at T=0.05 with a few mutations each:
 values swapped for another type, null, bool, string, object, nested lists or
 extreme magnitudes, and keys missing or added at both levels. The command-line
 values come from short lists, so a grid that is accepted has at most 1e4
-steps.
+steps. The property samples pairs of mutations; a sweep runs ``filter`` for
+every scheme paired with every extreme number on ``beta``, ``dt`` and a level.
 """
 
 import contextlib
@@ -19,6 +20,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -52,6 +54,9 @@ STEPS = [None, 0.01, 0.005, 1.25e-4, 0.003, 0.0, -0.001, 1e-15, 1e300, math.nan,
 HALVINGS = [None, 2, 3, 1, -1, 60, 2000]
 HORIZONS = [None, "0,1", "0.5", "nan", "inf", "-1", "1e308", "a", ","]
 OUTS = [None, "out-arg", "config.json/below-a-file"]
+# the extreme numbers of ODD_VALUES, and the keys the sweep places them on
+EXTREMES = [0, 1e300, -1e300, 1e-300, -1e-300, 10**400, math.nan, math.inf, -math.inf]
+EXTREME_PATHS = [("beta",), ("dt",), ("model", "levels", 0)]
 
 
 def mutate(doc: dict, mutations) -> dict:
@@ -95,6 +100,30 @@ def in_directory(path):
         yield
     finally:
         os.chdir(previous)
+
+
+def contract_failure(doc: dict, argv: list[str]) -> str | None:
+    """Runs ``main(argv)`` in a fresh directory holding ``doc`` as config.json;
+    None when the run kept the contract, else what it did."""
+    with tempfile.TemporaryDirectory() as tmp, in_directory(tmp):
+        Path("config.json").write_text(json.dumps(doc))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            code = main(argv)
+    messages = [str(w.message) for w in caught]
+    err = stderr.getvalue()
+    if messages:
+        return f"exit {code} with warnings {messages}"
+    if code not in (0, 2, 3):
+        return f"exit {code}: {err}"
+    if code == 2 and not err.startswith("error:"):
+        return f"exit 2 without 'error:': {err}"
+    if code == 3 and not (err.startswith("run failed:") or (
+            argv[0] == "adjudicate" and '"verdict": "inconclusive"' in stdout.getvalue())):
+        return f"exit 3 without 'run failed:' or an inconclusive verdict: {err}"
+    return None
 
 
 @settings(max_examples=120, deadline=None)
@@ -143,19 +172,19 @@ def in_directory(path):
          command="filter", seed=None, dt=None, halvings=None, horizons=None, out=None)
 def test_cli_exits_0_2_or_3_without_warnings(mutations, command, seed, dt, halvings, horizons,
                                              out):
-    with tempfile.TemporaryDirectory() as tmp, in_directory(tmp):
-        Path("config.json").write_text(json.dumps(mutate(BASE, mutations)))
-        argv = argv_of(command, "config.json", seed, dt, halvings, horizons, out)
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, \
-                contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            warnings.simplefilter("always")
-            code = main(argv)
-    assert [str(w.message) for w in caught] == []
-    assert code in (0, 2, 3)
-    if code == 2:
-        assert stderr.getvalue().startswith("error:")
-    if code == 3:
-        assert stderr.getvalue().startswith("run failed:") or (
-            command == "adjudicate" and '"verdict": "inconclusive"' in stdout.getvalue()
-        )
+    argv = argv_of(command, "config.json", seed, dt, halvings, horizons, out)
+    assert contract_failure(mutate(BASE, mutations), argv) is None
+
+
+@pytest.mark.parametrize("path", EXTREME_PATHS, ids=lambda path: "-".join(map(str, path)))
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_filter_keeps_the_contract_for_every_scheme_and_extreme_value(scheme, path):
+    # with the other 26 (scheme, key) pairs, 243 runs of at most 50 steps;
+    # 208 of them are refused before the first step
+    broken = {}
+    for value in EXTREMES:
+        doc = mutate(BASE, [("set", ("scheme",), scheme), ("set", path, value)])
+        failure = contract_failure(doc, ["filter", "--config", "config.json"])
+        if failure is not None:
+            broken[repr(value)] = failure
+    assert broken == {}
