@@ -20,11 +20,9 @@ from .chain import (
     ChainModel,
     JumpPath,
     ReducibleChainError,
-    integrate_level,
     model_from_json,
     model_to_json,
     simulate_jump_path,
-    state_at,
     stationary_distribution,
     telegraph_model,
     transition_matrix,
@@ -32,7 +30,6 @@ from .chain import (
 from .signalpath import (
     ObservationGrid,
     coarsen,
-    read_observations_csv,
     synthesize_from_brownian,
     synthesize_observations,
     write_observations_csv,
@@ -49,8 +46,7 @@ _LAZY = {
     ), "wonham"),
     **dict.fromkeys((
         "GammaState", "LogState", "UnnormalizedState", "from_gamma", "gamma_langevin_step",
-        "init_unnormalized", "log_step", "normalize", "to_gamma", "zakai_ito_step",
-        "zakai_langevin_step",
+        "init_unnormalized", "log_step", "to_gamma", "zakai_ito_step", "zakai_langevin_step",
     ), "zakai"),
     **dict.fromkeys((
         "DiscreteBayesState", "PathspaceResult", "TowerReport", "bayes_forward_step",
@@ -60,11 +56,10 @@ _LAZY = {
 }
 
 __all__ = [
-    "ChainModel", "JumpPath", "ReducibleChainError", "integrate_level", "model_from_json",
-    "model_to_json", "simulate_jump_path", "state_at", "stationary_distribution",
-    "telegraph_model", "transition_matrix",
-    "ObservationGrid", "coarsen", "read_observations_csv", "synthesize_from_brownian",
-    "synthesize_observations", "write_observations_csv",
+    "ChainModel", "JumpPath", "ReducibleChainError", "model_from_json", "model_to_json",
+    "simulate_jump_path", "stationary_distribution", "telegraph_model", "transition_matrix",
+    "ObservationGrid", "coarsen", "synthesize_from_brownian", "synthesize_observations",
+    "write_observations_csv",
     *_LAZY,
 ]
 

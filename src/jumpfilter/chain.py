@@ -15,7 +15,7 @@ import numbers
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -28,8 +28,6 @@ __all__ = [
     "telegraph_model",
     "transition_matrix",
     "simulate_jump_path",
-    "state_at",
-    "integrate_level",
     "step_level_integrals",
     "add_path_integrals",
     "check_horizon",
@@ -417,14 +415,6 @@ def _add_step_integrals(seg_levels: np.ndarray, jump_times: np.ndarray, n_jumps:
         out[lo:hi] += np.subtract(cum[:, 1:], cum[:, :-1])
 
 
-def state_at(path: JumpPath, t: float) -> int:
-    """State index at time ``t`` (right-continuous lookup)."""
-    if not 0.0 <= t <= path.horizon:
-        raise ValueError(f"time {t} outside [0, {path.horizon}]")
-    idx = int(np.searchsorted(path.jump_times, t, side="right"))
-    return int(path.states_visited[idx])
-
-
 def _cumulative_level(seg_levels: np.ndarray, jump_times: np.ndarray, horizon: float,
                       times: np.ndarray) -> np.ndarray:
     """Exact values of  t -> integral_0^t a_{x(s)} ds  at the given times, for
@@ -436,15 +426,6 @@ def _cumulative_level(seg_levels: np.ndarray, jump_times: np.ndarray, horizon: f
     return cum_at_knots[idx] + seg_levels[idx] * (times - knots[idx])
 
 
-def integrate_level(path: JumpPath, model: ChainModel, t0: float, t1: float) -> float:
-    """Exact integral of the signal level over [t0, t1] (no quadrature error)."""
-    if not 0.0 <= t0 <= t1 <= path.horizon:
-        raise ValueError(f"bad interval [{t0}, {t1}] for horizon {path.horizon}")
-    vals = _cumulative_level(model.levels[path.states_visited], path.jump_times, path.horizon,
-                             np.array([t0, t1]))
-    return float(vals[1] - vals[0])
-
-
 def step_level_integrals(path: JumpPath, model: ChainModel, dt: float, n_steps: int) -> np.ndarray:
     """Exact per-step signal integrals over the uniform grid r*dt, r=0..n."""
     cum = _cumulative_level(model.levels[path.states_visited], path.jump_times, path.horizon,
@@ -452,12 +433,10 @@ def step_level_integrals(path: JumpPath, model: ChainModel, dt: float, n_steps: 
     return cum[1:] - cum[:-1]
 
 
-@lru_cache(maxsize=16)
 def _uniform_grid(n_steps: int, dt: float, horizon: float) -> np.ndarray:
-    """Read-only grid r*dt, r=0..n, its end capped at ``horizon``."""
+    """The grid r*dt, r=0..n, its end capped at ``horizon``."""
     grid = np.arange(n_steps + 1) * dt
     grid[-1] = min(grid[-1], horizon)  # guard against rounding past the end
-    grid.setflags(write=False)
     return grid
 
 

@@ -1,7 +1,8 @@
 """Independent tasks fanned out over forked child processes.
 
-The refinement ladders (:mod:`jumpfilter.harness`) run one grid per task and
-the tower check (:mod:`jumpfilter.oracle`) one block of replicas per task.
+The refinement ladders (:mod:`jumpfilter.harness`, which imports this module
+only when a ladder runs) run one grid per task and the tower check
+(:mod:`jumpfilter.oracle`) one block of replicas per task.
 Both size their fan-out with :func:`fork_workers` and run it with
 :func:`fan_out`, which returns what the serial loop returns: the results in
 task order, or the first failing task's exception; tasks do not warn (a
@@ -58,15 +59,10 @@ def usable_cpus() -> int:
 def fork_workers(tasks: int) -> int:
     """How many forked children ``tasks`` independent tasks may use:
     ``min(usable CPUs, tasks)``, or 1 (run in this process) when that is 1,
-    without ``os.fork``, in a ``multiprocessing`` daemon (a
-    ``multiprocessing.Pool`` worker, which may not have children), or while
-    another Python thread runs (a fork could copy a lock it holds)."""
+    without ``os.fork``, or while another Python thread runs (a fork could
+    copy a lock it holds)."""
     workers = min(usable_cpus(), tasks)
     if workers < 2 or threading.active_count() > 1 or not hasattr(os, "fork"):
-        return 1
-    # only a process that loaded multiprocessing can be one of its daemons
-    multiprocessing = sys.modules.get("multiprocessing")
-    if multiprocessing is not None and multiprocessing.current_process().daemon:
         return 1
     return workers
 
@@ -74,12 +70,12 @@ def fork_workers(tasks: int) -> int:
 def fan_out(function, tasks: list, workers: int):
     """``function(task)`` of each task, in task order.
 
-    With one worker the tasks run in this process, lazily, under plain
-    ``map``. Otherwise the tasks are split into ``workers`` shares, and one
-    child forked from this process runs each: child c < workers - 1 takes
-    task n - 1 - c (callers list their longest task last), and the last
-    child takes tasks 0 .. n - workers in order, stopping at its first
-    failure. A child reads the function and its tasks from what it
+    ``workers`` is capped at the number of tasks. With one worker the tasks
+    run in this process, lazily, under plain ``map``. Otherwise the tasks
+    are split into ``workers`` shares, and one child forked from this
+    process runs each: child c < workers - 1 takes task n - 1 - c (callers
+    list their longest task last), and the last child takes tasks 0 .. n -
+    workers in order, stopping at its first failure. A child reads the function and its tasks from what it
     inherited, and pickles its results, or its failure with the formatted
     traceback, into its pipe. This process waits idle, reads every pipe and
     reaps every child, then returns the results in task order, or raises
@@ -89,9 +85,10 @@ def fan_out(function, tasks: list, workers: int):
     ends, no child outlives it: those still running are killed and reaped.
     No warning is carried back.
     """
+    n = len(tasks)
+    workers = min(workers, n)
     if workers < 2:
         return map(function, tasks)
-    n = len(tasks)
     shares = [[n - 1 - c] for c in range(workers - 1)] + [list(range(n - workers + 1))]
     # a child must not write out what this process has buffered
     sys.stdout.flush()

@@ -30,10 +30,10 @@ from .chain import (
     model_to_json,
     simulate_jump_path,
 )
-from .fanout import fan_out, fork_workers
 from .kernels import KERNELS, Trajectory, check_signs, check_step, drive
 from .seeding import ROLE_JUMP, ROLE_NOISE, derive_rng
 from .signalpath import (
+    FLOAT,
     ObservationGrid,
     _step_count,
     coarsen,
@@ -187,8 +187,6 @@ def run_trajectory(
 
 # ---------------------------------------------------------------------------
 # file emission
-
-FLOAT = "%.17g"
 
 
 def _write_json(destination, payload: dict) -> None:
@@ -346,6 +344,9 @@ def _ladders(config: ExperimentConfig, halvings: int, pairs: dict):
     Each distinct side runs once per grid. A pair is left out when the
     scheme of either side cannot filter the config's model.
     """
+    # imported here: no other command of the runners fans out
+    from .fanout import fan_out, fork_workers
+
     _, fine = simulate_pair(replace(config, dt=math.ldexp(config.dt, -halvings)))
     grids = [coarsen(fine, 2 ** (halvings - k)) for k in range(halvings + 1)]
     pairs = {label: pair for label, pair in pairs.items()

@@ -240,15 +240,6 @@ class TowerReport:
     mse_margin_se: float
     n_replicas: int
 
-    def to_json(self) -> dict:
-        return {
-            "z_scores": self.z_scores.tolist(),
-            "mse_filter": self.mse_filter,
-            "mse_const": self.mse_const,
-            "mse_margin_se": self.mse_margin_se,
-            "n_replicas": self.n_replicas,
-        }
-
 
 # Fewest replicas a forked child of the tower check gets. A two-child fan-out
 # costs ~6 ms to start and a replica ~110 us (T=1, dt=1e-3, 2 vCPUs), so 500

@@ -25,10 +25,7 @@ __all__ = [
     "coarsen",
     "write_table",
     "write_observations_csv",
-    "read_observations_csv",
 ]
-
-CSV_HEADER = ["r", "t", "dy", "dw", "x_level"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,10 +59,6 @@ class ObservationGrid:
     @property
     def n_steps(self) -> int:
         return self.dy.shape[0]
-
-    @property
-    def horizon(self) -> float:
-        return self.n_steps * self.dt
 
     @property
     def times(self) -> np.ndarray:
@@ -131,11 +124,15 @@ def coarsen(grid: ObservationGrid, factor: int) -> ObservationGrid:
 # Rows formatted per write: bounds the memory of a table's text and lists.
 ROWS_PER_WRITE = 1024
 
+# The format of every float a written table holds: 17 significant digits,
+# which read back to the same float.
+FLOAT = "%.17g"
+
 
 def write_table(destination, header: list[str], formats: list[str], columns) -> None:
     """Write a CSV table: the header row, then one row per index of ``columns``.
 
-    ``formats`` holds one %-format per column ("%d", "%.17g" or "%s");
+    ``formats`` holds one %-format per column ("%d", :data:`FLOAT` or "%s");
     columns are equal-length 1-d arrays, ranges or lists. Fields never need
     quoting here, so each row is one format operation on Python scalars;
     rows end in "\\r\\n" like the csv module's.
@@ -153,35 +150,7 @@ def write_observations_csv(grid: ObservationGrid, destination) -> None:
     """Write "r,t,dy,dw,x_level" rows with 17 significant digits."""
     write_table(
         destination,
-        CSV_HEADER,
-        ["%d", "%.17g", "%.17g", "%.17g", "%.17g"],
+        ["r", "t", "dy", "dw", "x_level"],
+        ["%d"] + [FLOAT] * 4,
         [range(grid.n_steps), grid.times, grid.dy, grid.dw, grid.x_level],
     )
-
-
-def read_observations_csv(source, beta: float) -> ObservationGrid:
-    """Read a grid written by :func:`write_observations_csv`.
-
-    beta is not stored in the CSV; it travels with the experiment config.
-    Every value must be finite, and the times must be the uniform grid r*dt
-    from 0 (to 1e-9 relative, as in :func:`_step_count`) with dt = t_1 - t_0.
-    """
-    import csv  # its one user; no command reads a grid back
-
-    with open(source, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected header {header}")
-        rows = [(float(t), float(dy), float(dw), float(lvl)) for _, t, dy, dw, lvl in reader]
-    if len(rows) < 2:
-        raise ValueError("need at least 2 rows to recover the step size")
-    columns = dict(zip(CSV_HEADER[1:], map(np.array, zip(*rows))))
-    for name, column in columns.items():
-        if not np.isfinite(column).all():
-            raise ValueError(f"column {name} holds a non-finite value")
-    t = columns.pop("t")
-    dt = float(t[1] - t[0])
-    if t[0] != 0 or np.abs(t - np.arange(len(t)) * dt).max() > 1e-9 * max(1.0, abs(t[-1])):
-        raise ValueError("column t is not the uniform grid r*dt starting at 0")
-    return ObservationGrid(dt=dt, beta=beta, **columns)

@@ -47,7 +47,6 @@ from .kernels import (
     propagator_pair,
     step_once,
 )
-from .wonham import FilterState
 
 __all__ = [
     "CLAMP_FAILURE_FRACTION",
@@ -61,7 +60,6 @@ __all__ = [
     "zakai_ito_step",
     "zakai_langevin_step",
     "log_step",
-    "normalize",
     "drift_matrix",
     "to_gamma",
     "from_gamma",
@@ -196,12 +194,6 @@ def log_step(
     check_state_size(len(state.theta), model)
     theta, _ = step_once(LogDomain(model, dt, beta, correction_sign), state.theta, dy)
     return LogState(theta=theta, t=state.t + dt)
-
-
-def normalize(state: UnnormalizedState) -> FilterState:
-    """Normalized distribution psi / sum(psi); the carried log scale cancels."""
-    total = state.psi.sum()
-    return FilterState(probs=state.psi / total, t=state.t)
 
 
 def to_gamma(state: UnnormalizedState, a_matrix: np.ndarray, t: float | None = None) -> GammaState:

@@ -4,11 +4,10 @@ import pytest
 from jumpfilter import (
     ChainModel,
     ReducibleChainError,
-    integrate_level,
     model_from_json,
     model_to_json,
     simulate_jump_path,
-    state_at,
+    synthesize_from_brownian,
     stationary_distribution,
     telegraph_model,
     transition_matrix,
@@ -145,7 +144,7 @@ class TestSimulation:
     def test_single_state_never_jumps(self):
         path = simulate_jump_path(single_state_model(), 10.0, np.random.default_rng(0))
         assert path.n_jumps == 0
-        assert state_at(path, 7.3) == 0
+        assert path.states_visited[-1] == 0
 
     def test_jump_rate_matches_holding_time_law(self):
         # mean holding time 1/nu, so jumps per unit time should be close to nu
@@ -160,7 +159,7 @@ class TestSimulation:
         path = simulate_jump_path(m, 50.0, np.random.default_rng(5))
         assert path.n_jumps <= 1
         if path.n_jumps == 1:
-            assert state_at(path, 50.0) == 1
+            assert path.states_visited[-1] == 1
 
     def test_deterministic_given_stream(self):
         a = simulate_jump_path(TELEGRAPH, 5.0, np.random.default_rng(9))
@@ -175,7 +174,7 @@ class TestSimulation:
         rng = np.random.default_rng(77)
         counts = np.zeros(2)
         for _ in range(n):
-            counts[state_at(simulate_jump_path(model, t, rng), t)] += 1
+            counts[simulate_jump_path(model, t, rng).states_visited[-1]] += 1
         expected = model.initial_dist @ transition_matrix(model, t)
         se = np.sqrt(expected * (1.0 - expected) / n)
         assert np.all(np.abs(counts / n - expected) <= 4.0 * se)
@@ -212,58 +211,70 @@ class TestPathBatch:
 
 
 class TestPathLookup:
-    @pytest.fixture
-    def path(self):
-        return JumpPath(
-            initial_state=0,
-            jump_times=np.array([0.25, 0.75]),
-            jump_states=np.array([1, 0]),
-            horizon=1.0,
-        )
+    """The level a grid step takes is the path's state at the step's start."""
 
-    def test_initial_state(self, path):
-        assert state_at(path, 0.0) == 0
+    def test_initial_state(self):
+        # a path that starts in state 1 (level -1) and jumps only at 0.75
+        path = JumpPath(1, np.array([0.75]), np.array([0]), 1.0)
+        grid = synthesize_from_brownian(path, TELEGRAPH, 0.125, 0.5, np.zeros(8))
+        assert grid.x_level[0] == -1.0
 
-    def test_just_before_jump(self, path):
-        assert state_at(path, 0.25 - 1e-12) == 0
+    def test_just_before_jump(self):
+        # the jump falls just after the grid point 0.25: the step that starts
+        # there still holds the state before the jump
+        path = JumpPath(0, np.array([0.25 + 1e-12]), np.array([1]), 1.0)
+        grid = synthesize_from_brownian(path, TELEGRAPH, 0.125, 0.5, np.zeros(8))
+        assert np.array_equal(grid.x_level[1:4], [1.0, 1.0, -1.0])
 
-    def test_right_continuous_at_jump(self, path):
-        assert state_at(path, 0.25) == 1
+    def test_out_of_range(self):
+        # a grid may not run past the path's horizon
+        path = JumpPath(0, np.array([0.25]), np.array([1]), 1.0)
+        with pytest.raises(ValueError, match="dw must have shape"):
+            synthesize_from_brownian(path, TELEGRAPH, 0.125, 0.5, np.zeros(9))
 
-    def test_out_of_range(self, path):
-        with pytest.raises(ValueError):
-            state_at(path, 1.5)
+    def test_right_continuous_at_jump(self):
+        # jumps at 0.25 and 0.75 land on grid points: each step takes the
+        # level of the state the path holds from its start on
+        path = JumpPath(0, np.array([0.25, 0.75]), np.array([1, 0]), 1.0)
+        grid = synthesize_from_brownian(path, TELEGRAPH, 0.125, 0.5, np.zeros(8))
+        assert np.array_equal(grid.x_level, [1.0, 1.0, -1.0, -1.0, -1.0, -1.0, 1.0, 1.0])
 
     def test_consecutive_states_must_differ(self):
         with pytest.raises(ValueError):
             JumpPath(0, np.array([0.5]), np.array([0]), 1.0)
 
 
-class TestIntegrateLevel:
+def level_integral(path, model, t0, t1):
+    """The integral of the path's level over [t0, t1], one segment at a time."""
+    edges = np.concatenate(([0.0], path.jump_times, [path.horizon]))
+    total = 0.0
+    for state, lo, hi in zip(path.states_visited, edges[:-1], edges[1:]):
+        total += model.levels[state] * max(0.0, min(hi, t1) - max(lo, t0))
+    return total
+
+
+class TestStepLevelIntegrals:
+    """Exact per-step integrals of the signal level: no quadrature error."""
+
     def test_constant_path(self):
         m = single_state_model(level=2.5)
         path = simulate_jump_path(m, 4.0, np.random.default_rng(0))
-        assert integrate_level(path, m, 1.0, 3.0) == pytest.approx(5.0, abs=1e-14)
-
-    def test_empty_interval(self):
-        m = single_state_model()
-        path = simulate_jump_path(m, 1.0, np.random.default_rng(0))
-        assert integrate_level(path, m, 0.3, 0.3) == 0.0
+        steps = step_level_integrals(path, m, 0.5, 8)
+        # the integral over [1, 3]
+        assert steps[2:6].sum() == pytest.approx(5.0, abs=1e-14)
 
     def test_one_jump_two_segments(self):
-        path = JumpPath(0, np.array([0.4]), np.array([1]), 1.0)
-        value = integrate_level(path, TELEGRAPH, 0.1, 0.9)
-        # level +1 on [0.1, 0.4), level -1 on [0.4, 0.9)
-        assert value == pytest.approx(0.3 - 0.5, abs=1e-14)
+        path = JumpPath(0, np.array([0.45]), np.array([1]), 1.0)
+        steps = step_level_integrals(path, TELEGRAPH, 0.1, 10)
+        # level +1 on [0, 0.45), level -1 on [0.45, 1]: the step across the
+        # jump holds half of each
+        assert steps == pytest.approx([0.1] * 4 + [0.0] + [-0.1] * 5, abs=1e-14)
+        # level +1 on [0.1, 0.45), level -1 on [0.45, 0.9)
+        assert steps[1:9].sum() == pytest.approx(0.35 - 0.45, abs=1e-14)
 
-    def test_additivity(self):
-        path = simulate_jump_path(TELEGRAPH, 3.0, np.random.default_rng(3))
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            t0, t1, t2 = np.sort(rng.uniform(0, 3.0, size=3))
-            whole = integrate_level(path, TELEGRAPH, t0, t2)
-            split = integrate_level(path, TELEGRAPH, t0, t1) + integrate_level(path, TELEGRAPH, t1, t2)
-            assert whole == pytest.approx(split, abs=1e-12)
+    def test_empty_interval(self):
+        path = simulate_jump_path(single_state_model(), 1.0, np.random.default_rng(0))
+        assert step_level_integrals(path, single_state_model(), 0.1, 0).shape == (0,)
 
     def test_step_integrals_match_scalar(self):
         path = simulate_jump_path(TELEGRAPH, 2.0, np.random.default_rng(8))
@@ -271,13 +282,25 @@ class TestIntegrateLevel:
         steps = step_level_integrals(path, TELEGRAPH, dt, n)
         for r in [0, 17, 99, 199]:
             assert steps[r] == pytest.approx(
-                integrate_level(path, TELEGRAPH, r * dt, (r + 1) * dt), abs=1e-13
+                level_integral(path, TELEGRAPH, r * dt, (r + 1) * dt), abs=1e-13
             )
 
-    def test_bad_interval(self):
-        path = simulate_jump_path(TELEGRAPH, 1.0, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            integrate_level(path, TELEGRAPH, 0.8, 0.2)
+    def test_last_step_ends_at_the_horizon(self):
+        # 3 * 0.1 rounds past 0.3: the last step still ends at the horizon
+        path = JumpPath(0, np.array([], dtype=float), np.array([], dtype=int), 0.3)
+        steps = step_level_integrals(path, TELEGRAPH, 0.1, 3)
+        assert 3 * 0.1 > 0.3 and steps[-1] == 0.3 - 0.2
+
+    def test_additivity(self):
+        path = simulate_jump_path(TELEGRAPH, 3.0, np.random.default_rng(3))
+        fine = step_level_integrals(path, TELEGRAPH, 0.005, 600)
+        coarse = step_level_integrals(path, TELEGRAPH, 0.01, 300)
+        # each coarse step is the sum of the two fine steps it covers
+        assert coarse == pytest.approx(fine.reshape(-1, 2).sum(axis=1), abs=1e-12)
+        # and the steps add up to the integral over the whole path
+        durations = np.diff(np.concatenate(([0.0], path.jump_times, [3.0])))
+        whole = float(TELEGRAPH.levels[path.states_visited] @ durations)
+        assert fine.sum() == pytest.approx(whole, abs=1e-12)
 
 
 class TestStationary:

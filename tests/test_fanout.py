@@ -30,6 +30,23 @@ def test_each_child_runs_its_share(tasks, workers):
     assert len(set(pids[tasks - workers + 1:])) == workers - 1
 
 
+@pytest.mark.parametrize("tasks, workers", [(2, 4), (1, 3), (0, 2)])
+def test_more_workers_than_tasks_run_each_task_once(tmp_path, tasks, workers):
+    log = tmp_path / "runs.log"
+
+    def logged(task):
+        with open(log, "a") as fh:
+            fh.write(f"{task} {os.getpid()}\n")
+        return task
+
+    assert list(fan_out(logged, list(range(tasks)), workers)) == list(range(tasks))
+    runs = log.read_text().splitlines() if log.exists() else []
+    assert sorted(int(run.split()[0]) for run in runs) == list(range(tasks))
+    # one child per task, or this process for a single task
+    pids = {run.split()[1] for run in runs}
+    assert len(pids) == tasks and (str(os.getpid()) in pids) == (tasks == 1)
+
+
 def odd_fails(task):
     if task % 2:
         raise ValueError(f"task {task} failed")

@@ -370,10 +370,11 @@ def _record_pids(tmp_path, monkeypatch):
     return log
 
 
-def _convergence_rows(out_dir: str) -> str:
-    """A pool task: the repr of run_convergence's rows (repr, as rows hold NaN)."""
+def _convergence_rows(out_dir: str) -> tuple[str, int]:
+    """A pool task: the repr of run_convergence's rows (repr, as rows hold
+    NaN), and the pid that ran it."""
     rows = run_convergence(telegraph_config(horizon=0.2, out_dir=out_dir), halvings=2)
-    return repr(rows)
+    return repr(rows), os.getpid()
 
 
 # run_convergence over 3 CPUs whose workers are killed at their first run
@@ -420,17 +421,24 @@ class TestLadderFanOut:
             assert (pids == {str(os.getpid())}) == (cpus == 1)
         assert outputs[1] == outputs[3]
 
-    def test_runs_serially_inside_a_pool_worker(self, tmp_path):
+    def test_a_pool_worker_fans_out(self, tmp_path, monkeypatch, set_cpus):
         import multiprocessing
 
-        # a daemon pool worker may not have children: the fan-out used to
-        # raise AssertionError there
-        expected = _convergence_rows(str(tmp_path / "here"))
+        # a daemon pool worker may not start multiprocessing children, but it
+        # may fork: its ladder fans out and writes the same bytes
+        set_cpus(1)
+        expected, _ = _convergence_rows(str(tmp_path / "here"))
+        set_cpus(3)
+        log = _record_pids(tmp_path, monkeypatch)
         with multiprocessing.get_context("fork").Pool(1) as pool:
             done = pool.apply_async(_convergence_rows, (str(tmp_path / "worker"),))
-            assert done.get(timeout=120) == expected
+            rows, worker = done.get(timeout=120)
+        assert rows == expected
         assert ((tmp_path / "worker" / "convergence.csv").read_bytes()
                 == (tmp_path / "here" / "convergence.csv").read_bytes())
+        # three ladder children ran the grids, none of them in the worker
+        pids = set(log.read_text().split())
+        assert len(pids) == 3 and str(worker) not in pids
 
     def test_a_killed_worker_fails_the_run(self, tmp_path):
         # a multiprocessing.Pool would wait forever for the lost task

@@ -284,11 +284,6 @@ class TestTowerProperty:
         with pytest.raises(ValueError, match="finite step count"):
             tower_property_check(TELEGRAPH, horizon, dt, 0.5, 100, master_seed=0)
 
-    def test_report_json_fields(self):
-        report = tower_property_check(TELEGRAPH, 0.2, 1e-2, 0.5, 120, master_seed=6)
-        doc = report.to_json()
-        assert set(doc) == {"z_scores", "mse_filter", "mse_const", "mse_margin_se", "n_replicas"}
-
     @pytest.mark.parametrize("case, expected", TOWER_PINS)
     def test_report_pinned_bit_for_bit(self, case, expected):
         assert report_values(tower_property_check(*case)) == expected

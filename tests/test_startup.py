@@ -12,10 +12,11 @@ loads no ``numpy.random`` either (~10 ms): the first generator imports it.
 Each command loads only the package modules it runs: ``import jumpfilter``
 loads no runner module (``harness``, ``cli``), no step-wrapper module
 (``zakai``, ``wonham``) and no ``oracle``; no command but ``predict`` loads
-``zakai``, ``wonham`` or ``oracle``; a tower check loads no ``harness``,
-``cli``, ``zakai`` or ``wonham``; and no forked child imports a package
-module that its parent did not hold. The package namespace still serves every name it
-served when it imported all its modules eagerly.
+``zakai``, ``wonham`` or ``oracle``; no command but ``convergence`` and
+``adjudicate``, whose ladders fan out, loads ``fanout``; a tower check loads
+no ``harness``, ``cli``, ``zakai`` or ``wonham``; and no forked child imports
+a package module that its parent did not hold. The package namespace serves
+each public name from the module that defines it.
 
 Other tests import scipy and every package module into the pytest process,
 so these checks run in a fresh interpreter.
@@ -216,26 +217,42 @@ import jumpfilter
 loaded = {"import": package_modules()}
 
 import jumpfilter.cli
-from jumpfilter import fanout
 from jumpfilter.harness import SCHEMES
 
 config_file, out = sys.argv[2:4]
 config = json.load(open(config_file))
-fanout.usable_cpus = lambda: 2  # the ladders of convergence and adjudicate fork
-codes = {}
-with contextlib.redirect_stdout(io.StringIO()):
+
+
+def one_run():
     codes["validate"] = jumpfilter.cli.main(["validate", "--config", config_file])
-    for command in ("simulate", "convergence", "adjudicate"):
-        codes[command] = jumpfilter.cli.main([command, "--config", config_file, "--out", out])
+    codes["simulate"] = jumpfilter.cli.main(["simulate", "--config", config_file, "--out", out])
     for scheme in SCHEMES:
         scheme_file = f"{out}-{scheme}.json"
         json.dump(dict(config, scheme=scheme), open(scheme_file, "w"))
         codes[scheme] = jumpfilter.cli.main(["filter", "--config", scheme_file,
                                              "--out", f"{out}-{scheme}"])
-    loaded["commands"] = package_modules()
+
+
+def ladders():
+    from jumpfilter import fanout
+
+    fanout.usable_cpus = lambda: 2  # the ladders of convergence and adjudicate fork
+    for command in ("convergence", "adjudicate"):
+        codes[command] = jumpfilter.cli.main([command, "--config", config_file, "--out", out])
+
+
+def predict():
     codes["predict"] = jumpfilter.cli.main(["predict", "--config", config_file, "--out", out,
                                             "--horizons", "0,1"])
-    loaded["predict"] = package_modules()
+
+
+# the command groups named by the remaining arguments run in that order, and
+# the package modules loaded after each are recorded under its name
+codes = {}
+with contextlib.redirect_stdout(io.StringIO()):
+    for group in sys.argv[4:]:
+        globals()[group]()
+        loaded[group] = package_modules()
 print(json.dumps({"codes": codes, "loaded": loaded, "forks": len(forks),
                   "child_imports": child_imports()}))
 """
@@ -254,6 +271,7 @@ print(json.dumps({"in_process": in_process, "fanned_out": fanned_out,
 """
 
 RUNNERS = {"jumpfilter.harness", "jumpfilter.cli"}
+FANOUT = "jumpfilter.fanout"
 STEP_WRAPPERS = {"jumpfilter.zakai", "jumpfilter.wonham"}
 
 
@@ -263,18 +281,27 @@ def test_commands_load_only_the_modules_they_run(tmp_path):
     config_file = tmp_path / "config.json"
     config_file.write_text(json.dumps(config.to_json()))
     report = fresh_interpreter(COMMAND_MODULES, tmp_path / "child-imports", config_file,
-                               tmp_path / "out", cwd=tmp_path)
+                               tmp_path / "out", "one_run", "ladders", "predict", cwd=tmp_path)
+    loaded = report["loaded"]
 
-    assert not set(report["loaded"]["import"]) & (RUNNERS | STEP_WRAPPERS | {"jumpfilter.oracle"})
+    assert not set(loaded["import"]) & (RUNNERS | STEP_WRAPPERS | {"jumpfilter.oracle"})
     # adjudicate exits 3 when a verdict is inconclusive
     assert report["codes"].pop("adjudicate") in (0, 3)
     assert set(report["codes"].values()) == {0}
-    assert not set(report["loaded"]["commands"]) & (STEP_WRAPPERS | {"jumpfilter.oracle"})
+    # only the ladders load the fan-out
+    assert not set(loaded["one_run"]) & (STEP_WRAPPERS | {"jumpfilter.oracle", FANOUT})
+    assert not set(loaded["ladders"]) & (STEP_WRAPPERS | {"jumpfilter.oracle"})
+    assert FANOUT in loaded["ladders"]
     assert (tmp_path / "out" / "prediction.csv").exists()
-    assert "jumpfilter.wonham" in report["loaded"]["predict"]
+    assert "jumpfilter.wonham" in loaded["predict"]
     # convergence and adjudicate each forked two ladder children
     assert report["forks"] == 4
     assert report["child_imports"] == []
+    # predict alone loads no fan-out either
+    alone = fresh_interpreter(COMMAND_MODULES, tmp_path / "child-imports", config_file,
+                              tmp_path / "alone", "predict", cwd=tmp_path)
+    assert alone["codes"] == {"predict": 0}
+    assert FANOUT not in alone["loaded"]["predict"]
 
 
 def test_tower_check_loads_no_runner_or_step_wrapper_module(tmp_path):
@@ -287,21 +314,19 @@ def test_tower_check_loads_no_runner_or_step_wrapper_module(tmp_path):
     assert report["child_imports"] == []
 
 
-# The public names of the package namespace when it imported every module
-# eagerly, by the module each came from.
+# The public names of the package namespace, by the module that defines each.
 PUBLIC_NAMES = {
-    "chain": ("ChainModel", "JumpPath", "ReducibleChainError", "integrate_level",
-              "model_from_json", "model_to_json", "simulate_jump_path", "state_at",
-              "stationary_distribution", "telegraph_model", "transition_matrix"),
-    "signalpath": ("ObservationGrid", "coarsen", "read_observations_csv",
-                   "synthesize_from_brownian", "synthesize_observations",
-                   "write_observations_csv"),
+    "chain": ("ChainModel", "JumpPath", "ReducibleChainError", "model_from_json",
+              "model_to_json", "simulate_jump_path", "stationary_distribution",
+              "telegraph_model", "transition_matrix"),
+    "signalpath": ("ObservationGrid", "coarsen", "synthesize_from_brownian",
+                   "synthesize_observations", "write_observations_csv"),
     "wonham": ("FilterState", "TelegraphState", "map_decision", "mean_estimate", "predict",
                "telegraph_ito_step", "telegraph_langevin_step", "wonham_langevin_step",
                "wonham_step"),
     "zakai": ("FilterInstabilityError", "GammaRangeError", "GammaState", "LogState",
               "UnnormalizedState", "drift_matrix", "from_gamma", "gamma_langevin_step",
-              "init_unnormalized", "log_step", "normalize", "to_gamma", "zakai_ito_step",
+              "init_unnormalized", "log_step", "to_gamma", "zakai_ito_step",
               "zakai_langevin_step"),
     "oracle": ("DiscreteBayesState", "PathspaceResult", "TowerReport", "bayes_forward_step",
                "pathspace_expectation", "tower_property_check"),

@@ -11,7 +11,6 @@ from jumpfilter import (
     drift_matrix,
     init_unnormalized,
     log_step,
-    normalize,
     simulate_jump_path,
     synthesize_observations,
     telegraph_model,
@@ -56,9 +55,10 @@ class TestInit:
             state = init_unnormalized(model)
         assert state.psi[1] == 1e-300
 
-    def test_normalize_of_init_recovers_initial_dist(self):
+    def test_init_weights_recover_initial_dist(self):
         model = telegraph_model(1.0, initial_dist=(0.25, 0.75))
-        assert np.array_equal(normalize(init_unnormalized(model)).probs, model.initial_dist)
+        psi = init_unnormalized(model).psi
+        assert np.array_equal(psi / psi.sum(), model.initial_dist)
 
 
 class TestItoStep:
@@ -121,19 +121,6 @@ class TestItoStep:
 
 
 class TestScaleInvariance:
-    def test_normalize_examples(self):
-        assert np.array_equal(normalize(UnnormalizedState(psi=np.array([2.0, 2.0]))).probs, [0.5, 0.5])
-        tiny = normalize(UnnormalizedState(psi=np.array([1e-200, 1e-200])))
-        assert np.array_equal(tiny.probs, [0.5, 0.5])
-
-    def test_scaling_leaves_normalization_fixed(self):
-        rng = np.random.default_rng(17)
-        for _ in range(50):
-            psi = rng.uniform(0.01, 5.0, size=3)
-            scaled = normalize(UnnormalizedState(psi=7.3 * psi))
-            plain = normalize(UnnormalizedState(psi=psi))
-            assert np.abs(scaled.probs - plain.probs).max() <= 1e-15
-
     def test_nonpositive_psi_rejected(self):
         with pytest.raises(ValueError):
             UnnormalizedState(psi=np.array([1.0, 0.0]))
@@ -143,6 +130,17 @@ class TestScaleInvariance:
         base = run_trajectory(TELEGRAPH, grid, "zakai-ito")
         scaled = run_trajectory(
             TELEGRAPH, grid, "zakai-ito",
+            initial=UnnormalizedState(psi=7.3 * np.asarray(TELEGRAPH.initial_dist)),
+        )
+        assert np.abs(base.probs - scaled.probs).max() <= 1e-12
+
+    @pytest.mark.parametrize("scheme", ["zakai-langevin", "log"])
+    def test_scaled_start_leaves_the_filter_fixed(self, scheme):
+        # the other schemes that start from unnormalized weights
+        grid = telegraph_grid(horizon=1.0, seed=3)
+        base = run_trajectory(TELEGRAPH, grid, scheme)
+        scaled = run_trajectory(
+            TELEGRAPH, grid, scheme,
             initial=UnnormalizedState(psi=7.3 * np.asarray(TELEGRAPH.initial_dist)),
         )
         assert np.abs(base.probs - scaled.probs).max() <= 1e-12
