@@ -161,8 +161,13 @@ def check_scalars(state) -> None:
         raise ValueError(f"log_normalizer must be a finite number, not {log_normalizer!r}")
     for name in ("clamps", "step"):
         count = getattr(state, name, 0)
-        if isinstance(count, bool) or not (isinstance(count, numbers.Integral) and count >= 0):
+        if not is_count(count):
             raise ValueError(f"{name} must be a nonnegative integer, not {count!r}")
+
+
+def is_count(value) -> bool:
+    """Whether ``value`` is a nonnegative integer (numpy's too, not a bool)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0
 
 
 def check_state_size(size: int, model: ChainModel) -> None:
@@ -813,10 +818,10 @@ class _PresumTally:
         self.total += devs
 
 
-def drive(kernel: Kernel, state, dy: np.ndarray, keep_history: bool = True) -> Trajectory:
-    """Step ``kernel`` from ``state`` through the increments ``dy``, then check:
-    :func:`check_run` of :func:`run_steps`."""
-    return check_run(run_steps(kernel, state, dy, keep_history))
+def drive(kernel: Kernel, state, dy: np.ndarray) -> Trajectory:
+    """Step ``kernel`` from ``state`` through the increments ``dy``, keeping
+    every step, then check: :func:`check_run` of :func:`run_steps`."""
+    return check_run(run_steps(kernel, state, dy))
 
 
 def run_steps(kernel: Kernel, state, dy: np.ndarray, keep_history: bool = True) -> Trajectory:

@@ -32,7 +32,7 @@ import numpy as np
 from .chain import STEP_BUDGET, ChainModel, add_path_integrals, transition_matrix
 from .fanout import fan_out, fork_workers
 from .kernels import (BayesOracle, WonhamIto, check_probability_vector, check_run, check_scalars,
-                      check_state_size, run_steps, step_once)
+                      check_state_size, is_count, run_steps, step_once)
 from .seeding import ROLE_JUMP, ROLE_NOISE, _seed_words_class, derive_states, stream
 from .signalpath import ObservationGrid, _step_count, cumulative_observation
 
@@ -138,25 +138,24 @@ def pathspace_expectation(
     horizon: float,
     max_jumps: int,
     quad_points: int,
-    exponent_scale: float = 1.0,
     max_truncation: float = 1e-4,
 ) -> PathspaceResult:
-    """Enumerate paths with up to ``max_jumps`` jumps and integrate their weights.
+    """Enumerate paths with up to ``max_jumps`` jumps and integrate their weights
+    with ``quad_points`` Gauss-Legendre nodes per jump time.
 
     Refuses to run outside its honest envelope: the state space must be small
-    (K <= 3), max_jumps <= 3, and the Poisson mass of the omitted jump counts,
-    bounded with rate max_i nu_i, must not exceed ``max_truncation``. That
-    omitted mass is reported as ``truncation_bound`` alongside the result.
-
-    ``exponent_scale`` scales the observation exponent; 0 collapses the
-    weights to bare path probabilities (test hook for the noninformative
-    limit).
+    (K <= 3), max_jumps an integer in 0..3, and the Poisson mass of the omitted
+    jump counts, bounded with rate max_i nu_i, must not exceed
+    ``max_truncation``. That omitted mass is reported as ``truncation_bound``
+    alongside the result. ValueError unless quad_points is a positive integer.
     """
     k = model.n_states
     if k > 3:
         raise ValueError(f"path enumeration supports K <= 3 states, got {k}")
-    if not 0 <= max_jumps <= 3:
-        raise ValueError(f"max_jumps must be in 0..3, got {max_jumps}")
+    if not is_count(max_jumps) or max_jumps > 3:
+        raise ValueError(f"max_jumps must be an integer in 0..3, got {max_jumps!r}")
+    if not is_count(quad_points) or quad_points < 1:
+        raise ValueError(f"quad_points must be a positive integer, got {quad_points!r}")
     if _step_count(horizon, grid.dt) > grid.n_steps:
         raise ValueError("horizon must not pass the end of the grid")
     # imported here: scipy.stats takes ~1 s to load and only this bound needs it
@@ -188,9 +187,7 @@ def pathspace_expectation(
         y_at = np.interp(bounds, t_knots, y_knots)
         dy_seg = np.diff(y_at, axis=1)
         log_density = -(durations @ nu_seq)
-        exponent = exponent_scale * (
-            -(durations @ (a_seq**2)) / (2.0 * beta2) + (dy_seg @ a_seq) / beta2
-        )
+        exponent = -(durations @ (a_seq**2)) / (2.0 * beta2) + (dy_seg @ a_seq) / beta2
         return np.exp(log_density + exponent)
 
     psi = np.zeros(k)

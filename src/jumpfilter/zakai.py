@@ -25,8 +25,8 @@ constant drift matrix A out of the smooth-noise equation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -115,20 +115,32 @@ class GammaState(UnnormalizedState):
     """Similarity-transformed weights Gamma = exp(-A t) psi.
 
     An :class:`UnnormalizedState` of the weights psi that the Gamma step
-    advances, plus the constant drift matrix A and the propagators
-    exp(+-A t) at the current time, which a step advances by one factor
-    each; ``gamma`` is derived from psi. ValueError naming the field unless
-    each matrix is a finite (K, K) float array, K = len(psi).
+    advances, plus the constant drift matrix A, kept as a read-only copy;
+    ValueError unless A is a finite (K, K) float array, K = len(psi). The
+    read-only propagators ``forward`` and ``backward``, exp(+-A t), are
+    computed from A and t on first read, which raises GammaRangeError if
+    they overflow; ``gamma`` is derived from psi.
     """
 
     a_matrix: np.ndarray
-    forward: np.ndarray   # exp(+A t)
-    backward: np.ndarray  # exp(-A t)
 
     def __post_init__(self):
         super().__post_init__()
-        for name in ("a_matrix", "forward", "backward"):
-            object.__setattr__(self, name, _state_matrix(getattr(self, name), len(self.psi), name))
+        k = len(self.psi)
+        a_matrix = given_matrix(self.a_matrix, k, f"a_matrix must be a finite ({k}, {k}) matrix")
+        a_matrix = a_matrix.copy()
+        a_matrix.setflags(write=False)
+        object.__setattr__(self, "a_matrix", a_matrix)
+
+    @cached_property
+    def _propagators(self) -> tuple[np.ndarray, np.ndarray]:
+        pair = propagator_pair(self.a_matrix, self.t)
+        for matrix in pair:
+            matrix.setflags(write=False)
+        return pair
+
+    forward = property(lambda self: self._propagators[0], doc="exp(+A t)")
+    backward = property(lambda self: self._propagators[1], doc="exp(-A t)")
 
     @property
     def gamma(self) -> np.ndarray:
@@ -136,22 +148,21 @@ class GammaState(UnnormalizedState):
         return self.backward @ self.psi
 
 
-def _state_matrix(matrix, k: int, name: str) -> np.ndarray:
-    return given_matrix(matrix, k, f"{name} must be a finite ({k}, {k}) matrix")
-
-
 def init_unnormalized(model: ChainModel) -> UnnormalizedState:
     """Initial weights equal the initial distribution; zeros floored to 1e-300."""
     return UnnormalizedState(psi=model.start_weights, log_normalizer=0.0, t=0.0, clamps=0)
 
 
-def _unnormalized_step(kernel, state: UnnormalizedState, dy: float) -> UnnormalizedState:
+def _unnormalized_step(kernel, state: UnnormalizedState, dy: float, kind=UnnormalizedState,
+                       **fields) -> UnnormalizedState:
+    """One ``kernel`` step of ``state``'s weights, as a ``kind`` with ``fields``."""
     (psi, total), clamped = step_once(kernel, (state.psi, state.log_normalizer), dy)
-    return UnnormalizedState(
+    return kind(
         psi=psi,
         log_normalizer=float(state.log_normalizer + np.log(total)),
         t=state.t + kernel.dt,
         clamps=state.clamps + clamped,
+        **fields,
     )
 
 
@@ -201,18 +212,16 @@ def to_gamma(state: UnnormalizedState, a_matrix: np.ndarray, t: float | None = N
 
     ValueError unless ``t`` is finite and nonnegative and ``a_matrix`` is a
     finite (K, K) matrix; GammaRangeError when exp(+-A t) overflows."""
-    t = state.t if t is None else t
-    if not 0 <= t < math.inf:
-        raise ValueError(f"t must be finite and nonnegative, not {t!r}")
-    a_matrix = _state_matrix(a_matrix, len(state.psi), "a_matrix")
-    forward, backward = propagator_pair(a_matrix, t)
-    return GammaState(psi=state.psi, log_normalizer=state.log_normalizer, t=t,
-                      clamps=state.clamps, a_matrix=a_matrix, forward=forward, backward=backward)
+    gamma_state = GammaState(psi=state.psi, log_normalizer=state.log_normalizer,
+                             t=state.t if t is None else t, clamps=state.clamps,
+                             a_matrix=a_matrix)
+    gamma_state.forward  # computes exp(+-A t), or raises GammaRangeError
+    return gamma_state
 
 
 def from_gamma(state: GammaState) -> UnnormalizedState:
-    """Invert the transform: psi = exp(A t) Gamma; GammaRangeError unless psi
-    comes back positive and finite."""
+    """Invert the transform: psi = exp(A t) Gamma; GammaRangeError when exp(+-A t)
+    overflows or psi does not come back positive and finite."""
     psi = state.forward @ state.gamma
     # exp(A t) is finite and invertible here, so psi is finite only if Gamma is
     if not ((psi > 0).all() and np.isfinite(psi).all()):
@@ -240,26 +249,10 @@ def gamma_langevin_step(
     ``step_forward``/``step_backward`` are exp(+-A dt); pass both in when
     stepping many times with the same dt to avoid recomputing them (ValueError
     unless both or neither are given, each (K, K) and finite). Raises
-    GammaRangeError when computed ones, or the advanced exp(+-A t), overflow.
+    GammaRangeError when computed ones overflow.
     """
     check_state_size(len(state.psi), model)
     if step_forward is None and step_backward is None:
         step_forward, step_backward = propagator_pair(state.a_matrix, dt)
     kernel = Gamma(model, dt, beta, step_forward=step_forward, step_backward=step_backward)
-    (psi, total), clamped = step_once(kernel, (state.psi, state.log_normalizer), dy)
-    with np.errstate(over="ignore", invalid="ignore"):
-        forward = state.forward @ kernel.step_forward
-        backward = kernel.step_backward @ state.backward
-    try:
-        return GammaState(
-            psi=psi,
-            t=state.t + dt,
-            a_matrix=state.a_matrix,
-            forward=forward,
-            backward=backward,
-            log_normalizer=float(state.log_normalizer + np.log(total)),
-            clamps=state.clamps + clamped,
-        )
-    except ValueError:
-        # psi passed the step's state check, so a propagator left the float range
-        raise GammaRangeError("exp(+-A t) overflowed; use the log-domain filter") from None
+    return _unnormalized_step(kernel, state, dy, GammaState, a_matrix=state.a_matrix)

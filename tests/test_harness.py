@@ -39,8 +39,8 @@ from jumpfilter import (
 )
 from jumpfilter import fanout, harness
 from jumpfilter.cli import main
-from jumpfilter.kernels import (KERNELS, Kernel, TelegraphIto, WonhamIto, drive, run_steps,
-                                step_once)
+from jumpfilter.kernels import (KERNELS, Kernel, TelegraphIto, WonhamIto, check_run, drive,
+                                run_steps, step_once)
 from jumpfilter.signalpath import ObservationGrid
 from jumpfilter.zakai import FilterInstabilityError
 from jumpfilter.harness import (
@@ -558,8 +558,7 @@ CONSTRUCTORS = {
     "FilterState.probs": ("probs", lambda a: FilterState(probs=a)),
     "UnnormalizedState.psi": ("psi", lambda a: UnnormalizedState(psi=a)),
     # GammaState used to keep the caller's writable array
-    "GammaState.psi": ("psi", lambda a: GammaState(psi=a, t=0.0, a_matrix=np.zeros((2, 2)),
-                                                   forward=np.eye(2), backward=np.eye(2))),
+    "GammaState.psi": ("psi", lambda a: GammaState(psi=a, t=0.0, a_matrix=np.zeros((2, 2)))),
     "LogState.theta": ("theta", lambda a: LogState(theta=a)),
     "DiscreteBayesState.probs": ("probs", lambda a: DiscreteBayesState(probs=a)),
 }
@@ -582,8 +581,7 @@ def test_constructor_leaves_callers_array_writable(name):
 STATES = {
     "FilterState": lambda **kw: FilterState(probs=[0.5, 0.5], **kw),
     "UnnormalizedState": lambda **kw: UnnormalizedState(psi=[0.5, 0.5], **kw),
-    "GammaState": lambda **kw: GammaState(psi=[0.5, 0.5], a_matrix=np.zeros((2, 2)),
-                                          forward=np.eye(2), backward=np.eye(2), **kw),
+    "GammaState": lambda **kw: GammaState(psi=[0.5, 0.5], a_matrix=np.zeros((2, 2)), **kw),
     "LogState": lambda **kw: LogState(theta=[0.0, 0.0], **kw),
     "TelegraphState": lambda **kw: TelegraphState(q=0.0, **kw),
 }
@@ -987,7 +985,7 @@ class TestDriverErrorPolicy:
         dy = np.full((60, 2000), 0.01)
         dy[50, 7] = 1e12
         with pytest.raises(FilterInstabilityError, match="pre-renormalization sum"):
-            drive(kernel, start, dy, keep_history=keep_history)
+            check_run(run_steps(kernel, start, dy, keep_history))
 
     @pytest.mark.parametrize("scheme", ["zakai-ito", "log", "wonham-langevin"])
     def test_overflowing_state_raises(self, scheme):
@@ -1121,7 +1119,7 @@ def test_run_without_history_ends_on_the_last_kept_row(scheme):
         initial = UnnormalizedState(psi=[0.6, 0.3, 0.1][:model.n_states], log_normalizer=1.5)
     dy = 3e-4 + 0.5 * np.sqrt(1e-3) * np.random.default_rng(4).standard_normal(400)
     full = drive(kernel, kernel.start(initial), dy)
-    last = drive(kernel, kernel.start(initial), dy, keep_history=False)
+    last = check_run(run_steps(kernel, kernel.start(initial), dy, keep_history=False))
     assert last.probs.tobytes() == full.probs[-1:].tobytes()
     assert last.extras.keys() == full.extras.keys()
     assert ("log_weights" in full.extras) == (scheme in ("zakai-ito", "zakai-langevin"))

@@ -153,11 +153,11 @@ class TestPathspace:
         assert result.unnormalized == pytest.approx(hand, rel=1e-14)
 
     def test_flat_weight_recovers_unconditional_law(self):
-        model = telegraph_model(1.0, initial_dist=(0.8, 0.2))
+        # equal zero levels: the observation exponent is exactly 0, so the
+        # weights are the bare path probabilities
+        model = ChainModel(levels=[0.0, 0.0], rates=TELEGRAPH.rates, initial_dist=[0.8, 0.2])
         grid = self.grid(model=model)
-        result = pathspace_expectation(
-            model, grid, 0.2, 2, 24, exponent_scale=0.0, max_truncation=2e-3
-        )
+        result = pathspace_expectation(model, grid, 0.2, 2, 24, max_truncation=2e-3)
         target = model.initial_dist @ transition_matrix(model, 0.2)
         assert np.abs(result.probs - target).max() <= result.truncation_bound + 1e-6
 
@@ -200,6 +200,24 @@ class TestPathspace:
         with pytest.raises(ValueError, match="exceeds max_truncation"):
             # default threshold 1e-4 refuses the omitted mass of 1.15e-3
             pathspace_expectation(TELEGRAPH, grid, 0.2, 2, 8)
+
+    @pytest.mark.parametrize("name, value", [
+        ("max_jumps", 1.5), ("max_jumps", True), ("max_jumps", -1), ("max_jumps", "2"),
+        ("quad_points", 1.5), ("quad_points", True), ("quad_points", 0), ("quad_points", None),
+    ])
+    def test_counts_must_be_integers_in_range(self, name, value):
+        # 1.5 used to raise TypeError, True ran as 1, and quad_points=0 gave
+        # numpy's "deg must be a positive integer"
+        counts = {"max_jumps": 2, "quad_points": 8, name: value}
+        with pytest.raises(ValueError, match=name):
+            pathspace_expectation(TELEGRAPH, self.grid(), 0.2, **counts, max_truncation=1.0)
+
+    def test_counts_take_numpy_integers(self):
+        grid = self.grid()
+        plain = pathspace_expectation(TELEGRAPH, grid, 0.2, 2, 8, max_truncation=2e-3)
+        numpy = pathspace_expectation(TELEGRAPH, grid, 0.2, np.int64(2), np.int32(8),
+                                      max_truncation=2e-3)
+        assert np.array_equal(numpy.unnormalized, plain.unnormalized)
 
     @pytest.mark.parametrize("horizon, message", [
         (0.155, "does not divide"), (0.3, "end of the grid"), (np.inf, "finite step count"),

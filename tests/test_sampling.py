@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from jumpfilter.chain import ChainModel, _choice_cdf, simulate_jump_path, step_level_integrals
 from jumpfilter.harness import run_trajectory
-from jumpfilter.kernels import FilterInstabilityError, WonhamIto, drive
+from jumpfilter.kernels import FilterInstabilityError, WonhamIto, check_run, drive, run_steps
 from jumpfilter.signalpath import ObservationGrid
 
 PROPERTY = settings(max_examples=40, deadline=None)
@@ -108,7 +108,7 @@ def test_batched_rows_equal_separate_runs(model, seed, replicas):
             drive(kernel, start, dy.T)
         return
     for keep_history in (True, False):
-        batch = drive(kernel, start, dy.T, keep_history=keep_history)
+        batch = check_run(run_steps(kernel, start, dy.T, keep_history))
         assert batch.probs.flags.c_contiguous
         for r, single in enumerate(singles):
             expected = single.probs if keep_history else single.probs[-1:]

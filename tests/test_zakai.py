@@ -29,6 +29,11 @@ from jumpfilter.zakai import (
 )
 
 TELEGRAPH = telegraph_model(1.0)
+THREE_STATE = ChainModel(
+    levels=[1.0, 0.0, -1.0],
+    rates=[[0.0, 0.6, 0.3], [0.2, 0.0, 0.8], [0.5, 0.4, 0.0]],
+    initial_dist=[0.5, 0.3, 0.2],
+)
 
 
 def single_state_model(level, nu=0.0):
@@ -310,22 +315,42 @@ class TestGamma:
         with pytest.raises(ValueError, match=r"a_matrix must be a finite \(2, 2\) matrix"):
             to_gamma(init_unnormalized(TELEGRAPH), a_matrix)
 
-    @pytest.mark.parametrize("field", ["a_matrix", "forward", "backward"])
     @pytest.mark.parametrize("value", ["x", np.eye(3), np.full((2, 2), np.inf), [[1.0], [2.0]]],
                              ids=["str", "3x3", "inf", "2x1"])
-    def test_gamma_state_checks_its_matrices(self, field, value):
-        fields = {"a_matrix": np.zeros((2, 2)), "forward": np.eye(2), "backward": np.eye(2)}
-        fields[field] = value
-        with pytest.raises(ValueError, match=rf"{field} must be a finite \(2, 2\) matrix"):
-            GammaState(psi=[0.5, 0.5], **fields)
+    def test_gamma_state_checks_its_matrices(self, value):
+        with pytest.raises(ValueError, match=r"a_matrix must be a finite \(2, 2\) matrix"):
+            GammaState(psi=[0.5, 0.5], a_matrix=value)
 
-    def test_overflowing_advanced_propagator_is_a_range_error(self):
-        huge = np.full((2, 2), 1e308)
-        state = GammaState(psi=[0.5, 0.5], a_matrix=np.zeros((2, 2)), forward=huge,
-                           backward=np.eye(2))
+    def test_state_keeps_read_only_matrices(self):
+        # a_matrix used to alias the caller's array, so writing that array
+        # changed A under the state
+        mine = np.zeros((2, 2))
+        state = GammaState(psi=[0.5, 0.5], t=0.1, a_matrix=mine)
+        mine[0, 0] = 1.0
+        assert not state.a_matrix.any()
+        assert mine.flags.writeable
+        for matrix in (state.a_matrix, state.forward, state.backward):
+            assert not matrix.flags.writeable
+
+    def test_overflowing_propagators_raise_when_read(self):
+        # the state holds A and t; exp(+-A t) is computed when first read
+        a = drift_matrix(TELEGRAPH, 0.05, -1)
+        state = GammaState(psi=[0.5, 0.5], t=500.0, a_matrix=a)
         with pytest.raises(GammaRangeError, match="log-domain"):
-            gamma_langevin_step(state, TELEGRAPH, 0.5, 1e-3, 0.0, np.full((2, 2), 2.0),
-                                np.eye(2))
+            state.gamma
+        with pytest.raises(GammaRangeError, match="log-domain"):
+            state.forward
+
+    @pytest.mark.parametrize("model", [TELEGRAPH, THREE_STATE], ids=["telegraph", "three-state"])
+    def test_round_trip_after_many_public_steps(self, model):
+        # the step used to advance exp(+-A t) by one product each, and after
+        # 1000 steps from_gamma came back ~1e-13 off the weights it stepped
+        beta, dt = 0.5, 1e-3
+        state = to_gamma(init_unnormalized(model), drift_matrix(model, beta), t=0.0)
+        dy = beta * np.sqrt(dt) * np.random.default_rng(3).standard_normal(1000)
+        for increment in dy:
+            state = gamma_langevin_step(state, model, beta, dt, increment)
+        assert np.abs(from_gamma(state).psi - state.psi).max() <= 1e-14
 
     def test_non_finite_step_propagator_raises_when_kernel_is_built(self):
         with pytest.raises(GammaRangeError, match="log-domain"):
