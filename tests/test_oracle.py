@@ -215,9 +215,9 @@ class TestPathspace:
     def test_counts_take_numpy_integers(self):
         grid = self.grid()
         plain = pathspace_expectation(TELEGRAPH, grid, 0.2, 2, 8, max_truncation=2e-3)
-        numpy = pathspace_expectation(TELEGRAPH, grid, 0.2, np.int64(2), np.int32(8),
+        typed = pathspace_expectation(TELEGRAPH, grid, 0.2, np.int64(2), np.int32(8),
                                       max_truncation=2e-3)
-        assert np.array_equal(numpy.unnormalized, plain.unnormalized)
+        assert np.array_equal(typed.unnormalized, plain.unnormalized)
 
     @pytest.mark.parametrize("horizon, message", [
         (0.155, "does not divide"), (0.3, "end of the grid"), (np.inf, "finite step count"),
