@@ -52,7 +52,7 @@ element with the operations of the per-step code it replaces (a stacked
 ``matmul`` runs the same BLAS call per matrix; ``np.add.accumulate`` adds
 left to right): the CLI outputs are pinned bit for bit by
 ``tests/test_golden_outputs.py``, and each kernel's step arithmetic by
-``tests/test_hot_path.py``.
+``tests/test_kernel_contract.py``.
 """
 
 from __future__ import annotations
@@ -488,9 +488,11 @@ class WonhamIto(Kernel):
 
     def start(self, initial=None):
         """(K,) from None or a FilterState; a (K, R) batch from an (R, K) array
-        of replica rows."""
+        of replica rows, each with the model's K and on the simplex (else
+        ValueError, as for a FilterState)."""
         if isinstance(initial, np.ndarray) and initial.ndim == 2:
-            return np.ascontiguousarray(initial.T), np.ones(len(initial))
+            check_state_size(initial.shape[1], self.model)
+            return np.ascontiguousarray(check_probability_vector(initial).T), np.ones(len(initial))
         return super().start(initial), 1.0
 
     def step(self, state, dy):

@@ -9,6 +9,8 @@ extreme magnitudes, and keys missing or added at both levels. The command-line
 values come from short lists, so a grid that is accepted has at most 1e4
 steps. The property samples pairs of mutations; a sweep runs ``filter`` for
 every scheme paired with every extreme number on ``beta``, ``dt`` and a level.
+A few edits are pinned to their one exit code and message, and ``adjudicate``
+exits 3 exactly when a verdict is inconclusive.
 """
 
 import contextlib
@@ -102,9 +104,9 @@ def in_directory(path):
         os.chdir(previous)
 
 
-def contract_failure(doc: dict, argv: list[str]) -> str | None:
+def run_cli(doc: dict, argv: list[str]) -> tuple[int, str, str, list[str]]:
     """Runs ``main(argv)`` in a fresh directory holding ``doc`` as config.json;
-    None when the run kept the contract, else what it did."""
+    the exit code, stdout, stderr and the warnings raised."""
     with tempfile.TemporaryDirectory() as tmp, in_directory(tmp):
         Path("config.json").write_text(json.dumps(doc))
         stdout, stderr = io.StringIO(), io.StringIO()
@@ -112,8 +114,12 @@ def contract_failure(doc: dict, argv: list[str]) -> str | None:
                 contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             warnings.simplefilter("always")
             code = main(argv)
-    messages = [str(w.message) for w in caught]
-    err = stderr.getvalue()
+    return code, stdout.getvalue(), stderr.getvalue(), [str(w.message) for w in caught]
+
+
+def contract_failure(doc: dict, argv: list[str]) -> str | None:
+    """None when ``main(argv)`` on ``doc`` kept the contract, else what it did."""
+    code, out, err, messages = run_cli(doc, argv)
     if messages:
         return f"exit {code} with warnings {messages}"
     if code not in (0, 2, 3):
@@ -121,7 +127,7 @@ def contract_failure(doc: dict, argv: list[str]) -> str | None:
     if code == 2 and not err.startswith("error:"):
         return f"exit 2 without 'error:': {err}"
     if code == 3 and not (err.startswith("run failed:") or (
-            argv[0] == "adjudicate" and '"verdict": "inconclusive"' in stdout.getvalue())):
+            argv[0] == "adjudicate" and '"verdict": "inconclusive"' in out)):
         return f"exit 3 without 'run failed:' or an inconclusive verdict: {err}"
     return None
 
@@ -188,3 +194,36 @@ def test_filter_keeps_the_contract_for_every_scheme_and_extreme_value(scheme, pa
         if failure is not None:
             broken[repr(value)] = failure
     assert broken == {}
+
+
+@pytest.mark.parametrize("mutations, argv, code, err", [
+    # a beta whose square overflows
+    ([("set", ("beta",), 1e300)], ["validate"], 2, "error: beta=1e+300 is out of range"),
+    # a dt giving 5e13 steps
+    ([], ["filter", "--dt", "1e-15"], 2, "error: dt=1e-15 gives 50000000000000 steps"),
+    # an object as a model value
+    ([("set", ("model", "initial"), {"a": 1})], ["validate"], 2, "error: model key 'initial'"),
+    # a 1e300 level makes A t infinite: the Gamma propagators fail
+    ([("set", ("model", "levels", 0), 1e300), ("set", ("scheme",), "gamma")], ["filter"], 3,
+     "run failed: exp(+-A t) overflowed"),
+], ids=["huge-beta", "tiny-dt", "object-initial", "huge-level-gamma"])
+def test_one_edit_gives_its_exit_code(mutations, argv, code, err):
+    result = run_cli(mutate(BASE, mutations), [argv[0], "--config", "config.json", *argv[1:]])
+    assert result[0] == code and result[2].startswith(err) and result[3] == [], result
+
+
+def test_adjudicate_exits_3_exactly_when_a_verdict_is_inconclusive(tmp_path, monkeypatch):
+    # seeds 0-7 of the telegraph model at T=0.5, listed before they were run;
+    # at this horizon some verdicts on the sign are inconclusive
+    monkeypatch.chdir(tmp_path)
+    Path("config.json").write_text(json.dumps(dict(BASE, T=0.5)))
+    codes = []
+    for seed in range(8):
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes.append(main(["adjudicate", "--config", "config.json", "--seed", str(seed),
+                               "--out", str(seed)]))
+        report = json.loads(Path(str(seed), "adjudication.json").read_text())
+        verdicts = [report[dimension]["verdict"] for dimension in ("correction_sign",
+                                                                   "drift_variant")]
+        assert codes[-1] == (3 if "inconclusive" in verdicts else 0), (seed, verdicts)
+    assert set(codes) == {0, 3}

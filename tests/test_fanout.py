@@ -1,6 +1,6 @@
 """The plain-fork fan-out: one child per share of the tasks, results in task
-order, the lowest-index failure raised, and no child left behind however
-the call ends."""
+order, the lowest-index failure raised, no child left behind however the
+call ends, and the same bytes from a run pinned to one CPU."""
 
 import json
 import os
@@ -58,6 +58,13 @@ def test_the_lowest_failing_task_raises_with_the_child_traceback():
         fan_out(odd_fails, list(range(5)), 3)
     assert 'in odd_fails\n    raise ValueError(f"task {task} failed")' in str(
         raised.value.__cause__)
+
+
+def package_env() -> dict:
+    """This environment, with the package importable in a child interpreter."""
+    package_root = str(Path(jumpfilter.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
 
 
 # each scenario fans four tasks out over three children, then reports its
@@ -119,10 +126,77 @@ print(json.dumps([outcome, left]))
     ("caller raises", "Interrupted: the caller was interrupted"),
 ])
 def test_no_child_outlives_a_fan_out(tmp_path, scenario, outcome):
-    package_root = str(Path(jumpfilter.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", NO_CHILD_LEFT, scenario],
-                          capture_output=True, text=True, cwd=tmp_path, env=env, timeout=50)
+                          capture_output=True, text=True, cwd=tmp_path, env=package_env(),
+                          timeout=50)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [outcome, None]
+
+
+TELEGRAPH_DOC = {
+    "model": {"levels": [1.0, -1.0], "rates": [[0.0, 1.0], [1.0, 0.0]], "initial": [0.5, 0.5]},
+    "dt": 0.001, "beta": 0.5, "master_seed": 0, "out_dir": "out",
+}
+# the tower check's report, as JSON on stdout; argv[1] "int64" gives the seed as np.int64(0)
+TOWER = """
+import json, sys
+import numpy as np
+from jumpfilter import telegraph_model, tower_property_check
+seed = np.int64(0) if sys.argv[1:] == ["int64"] else 0
+r = tower_property_check(telegraph_model(1.0), 1.0, 1e-3, 0.5, 2000, seed)
+print(json.dumps({"z_scores": r.z_scores.tolist(), "mean_terminal": r.mean_terminal.tolist(),
+                  "mse_filter": r.mse_filter, "mse_const": r.mse_const,
+                  "mse_margin_se": r.mse_margin_se}))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+def test_runs_pinned_to_one_cpu_write_the_same_bytes(tmp_path):
+    # Each computation runs in a child interpreter as it fans out over this
+    # process's CPUs, and in one pinned to a single CPU, where the ladders and
+    # the tower replicas run serially in that process. Started together,
+    # each pair must write the same bytes.
+    cpu = min(os.sched_getaffinity(0))
+    env = package_env()
+
+    def pair(argv_of):
+        """The (stdout, stderr, exit code) of ``argv_of("free")`` and of
+        ``argv_of("serial")`` pinned to one CPU."""
+        children = [subprocess.Popen(
+            [sys.executable, *argv_of(name)], cwd=tmp_path, env=env, text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            preexec_fn=(lambda: os.sched_setaffinity(0, {cpu})) if name == "serial" else None,
+        ) for name in ("free", "serial")]
+        return [(*child.communicate(timeout=300), child.returncode) for child in children]
+
+    def cli(command, config, *flags):
+        return lambda name: ["-m", "jumpfilter.cli", command, "--config", config,
+                             "--out", name, *flags]
+
+    # a point-mass start: the model floors its zero weight once, when it is
+    # built, and the ladder workers issue no warnings
+    point_mass = dict(TELEGRAPH_DOC, T=0.05, scheme="wonham-ito",
+                      model=dict(TELEGRAPH_DOC["model"], initial=[1.0, 0.0]))
+    (tmp_path / "point-mass.json").write_text(json.dumps(point_mass))
+    free, serial = pair(cli("adjudicate", "point-mass.json"))
+    assert free[2] == serial[2] and free[2] in (0, 3), free[1]
+    assert [err.count("floored") for _, err, _ in (free, serial)] == [1, 1]
+    assert (tmp_path / "free" / "adjudication.json").read_bytes() == (
+        tmp_path / "serial" / "adjudication.json").read_bytes()
+
+    # 2000 tower replicas fan out in blocks, or run as one batch, and the
+    # master seed np.int64(0) reports the bits of the seed 0
+    free, serial = pair(lambda name: ["-c", TOWER])
+    int64 = subprocess.run([sys.executable, "-c", TOWER, "int64"], cwd=tmp_path, env=env,
+                           capture_output=True, text=True, timeout=300)
+    assert free[2] == serial[2] == int64.returncode == 0, free[1]
+    assert free[0] == serial[0] == int64.stdout
+
+    # six halvings run the finest rungs over 32,000 steps, whose history
+    # buffers fill in forked ladder workers or in the pinned process
+    zakai = dict(TELEGRAPH_DOC, T=0.5, scheme="zakai-ito")
+    (tmp_path / "zakai.json").write_text(json.dumps(zakai))
+    free, serial = pair(cli("convergence", "zakai.json", "--halvings", "6"))
+    assert free[2] == serial[2] == 0, free[1]
+    assert (tmp_path / "free" / "convergence.csv").read_bytes() == (
+        tmp_path / "serial" / "convergence.csv").read_bytes()

@@ -1,4 +1,4 @@
-"""Golden outputs and driver/wrapper equivalence.
+"""Golden outputs: every file the CLI writes, pinned by its digest.
 
 The digests below are the sha256 of every file the CLI writes for fixed
 configs (T=0.2, dt=1e-3, beta=0.7, master seed 0), as written by the
@@ -9,49 +9,14 @@ step and again when its propagators exp(+-A dt) moved from scipy's ``expm``
 to the package's own Pade [13/13] ``kernels.expm`` (gamma probabilities
 moved by at most 3.9e-15). Any change to the arithmetic, its operation
 order, or the CSV/JSON emission changes a digest.
-The property tests check that the driver and the public R=1 step functions
-run the same arithmetic, bit for bit, and that a batched (R, K) run
-reproduces R separate runs.
 """
 
 import hashlib
 import json
 
-import numpy as np
-import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from jumpfilter import (
-    ChainModel,
-    DiscreteBayesState,
-    FilterState,
-    GammaRangeError,
-    LogState,
-    TelegraphState,
-    bayes_forward_step,
-    drift_matrix,
-    gamma_langevin_step,
-    init_unnormalized,
-    log_step,
-    telegraph_ito_step,
-    telegraph_langevin_step,
-    telegraph_model,
-    to_gamma,
-    wonham_langevin_step,
-    wonham_step,
-    zakai_ito_step,
-    zakai_langevin_step,
-)
+from jumpfilter import ChainModel, telegraph_model
 from jumpfilter.cli import main
-from jumpfilter.harness import SCHEMES, ExperimentConfig, run_trajectory
-from jumpfilter.kernels import (
-    CLAMP_FAILURE_FRACTION,
-    FilterInstabilityError,
-    WonhamIto,
-    drive,
-)
-from jumpfilter.signalpath import ObservationGrid
+from jumpfilter.harness import SCHEMES, ExperimentConfig
 
 TELEGRAPH = telegraph_model(1.0)
 # Levels other than 0 and +-1 and a beta whose square is not a power of two,
@@ -229,159 +194,3 @@ def test_five_state_outputs_match_golden_digests(tmp_path, monkeypatch):
     assert main(["convergence", "--config", five, "--halvings", "2", "--out", "study"]) == 0
     assert main(["adjudicate", "--config", five, "--out", "study"]) in (0, 3)
     assert digests(tmp_path) == GOLDEN_K5
-
-
-# ---------------------------------------------------------------------------
-# driver versus the public R=1 step functions
-
-
-def random_case(k: int, seed: int, n_steps: int = 40, replicas: int = 1):
-    """Random irreducible model with K=k, a step inside the README's
-    sensible-step rule, and increments dy = a dt + beta dw (one column per
-    replica)."""
-    rng = np.random.default_rng(seed)
-    rates = rng.uniform(0.1, 2.0, size=(k, k))
-    np.fill_diagonal(rates, 0.0)
-    initial = rng.uniform(0.1, 1.0, size=k)
-    model = ChainModel(levels=rng.uniform(-1.5, 1.5, size=k), rates=rates,
-                       initial_dist=initial / initial.sum())
-    beta = float(rng.uniform(0.3, 1.0))
-    a_max = max(float(np.abs(model.levels).max()), 1e-3)
-    dt = 0.1 * min(beta**2 / a_max**2, 1.0 / float(model.exit_rates.max(initial=1e-3)))
-    dy = model.levels[0] * dt + beta * np.sqrt(dt) * rng.standard_normal((n_steps, replicas))
-    return model, beta, dt, dy
-
-
-EXTRA = {"zakai-ito": "log_weights", "zakai-langevin": "log_weights", "log": "theta",
-         "telegraph-ito": "q", "telegraph-langevin": "q"}
-
-
-def grid_of(dy, dt, beta):
-    return ObservationGrid(dt=dt, beta=beta, dy=dy, dw=np.zeros_like(dy),
-                           x_level=np.zeros_like(dy))
-
-
-def stepped_by_wrappers(scheme, model, beta, dt, dy, correction_sign, sign_variant):
-    """Probability rows, the scheme's extra rows and the clamp count from the
-    public steps."""
-    rows, extra = [], []
-    if scheme in ("zakai-ito", "zakai-langevin"):
-        state = init_unnormalized(model)
-        for r in range(len(dy) + 1):
-            if r:
-                state = (zakai_ito_step(state, model, beta, dt, dy[r - 1])
-                         if scheme == "zakai-ito" else
-                         zakai_langevin_step(state, model, beta, dt, dy[r - 1], correction_sign))
-            rows.append(state.psi / state.psi.sum())
-            extra.append(state.log_repr)
-    elif scheme in ("wonham-ito", "wonham-langevin"):
-        state = FilterState(probs=model.initial_dist)
-        for r in range(len(dy) + 1):
-            if r:
-                state = (wonham_step(state, model, beta, dt, dy[r - 1], sign_variant)
-                         if scheme == "wonham-ito" else
-                         wonham_langevin_step(state, model, beta, dt, dy[r - 1], correction_sign))
-            rows.append(state.probs)
-    elif scheme == "log":
-        psi = init_unnormalized(model).psi
-        state = LogState(theta=np.log(psi) - np.log(psi).max())
-        for r in range(len(dy) + 1):
-            if r:
-                state = log_step(state, model, beta, dt, dy[r - 1], correction_sign)
-            shifted = np.exp(state.theta - state.theta.max())
-            rows.append(shifted / shifted.sum())
-            extra.append(state.theta)
-    elif scheme == "gamma":
-        a_matrix = drift_matrix(model, beta, correction_sign)
-        state = to_gamma(init_unnormalized(model), a_matrix, t=0.0)
-        for r in range(len(dy) + 1):
-            if r:
-                state = gamma_langevin_step(state, model, beta, dt, dy[r - 1])
-            rows.append(state.psi / state.psi.sum())
-    elif scheme == "bayes-oracle":
-        state = DiscreteBayesState(probs=model.initial_dist)
-        for r in range(len(dy) + 1):
-            if r:
-                state = bayes_forward_step(state, model, dt, dy[r - 1], beta)
-            rows.append(state.probs)
-    else:
-        step = telegraph_ito_step if scheme == "telegraph-ito" else telegraph_langevin_step
-        nu = float(model.rates[0, 1])
-        state = TelegraphState(q=float(model.initial_dist[0] - model.initial_dist[1]))
-        for r in range(len(dy) + 1):
-            if r:
-                state = step(state, nu, beta, dt, dy[r - 1])
-            rows.append([(1.0 + state.q) / 2.0, (1.0 - state.q) / 2.0])
-            extra.append(state.q)
-    return np.array(rows), np.array(extra), getattr(state, "clamps", 0)
-
-
-def check_against_wrappers(scheme, model, beta, dt, dy, correction_sign=-1,
-                           sign_variant="innovation"):
-    grid = grid_of(dy, dt, beta)
-    try:
-        expected, extra, clamps = stepped_by_wrappers(scheme, model, beta, dt, dy,
-                                                      correction_sign, sign_variant)
-    except GammaRangeError:
-        with pytest.raises(GammaRangeError):
-            run_trajectory(model, grid, scheme, correction_sign, sign_variant)
-        return
-    if clamps > CLAMP_FAILURE_FRACTION * len(dy):
-        with pytest.raises(FilterInstabilityError):
-            run_trajectory(model, grid, scheme, correction_sign, sign_variant)
-        return
-    run = run_trajectory(model, grid, scheme, correction_sign, sign_variant)
-    assert run.clamps == clamps
-    assert np.array_equal(run.probs, expected)
-    if scheme in EXTRA:
-        assert np.array_equal(run.extras[EXTRA[scheme]], extra)
-
-
-PROPERTY = settings(max_examples=25, deadline=None)
-
-
-@PROPERTY
-@given(k=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
-       scheme=st.sampled_from([s for s in SCHEMES if not s.startswith("telegraph")]),
-       correction_sign=st.sampled_from([-1, 1]),
-       sign_variant=st.sampled_from(["innovation", "paper"]))
-def test_driver_equals_public_steps_bitwise(k, seed, scheme, correction_sign, sign_variant):
-    model, beta, dt, dy = random_case(k, seed)
-    check_against_wrappers(scheme, model, beta, dt, dy[:, 0], correction_sign, sign_variant)
-
-
-@PROPERTY
-@given(nu=st.floats(0.05, 3.0), seed=st.integers(0, 2**32 - 1),
-       scheme=st.sampled_from(["telegraph-ito", "telegraph-langevin"]))
-def test_telegraph_driver_equals_public_steps_bitwise(nu, seed, scheme):
-    rng = np.random.default_rng(seed)
-    model = telegraph_model(nu, initial_dist=rng.dirichlet([1.0, 1.0]))
-    beta = float(rng.uniform(0.3, 1.0))
-    dt = 0.1 * min(beta**2, 1.0 / nu)
-    dy = dt + beta * np.sqrt(dt) * rng.standard_normal(40)
-    check_against_wrappers(scheme, model, beta, dt, dy)
-
-
-@PROPERTY
-@given(k=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), replicas=st.integers(2, 6),
-       sign_variant=st.sampled_from(["innovation", "paper"]))
-def test_batched_wonham_rows_equal_separate_runs(k, seed, replicas, sign_variant):
-    model, beta, dt, dy = random_case(k, seed, replicas=replicas)
-    kernel = WonhamIto(model, dt, beta, sign_variant=sign_variant)
-    start = kernel.start(np.tile(model.initial_dist, (replicas, 1)))
-    try:
-        singles = [run_trajectory(model, grid_of(dy[:, r], dt, beta), "wonham-ito",
-                                  sign_variant=sign_variant) for r in range(replicas)]
-    except FilterInstabilityError:
-        # 40 steps x at most 6 replicas: a single clamp exceeds either budget
-        with pytest.raises(FilterInstabilityError):
-            drive(kernel, start, dy)
-        return
-    batch = drive(kernel, start, dy)
-    assert batch.probs.shape == (len(dy) + 1, replicas, k)
-    for r, single in enumerate(singles):
-        assert np.abs(batch.probs[:, r, :] - single.probs).max() <= 1e-15
-        if k <= 3:
-            # from K=4 on, BLAS may round the batched drift (a matrix
-            # product) apart from the single run's (a matrix-vector product)
-            assert np.array_equal(batch.probs[:, r, :], single.probs)

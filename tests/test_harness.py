@@ -22,25 +22,12 @@ from jumpfilter import (
     LogState,
     TelegraphState,
     UnnormalizedState,
-    bayes_forward_step,
-    drift_matrix,
-    gamma_langevin_step,
-    init_unnormalized,
-    log_step,
     predict,
-    telegraph_ito_step,
-    telegraph_langevin_step,
     telegraph_model,
-    to_gamma,
-    wonham_langevin_step,
-    wonham_step,
-    zakai_ito_step,
-    zakai_langevin_step,
 )
 from jumpfilter import fanout, harness
 from jumpfilter.cli import main
-from jumpfilter.kernels import (KERNELS, Kernel, TelegraphIto, WonhamIto, check_run, drive,
-                                run_steps, step_once)
+from jumpfilter.kernels import KERNELS, WonhamIto, drive, run_steps
 from jumpfilter.signalpath import ObservationGrid
 from jumpfilter.zakai import FilterInstabilityError
 from jumpfilter.harness import (
@@ -948,187 +935,6 @@ class TestCli:
         assert "config ok" in proc.stdout
 
 
-class TestDriverErrorPolicy:
-    THREE = ChainModel(
-        levels=[1.0, 0.3, -0.7],
-        rates=[[0.0, 0.6, 0.3], [0.2, 0.0, 0.8], [0.5, 0.4, 0.0]],
-        initial_dist=[0.5, 0.3, 0.2],
-    )
-
-    @staticmethod
-    def grid(dy):
-        dy = np.asarray(dy, dtype=float)
-        return ObservationGrid(dt=1e-3, beta=0.5, dy=dy, dw=np.zeros_like(dy),
-                               x_level=np.ones_like(dy))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_nonfinite_increment_raises(self, scheme, bad):
-        # wonham-ito used to return probs [nan, nan] with zero clamps here
-        model = TELEGRAPH if scheme.startswith("telegraph") else self.THREE
-        dy = np.full(50, 0.01)
-        dy[20] = bad
-        with pytest.raises(ValueError, match="finite"):
-            run_trajectory(model, self.grid(dy), scheme)
-
-    def test_presum_guard_enforced(self):
-        # a 1e12 increment leaves the pre-renormalization sum off by ~1e-4
-        with pytest.raises(FilterInstabilityError, match="pre-renormalization sum"):
-            run_trajectory(self.THREE, self.grid([0.01, 1e12]), "wonham-ito")
-
-    @pytest.mark.parametrize("keep_history", [True, False])
-    def test_presum_guard_covers_every_step_of_a_batch(self, keep_history):
-        # only step 50 of replica 7 leaves the simplex (pre-sum off by ~2e-4);
-        # without a history the guard used to see the final state alone
-        kernel = WonhamIto(TELEGRAPH, 1e-3, 0.5)
-        start = kernel.start(np.tile(TELEGRAPH.initial_dist, (2000, 1)))
-        dy = np.full((60, 2000), 0.01)
-        dy[50, 7] = 1e12
-        with pytest.raises(FilterInstabilityError, match="pre-renormalization sum"):
-            check_run(run_steps(kernel, start, dy, keep_history))
-
-    @pytest.mark.parametrize("scheme", ["zakai-ito", "log", "wonham-langevin"])
-    def test_overflowing_state_raises(self, scheme):
-        # a finite but huge increment overflows the step; drive checks the history
-        with pytest.raises(FilterInstabilityError, match="became non-finite"):
-            run_trajectory(self.THREE, self.grid([0.01, 1e308]), scheme)
-
-    @pytest.mark.parametrize("scheme", list(KERNELS))
-    def test_overflow_raises_typed_error_without_numpy_warnings(self, scheme):
-        # numpy used to print RuntimeWarnings before drive raised its own error
-        # (gamma's used to be GammaRangeError, from the range check of its probs)
-        kernel = KERNELS[scheme](TELEGRAPH, 1e-3, 0.5)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with pytest.raises(FilterInstabilityError):
-                drive(kernel, kernel.start(), np.array([0.01, 1e308]))
-            if scheme == "telegraph-ito":
-                # the Euler step's q overflows and is clamped to 1: a finite state
-                assert step_once(kernel, kernel.start(), 1e308) == (1.0, 1)
-            else:
-                with pytest.raises(FilterInstabilityError):
-                    step_once(kernel, kernel.start(), 1e308)
-        assert [str(w.message) for w in caught] == []
-
-    @staticmethod
-    def step_from_start(step, dy, model=THREE):
-        """The public step function ``step`` over one increment ``dy``, from
-        its initial state on the three-state (telegraph: two-state) model, on
-        ``model``."""
-        three, beta, dt = TestDriverErrorPolicy.THREE, 0.5, 1e-3
-        weights = init_unnormalized(three)
-        probs = FilterState(probs=three.initial_dist)
-        if step in (telegraph_ito_step, telegraph_langevin_step):
-            return step(TelegraphState(q=0.0), 1.0, beta, dt, dy)
-        if step in (zakai_ito_step, zakai_langevin_step, wonham_step, wonham_langevin_step):
-            return step(weights if step.__name__.startswith("zakai") else probs,
-                        model, beta, dt, dy)
-        if step is log_step:
-            return step(LogState(theta=np.log(weights.psi)), model, beta, dt, dy)
-        if step is gamma_langevin_step:
-            return step(to_gamma(weights, drift_matrix(three, beta)), model, beta, dt, dy)
-        return step(DiscreteBayesState(probs=three.initial_dist), model, dt, dy, beta)
-
-    @pytest.mark.parametrize("step", [
-        zakai_ito_step, zakai_langevin_step, log_step, gamma_langevin_step, wonham_step,
-        wonham_langevin_step, bayes_forward_step,
-    ], ids=lambda step: step.__name__)
-    def test_public_step_checks_the_state_k_against_the_model(self, step):
-        # numpy's shape message used to leak out, and gamma_langevin_step blamed
-        # its propagators; the telegraph steps take no model, their state has K=2
-        with pytest.raises(ValueError, match="K=3 entries but the model has K=2 states"):
-            self.step_from_start(step, 0.01, model=TELEGRAPH)
-
-    @pytest.mark.parametrize("step", [
-        zakai_ito_step, zakai_langevin_step, log_step, gamma_langevin_step, wonham_step,
-        wonham_langevin_step, bayes_forward_step, telegraph_ito_step, telegraph_langevin_step,
-    ], ids=lambda step: step.__name__)
-    def test_public_step_fails_as_a_run_does(self, step):
-        # zakai_ito_step, zakai_langevin_step, log_step, wonham_langevin_step,
-        # bayes_forward_step and telegraph_langevin_step used to raise
-        # ValueError, the invalid-input type, from their state's construction
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            if step is telegraph_ito_step:
-                # the Euler step's q overflows and is clamped to 1: a finite state
-                state = self.step_from_start(step, 1e308)
-                assert (state.q, state.clamps) == (1.0, 1)
-            else:
-                # telegraph-langevin's Heun step forms inf - inf
-                with pytest.raises(FilterInstabilityError):
-                    self.step_from_start(step, 1e308)
-        assert [str(w.message) for w in caught] == []
-
-    def test_history_off_the_simplex_raises(self):
-        class Inflating(Kernel):
-            scheme = "inflating"
-
-            def step(self, state, dy):
-                return state * 1.5, 0
-
-        with pytest.raises(FilterInstabilityError, match="left the simplex"):
-            drive(Inflating(None, 1e-3, 0.5), np.array([0.5, 0.5]), np.zeros(3))
-
-    def test_telegraph_q_clamped_at_minus_one(self):
-        # one strongly negative increment drives q below -1; a single clamp
-        # over 2000 steps stays within the budget
-        run = run_trajectory(TELEGRAPH, self.grid([-5.0] + [0.0] * 1999), "telegraph-ito")
-        assert run.clamps == 1
-        assert run.extras["q"][1] == -1.0
-        assert TelegraphIto(TELEGRAPH, 1e-3, 0.5).step(0.0, -5.0) == (-1.0, 1)
-
-    def test_clamp_budget_applies_to_every_clamping_scheme(self):
-        for scheme in ("zakai-ito", "wonham-ito", "wonham-langevin"):
-            with pytest.raises(FilterInstabilityError, match="budget"):
-                run_trajectory(self.THREE, self.grid([0.01, 1e3, 0.01]), scheme)
-
-    def test_invalid_options_rejected(self):
-        grid = self.grid([0.01])
-        with pytest.raises(ValueError, match="correction_sign"):
-            run_trajectory(self.THREE, grid, "log", correction_sign=0)
-        with pytest.raises(ValueError, match="sign_variant"):
-            run_trajectory(self.THREE, grid, "wonham-ito", sign_variant="typo")
-
-    @pytest.mark.parametrize("scheme", ["telegraph-ito", "telegraph-langevin"])
-    @pytest.mark.parametrize(
-        "model",
-        [
-            THREE,
-            ChainModel(levels=[1.0, -1.0], rates=[[0.0, 1.0], [3.0, 0.0]],
-                       initial_dist=[0.5, 0.5]),
-            ChainModel(levels=[1.0, 0.0], rates=[[0.0, 1.0], [1.0, 0.0]],
-                       initial_dist=[0.5, 0.5]),
-        ],
-        ids=["three-state", "asymmetric-rates", "levels-1-0"],
-    )
-    def test_telegraph_scheme_rejects_other_models(self, scheme, model):
-        # the scalar telegraph filter would return a wrong two-column posterior here
-        with pytest.raises(ValueError, match="telegraph schemes require"):
-            run_trajectory(model, self.grid([0.01] * 5), scheme)
-
-
-@pytest.mark.parametrize("scheme", list(KERNELS))
-def test_run_without_history_ends_on_the_last_kept_row(scheme):
-    # every part of a run without a kept history, bit for bit: the final row,
-    # its extras (log_weights, theta, q), the clamps and the pre-sum statistics;
-    # the unnormalized kernels used to refuse to run without a history
-    model = TELEGRAPH if scheme.startswith("telegraph") else TestDriverErrorPolicy.THREE
-    kernel = KERNELS[scheme](model, 1e-3, 0.5)
-    initial = None
-    if kernel.initial_state[0] == "UnnormalizedState":
-        initial = UnnormalizedState(psi=[0.6, 0.3, 0.1][:model.n_states], log_normalizer=1.5)
-    dy = 3e-4 + 0.5 * np.sqrt(1e-3) * np.random.default_rng(4).standard_normal(400)
-    full = drive(kernel, kernel.start(initial), dy)
-    last = check_run(run_steps(kernel, kernel.start(initial), dy, keep_history=False))
-    assert last.probs.tobytes() == full.probs[-1:].tobytes()
-    assert last.extras.keys() == full.extras.keys()
-    assert ("log_weights" in full.extras) == (scheme in ("zakai-ito", "zakai-langevin"))
-    for name, rows in full.extras.items():
-        assert last.extras[name].tobytes() == rows[-1:].tobytes(), name
-    assert (last.clamps, last.presum_max_dev, last.presum_total_dev) == (
-        full.clamps, full.presum_max_dev, full.presum_total_dev)
-
-
 def test_run_history_peaks_near_its_output():
     # a run used to keep one Python (state, scale) tuple per step and stack the
     # list after the loop, peaking at ~6x its output and increments at any length
@@ -1182,50 +988,3 @@ def test_presum_total_dev_sums_left_to_right(replicas, keep_history):
             total += abs(presum - 1.0)
         totals.append(total)
     assert run.presum_total_dev == max(totals)
-
-
-class TestInitialState:
-    """``run_trajectory(initial=...)`` starts every scheme from the state it is given."""
-
-    PROBS = np.array([0.8, 0.2])
-    # the state type each scheme starts from; the other type is refused
-    TAKES_WEIGHTS = {"zakai-ito", "zakai-langevin", "log", "gamma"}
-    GRID = TestDriverErrorPolicy.grid([0.01] * 20)
-
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_row_zero_follows_the_given_state(self, scheme):
-        if scheme in self.TAKES_WEIGHTS:
-            given = UnnormalizedState(psi=3.0 * self.PROBS, log_normalizer=1.5)
-        else:
-            given = FilterState(probs=self.PROBS)
-        run = run_trajectory(TELEGRAPH, self.GRID, scheme, initial=given)
-        assert np.abs(run.probs[0] - self.PROBS).max() <= 1e-15
-        if "log_weights" in run.extras:
-            expected = 1.5 + np.log(3.0 * self.PROBS)
-            assert np.abs(run.extras["log_weights"][0] - expected).max() <= 1e-15
-
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_other_state_type_raises(self, scheme):
-        if scheme in self.TAKES_WEIGHTS:
-            wrong, wanted = FilterState(probs=self.PROBS), "UnnormalizedState"
-        else:
-            wrong, wanted = UnnormalizedState(psi=self.PROBS), "FilterState"
-        with pytest.raises(ValueError, match=f"{scheme} starts from a {wanted}"):
-            run_trajectory(TELEGRAPH, self.GRID, scheme, initial=wrong)
-
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_bare_array_raises(self, scheme):
-        # wonham-ito took a (K,) array as its start; only its batch start
-        # takes an array, of (R, K) replica rows
-        with pytest.raises(ValueError, match=f"{scheme} starts from a .*, not a ndarray"):
-            run_trajectory(TELEGRAPH, self.GRID, scheme, initial=self.PROBS)
-
-    @pytest.mark.parametrize("scheme", SCHEMES)
-    def test_state_of_another_k_raises(self, scheme):
-        # numpy's shape message used to leak out; the telegraph schemes read
-        # the first two of three probabilities as q
-        probs = np.array([0.5, 0.3, 0.2])
-        given = UnnormalizedState(psi=probs) if scheme in self.TAKES_WEIGHTS else FilterState(
-            probs=probs)
-        with pytest.raises(ValueError, match="K=3 entries but the model has K=2 states"):
-            run_trajectory(TELEGRAPH, self.GRID, scheme, initial=given)

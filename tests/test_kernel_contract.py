@@ -1,0 +1,711 @@
+"""The one contract of every filter kernel, stated once over ``KERNELS``.
+
+The table of cases is every scheme of ``KERNELS`` with its history kept and
+not kept, plus the (K, R) replica batch of each kernel whose ``start`` takes
+one. The clauses follow the kernel rows of README "Where each check runs": a
+kernel is built only from valid options and a model it can filter; it starts
+from its own state type with the model's K; increments are finite before
+step 1; a history, extras included, is finite and on the simplex; the
+wonham-ito pre-renormalization sum stays near 1; every floored entry is
+counted, and a run fails past the clamp budget. Then the equalities: a run
+without a history ends on the last kept row; the rows of a batch are the
+separate runs; ``run_steps`` is a plain reference loop bit for bit; and each
+public R=1 step function is its ``drive`` row bit for bit, refuses a state of
+another K and fails as a run does, without a numpy warning.
+"""
+
+import warnings
+from typing import NamedTuple
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from jumpfilter import (
+    ChainModel,
+    DiscreteBayesState,
+    FilterState,
+    LogState,
+    TelegraphState,
+    UnnormalizedState,
+    bayes_forward_step,
+    drift_matrix,
+    gamma_langevin_step,
+    init_unnormalized,
+    log_step,
+    telegraph_ito_step,
+    telegraph_langevin_step,
+    telegraph_model,
+    to_gamma,
+    wonham_langevin_step,
+    wonham_step,
+    zakai_ito_step,
+    zakai_langevin_step,
+)
+from jumpfilter.chain import FLOOR
+from jumpfilter.harness import run_trajectory
+from jumpfilter.kernels import (
+    CLAMP_FAILURE_FRACTION,
+    KERNELS,
+    QUIET,
+    FilterInstabilityError,
+    Kernel,
+    check_run,
+    on_simplex,
+    run_steps,
+)
+from jumpfilter.signalpath import ObservationGrid
+
+TELEGRAPH = telegraph_model(1.0)
+THREE = ChainModel(
+    levels=[1.0, 0.3, -0.7],
+    rates=[[0.0, 0.6, 0.3], [0.2, 0.0, 0.8], [0.5, 0.4, 0.0]],
+    initial_dist=[0.5, 0.3, 0.2],
+)
+DT, BETA = 1e-3, 0.5
+# the kernels whose start takes an (R, K) array of replica rows
+BATCHED = {"wonham-ito"}
+REPLICAS = 4
+# the kernels whose step floors an entry (or clamps q) on an increment of
+# +-4 beta**2 / max|a|; the others never do on it
+CLAMPING = {"zakai-ito", "wonham-ito", "wonham-langevin", "telegraph-ito", "telegraph-langevin"}
+
+
+class Case(NamedTuple):
+    scheme: str
+    kept: bool
+    replicas: int | None = None  # R of a batch, None for one trajectory
+
+    def __str__(self):
+        batch = "" if self.replicas is None else "-batch"
+        return f"{self.scheme}{batch}-{'kept' if self.kept else 'unkept'}"
+
+
+CASES = [Case(scheme, kept, replicas)
+         for scheme in KERNELS
+         for replicas in ([None, REPLICAS] if scheme in BATCHED else [None])
+         for kept in (True, False)]
+KEPT = [case for case in CASES if case.kept]
+UNKEPT = [case for case in CASES if not case.kept]
+
+
+def model_of(scheme: str) -> ChainModel:
+    return TELEGRAPH if scheme.startswith("telegraph") else THREE
+
+
+def build(scheme: str, model: ChainModel | None = None, **options) -> Kernel:
+    return KERNELS[scheme](model_of(scheme) if model is None else model, DT, BETA, **options)
+
+
+def start_of(kernel: Kernel, case: Case):
+    """The model's initial law, or R replica rows of it."""
+    if case.replicas is None:
+        return kernel.start()
+    return kernel.start(np.tile(kernel.model.initial_dist, (case.replicas, 1)))
+
+
+def increments(case: Case, profile, benign: float = 0.01) -> np.ndarray:
+    """``profile`` as the increments of one trajectory, or as replica 1's
+    column of a batch whose other replicas see ``benign`` at every step."""
+    profile = np.asarray(profile, dtype=float)
+    if case.replicas is None:
+        return profile
+    dy = np.full((len(profile), case.replicas), benign)
+    dy[:, 1] = profile
+    return dy
+
+
+def unchecked(case: Case, dy: np.ndarray, kernel: Kernel | None = None):
+    kernel = build(case.scheme) if kernel is None else kernel
+    return run_steps(kernel, start_of(kernel, case), dy, case.kept)
+
+
+def checked(case: Case, dy: np.ndarray):
+    return check_run(unchecked(case, dy))
+
+
+def grid_of(dy) -> ObservationGrid:
+    return ObservationGrid(dt=DT, beta=BETA, dy=dy, dw=np.zeros_like(dy),
+                           x_level=np.zeros_like(dy))
+
+
+def bits(a) -> bytes:
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# building a kernel: options, step and model
+
+
+@pytest.mark.parametrize("scheme", KERNELS)
+def test_build_refuses_bad_options_steps_and_models(scheme):
+    for options, message in [({"correction_sign": 0}, "correction_sign"),
+                             ({"sign_variant": "typo"}, "sign_variant")]:
+        with pytest.raises(ValueError, match=message):
+            build(scheme, **options)
+    for dt, beta in [(0.0, BETA), (DT, np.nan), (DT, 1e300), (DT, 1e-200)]:
+        with pytest.raises(ValueError, match="beta"):
+            KERNELS[scheme](model_of(scheme), dt, beta)
+    if scheme.startswith("telegraph"):
+        # the scalar telegraph filter would return a wrong two-column posterior
+        for model in [THREE,
+                      ChainModel(levels=[1.0, -1.0], rates=[[0.0, 1.0], [3.0, 0.0]],
+                                 initial_dist=[0.5, 0.5]),
+                      ChainModel(levels=[1.0, 0.0], rates=[[0.0, 1.0], [1.0, 0.0]],
+                                 initial_dist=[0.5, 0.5])]:
+            with pytest.raises(ValueError, match="telegraph schemes require"):
+                build(scheme, model)
+
+
+# ---------------------------------------------------------------------------
+# the start: the scheme's own state type, with the model's K
+
+
+@pytest.mark.parametrize("scheme", KERNELS)
+def test_start_is_the_scheme_state_type_with_the_model_k(scheme):
+    model, kernel = model_of(scheme), build(scheme)
+    k = model.n_states
+    probs = np.array([0.8, 0.2] if k == 2 else [0.2, 0.5, 0.3])
+    grid = grid_of(np.full(20, 0.01))
+    if kernel.initial_state[0] == "UnnormalizedState":
+        own = UnnormalizedState(psi=3.0 * probs, log_normalizer=1.5)
+        other = FilterState(probs=probs)
+        bigger = UnnormalizedState(psi=np.full(k + 1, 0.5))
+    else:
+        own = FilterState(probs=probs)
+        other = UnnormalizedState(psi=probs)
+        bigger = FilterState(probs=np.full(k + 1, 1 / (k + 1)))
+    run = run_trajectory(model, grid, scheme, initial=own)
+    assert np.abs(run.probs[0] - probs).max() <= 1e-15
+    if "log_weights" in run.extras:
+        assert np.abs(run.extras["log_weights"][0] - (1.5 + np.log(3.0 * probs))).max() <= 1e-15
+    wanted = kernel.initial_state[0]
+    for given, message in [
+        (other, f"{scheme} starts from a {wanted}, not a {type(other).__name__}"),
+        # the message names both K's; unchecked, the telegraph schemes would
+        # read the first two of K+1 probabilities as q
+        (bigger, f"the state has K={k + 1} entries but the model has K={k} states"),
+        # only a batch start takes an array, of (R, K) replica rows
+        (probs, f"{scheme} starts from a {wanted}, not a ndarray"),
+        (np.tile(probs, (3, 1, 1)), f"{scheme} starts from a {wanted}, not a ndarray"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            run_trajectory(model, grid, scheme, initial=given)
+
+
+@pytest.mark.parametrize("scheme", KERNELS)
+def test_replica_rows_start_a_batch_only_where_the_kernel_takes_one(scheme):
+    model = model_of(scheme)
+    k = model.n_states
+    grid = grid_of(np.full(50, 0.01))
+    rows = np.tile(model.initial_dist, (3, 1))
+    if scheme not in BATCHED:
+        with pytest.raises(ValueError, match=f"{scheme} starts from a .*, not a ndarray"):
+            run_trajectory(model, grid, scheme, initial=rows)
+        return
+    probs, presums = build(scheme).start(rows)
+    assert bits(probs.T) == bits(rows) and bits(presums) == bits(np.ones(3))
+    # bad rows are a bad input (ValueError, exit 2), not a run failure
+    for bad, message in [
+        (np.full((3, k + 1), 1.0 / (k + 1)), f"K={k + 1} entries but the model has K={k}"),
+        (np.full((1, k), 0.9), "probabilities must be finite and nonnegative and sum to 1"),
+        (np.r_[[model.initial_dist], [[np.nan] + [0.9] * (k - 1)]], "probabilities must"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            run_trajectory(model, grid, scheme, initial=bad)
+
+
+# ---------------------------------------------------------------------------
+# increments: finite, checked before step 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("case", CASES, ids=str)
+def test_increments_are_finite_before_step_one(case, bad):
+    kernel = build(case.scheme)
+    steps = []
+    step = kernel.step
+    kernel.step = lambda state, inputs: steps.append(inputs) or step(state, inputs)
+    dy = np.full(50, 0.01)
+    dy[20] = bad
+    with pytest.raises(ValueError, match="observation increments must be finite"):
+        unchecked(case, increments(case, dy), kernel)
+    assert steps == []
+
+
+# ---------------------------------------------------------------------------
+# the history: finite, extras included, and on the simplex
+
+
+@pytest.mark.parametrize("case", CASES, ids=str)
+def test_an_overflowing_run_fails_without_numpy_warnings(case):
+    # the steps run with numpy's warnings off: the typed error is all a
+    # caller sees
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(FilterInstabilityError):
+            checked(case, increments(case, [0.01, 1e308]))
+    assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("kept", [True, False], ids=["kept", "unkept"])
+def test_a_non_finite_extra_fails_the_run(kept):
+    # the probabilities stay finite and on the simplex, with 1 clamp in 2000
+    # steps, but the last log_weights row holds -inf
+    case = Case("zakai-ito", kept)
+    run = unchecked(case, np.r_[np.full(1999, 0.01), 1e30])
+    assert on_simplex(run.probs) and run.clamps == 1
+    assert np.isneginf(run.extras["log_weights"][-1]).any()
+    with pytest.raises(FilterInstabilityError,
+                       match="zakai-ito: the filter state became non-finite"):
+        check_run(run)
+
+
+@pytest.mark.parametrize("kept", [True, False], ids=["kept", "unkept"])
+def test_rows_off_the_simplex_fail_the_run(kept):
+    class Inflating(Kernel):
+        scheme = "inflating"
+
+        def step(self, state, dy):
+            return state * 1.5, 0
+
+    with pytest.raises(FilterInstabilityError, match="inflating: probabilities left the simplex"):
+        check_run(run_steps(Inflating(None, DT, BETA), np.array([0.5, 0.5]), np.zeros(3), kept))
+
+
+# ---------------------------------------------------------------------------
+# the wonham-ito pre-sum guard
+
+
+@pytest.mark.parametrize("case", [c for c in CASES if build(c.scheme).carries_presum], ids=str)
+def test_presum_guard_covers_every_step(case):
+    # only step 51 of 60 (of replica 1) leaves the simplex, with its sum
+    # before renormalization off by ~1e-4; without a history the guard must
+    # still see that step, not the final state alone
+    dy = np.full(60, 0.01)
+    dy[50] = 1e12
+    with pytest.raises(FilterInstabilityError, match="pre-renormalization sum off by"):
+        checked(case, increments(case, dy))
+
+
+# ---------------------------------------------------------------------------
+# clamps: counted, and a run fails past the budget
+
+
+def spiked(case: Case, spike: float, n_steps: int) -> np.ndarray:
+    """A clamping increment, then zeros, in replica 1 of a batch."""
+    return increments(case, np.r_[spike, np.zeros(n_steps - 1)], benign=0.0)
+
+
+@pytest.mark.parametrize("direction", [-1.0, 1.0], ids=["down", "up"])
+@pytest.mark.parametrize("case", CASES, ids=str)
+def test_clamps_are_counted_and_the_budget_holds(case, direction):
+    # 4 beta**2 / max|a| = 1: an Euler step floors the weight of level 1.0
+    # (or 0.3 too), and q leaves [-1, 1] both ways
+    clamps = unchecked(case, spiked(case, direction, 1000)).clamps
+    if case.scheme not in CLAMPING:
+        assert clamps == 0
+        return
+    assert clamps >= 1
+    # CLAMP_FAILURE_FRACTION of this many replica-steps is the count itself
+    steps = round(clamps / CLAMP_FAILURE_FRACTION) // (case.replicas or 1)
+    assert checked(case, spiked(case, direction, steps)).clamps == clamps
+    with pytest.raises(FilterInstabilityError,
+                       match=f"{case.scheme}: {clamps} clamp events over .* exceeds"):
+        checked(case, spiked(case, direction, steps - 1))
+
+
+# ---------------------------------------------------------------------------
+# a run without a history ends on the last kept row
+
+
+@pytest.mark.parametrize("case", UNKEPT, ids=str)
+def test_a_run_without_history_ends_on_the_last_kept_row(case):
+    # bit for bit: the final row, its extras (log_weights, theta, q), the
+    # clamps and the pre-sum statistics
+    kernel = build(case.scheme)
+    start = start_of(kernel, case)
+    if case.replicas is None and kernel.initial_state[0] == "UnnormalizedState":
+        start = kernel.start(UnnormalizedState(psi=[0.6, 0.3, 0.1], log_normalizer=1.5))
+    dy = 3e-4 + BETA * np.sqrt(DT) * np.random.default_rng(4).standard_normal(400)
+    dy[[100, 200]] = [1.0, -1.0]  # clamps, where the scheme floors
+    dy = increments(case, dy)
+    full = run_steps(kernel, start, dy)
+    last = run_steps(kernel, start, dy, keep_history=False)
+    assert bits(last.probs) == bits(full.probs[-1:])
+    assert last.extras.keys() == full.extras.keys()
+    for name, rows in full.extras.items():
+        assert bits(last.extras[name]) == bits(rows[-1:]), name
+    assert (last.clamps, last.presum_max_dev, last.presum_total_dev) == (
+        full.clamps, full.presum_max_dev, full.presum_total_dev)
+    assert (full.clamps > 0) == (case.scheme in CLAMPING)
+
+
+# ---------------------------------------------------------------------------
+# the rows of a batch are separate runs
+
+
+def random_model(rng, k: int) -> ChainModel:
+    rates = rng.uniform(0.1, 3.0, (k, k))
+    np.fill_diagonal(rates, 0.0)
+    initial = rng.uniform(0.1, 1.0, k)
+    return ChainModel(levels=rng.uniform(-2.0, 2.0, k), rates=rates,
+                      initial_dist=initial / initial.sum())
+
+
+def random_increments(rng, model: ChainModel, beta: float, dt: float, shape) -> np.ndarray:
+    """Increments of one level, with two spikes of +-4 beta**2 / max|a|, at
+    which the schemes that floor do."""
+    level = model.levels[rng.integers(model.n_states)]
+    dy = level * dt + beta * np.sqrt(dt) * rng.standard_normal(shape)
+    spike = 4.0 * beta**2 / max(np.abs(model.levels).max(), 1e-3)
+    dy[len(dy) // 3], dy[2 * len(dy) // 3] = spike, -spike
+    return dy
+
+
+@pytest.mark.parametrize("scheme", sorted(BATCHED))
+@pytest.mark.parametrize("kept", [True, False], ids=["kept", "unkept"])
+@settings(max_examples=10, deadline=None)
+@given(k=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), replicas=st.integers(2, 6),
+       sign_variant=st.sampled_from(["innovation", "paper"]))
+def test_the_rows_of_a_batch_are_separate_runs(scheme, kept, k, seed, replicas, sign_variant):
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, k)
+    kernel = build(scheme, model, sign_variant=sign_variant)
+    dy = random_increments(rng, model, BETA, DT, (60, replicas))
+    batch = run_steps(kernel, start_of(kernel, Case(scheme, kept, replicas)), dy, kept)
+    singles = [run_steps(kernel, kernel.start(), dy[:, r], kept) for r in range(replicas)]
+    assert batch.probs.shape == (61 if kept else 1, replicas, k)
+    assert batch.clamps == sum(single.clamps for single in singles)
+    if k > 3:
+        # from K=4 on, BLAS may round the batched drift (a matrix product)
+        # apart from the single run's (a matrix-vector product), and with it
+        # the pre-sum deviations
+        for r, single in enumerate(singles):
+            assert np.abs(batch.probs[:, r, :] - single.probs).max() <= 1e-15
+        return
+    for r, single in enumerate(singles):
+        assert bits(batch.probs[:, r, :]) == bits(single.probs)
+    assert batch.presum_max_dev == max(single.presum_max_dev for single in singles)
+    assert batch.presum_total_dev == max(single.presum_total_dev for single in singles)
+
+
+# ---------------------------------------------------------------------------
+# run_steps is a plain reference loop, bit for bit
+#
+# The kernels take their products through ndarray.dot, decide per run when
+# they are built and hoist constants such as 0.5 * dt. Each reference step
+# below is written with the plain expressions instead: @ products, the
+# correction as sign * 0.5 * a**2 / beta**2, two separate moment sums, the sign
+# variant chosen inside the step, the log kernel's shift through np.max, and a
+# clamp count taken before every floor.
+
+
+def rescale(raw):
+    """The unnormalized kernels' floor and rescale, as (psi, total)."""
+    clamped = int(np.count_nonzero(raw <= 0.0))
+    if clamped:
+        raw = np.maximum(raw, FLOOR)
+    total = np.add.reduce(raw, axis=0)
+    return (raw / total, total), clamped
+
+
+def correction(kernel):
+    return kernel.correction_sign * 0.5 * kernel.levels**2 / kernel.beta**2
+
+
+def zakai_ito(kernel):
+    generator, levels, beta, dt = kernel.generator, kernel.levels, kernel.beta, kernel.dt
+
+    def step(state, dy):
+        psi = state[0]
+        return rescale(psi + dt * (psi @ generator) + psi * levels * (dy / beta**2))
+
+    return step, list
+
+
+def zakai_langevin(kernel):
+    generator, levels, dt, drift = kernel.generator, kernel.levels, kernel.dt, correction(kernel)
+
+    def step(state, dy):
+        diag = dy / dt / kernel.beta**2 * levels + drift
+        psi = state[0]
+        now = psi @ generator + psi * diag
+        predictor = psi + dt * now
+        return rescale(psi + 0.5 * dt * (now + (predictor @ generator + predictor * diag)))
+
+    return step, list
+
+
+def wonham_ito(kernel):
+    generator, dt, beta = kernel.generator, kernel.dt, kernel.beta
+
+    def step(state, dy):
+        probs = state[0]
+        levels = kernel.levels if probs.ndim == 1 else kernel.levels[:, None]
+        xbar = np.add.reduce(probs * levels, axis=0)
+        gain = (levels - xbar) * probs / beta**2
+        drift = generator.T @ probs
+        if kernel.sign_variant == "innovation":
+            raw = probs + dt * drift + gain * (dy - xbar * dt)
+        else:
+            raw = probs + dt * drift + gain * dy + gain * (xbar * dt)
+        clamped = int(np.count_nonzero(raw <= 0.0))
+        floored = np.maximum(raw, FLOOR) if clamped else raw
+        total = np.add.reduce(floored, axis=0)
+        return (floored / total, np.add.reduce(raw, axis=0) if clamped else total), clamped
+
+    return step, list
+
+
+def wonham_langevin(kernel):
+    generator, levels, dt = kernel.generator, kernel.levels, kernel.dt
+    levels_sq, beta_sq, sign = levels**2, kernel.beta**2, kernel.correction_sign
+
+    def field(probs, rate):
+        xbar = np.add.reduce(probs * levels, axis=0)
+        second_moment = np.add.reduce(probs * levels_sq, axis=0)
+        drift = 0.5 * probs * (levels_sq - second_moment) / beta_sq
+        return probs @ generator + sign * drift + (levels - xbar) * probs * (rate / beta_sq)
+
+    def step(probs, dy):
+        rate = dy / dt
+        now = field(probs, rate)
+        predictor = probs + dt * now
+        raw = probs + 0.5 * dt * (now + field(predictor, rate))
+        clamped = int(np.count_nonzero(raw <= 0.0))
+        if clamped:
+            raw = np.maximum(raw, FLOOR)
+        return raw / np.add.reduce(raw, axis=0), clamped
+
+    return step, list
+
+
+def gamma(kernel):
+    forward, backward, levels, dt = (kernel.step_forward, kernel.step_backward, kernel.levels,
+                                     kernel.dt)
+
+    def step(state, dy):
+        diag = dy / dt / kernel.beta**2 * levels
+        psi = state[0]
+        now = psi * diag
+        predictor = psi + dt * now
+        after = backward @ (diag * (forward @ predictor))
+        return rescale(forward @ (psi + 0.5 * dt * (now + after)))
+
+    return step, list
+
+
+def log(kernel):
+    connected, rates, dt = kernel.rates > 0, kernel.rates, kernel.dt
+    drift = -kernel.model.exit_rates + correction(kernel)
+
+    def step(theta, dy):
+        diffs = np.where(connected, theta[:, None] - theta, -np.inf)
+        coupling = np.einsum("ij,ij->j", rates, np.exp(diffs))
+        updated = theta + dt * (drift + coupling) + kernel.levels * (dy / kernel.beta**2)
+        return updated - np.max(updated), 0
+
+    return step, list
+
+
+def telegraph(kernel):
+    nu, dt, beta = kernel.nu, kernel.dt, kernel.beta
+
+    def clamp(q):
+        return min(max(q, -1.0), 1.0), int(q > 1.0 or q < -1.0)
+
+    def ito(q, dy):
+        spread = 1.0 - q * q
+        return clamp(q + dt * (-2.0 * nu * q) - dt * q * spread / beta**2 + spread * dy / beta**2)
+
+    def langevin(q, dy):
+        rate = dy / dt
+        now = -2.0 * nu * q + (1.0 - q * q) * rate / beta**2
+        predictor = q + dt * now
+        after = -2.0 * nu * predictor + (1.0 - predictor * predictor) * rate / beta**2
+        return clamp(q + 0.5 * dt * (now + after))
+
+    return (ito if kernel.scheme == "telegraph-ito" else langevin), list
+
+
+def bayes_oracle(kernel):
+    trans, dt, beta_sq = kernel.trans, kernel.dt, kernel.beta**2
+
+    def step(probs, dy):
+        log_post = np.log(probs @ trans) - (dy - kernel.levels * dt) ** 2 / (2.0 * beta_sq * dt)
+        log_post -= np.max(log_post)
+        post = np.exp(log_post)
+        return post / np.add.reduce(post, axis=0), 0
+
+    return step, list
+
+
+REFERENCES = {
+    "zakai-ito": zakai_ito,
+    "zakai-langevin": zakai_langevin,
+    "wonham-ito": wonham_ito,
+    "wonham-langevin": wonham_langevin,
+    "log": log,
+    "gamma": gamma,
+    "telegraph-ito": telegraph,
+    "telegraph-langevin": telegraph,
+    "bayes-oracle": bayes_oracle,
+}
+
+
+def reference_run(kernel, start, dy):
+    """The states of a plain loop of the reference step, through ``probs``,
+    with the clamp count and the pre-sum statistics: the largest |presum - 1|
+    and the largest per-replica total, summed left to right."""
+    step, prepare = REFERENCES[kernel.scheme](kernel)
+    history, state, clamps = [start], start, 0
+    with np.errstate(**QUIET):
+        for inputs in prepare(dy):
+            state, clamped = step(state, inputs)
+            clamps += clamped
+            history.append(state)
+        if isinstance(start, tuple):
+            states, sums = np.array([s[0] for s in history]), np.array([s[1] for s in history])
+        else:
+            states, sums = np.array(history), None
+        presums = (0.0, 0.0)
+        if kernel.carries_presum:
+            devs = np.abs(sums - 1.0).reshape(len(sums), -1)
+            totals = []
+            for column in devs.T.tolist():
+                total = 0.0
+                for dev in column:
+                    total += dev
+                totals.append(total)
+            presums = (float(devs.max()), max(totals))
+        probs, extras = kernel.probs(states, sums)
+    return probs, extras, clamps, presums
+
+
+@pytest.mark.parametrize("case", KEPT, ids=str)
+@settings(max_examples=12, deadline=None)
+@given(k=st.integers(1, 8), beta=st.floats(0.3, 2.0), seed=st.integers(0, 2**32 - 1),
+       correction_sign=st.sampled_from([-1, 1]),
+       sign_variant=st.sampled_from(["innovation", "paper"]))
+def test_run_steps_equals_the_reference_loop_bitwise(case, k, beta, seed, correction_sign,
+                                                     sign_variant):
+    rng = np.random.default_rng(seed)
+    if case.scheme.startswith("telegraph"):
+        model = telegraph_model(rng.uniform(0.05, 3.0), initial_dist=rng.dirichlet([1.0, 1.0]))
+    else:
+        model = random_model(rng, k)
+    kernel = KERNELS[case.scheme](model, DT, beta, correction_sign, sign_variant)
+    start = start_of(kernel, case)
+    shape = (300,) if case.replicas is None else (300, case.replicas)
+    dy = random_increments(rng, model, beta, DT, shape)
+    run = run_steps(kernel, start, dy)
+    probs, extras, clamps, presums = reference_run(kernel, start, dy)
+    assert bits(run.probs) == bits(probs)
+    assert run.extras.keys() == extras.keys()
+    for name in extras:
+        assert bits(run.extras[name]) == bits(extras[name]), name
+    assert (run.clamps, run.presum_max_dev, run.presum_total_dev) == (clamps, *presums)
+
+
+# ---------------------------------------------------------------------------
+# the public R=1 step functions: drive rows bit for bit, the model's K, and
+# the failures of a run
+
+
+def public(scheme, model, beta=BETA, dt=DT, correction_sign=-1, sign_variant="innovation"):
+    """The public R=1 step function of ``scheme`` as ``(start, step, row)``:
+    its state at t=0 on ``model``, ``step(state, dy, model)``, and a state's
+    probability row with the scheme's extra (None where it keeps none)."""
+    weights = init_unnormalized(model)
+    if scheme in ("zakai-ito", "zakai-langevin"):
+        def step(state, dy, m):
+            if scheme == "zakai-ito":
+                return zakai_ito_step(state, m, beta, dt, dy)
+            return zakai_langevin_step(state, m, beta, dt, dy, correction_sign)
+
+        return weights, step, lambda s: (s.psi / s.psi.sum(), s.log_repr)
+    if scheme in ("wonham-ito", "wonham-langevin"):
+        def step(state, dy, m):
+            if scheme == "wonham-ito":
+                return wonham_step(state, m, beta, dt, dy, sign_variant)
+            return wonham_langevin_step(state, m, beta, dt, dy, correction_sign)
+
+        return FilterState(probs=model.initial_dist), step, lambda s: (s.probs, None)
+    if scheme == "log":
+        def row(state):
+            shifted = np.exp(state.theta - state.theta.max())
+            return shifted / shifted.sum(), state.theta
+
+        theta = np.log(weights.psi)
+        return (LogState(theta=theta - theta.max()),
+                lambda s, dy, m: log_step(s, m, beta, dt, dy, correction_sign), row)
+    if scheme == "gamma":
+        return (to_gamma(weights, drift_matrix(model, beta, correction_sign), t=0.0),
+                lambda s, dy, m: gamma_langevin_step(s, m, beta, dt, dy),
+                lambda s: (s.psi / s.psi.sum(), None))
+    if scheme == "bayes-oracle":
+        return (DiscreteBayesState(probs=model.initial_dist),
+                lambda s, dy, m: bayes_forward_step(s, m, dt, dy, beta),
+                lambda s: (s.probs, None))
+    telegraph_step = telegraph_ito_step if scheme == "telegraph-ito" else telegraph_langevin_step
+    nu = float(model.rates[0, 1])
+    return (TelegraphState(q=float(model.initial_dist[0] - model.initial_dist[1])),
+            lambda s, dy, m: telegraph_step(s, nu, beta, dt, dy),
+            lambda s: ([(1.0 + s.q) / 2.0, (1.0 - s.q) / 2.0], s.q))
+
+
+@pytest.mark.parametrize("scheme", KERNELS)
+@settings(max_examples=10, deadline=None)
+@given(k=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+       correction_sign=st.sampled_from([-1, 1]),
+       sign_variant=st.sampled_from(["innovation", "paper"]))
+def test_each_public_step_is_its_drive_row_bitwise(scheme, k, seed, correction_sign,
+                                                   sign_variant):
+    # a random model, and a step inside the README's sensible-step rule
+    rng = np.random.default_rng(seed)
+    if scheme.startswith("telegraph"):
+        model = telegraph_model(rng.uniform(0.05, 3.0), initial_dist=rng.dirichlet([1.0, 1.0]))
+    else:
+        model = random_model(rng, k)
+    beta = float(rng.uniform(0.3, 1.0))
+    a_max = max(float(np.abs(model.levels).max()), 1e-3)
+    dt = 0.1 * min(beta**2 / a_max**2, 1.0 / float(model.exit_rates.max(initial=1e-3)))
+    dy = model.levels[0] * dt + beta * np.sqrt(dt) * rng.standard_normal(40)
+    state, step, row = public(scheme, model, beta, dt, correction_sign, sign_variant)
+    rows = [row(state)]
+    for increment in dy:
+        state = step(state, increment, model)
+        rows.append(row(state))
+    kernel = KERNELS[scheme](model, dt, beta, correction_sign, sign_variant)
+    run = run_steps(kernel, kernel.start(), dy)
+    assert bits(run.probs) == bits([probs for probs, _ in rows])
+    assert run.clamps == getattr(state, "clamps", 0)
+    extras = [extra for _, extra in rows]
+    assert len(run.extras) == (extras[0] is not None)
+    for name in run.extras:
+        assert bits(run.extras[name]) == bits(extras), name
+
+
+@pytest.mark.parametrize("scheme", KERNELS)
+def test_a_public_step_refuses_another_k_and_fails_as_a_run_does(scheme):
+    model = model_of(scheme)
+    start, step, _ = public(scheme, model)
+    if not scheme.startswith("telegraph"):  # the telegraph steps take no model
+        # checked before any kernel or propagator is built
+        with pytest.raises(ValueError, match="K=3 entries but the model has K=2 states"):
+            step(start, 0.01, TELEGRAPH)
+    with pytest.raises(ValueError, match="observation increments must be finite"):
+        step(start, np.nan, model)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if scheme == "telegraph-ito":
+            # the Euler step's q overflows and is clamped to 1: a finite state
+            stepped = step(start, 1e308, model)
+            assert (stepped.q, stepped.clamps) == (1.0, 1)
+        else:
+            # the run-failure type, not ValueError from the state's construction
+            with pytest.raises(FilterInstabilityError):
+                step(start, 1e308, model)
+    assert [str(w.message) for w in caught] == []

@@ -18,7 +18,6 @@ from jumpfilter.kernels import FilterInstabilityError, WonhamIto, check_run, run
 from jumpfilter.oracle import _ordered_times, _state_sequences
 from jumpfilter.seeding import ROLE_JUMP, ROLE_NOISE, derive_states
 from jumpfilter.signalpath import coarsen
-from jumpfilter.wonham import finish_simplex_step, wonham_update_raw
 
 TELEGRAPH = telegraph_model(1.0)
 THREE_STATE = ChainModel(
@@ -305,25 +304,6 @@ class TestTowerProperty:
     @pytest.mark.parametrize("case, expected", TOWER_PINS)
     def test_report_pinned_bit_for_bit(self, case, expected):
         assert report_values(tower_property_check(*case)) == expected
-
-    def test_batched_step_matches_scalar_step(self):
-        rng = np.random.default_rng(31)
-        probs = rng.uniform(0.05, 1.0, size=(7, 2))
-        probs /= probs.sum(axis=1, keepdims=True)
-        dys = rng.normal(scale=0.03, size=7)
-        # states-first batch: one replica per column, levels as a column
-        raw = wonham_update_raw(
-            np.ascontiguousarray(probs.T), TELEGRAPH.generator, TELEGRAPH.levels[:, None],
-            0.5, 1e-3, dys, "innovation",
-        )
-        batched, _ = finish_simplex_step(raw)
-        for i in range(7):
-            raw_i = wonham_update_raw(
-                probs[i], TELEGRAPH.generator, TELEGRAPH.levels, 0.5, 1e-3, float(dys[i]),
-                "innovation",
-            )
-            scalar, _ = finish_simplex_step(raw_i)
-            assert np.array_equal(batched[:, i], scalar)
 
 
 class TestBlockJoin:

@@ -5,14 +5,15 @@ so its JSON form must load back to the same value, and corrupting one field of
 a valid model must make construction fail with that field's violation. A run
 on any valid model, however stiff, returns a finite on-simplex history or
 raises one of the run-failure types, without numpy warnings. The
-unnormalized schemes are linear, so scaling their start weights leaves the
-normalized history unchanged. The Pade [13/13] ``expm`` behind the Gamma
-propagators agrees with scipy's on every drift matrix, and Gamma converges to
-zakai-langevin(-1) at first order. The tower check's vectorized path
-integrals equal those of one path at a time, bit for bit, on models with
-absorbing states, on paths without jumps and on jumps at grid nodes. A model
-warns once, when it is built, exactly when its initial law has a zero, and
-its read-only start weights floor that law as the schemes always did.
+unnormalized schemes are linear and the log-domain scheme shifts its state,
+so scaling their start weights leaves the normalized history unchanged. The
+Pade [13/13] ``expm`` behind the Gamma propagators agrees with scipy's on
+every drift matrix, and Gamma converges to zakai-langevin(-1) at first
+order. The tower check's vectorized path integrals equal those of one path
+at a time, bit for bit, on models with absorbing states, on paths without
+jumps and on jumps at grid nodes. A model warns once, when it is built,
+exactly when its initial law has a zero, and its read-only start weights
+floor that law as the schemes always did.
 """
 
 import json
@@ -206,7 +207,7 @@ def test_run_is_on_the_simplex_or_raises_a_run_failure(scheme, model, beta, n_st
 
 
 @PROPERTY
-@pytest.mark.parametrize("scheme", ["zakai-ito", "zakai-langevin", "gamma"])
+@pytest.mark.parametrize("scheme", ["zakai-ito", "zakai-langevin", "gamma", "log"])
 @given(model=models(), scale=st.floats(1e-100, 1e100), beta=st.floats(0.3, 1.0),
        seed=st.integers(0, 2**32 - 1))
 def test_scaled_start_weights_leave_the_probabilities(scheme, model, scale, beta, seed):

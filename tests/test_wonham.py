@@ -55,11 +55,6 @@ class TestWonhamStep:
             )
             assert abs(raw.sum() - 1.0) <= 1e-12
 
-    def test_unknown_variant_rejected(self):
-        state = FilterState(probs=np.array([0.5, 0.5]))
-        with pytest.raises(ValueError):
-            wonham_step(state, TELEGRAPH, 0.5, 1e-3, 0.0, sign_variant="typo")
-
     def test_kolmogorov_forward_limit_small(self):
         # beta^2 -> infinity decouples the filter from the observations
         cfg = ExperimentConfig(model=THREE_STATE, horizon=0.2, dt=1e-4, beta=1e4, master_seed=1)
@@ -131,11 +126,6 @@ class TestTelegraphSteps:
         stepped = telegraph_langevin_step(state, nu, 0.5, dt, 0.0)
         exact = 0.8 * np.exp(-2.0 * nu * dt)
         assert abs(stepped.q - exact) <= (2.0 * nu * dt) ** 3
-
-    def test_clamp_counter(self):
-        stepped = telegraph_ito_step(TelegraphState(q=0.9), 1.0, 0.5, 1e-3, 5.0)
-        assert stepped.q == 1.0
-        assert stepped.clamps == 1
 
     def test_q_range_validated(self):
         with pytest.raises(ValueError):
@@ -220,8 +210,3 @@ class TestStateValidation:
         for probs in ([0.5, 0.5 + 1e-8], [np.nan, 1.0]):
             with pytest.raises(ValueError, match="probabilities"):
                 state(probs=probs)
-
-    def test_nonfinite_increment_rejected(self):
-        state = FilterState(probs=np.array([0.5, 0.5]))
-        with pytest.raises(ValueError):
-            wonham_step(state, TELEGRAPH, 0.5, 1e-3, np.inf)
