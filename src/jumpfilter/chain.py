@@ -370,15 +370,15 @@ CHUNK_VALUES = 1 << 15
 def _add_step_integrals(seg_levels: np.ndarray, jump_times: np.ndarray, n_jumps: np.ndarray,
                         grid: np.ndarray, out: np.ndarray) -> None:
     """Add to row r of ``out`` (R, n) the per-step level integrals over
-    ``grid`` of path r, with the operations of :func:`step_level_integrals`.
+    ``grid`` of path r; the one integral routine of the CLI's trajectories
+    (:func:`step_level_integrals`, R = 1) and the tower check's replicas.
 
     The R paths are given flat, path after path: ``seg_levels`` holds the
     level of each of a path's ``n_jumps[r] + 1`` segments and ``jump_times``
-    its jump times. As :func:`_cumulative_level` does per path, the integral
-    at grid time g in segment j is  c_j + a_j (g - knot_j), where c_j sums
-    the areas of the path's segments before j left to right. Here the areas
-    are summed by ``cumsum`` along axis 1 of a zero-padded (rows, most
-    jumps) array, and segment j covers the grid points from
+    its jump times. The integral at grid time g in segment j is
+    c_j + a_j (g - knot_j), where c_j sums the areas of the path's segments
+    before j left to right, by ``cumsum`` along axis 1 of a zero-padded
+    (rows, most jumps) array. Segment j covers the grid points from
     ``grid.searchsorted(knot_j, "left")`` on, so c_j, a_j and knot_j are
     repeated over that run of points. Rows are done ``CHUNK_VALUES //
     grid.size`` at a time.
@@ -415,22 +415,14 @@ def _add_step_integrals(seg_levels: np.ndarray, jump_times: np.ndarray, n_jumps:
         out[lo:hi] += np.subtract(cum[:, 1:], cum[:, :-1])
 
 
-def _cumulative_level(seg_levels: np.ndarray, jump_times: np.ndarray, horizon: float,
-                      times: np.ndarray) -> np.ndarray:
-    """Exact values of  t -> integral_0^t a_{x(s)} ds  at the given times, for
-    the path with levels ``seg_levels`` between its ``jump_times``."""
-    edges = np.concatenate(([0.0], jump_times, [horizon]))
-    knots = edges[:-1]
-    cum_at_knots = np.concatenate(([0.0], (seg_levels * (edges[1:] - knots)).cumsum()))
-    idx = jump_times.searchsorted(times, side="right")
-    return cum_at_knots[idx] + seg_levels[idx] * (times - knots[idx])
-
-
 def step_level_integrals(path: JumpPath, model: ChainModel, dt: float, n_steps: int) -> np.ndarray:
-    """Exact per-step signal integrals over the uniform grid r*dt, r=0..n."""
-    cum = _cumulative_level(model.levels[path.states_visited], path.jump_times, path.horizon,
-                            _uniform_grid(n_steps, dt, path.horizon))
-    return cum[1:] - cum[:-1]
+    """Exact per-step signal integrals over the uniform grid r*dt, r=0..n:
+    :func:`_add_step_integrals` of the one path."""
+    out = np.zeros((1, n_steps))
+    _add_step_integrals(model.levels[path.states_visited], path.jump_times,
+                        np.array([len(path.jump_times)]),
+                        _uniform_grid(n_steps, dt, path.horizon), out)
+    return out[0]
 
 
 def _uniform_grid(n_steps: int, dt: float, horizon: float) -> np.ndarray:

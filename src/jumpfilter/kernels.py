@@ -12,8 +12,8 @@ the Python loop over the steps carries only the recurrence:
   vectorized pass before the loop (by default the increments themselves, as
   floats or as (R,) rows);
 * ``step(state, inputs) -> (state, clamped)``: one pure step over a (K,)
-  state, with no validation, doing only the work that the next step reads;
-  ``clamped`` counts floored entries;
+  state (or a (K, R) batch, see below), with no validation, doing only the
+  work that the next step reads; ``clamped`` counts floored entries;
 * ``probs(states, sums) -> (probs, extras)``: the normalized (rows, K)
   history and the scheme's extra columns, from the arrays that
   :func:`run_steps` wrote, in one vectorized pass after the loop that may
@@ -24,11 +24,11 @@ Building a kernel also checks dt and beta (:func:`check_step`), its options
 (:func:`check_signs`) and, through the kernel's ``check_model``, that the
 scheme can filter the model.
 
-Only wonham-ito also steps a batch of R replicas, held states-first (this
-module alone knows the layout) as a contiguous (K, R) array with one replica
-per column, so the operations of a step run along length-R rows instead of
-broadcasting over a length-K inner axis; ``start`` takes and ``probs``
-returns the (R, K) layout.
+:func:`run_steps` alone knows the batch layout: (n, R) increments run R
+copies of the state from ``start``, held states-first as a contiguous (K, R)
+array (so a step's operations run along length-R rows, not over a length-K
+inner axis), and come back as (rows, R, K). Only a kernel whose class sets
+``batches`` (wonham-ito) takes them.
 
 :func:`drive` runs any kernel over an increment record and applies the single
 error policy: finite increments at entry (:func:`check_increments`, a
@@ -362,6 +362,9 @@ class Kernel:
     # whether a state is (probs, presum), presum being the sums before the
     # renormalization that produced probs
     carries_presum = False
+    # whether ``step`` also takes a states-first (K, R) batch and an (R,) row
+    # of inputs, so that :func:`run_steps` runs (n, R) increments
+    batches = False
     # the public state type that ``start`` takes, and its attribute holding the array
     initial_state = ("FilterState", "probs")
 
@@ -479,6 +482,7 @@ class WonhamIto(Kernel):
 
     scheme = "wonham-ito"
     carries_presum = True
+    batches = True
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -487,12 +491,6 @@ class WonhamIto(Kernel):
         self.innovation = self.sign_variant == "innovation"
 
     def start(self, initial=None):
-        """(K,) from None or a FilterState; a (K, R) batch from an (R, K) array
-        of replica rows, each with the model's K and on the simplex (else
-        ValueError, as for a FilterState)."""
-        if isinstance(initial, np.ndarray) and initial.ndim == 2:
-            check_state_size(initial.shape[1], self.model)
-            return np.ascontiguousarray(check_probability_vector(initial).T), np.ones(len(initial))
         return super().start(initial), 1.0
 
     def step(self, state, dy):
@@ -503,12 +501,6 @@ class WonhamIto(Kernel):
         floored, total, clamped = floor_and_total(raw)
         presum = np.add.reduce(raw, axis=0) if clamped else total
         return (floored / total, presum), clamped
-
-    def probs(self, probs, _presum):
-        if probs.ndim == 3:
-            # (rows, K, R) batch history -> C-contiguous (rows, R, K)
-            probs = np.ascontiguousarray(probs.transpose(0, 2, 1))
-        return probs, {}
 
 
 class WonhamLangevin(Kernel):
@@ -745,7 +737,8 @@ class Trajectory:
     ``times`` is the grid r*dt, r = 0..n. ``probs`` holds the normalized rows
     (the final row only when no history is kept). ``extras`` may carry
     'log_weights' (n+1, K) for the Zakai schemes, 'q' (n+1,) for telegraph
-    schemes, and 'theta' for the log-domain scheme.
+    schemes, and 'theta' for the log-domain scheme. For (n, R) increments,
+    ``probs`` is (rows, R, K): each kept row holds the R replicas' states.
     ``presum_max_dev``/``presum_total_dev`` track the pre-renormalization
     simplex defect of Euler steps where that invariant applies.
     """
@@ -830,21 +823,34 @@ def run_steps(kernel: Kernel, state, dy: np.ndarray, keep_history: bool = True) 
     """Step ``kernel`` from ``state`` through the increments ``dy``; the run
     is not yet checked at exit.
 
-    ``dy`` is (n,) for one trajectory, or (n, R) for R replicas stepped as a
-    batch (wonham-ito only). The history is allocated once: an (n+1, *shape)
-    buffer for the state array and, for a state ``(array, sum)``, an
-    (n+1, *shape) column for the sum (the unnormalized kernels' scale,
-    wonham-ito's presum); step i writes row i. With ``keep_history`` false
-    the state buffer is one row, the last, and a batch folds its presum into
-    a :class:`_PresumTally`, so it allocates O(R K) beyond its increments.
+    ``dy`` is (n,) for one trajectory, or (n, R) for R copies of ``state``
+    stepped as a batch, by a kernel that ``batches`` only: a contiguous
+    states-first (K, R) array and an (R,) sum row, whose (rows, K, R) history
+    comes back as C-contiguous (rows, R, K). The history is allocated once:
+    an (n+1, *shape) buffer for the state array and, for a state ``(array,
+    sum)``, an (n+1, *shape) column for the sum (the unnormalized kernels'
+    scale, wonham-ito's presum); step i writes row i. With ``keep_history``
+    false the state buffer is one row, the last, and a batch folds its
+    presum into a :class:`_PresumTally`, so it allocates O(R K) beyond its
+    increments.
 
-    Raises ValueError for non-finite increments, before the first step.
+    Raises ValueError before the first step: for increments of another
+    shape (so (n, R) to a kernel that does not batch), and for non-finite
+    ones.
     """
+    batch = dy.ndim == 2
+    if not (dy.ndim == 1 or batch and kernel.batches):
+        shapes = "(n,) or (n, R)" if kernel.batches else "(n,)"
+        raise ValueError(f"{kernel.scheme} takes {shapes} increments, not {dy.shape}")
     check_increments(dy)
     n_rows = len(dy) + 1
     array, total = state if isinstance(state, tuple) else (state, None)
+    if batch:
+        array = np.repeat(array[:, None], dy.shape[1], axis=1)
+        total = None if total is None else np.full(dy.shape[1], total)
+        state = array if total is None else (array, total)
     states = _rows(array, n_rows, keep_history)
-    if total is None or keep_history or np.ndim(total) == 0:
+    if total is None or keep_history or not batch:
         sums = None if total is None else _rows(total, n_rows)
     else:
         sums = _PresumTally(total)
@@ -869,6 +875,8 @@ def run_steps(kernel: Kernel, state, dy: np.ndarray, keep_history: bool = True) 
             presum_devs = (float(devs.max()),
                            float(np.add.accumulate(devs, axis=0, out=devs)[-1].max()))
         probs, extras = kernel.probs(states if keep_history else states[-1:], sums)
+    if batch:
+        probs = np.ascontiguousarray(probs.transpose(0, 2, 1))
     return Trajectory(kernel.scheme, np.arange(n_rows) * kernel.dt, probs, clamps, *presum_devs,
                       extras=extras)
 

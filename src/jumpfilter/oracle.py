@@ -328,7 +328,8 @@ def _replica_block(task) -> tuple:
     drawn from its noise stream, then scaled; then
     :func:`jumpfilter.chain.add_path_integrals` adds the exact per-step
     signal integrals of the path drawn from its jump stream. The filter
-    reads the transpose view, one (R,) column per step.
+    runs from ``kernel.start()`` over the transpose view, one (R,) column
+    per step; :func:`jumpfilter.kernels.run_steps` makes the batch.
     """
     kernel, horizon, noise_words, jump_words = task
     model, dt = kernel.model, kernel.dt
@@ -338,5 +339,5 @@ def _replica_block(task) -> tuple:
         stream(words).standard_normal(row.size, out=row)
         row *= noise_scale
     final_states = add_path_integrals(model, horizon, dt, jump_words, increments)
-    start = kernel.start(np.tile(model.initial_dist, (len(increments), 1)))
-    return run_steps(kernel, start, increments.T, keep_history=False), model.levels[final_states]
+    return (run_steps(kernel, kernel.start(), increments.T, keep_history=False),
+            model.levels[final_states])

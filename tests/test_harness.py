@@ -954,7 +954,7 @@ def test_run_history_peaks_near_its_output():
 def test_batch_without_history_keeps_no_presum_column():
     # a batch's (n+1, R) presum column would be as large as its increments
     kernel = WonhamIto(TELEGRAPH, 1e-3, 0.5)
-    start = kernel.start(np.tile(TELEGRAPH.initial_dist, (500, 1)))
+    start = kernel.start()
     dy = 1e-3 + 0.5 * np.sqrt(1e-3) * np.random.default_rng(6).standard_normal((1000, 500))
     tracemalloc.start()
     try:
@@ -977,9 +977,7 @@ def test_presum_total_dev_sums_left_to_right(replicas, keep_history):
     kernel = Drifting(TELEGRAPH, 1e-3, 0.5)
     shape = (3000,) if replicas is None else (3000, replicas)
     dy = np.random.default_rng(7).uniform(-0.3, 0.3, shape)
-    start = kernel.start() if replicas is None else kernel.start(
-        np.tile(TELEGRAPH.initial_dist, (replicas, 1)))
-    run = run_steps(kernel, start, dy, keep_history)
+    run = run_steps(kernel, kernel.start(), dy, keep_history)
     presums = np.concatenate([np.ones((1, *shape[1:])), 1.0 + dy]).reshape(len(dy) + 1, -1)
     totals = []
     for column in presums.T.tolist():

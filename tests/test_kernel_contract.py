@@ -1,11 +1,12 @@
 """The one contract of every filter kernel, stated once over ``KERNELS``.
 
 The table of cases is every scheme of ``KERNELS`` with its history kept and
-not kept, plus the (K, R) replica batch of each kernel whose ``start`` takes
-one. The clauses follow the kernel rows of README "Where each check runs": a
-kernel is built only from valid options and a model it can filter; it starts
-from its own state type with the model's K; increments are finite before
-step 1; a history, extras included, is finite and on the simplex; the
+not kept, plus the replica batch, over (n, R) increments, of each kernel that
+batches. The clauses follow the kernel rows of README "Where each check
+runs": a kernel is built only from valid options and a model it can filter;
+it starts from its own state type with the model's K; only a kernel that
+batches takes (n, R) increments; increments are finite before step 1; a
+history, extras included, is finite and on the simplex; the
 wonham-ito pre-renormalization sum stays near 1; every floored entry is
 counted, and a run fails past the clamp budget. Then the equalities: a run
 without a history ends on the last kept row; the rows of a batch are the
@@ -52,6 +53,7 @@ from jumpfilter.kernels import (
     FilterInstabilityError,
     Kernel,
     check_run,
+    drive,
     on_simplex,
     run_steps,
 )
@@ -64,7 +66,7 @@ THREE = ChainModel(
     initial_dist=[0.5, 0.3, 0.2],
 )
 DT, BETA = 1e-3, 0.5
-# the kernels whose start takes an (R, K) array of replica rows
+# the kernels that run (n, R) increments as a batch of R replicas
 BATCHED = {"wonham-ito"}
 REPLICAS = 4
 # the kernels whose step floors an entry (or clamps q) on an increment of
@@ -98,13 +100,6 @@ def build(scheme: str, model: ChainModel | None = None, **options) -> Kernel:
     return KERNELS[scheme](model_of(scheme) if model is None else model, DT, BETA, **options)
 
 
-def start_of(kernel: Kernel, case: Case):
-    """The model's initial law, or R replica rows of it."""
-    if case.replicas is None:
-        return kernel.start()
-    return kernel.start(np.tile(kernel.model.initial_dist, (case.replicas, 1)))
-
-
 def increments(case: Case, profile, benign: float = 0.01) -> np.ndarray:
     """``profile`` as the increments of one trajectory, or as replica 1's
     column of a batch whose other replicas see ``benign`` at every step."""
@@ -118,7 +113,7 @@ def increments(case: Case, profile, benign: float = 0.01) -> np.ndarray:
 
 def unchecked(case: Case, dy: np.ndarray, kernel: Kernel | None = None):
     kernel = build(case.scheme) if kernel is None else kernel
-    return run_steps(kernel, start_of(kernel, case), dy, case.kept)
+    return run_steps(kernel, kernel.start(), dy, case.kept)
 
 
 def checked(case: Case, dy: np.ndarray):
@@ -186,34 +181,39 @@ def test_start_is_the_scheme_state_type_with_the_model_k(scheme):
         # the message names both K's; unchecked, the telegraph schemes would
         # read the first two of K+1 probabilities as q
         (bigger, f"the state has K={k + 1} entries but the model has K={k} states"),
-        # only a batch start takes an array, of (R, K) replica rows
+        # no start takes an array, not even replica rows: run_steps makes a batch
         (probs, f"{scheme} starts from a {wanted}, not a ndarray"),
+        (np.tile(probs, (3, 1)), f"{scheme} starts from a {wanted}, not a ndarray"),
         (np.tile(probs, (3, 1, 1)), f"{scheme} starts from a {wanted}, not a ndarray"),
     ]:
         with pytest.raises(ValueError, match=message):
             run_trajectory(model, grid, scheme, initial=given)
 
 
+def test_batched_is_the_set_of_kernels_that_batch():
+    assert BATCHED == {scheme for scheme, kernel in KERNELS.items() if kernel.batches}
+
+
 @pytest.mark.parametrize("scheme", KERNELS)
-def test_replica_rows_start_a_batch_only_where_the_kernel_takes_one(scheme):
-    model = model_of(scheme)
-    k = model.n_states
-    grid = grid_of(np.full(50, 0.01))
-    rows = np.tile(model.initial_dist, (3, 1))
-    if scheme not in BATCHED:
-        with pytest.raises(ValueError, match=f"{scheme} starts from a .*, not a ndarray"):
-            run_trajectory(model, grid, scheme, initial=rows)
-        return
-    probs, presums = build(scheme).start(rows)
-    assert bits(probs.T) == bits(rows) and bits(presums) == bits(np.ones(3))
-    # bad rows are a bad input (ValueError, exit 2), not a run failure
-    for bad, message in [
-        (np.full((3, k + 1), 1.0 / (k + 1)), f"K={k + 1} entries but the model has K={k}"),
-        (np.full((1, k), 0.9), "probabilities must be finite and nonnegative and sum to 1"),
-        (np.r_[[model.initial_dist], [[np.nan] + [0.9] * (k - 1)]], "probabilities must"),
-    ]:
-        with pytest.raises(ValueError, match=message):
-            run_trajectory(model, grid, scheme, initial=bad)
+def test_only_a_kernel_that_batches_takes_increment_columns(scheme):
+    kernel = build(scheme)
+    shapes = r"\(n,\) or \(n, R\)" if scheme in BATCHED else r"\(n,\)"
+    for dy in (np.zeros(()), np.zeros((20, 2, 2))):
+        with pytest.raises(ValueError, match=rf"{scheme} takes {shapes} increments, not \("):
+            drive(kernel, kernel.start(), dy)
+    # distinct columns, R = 2 and R = K = 3: a kernel that steps one path
+    # would feed replica r's increment to state r of a (K,) state
+    for replicas in (2, 3):
+        dy = 0.01 * np.arange(1, replicas + 1) * np.ones((20, 1))
+        if scheme not in BATCHED:
+            with pytest.raises(ValueError, match=rf"{scheme} takes \(n,\) increments, "
+                                                 rf"not \(20, {replicas}\)"):
+                drive(kernel, kernel.start(), dy)
+            continue
+        batch = drive(kernel, kernel.start(), dy)
+        assert batch.probs.shape == (21, replicas, kernel.model.n_states)
+        for r in range(replicas):
+            assert bits(batch.probs[:, r, :]) == bits(drive(kernel, kernel.start(), dy[:, r]).probs)
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +325,8 @@ def test_a_run_without_history_ends_on_the_last_kept_row(case):
     # bit for bit: the final row, its extras (log_weights, theta, q), the
     # clamps and the pre-sum statistics
     kernel = build(case.scheme)
-    start = start_of(kernel, case)
-    if case.replicas is None and kernel.initial_state[0] == "UnnormalizedState":
+    start = kernel.start()
+    if kernel.initial_state[0] == "UnnormalizedState":
         start = kernel.start(UnnormalizedState(psi=[0.6, 0.3, 0.1], log_normalizer=1.5))
     dy = 3e-4 + BETA * np.sqrt(DT) * np.random.default_rng(4).standard_normal(400)
     dy[[100, 200]] = [1.0, -1.0]  # clamps, where the scheme floors
@@ -374,7 +374,7 @@ def test_the_rows_of_a_batch_are_separate_runs(scheme, kept, k, seed, replicas, 
     model = random_model(rng, k)
     kernel = build(scheme, model, sign_variant=sign_variant)
     dy = random_increments(rng, model, BETA, DT, (60, replicas))
-    batch = run_steps(kernel, start_of(kernel, Case(scheme, kept, replicas)), dy, kept)
+    batch = run_steps(kernel, kernel.start(), dy, kept)
     singles = [run_steps(kernel, kernel.start(), dy[:, r], kept) for r in range(replicas)]
     assert batch.probs.shape == (61 if kept else 1, replicas, k)
     assert batch.clamps == sum(single.clamps for single in singles)
@@ -560,6 +560,8 @@ def reference_run(kernel, start, dy):
     with the clamp count and the pre-sum statistics: the largest |presum - 1|
     and the largest per-replica total, summed left to right."""
     step, prepare = REFERENCES[kernel.scheme](kernel)
+    if dy.ndim == 2:  # R copies of the start, states-first
+        start = np.tile(start[0][:, None], dy.shape[1]), np.full(dy.shape[1], start[1])
     history, state, clamps = [start], start, 0
     with np.errstate(**QUIET):
         for inputs in prepare(dy):
@@ -581,6 +583,8 @@ def reference_run(kernel, start, dy):
                 totals.append(total)
             presums = (float(devs.max()), max(totals))
         probs, extras = kernel.probs(states, sums)
+    if dy.ndim == 2:
+        probs = probs.transpose(0, 2, 1)
     return probs, extras, clamps, presums
 
 
@@ -597,7 +601,7 @@ def test_run_steps_equals_the_reference_loop_bitwise(case, k, beta, seed, correc
     else:
         model = random_model(rng, k)
     kernel = KERNELS[case.scheme](model, DT, beta, correction_sign, sign_variant)
-    start = start_of(kernel, case)
+    start = kernel.start()
     shape = (300,) if case.replicas is None else (300, case.replicas)
     dy = random_increments(rng, model, beta, DT, shape)
     run = run_steps(kernel, start, dy)

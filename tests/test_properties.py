@@ -9,9 +9,9 @@ unnormalized schemes are linear and the log-domain scheme shifts its state,
 so scaling their start weights leaves the normalized history unchanged. The
 Pade [13/13] ``expm`` behind the Gamma propagators agrees with scipy's on
 every drift matrix, and Gamma converges to zakai-langevin(-1) at first
-order. The tower check's vectorized path integrals equal those of one path
-at a time, bit for bit, on models with absorbing states, on paths without
-jumps and on jumps at grid nodes. A model warns once, when it is built,
+order. The vectorized path integrals equal those of an independent
+one-path reference, bit for bit, on models with absorbing states, on paths
+without jumps and on jumps at grid nodes. A model warns once, when it is built,
 exactly when its initial law has a zero, and its read-only start weights
 floor that law as the schemes always did.
 """
@@ -30,7 +30,7 @@ from scipy.linalg import expm as scipy_expm
 
 from jumpfilter import chain
 from jumpfilter.chain import (ChainModel, JumpPath, add_path_integrals, model_from_json,
-                              model_to_json, simulate_jump_path, step_level_integrals)
+                              model_to_json, simulate_jump_path)
 from jumpfilter.harness import SCHEMES, ExperimentConfig, run_trajectory, simulate_pair
 from jumpfilter.kernels import (
     SIMPLEX_TOLERANCE,
@@ -273,6 +273,25 @@ def jump_models(draw):
                       initial_dist=initial / initial.sum())
 
 
+def _cumulative_level(seg_levels: np.ndarray, jump_times: np.ndarray, horizon: float,
+                      times: np.ndarray) -> np.ndarray:
+    """Exact values of  t -> integral_0^t a_{x(s)} ds  at the given times, for
+    the path with levels ``seg_levels`` between its ``jump_times``."""
+    edges = np.concatenate(([0.0], jump_times, [horizon]))
+    knots = edges[:-1]
+    cum_at_knots = np.concatenate(([0.0], (seg_levels * (edges[1:] - knots)).cumsum()))
+    idx = jump_times.searchsorted(times, side="right")
+    return cum_at_knots[idx] + seg_levels[idx] * (times - knots[idx])
+
+
+def one_path_integrals(path: JumpPath, model: ChainModel, dt: float, n_steps: int) -> np.ndarray:
+    """The per-step level integrals of one path, from :func:`_cumulative_level`,
+    a per-path reference written apart from the package's vectorized routine."""
+    cum = _cumulative_level(model.levels[path.states_visited], path.jump_times, path.horizon,
+                            chain._uniform_grid(n_steps, dt, path.horizon))
+    return cum[1:] - cum[:-1]
+
+
 @PROPERTY
 @given(model=jump_models(), dt=st.floats(1e-3, 0.1), n_steps=st.integers(1, 300),
        replicas=st.integers(1, 40), master_seed=st.integers(0, 2**63 - 1),
@@ -288,7 +307,7 @@ def test_path_integrals_equal_one_path_at_a_time(model, dt, n_steps, replicas, m
     for r in range(replicas):
         path = simulate_jump_path(model, horizon, derive_rng(master_seed, r, ROLE_JUMP))
         expected = base[r].copy()
-        expected += step_level_integrals(path, model, dt, n_steps)
+        expected += one_path_integrals(path, model, dt, n_steps)
         assert out[r].tobytes() == expected.tobytes()
         assert final[r] == path.states_visited[-1]
 
@@ -318,7 +337,8 @@ def test_path_integrals_of_jumps_on_grid_nodes(model, dt, n_steps, seed, chunk, 
             np.concatenate([p.jump_times for p in paths]),
             np.array([p.n_jumps for p in paths]), grid, out)
     for row, path in zip(out, paths):
-        assert row.tobytes() == step_level_integrals(path, model, dt, n_steps).tobytes()
+        assert row.tobytes() == one_path_integrals(path, model, dt, n_steps).tobytes()
+        assert row.tobytes() == chain.step_level_integrals(path, model, dt, n_steps).tobytes()
 
 
 def test_hypothesis_profiles_fix_tier1_draws_and_explore_draws_fresh():

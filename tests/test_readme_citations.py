@@ -1,0 +1,23 @@
+"""README.md cites only tests that exist.
+
+Every ``tests/*.py`` path that README names is a file, and every ``test_*``
+name it gives is a test function defined in one of those files, so a renamed
+or deleted test fails here instead of leaving a stale citation.
+"""
+
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_readme_cites_only_tests_that_exist():
+    readme = (ROOT / "README.md").read_text()
+    paths = set(re.findall(r"\btests/[\w/]+\.py\b", readme))
+    # a name followed by ".py" is a module, cited by its path above
+    names = set(re.findall(r"\btest_\w+\b(?!\.py)", readme))
+    assert paths and names
+    assert sorted(p for p in paths if not (ROOT / p).is_file()) == []
+    defined = {name for source in (ROOT / "tests").glob("*.py")
+               for name in re.findall(r"^\s*def (test_\w+)", source.read_text(), re.M)}
+    assert sorted(names - defined) == []

@@ -95,7 +95,7 @@ def test_batched_rows_equal_separate_runs(model, seed, replicas):
         row[:] = step_level_integrals(path, model, dt, n_steps)
         row += beta * np.sqrt(dt) * rng.standard_normal(n_steps)
     kernel = WonhamIto(model, dt, beta)
-    start = kernel.start(np.tile(model.initial_dist, (replicas, 1)))
+    start = kernel.start()
     try:
         singles = [
             run_trajectory(model, ObservationGrid(dt, beta, row, np.zeros(n_steps),
