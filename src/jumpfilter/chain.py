@@ -29,6 +29,8 @@ __all__ = [
     "transition_matrix",
     "simulate_jump_path",
     "step_level_integrals",
+    "path_segments",
+    "segment_integrals",
     "add_path_integrals",
     "check_horizon",
     "check_jump_budget",
@@ -357,31 +359,26 @@ def add_path_integrals(model: ChainModel, horizon: float, dt: float, seed_words:
     visited = np.array(visited, dtype=np.intp)
     all_times = np.array(all_times, dtype=float)
     _check_paths(visited, all_times, n_jumps, horizon)
-    _add_step_integrals(model.levels[visited], all_times, n_jumps,
-                        _uniform_grid(out.shape[1], dt, horizon), out)
+    seg_levels = model.levels[visited]
+    _add_step_integrals(seg_levels, *_segment_table(seg_levels, all_times, n_jumps),
+                        n_jumps + 1, _uniform_grid(out.shape[1], dt, horizon), out)
     return visited[np.cumsum(n_jumps + 1) - 1]
 
 
-# Values per temporary array of :func:`_add_step_integrals`: 32 rows of a
-# 1000-step grid, 256 kB, so the few temporaries of a chunk stay under 1 MB.
+# Values per temporary array of :func:`_segment_table` and
+# :func:`_add_step_integrals`: 32 rows of a 1000-step grid, 256 kB, so the few
+# temporaries of a chunk stay under 1 MB.
 CHUNK_VALUES = 1 << 15
 
 
-def _add_step_integrals(seg_levels: np.ndarray, jump_times: np.ndarray, n_jumps: np.ndarray,
-                        grid: np.ndarray, out: np.ndarray) -> None:
-    """Add to row r of ``out`` (R, n) the per-step level integrals over
-    ``grid`` of path r; the one integral routine of the CLI's trajectories
-    (:func:`step_level_integrals`, R = 1) and the tower check's replicas.
-
-    The R paths are given flat, path after path: ``seg_levels`` holds the
-    level of each of a path's ``n_jumps[r] + 1`` segments and ``jump_times``
-    its jump times. The integral at grid time g in segment j is
-    c_j + a_j (g - knot_j), where c_j sums the areas of the path's segments
-    before j left to right, by ``cumsum`` along axis 1 of a zero-padded
-    (rows, most jumps) array. Segment j covers the grid points from
-    ``grid.searchsorted(knot_j, "left")`` on, so c_j, a_j and knot_j are
-    repeated over that run of points. Rows are done ``CHUNK_VALUES //
-    grid.size`` at a time.
+def _segment_table(seg_levels: np.ndarray, jump_times: np.ndarray,
+                   n_jumps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The knot (start time) of each segment of R paths given flat, path
+    after path (``seg_levels`` holds the level of each of a path's
+    ``n_jumps[r] + 1`` segments, ``jump_times`` its jump times), and c_j, the
+    integral of its path up to the knot: the areas of the path's segments
+    before j summed left to right, by ``cumsum`` along axis 1 of a
+    zero-padded (rows, most jumps) array, ``CHUNK_VALUES`` values at a time.
     """
     paths, segments = len(n_jumps), len(seg_levels)
     # path r's segments are edges[r]:edges[r + 1], its jumps edges[r] - r:edges[r + 1] - r - 1
@@ -393,12 +390,8 @@ def _add_step_integrals(seg_levels: np.ndarray, jump_times: np.ndarray, n_jumps:
     knots[inner] = jump_times
     ends = np.roll(inner, -1)  # the segments that end at a jump
     areas = seg_levels[ends] * (jump_times - knots[ends])
-    # each segment's run of grid points, as offsets into the flattened rows
-    starts = np.repeat(np.arange(paths) * grid.size, n_jumps + 1)
-    starts[inner] += grid.searchsorted(jump_times, side="left")
-    runs = np.diff(starts, append=paths * grid.size)
     cum_at_knots = np.zeros(segments)
-    rows = max(1, CHUNK_VALUES // grid.size)
+    rows = max(1, CHUNK_VALUES // max(1, int(n_jumps.max(initial=0))))
     for lo in range(0, paths, rows):
         hi = min(lo + rows, paths)
         jumps = slice(edges[lo] - lo, edges[hi] - hi)
@@ -406,7 +399,34 @@ def _add_step_integrals(seg_levels: np.ndarray, jump_times: np.ndarray, n_jumps:
         summed = np.zeros(padded.shape)
         summed[padded] = areas[jumps]
         cum_at_knots[inner_at[jumps]] = summed.cumsum(axis=1)[padded]
+    return knots, cum_at_knots
 
+
+def _add_step_integrals(seg_levels: np.ndarray, knots: np.ndarray, cum_at_knots: np.ndarray,
+                        n_segments: np.ndarray, grid: np.ndarray, out: np.ndarray) -> None:
+    """Add to row r of ``out`` (R, grid.size - 1) the per-step level
+    integrals over ``grid``, points of a uniform grid, of path r; the one
+    integral routine of the CLI's trajectories (one path, a block at a time,
+    :func:`segment_integrals`) and the tower check's replicas.
+
+    The segments are given flat, ``n_segments[r]`` of path r, by level, knot
+    and c_j (:func:`_segment_table`), a path's first at or before grid[0].
+    The integral at grid time g in segment j is c_j + a_j (g - knot_j), and
+    segment j covers the points from ``grid.searchsorted(knot_j, "left")``
+    on, so c_j, a_j and knot_j are repeated over that run of points. Rows are
+    done ``CHUNK_VALUES // grid.size`` at a time.
+    """
+    paths = len(n_segments)
+    edges = np.concatenate(([0], np.cumsum(n_segments)))
+    # each segment's run of grid points, as offsets into the flattened rows
+    bounds = np.empty(len(knots) + 1, dtype=np.intp)
+    bounds[:-1] = np.repeat(np.arange(paths) * grid.size, n_segments)
+    bounds[:-1] += grid.searchsorted(knots, side="left")
+    bounds[-1] = paths * grid.size
+    runs = bounds[1:] - bounds[:-1]
+    rows = max(1, CHUNK_VALUES // grid.size)
+    for lo in range(0, paths, rows):
+        hi = min(lo + rows, paths)
         chunk = slice(edges[lo], edges[hi])
         cum = np.repeat(knots[chunk], runs[chunk]).reshape(hi - lo, grid.size)
         np.subtract(grid, cum, out=cum)
@@ -415,20 +435,41 @@ def _add_step_integrals(seg_levels: np.ndarray, jump_times: np.ndarray, n_jumps:
         out[lo:hi] += np.subtract(cum[:, 1:], cum[:, :-1])
 
 
-def step_level_integrals(path: JumpPath, model: ChainModel, dt: float, n_steps: int) -> np.ndarray:
-    """Exact per-step signal integrals over the uniform grid r*dt, r=0..n:
-    :func:`_add_step_integrals` of the one path."""
-    out = np.zeros((1, n_steps))
-    _add_step_integrals(model.levels[path.states_visited], path.jump_times,
-                        np.array([len(path.jump_times)]),
-                        _uniform_grid(n_steps, dt, path.horizon), out)
+def path_segments(path: JumpPath, model: ChainModel) -> tuple:
+    """The level, knot and c_j of each segment of ``path``
+    (:func:`_segment_table`), for :func:`segment_integrals`."""
+    seg_levels = model.levels[path.states_visited]
+    return (seg_levels,
+            *_segment_table(seg_levels, path.jump_times, np.array([path.n_jumps])))
+
+
+def segment_integrals(segments: tuple, grid: np.ndarray) -> np.ndarray:
+    """The per-step level integrals over ``grid``, points of the uniform
+    grid, of the path of :func:`path_segments`, from the segments that meet
+    the grid only, so that a run synthesized in blocks costs O(n + jumps)."""
+    seg_levels, knots, cum_at_knots = segments
+    first = knots.searchsorted(grid[0], side="right") - 1
+    stop = knots.searchsorted(grid[-1], side="right")
+    out = np.zeros((1, grid.size - 1))
+    _add_step_integrals(seg_levels[first:stop], knots[first:stop], cum_at_knots[first:stop],
+                        np.array([stop - first]), grid, out)
     return out[0]
 
 
-def _uniform_grid(n_steps: int, dt: float, horizon: float) -> np.ndarray:
-    """The grid r*dt, r=0..n, its end capped at ``horizon``."""
-    grid = np.arange(n_steps + 1) * dt
-    grid[-1] = min(grid[-1], horizon)  # guard against rounding past the end
+def step_level_integrals(path: JumpPath, model: ChainModel, dt: float, n_steps: int) -> np.ndarray:
+    """Exact per-step signal integrals over the uniform grid r*dt, r=0..n:
+    :func:`segment_integrals` of the one path over the whole grid."""
+    return segment_integrals(path_segments(path, model), _uniform_grid(n_steps, dt, path.horizon))
+
+
+def _uniform_grid(n_steps: int, dt: float, horizon: float, lo: int = 0,
+                  hi: int | None = None) -> np.ndarray:
+    """The points r*dt, r = lo..hi (default 0..n), of the grid r*dt, r=0..n,
+    whose end is capped at ``horizon``."""
+    hi = n_steps if hi is None else hi
+    grid = np.arange(lo, hi + 1) * dt
+    if hi == n_steps:
+        grid[-1] = min(grid[-1], horizon)  # guard against rounding past the end
     return grid
 
 

@@ -13,6 +13,7 @@ import json
 import math
 import numbers
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -30,16 +31,18 @@ from .chain import (
     model_to_json,
     simulate_jump_path,
 )
-from .kernels import KERNELS, Trajectory, check_signs, check_step, drive
+from .kernels import KERNELS, Trajectory, check_run, check_signs, check_step, drive, run_steps
 from .seeding import ROLE_JUMP, ROLE_NOISE, derive_rng
 from .signalpath import (
     FLOAT,
     ObservationGrid,
     _step_count,
     coarsen,
-    cumulative_observation,
+    observation_blocks,
+    open_table,
     synthesize_observations,
     write_observations_csv,
+    write_rows,
     write_table,
 )
 
@@ -195,6 +198,28 @@ def _write_json(destination, payload: dict) -> None:
         fh.write("\n")
 
 
+@contextmanager
+def _committed(out: Path):
+    """Files written in ``out`` under temporary names, each moved onto its
+    name (``os.replace``) only when the block ends normally; ``temp(name)``
+    gives the temporary path of ``name``. If the block raises, each is
+    removed, so a failed run leaves no new, partial or temporary file."""
+    temps = {}
+
+    def temp(name: str) -> Path:
+        temps[name] = out / f".{name}.{os.getpid()}.tmp"
+        return temps[name]
+
+    try:
+        yield temp
+        for name, path in temps.items():
+            os.replace(path, out / name)
+    except BaseException:
+        for path in temps.values():
+            path.unlink(missing_ok=True)
+        raise
+
+
 def write_path_csv(path: JumpPath, destination) -> None:
     """Jump events as "k,t,state"; row 0 is the initial state at t=0."""
     write_table(
@@ -209,48 +234,87 @@ def write_path_csv(path: JumpPath, destination) -> None:
     )
 
 
-def write_trajectory_csv(
-    destination, grid: ObservationGrid, trajectory: Trajectory, model: ChainModel
-) -> None:
-    """Normalized trajectory as "r,t,y,x_level,p_1..p_K,xbar,map_state".
-
-    The x_level column repeats at most K values, so each distinct value (by
-    its bits, which keeps -0.0 apart from 0.0) is formatted once."""
-    probs = trajectory.probs
+def write_trajectory_csv(fh, rows: range, times, y, x_level: list, probs: np.ndarray,
+                         model: ChainModel) -> None:
+    """Rows ``rows`` of the normalized trajectory table
+    "r,t,y,x_level,p_1..p_K,xbar,map_state" to the open table ``fh``, from
+    their times, observations y, formatted signal levels at t, and probs."""
     k = probs.shape[1]
-    header = ["r", "t", "y", "x_level"] + [f"p_{j + 1}" for j in range(k)] + ["xbar", "map_state"]
-    x_bits, x_index = np.unique(np.append(grid.x_level, grid.x_level[-1]).view(np.uint64),
-                                return_inverse=True)
-    x_text = [FLOAT % x for x in x_bits.view(float).tolist()]
-    columns = [
-        range(len(trajectory.times)),
-        trajectory.times,
-        cumulative_observation(grid),
-        [x_text[i] for i in x_index.tolist()],
-        *probs.T,
-        probs @ model.levels,
-        np.argmax(probs, axis=1),
-    ]
-    write_table(destination, header, ["%d", FLOAT, FLOAT, "%s"] + [FLOAT] * k + [FLOAT, "%d"],
-                columns)
+    # numpy takes a one-row product through dot, which may round otherwise
+    xbar = (probs if len(probs) > 1 else np.repeat(probs, 2, axis=0)) @ model.levels
+    write_rows(fh, ["%d", FLOAT, FLOAT, "%s"] + [FLOAT] * k + [FLOAT, "%d"],
+               [rows, times, y, x_level, *probs.T, xbar[:len(probs)],
+                np.argmax(probs, axis=1)])
 
 
-def write_unnormalized_csv(destination, trajectory: Trajectory) -> None:
-    """Unnormalized trajectory as "r,t,psi_1..psi_K,log_normalizer".
+def write_unnormalized_csv(fh, rows: range, times, log_weights: np.ndarray) -> None:
+    """Rows ``rows`` of the unnormalized trajectory table
+    "r,t,psi_1..psi_K,log_normalizer" to the open table ``fh``.
 
     psi columns hold the rescaled weights (unit sum); log_normalizer restores
     the represented magnitude.
     """
-    log_weights = trajectory.extras["log_weights"]
-    k = log_weights.shape[1]
     top = log_weights.max(axis=1)
     psi = np.exp(log_weights - top[:, None])
     total = psi.sum(axis=1)
     psi /= total[:, None]
     log_norm = top + np.log(total)
-    header = ["r", "t"] + [f"psi_{j + 1}" for j in range(k)] + ["log_normalizer"]
-    columns = [range(len(trajectory.times)), trajectory.times, *psi.T, log_norm]
-    write_table(destination, header, ["%d"] + [FLOAT] * (k + 2), columns)
+    write_rows(fh, ["%d"] + [FLOAT] * (log_weights.shape[1] + 2),
+               [rows, times, *psi.T, log_norm])
+
+
+class _TrajectoryTables:
+    """The ``consume`` of a written filter run (:meth:`write`): the rows of
+    each block go to trajectory.csv as they come, in the unnormalized format
+    with estimates.csv beside it when the run carries log weights. Used as a
+    context, which closes the tables."""
+
+    def __init__(self, temp, path: JumpPath, model: ChainModel, dt: float, n_steps: int):
+        self.temp, self.path, self.model, self.dt, self.n_steps = temp, path, model, dt, n_steps
+        self.tables = {}
+        self.y = None  # y at the last row written, once a step has been
+        self.x_text = [FLOAT % level for level in model.levels.tolist()]
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *_exc):
+        for fh in self.tables.values():
+            fh.close()
+
+    def write(self, lo: int, dy: np.ndarray, probs: np.ndarray, extras: dict) -> None:
+        if not self.tables:
+            k = self.model.n_states
+            header = ["r", "t", "y", "x_level", *(f"p_{j + 1}" for j in range(k)), "xbar",
+                      "map_state"]
+            headers = {"trajectory.csv": header}
+            if "log_weights" in extras:
+                headers = {"trajectory.csv": ["r", "t", *(f"psi_{j + 1}" for j in range(k)),
+                                              "log_normalizer"], "estimates.csv": header}
+            for name, columns in headers.items():
+                self.tables[name] = open_table(self.temp(name), columns)
+        hi = lo + len(probs)
+        rows, times = range(lo, hi), np.arange(lo, hi) * self.dt
+        # y carries its running sum into the block's cumsum as its first element
+        if self.y is None:
+            y = np.cumsum(dy)
+        else:
+            y = np.cumsum(np.concatenate(([self.y], dy)))[1:]
+        if lo == 0:
+            y = np.concatenate(([0.0], y))
+        if len(dy):
+            self.y = y[-1]
+        # the signal's state at each t; at t=T, the state the path ends in
+        path = self.path
+        states = path.states_visited[path.jump_times.searchsorted(times, side="right")]
+        if hi == self.n_steps + 1:
+            states[-1] = path.states_visited[-1]
+        x_level = [self.x_text[state] for state in states.tolist()]
+        if "log_weights" in extras:
+            write_unnormalized_csv(self.tables["trajectory.csv"], rows, times,
+                                   extras["log_weights"])
+        write_trajectory_csv(self.tables.get("estimates.csv", self.tables["trajectory.csv"]),
+                             rows, times, y, x_level, probs, self.model)
 
 
 # ---------------------------------------------------------------------------
@@ -259,12 +323,17 @@ def write_unnormalized_csv(destination, trajectory: Trajectory) -> None:
 
 def simulate_pair(config: ExperimentConfig):
     """Signal path and observation grid of the config (replica 0 of its seed)."""
+    return _simulated(config, synthesize_observations)
+
+
+def _simulated(config: ExperimentConfig, synthesize):
+    """The config's signal path, drawn from replica 0's jump stream, and
+    ``synthesize(path, model, dt, beta, rng)`` on replica 0's noise stream:
+    the observation grid, or its blocks (:func:`observation_blocks`)."""
     seed = config.master_seed
     path = simulate_jump_path(config.model, config.horizon, derive_rng(seed, 0, ROLE_JUMP))
-    grid = synthesize_observations(
-        path, config.model, config.dt, config.beta, derive_rng(seed, 0, ROLE_NOISE)
-    )
-    return path, grid
+    return path, synthesize(path, config.model, config.dt, config.beta,
+                            derive_rng(seed, 0, ROLE_NOISE))
 
 
 def _out_dir(config: ExperimentConfig) -> Path:
@@ -275,49 +344,59 @@ def _out_dir(config: ExperimentConfig) -> Path:
 
 
 def run_simulate(config: ExperimentConfig) -> dict:
-    """Simulate one signal/observation pair and write both CSV files."""
+    """Simulate one signal/observation pair and write both CSV files, the
+    observations block by block as they are synthesized."""
     out = _out_dir(config)
-    path, grid = simulate_pair(config)
-    path_file = out / "path.csv"
-    obs_file = out / "observations.csv"
-    write_path_csv(path, path_file)
-    write_observations_csv(grid, obs_file)
-    return {"path_csv": str(path_file), "observations_csv": str(obs_file), "n_steps": grid.n_steps}
+    path, blocks = _simulated(config, observation_blocks)
+    with _committed(out) as temp:
+        write_path_csv(path, temp("path.csv"))
+        write_observations_csv(blocks, temp("observations.csv"))
+    return {"path_csv": str(out / "path.csv"), "observations_csv": str(out / "observations.csv"),
+            "n_steps": _step_count(config.horizon, config.dt)}
 
 
 def run_filter(config: ExperimentConfig, write: bool = True) -> tuple[Trajectory, dict]:
-    """Run the configured scheme on the config's simulated observations."""
-    _, grid = simulate_pair(config)
-    trajectory = run_trajectory(
-        config.model,
-        grid,
-        config.scheme,
-        correction_sign=config.correction_sign,
-        sign_variant=config.sign_variant,
-    )
-    report = {
+    """Run the configured scheme on the config's simulated observations,
+    each block of steps as it is synthesized
+    (:func:`jumpfilter.kernels.run_steps`), so that memory does not grow with
+    the number of steps. The returned run keeps its final row.
+
+    With ``write``, each block's rows are written as they come
+    (:class:`_TrajectoryTables`) under temporary names, which become
+    trajectory.csv (and estimates.csv for a scheme with log weights) and
+    run_report.json only once the exit checks pass.
+    """
+    path, blocks = _simulated(config, observation_blocks)
+    kernel = _kernel(config.scheme)(config.model, config.dt, config.beta,
+                                    config.correction_sign, config.sign_variant)
+    increments = (grid.dy for grid in blocks)
+    if not write:
+        trajectory = check_run(run_steps(kernel, kernel.start(), increments))
+        return trajectory, _filter_report(config, trajectory)
+    out = _out_dir(config)
+    with _committed(out) as temp:
+        n_steps = _step_count(config.horizon, config.dt)
+        with _TrajectoryTables(temp, path, config.model, config.dt, n_steps) as tables:
+            trajectory = check_run(run_steps(kernel, kernel.start(), increments, tables.write))
+        report = _filter_report(config, trajectory)
+        for name in tables.tables:
+            report[name.replace(".", "_")] = str(out / name)
+        _write_json(temp("run_report.json"), report)
+    return trajectory, report
+
+
+def _filter_report(config: ExperimentConfig, trajectory: Trajectory) -> dict:
+    return {
         "scheme": config.scheme,
         "correction_sign": config.correction_sign,
         "sign_variant": config.sign_variant,
         "clamps": trajectory.clamps,
-        "n_steps": grid.n_steps,
-        "dt": grid.dt,
-        "beta": grid.beta,
+        "n_steps": trajectory.n_steps,
+        "dt": config.dt,
+        "beta": config.beta,
         "master_seed": config.master_seed,
         "presum_max_dev": trajectory.presum_max_dev,
     }
-    if write:
-        out = _out_dir(config)
-        if "log_weights" in trajectory.extras:
-            write_unnormalized_csv(out / "trajectory.csv", trajectory)
-            write_trajectory_csv(out / "estimates.csv", grid, trajectory, config.model)
-            report["trajectory_csv"] = str(out / "trajectory.csv")
-            report["estimates_csv"] = str(out / "estimates.csv")
-        else:
-            write_trajectory_csv(out / "trajectory.csv", grid, trajectory, config.model)
-            report["trajectory_csv"] = str(out / "trajectory.csv")
-        _write_json(out / "run_report.json", report)
-    return trajectory, report
 
 
 def _field(run: Trajectory, field: str) -> np.ndarray:

@@ -7,37 +7,40 @@ the Python loop over the steps carries only the recurrence:
 
 * ``start(initial)``: the kernel state at t=0, from None (the model's
   initial law) or a state of the scheme's ``initial_state`` type;
-* ``prepare(dy)``: the per-step inputs of a run through the increments
-  ``dy``, every term that depends on the increment alone, computed in one
-  vectorized pass before the loop (by default the increments themselves, as
-  floats or as (R,) rows);
+* ``prepare(dy)``: the per-step inputs of a block of increments ``dy``,
+  every term that depends on the increment alone, computed in one
+  vectorized pass before the block's steps (by default the increments
+  themselves, as floats or as (R,) rows);
 * ``step(state, inputs) -> (state, clamped)``: one pure step over a (K,)
   state (or a (K, R) batch, see below), with no validation, doing only the
   work that the next step reads; ``clamped`` counts floored entries;
 * ``probs(states, sums) -> (probs, extras)``: the normalized (rows, K)
-  history and the scheme's extra columns, from the arrays that
-  :func:`run_steps` wrote, in one vectorized pass after the loop that may
-  overwrite them, including the work that is only ever written out (the
-  running log normalizer of the Zakai schemes).
+  rows of a block and the scheme's extra columns, from the arrays that
+  :func:`run_steps` wrote, in one vectorized pass after the block's steps
+  that may overwrite them, including the work that is only ever written out
+  (the running log normalizer of the Zakai schemes, whose row 0 carries the
+  previous block's sum in).
 
 Building a kernel also checks dt and beta (:func:`check_step`), its options
 (:func:`check_signs`) and, through the kernel's ``check_model``, that the
 scheme can filter the model.
 
-:func:`run_steps` alone knows the batch layout: (n, R) increments run R
-copies of the state from ``start``, held states-first as a contiguous (K, R)
-array (so a step's operations run along length-R rows, not over a length-K
-inner axis), and come back as (rows, R, K). Only a kernel whose class sets
-``batches`` (wonham-ito) takes them.
+:func:`run_steps` is the one loop. It steps a run ``BLOCK_ROWS`` rows at a
+time and hands each block on, so no array of a run grows with its length;
+:func:`drive` keeps every block, a written ``filter`` writes each, and the
+tower check keeps the final row. It alone knows the batch layout: (n, R)
+increments run R copies of the state from ``start``, held states-first as a
+contiguous (K, R) array (so a step's operations run along length-R rows,
+not over a length-K inner axis), and come back as (rows, R, K). Only a
+kernel whose class sets ``batches`` (wonham-ito) takes them.
 
-:func:`drive` runs any kernel over an increment record and applies the single
-error policy: finite increments at entry (:func:`check_increments`, a
-ValueError), then at exit :func:`check_run`: :func:`check_states` and the
-clamp budget, whose failures raise FilterInstabilityError. The loop alone is
-:func:`run_steps`, and :func:`check_run` joins the runs of replica blocks
-itself, so a batch stepped in blocks (the tower check) is checked once, as
-one batch would be. No step checks anything; :func:`step_once` runs the same
-:func:`check_states` on the state it steps to.
+The single error policy: finite increments before they are stepped
+(:func:`check_increments`, a ValueError), then the faults of the rows, the
+pre-sum statistics and the clamps, folded as the run goes, raised at exit by
+:func:`check_run` as FilterInstabilityError. :func:`check_run` joins the
+runs of replica blocks itself, so a batch stepped in blocks (the tower
+check) is checked once, as one batch would be. No step checks anything;
+:func:`step_once` runs the same checks on the state it steps to.
 
 The arithmetic of each scheme lives here exactly once; the public step
 functions of :mod:`jumpfilter.zakai`, :mod:`jumpfilter.wonham` and
@@ -74,12 +77,15 @@ __all__ = [
     "FilterInstabilityError",
     "GammaRangeError",
     "KERNELS",
+    "BLOCK_ROWS",
     "Trajectory",
+    "block_steps",
     "check_increments",
     "check_run",
     "check_signs",
     "check_step",
     "drive",
+    "run_history",
     "run_steps",
     "step_once",
 ]
@@ -730,26 +736,42 @@ KERNELS = {
 # driver
 
 
+# Rows that a run steps, normalizes, checks and hands on at a time; synthesis
+# draws and a table formats this many rows at a time too, so that no array of
+# a run grows with its length (512 rows of K=8 floats are 32 kB).
+BLOCK_ROWS = 512
+
+
 @dataclass(eq=False)
 class Trajectory:
-    """Result of :func:`drive`: the checked history and its statistics.
+    """Result of a run: the rows kept, its statistics and its faults.
 
-    ``times`` is the grid r*dt, r = 0..n. ``probs`` holds the normalized rows
-    (the final row only when no history is kept). ``extras`` may carry
-    'log_weights' (n+1, K) for the Zakai schemes, 'q' (n+1,) for telegraph
-    schemes, and 'theta' for the log-domain scheme. For (n, R) increments,
-    ``probs`` is (rows, R, K): each kept row holds the R replicas' states.
-    ``presum_max_dev``/``presum_total_dev`` track the pre-renormalization
-    simplex defect of Euler steps where that invariant applies.
+    ``times`` is the grid r*dt, r = 0..n_steps. ``probs`` holds the normalized
+    rows kept: every row for :func:`drive` and :func:`run_history`, the final
+    row for :func:`run_steps`. ``extras`` may carry 'log_weights' (rows, K)
+    for the Zakai schemes, 'q' (rows,) for telegraph schemes, and 'theta' for
+    the log-domain scheme. For (n, R) increments, ``probs`` is (rows, R, K):
+    each kept row holds the R replicas' states. ``presum_max_dev`` and
+    ``presum_total_dev`` track the pre-renormalization simplex defect of
+    Euler steps where that invariant applies. ``nonfinite`` and
+    ``off_simplex`` record whether a checked row, extras included, was not
+    finite or was off the simplex; :func:`check_run` raises them.
     """
 
     scheme: str
-    times: np.ndarray
+    dt: float
+    n_steps: int
     probs: np.ndarray
     clamps: int = 0
     presum_max_dev: float = 0.0
     presum_total_dev: float = 0.0
     extras: dict = field(default_factory=dict)
+    nonfinite: bool = False
+    off_simplex: bool = False
+
+    @property
+    def times(self) -> np.ndarray:
+        return np.arange(self.n_steps + 1) * self.dt
 
 
 # Kernels step with numpy's floating-point warnings off: a state that overflows
@@ -760,27 +782,37 @@ QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
 def step_once(kernel: Kernel, state, dy):
     """One kernel step over the increment ``dy`` (through ``prepare``), with numpy's
-    floating-point warnings off; ValueError unless ``dy`` is finite, then
-    :func:`check_states` of the stepped state as a one-row history."""
+    floating-point warnings off; ValueError unless ``dy`` is finite, then the
+    checks of a run's rows (:func:`raise_faults`) on the stepped state as a
+    one-row history, with its presum for wonham-ito."""
     dy = np.array([dy], dtype=float)
     check_increments(dy)
     with np.errstate(**QUIET):
         (inputs,) = kernel.prepare(dy)
         stepped = kernel.step(state, inputs)
         array, total = stepped[0] if isinstance(stepped[0], tuple) else (stepped[0], None)
-        probs, extras = kernel.probs(_rows(array, 1), None if total is None else _rows(total, 1))
-    check_states(kernel.scheme, probs, extras, abs(total - 1.0) if kernel.carries_presum else 0.0)
+        probs, extras = kernel.probs(np.array([array], dtype=float),
+                                     None if total is None else np.array([total], dtype=float))
+    raise_faults(kernel.scheme, *faults(probs, extras),
+                 abs(total - 1.0) if kernel.carries_presum else 0.0)
     return stepped
 
 
-def check_states(scheme: str, probs: np.ndarray, extras: dict, presum_max_dev=0.0) -> None:
+def faults(probs: np.ndarray, extras: dict) -> tuple[bool, bool]:
+    """Whether ``probs`` or an extra holds a non-finite value, and whether a
+    row of ``probs`` is not :func:`on_simplex`."""
+    return (not all(np.isfinite(v).all() for v in (probs, *extras.values())),
+            not on_simplex(probs))
+
+
+def raise_faults(scheme: str, nonfinite: bool, off_simplex: bool, presum_max_dev) -> None:
     """The one check of filter states, for a run or for one step: raises
-    FilterInstabilityError unless ``probs`` and every extra are finite, every
-    row of ``probs`` is :func:`on_simplex`, and ``presum_max_dev``, the largest
-    deviation |presum - 1| (wonham-ito), is at most PRESUM_TOLERANCE, not NaN."""
-    if not all(np.isfinite(v).all() for v in (probs, *extras.values())):
+    FilterInstabilityError for the first fault, in this order: a non-finite
+    state or extra, a row off the simplex, ``presum_max_dev`` (the largest
+    |presum - 1|, wonham-ito) above PRESUM_TOLERANCE or NaN."""
+    if nonfinite:
         raise FilterInstabilityError(f"{scheme}: the filter state became non-finite")
-    if not on_simplex(probs):
+    if off_simplex:
         raise FilterInstabilityError(f"{scheme}: probabilities left the simplex")
     if not presum_max_dev <= PRESUM_TOLERANCE:  # NaN fails too
         raise FilterInstabilityError(
@@ -789,105 +821,163 @@ def check_states(scheme: str, probs: np.ndarray, extras: dict, presum_max_dev=0.
         )
 
 
-def _rows(first, n_rows: int, kept: bool = True) -> np.ndarray:
-    """An (n_rows, *shape) buffer with ``first`` as row 0; unless ``kept``,
-    its rows are views of one row, the last one written."""
-    rows = np.empty((n_rows if kept else 1, *np.shape(first)))
-    rows[0] = first
-    return rows if kept else np.lib.stride_tricks.as_strided(
-        rows, (n_rows, *rows.shape[1:]), (0, *rows.strides[1:]))
-
-
-class _PresumTally:
-    """The presum column of a batch without a kept history, which would be as
-    large as its increments: writing a row folds |presum - 1| into the
-    per-replica running maximum and total."""
-
-    def __init__(self, first: np.ndarray):
-        self.worst = np.abs(first - 1.0)
-        self.total = self.worst.copy()
-
-    def __setitem__(self, _row: int, presum: np.ndarray) -> None:
-        devs = np.abs(presum - 1.0)
-        np.maximum(self.worst, devs, out=self.worst)
-        self.total += devs
-
-
 def drive(kernel: Kernel, state, dy: np.ndarray) -> Trajectory:
     """Step ``kernel`` from ``state`` through the increments ``dy``, keeping
-    every step, then check: :func:`check_run` of :func:`run_steps`."""
-    return check_run(run_steps(kernel, state, dy))
+    every row, then check: :func:`check_run` of :func:`run_history`."""
+    return check_run(run_history(kernel, state, dy))
 
 
-def run_steps(kernel: Kernel, state, dy: np.ndarray, keep_history: bool = True) -> Trajectory:
-    """Step ``kernel`` from ``state`` through the increments ``dy``; the run
-    is not yet checked at exit.
+def run_history(kernel: Kernel, state, dy: np.ndarray) -> Trajectory:
+    """:func:`run_steps` over the array ``dy``, unchecked, keeping every row
+    in one (n+1)-row buffer per array, ``probs`` and each extra."""
+    batch_of(kernel, dy)  # the buffers take their length from dy
+    kept = {}
 
-    ``dy`` is (n,) for one trajectory, or (n, R) for R copies of ``state``
-    stepped as a batch, by a kernel that ``batches`` only: a contiguous
-    states-first (K, R) array and an (R,) sum row, whose (rows, K, R) history
-    comes back as C-contiguous (rows, R, K). The history is allocated once:
-    an (n+1, *shape) buffer for the state array and, for a state ``(array,
-    sum)``, an (n+1, *shape) column for the sum (the unnormalized kernels'
-    scale, wonham-ito's presum); step i writes row i. With ``keep_history``
-    false the state buffer is one row, the last, and a batch folds its
-    presum into a :class:`_PresumTally`, so it allocates O(R K) beyond its
-    increments.
+    def keep(lo, _dy, probs, extras):
+        for name, rows in (("probs", probs), *extras.items()):
+            if name not in kept:
+                kept[name] = np.empty((len(dy) + 1, *rows.shape[1:]))
+            kept[name][lo:lo + len(rows)] = rows
 
-    Raises ValueError before the first step: for increments of another
-    shape (so (n, R) to a kernel that does not batch), and for non-finite
-    ones.
-    """
+    run = run_steps(kernel, state, dy, keep)
+    return replace(run, probs=kept.pop("probs"), extras=kept)
+
+
+def batch_of(kernel: Kernel, dy: np.ndarray) -> bool:
+    """Whether ``dy`` is (n, R), a batch; ValueError unless it is (n,) or,
+    for a kernel that ``batches``, (n, R)."""
     batch = dy.ndim == 2
     if not (dy.ndim == 1 or batch and kernel.batches):
         shapes = "(n,) or (n, R)" if kernel.batches else "(n,)"
         raise ValueError(f"{kernel.scheme} takes {shapes} increments, not {dy.shape}")
-    check_increments(dy)
-    n_rows = len(dy) + 1
-    array, total = state if isinstance(state, tuple) else (state, None)
-    if batch:
-        array = np.repeat(array[:, None], dy.shape[1], axis=1)
-        total = None if total is None else np.full(dy.shape[1], total)
-        state = array if total is None else (array, total)
-    states = _rows(array, n_rows, keep_history)
-    if total is None or keep_history or not batch:
-        sums = None if total is None else _rows(total, n_rows)
+    return batch
+
+
+def block_steps(n_steps: int, rows: int | None = None):
+    """The steps (lo, hi) of each block of a run of ``n_steps``: block k
+    holds rows k*rows.. (default BLOCK_ROWS), row 0 being the start, and a
+    last block of fewer than 4 rows joins the one before. BLAS may round a
+    row of a matrix-vector product by its place in a group of 4 rows, and
+    otherwise in a product of fewer (OpenBLAS at K >= 8), so a product over
+    each block rounds as one over the run when ``rows`` is a multiple of 4.
+    """
+    rows = BLOCK_ROWS if rows is None else rows
+    starts = list(range(0, n_steps + 1, rows))
+    if len(starts) > 1 and n_steps + 1 - starts[-1] < 4:
+        starts.pop()
+    for lo, hi in zip(starts, starts[1:] + [n_steps + 1]):
+        yield max(lo - 1, 0), hi - 1
+
+
+def _checked(kernel: Kernel, blocks):
+    """The increment ``blocks``, each checked for its shape and finiteness as it comes."""
+    for block in blocks:
+        batch_of(kernel, block)
+        check_increments(block)
+        yield block
+
+
+def run_steps(kernel: Kernel, state, dy, consume=None) -> Trajectory:
+    """Step ``kernel`` from ``state`` through the increments ``dy``, one
+    block of rows (:func:`block_steps`) at a time; unchecked at exit.
+
+    ``dy`` is (n,) for one trajectory, or (n, R) for R copies of ``state``
+    stepped as a batch, by a kernel that ``batches`` only: a contiguous
+    states-first (K, R) array and an (R,) sum row, whose rows come back as
+    (rows, R, K); or an iterable of such blocks, synthesized as the run goes.
+
+    A block of m steps writes rows 1..m of a buffer for the state array and,
+    for a state ``(array, sum)``, one for the sum; row 0 carries the
+    start or the previous block's last row, so the Zakai log normalizer and
+    the pre-sum total enter the block's ``np.add.accumulate`` as its first
+    element. ``probs`` normalizes the block, and ``consume(lo, dy, probs,
+    extras)`` gets its new rows lo.. as views that the next block overwrites.
+    The rows handed on, or without ``consume`` the final row alone, which
+    the returned run keeps, are checked (:func:`faults`); faults, clamps and
+    pre-sum statistics are folded for :func:`check_run` to raise.
+
+    Raises ValueError before the first step for an array ``dy`` of another
+    shape (so (n, R) to a kernel that does not batch) or with a non-finite
+    increment, and for such a block of an iterable before its steps.
+    """
+    if isinstance(dy, np.ndarray):
+        batch_of(kernel, dy)
+        check_increments(dy)
+        # a batch's row holds R states: at most 64 BLOCK_ROWS states a block
+        rows_per_block = BLOCK_ROWS if dy.ndim == 1 else max(
+            1, min(BLOCK_ROWS, 64 * BLOCK_ROWS // dy.shape[1]))
+        blocks = (dy[lo:hi] for lo, hi in block_steps(len(dy), rows_per_block))
     else:
-        sums = _PresumTally(total)
+        blocks = _checked(kernel, dy)
+    array, total = state if isinstance(state, tuple) else (state, None)
     step = kernel.step
-    clamps = 0
+    clamps = rows = last = 0
+    nonfinite = off_simplex = False
+    presum_max = presum_total = 0.0
     with np.errstate(**QUIET):
-        # the loop holds the prepared inputs and releases them when it ends
-        for i, inputs in enumerate(kernel.prepare(dy), 1):
-            state, clamped = step(state, inputs)
-            clamps += clamped
-            if sums is None:
-                states[i] = state
+        for block in blocks:
+            first = 0 if rows == 0 else 1
+            if rows == 0:
+                batch = block.ndim == 2
+                if batch:
+                    array = np.repeat(array[:, None], block.shape[1], axis=1)
+                    total = None if total is None else np.full(block.shape[1], total)
+                    state = array if total is None else (array, total)
+                head = array, total
             else:
-                states[i], sums[i] = state
-        presum_devs = ()
-        if isinstance(sums, _PresumTally):
-            presum_devs, sums = (float(sums.worst.max()), float(sums.total.max())), None
-        elif kernel.carries_presum:
-            # |presum - 1| in one temporary, then summed left to right in place
-            devs = sums - 1.0
-            np.abs(devs, out=devs)
-            presum_devs = (float(devs.max()),
-                           float(np.add.accumulate(devs, axis=0, out=devs)[-1].max()))
-        probs, extras = kernel.probs(states if keep_history else states[-1:], sums)
-    if batch:
-        probs = np.ascontiguousarray(probs.transpose(0, 2, 1))
-    return Trajectory(kernel.scheme, np.arange(n_rows) * kernel.dt, probs, clamps, *presum_devs,
-                      extras=extras)
+                head = states[last], None if total is None else sums[last]
+            # the blocks after the first take up to 4 steps more (block_steps)
+            if rows == 0 or len(block) >= len(states):
+                states = np.empty((len(block) + 5, *np.shape(array)))
+                if total is not None:
+                    sums = np.empty((len(block) + 5, *np.shape(total)))
+            states[0] = head[0]
+            if total is not None:
+                sums[0] = head[1]
+            for i, inputs in enumerate(kernel.prepare(block), 1):
+                state, clamped = step(state, inputs)
+                clamps += clamped
+                if total is None:
+                    states[i] = state
+                else:
+                    states[i], sums[i] = state
+            last = len(block)
+            if kernel.carries_presum:
+                # |presum - 1| in one temporary, then summed left to right in place
+                devs = sums[:last + 1] - 1.0
+                np.abs(devs, out=devs)
+                presum_max = np.maximum(presum_max, devs[first:].max())
+                if first:
+                    devs[0] = presum_total
+                presum_total = np.add.accumulate(devs, axis=0, out=devs)[last]
+            probs, extras = kernel.probs(states[:last + 1],
+                                         None if total is None else sums[:last + 1])
+            if batch:
+                probs = probs.transpose(0, 2, 1)
+            if consume is not None:
+                probs_on, extras_on = probs[first:], {k: v[first:] for k, v in extras.items()}
+                block_nonfinite, block_off_simplex = faults(probs_on, extras_on)
+                nonfinite |= block_nonfinite
+                off_simplex |= block_off_simplex
+                consume(rows, block, probs_on, extras_on)
+            rows += last + 1 - first
+    final = slice(last, last + 1)
+    probs = np.array(probs[final], order="C")
+    extras = {name: np.array(v[final], order="C") for name, v in extras.items()}
+    if consume is None:
+        nonfinite, off_simplex = faults(probs, extras)
+    return Trajectory(kernel.scheme, kernel.dt, rows - 1, probs, clamps, float(presum_max),
+                      float(np.max(presum_total)), extras, nonfinite, off_simplex)
 
 
 def check_run(*runs: Trajectory) -> Trajectory:
-    """The exit checks of a :func:`run_steps` run, and the run once they pass.
-    The final-state runs of replica blocks are first joined into one batch:
-    probs and extras along replica axis 1, clamps summed, pre-sum statistics
-    maxed. Then :func:`check_states` (its pre-sum guard on ``presum_max_dev``)
-    and the clamp budget, which raises FilterInstabilityError when over
-    CLAMP_FAILURE_FRACTION of replica-steps clamp."""
+    """The exit checks of a run, and the run once they pass. The final-row
+    runs of replica blocks are first joined into one batch: probs and extras
+    along replica axis 1, clamps summed, pre-sum statistics maxed, faults
+    joined. Then :func:`raise_faults` (the pre-sum guard on
+    ``presum_max_dev``) and the clamp budget, which raises
+    FilterInstabilityError when over CLAMP_FAILURE_FRACTION of replica-steps
+    clamp."""
     run = runs[0]
     if len(runs) > 1:
         run = replace(run, probs=np.concatenate([r.probs for r in runs], axis=1),
@@ -895,9 +985,11 @@ def check_run(*runs: Trajectory) -> Trajectory:
                       presum_max_dev=float(np.max([r.presum_max_dev for r in runs])),
                       presum_total_dev=float(np.max([r.presum_total_dev for r in runs])),
                       extras={name: np.concatenate([r.extras[name] for r in runs], axis=1)
-                              for name in run.extras})
-    check_states(run.scheme, run.probs, run.extras, run.presum_max_dev)
-    replica_steps = (len(run.times) - 1) * (run.probs[0].size // run.probs.shape[-1])
+                              for name in run.extras},
+                      nonfinite=any(r.nonfinite for r in runs),
+                      off_simplex=any(r.off_simplex for r in runs))
+    raise_faults(run.scheme, run.nonfinite, run.off_simplex, run.presum_max_dev)
+    replica_steps = run.n_steps * (run.probs[0].size // run.probs.shape[-1])
     if run.clamps > CLAMP_FAILURE_FRACTION * replica_steps:
         raise FilterInstabilityError(
             f"{run.scheme}: {run.clamps} clamp events over {replica_steps} steps exceeds the "

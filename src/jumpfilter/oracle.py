@@ -339,5 +339,5 @@ def _replica_block(task) -> tuple:
         stream(words).standard_normal(row.size, out=row)
         row *= noise_scale
     final_states = add_path_integrals(model, horizon, dt, jump_words, increments)
-    return (run_steps(kernel, kernel.start(), increments.T, keep_history=False),
+    return (run_steps(kernel, kernel.start(), increments.T),
             model.levels[final_states])

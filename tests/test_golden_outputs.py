@@ -8,13 +8,18 @@ ladder it holds), re-recorded when the Gamma kernel was re-based at every
 step and again when its propagators exp(+-A dt) moved from scipy's ``expm``
 to the package's own Pade [13/13] ``kernels.expm`` (gamma probabilities
 moved by at most 3.9e-15). Any change to the arithmetic, its operation
-order, or the CSV/JSON emission changes a digest.
+order, or the CSV/JSON emission changes a digest. The runs synthesize, step
+and write their rows in blocks of ``kernels.BLOCK_ROWS``; every digest holds
+at blocks of 1 row, of 7 rows and of more rows than any run has.
 """
 
 import hashlib
 import json
 
-from jumpfilter import ChainModel, telegraph_model
+import numpy as np
+import pytest
+
+from jumpfilter import ChainModel, kernels, telegraph_model
 from jumpfilter.cli import main
 from jumpfilter.harness import SCHEMES, ExperimentConfig
 
@@ -120,8 +125,16 @@ def digests(tmp_path) -> dict:
     }
 
 
-def test_cli_outputs_match_golden_digests(tmp_path, monkeypatch):
+# the default block, and blocks of 1 row, 7 rows and more rows than any run has
+BLOCKS = pytest.mark.parametrize("rows", [None, 1, 7, 10**6],
+                                 ids=["default", "1-row", "7-row", "whole"])
+
+
+@BLOCKS
+def test_cli_outputs_match_golden_digests(tmp_path, monkeypatch, rows):
     monkeypatch.chdir(tmp_path)
+    if rows is not None:
+        monkeypatch.setattr(kernels, "BLOCK_ROWS", rows)
     assert produce_outputs(tmp_path) == GOLDEN
 
 
@@ -184,8 +197,11 @@ GOLDEN_K5 = {
 }
 
 
-def test_five_state_outputs_match_golden_digests(tmp_path, monkeypatch):
+@BLOCKS
+def test_five_state_outputs_match_golden_digests(tmp_path, monkeypatch, rows):
     monkeypatch.chdir(tmp_path)
+    if rows is not None:
+        monkeypatch.setattr(kernels, "BLOCK_ROWS", rows)
     for scheme in SCHEMES:
         if not scheme.startswith("telegraph"):
             config = _write_config(tmp_path, scheme, FIVE_STATE, scheme)
@@ -194,3 +210,31 @@ def test_five_state_outputs_match_golden_digests(tmp_path, monkeypatch):
     assert main(["convergence", "--config", five, "--halvings", "2", "--out", "study"]) == 0
     assert main(["adjudicate", "--config", five, "--out", "study"]) in (0, 3)
     assert digests(tmp_path) == GOLDEN_K5
+
+
+# The K=8 model of the benchmark's filter-k8 workload. From K=8 on, OpenBLAS
+# rounds a row of the xbar column's matrix-vector product by its place in a
+# group of 4 rows, so blocks hold their rows' groups when they start at
+# multiples of a multiple of 4. At T=0.512 the last block of 512-row blocks
+# would hold 1 row, and joins the one before it.
+K8_RATES = np.random.default_rng(0).uniform(0.1, 1.0, size=(8, 8))
+np.fill_diagonal(K8_RATES, 0.0)
+K8 = ChainModel(levels=np.linspace(-1.0, 1.0, 8), rates=K8_RATES, initial_dist=np.full(8, 1 / 8))
+
+
+def k8_filter_outputs(tmp_path) -> dict:
+    for scheme in SCHEMES:
+        if not scheme.startswith("telegraph"):
+            config = ExperimentConfig(model=K8, horizon=0.512, dt=1e-3, beta=0.5, scheme=scheme,
+                                      master_seed=3, out_dir="unused")
+            (tmp_path / "k8.json").write_text(json.dumps(config.to_json()))
+            assert main(["filter", "--config", "k8.json", "--out", f"filter/{scheme}"]) == 0
+    return digests(tmp_path)
+
+
+@pytest.mark.parametrize("rows", [4, 64, 10**6], ids=["4-row", "64-row", "whole"])
+def test_k8_outputs_hold_at_blocks_of_a_multiple_of_4_rows(tmp_path, monkeypatch, rows):
+    monkeypatch.chdir(tmp_path)
+    default = k8_filter_outputs(tmp_path)
+    monkeypatch.setattr(kernels, "BLOCK_ROWS", rows)
+    assert k8_filter_outputs(tmp_path) == default

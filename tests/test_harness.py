@@ -25,10 +25,10 @@ from jumpfilter import (
     predict,
     telegraph_model,
 )
-from jumpfilter import fanout, harness
+from jumpfilter import fanout, harness, kernels
 from jumpfilter.cli import main
-from jumpfilter.kernels import KERNELS, WonhamIto, drive, run_steps
-from jumpfilter.signalpath import ObservationGrid
+from jumpfilter.kernels import KERNELS, WonhamIto, drive, run_history, run_steps
+from jumpfilter.signalpath import ObservationGrid, observation_blocks
 from jumpfilter.zakai import FilterInstabilityError
 from jumpfilter.harness import (
     SCHEMES,
@@ -227,7 +227,7 @@ class TestRunFilter:
 
     def test_q_stays_in_range_over_run(self, tmp_path):
         config = telegraph_config(horizon=5.0, scheme="wonham-ito", out_dir=str(tmp_path))
-        trajectory, _ = run_filter(config, write=False)
+        trajectory = run_trajectory(TELEGRAPH, simulate_pair(config)[1], "wonham-ito")
         q = trajectory.probs[:, 0] - trajectory.probs[:, 1]
         assert np.all(np.abs(q) <= 1.0)
 
@@ -253,12 +253,26 @@ class TestRunFilter:
         header = (tmp_path / "trajectory.csv").read_text().splitlines()[0]
         assert header == "r,t,y,x_level,p_1,p_2,xbar,map_state"
 
+    def test_the_last_row_holds_the_level_at_t_equals_T(self, tmp_path):
+        # the row at t=T used to repeat the level at the start of the last
+        # step; this path jumps at t=0.4924, inside the last step
+        model = telegraph_model(5.0)
+        config = ExperimentConfig(model=model, horizon=0.5, dt=0.01, beta=0.5,
+                                  out_dir=str(tmp_path))
+        path, grid = simulate_pair(config)
+        assert 0.49 < path.jump_times[-1] < 0.5 and grid.x_level[-1] == -1.0
+        run_filter(config)
+        rows = [line.split(",") for line in (tmp_path / "trajectory.csv").read_text().splitlines()]
+        assert rows[0][3] == "x_level"
+        assert [float(row[3]) for row in rows[1:-1]] == grid.x_level.tolist()
+        assert float(rows[-1][3]) == model.levels[path.states_visited[-1]] == 1.0
+
     def test_uninformative_model_matches_forward_solution(self):
         # equal levels: observation terms vanish algebraically, so the filter
         # trajectory is the forward-equation solution (same Euler mesh)
         model = ChainModel(levels=[0.5, 0.5], rates=TELEGRAPH.rates, initial_dist=[0.9, 0.1])
         config = ExperimentConfig(model=model, horizon=1.0, dt=1e-4, beta=0.5, master_seed=2)
-        trajectory, _ = run_filter(config, write=False)
+        trajectory = run_trajectory(model, simulate_pair(config)[1], config.scheme)
         ref = np.empty_like(trajectory.probs)
         ref[0] = model.initial_dist
         for r in range(trajectory.probs.shape[0] - 1):
@@ -935,6 +949,95 @@ class TestCli:
         assert "config ok" in proc.stdout
 
 
+# The K=8 model of the benchmark's kernel probe and filter-k8 workload.
+PROBE_RATES = np.random.default_rng(0).uniform(0.1, 1.0, size=(8, 8))
+np.fill_diagonal(PROBE_RATES, 0.0)
+PROBE_K8 = ChainModel(levels=np.linspace(-1.0, 1.0, 8), rates=PROBE_RATES,
+                      initial_dist=np.full(8, 1.0 / 8))
+
+
+@pytest.mark.parametrize("scheme", [s for s in SCHEMES if harness._filters(s, PROBE_K8)])
+def test_filter_memory_does_not_grow_with_the_run(tmp_path, scheme):
+    # filter synthesizes, steps and writes a block of rows at a time; it used
+    # to hold its whole grid, inputs, history and written columns, and peaked
+    # at 1.1-1.3 MB of allocations at 2,000 steps, 3.5-5.7 MB at 20,000
+    peaks = []
+    for horizon in (2.0, 20.0):
+        config = ExperimentConfig(model=PROBE_K8, horizon=horizon, dt=1e-3, beta=0.5,
+                                  scheme=scheme, out_dir=str(tmp_path))
+        tracemalloc.start()
+        try:
+            run_filter(config)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 0.25 * 2**20
+
+
+class TestFailedRunsWriteNothing:
+    """filter and simulate write each file under a temporary name and move it
+    onto its name only once the run has passed its exit checks."""
+
+    @pytest.fixture
+    def point_mass(self, tmp_path):
+        # the log scheme overflows from the floored point mass (exit 3)
+        with pytest.warns(UserWarning, match="floored"):
+            model = ChainModel(levels=[1.0, -1.0], rates=TELEGRAPH.rates, initial_dist=[1.0, 0.0])
+        file = tmp_path / "point-mass.json"
+        file.write_text(json.dumps(telegraph_config(model=model, horizon=0.05, scheme="log",
+                                                    out_dir=str(tmp_path / "out")).to_json()))
+        return file
+
+    @pytest.mark.parametrize("rows", [None, 7], ids=["one-block", "7-row-blocks"])
+    def test_a_failed_filter_leaves_no_file(self, tmp_path, monkeypatch, capsys, point_mass,
+                                            rows):
+        if rows is not None:
+            monkeypatch.setattr(kernels, "BLOCK_ROWS", rows)
+        out = tmp_path / "out"
+        with pytest.warns(UserWarning, match="floored"):
+            assert main(["filter", "--config", str(point_mass)]) == 3
+        assert list(out.iterdir()) == []
+        # nor does it touch the files of an earlier run
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(telegraph_config(horizon=0.05, out_dir=str(out)).to_json()))
+        assert main(["filter", "--config", str(good)]) == 0
+        written = {file.name: file.read_bytes() for file in out.iterdir()}
+        assert sorted(written) == ["run_report.json", "trajectory.csv"]
+        with pytest.warns(UserWarning, match="floored"):
+            assert main(["filter", "--config", str(point_mass)]) == 3
+        assert {file.name: file.read_bytes() for file in out.iterdir()} == written
+
+    def test_a_filter_that_raises_leaves_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(kernels, "BLOCK_ROWS", 7)
+        writes = []
+
+        def failing(*args):
+            writes.append(args[1])
+            if len(writes) == 3:
+                raise OSError("disk full")
+            write(*args)
+
+        write = harness.write_trajectory_csv
+        monkeypatch.setattr(harness, "write_trajectory_csv", failing)
+        with pytest.raises(OSError, match="disk full"):
+            run_filter(telegraph_config(horizon=0.05, out_dir=str(tmp_path)))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_simulate_that_raises_leaves_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(kernels, "BLOCK_ROWS", 7)
+
+        def failing(*args):
+            blocks = observation_blocks(*args)
+            yield next(blocks)
+            yield next(blocks)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(harness, "observation_blocks", failing)
+        with pytest.raises(OSError, match="disk full"):
+            run_simulate(telegraph_config(horizon=0.05, out_dir=str(tmp_path)))
+        assert list(tmp_path.iterdir()) == []
+
+
 def test_run_history_peaks_near_its_output():
     # a run used to keep one Python (state, scale) tuple per step and stack the
     # list after the loop, peaking at ~6x its output and increments at any length
@@ -958,7 +1061,7 @@ def test_batch_without_history_keeps_no_presum_column():
     dy = 1e-3 + 0.5 * np.sqrt(1e-3) * np.random.default_rng(6).standard_normal((1000, 500))
     tracemalloc.start()
     try:
-        run_steps(kernel, start, dy, keep_history=False)
+        run_steps(kernel, start, dy)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -966,8 +1069,8 @@ def test_batch_without_history_keeps_no_presum_column():
 
 
 @pytest.mark.parametrize("replicas", [None, 3])
-@pytest.mark.parametrize("keep_history", [True, False])
-def test_presum_total_dev_sums_left_to_right(replicas, keep_history):
+@pytest.mark.parametrize("run_of", [run_history, run_steps])
+def test_presum_total_dev_sums_left_to_right(replicas, run_of):
     # a 1-d np.add.reduce sums pairwise, with other bits than the running
     # total of a batch without a history
     class Drifting(WonhamIto):
@@ -977,7 +1080,7 @@ def test_presum_total_dev_sums_left_to_right(replicas, keep_history):
     kernel = Drifting(TELEGRAPH, 1e-3, 0.5)
     shape = (3000,) if replicas is None else (3000, replicas)
     dy = np.random.default_rng(7).uniform(-0.3, 0.3, shape)
-    run = run_steps(kernel, kernel.start(), dy, keep_history)
+    run = run_of(kernel, kernel.start(), dy)
     presums = np.concatenate([np.ones((1, *shape[1:])), 1.0 + dy]).reshape(len(dy) + 1, -1)
     totals = []
     for column in presums.T.tolist():

@@ -55,6 +55,7 @@ from jumpfilter.kernels import (
     check_run,
     drive,
     on_simplex,
+    run_history,
     run_steps,
 )
 from jumpfilter.signalpath import ObservationGrid
@@ -111,9 +112,14 @@ def increments(case: Case, profile, benign: float = 0.01) -> np.ndarray:
     return dy
 
 
+def runner(kept: bool):
+    """The unchecked run that keeps every row, or the one that keeps the final row."""
+    return run_history if kept else run_steps
+
+
 def unchecked(case: Case, dy: np.ndarray, kernel: Kernel | None = None):
     kernel = build(case.scheme) if kernel is None else kernel
-    return run_steps(kernel, kernel.start(), dy, case.kept)
+    return runner(case.kept)(kernel, kernel.start(), dy)
 
 
 def checked(case: Case, dy: np.ndarray):
@@ -271,7 +277,7 @@ def test_rows_off_the_simplex_fail_the_run(kept):
             return state * 1.5, 0
 
     with pytest.raises(FilterInstabilityError, match="inflating: probabilities left the simplex"):
-        check_run(run_steps(Inflating(None, DT, BETA), np.array([0.5, 0.5]), np.zeros(3), kept))
+        check_run(runner(kept)(Inflating(None, DT, BETA), np.array([0.5, 0.5]), np.zeros(3)))
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +337,8 @@ def test_a_run_without_history_ends_on_the_last_kept_row(case):
     dy = 3e-4 + BETA * np.sqrt(DT) * np.random.default_rng(4).standard_normal(400)
     dy[[100, 200]] = [1.0, -1.0]  # clamps, where the scheme floors
     dy = increments(case, dy)
-    full = run_steps(kernel, start, dy)
-    last = run_steps(kernel, start, dy, keep_history=False)
+    full = run_history(kernel, start, dy)
+    last = run_steps(kernel, start, dy)
     assert bits(last.probs) == bits(full.probs[-1:])
     assert last.extras.keys() == full.extras.keys()
     for name, rows in full.extras.items():
@@ -374,8 +380,8 @@ def test_the_rows_of_a_batch_are_separate_runs(scheme, kept, k, seed, replicas, 
     model = random_model(rng, k)
     kernel = build(scheme, model, sign_variant=sign_variant)
     dy = random_increments(rng, model, BETA, DT, (60, replicas))
-    batch = run_steps(kernel, kernel.start(), dy, kept)
-    singles = [run_steps(kernel, kernel.start(), dy[:, r], kept) for r in range(replicas)]
+    batch = runner(kept)(kernel, kernel.start(), dy)
+    singles = [runner(kept)(kernel, kernel.start(), dy[:, r]) for r in range(replicas)]
     assert batch.probs.shape == (61 if kept else 1, replicas, k)
     assert batch.clamps == sum(single.clamps for single in singles)
     if k > 3:
@@ -604,7 +610,7 @@ def test_run_steps_equals_the_reference_loop_bitwise(case, k, beta, seed, correc
     start = kernel.start()
     shape = (300,) if case.replicas is None else (300, case.replicas)
     dy = random_increments(rng, model, beta, DT, shape)
-    run = run_steps(kernel, start, dy)
+    run = run_history(kernel, start, dy)
     probs, extras, clamps, presums = reference_run(kernel, start, dy)
     assert bits(run.probs) == bits(probs)
     assert run.extras.keys() == extras.keys()
@@ -683,7 +689,7 @@ def test_each_public_step_is_its_drive_row_bitwise(scheme, k, seed, correction_s
         state = step(state, increment, model)
         rows.append(row(state))
     kernel = KERNELS[scheme](model, dt, beta, correction_sign, sign_variant)
-    run = run_steps(kernel, kernel.start(), dy)
+    run = run_history(kernel, kernel.start(), dy)
     assert bits(run.probs) == bits([probs for probs, _ in rows])
     assert run.clamps == getattr(state, "clamps", 0)
     extras = [extra for _, extra in rows]

@@ -345,7 +345,7 @@ class TestBlockJoin:
         increments[:, 2 * bad_block + 1] = dy
         failures = []
         for edges in ([0, 4], [0, 2, 4]):
-            runs = [run_steps(kernel, kernel.start(), increments[:, lo:hi], keep_history=False)
+            runs = [run_steps(kernel, kernel.start(), increments[:, lo:hi])
                     for lo, hi in zip(edges, edges[1:])]
             with pytest.raises(FilterInstabilityError, match=match) as raised:
                 check_run(*runs)

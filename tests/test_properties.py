@@ -331,11 +331,12 @@ def test_path_integrals_of_jumps_on_grid_nodes(model, dt, n_steps, seed, chunk, 
             states.append((states[-1] + rng.integers(1, model.n_states)) % model.n_states)
         paths.append(JumpPath(states[0], times, states[1:], horizon))
     out = np.zeros((len(paths), n_steps))
+    seg_levels = model.levels[np.concatenate([p.states_visited for p in paths])]
+    n_jumps = np.array([p.n_jumps for p in paths])
     with mock.patch.object(chain, "CHUNK_VALUES", chunk):
-        chain._add_step_integrals(
-            model.levels[np.concatenate([p.states_visited for p in paths])],
-            np.concatenate([p.jump_times for p in paths]),
-            np.array([p.n_jumps for p in paths]), grid, out)
+        table = chain._segment_table(seg_levels, np.concatenate([p.jump_times for p in paths]),
+                                     n_jumps)
+        chain._add_step_integrals(seg_levels, *table, n_jumps + 1, grid, out)
     for row, path in zip(out, paths):
         assert row.tobytes() == one_path_integrals(path, model, dt, n_steps).tobytes()
         assert row.tobytes() == chain.step_level_integrals(path, model, dt, n_steps).tobytes()

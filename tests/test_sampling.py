@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from jumpfilter.chain import ChainModel, _choice_cdf, simulate_jump_path, step_level_integrals
 from jumpfilter.harness import run_trajectory
-from jumpfilter.kernels import FilterInstabilityError, WonhamIto, check_run, drive, run_steps
+from jumpfilter.kernels import (FilterInstabilityError, WonhamIto, check_run, drive, run_history,
+                                run_steps)
 from jumpfilter.signalpath import ObservationGrid
 
 PROPERTY = settings(max_examples=40, deadline=None)
@@ -107,11 +108,11 @@ def test_batched_rows_equal_separate_runs(model, seed, replicas):
         with pytest.raises(FilterInstabilityError):
             drive(kernel, start, dy.T)
         return
-    for keep_history in (True, False):
-        batch = check_run(run_steps(kernel, start, dy.T, keep_history))
+    for run, kept in ((run_history, slice(None)), (run_steps, slice(-1, None))):
+        batch = check_run(run(kernel, start, dy.T))
         assert batch.probs.flags.c_contiguous
         for r, single in enumerate(singles):
-            expected = single.probs if keep_history else single.probs[-1:]
+            expected = single.probs[kept]
             got = batch.probs[:, r, :]
             assert np.abs(got - expected).max() <= 1e-15
             if model.n_states <= 3:

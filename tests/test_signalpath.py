@@ -11,8 +11,8 @@ from jumpfilter import (
     write_observations_csv,
 )
 from jumpfilter.chain import step_level_integrals
-from jumpfilter.signalpath import (FLOAT, ROWS_PER_WRITE, ObservationGrid,
-                                   cumulative_observation, write_table)
+from jumpfilter.kernels import BLOCK_ROWS
+from jumpfilter.signalpath import FLOAT, ObservationGrid, cumulative_observation, write_table
 
 TELEGRAPH = telegraph_model(1.0)
 
@@ -80,10 +80,10 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(x_level, grid.x_level)
 
 
-@pytest.mark.parametrize("n", [0, 1, ROWS_PER_WRITE - 1, ROWS_PER_WRITE, ROWS_PER_WRITE + 1,
-                               2 * ROWS_PER_WRITE + 1])
+@pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                               2 * BLOCK_ROWS + 1])
 def test_table_rows_span_write_blocks(tmp_path, n):
-    # rows are formatted ROWS_PER_WRITE at a time: none is lost or repeated
+    # rows are formatted BLOCK_ROWS at a time: none is lost or repeated
     # at a block's edge
     values = np.arange(n) / 7.0
     file = tmp_path / "table.csv"
