@@ -30,7 +30,6 @@ from .chain import (
 from .signalpath import (
     ObservationGrid,
     coarsen,
-    synthesize_from_brownian,
     synthesize_observations,
     write_observations_csv,
 )
@@ -58,8 +57,7 @@ _LAZY = {
 __all__ = [
     "ChainModel", "JumpPath", "ReducibleChainError", "model_from_json", "model_to_json",
     "simulate_jump_path", "stationary_distribution", "telegraph_model", "transition_matrix",
-    "ObservationGrid", "coarsen", "synthesize_from_brownian", "synthesize_observations",
-    "write_observations_csv",
+    "ObservationGrid", "coarsen", "synthesize_observations", "write_observations_csv",
     *_LAZY,
 ]
 

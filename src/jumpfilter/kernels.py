@@ -39,12 +39,11 @@ The single error policy: finite increments before they are stepped
 pre-sum statistics and the clamps, folded as the run goes, raised at exit by
 :func:`check_run` as FilterInstabilityError. :func:`check_run` joins the
 runs of replica blocks itself, so a batch stepped in blocks (the tower
-check) is checked once, as one batch would be. No step checks anything;
-:func:`step_once` runs the same checks on the state it steps to.
+check) is checked once, as one batch would be. No step checks anything.
 
-The arithmetic of each scheme lives here exactly once; the public step
-functions of :mod:`jumpfilter.zakai`, :mod:`jumpfilter.wonham` and
-:mod:`jumpfilter.oracle` are R=1 wrappers over these kernels, through
+The arithmetic of each scheme lives here exactly once, and so does the loop:
+the public step functions of :mod:`jumpfilter.zakai`, :mod:`jumpfilter.wonham`
+and :mod:`jumpfilter.oracle` are one-step runs of these kernels, through
 :func:`step_once`. A step takes its products through ``ndarray.dot`` (the
 BLAS call of ``@`` without the matmul dispatch) and reads per-run decisions
 made at build. Hoisting keeps the operation order of every expression
@@ -66,7 +65,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .chain import FLOOR, ChainModel, transition_matrix
+from .chain import CHUNK_VALUES, FLOOR, ChainModel, transition_matrix
 
 __all__ = [
     "FLOOR",
@@ -385,10 +384,9 @@ class Kernel:
         self.half_dt = 0.5 * dt
         self.correction_sign = correction_sign
         self.sign_variant = sign_variant
-        if model is not None:
-            self.check_model(model)
-            self.generator = model.generator
-            self.levels = model.levels
+        self.check_model(model)
+        self.generator = model.generator
+        self.levels = model.levels
 
     @staticmethod
     def check_model(model: ChainModel) -> None:
@@ -635,15 +633,11 @@ class Gamma(_Unnormalized):
 
 class _Telegraph(Kernel):
     """State q = p_plus - p_minus of the symmetric two-state chain, a float;
-    the switching rate is ``nu``, finite and nonnegative, or the model's."""
+    the switching rate nu is the model's."""
 
-    def __init__(self, model, dt, beta, correction_sign=-1, sign_variant="innovation",
-                 nu=None):
-        super().__init__(model, dt, beta, correction_sign, sign_variant)
-        self.nu = float(model.rates[0, 1]) if nu is None else nu
-        if not 0 <= self.nu < np.inf:
-            raise ValueError(f"nu must be finite and nonnegative, not {nu!r}")
-        self.minus_two_nu = -2.0 * self.nu
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.minus_two_nu = -2.0 * float(self.model.rates[0, 1])
 
     @staticmethod
     def check_model(model: ChainModel) -> None:
@@ -755,7 +749,8 @@ class Trajectory:
     ``presum_total_dev`` track the pre-renormalization simplex defect of
     Euler steps where that invariant applies. ``nonfinite`` and
     ``off_simplex`` record whether a checked row, extras included, was not
-    finite or was off the simplex; :func:`check_run` raises them.
+    finite or was off the simplex; :func:`check_run` raises them. ``state``
+    is the kernel state after the last step (None for joined replica blocks).
     """
 
     scheme: str
@@ -768,6 +763,7 @@ class Trajectory:
     extras: dict = field(default_factory=dict)
     nonfinite: bool = False
     off_simplex: bool = False
+    state: object = None
 
     @property
     def times(self) -> np.ndarray:
@@ -781,21 +777,12 @@ QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
 
 def step_once(kernel: Kernel, state, dy):
-    """One kernel step over the increment ``dy`` (through ``prepare``), with numpy's
-    floating-point warnings off; ValueError unless ``dy`` is finite, then the
-    checks of a run's rows (:func:`raise_faults`) on the stepped state as a
-    one-row history, with its presum for wonham-ito."""
-    dy = np.array([dy], dtype=float)
-    check_increments(dy)
-    with np.errstate(**QUIET):
-        (inputs,) = kernel.prepare(dy)
-        stepped = kernel.step(state, inputs)
-        array, total = stepped[0] if isinstance(stepped[0], tuple) else (stepped[0], None)
-        probs, extras = kernel.probs(np.array([array], dtype=float),
-                                     None if total is None else np.array([total], dtype=float))
-    raise_faults(kernel.scheme, *faults(probs, extras),
-                 abs(total - 1.0) if kernel.carries_presum else 0.0)
-    return stepped
+    """``(state, clamped)`` after one step over the increment ``dy``: the
+    :func:`run_steps` run over it, then :func:`raise_faults` of its one row
+    (no clamp budget)."""
+    run = run_steps(kernel, state, np.array([dy], dtype=float))
+    raise_faults(kernel.scheme, run.nonfinite, run.off_simplex, run.presum_max_dev)
+    return run.state, run.clamps
 
 
 def faults(probs: np.ndarray, extras: dict) -> tuple[bool, bool]:
@@ -830,7 +817,6 @@ def drive(kernel: Kernel, state, dy: np.ndarray) -> Trajectory:
 def run_history(kernel: Kernel, state, dy: np.ndarray) -> Trajectory:
     """:func:`run_steps` over the array ``dy``, unchecked, keeping every row
     in one (n+1)-row buffer per array, ``probs`` and each extra."""
-    batch_of(kernel, dy)  # the buffers take their length from dy
     kept = {}
 
     def keep(lo, _dy, probs, extras):
@@ -894,7 +880,8 @@ def run_steps(kernel: Kernel, state, dy, consume=None) -> Trajectory:
     extras)`` gets its new rows lo.. as views that the next block overwrites.
     The rows handed on, or without ``consume`` the final row alone, which
     the returned run keeps, are checked (:func:`faults`); faults, clamps and
-    pre-sum statistics are folded for :func:`check_run` to raise.
+    pre-sum statistics are folded for :func:`check_run` to raise, and the
+    returned run keeps the kernel state after the last step as ``state``.
 
     Raises ValueError before the first step for an array ``dy`` of another
     shape (so (n, R) to a kernel that does not batch) or with a non-finite
@@ -903,9 +890,9 @@ def run_steps(kernel: Kernel, state, dy, consume=None) -> Trajectory:
     if isinstance(dy, np.ndarray):
         batch_of(kernel, dy)
         check_increments(dy)
-        # a batch's row holds R states: at most 64 BLOCK_ROWS states a block
+        # a batch's row holds R states: at most CHUNK_VALUES states a block
         rows_per_block = BLOCK_ROWS if dy.ndim == 1 else max(
-            1, min(BLOCK_ROWS, 64 * BLOCK_ROWS // dy.shape[1]))
+            1, min(BLOCK_ROWS, CHUNK_VALUES // dy.shape[1]))
         blocks = (dy[lo:hi] for lo, hi in block_steps(len(dy), rows_per_block))
     else:
         blocks = _checked(kernel, dy)
@@ -967,7 +954,7 @@ def run_steps(kernel: Kernel, state, dy, consume=None) -> Trajectory:
     if consume is None:
         nonfinite, off_simplex = faults(probs, extras)
     return Trajectory(kernel.scheme, kernel.dt, rows - 1, probs, clamps, float(presum_max),
-                      float(np.max(presum_total)), extras, nonfinite, off_simplex)
+                      float(np.max(presum_total)), extras, nonfinite, off_simplex, state)
 
 
 def check_run(*runs: Trajectory) -> Trajectory:
@@ -987,7 +974,7 @@ def check_run(*runs: Trajectory) -> Trajectory:
                       extras={name: np.concatenate([r.extras[name] for r in runs], axis=1)
                               for name in run.extras},
                       nonfinite=any(r.nonfinite for r in runs),
-                      off_simplex=any(r.off_simplex for r in runs))
+                      off_simplex=any(r.off_simplex for r in runs), state=None)
     raise_faults(run.scheme, run.nonfinite, run.off_simplex, run.presum_max_dev)
     replica_steps = run.n_steps * (run.probs[0].size // run.probs.shape[-1])
     if run.clamps > CLAMP_FAILURE_FRACTION * replica_steps:

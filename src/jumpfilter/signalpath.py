@@ -28,7 +28,6 @@ from .chain import step_level_integrals  # noqa: F401
 __all__ = [
     "ObservationGrid",
     "synthesize_observations",
-    "synthesize_from_brownian",
     "observation_blocks",
     "cumulative_observation",
     "coarsen",
@@ -90,58 +89,35 @@ def _step_count(horizon: float, dt: float) -> int:
     return n
 
 
-def synthesize_from_brownian(
-    path: JumpPath, model: ChainModel, dt: float, beta: float, dw: np.ndarray
-) -> ObservationGrid:
-    """Build observation increments from given Brownian increments, block by
-    block (:func:`observation_blocks`), collected into one grid."""
-    dw = np.asarray(dw, dtype=float)
-    n = _step_count(path.horizon, dt)
-    if dw.shape != (n,):
-        raise ValueError(f"dw must have shape ({n},)")
-    return _collected(_blocks(path, model, dt, beta, lambda lo, hi: dw[lo:hi]))
-
-
 def synthesize_observations(
     path: JumpPath, model: ChainModel, dt: float, beta: float, rng: np.random.Generator
 ) -> ObservationGrid:
     """Draw Brownian increments and synthesize  dy_r = integral of x + beta dw_r:
     :func:`observation_blocks` collected into one grid."""
-    return _collected(observation_blocks(path, model, dt, beta, rng))
+    blocks = list(observation_blocks(path, model, dt, beta, rng))
+    return ObservationGrid(dt=dt, beta=beta, **{
+        name: np.concatenate([getattr(block, name) for block in blocks])
+        for name in ("dy", "dw", "x_level")})
 
 
 def observation_blocks(
     path: JumpPath, model: ChainModel, dt: float, beta: float, rng: np.random.Generator
 ) -> Iterator[ObservationGrid]:
-    """The grid of :func:`synthesize_observations` as consecutive grids of
-    ``kernels.BLOCK_ROWS`` steps, synthesized as each is asked for: the
-    Brownian increments of a block are ``rng``'s next draws, and draws in
-    chunks equal one draw."""
-    return _blocks(path, model, dt, beta,
-                   lambda lo, hi: np.sqrt(dt) * rng.standard_normal(hi - lo))
-
-
-def _blocks(path: JumpPath, model: ChainModel, dt: float, beta: float, brownian):
-    """The one synthesis routine: for each block of steps lo..hi-1, its
-    Brownian increments ``brownian(lo, hi)``, the exact signal integrals over
-    its slice of the grid (:func:`jumpfilter.chain.segment_integrals`) and the
-    level at the start of each step."""
+    """The one synthesis routine: the grid of :func:`synthesize_observations`
+    as consecutive grids of ``kernels.BLOCK_ROWS`` steps, synthesized as each
+    is asked for. For each block of steps lo..hi-1: its Brownian increments,
+    ``rng``'s next draws (draws in chunks equal one draw), the exact signal
+    integrals over its slice of the grid
+    (:func:`jumpfilter.chain.segment_integrals`) and the level at the start
+    of each step."""
     n = _step_count(path.horizon, dt)
     segments = path_segments(path, model)
     for lo, hi in kernels.block_steps(n):
-        dw = brownian(lo, hi)
+        dw = np.sqrt(dt) * rng.standard_normal(hi - lo)
         signal = segment_integrals(segments, _uniform_grid(n, dt, path.horizon, lo, hi))
         idx = np.searchsorted(path.jump_times, np.arange(lo, hi) * dt, side="right")
         levels = model.levels[path.states_visited[idx]]
         yield ObservationGrid(dt=dt, beta=beta, dy=signal + beta * dw, dw=dw, x_level=levels)
-
-
-def _collected(blocks) -> ObservationGrid:
-    """One grid of consecutive ``blocks``."""
-    blocks = list(blocks)
-    return ObservationGrid(dt=blocks[0].dt, beta=blocks[0].beta, **{
-        name: np.concatenate([getattr(block, name) for block in blocks])
-        for name in ("dy", "dw", "x_level")})
 
 
 def cumulative_observation(grid: ObservationGrid) -> np.ndarray:
@@ -197,13 +173,13 @@ def write_table(destination, header: list[str], formats: list[str], columns) -> 
         write_rows(fh, formats, columns)
 
 
-def write_observations_csv(grid, destination) -> None:
-    """Write "r,t,dy,dw,x_level" rows with 17 significant digits, of one
-    ObservationGrid or of consecutive ones (:func:`observation_blocks`),
-    each written as it comes."""
+def write_observations_csv(blocks, destination) -> None:
+    """Write "r,t,dy,dw,x_level" rows with 17 significant digits, of
+    consecutive ObservationGrids (:func:`observation_blocks`), each written
+    as it comes."""
     with open_table(destination, ["r", "t", "dy", "dw", "x_level"]) as fh:
         lo = 0
-        for block in [grid] if isinstance(grid, ObservationGrid) else grid:
+        for block in blocks:
             hi = lo + block.n_steps
             write_rows(fh, ["%d"] + [FLOAT] * 4,
                        [range(lo, hi), np.arange(lo, hi) * block.dt, block.dy, block.dw,

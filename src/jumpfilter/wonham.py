@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainModel, transition_matrix
+from .chain import ChainModel, telegraph_model, transition_matrix
 from .kernels import (
     TelegraphIto,
     TelegraphLangevin,
@@ -128,7 +128,10 @@ def wonham_langevin_step(
 
 
 def _telegraph_step(kernel_type, state: TelegraphState, nu, beta, dt, dy) -> TelegraphState:
-    q, clamped = step_once(kernel_type(None, dt, beta, nu=nu), state.q, dy)
+    """One step of ``kernel_type`` on the telegraph chain of rate ``nu``."""
+    if not 0 <= nu < np.inf:
+        raise ValueError(f"nu must be finite and nonnegative, not {nu!r}")
+    q, clamped = step_once(kernel_type(telegraph_model(nu), dt, beta), state.q, dy)
     return TelegraphState(q=q, t=state.t + dt, clamps=state.clamps + clamped)
 
 

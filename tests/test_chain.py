@@ -7,8 +7,8 @@ from jumpfilter import (
     model_from_json,
     model_to_json,
     simulate_jump_path,
-    synthesize_from_brownian,
     stationary_distribution,
+    synthesize_observations,
     telegraph_model,
     transition_matrix,
 )
@@ -216,27 +216,21 @@ class TestPathLookup:
     def test_initial_state(self):
         # a path that starts in state 1 (level -1) and jumps only at 0.75
         path = JumpPath(1, np.array([0.75]), np.array([0]), 1.0)
-        grid = synthesize_from_brownian(path, TELEGRAPH, 0.125, 0.5, np.zeros(8))
+        grid = synthesize_observations(path, TELEGRAPH, 0.125, 0.5, np.random.default_rng(0))
         assert grid.x_level[0] == -1.0
 
     def test_just_before_jump(self):
         # the jump falls just after the grid point 0.25: the step that starts
         # there still holds the state before the jump
         path = JumpPath(0, np.array([0.25 + 1e-12]), np.array([1]), 1.0)
-        grid = synthesize_from_brownian(path, TELEGRAPH, 0.125, 0.5, np.zeros(8))
+        grid = synthesize_observations(path, TELEGRAPH, 0.125, 0.5, np.random.default_rng(0))
         assert np.array_equal(grid.x_level[1:4], [1.0, 1.0, -1.0])
-
-    def test_out_of_range(self):
-        # a grid may not run past the path's horizon
-        path = JumpPath(0, np.array([0.25]), np.array([1]), 1.0)
-        with pytest.raises(ValueError, match="dw must have shape"):
-            synthesize_from_brownian(path, TELEGRAPH, 0.125, 0.5, np.zeros(9))
 
     def test_right_continuous_at_jump(self):
         # jumps at 0.25 and 0.75 land on grid points: each step takes the
         # level of the state the path holds from its start on
         path = JumpPath(0, np.array([0.25, 0.75]), np.array([1, 0]), 1.0)
-        grid = synthesize_from_brownian(path, TELEGRAPH, 0.125, 0.5, np.zeros(8))
+        grid = synthesize_observations(path, TELEGRAPH, 0.125, 0.5, np.random.default_rng(0))
         assert np.array_equal(grid.x_level, [1.0, 1.0, -1.0, -1.0, -1.0, -1.0, 1.0, 1.0])
 
     def test_consecutive_states_must_differ(self):

@@ -11,8 +11,9 @@ wonham-ito pre-renormalization sum stays near 1; every floored entry is
 counted, and a run fails past the clamp budget. Then the equalities: a run
 without a history ends on the last kept row; the rows of a batch are the
 separate runs; ``run_steps`` is a plain reference loop bit for bit; and each
-public R=1 step function is its ``drive`` row bit for bit, refuses a state of
-another K and fails as a run does, without a numpy warning.
+public R=1 step function is a one-step ``run_steps`` run, is its ``drive``
+row bit for bit, refuses a state of another K and fails as a run does,
+without a numpy warning.
 """
 
 import warnings
@@ -277,7 +278,7 @@ def test_rows_off_the_simplex_fail_the_run(kept):
             return state * 1.5, 0
 
     with pytest.raises(FilterInstabilityError, match="inflating: probabilities left the simplex"):
-        check_run(runner(kept)(Inflating(None, DT, BETA), np.array([0.5, 0.5]), np.zeros(3)))
+        check_run(runner(kept)(Inflating(TELEGRAPH, DT, BETA), np.array([0.5, 0.5]), np.zeros(3)))
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +518,7 @@ def log(kernel):
 
 
 def telegraph(kernel):
-    nu, dt, beta = kernel.nu, kernel.dt, kernel.beta
+    nu, dt, beta = float(kernel.model.rates[0, 1]), kernel.dt, kernel.beta
 
     def clamp(q):
         return min(max(q, -1.0), 1.0), int(q > 1.0 or q < -1.0)
@@ -664,6 +665,41 @@ def public(scheme, model, beta=BETA, dt=DT, correction_sign=-1, sign_variant="in
     return (TelegraphState(q=float(model.initial_dist[0] - model.initial_dist[1])),
             lambda s, dy, m: telegraph_step(s, nu, beta, dt, dy),
             lambda s: ([(1.0 + s.q) / 2.0, (1.0 - s.q) / 2.0], s.q))
+
+
+def state_array(state):
+    """The array (or float) of a public step state, or of a kernel state."""
+    if isinstance(state, tuple):
+        return state[0]
+    for name in ("psi", "probs", "theta", "q"):
+        if hasattr(state, name):
+            return getattr(state, name)
+    return state
+
+
+@pytest.mark.parametrize("scheme", KERNELS)
+def test_a_public_step_is_a_one_step_run(scheme):
+    # from the model's initial law, over a benign increment and over
+    # increments at which the schemes that floor do (4 beta**2 / max|a| = 1)
+    model = model_of(scheme)
+    start, step, _ = public(scheme, model)
+    kernel = build(scheme)
+    for dy in (0.01, 1.0, -1.0):
+        stepped = step(start, dy, model)
+        run = run_steps(kernel, kernel.start(), np.array([dy]))
+        assert bits(state_array(stepped)) == bits(state_array(run.state))
+        assert getattr(stepped, "clamps", 0) == run.clamps
+        assert (run.clamps > 0) == (scheme in CLAMPING and dy != 0.01)
+    if scheme == "telegraph-ito":
+        # the Euler step's q overflows and is clamped to 1: a finite state
+        run = run_steps(kernel, kernel.start(), np.array([1e308]))
+        assert (step(start, 1e308, model).q, run.state, run.clamps) == (1.0, 1.0, 1)
+        return
+    with pytest.raises(FilterInstabilityError) as from_run:
+        check_run(run_steps(kernel, kernel.start(), np.array([1e308])))
+    with pytest.raises(FilterInstabilityError) as from_step:
+        step(start, 1e308, model)
+    assert str(from_step.value) == str(from_run.value)
 
 
 @pytest.mark.parametrize("scheme", KERNELS)

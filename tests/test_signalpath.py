@@ -5,7 +5,6 @@ from jumpfilter import (
     ChainModel,
     coarsen,
     simulate_jump_path,
-    synthesize_from_brownian,
     synthesize_observations,
     telegraph_model,
     write_observations_csv,
@@ -21,10 +20,10 @@ def constant_model(level):
     return ChainModel(levels=[level], rates=[[0.0]], initial_dist=[1.0])
 
 
-def test_noise_free_increments_equal_signal_integrals():
+def test_increments_are_signal_integrals_plus_scaled_noise():
     path = simulate_jump_path(TELEGRAPH, 2.0, np.random.default_rng(1))
-    grid = synthesize_from_brownian(path, TELEGRAPH, 0.01, 0.5, np.zeros(200))
-    expected = step_level_integrals(path, TELEGRAPH, 0.01, 200)
+    grid = synthesize_observations(path, TELEGRAPH, 0.01, 0.5, np.random.default_rng(2))
+    expected = step_level_integrals(path, TELEGRAPH, 0.01, 200) + 0.5 * grid.dw
     assert np.array_equal(grid.dy, expected)
 
 
@@ -46,15 +45,15 @@ def test_increment_mean_and_variance_and_quadratic_variation():
 
 
 def test_refinement_consistency():
-    # summing pairs of fine increments equals synthesizing on the coarse grid
-    # from the aggregated Brownian increments
+    # summing pairs of fine increments equals the coarse grid's signal
+    # integrals plus the aggregated Brownian increments
     path = simulate_jump_path(TELEGRAPH, 1.0, np.random.default_rng(6))
-    fine_dw = np.sqrt(5e-4) * np.random.default_rng(7).standard_normal(2000)
-    fine = synthesize_from_brownian(path, TELEGRAPH, 5e-4, 0.5, fine_dw)
+    fine = synthesize_observations(path, TELEGRAPH, 5e-4, 0.5, np.random.default_rng(7))
     coarse = coarsen(fine, 2)
-    direct = synthesize_from_brownian(path, TELEGRAPH, 1e-3, 0.5, fine_dw.reshape(-1, 2).sum(axis=1))
-    assert np.array_equal(coarse.dw, direct.dw)
-    assert coarse.dy == pytest.approx(direct.dy, abs=1e-12)
+    assert np.array_equal(coarse.dw, fine.dw.reshape(-1, 2).sum(axis=1))
+    expected = step_level_integrals(path, TELEGRAPH, 1e-3, 1000) + 0.5 * coarse.dw
+    assert coarse.dy == pytest.approx(expected, abs=1e-12)
+    direct = synthesize_observations(path, TELEGRAPH, 1e-3, 0.5, np.random.default_rng(8))
     assert np.array_equal(coarse.x_level, direct.x_level)
 
 
@@ -68,7 +67,7 @@ def test_csv_round_trip(tmp_path):
     path = simulate_jump_path(TELEGRAPH, 0.5, np.random.default_rng(11))
     grid = synthesize_observations(path, TELEGRAPH, 0.01, 0.5, np.random.default_rng(12))
     file = tmp_path / "obs.csv"
-    write_observations_csv(grid, file)
+    write_observations_csv([grid], file)
     header, *rows = file.read_text().splitlines()
     assert header == "r,t,dy,dw,x_level"
     r, t, dy, dw, x_level = np.array([row.split(",") for row in rows], dtype=float).T

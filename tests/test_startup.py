@@ -319,8 +319,8 @@ PUBLIC_NAMES = {
     "chain": ("ChainModel", "JumpPath", "ReducibleChainError", "model_from_json",
               "model_to_json", "simulate_jump_path", "stationary_distribution",
               "telegraph_model", "transition_matrix"),
-    "signalpath": ("ObservationGrid", "coarsen", "synthesize_from_brownian",
-                   "synthesize_observations", "write_observations_csv"),
+    "signalpath": ("ObservationGrid", "coarsen", "synthesize_observations",
+                   "write_observations_csv"),
     "wonham": ("FilterState", "TelegraphState", "map_decision", "mean_estimate", "predict",
                "telegraph_ito_step", "telegraph_langevin_step", "wonham_langevin_step",
                "wonham_step"),
