@@ -271,6 +271,11 @@ class JumpPath:
     def n_jumps(self) -> int:
         return self.jump_times.shape[0]
 
+    def states_at(self, times) -> np.ndarray:
+        """The state the path holds at each of ``times``: at a jump instant,
+        the state it enters."""
+        return self.states_visited[self.jump_times.searchsorted(times, side="right")]
+
 
 def _check_paths(states_visited: np.ndarray, jump_times: np.ndarray, n_jumps: np.ndarray,
                  horizon: float) -> None:

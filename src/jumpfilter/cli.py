@@ -114,7 +114,7 @@ def main(argv=None) -> int:
             for row in rows:
                 probs = ",".join(f"{p:.17g}" for p in row["probs"])
                 print(f"h={row['h']:g}: {probs}")
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except FilterInstabilityError as exc:

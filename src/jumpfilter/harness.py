@@ -305,10 +305,9 @@ class _TrajectoryTables:
         if len(dy):
             self.y = y[-1]
         # the signal's state at each t; at t=T, the state the path ends in
-        path = self.path
-        states = path.states_visited[path.jump_times.searchsorted(times, side="right")]
+        states = self.path.states_at(times)
         if hi == self.n_steps + 1:
-            states[-1] = path.states_visited[-1]
+            states[-1] = self.path.states_visited[-1]
         x_level = [self.x_text[state] for state in states.tolist()]
         if "log_weights" in extras:
             write_unnormalized_csv(self.tables["trajectory.csv"], rows, times,

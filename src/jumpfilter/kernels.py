@@ -829,16 +829,6 @@ def run_history(kernel: Kernel, state, dy: np.ndarray) -> Trajectory:
     return replace(run, probs=kept.pop("probs"), extras=kept)
 
 
-def batch_of(kernel: Kernel, dy: np.ndarray) -> bool:
-    """Whether ``dy`` is (n, R), a batch; ValueError unless it is (n,) or,
-    for a kernel that ``batches``, (n, R)."""
-    batch = dy.ndim == 2
-    if not (dy.ndim == 1 or batch and kernel.batches):
-        shapes = "(n,) or (n, R)" if kernel.batches else "(n,)"
-        raise ValueError(f"{kernel.scheme} takes {shapes} increments, not {dy.shape}")
-    return batch
-
-
 def block_steps(n_steps: int, rows: int | None = None):
     """The steps (lo, hi) of each block of a run of ``n_steps``: block k
     holds rows k*rows.. (default BLOCK_ROWS), row 0 being the start, and a
@@ -856,9 +846,12 @@ def block_steps(n_steps: int, rows: int | None = None):
 
 
 def _checked(kernel: Kernel, blocks):
-    """The increment ``blocks``, each checked for its shape and finiteness as it comes."""
+    """The increment ``blocks`` of an iterable, each checked as it comes: an
+    (m,) array of finite increments, else ValueError naming the scheme."""
     for block in blocks:
-        batch_of(kernel, block)
+        if np.ndim(block) != 1:
+            raise ValueError(f"{kernel.scheme} takes (m,) blocks from an iterable, "
+                             f"not {np.shape(block)}")
         check_increments(block)
         yield block
 
@@ -867,10 +860,11 @@ def run_steps(kernel: Kernel, state, dy, consume=None) -> Trajectory:
     """Step ``kernel`` from ``state`` through the increments ``dy``, one
     block of rows (:func:`block_steps`) at a time; unchecked at exit.
 
-    ``dy`` is (n,) for one trajectory, or (n, R) for R copies of ``state``
+    ``dy`` is (n,) for one trajectory; or (n, R) for R copies of ``state``
     stepped as a batch, by a kernel that ``batches`` only: a contiguous
-    states-first (K, R) array and an (R,) sum row, whose rows come back as
-    (rows, R, K); or an iterable of such blocks, synthesized as the run goes.
+    states-first (K, R) array and an (R,) sum row, tiled before the first
+    step, whose rows come back as (rows, R, K); or an iterable of (m,)
+    blocks of one trajectory, synthesized as the run goes.
 
     A block of m steps writes rows 1..m of a buffer for the state array and,
     for a state ``(array, sum)``, one for the sum; row 0 carries the
@@ -885,18 +879,27 @@ def run_steps(kernel: Kernel, state, dy, consume=None) -> Trajectory:
 
     Raises ValueError before the first step for an array ``dy`` of another
     shape (so (n, R) to a kernel that does not batch) or with a non-finite
-    increment, and for such a block of an iterable before its steps.
+    increment, and, before its steps, for a block of an iterable that is not
+    (m,) or holds a non-finite increment.
     """
+    array, total = state if isinstance(state, tuple) else (state, None)
+    batch = False
     if isinstance(dy, np.ndarray):
-        batch_of(kernel, dy)
+        batch = dy.ndim == 2
+        if not (dy.ndim == 1 or batch and kernel.batches):
+            shapes = "(n,) or (n, R)" if kernel.batches else "(n,)"
+            raise ValueError(f"{kernel.scheme} takes {shapes} increments, not {dy.shape}")
         check_increments(dy)
-        # a batch's row holds R states: at most CHUNK_VALUES states a block
-        rows_per_block = BLOCK_ROWS if dy.ndim == 1 else max(
-            1, min(BLOCK_ROWS, CHUNK_VALUES // dy.shape[1]))
+        rows_per_block = BLOCK_ROWS
+        if batch:
+            array = np.repeat(array[:, None], dy.shape[1], axis=1)
+            total = None if total is None else np.full(dy.shape[1], total)
+            state = array if total is None else (array, total)
+            # a batch's row holds R states: at most CHUNK_VALUES states a block
+            rows_per_block = max(1, min(BLOCK_ROWS, CHUNK_VALUES // dy.shape[1]))
         blocks = (dy[lo:hi] for lo, hi in block_steps(len(dy), rows_per_block))
     else:
         blocks = _checked(kernel, dy)
-    array, total = state if isinstance(state, tuple) else (state, None)
     step = kernel.step
     clamps = rows = last = 0
     nonfinite = off_simplex = False
@@ -904,15 +907,8 @@ def run_steps(kernel: Kernel, state, dy, consume=None) -> Trajectory:
     with np.errstate(**QUIET):
         for block in blocks:
             first = 0 if rows == 0 else 1
-            if rows == 0:
-                batch = block.ndim == 2
-                if batch:
-                    array = np.repeat(array[:, None], block.shape[1], axis=1)
-                    total = None if total is None else np.full(block.shape[1], total)
-                    state = array if total is None else (array, total)
-                head = array, total
-            else:
-                head = states[last], None if total is None else sums[last]
+            head = (array, total) if rows == 0 else (
+                states[last], None if total is None else sums[last])
             # the blocks after the first take up to 4 steps more (block_steps)
             if rows == 0 or len(block) >= len(states):
                 states = np.empty((len(block) + 5, *np.shape(array)))

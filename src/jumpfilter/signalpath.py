@@ -108,15 +108,14 @@ def observation_blocks(
     is asked for. For each block of steps lo..hi-1: its Brownian increments,
     ``rng``'s next draws (draws in chunks equal one draw), the exact signal
     integrals over its slice of the grid
-    (:func:`jumpfilter.chain.segment_integrals`) and the level at the start
-    of each step."""
+    (:func:`jumpfilter.chain.segment_integrals`) and the level of the state
+    the path holds at the start of each step (``JumpPath.states_at``)."""
     n = _step_count(path.horizon, dt)
     segments = path_segments(path, model)
     for lo, hi in kernels.block_steps(n):
         dw = np.sqrt(dt) * rng.standard_normal(hi - lo)
         signal = segment_integrals(segments, _uniform_grid(n, dt, path.horizon, lo, hi))
-        idx = np.searchsorted(path.jump_times, np.arange(lo, hi) * dt, side="right")
-        levels = model.levels[path.states_visited[idx]]
+        levels = model.levels[path.states_at(np.arange(lo, hi) * dt)]
         yield ObservationGrid(dt=dt, beta=beta, dy=signal + beta * dw, dw=dw, x_level=levels)
 
 

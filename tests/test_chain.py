@@ -233,6 +233,13 @@ class TestPathLookup:
         grid = synthesize_observations(path, TELEGRAPH, 0.125, 0.5, np.random.default_rng(0))
         assert np.array_equal(grid.x_level, [1.0, 1.0, -1.0, -1.0, -1.0, -1.0, 1.0, 1.0])
 
+    def test_states_at_holds_the_state_entered_at_a_jump(self):
+        path = JumpPath(0, np.array([0.25, 0.75]), np.array([1, 0]), 1.0)
+        times = [0.0, 0.25 - 1e-12, 0.25, 0.5, 0.75 - 1e-12, 0.75, 1.0]
+        assert path.states_at(times).tolist() == [0, 0, 1, 1, 1, 0, 0]
+        still = JumpPath(1, np.array([]), np.array([]), 1.0)
+        assert still.states_at([0.0, 1.0]).tolist() == [1, 1]
+
     def test_consecutive_states_must_differ(self):
         with pytest.raises(ValueError):
             JumpPath(0, np.array([0.5]), np.array([0]), 1.0)

@@ -8,9 +8,11 @@ values swapped for another type, null, bool, string, object, nested lists or
 extreme magnitudes, and keys missing or added at both levels. The command-line
 values come from short lists, so a grid that is accepted has at most 1e4
 steps. The property samples pairs of mutations; a sweep runs ``filter`` for
-every scheme paired with every extreme number on ``beta``, ``dt`` and a level.
-A few edits are pinned to their one exit code and message, and ``adjudicate``
-exits 3 exactly when a verdict is inconclusive.
+every scheme paired with every extreme number on ``beta``, ``dt`` and a level;
+a command that exits 2 writes nothing. One table (``ROWS``) states the
+contract case by case: each document and command gives its one exit code,
+message and warnings, and leaves nothing after exit 2 and no file after
+exit 3. ``adjudicate`` exits 3 exactly when a verdict is inconclusive.
 """
 
 import contextlib
@@ -18,6 +20,7 @@ import io
 import json
 import math
 import os
+import shlex
 import tempfile
 import warnings
 from pathlib import Path
@@ -104,28 +107,33 @@ def in_directory(path):
         os.chdir(previous)
 
 
-def run_cli(doc: dict, argv: list[str]) -> tuple[int, str, str, list[str]]:
-    """Runs ``main(argv)`` in a fresh directory holding ``doc`` as config.json;
-    the exit code, stdout, stderr and the warnings raised."""
+def run_cli(text: str, argv: list[str]) -> tuple[int, str, str, list[str], list[str]]:
+    """Runs ``main(argv)`` in a fresh directory holding ``text`` as config.json;
+    the exit code, stdout, stderr, the warnings raised and the paths left
+    beside config.json (a directory's with a trailing '/')."""
     with tempfile.TemporaryDirectory() as tmp, in_directory(tmp):
-        Path("config.json").write_text(json.dumps(doc))
+        Path("config.json").write_text(text)
         stdout, stderr = io.StringIO(), io.StringIO()
         with warnings.catch_warnings(record=True) as caught, \
                 contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             warnings.simplefilter("always")
             code = main(argv)
-    return code, stdout.getvalue(), stderr.getvalue(), [str(w.message) for w in caught]
+        written = sorted(f"{path}/" if path.is_dir() else str(path)
+                         for path in Path().rglob("*") if str(path) != "config.json")
+    return code, stdout.getvalue(), stderr.getvalue(), [str(w.message) for w in caught], written
 
 
 def contract_failure(doc: dict, argv: list[str]) -> str | None:
     """None when ``main(argv)`` on ``doc`` kept the contract, else what it did."""
-    code, out, err, messages = run_cli(doc, argv)
+    code, out, err, messages, written = run_cli(json.dumps(doc), argv)
     if messages:
         return f"exit {code} with warnings {messages}"
     if code not in (0, 2, 3):
         return f"exit {code}: {err}"
     if code == 2 and not err.startswith("error:"):
         return f"exit 2 without 'error:': {err}"
+    if code == 2 and written:
+        return f"exit 2 leaving {written}"
     if code == 3 and not (err.startswith("run failed:") or (
             argv[0] == "adjudicate" and '"verdict": "inconclusive"' in out)):
         return f"exit 3 without 'run failed:' or an inconclusive verdict: {err}"
@@ -196,20 +204,155 @@ def test_filter_keeps_the_contract_for_every_scheme_and_extreme_value(scheme, pa
     assert broken == {}
 
 
-@pytest.mark.parametrize("mutations, argv, code, err", [
-    # a beta whose square overflows
-    ([("set", ("beta",), 1e300)], ["validate"], 2, "error: beta=1e+300 is out of range"),
-    # a dt giving 5e13 steps
-    ([], ["filter", "--dt", "1e-15"], 2, "error: dt=1e-15 gives 50000000000000 steps"),
-    # an object as a model value
-    ([("set", ("model", "initial"), {"a": 1})], ["validate"], 2, "error: model key 'initial'"),
+def edited(*mutations) -> str:
+    """The text of ``BASE`` after ``mutations`` (:func:`mutate`)."""
+    return json.dumps(mutate(BASE, mutations))
+
+
+BOTH = ["validate", "filter"]
+FLOORED = ["floored"]  # the model's warning for a start with a zero probability
+POINT_MASS = ("set", ("model", "initial"), [1.0, 0.0])
+INTEGER_KEYS = ("correction_sign", "master_seed")
+THREE = {"levels": [1.0, 0.0, -1.0], "rates": [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+         "initial": [1.0, 0.0, 0.0]}
+# The exit-code contract, one row per case: config.json's text, the commands
+# run on it (each given "--config config.json" unless it names a source),
+# the exit code, the start of stderr and the warnings, each a substring of
+# one warning's message.
+ROWS = {
+    # a beta whose square overflows crashed filter with OverflowError (exit 1)
+    "huge-beta": (edited(("set", ("beta",), 1e300)), ["validate"], 2,
+                  "error: beta=1e+300 is out of range", []),
+    # 5e13 steps asked numpy for 364 TiB (exit 1), 60 halvings were refused
+    # only by numpy's array-size limit, and 20 blamed dt, a key not given
+    "tiny-dt": (edited(), ["filter --dt 1e-15"], 2,
+                "error: dt=1e-15 gives 50000000000000 steps over horizon=0.05, above the budget",
+                []),
+    **{f"halvings-{n}": (edited(), [f"convergence --halvings {n}"], 2,
+                         f"error: --halvings {n} refines dt=0.001 beyond the step budget", [])
+       for n in (20, 60, 2000)},
+    # an object, a list or a text as the model escaped as TypeError (exit 1)
+    "object-initial": (edited(("set", ("model", "initial"), {"a": 1})), ["validate"], 2,
+                       "error: model key 'initial' must be a number or nested lists", []),
+    "config-model-list": (json.dumps({"model": [], "T": 1, "dt": 0.1, "beta": 1}),
+                          ["validate"], 2, "error: a model must be a JSON object, not list", []),
+    "config-model-text": (json.dumps({"model": "[1]", "T": 1, "dt": 0.1, "beta": 1}),
+                          ["filter"], 2, "error: a model must be a JSON object, not list", []),
+    "config-list": (json.dumps([1, 2]), ["validate", "filter --seed 5"], 2,
+                    "error: a config must be a JSON object, not list", []),
+    "model-list": (json.dumps([1, 2]), ["validate --model config.json"], 2,
+                   "error: a model must be a JSON object, not list", []),
+    "model-number": (json.dumps(3), ["validate --model config.json"], 2,
+                     "error: a model must be a JSON object, not int", []),
+    "nested": ("[" * 100_000, BOTH, 2, "error: a config is nested too deeply", []),
+    "missing-config": (edited(), ["filter --config nope.json"], 2,
+                       "error: [Errno 2] No such file or directory: 'nope.json'", []),
+    # NotADirectoryError escaped (exit 1)
+    "out-under-a-file": (edited(), ["filter --out config.json/x"], 2,
+                         "error: [Errno 20] Not a directory", []),
+    # "" wrote the outputs into the working directory, as Path("") is "."
+    "empty-out-arg": (edited(), ["filter --out ''"], 2, "error: out_dir must not be empty", []),
+    "empty-out-dir": (edited(("set", ("out_dir",), "")), ["filter"], 2,
+                      "error: out_dir must not be empty", []),
+    "out-dir-list": (edited(("set", ("out_dir",), [1])), BOTH, 2,
+                     "error: out_dir must be a str or a path, not [1]", []),
+    # a misspelled key would silently run its default
+    "unknown-key": (edited(("set", ("replicas",), 50)), BOTH, 2,
+                    "error: unknown config keys ['replicas']", []),
+    "misspelled-scheme-key": (edited(("set", ("sheme",), "log"), ("delete", ("scheme",), None)),
+                              BOTH, 2, "error: unknown config keys ['sheme']", []),
+    "missing-key": (edited(("delete", ("beta",), None)), BOTH, 2,
+                    "error: missing config keys ['beta']", []),
+    "unknown-scheme": (edited(("set", ("scheme",), "kalman")), BOTH, 2,
+                       "error: unknown scheme 'kalman'; choose from", []),
+    # an unknown model key validated as "config ok", a missing one failed
+    # with a bare KeyError: 'initial'
+    "unknown-model-key": (edited(("set", ("model", "foo"), 1)), ["validate"], 2,
+                          "error: unknown model keys ['foo']", []),
+    "unknown-key-of-model": (json.dumps(dict(BASE["model"], foo=1)),
+                             ["validate --model config.json"], 2,
+                             "error: unknown model keys ['foo']", []),
+    "missing-model-key": (edited(("delete", ("model", "initial"), None)), ["validate"], 2,
+                          "error: missing model keys ['initial']", []),
+    "missing-key-of-model": (json.dumps({"levels": [1, -1], "rates": [[0, 1], [1, 0]]}),
+                             ["validate --model config.json"], 2,
+                             "error: missing model keys ['initial']", []),
+    "negative-rate": (edited(("set", ("model", "rates", 0, 1), -1)), BOTH, 2,
+                      "error: invalid model: negative rate", []),
+    "negative-rate-of-model": (json.dumps(dict(BASE["model"], rates=[[0, -2], [1, 0]])),
+                               ["validate --model config.json"], 2,
+                               "error: invalid model: negative rate", []),
+    # filter on these rates looped forever drawing jumps
+    "jump-budget": (edited(("set", ("model", "rates"), [[0.0, 1e308], [1e308, 0.0]])), BOTH,
+                    2, "error: horizon * max exit rate", []),
+    "telegraph-on-three-states": (edited(("set", ("model",), THREE),
+                                         ("set", ("scheme",), "telegraph-ito")),
+                                  BOTH, 2, "error: telegraph schemes require K=2", FLOORED),
+    # float(None) and int([1, 2]) escaped as TypeError (exit 1), float() read
+    # "T": true as 1.0 and "beta": "0.5" as 0.5
+    **{f"{key}={value!r}": (
+        edited(("set", (key,), value)), BOTH, 2, f"error: config key '{key}' must be a number"
+        f"{' with an integer value' * (key in INTEGER_KEYS)}, not {value!r}", [])
+       for key in ("T", "dt", "beta", *INTEGER_KEYS) for value in (None, [1, 2], True, "0.5")},
+    # int() truncated: a sign of -1.9 ran as -1 and a seed of 0.9 as 0
+    **{f"{key}={value!r}": (
+        edited(("set", (key,), value)), BOTH, 2,
+        f"error: config key '{key}' must be a number with an integer value, not {value!r}", [])
+       for key, value in [("correction_sign", -1.9), ("master_seed", 0.9),
+                          ("master_seed", 0.5), ("master_seed", False), ("master_seed", math.nan)]},
+    # NaN is not <= 0, so a NaN beta validated as "config ok", and an
+    # infinite T overflowed in the step count (exit 1)
+    **{f"{key}={value!r}": (
+        edited(("set", (key,), value)), BOTH, 2,
+        f"error: config key '{key}' must be finite and positive, not {value!r}", [])
+       for key, value in [("beta", math.nan), ("beta", math.inf), ("beta", 0.0),
+                          ("dt", math.nan), ("dt", -1e-3), ("T", math.inf), ("T", math.nan)]},
+    "dt-override-nan": (edited(), ["filter --dt nan"], 2,
+                        "error: config key 'dt' must be finite and positive, not nan", []),
+    "dt-override-not-dividing": (edited(("set", ("T",), 1.0)), ["filter --dt 0.3"], 2,
+                                 "error: dt=0.3 does not divide horizon=1.0", []),
+    "dt-not-dividing": (edited(("set", ("T",), 1.0), ("set", ("dt",), 0.3)), BOTH, 2,
+                        "error: dt=0.3 does not divide horizon=1.0", []),
+    # ",,," wrote a header-only prediction.csv, "nan" NaN rows (exit 0), and
+    # "inf" recursed until RecursionError (exit 1)
+    **{f"horizons-{text}": (edited(), [f"predict --horizons '{text}'"], 2, err, [])
+       for text, err in [(",,,", "error: give at least one prediction horizon"),
+                         ("", "error: give at least one prediction horizon"),
+                         ("0,nan", "error: horizon must be finite and nonnegative, not nan"),
+                         ("1,-1", "error: horizon must be finite and nonnegative, not -1.0"),
+                         ("nan", "error: horizon must be finite and nonnegative, not nan"),
+                         ("inf", "error: horizon must be finite and nonnegative, not inf")]},
+    # a bad horizon is refused before the filter runs, here one that fails
+    "horizons-before-a-failing-filter": (
+        edited(POINT_MASS, ("set", ("scheme",), "log")), ["predict --horizons nan"], 2,
+        "error: horizon must be finite and nonnegative, not nan", FLOORED),
     # a 1e300 level makes A t infinite: the Gamma propagators fail
-    ([("set", ("model", "levels", 0), 1e300), ("set", ("scheme",), "gamma")], ["filter"], 3,
-     "run failed: exp(+-A t) overflowed"),
-], ids=["huge-beta", "tiny-dt", "object-initial", "huge-level-gamma"])
-def test_one_edit_gives_its_exit_code(mutations, argv, code, err):
-    result = run_cli(mutate(BASE, mutations), [argv[0], "--config", "config.json", *argv[1:]])
-    assert result[0] == code and result[2].startswith(err) and result[3] == [], result
+    "huge-level-gamma": (edited(("set", ("model", "levels", 0), 1e300),
+                                ("set", ("scheme",), "gamma")), ["filter"], 3,
+                         "run failed: exp(+-A t) overflowed", []),
+    "instability": (edited(("set", ("T",), 10.0), ("set", ("dt",), 0.5), ("set", ("beta",), 0.1),
+                           ("set", ("scheme",), "zakai-ito")), ["filter"], 3,
+                    "run failed: zakai-ito: 10 clamp events over 20 steps", []),
+    # the floored state overflows the first log step; this exited 2, as a
+    # validation failure, where other schemes exit 3
+    "log-from-a-point-mass": (edited(POINT_MASS, ("set", ("scheme",), "log")), ["filter"], 3,
+                              "run failed: log: the filter state became non-finite", FLOORED),
+}
+
+
+@pytest.mark.parametrize("row", list(ROWS))
+def test_one_edit_gives_its_exit_code(row):
+    # after exit 2 nothing is left beside the document, after exit 3 no file
+    document, commands, code, err, warned = ROWS[row]
+    for command in commands:
+        argv = shlex.split(command)
+        if "--config" not in argv and "--model" not in argv:
+            argv += ["--config", "config.json"]
+        result = run_cli(document, argv)
+        assert result[0] == code and result[2].startswith(err), (command, result)
+        assert len(result[3]) == len(warned), (command, result)
+        assert all(part in message for part, message in zip(warned, result[3])), result
+        assert [path for path in result[4] if code == 2 or not path.endswith("/")] == [], result
 
 
 def test_adjudicate_exits_3_exactly_when_a_verdict_is_inconclusive(tmp_path, monkeypatch):

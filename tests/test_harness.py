@@ -71,10 +71,6 @@ class TestConfig:
         back = ExperimentConfig.from_json(json.dumps(config.to_json()))
         assert back.to_json() == config.to_json()
 
-    def test_unknown_scheme_rejected(self):
-        with pytest.raises(ValueError, match="scheme"):
-            telegraph_config(scheme="kalman")
-
     def test_unknown_scheme_has_one_message(self):
         # run_trajectory used to keep its own check, without the list of schemes
         with pytest.raises(ValueError) as from_config:
@@ -103,35 +99,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="beta"):
             ObservationGrid(dt=1e-3, beta=beta, dy=[0.0], dw=[0.0], x_level=[1.0])
 
-    def test_step_budget_is_checked_before_allocating(self):
-        # a 5e13-step grid used to reach numpy's allocator
-        with pytest.raises(ValueError, match="budget"):
-            telegraph_config(dt=1e-15)
-        with pytest.raises(ValueError, match="budget"):
-            run_convergence(telegraph_config(), 60)
-
-    def test_step_must_divide_horizon(self):
-        with pytest.raises(ValueError, match="divide"):
-            telegraph_config(dt=0.3)
-
-    def test_unknown_key_rejected(self):
-        # ignoring a misspelled key would silently run the default scheme
-        doc = telegraph_config().to_json()
-        doc["sheme"] = doc.pop("scheme")
-        with pytest.raises(ValueError, match="sheme"):
-            ExperimentConfig.from_json(json.dumps(doc))
-
-    def test_telegraph_scheme_needs_telegraph_model(self):
-        with pytest.warns(UserWarning, match="floored"):
-            three = ChainModel(
-                levels=[1.0, 0.0, -1.0],
-                rates=[[0, 1, 0], [0, 0, 1], [1, 0, 0]],
-                initial_dist=[1.0, 0.0, 0.0],
-            )
-        with pytest.raises(ValueError, match="telegraph"):
-            ExperimentConfig(model=three, horizon=1.0, dt=1e-3, beta=0.5,
-                             scheme="telegraph-ito")
-
     def test_telegraph_levels_must_be_exact(self):
         # np.allclose's default rtol=1e-5 used to let levels (1 + 9e-6, -1) through
         near = ChainModel(levels=[1.0 + 9e-6, -1.0], rates=TELEGRAPH.rates,
@@ -141,33 +108,6 @@ class TestConfig:
         for nu in (0.1, 1.0, 7.5):
             telegraph_config(model=telegraph_model(nu), scheme="telegraph-ito")
 
-    def test_invalid_model_rejected(self):
-        with pytest.raises(ValueError, match="invalid model"):
-            bad = ChainModel(levels=[1.0, -1.0], rates=[[0, -1], [1, 0]], initial_dist=[0.5, 0.5])
-            ExperimentConfig(model=bad, horizon=1.0, dt=1e-3, beta=0.5)
-
-    @pytest.mark.parametrize("field, value", [
-        ("beta", math.nan), ("beta", math.inf), ("beta", 0.0), ("dt", math.nan),
-        ("dt", -1e-3), ("horizon", math.inf), ("horizon", math.nan),
-    ])
-    def test_numbers_must_be_finite_and_positive(self, field, value):
-        # NaN is not <= 0, so a NaN beta used to pass; an infinite horizon
-        # overflowed in the step count
-        with pytest.raises(ValueError, match="finite and positive"):
-            telegraph_config(**{field: value})
-
-    @pytest.mark.parametrize("field, value, message", [
-        ("correction_sign", True, "'correction_sign' must be a number with an integer value"),
-        ("master_seed", 0.5, "'master_seed' must be a number with an integer value"),
-        ("horizon", True, "'T' must be a number, not True"),
-        ("beta", "0.5", "'beta' must be a number, not '0.5'"),
-    ])
-    def test_types_are_checked_at_construction(self, field, value, message):
-        # a bool sign and a fractional seed used to build a config whose own
-        # to_json() document from_json then refused
-        with pytest.raises(ValueError, match=message):
-            telegraph_config(**{field: value})
-
     def test_numpy_scalars_are_stored_as_python_numbers(self):
         config = telegraph_config(horizon=np.float64(1.0), beta=np.float32(0.5),
                                   correction_sign=np.int64(1), master_seed=np.float64(3.0))
@@ -175,15 +115,12 @@ class TestConfig:
                 ("horizon", "beta", "correction_sign", "master_seed")] == [float, float, int, int]
         assert (config.beta, config.correction_sign, config.master_seed) == (0.5, 1, 3)
 
-    def test_missing_key_rejected(self):
-        doc = telegraph_config().to_json()
-        del doc["beta"]
-        with pytest.raises(ValueError, match=r"missing config keys \['beta'\]"):
-            ExperimentConfig.from_json(doc)
-
     def test_config_is_frozen(self):
         with pytest.raises(AttributeError):
             telegraph_config().dt = 0.3
+
+    def test_out_dir_may_be_a_path(self, tmp_path):
+        assert telegraph_config(out_dir=tmp_path).out_dir == tmp_path
 
 
 class TestSimulate:
@@ -691,98 +628,12 @@ class TestCli:
     def test_validate_good_config(self, config_file):
         assert main(["validate", "--config", str(config_file)]) == 0
 
-    @pytest.mark.parametrize("horizons", [",,,", "", "0,nan", "1,-1"])
-    def test_predict_refuses_bad_horizons_and_writes_nothing(self, config_file, tmp_path,
-                                                              horizons, capsys):
-        # "--horizons ,,," used to exit 0 with a header-only prediction.csv
-        assert main(["predict", "--config", str(config_file), "--horizons", horizons]) == 2
-        assert capsys.readouterr().err.startswith("error:")
-        assert not (tmp_path / "out").exists()
-
-    def test_misspelled_config_key_exits_2(self, tmp_path, capsys):
-        doc = telegraph_config(out_dir=str(tmp_path / "out")).to_json()
-        doc["replicas"] = 50
-        file = tmp_path / "config.json"
-        file.write_text(json.dumps(doc))
-        assert main(["filter", "--config", str(file)]) == 2
-        assert main(["validate", "--config", str(file)]) == 2
-        assert "replicas" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    def test_validate_bad_model_exits_2(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"levels": [1, -1], "rates": [[0, -2], [1, 0]], "initial": [0.5, 0.5]}')
-        assert main(["validate", "--model", str(bad)]) == 2
-        assert "error: invalid model: negative rate" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("key, value", [
-        ("beta", math.nan), ("beta", math.inf), ("dt", math.nan), ("T", math.inf),
-    ])
-    def test_nonfinite_config_number_exits_2(self, tmp_path, capsys, key, value):
-        # a NaN or infinite beta used to validate as "config ok", and an
-        # infinite T crashed with OverflowError (exit 1)
-        doc = telegraph_config(out_dir=str(tmp_path / "out")).to_json()
-        doc[key] = value
-        file = tmp_path / "config.json"
-        file.write_text(json.dumps(doc))
-        assert main(["validate", "--config", str(file)]) == 2
-        assert main(["filter", "--config", str(file)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("key", ["T", "dt", "beta", "correction_sign", "master_seed"])
-    @pytest.mark.parametrize("value", [None, [1, 2], True, "0.5"],
-                             ids=["null", "list", "bool", "text"])
-    def test_config_number_of_wrong_type_exits_2(self, tmp_path, capsys, key, value):
-        # float(None) and int([1, 2]) used to escape as TypeError (exit 1), and
-        # float() read "T": true as 1.0 and "beta": "0.5" as 0.5
-        doc = telegraph_config(out_dir=str(tmp_path / "out")).to_json()
-        doc[key] = value
-        file = tmp_path / "config.json"
-        file.write_text(json.dumps(doc))
-        assert main(["validate", "--config", str(file)]) == 2
-        assert main(["filter", "--config", str(file)]) == 2
-        assert capsys.readouterr().err.startswith(f"error: config key '{key}' must be a number")
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("key, value", [
-        ("correction_sign", -1.9), ("correction_sign", True), ("master_seed", 0.9),
-        ("master_seed", False), ("master_seed", math.nan),
-    ])
-    def test_config_integer_must_be_integral_exits_2(self, tmp_path, capsys, key, value):
-        # int() used to truncate: correction_sign -1.9 ran as -1, master_seed 0.9 as seed 0
-        doc = telegraph_config(out_dir=str(tmp_path / "out")).to_json()
-        doc[key] = value
-        file = tmp_path / "config.json"
-        file.write_text(json.dumps(doc))
-        assert main(["validate", "--config", str(file)]) == 2
-        assert main(["filter", "--config", str(file)]) == 2
-        assert capsys.readouterr().err.startswith(
-            f"error: config key '{key}' must be a number with an integer value")
-        assert not (tmp_path / "out").exists()
-
     def test_config_integer_written_as_float_is_read(self):
         doc = telegraph_config(scheme="zakai-langevin").to_json()
         doc.update(correction_sign=1.0, master_seed=12.0)
         config = ExperimentConfig.from_json(doc)
         assert (config.correction_sign, config.master_seed) == (1, 12)
         assert type(config.master_seed) is int
-
-    def test_out_dir_must_be_a_path_exits_2(self, tmp_path, capsys):
-        # a list used to validate as "config ok", then fail in filter (exit 1)
-        doc = telegraph_config().to_json()
-        doc["out_dir"] = [1]
-        file = tmp_path / "config.json"
-        file.write_text(json.dumps(doc))
-        assert main(["validate", "--config", str(file)]) == 2
-        assert main(["filter", "--config", str(file)]) == 2
-        assert capsys.readouterr().err.startswith("error: out_dir must be a str or a path")
-        assert telegraph_config(out_dir=tmp_path).out_dir == tmp_path
-
-    def test_overrides_are_validated(self, config_file, tmp_path):
-        assert main(["filter", "--config", str(config_file), "--dt", "nan"]) == 2
-        assert main(["filter", "--config", str(config_file), "--dt", "0.3"]) == 2
-        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flags", [[], ["--config", "c.json", "--model", "m.json"]],
                              ids=["neither", "both"])
@@ -791,28 +642,6 @@ class TestCli:
             main(["validate", *flags])
         assert exit_info.value.code == 2
         assert "--config" in capsys.readouterr().err
-
-    def test_missing_config_exits_2(self, tmp_path):
-        assert main(["filter", "--config", str(tmp_path / "nope.json")]) == 2
-
-    @pytest.mark.parametrize("command, document", [
-        (["validate", "--config"], {"model": [], "T": 1, "dt": 0.1, "beta": 1}),
-        (["validate", "--config"], [1, 2]),
-        (["filter", "--seed", "5", "--config"], [1, 2]),
-        (["filter", "--config"], {"model": "[1]", "T": 1, "dt": 0.1, "beta": 1}),
-        (["validate", "--model"], [1, 2]),
-        (["validate", "--model"], 3),
-    ], ids=["config-model-list", "validate-config-list", "filter-config-list",
-            "config-model-text", "model-list", "model-number"])
-    def test_document_that_is_not_an_object_exits_2(self, tmp_path, monkeypatch, capsys,
-                                                    command, document):
-        # a JSON array used to escape as TypeError (exit 1) on its first key lookup
-        monkeypatch.chdir(tmp_path)
-        file = tmp_path / "doc.json"
-        file.write_text(json.dumps(document))
-        assert main([*command, str(file)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
-        assert list(tmp_path.iterdir()) == [file]
 
     def test_gamma_on_the_k8_model_exits_0(self, tmp_path):
         # exp(+-A t) of this K=8 model used to overflow the Gamma transform
@@ -833,37 +662,6 @@ class TestCli:
         assert gamma.clamps == 0
         assert np.abs(gamma.probs - langevin.probs).max() <= 2e-3
 
-    def test_empty_out_dir_exits_2(self, config_file, tmp_path, monkeypatch, capsys):
-        # "" used to write trajectory.csv and run_report.json into the working
-        # directory, since Path("") is "."
-        monkeypatch.chdir(tmp_path)
-        before = sorted(tmp_path.rglob("*"))
-        assert main(["filter", "--config", str(config_file), "--out", ""]) == 2
-        doc = json.loads(config_file.read_text())
-        doc["out_dir"] = ""
-        config_file.write_text(json.dumps(doc))
-        assert main(["filter", "--config", str(config_file)]) == 2
-        assert capsys.readouterr().err.count("error: out_dir must not be empty") == 2
-        assert sorted(tmp_path.rglob("*")) == before
-
-    @pytest.mark.parametrize("halvings", ["20", "2000"])
-    def test_halvings_beyond_the_step_budget_exits_2(self, tmp_path, capsys, halvings):
-        # the refined grid's check used to blame dt, a key the user did not set
-        config = telegraph_config(horizon=0.05, out_dir=str(tmp_path / "out"))
-        file = tmp_path / "config.json"
-        file.write_text(json.dumps(config.to_json()))
-        assert main(["convergence", "--config", str(file), "--halvings", halvings]) == 2
-        assert capsys.readouterr().err.startswith(f"error: --halvings {halvings} refines")
-        assert not (tmp_path / "out").exists()
-
-    def test_filter_instability_exits_3(self, tmp_path, capsys):
-        config = telegraph_config(horizon=10.0, dt=0.5, beta=0.1, scheme="zakai-ito",
-                                  out_dir=str(tmp_path / "out"))
-        file = tmp_path / "coarse.json"
-        file.write_text(json.dumps(config.to_json()))
-        assert main(["filter", "--config", str(file)]) == 3
-        assert "clamp events" in capsys.readouterr().err
-
     def test_seed_override_changes_output(self, config_file, tmp_path):
         out = tmp_path / "out" / "observations.csv"
         main(["simulate", "--config", str(config_file)])
@@ -876,68 +674,6 @@ class TestCli:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2
         assert lines[0].startswith("h=0")
-
-    @pytest.mark.parametrize("horizons", ["nan", "inf", "0,nan"])
-    def test_predict_nonfinite_horizon_exits_2(self, config_file, tmp_path, capsys, horizons):
-        # nan used to write NaN rows with exit 0, inf to recurse until RecursionError
-        assert main(["predict", "--config", str(config_file), "--horizons", horizons]) == 2
-        assert "error: horizon must be finite and nonnegative" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "prediction.csv").exists()
-
-    def test_log_overflow_from_point_mass_exits_3(self, tmp_path, capsys):
-        # the state floored to 1e-300 overflows the first log step; this used
-        # to exit 2, as a validation failure, where other schemes exit 3
-        with pytest.warns(UserWarning, match="floored"):
-            model = ChainModel(levels=[1.0, -1.0], rates=TELEGRAPH.rates, initial_dist=[1.0, 0.0])
-        config = telegraph_config(model=model, horizon=0.05, scheme="log",
-                                  out_dir=str(tmp_path / "out"))
-        file = tmp_path / "point-mass.json"
-        file.write_text(json.dumps(config.to_json()))
-        with pytest.warns(UserWarning, match="floored"):
-            assert main(["filter", "--config", str(file)]) == 3
-        assert "run failed: log: the filter state became non-finite" in capsys.readouterr().err
-
-    def test_out_dir_under_a_regular_file_exits_2(self, config_file, tmp_path, capsys):
-        # NotADirectoryError used to escape uncaught (exit 1)
-        out = config_file / "x"
-        assert main(["filter", "--config", str(config_file), "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
-
-    @pytest.mark.parametrize("edit, message", [
-        (lambda model: model.update(foo=1), "unknown model keys ['foo']"),
-        (lambda model: model.pop("initial"), "missing model keys ['initial']"),
-    ], ids=["unknown", "missing"])
-    def test_model_key_outside_the_table_exits_2(self, tmp_path, capsys, edit, message):
-        # an unknown model key used to validate as "config ok", a missing one
-        # to fail with a bare KeyError: 'initial'
-        doc = telegraph_config(out_dir=str(tmp_path / "out")).to_json()
-        edit(doc["model"])
-        file = tmp_path / "config.json"
-        file.write_text(json.dumps(doc))
-        assert main(["validate", "--config", str(file)]) == 2
-        file.write_text(json.dumps(doc["model"]))
-        assert main(["validate", "--model", str(file)]) == 2
-        assert f"error: {message}" in capsys.readouterr().err
-
-    def test_rates_beyond_the_jump_budget_exit_2(self, tmp_path, capsys):
-        # "filter" on these rates used to loop forever drawing jumps
-        model = {"levels": [1.0, -1.0], "rates": [[0.0, 1e308], [1e308, 0.0]],
-                 "initial": [0.5, 0.5]}
-        doc = dict(telegraph_config(out_dir=str(tmp_path / "out")).to_json(), model=model)
-        file = tmp_path / "config.json"
-        file.write_text(json.dumps(doc))
-        assert main(["validate", "--config", str(file)]) == 2
-        assert main(["filter", "--config", str(file)]) == 2
-        assert capsys.readouterr().err.startswith("error: horizon * max exit rate")
-        assert not (tmp_path / "out").exists()
-
-    def test_config_nested_past_the_parser_limit_exits_2(self, tmp_path, capsys):
-        # json.loads used to raise RecursionError (exit 1)
-        file = tmp_path / "deep.json"
-        file.write_text("[" * 100_000)
-        assert main(["validate", "--config", str(file)]) == 2
-        assert main(["filter", "--config", str(file)]) == 2
-        assert capsys.readouterr().err.startswith("error: a config is nested too deeply")
 
     def test_entry_point_runs(self, config_file):
         proc = subprocess.run(

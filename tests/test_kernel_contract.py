@@ -221,6 +221,13 @@ def test_only_a_kernel_that_batches_takes_increment_columns(scheme):
         assert batch.probs.shape == (21, replicas, kernel.model.n_states)
         for r in range(replicas):
             assert bits(batch.probs[:, r, :]) == bits(drive(kernel, kernel.start(), dy[:, r]).probs)
+    # an iterable takes (m,) blocks only: wonham-ito used to run a first (m, 3)
+    # block as a batch, then feed every replica the one increment of an (m,)
+    # block, or fail on an (m, 5) block with numpy's bare broadcast error
+    for blocks, bad in [([(600, 3), 600], (600, 3)), ([600, (600, 5)], (600, 5))]:
+        with pytest.raises(ValueError, match=rf"{scheme} takes \(m,\) blocks from an "
+                                             rf"iterable, not \({bad[0]}, {bad[1]}\)"):
+            check_run(run_steps(kernel, kernel.start(), (np.zeros(m) for m in blocks)))
 
 
 # ---------------------------------------------------------------------------
