@@ -846,8 +846,7 @@ def block_steps(n_steps: int, rows: int | None = None):
 
 
 def _checked(kernel: Kernel, blocks):
-    """The increment ``blocks`` of an iterable, each checked as it comes: an
-    (m,) array of finite increments, else ValueError naming the scheme."""
+    """The iterable's ``blocks`` as they come, each (m,) and finite or a ValueError."""
     for block in blocks:
         if np.ndim(block) != 1:
             raise ValueError(f"{kernel.scheme} takes (m,) blocks from an iterable, "
@@ -879,8 +878,8 @@ def run_steps(kernel: Kernel, state, dy, consume=None) -> Trajectory:
 
     Raises ValueError before the first step for an array ``dy`` of another
     shape (so (n, R) to a kernel that does not batch) or with a non-finite
-    increment, and, before its steps, for a block of an iterable that is not
-    (m,) or holds a non-finite increment.
+    increment; before its steps, for an iterable's block that is not (m,) or
+    holds a non-finite increment; and for an iterable without a block.
     """
     array, total = state if isinstance(state, tuple) else (state, None)
     batch = False
@@ -944,6 +943,8 @@ def run_steps(kernel: Kernel, state, dy, consume=None) -> Trajectory:
                 off_simplex |= block_off_simplex
                 consume(rows, block, probs_on, extras_on)
             rows += last + 1 - first
+    if rows == 0:
+        raise ValueError(f"{kernel.scheme} takes at least one block of increments")
     final = slice(last, last + 1)
     probs = np.array(probs[final], order="C")
     extras = {name: np.array(v[final], order="C") for name, v in extras.items()}

@@ -230,8 +230,17 @@ def test_only_a_kernel_that_batches_takes_increment_columns(scheme):
             check_run(run_steps(kernel, kernel.start(), (np.zeros(m) for m in blocks)))
 
 
-# ---------------------------------------------------------------------------
-# increments: finite, checked before step 1
+@pytest.mark.parametrize("scheme", KERNELS)
+def test_an_iterable_without_a_block_is_refused(scheme):
+    # an empty iterable used to end in an UnboundLocalError after the loop;
+    # one empty block is a run of 0 steps, as an empty array is
+    kernel = build(scheme)
+    with pytest.raises(ValueError, match=rf"{scheme} takes at least one block of increments"):
+        run_steps(kernel, kernel.start(), iter([]))
+    for dy in (np.zeros(0), iter([np.zeros(0)])):
+        run = check_run(run_steps(kernel, kernel.start(), dy))
+        assert run.n_steps == 0
+        assert bits(run.probs[0]) == bits(drive(kernel, kernel.start(), np.zeros(0)).probs[0])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
