@@ -484,17 +484,16 @@ def stationary_distribution(model: ChainModel) -> np.ndarray:
     k = model.n_states
     if k == 1:
         return np.array([1.0])
-    # imported here: scipy.sparse takes ~0.3 s to load and only this check needs it
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    adjacency = csr_matrix((model.rates > 0).astype(np.int8))
-    n_comp, labels = connected_components(adjacency, directed=True, connection="strong")
-    if n_comp > 1:
-        blocks = [tuple(np.flatnonzero(labels == c)) for c in range(n_comp)]
-        raise ReducibleChainError(
-            f"chain is reducible; strongly connected blocks: {blocks}"
-        )
+    # reach[i, j]: state j can be reached from i; each squaring doubles the
+    # path length covered, and k - 1 jumps reach every reachable state
+    reach = np.eye(k, dtype=bool) | (model.rates > 0)
+    for _ in range((k - 1).bit_length()):
+        reach = reach @ reach
+    mutual = reach & reach.T
+    if not mutual.all():
+        # each row of ``mutual`` is its state's block; list them by smallest state
+        blocks = sorted({tuple(np.flatnonzero(row).tolist()) for row in mutual})
+        raise ReducibleChainError(f"chain is reducible; strongly connected blocks: {blocks}")
     q = model.generator
     system = np.vstack([q.T, np.ones(k)])
     rhs = np.zeros(k + 1)
@@ -503,7 +502,8 @@ def stationary_distribution(model: ChainModel) -> np.ndarray:
     residual = float(np.abs(pi @ q).max())
     if residual > 1e-10:
         raise RuntimeError(f"stationary solve residual {residual:.3e} exceeds 1e-10")
-    return np.clip(pi, 0.0, None) / np.clip(pi, 0.0, None).sum()
+    pi = np.clip(pi, 0.0, None)
+    return pi / pi.sum()
 
 
 def json_object(source: str | dict, what: str) -> dict:

@@ -132,6 +132,18 @@ def _ordered_times(horizon: float, nodes: np.ndarray, weights: np.ndarray, m: in
     return times, w * jac
 
 
+def _poisson_tail(m: int, lam: float) -> float:
+    """P(N > m) for N ~ Poisson(lam), m <= 3: 1 - P(N <= m) where P(N <= m) < 1/2, else the
+    upward series e^-lam lam^(m+1)/(m+1)! (1 + lam/(m+2) + ...), which does not cancel there."""
+    # the Poisson masses of 0..m+40; past lam ~ 745 they underflow to 0, and the tail is 1
+    pmf = [math.exp(-lam)]
+    for j in range(1, m + 41):
+        pmf.append(pmf[-1] * lam / j if pmf[-1] else 0.0)  # 0, not nan, at lam = inf
+    head = sum(pmf[:m + 1])
+    # where head >= 1/2, lam < 4, and the masses past m + 40 are below 1e-30 of the tail
+    return 1.0 - head if head < 0.5 else sum(pmf[m + 1:])
+
+
 def pathspace_expectation(
     model: ChainModel,
     grid: ObservationGrid,
@@ -147,7 +159,8 @@ def pathspace_expectation(
     (K <= 3), max_jumps an integer in 0..3, and the Poisson mass of the omitted
     jump counts, bounded with rate max_i nu_i, must not exceed
     ``max_truncation``. That omitted mass is reported as ``truncation_bound``
-    alongside the result. ValueError unless quad_points is a positive integer.
+    alongside the result. ValueError unless quad_points is a positive integer
+    and max_truncation a number in [0, 1].
     """
     k = model.n_states
     if k > 3:
@@ -156,13 +169,12 @@ def pathspace_expectation(
         raise ValueError(f"max_jumps must be an integer in 0..3, got {max_jumps!r}")
     if not is_count(quad_points) or quad_points < 1:
         raise ValueError(f"quad_points must be a positive integer, got {quad_points!r}")
+    real = isinstance(max_truncation, numbers.Real) and not isinstance(max_truncation, bool)
+    if not (real and 0 <= max_truncation <= 1):
+        raise ValueError(f"max_truncation must be a number in [0, 1], got {max_truncation!r}")
     if _step_count(horizon, grid.dt) > grid.n_steps:
         raise ValueError("horizon must not pass the end of the grid")
-    # imported here: scipy.stats takes ~1 s to load and only this bound needs it
-    from scipy.stats import poisson
-
-    lam = float(model.exit_rates.max()) * horizon
-    truncation_bound = float(poisson.sf(max_jumps, lam))
+    truncation_bound = _poisson_tail(max_jumps, model.max_exit_rate * horizon)
     if truncation_bound > max_truncation:
         raise ValueError(
             f"omitted >= {max_jumps + 1}-jump Poisson mass {truncation_bound:.3e} "

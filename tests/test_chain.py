@@ -325,14 +325,45 @@ class TestStationary:
         assert np.abs(pi @ m.generator).max() <= 1e-10
 
     def test_reducible_chain_names_blocks(self):
-        with pytest.warns(UserWarning, match="floored"):
-            m = ChainModel(
-                levels=[1.0, -1.0],
-                rates=[[0.0, 2.0], [0.0, 0.0]],
-                initial_dist=[1.0, 0.0],
-            )
-        with pytest.raises(ReducibleChainError, match="block"):
-            stationary_distribution(m)
+        # blocks are listed by their smallest state, as plain ints, not numpy
+        # scalars in the order a graph search happens to find them
+        for rates, blocks in [
+            ([[0.0, 2.0], [0.0, 0.0]], "[(0,), (1,)]"),
+            ([[0.0, 2.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]], "[(0,), (1,), (2,)]"),
+            ([[0.0, 2.0, 1.0], [0.0, 0.0, 0.0], [3.0, 0.0, 0.0]], "[(0, 2), (1,)]"),
+        ]:
+            k = len(rates)
+            with pytest.warns(UserWarning, match="floored"):
+                m = ChainModel(levels=np.arange(k, dtype=float), rates=rates,
+                               initial_dist=np.eye(k)[0])
+            with pytest.raises(ReducibleChainError) as raised:
+                stationary_distribution(m)
+            assert str(raised.value) == f"chain is reducible; strongly connected blocks: {blocks}"
+
+    def test_blocks_match_scipy_strong_components(self):
+        # independent route to the same partition, over random rate patterns
+        from scipy.sparse.csgraph import connected_components
+
+        rng = np.random.default_rng(31)
+        reducible = 0
+        for _ in range(600):
+            k = int(rng.integers(1, 13))
+            pattern = rng.random((k, k)) < rng.uniform(0.05, 0.6)
+            model = ChainModel(levels=np.arange(k, dtype=float),
+                               rates=np.where(pattern, rng.uniform(0.1, 2.0, (k, k)), 0.0),
+                               initial_dist=np.full(k, 1.0 / k))
+            n_blocks, labels = connected_components(model.rates > 0, directed=True,
+                                                    connection="strong")
+            if n_blocks == 1:
+                pi = stationary_distribution(model)
+                assert np.abs(pi @ model.generator).max() <= 1e-10
+                continue
+            reducible += 1
+            blocks = sorted(tuple(np.flatnonzero(labels == c).tolist()) for c in range(n_blocks))
+            with pytest.raises(ReducibleChainError) as raised:
+                stationary_distribution(model)
+            assert str(raised.value).endswith(f"blocks: {blocks}")
+        assert 100 <= reducible <= 500  # both branches run often
 
 
 class TestJson:

@@ -15,7 +15,7 @@ from jumpfilter import (
 from jumpfilter import oracle
 from jumpfilter.harness import ExperimentConfig, run_trajectory, simulate_pair
 from jumpfilter.kernels import FilterInstabilityError, WonhamIto, check_run, run_steps
-from jumpfilter.oracle import _ordered_times, _state_sequences
+from jumpfilter.oracle import _ordered_times, _poisson_tail, _state_sequences
 from jumpfilter.seeding import ROLE_JUMP, ROLE_NOISE, derive_states
 from jumpfilter.signalpath import coarsen
 
@@ -185,6 +185,19 @@ class TestPathspace:
         expected = 1.0 - np.exp(-0.2) * 1.22
         assert result.truncation_bound == pytest.approx(expected, rel=1e-12)
 
+    def test_truncation_bound_matches_scipy_poisson_tail(self):
+        # m = 0..3 at lam = 0 and 1e-12..50, where the bound is 1 - P(N <= m)
+        # or an upward series, and past 745, where exp(-lam) underflows to 0
+        from scipy.stats import poisson
+
+        lams = np.concatenate([[0.0], np.geomspace(1e-12, 50.0, 2000)])
+        for m in range(4):
+            ours = np.array([_poisson_tail(m, lam) for lam in lams])
+            reference = poisson.sf(m, lams)
+            assert np.all(np.abs(ours - reference) <= 1e-13 * reference), m
+            for lam in (746.0, 1e3, 1e7, 1e300, np.inf):
+                assert _poisson_tail(m, lam) == poisson.sf(m, lam) == 1.0
+
     def test_refusals(self):
         grid = self.grid()
         four_state = ChainModel(
@@ -203,13 +216,16 @@ class TestPathspace:
     @pytest.mark.parametrize("name, value", [
         ("max_jumps", 1.5), ("max_jumps", True), ("max_jumps", -1), ("max_jumps", "2"),
         ("quad_points", 1.5), ("quad_points", True), ("quad_points", 0), ("quad_points", None),
+        ("max_truncation", np.nan), ("max_truncation", "1e-4"), ("max_truncation", None),
+        ("max_truncation", True), ("max_truncation", -0.1), ("max_truncation", 1.5),
     ])
     def test_counts_must_be_integers_in_range(self, name, value):
         # 1.5 used to raise TypeError, True ran as 1, and quad_points=0 gave
-        # numpy's "deg must be a positive integer"
-        counts = {"max_jumps": 2, "quad_points": 8, name: value}
+        # numpy's "deg must be a positive integer"; max_truncation=nan ran with
+        # no bound, and "1e-4" and None raised TypeError
+        args = {"max_jumps": 2, "quad_points": 8, "max_truncation": 1.0, name: value}
         with pytest.raises(ValueError, match=name):
-            pathspace_expectation(TELEGRAPH, self.grid(), 0.2, **counts, max_truncation=1.0)
+            pathspace_expectation(TELEGRAPH, self.grid(), 0.2, **args)
 
     def test_counts_take_numpy_integers(self):
         grid = self.grid()

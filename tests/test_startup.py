@@ -1,13 +1,10 @@
-"""Start-up cost: the package and its CLI load no scipy module until a
-scipy-backed computation runs (the irreducibility check of
-``stationary_distribution``, the Poisson tail of ``pathspace_expectation``).
-No CLI command is one: the Gamma propagators use the package's own ``expm``.
-No command loads ``multiprocessing`` or ``concurrent.futures``: neither the
-package, nor the commands that run one trajectory, nor a fan-out over CPUs,
-which forks its children itself (that of the refinement ladders of
-``convergence`` and ``adjudicate``, or that of a tower check of at least
-``2 * oracle.REPLICA_FLOOR`` replicas). Importing the package and its CLI
-loads no ``numpy.random`` either (~10 ms): the first generator imports it.
+"""Start-up cost: no command loads ``multiprocessing`` or
+``concurrent.futures``: neither the package, nor the commands that run one
+trajectory, nor a fan-out over CPUs, which forks its children itself (that
+of the refinement ladders of ``convergence`` and ``adjudicate``, or that of a
+tower check of at least ``2 * oracle.REPLICA_FLOOR`` replicas). Importing the
+package and its CLI loads no ``numpy.random`` either (~10 ms): the first
+generator imports it.
 
 Each command loads only the package modules it runs: ``import jumpfilter``
 loads no runner module (``harness``, ``cli``), no step-wrapper module
@@ -18,12 +15,11 @@ no ``harness``, ``cli``, ``zakai`` or ``wonham``; and no forked child imports
 a package module that its parent did not hold. The package namespace serves
 each public name from the module that defines it.
 
-Other tests import scipy and every package module into the pytest process,
-so these checks run in a fresh interpreter.
+Other tests import every package module into the pytest process, so these
+checks run in a fresh interpreter.
 """
 
 import importlib
-import inspect
 import json
 import os
 import subprocess
@@ -36,8 +32,6 @@ import pytest
 import jumpfilter
 from jumpfilter import harness, kernels, oracle, telegraph_model, wonham
 from jumpfilter.harness import ExperimentConfig
-
-LAZY_MODULES = ("scipy.sparse.csgraph", "scipy.stats")
 
 
 def fresh_interpreter(script: str, *args, cwd):
@@ -52,28 +46,6 @@ def fresh_interpreter(script: str, *args, cwd):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def lazy_results(config_file):
-    """Each scipy-backed computation once, as JSON-ready values."""
-    from dataclasses import replace
-
-    from jumpfilter import ChainModel, pathspace_expectation, stationary_distribution
-    from jumpfilter.harness import ExperimentConfig, simulate_pair
-
-    with open(config_file) as fh:
-        config = ExperimentConfig.from_json(fh.read())
-    three = ChainModel(
-        levels=[1.0, 0.3, -0.7],
-        rates=[[0.0, 0.6, 0.3], [0.2, 0.0, 0.8], [0.5, 0.4, 0.0]],
-        initial_dist=[0.5, 0.3, 0.2],
-    )
-    _, grid = simulate_pair(replace(config, horizon=0.2))
-    path = pathspace_expectation(config.model, grid, 0.2, 2, 8, max_truncation=2e-3)
-    return {
-        "stationary": stationary_distribution(three).tolist(),
-        "pathspace": [path.probs.tolist(), path.unnormalized.tolist(), path.truncation_bound],
-    }
-
-
 CHILD = """
 import contextlib, io, json, os, sys
 
@@ -82,16 +54,11 @@ import jumpfilter.cli
 from jumpfilter import fanout
 
 
-def scipy_modules():
-    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
-
-
 def pool_modules():
     return sorted(name for name in sys.modules
                   if name.split(".")[0] == "multiprocessing" or name == "concurrent.futures")
 
 
-after_import = scipy_modules()
 pools_after_import = pool_modules()
 random_after_import = sorted(name for name in sys.modules if name.startswith("numpy.random"))
 config_file, gamma_file, out_dir = sys.argv[1:4]
@@ -112,21 +79,14 @@ with contextlib.redirect_stdout(io.StringIO()):
     fanout.usable_cpus = lambda: 2
     codes.append(jumpfilter.cli.main(["convergence", *common, "--halvings", "2"]))
 pools_after_fan_out = pool_modules()
-after_cli = scipy_modules()
-
-{lazy_results}
-
-results = lazy_results(config_file)
-print(json.dumps({{"after_import": after_import, "codes": codes, "after_cli": after_cli,
-                  "pools_after_import": pools_after_import,
+print(json.dumps({"codes": codes, "pools_after_import": pools_after_import,
                   "random_after_import": random_after_import,
                   "pools_after_single_runs": pools_after_single_runs,
-                  "ladder_forks": len(forks), "pools_after_fan_out": pools_after_fan_out,
-                  "results": results, "after_lazy": scipy_modules()}}))
+                  "ladder_forks": len(forks), "pools_after_fan_out": pools_after_fan_out}))
 """
 
 
-def test_cli_runs_without_scipy_and_lazy_paths_match(tmp_path):
+def test_cli_loads_no_pool_or_numpy_random_until_used(tmp_path):
     config = ExperimentConfig(model=telegraph_model(1.0), horizon=0.05, dt=1e-3, beta=0.5,
                               scheme="wonham-ito", master_seed=7)
     config_file = tmp_path / "config.json"
@@ -134,25 +94,18 @@ def test_cli_runs_without_scipy_and_lazy_paths_match(tmp_path):
     gamma_file = tmp_path / "gamma.json"
     gamma_file.write_text(json.dumps(replace(config, scheme="gamma").to_json()))
     out = tmp_path / "out"
-    script = CHILD.format(lazy_results=inspect.getsource(lazy_results))
+    report = fresh_interpreter(CHILD, config_file, gamma_file, out, cwd=tmp_path)
 
-    report = fresh_interpreter(script, config_file, gamma_file, out, cwd=tmp_path)
-
-    assert report["after_import"] == []
     assert report["random_after_import"] == []
     assert report["codes"] == [0] * 6
     for written in ("trajectory.csv", "prediction.csv", "convergence.csv"):
         assert (out / written).exists()
     assert (tmp_path / "out-gamma" / "trajectory.csv").exists()
-    assert report["after_cli"] == []
     # no command loads multiprocessing or concurrent.futures, a fan-out included
     assert report["pools_after_import"] == []
     assert report["pools_after_single_runs"] == []
     assert report["ladder_forks"] == 2
     assert report["pools_after_fan_out"] == []
-    # the lazy paths ran cold in the child, and return what they return here
-    assert set(LAZY_MODULES) <= set(report["after_lazy"])
-    assert report["results"] == lazy_results(config_file)
 
 
 FANNED_OUT_CHECK = """
