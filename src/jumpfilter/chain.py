@@ -77,9 +77,10 @@ class ChainModel:
         initial_dist: distribution of the state at time 0, shape (K,).
 
     Construction raises ValueError("invalid model: ...") naming every
-    violated invariant: finite levels, finite nonnegative rates, and a finite
-    initial law in [0, 1] summing to 1 within 1e-12. A zero initial
-    probability warns once, here, as :attr:`start_weights` floors it.
+    violated invariant: finite levels, finite nonnegative rates, finite exit
+    rates (row sums of the rates), and a finite initial law in [0, 1]
+    summing to 1 within 1e-12. A zero initial probability warns once, here,
+    as :attr:`start_weights` floors it.
     """
 
     levels: np.ndarray
@@ -105,6 +106,10 @@ class ChainModel:
             violations.append("nonfinite rate")
         elif np.any(rates < 0):
             violations.append("negative rate")
+        else:
+            with np.errstate(over="ignore"):  # finite rates may sum past the float range
+                if not np.isfinite(rates.sum(axis=1)).all():
+                    violations.append("nonfinite exit rate")
         if not np.all(np.isfinite(initial)):
             violations.append("nonfinite initial probability")
         else:

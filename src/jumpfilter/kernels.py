@@ -15,11 +15,12 @@ the Python loop over the steps carries only the recurrence:
   state (or a (K, R) batch, see below), with no validation, doing only the
   work that the next step reads; ``clamped`` counts floored entries;
 * ``probs(states, sums) -> (probs, extras)``: the normalized (rows, K)
-  rows of a block and the scheme's extra columns, from the arrays that
-  :func:`run_steps` wrote, in one vectorized pass after the block's steps
-  that may overwrite them, including the work that is only ever written out
-  (the running log normalizer of the Zakai schemes, whose row 0 carries the
-  previous block's sum in).
+  rows of a block (its last row alone when nothing reads the others) and
+  the scheme's extra columns, from the arrays that :func:`run_steps`
+  wrote, in one vectorized pass after the block's steps that may overwrite
+  them, including the work that is only ever written out (the running log
+  normalizer of the Zakai schemes, whose row 0 carries the previous block's
+  sum in).
 
 Building a kernel also checks dt and beta (:func:`check_step`), its options
 (:func:`check_signs`) and, through the kernel's ``check_model``, that the
@@ -277,7 +278,7 @@ def floor_and_total(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     clamped = 0 if raw.flat[raw.argmin()] > 0.0 else int(np.count_nonzero(raw <= 0.0))
     if clamped:
         raw = np.maximum(raw, FLOOR)
-    return raw, np.add.reduce(raw, axis=0), clamped
+    return raw, np.add.reduce(raw), clamped
 
 
 def finish_simplex_step(raw: np.ndarray) -> tuple[np.ndarray, int]:
@@ -323,7 +324,7 @@ def _wonham_raw(probs, generator_t, levels, beta_sq: float, dt: float, dy, innov
     the variant decided by the caller."""
     # in-place form of  probs + dt * drift + gain * (dy - xbar * dt)  (or
     # of  ... + gain * dy + gain * (xbar * dt)), same operations and order
-    xbar = np.add.reduce(probs * levels, axis=0)
+    xbar = np.add.reduce(probs * levels)
     gain = levels - xbar
     gain *= probs
     gain /= beta_sq
@@ -503,7 +504,7 @@ class WonhamIto(Kernel):
         raw = _wonham_raw(probs, self.generator_t, levels, self.beta_sq, self.dt, dy,
                           self.innovation)
         floored, total, clamped = floor_and_total(raw)
-        presum = np.add.reduce(raw, axis=0) if clamped else total
+        presum = np.add.reduce(raw) if clamped else total
         return (floored / total, presum), clamped
 
 
@@ -714,7 +715,7 @@ class BayesOracle(Kernel):
         log_post = np.log(probs.dot(self.trans)) + log_like
         log_post -= np.maximum.reduce(log_post)
         post = np.exp(log_post)
-        return post / np.add.reduce(post, axis=0), 0
+        return post / np.add.reduce(post), 0
 
 
 KERNELS = {
@@ -865,11 +866,12 @@ def run_steps(kernel: Kernel, state, dy, consume=None) -> Trajectory:
     step, whose rows come back as (rows, R, K); or an iterable of (m,)
     blocks of one trajectory, synthesized as the run goes.
 
-    A block of m steps writes rows 1..m of a buffer for the state array and,
-    for a state ``(array, sum)``, one for the sum; row 0 carries the
-    start or the previous block's last row, so the Zakai log normalizer and
-    the pre-sum total enter the block's ``np.add.accumulate`` as its first
-    element. ``probs`` normalizes the block, and ``consume(lo, dy, probs,
+    A block of m steps writes rows 1..m of a buffer for the sum of a state
+    ``(array, sum)``, and for the state array only when ``consume`` reads
+    them (else the block's last state alone); row 0 carries the start or
+    the previous block's last row, so the Zakai log normalizer and the
+    pre-sum total enter the block's left-to-right fold as its first element.
+    ``probs`` normalizes the rows kept, and ``consume(lo, dy, probs,
     extras)`` gets its new rows lo.. as views that the next block overwrites.
     The rows handed on, or without ``consume`` the final row alone, which
     the returned run keeps, are checked (:func:`faults`); faults, clamps and
@@ -900,6 +902,7 @@ def run_steps(kernel: Kernel, state, dy, consume=None) -> Trajectory:
     else:
         blocks = _checked(kernel, dy)
     step = kernel.step
+    keep = consume is not None  # state rows for a consume only; else sums alone
     clamps = rows = last = 0
     nonfinite = off_simplex = False
     presum_max = presum_total = 0.0
@@ -907,36 +910,45 @@ def run_steps(kernel: Kernel, state, dy, consume=None) -> Trajectory:
         for block in blocks:
             first = 0 if rows == 0 else 1
             head = (array, total) if rows == 0 else (
-                states[last], None if total is None else sums[last])
+                held[-1], None if total is None else sums[last])
             # the blocks after the first take up to 4 steps more (block_steps)
-            if rows == 0 or len(block) >= len(states):
-                states = np.empty((len(block) + 5, *np.shape(array)))
+            if rows == 0 or len(block) >= size:
+                size = len(block) + 5
+                states = np.empty((size if keep else 1, *np.shape(array)))
                 if total is not None:
-                    sums = np.empty((len(block) + 5, *np.shape(total)))
+                    sums = np.empty((size, *np.shape(total)))
             states[0] = head[0]
             if total is not None:
                 sums[0] = head[1]
             for i, inputs in enumerate(kernel.prepare(block), 1):
                 state, clamped = step(state, inputs)
                 clamps += clamped
-                if total is None:
-                    states[i] = state
-                else:
-                    states[i], sums[i] = state
+                if keep:
+                    if total is None:
+                        states[i] = state
+                    else:
+                        states[i], sums[i] = state
+                elif total is not None:
+                    sums[i] = state[1]
             last = len(block)
+            if last and not keep:  # a block without steps keeps its row 0
+                states[0] = state if total is None else state[0]
             if kernel.carries_presum:
-                # |presum - 1| in one temporary, then summed left to right in place
+                # |presum - 1| in one temporary, then summed left to right:
+                # np.add.reduce adds the rows of an (m, R) array in order for
+                # R >= 2 but sums a column (one trajectory, R = 1) pairwise
                 devs = sums[:last + 1] - 1.0
                 np.abs(devs, out=devs)
                 presum_max = np.maximum(presum_max, devs[first:].max())
                 if first:
                     devs[0] = presum_total
-                presum_total = np.add.accumulate(devs, axis=0, out=devs)[last]
-            probs, extras = kernel.probs(states[:last + 1],
-                                         None if total is None else sums[:last + 1])
+                presum_total = (np.add.reduce(devs) if devs[0].size > 1
+                                else np.add.accumulate(devs, out=devs)[last])
+            held = states[:last + 1] if keep else states
+            probs, extras = kernel.probs(held, None if total is None else sums[:last + 1])
             if batch:
                 probs = probs.transpose(0, 2, 1)
-            if consume is not None:
+            if keep:
                 probs_on, extras_on = probs[first:], {k: v[first:] for k, v in extras.items()}
                 block_nonfinite, block_off_simplex = faults(probs_on, extras_on)
                 nonfinite |= block_nonfinite
@@ -945,10 +957,9 @@ def run_steps(kernel: Kernel, state, dy, consume=None) -> Trajectory:
             rows += last + 1 - first
     if rows == 0:
         raise ValueError(f"{kernel.scheme} takes at least one block of increments")
-    final = slice(last, last + 1)
-    probs = np.array(probs[final], order="C")
-    extras = {name: np.array(v[final], order="C") for name, v in extras.items()}
-    if consume is None:
+    probs = np.array(probs[-1:], order="C")
+    extras = {name: np.array(v[-1:], order="C") for name, v in extras.items()}
+    if not keep:
         nonfinite, off_simplex = faults(probs, extras)
     return Trajectory(kernel.scheme, kernel.dt, rows - 1, probs, clamps, float(presum_max),
                       float(np.max(presum_total)), extras, nonfinite, off_simplex, state)

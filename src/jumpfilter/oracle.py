@@ -251,10 +251,10 @@ class TowerReport:
 
 
 # Fewest replicas a forked child of the tower check gets. A two-child fan-out
-# costs ~6 ms to start and a replica ~110 us (T=1, dt=1e-3, 2 vCPUs), so 500
-# replicas (~55 ms) keep the start under a ninth of each child's share, and
-# checks of up to 999 replicas (the tests' 100-300 among them) run in this
-# process.
+# costs ~4-5 ms to start and a replica ~55-60 us (T=1, dt=1e-3, 2 vCPUs), so
+# 500 replicas (~30 ms) keep the start under a fifth of each child's share,
+# and checks of up to 999 replicas (the tests' 100-300 among them) run in
+# this process.
 REPLICA_FLOOR = 500
 
 
@@ -337,7 +337,7 @@ def _replica_block(task) -> tuple:
     and the level each replica's path ends on.
 
     Row r of the (R, n) increments is written in place: the replica's noise,
-    drawn from its noise stream, then scaled; then
+    drawn from its noise stream; then all rows are scaled in one pass, and
     :func:`jumpfilter.chain.add_path_integrals` adds the exact per-step
     signal integrals of the path drawn from its jump stream. The filter
     runs from ``kernel.start()`` over the transpose view, one (R,) column
@@ -346,10 +346,9 @@ def _replica_block(task) -> tuple:
     kernel, horizon, noise_words, jump_words = task
     model, dt = kernel.model, kernel.dt
     increments = np.empty((len(noise_words), _step_count(horizon, dt)))
-    noise_scale = kernel.beta * math.sqrt(dt)
     for words, row in zip(noise_words, increments):
         stream(words).standard_normal(row.size, out=row)
-        row *= noise_scale
+    increments *= kernel.beta * math.sqrt(dt)
     final_states = add_path_integrals(model, horizon, dt, jump_words, increments)
     return (run_steps(kernel, kernel.start(), increments.T),
             model.levels[final_states])

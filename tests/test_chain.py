@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,17 @@ class TestValidation:
     def test_each_violation_named(self, levels, rates, initial, violations):
         with pytest.raises(ValueError, match=f"^invalid model: {violations}$"):
             ChainModel(levels=levels, rates=rates, initial_dist=initial)
+
+    def test_overflowing_exit_rate_fails_before_any_solve(self, monkeypatch):
+        # each rate is finite but the first row sums to inf: the model was
+        # built, and stationary_distribution's lstsq never returned on it
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kwargs: pytest.fail("solved"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^invalid model: nonfinite exit rate$"):
+                stationary_distribution(ChainModel(
+                    levels=[1.0, 0.0, -1.0], rates=[[0, 1e308, 1e308], [1, 0, 1], [1, 1, 0]],
+                    initial_dist=[0.5, 0.3, 0.2]))
 
     def test_exit_rates_recomputed(self):
         assert THREE_STATE.exit_rates == pytest.approx([0.9, 1.0, 0.9], abs=1e-15)

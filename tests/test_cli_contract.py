@@ -282,6 +282,11 @@ ROWS = {
     "negative-rate-of-model": (json.dumps(dict(BASE["model"], rates=[[0, -2], [1, 0]])),
                                ["validate --model config.json"], 2,
                                "error: invalid model: negative rate", []),
+    # each rate is finite but a row sums past the float range: validate
+    # passed it, and filter exited 2 only after numpy's overflow warning
+    "nonfinite-exit-rate": (edited(("set", ("model",), dict(
+        THREE, rates=[[0, 1e308, 1e308], [1, 0, 1], [1, 1, 0]], initial=[0.5, 0.3, 0.2]))),
+        BOTH, 2, "error: invalid model: nonfinite exit rate", []),
     # filter on these rates looped forever drawing jumps
     "jump-budget": (edited(("set", ("model", "rates"), [[0.0, 1e308], [1e308, 0.0]])), BOTH,
                     2, "error: horizon * max exit rate", []),

@@ -804,11 +804,12 @@ def test_batch_without_history_keeps_no_presum_column():
     assert peak < dy.nbytes / 2
 
 
-@pytest.mark.parametrize("replicas", [None, 3])
+@pytest.mark.parametrize("replicas", [None, 1, 2, 3])
 @pytest.mark.parametrize("run_of", [run_history, run_steps])
 def test_presum_total_dev_sums_left_to_right(replicas, run_of):
-    # a 1-d np.add.reduce sums pairwise, with other bits than the running
-    # total of a batch without a history
+    # np.add.reduce over axis 0 adds the rows of an (n, R) array in order
+    # for R >= 2 only: on (n,) and (n, 1) it sums pairwise, with other bits
+    # than the running total
     class Drifting(WonhamIto):
         def step(self, state, dy):
             return (state[0], 1.0 + dy), 0

@@ -9,7 +9,8 @@ batches takes (n, R) increments; increments are finite before step 1; a
 history, extras included, is finite and on the simplex; the
 wonham-ito pre-renormalization sum stays near 1; every floored entry is
 counted, and a run fails past the clamp budget. Then the equalities: a run
-without a history ends on the last kept row; the rows of a batch are the
+without a history ends on the last kept row, and hands ``probs`` only the
+last state of each block; the rows of a batch are the
 separate runs; ``run_steps`` is a plain reference loop bit for bit; and each
 public R=1 step function is a one-step ``run_steps`` run, is its ``drive``
 row bit for bit, refuses a state of another K and fails as a run does,
@@ -48,6 +49,7 @@ from jumpfilter import (
 from jumpfilter.chain import FLOOR
 from jumpfilter.harness import run_trajectory
 from jumpfilter.kernels import (
+    BLOCK_ROWS,
     CLAMP_FAILURE_FRACTION,
     KERNELS,
     QUIET,
@@ -363,6 +365,27 @@ def test_a_run_without_history_ends_on_the_last_kept_row(case):
     assert (last.clamps, last.presum_max_dev, last.presum_total_dev) == (
         full.clamps, full.presum_max_dev, full.presum_total_dev)
     assert (full.clamps > 0) == (case.scheme in CLAMPING)
+
+
+@pytest.mark.parametrize("case", UNKEPT, ids=str)
+def test_a_run_without_history_keeps_no_state_history(case):
+    # ``probs`` gets each block's last state alone, and it is the last row
+    # of that block in a run that keeps every row
+    handed = {True: [], False: []}
+
+    class Spy(KERNELS[case.scheme]):
+        def probs(self, states, sums):
+            handed[self.kept].append(np.array(states))
+            return super().probs(states, sums)
+
+    dy = 3e-4 + BETA * np.sqrt(DT) * np.random.default_rng(5).standard_normal(2 * BLOCK_ROWS + 100)
+    for kept in handed:
+        kernel = Spy(model_of(case.scheme), DT, BETA)
+        kernel.kept = kept
+        runner(kept)(kernel, kernel.start(), increments(case, dy))
+    assert len(handed[True]) == 3
+    assert [len(rows) for rows in handed[False]] == [1, 1, 1]
+    assert bits([rows[-1] for rows in handed[False]]) == bits([rows[-1] for rows in handed[True]])
 
 
 # ---------------------------------------------------------------------------
