@@ -34,6 +34,8 @@ __all__ = [
     "add_path_integrals",
     "check_horizon",
     "check_jump_budget",
+    "is_count",
+    "is_real",
     "stationary_distribution",
     "model_from_json",
     "model_to_json",
@@ -197,10 +199,20 @@ def telegraph_model(nu: float, initial_dist=(0.5, 0.5)) -> ChainModel:
     )
 
 
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number (numpy's too), not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_count(value) -> bool:
+    """Whether ``value`` is a nonnegative integer (numpy's too), not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0
+
+
 def check_horizon(h: float) -> None:
-    """The one check of a lookahead horizon: ValueError unless ``h`` is finite
-    and nonnegative."""
-    if not 0 <= h < math.inf:
+    """The one check of a lookahead horizon: ValueError unless ``h`` is a
+    finite and nonnegative real number."""
+    if not (is_real(h) and 0 <= h < math.inf):
         raise ValueError(f"horizon must be finite and nonnegative, not {h!r}")
 
 
@@ -546,7 +558,7 @@ def model_from_json(source: str | dict) -> ChainModel:
             entries = np.asarray(values[name], dtype=object).flat
         except (TypeError, ValueError, OverflowError):
             entries = [None]
-        if not all(isinstance(x, numbers.Real) and not isinstance(x, bool) for x in entries):
+        if not all(is_real(x) for x in entries):
             raise ValueError(f"model key {key!r} must be a number or nested lists of numbers, "
                              "not bools, strings, nulls or objects")
     return ChainModel(**arrays)

@@ -26,6 +26,7 @@ from .chain import (
     JumpPath,
     check_horizon,
     check_jump_budget,
+    is_real,
     json_fields,
     model_from_json,
     model_to_json,
@@ -152,7 +153,7 @@ def _number(key: str, value, kind: type):
     """``value`` of the config key ``key`` as ``kind``: a float for a finite,
     positive real number, an int for a number of integral value; ValueError
     naming the key for a bool, a value of another type or out of range."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+    real = is_real(value)
     if kind is int:
         if real and (isinstance(value, numbers.Integral) or float(value).is_integer()):
             return int(value)

@@ -61,12 +61,11 @@ left to right): the CLI outputs are pinned bit for bit by
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .chain import CHUNK_VALUES, FLOOR, ChainModel, transition_matrix
+from .chain import CHUNK_VALUES, FLOOR, ChainModel, is_count, is_real, transition_matrix
 
 __all__ = [
     "FLOOR",
@@ -158,22 +157,18 @@ def check_probability_vector(probs) -> np.ndarray:
 
 def check_scalars(state) -> None:
     """ValueError naming the field unless, where ``state`` has them, ``t`` is
-    finite and nonnegative, ``log_normalizer`` is finite and the counts
-    ``clamps`` and ``step`` are nonnegative integers (numpy's too, not bools)."""
+    a finite and nonnegative real number, ``log_normalizer`` a finite one and
+    the counts ``clamps`` and ``step`` are nonnegative integers (numpy's
+    too, not bools)."""
     t, log_normalizer = getattr(state, "t", 0.0), getattr(state, "log_normalizer", 0.0)
-    if not (isinstance(t, numbers.Real) and 0 <= t < math.inf):
+    if not (is_real(t) and 0 <= t < math.inf):
         raise ValueError(f"t must be finite and nonnegative, not {t!r}")
-    if not (isinstance(log_normalizer, numbers.Real) and math.isfinite(log_normalizer)):
+    if not (is_real(log_normalizer) and math.isfinite(log_normalizer)):
         raise ValueError(f"log_normalizer must be a finite number, not {log_normalizer!r}")
     for name in ("clamps", "step"):
         count = getattr(state, name, 0)
         if not is_count(count):
             raise ValueError(f"{name} must be a nonnegative integer, not {count!r}")
-
-
-def is_count(value) -> bool:
-    """Whether ``value`` is a nonnegative integer (numpy's too, not a bool)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0
 
 
 def check_state_size(size: int, model: ChainModel) -> None:

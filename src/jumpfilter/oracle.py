@@ -29,10 +29,11 @@ from itertools import product
 
 import numpy as np
 
-from .chain import STEP_BUDGET, ChainModel, add_path_integrals, transition_matrix
+from .chain import (STEP_BUDGET, ChainModel, add_path_integrals, is_count, is_real,
+                    transition_matrix)
 from .fanout import fan_out, fork_workers
 from .kernels import (BayesOracle, WonhamIto, check_probability_vector, check_run, check_scalars,
-                      check_state_size, is_count, run_steps, step_once)
+                      check_state_size, run_steps, step_once)
 from .seeding import ROLE_JUMP, ROLE_NOISE, _seed_words_class, derive_states, stream
 from .signalpath import ObservationGrid, _step_count, cumulative_observation
 
@@ -169,8 +170,7 @@ def pathspace_expectation(
         raise ValueError(f"max_jumps must be an integer in 0..3, got {max_jumps!r}")
     if not is_count(quad_points) or quad_points < 1:
         raise ValueError(f"quad_points must be a positive integer, got {quad_points!r}")
-    real = isinstance(max_truncation, numbers.Real) and not isinstance(max_truncation, bool)
-    if not (real and 0 <= max_truncation <= 1):
+    if not (is_real(max_truncation) and 0 <= max_truncation <= 1):
         raise ValueError(f"max_truncation must be a number in [0, 1], got {max_truncation!r}")
     if _step_count(horizon, grid.dt) > grid.n_steps:
         raise ValueError("horizon must not pass the end of the grid")

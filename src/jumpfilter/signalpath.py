@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .chain import (STEP_BUDGET, ChainModel, JumpPath, _uniform_grid, path_segments,
+from .chain import (STEP_BUDGET, ChainModel, JumpPath, _uniform_grid, is_count, path_segments,
                     segment_integrals)
 from .kernels import check_step
 
@@ -125,9 +125,11 @@ def cumulative_observation(grid: ObservationGrid) -> np.ndarray:
 
 
 def coarsen(grid: ObservationGrid, factor: int) -> ObservationGrid:
-    """Aggregate consecutive groups of ``factor`` steps into one coarse step."""
-    if factor < 1 or grid.n_steps % factor != 0:
-        raise ValueError(f"factor {factor} does not divide {grid.n_steps} steps")
+    """Aggregate consecutive groups of ``factor`` steps into one coarse step;
+    ValueError unless ``factor`` is a positive integer that divides the steps."""
+    if not (is_count(factor) and factor >= 1 and grid.n_steps % factor == 0):
+        raise ValueError(f"factor {factor!r} is not a positive integer that divides "
+                         f"{grid.n_steps} steps")
     return ObservationGrid(
         dt=grid.dt * factor,
         beta=grid.beta,

@@ -27,12 +27,11 @@ step by step, not just asymptotically.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainModel, telegraph_model, transition_matrix
+from .chain import ChainModel, is_real, telegraph_model, transition_matrix
 from .kernels import (
     TelegraphIto,
     TelegraphLangevin,
@@ -82,8 +81,7 @@ class TelegraphState:
     clamps: int = 0
 
     def __post_init__(self):
-        real = isinstance(self.q, numbers.Real) and not isinstance(self.q, bool)
-        if not (real and -1.0 <= self.q <= 1.0):  # NaN fails too
+        if not (is_real(self.q) and -1.0 <= self.q <= 1.0):  # NaN fails too
             raise ValueError(f"q must be a number in [-1, 1], not {self.q!r}")
         check_scalars(self)
 

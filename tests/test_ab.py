@@ -1,12 +1,15 @@
 """``tools/ab.py``, the A/B runner of ``benchmark/run.py``, on canned output:
 it reads a run's last JSON line and reduces pairs of runs to medians, wins
-and the parent's quartiles, without running the benchmark."""
+and the parent's quartiles, without running the benchmark; and its runtime
+probe reports the CPUs that the package's fan-out uses."""
 
 import importlib.util
 import json
 from pathlib import Path
 
 import pytest
+
+from jumpfilter import fanout
 
 SPEC = importlib.util.spec_from_file_location(
     "ab", Path(__file__).resolve().parents[1] / "tools" / "ab.py")
@@ -60,3 +63,14 @@ def test_pairs_reduce_to_medians_wins_and_the_parent_quartiles():
 def test_the_parent_runs_first_on_even_seeds():
     assert [ab.sides(seed)[0] for seed in range(4)] == ["parent", "change"] * 2
     assert ab.quartiles([0.5]) == (0.5, 0.5, 0.5)
+
+
+def test_the_runtime_probe_reports_the_cpus_the_fan_out_uses(tmp_path, monkeypatch, capsys):
+    # it used to report the affinity alone, here 8 CPUs where the quota allows 3
+    (tmp_path / "cpu.max").write_text("250000 100000\n")
+    monkeypatch.setattr(fanout.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(fanout, "CPU_QUOTA_FILES", ((str(tmp_path / "cpu.max"),),))
+    exec(ab.RUNTIME_PROBE, {})
+    info = json.loads(capsys.readouterr().out)
+    assert info["usable_cpus"] == 3
+    assert info["cpu_quota"] == {str(tmp_path / "cpu.max"): "250000 100000"}

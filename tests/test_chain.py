@@ -132,8 +132,15 @@ class TestTransitionMatrix:
                 assert np.abs(lhs - rhs).max() <= 1e-9
 
     def test_long_horizon_uses_squaring(self):
+        from scipy.linalg import expm
+
         p = transition_matrix(telegraph_model(5.0), 200.0)
         assert np.abs(p - 0.5).max() <= 1e-10
+        # lam * h = 1000 squares the series twice, while the slow exit from
+        # state 2 is far from its stationary law at h = 2
+        stiff = ChainModel(levels=[1.0, 0.0, -1.0], initial_dist=[0.4, 0.3, 0.3],
+                           rates=[[0.0, 500.0, 0.0], [500.0, 0.0, 0.1], [0.0, 0.1, 0.0]])
+        assert np.abs(transition_matrix(stiff, 2.0) - expm(2.0 * stiff.generator)).max() <= 1e-10
 
     def test_matches_scipy_expm(self):
         # independent route to the same semigroup

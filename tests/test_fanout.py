@@ -192,11 +192,11 @@ def test_runs_pinned_to_one_cpu_write_the_same_bytes(tmp_path):
     assert free[2] == serial[2] == int64.returncode == 0, free[1]
     assert free[0] == serial[0] == int64.stdout
 
-    # six halvings run the finest rungs over 32,000 steps, whose history
-    # buffers fill in forked ladder workers or in the pinned process
+    # four halvings run the finest rung over 8,000 steps, 16 blocks of rows,
+    # in a forked ladder worker or in the pinned process
     zakai = dict(TELEGRAPH_DOC, T=0.5, scheme="zakai-ito")
     (tmp_path / "zakai.json").write_text(json.dumps(zakai))
-    free, serial = pair(cli("convergence", "zakai.json", "--halvings", "6"))
+    free, serial = pair(cli("convergence", "zakai.json", "--halvings", "4"))
     assert free[2] == serial[2] == 0, free[1]
     assert (tmp_path / "free" / "convergence.csv").read_bytes() == (
         tmp_path / "serial" / "convergence.csv").read_bytes()

@@ -42,7 +42,6 @@ from jumpfilter.harness import (
     simulate_pair,
 )
 from jumpfilter.chain import JUMP_BUDGET
-from jumpfilter.seeding import ROLE_JUMP, ROLE_NOISE, derive_seed, splitmix64
 
 TELEGRAPH = telegraph_model(1.0)
 
@@ -51,18 +50,6 @@ def telegraph_config(**overrides) -> ExperimentConfig:
     base = dict(model=TELEGRAPH, horizon=1.0, dt=1e-3, beta=0.5, master_seed=7)
     base.update(overrides)
     return ExperimentConfig(**base)
-
-
-class TestSeeding:
-    def test_splitmix_is_deterministic_64bit(self):
-        assert splitmix64(0, 1) == splitmix64(0, 1)
-        assert 0 <= splitmix64(2**64 - 1, 2**63) < 2**64
-
-    def test_streams_differ_by_role_and_replica(self):
-        seeds = {
-            derive_seed(9, r, role) for r in range(100) for role in (ROLE_JUMP, ROLE_NOISE)
-        }
-        assert len(seeds) == 200
 
 
 class TestConfig:
@@ -124,22 +111,6 @@ class TestConfig:
 
 
 class TestSimulate:
-    def test_deterministic_bytes(self, tmp_path):
-        files = []
-        for name in ("a", "b"):
-            config = telegraph_config(out_dir=str(tmp_path / name))
-            run_simulate(config)
-            files.append((tmp_path / name / "observations.csv").read_bytes())
-            files.append((tmp_path / name / "path.csv").read_bytes())
-        assert files[0] == files[2]
-        assert files[1] == files[3]
-
-    def test_row_count_equals_steps(self, tmp_path):
-        config = telegraph_config(horizon=5.0, out_dir=str(tmp_path))
-        run_simulate(config)
-        rows = (tmp_path / "observations.csv").read_text().splitlines()
-        assert len(rows) == 5001  # header + T/dt increments
-
     def test_single_state_constant_level_column(self, tmp_path):
         model = ChainModel(levels=[2.0], rates=[[0.0]], initial_dist=[1.0])
         config = ExperimentConfig(model=model, horizon=0.1, dt=1e-2, beta=0.5,
@@ -151,17 +122,6 @@ class TestSimulate:
 
 
 class TestRunFilter:
-    def test_wonham_outputs(self, tmp_path):
-        config = telegraph_config(scheme="wonham-ito", out_dir=str(tmp_path))
-        trajectory, report = run_filter(config)
-        assert (tmp_path / "trajectory.csv").exists()
-        header = (tmp_path / "trajectory.csv").read_text().splitlines()[0]
-        assert header == "r,t,y,x_level,p_1,p_2,xbar,map_state"
-        saved = json.loads((tmp_path / "run_report.json").read_text())
-        assert saved["scheme"] == "wonham-ito"
-        assert saved["sign_variant"] == "innovation"
-        assert "clamps" in saved
-
     def test_q_stays_in_range_over_run(self, tmp_path):
         config = telegraph_config(horizon=5.0, scheme="wonham-ito", out_dir=str(tmp_path))
         trajectory = run_trajectory(TELEGRAPH, simulate_pair(config)[1], "wonham-ito")
@@ -183,12 +143,6 @@ class TestRunFilter:
         assert log_norm + np.log(psi) == pytest.approx(
             trajectory.extras["log_weights"][-1], abs=1e-12
         )
-
-    def test_bayes_oracle_columns_comparable(self, tmp_path):
-        config = telegraph_config(scheme="bayes-oracle", out_dir=str(tmp_path))
-        _, report = run_filter(config)
-        header = (tmp_path / "trajectory.csv").read_text().splitlines()[0]
-        assert header == "r,t,y,x_level,p_1,p_2,xbar,map_state"
 
     def test_the_last_row_holds_the_level_at_t_equals_T(self, tmp_path):
         # the row at t=T used to repeat the level at the start of the last
@@ -527,9 +481,9 @@ BAD_SCALARS = [
     (name, field, bad)
     for name in STATES
     for field, values in [
-        ("t", [math.nan, math.inf, -1.0, "1"]),
+        ("t", [math.nan, math.inf, -1.0, "1", True]),
         ("clamps", [-1, 1.5, True, None]),
-        ("log_normalizer", [math.nan, math.inf, -math.inf, None]),
+        ("log_normalizer", [math.nan, math.inf, -math.inf, None, True]),
     ]
     if (field != "clamps" or name != "LogState")
     and (field != "log_normalizer" or name in ("UnnormalizedState", "GammaState"))
@@ -563,21 +517,6 @@ class TestPredict:
         rows = run_predict(config, [0.0, 0.5])
         assert np.array_equal(rows[0]["probs"], trajectory.probs[-1])
         assert (tmp_path / "prediction.csv").read_text().splitlines()[0] == "h,p_1,p_2"
-
-    def test_far_horizon_is_stationary(self, tmp_path):
-        rows = run_predict(telegraph_config(out_dir=str(tmp_path)), [100.0])
-        assert np.abs(rows[0]["probs"] - 0.5).max() <= 1e-8
-        assert np.abs(predict(FilterState(probs=[0.9, 0.1]), TELEGRAPH, 100.0) - 0.5).max() <= 1e-8
-
-    def test_composition_consistency(self):
-        from jumpfilter import transition_matrix
-
-        terminal = np.array([0.7, 0.3])
-        direct = predict(FilterState(probs=terminal), TELEGRAPH, 2.0)
-        composed = (terminal @ transition_matrix(TELEGRAPH, 0.8)) @ transition_matrix(
-            TELEGRAPH, 1.2
-        )
-        assert np.abs(direct - composed).max() <= 1e-9
 
     @pytest.mark.parametrize("terminal", [[2.0, -1.0], [float("nan"), 0.5]],
                              ids=["negative", "nan"])
@@ -675,15 +614,6 @@ class TestCli:
         assert len(lines) == 2
         assert lines[0].startswith("h=0")
 
-    def test_entry_point_runs(self, config_file):
-        proc = subprocess.run(
-            [sys.executable, "-m", "jumpfilter.cli", "validate", "--config", str(config_file)],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 0
-        assert "config ok" in proc.stdout
-
 
 # The K=8 model of the benchmark's kernel probe and filter-k8 workload.
 PROBE_RATES = np.random.default_rng(0).uniform(0.1, 1.0, size=(8, 8))
@@ -695,10 +625,11 @@ PROBE_K8 = ChainModel(levels=np.linspace(-1.0, 1.0, 8), rates=PROBE_RATES,
 @pytest.mark.parametrize("scheme", [s for s in SCHEMES if harness._filters(s, PROBE_K8)])
 def test_filter_memory_does_not_grow_with_the_run(tmp_path, scheme):
     # filter synthesizes, steps and writes a block of rows at a time; it used
-    # to hold its whole grid, inputs, history and written columns, and peaked
-    # at 1.1-1.3 MB of allocations at 2,000 steps, 3.5-5.7 MB at 20,000
+    # to hold its whole grid, inputs, history and written columns. A table
+    # that keeps a copy of each block's rows (a row of tests/mutants.py)
+    # peaks 0.56 MB higher at 10,000 steps than at 1,000, this run 0.02 MB
     peaks = []
-    for horizon in (2.0, 20.0):
+    for horizon in (1.0, 10.0):
         config = ExperimentConfig(model=PROBE_K8, horizon=horizon, dt=1e-3, beta=0.5,
                                   scheme=scheme, out_dir=str(tmp_path))
         tracemalloc.start()
@@ -776,9 +707,11 @@ class TestFailedRunsWriteNothing:
 
 def test_run_history_peaks_near_its_output():
     # a run used to keep one Python (state, scale) tuple per step and stack the
-    # list after the loop, peaking at ~6x its output and increments at any length
+    # list after the loop, peaking at ~6x its output and increments at any
+    # length; a tuple per kept row peaks at 2.8x at these 8,000 steps, this run
+    # at 0.8x
     kernel = KERNELS["zakai-ito"](TELEGRAPH, 1e-3, 0.5)
-    dy = 0.5 * np.sqrt(1e-3) * np.random.default_rng(5).standard_normal(64_000)
+    dy = 0.5 * np.sqrt(1e-3) * np.random.default_rng(5).standard_normal(8_000)
     start = kernel.start()
     tracemalloc.start()
     try:

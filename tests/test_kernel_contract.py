@@ -423,6 +423,7 @@ def test_the_rows_of_a_batch_are_separate_runs(scheme, kept, k, seed, replicas, 
     batch = runner(kept)(kernel, kernel.start(), dy)
     singles = [runner(kept)(kernel, kernel.start(), dy[:, r]) for r in range(replicas)]
     assert batch.probs.shape == (61 if kept else 1, replicas, k)
+    assert batch.probs.flags.c_contiguous
     assert batch.clamps == sum(single.clamps for single in singles)
     if k > 3:
         # from K=4 on, BLAS may round the batched drift (a matrix product)

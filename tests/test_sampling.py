@@ -4,8 +4,7 @@
 path before it had tables: one ``rng.choice`` per state and one
 ``rng.exponential`` per holding time. The tables must give the same paths and
 leave the generator in the same state, so every stream derived by
-:mod:`jumpfilter.seeding` keeps its meaning. The batched Wonham kernel run on
-increments synthesized from such paths must reproduce the separate runs.
+:mod:`jumpfilter.seeding` keeps its meaning.
 """
 
 from contextlib import nullcontext
@@ -15,11 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jumpfilter.chain import ChainModel, _choice_cdf, simulate_jump_path, step_level_integrals
-from jumpfilter.harness import run_trajectory
-from jumpfilter.kernels import (FilterInstabilityError, WonhamIto, check_run, drive, run_history,
-                                run_steps)
-from jumpfilter.signalpath import ObservationGrid
+from jumpfilter.chain import ChainModel, _choice_cdf, simulate_jump_path
 
 PROPERTY = settings(max_examples=40, deadline=None)
 
@@ -82,40 +77,3 @@ def test_invalid_laws_rejected_like_choice():
         _choice_cdf(np.array([0.5, 0.6]))
     with pytest.raises(ValueError, match="non-negative"):
         _choice_cdf(np.array([np.nan, 1.0]))
-
-
-@PROPERTY
-@given(model=models(), seed=st.integers(0, 2**32 - 1), replicas=st.integers(2, 6))
-def test_batched_rows_equal_separate_runs(model, seed, replicas):
-    rng = np.random.default_rng(seed)
-    beta = float(rng.uniform(0.3, 1.0))
-    dt, n_steps = 0.01, 40
-    dy = np.empty((replicas, n_steps))
-    for row in dy:
-        path = simulate_jump_path(model, dt * n_steps, rng)
-        row[:] = step_level_integrals(path, model, dt, n_steps)
-        row += beta * np.sqrt(dt) * rng.standard_normal(n_steps)
-    kernel = WonhamIto(model, dt, beta)
-    start = kernel.start()
-    try:
-        singles = [
-            run_trajectory(model, ObservationGrid(dt, beta, row, np.zeros(n_steps),
-                                                  np.zeros(n_steps)), "wonham-ito")
-            for row in dy
-        ]
-    except FilterInstabilityError:
-        # a state nothing flows into stays at 0 and clamps every step
-        with pytest.raises(FilterInstabilityError):
-            drive(kernel, start, dy.T)
-        return
-    for run, kept in ((run_history, slice(None)), (run_steps, slice(-1, None))):
-        batch = check_run(run(kernel, start, dy.T))
-        assert batch.probs.flags.c_contiguous
-        for r, single in enumerate(singles):
-            expected = single.probs[kept]
-            got = batch.probs[:, r, :]
-            assert np.abs(got - expected).max() <= 1e-15
-            if model.n_states <= 3:
-                # from K=4 on, BLAS may round the batched drift (a matrix
-                # product) apart from the single run's (a matrix-vector product)
-                assert np.array_equal(got, expected)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jumpfilter.seeding import (ROLE_JUMP, ROLE_NOISE, derive_rng, derive_seed,
-                                derive_states, seed_sequence_words, stream)
+                                derive_states, seed_sequence_words, splitmix64, stream)
 
 MASTER_SEEDS = st.one_of(
     st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]),
@@ -71,3 +71,13 @@ def test_seed_sequence_words_batch_matches_one_at_a_time():
     words = seed_sequence_words(seeds)
     for seed, row in zip(seeds.tolist(), words):
         assert np.array_equal(row, np.random.SeedSequence(seed).generate_state(4, np.uint64))
+
+
+def test_splitmix_is_deterministic_64bit():
+    assert splitmix64(0, 1) == splitmix64(0, 1)
+    assert 0 <= splitmix64(2**64 - 1, 2**63) < 2**64
+
+
+def test_streams_differ_by_role_and_replica():
+    seeds = {derive_seed(9, r, role) for r in range(100) for role in (ROLE_JUMP, ROLE_NOISE)}
+    assert len(seeds) == 200

@@ -124,8 +124,10 @@ def test_grid_step_and_noise_must_be_finite_and_positive(dt, beta):
         ObservationGrid(dt=dt, beta=beta, dy=[0.1], dw=[0.0], x_level=[1.0])
 
 
-def test_coarsen_requires_divisible_factor():
+@pytest.mark.parametrize("factor", [3, 0, 2.0, 2.5, True])
+def test_coarsen_requires_divisible_factor(factor):
+    # 2.0 and 2.5 used to raise numpy's TypeError, and True to coarsen by 1
     path = simulate_jump_path(TELEGRAPH, 1.0, np.random.default_rng(0))
     grid = synthesize_observations(path, TELEGRAPH, 0.01, 0.5, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        coarsen(grid, 3)
+    with pytest.raises(ValueError, match="positive integer"):
+        coarsen(grid, factor)

@@ -185,11 +185,6 @@ class TestLogStep:
         stepped = log_step(state, TELEGRAPH, 0.5, 1e-3, 0.0)
         assert stepped.theta[0] == stepped.theta[1]
 
-    def test_max_shift_applied(self):
-        state = LogState(theta=np.array([0.0, -3.0]))
-        stepped = log_step(state, TELEGRAPH, 0.5, 1e-3, 0.01)
-        assert stepped.theta.max() == 0.0
-
     def test_log_filter_tracks_unnormalized_filter(self):
         cfg = ExperimentConfig(model=TELEGRAPH, horizon=2.0, dt=25e-5, beta=0.5, master_seed=4)
         _, fine = simulate_pair(cfg)

@@ -18,9 +18,12 @@ is its JSON result.
 For each metric the script prints both sides' medians, the pairs the change
 wins (by the metric's ``better`` in BENCHMARK.json) and the parent's
 interquartile range. ``--out`` gets those statistics, every raw value, the
-commits, the CPU count, the Python and numpy versions and, where they can
-be read, the OpenBLAS core type and numpy's CPU dispatch. The script uses
-the standard library only; numpy is read in a child interpreter.
+commits, the CPU count, the CPUs of this process's affinity, the CPUs that
+the package's fan-out uses (``jumpfilter.fanout.usable_cpus``, which the
+cgroup quota caps) and the quota file's text, the Python and numpy versions
+and, where they can be read, the OpenBLAS core type and numpy's CPU
+dispatch. The script uses the standard library only; numpy is read in a
+child interpreter.
 """
 
 from __future__ import annotations
@@ -39,13 +42,23 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# printed by a child interpreter: numpy's version and CPU dispatch, and the
-# core that the OpenBLAS it loaded chose (read through ctypes, as the library
-# exports the name under a prefix and suffix of its build)
+# printed by a child interpreter on the working tree's package: numpy's
+# version and CPU dispatch, the core that the OpenBLAS it loaded chose (read
+# through ctypes, as the library exports the name under a prefix and suffix
+# of its build), the CPUs the package's fan-out uses and the text of the
+# cgroup quota file that caps them
 RUNTIME_PROBE = r"""
 import ctypes, json, sys
+from pathlib import Path
 import numpy
-info = {"numpy": numpy.__version__}
+from jumpfilter import fanout
+info = {"numpy": numpy.__version__, "usable_cpus": fanout.usable_cpus(), "cpu_quota": {}}
+for files in fanout.CPU_QUOTA_FILES:
+    try:
+        info["cpu_quota"] = {name: Path(name).read_text().strip() for name in files}
+        break
+    except OSError:
+        continue
 try:
     from numpy._core import _multiarray_umath as umath
 except ImportError:
@@ -152,14 +165,15 @@ def report(workload: str, summary: dict) -> str:
 
 
 def environment(parent: str) -> dict:
-    probe = subprocess.run([sys.executable, "-c", RUNTIME_PROBE], capture_output=True, text=True)
+    probe = subprocess.run([sys.executable, "-c", RUNTIME_PROBE], capture_output=True, text=True,
+                           env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
     runtime = json.loads(probe.stdout) if probe.returncode == 0 else {}
     return {
         "parent_commit": git("rev-parse", parent),
         "head_commit": git("rev-parse", "HEAD"),
         "working_tree_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
         "cpu_count": os.cpu_count(),
-        "usable_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
+        "affinity_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
         "python": sys.version.split()[0],
         **runtime,
     }
