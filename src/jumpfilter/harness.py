@@ -16,7 +16,6 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -46,10 +45,6 @@ from .signalpath import (
     write_rows,
     write_table,
 )
-
-if TYPE_CHECKING:
-    from .wonham import FilterState
-    from .zakai import UnnormalizedState
 
 # Not called here; benchmark/tracing.py wraps these names as attributes of
 # this module, so they stay bound. bayes_forward_step is served by
@@ -176,17 +171,23 @@ def run_trajectory(
     scheme: str,
     correction_sign: int = -1,
     sign_variant: str = "innovation",
-    initial: UnnormalizedState | FilterState | None = None,
+    initial: None = None,
 ) -> Trajectory:
-    """Drive the selected scheme over the whole observation grid.
+    """Drive the selected scheme over the whole observation grid, from the
+    model's start state.
 
     Builds the scheme's kernel once, which checks the options and the model,
     and runs it through :func:`jumpfilter.kernels.drive`, which owns every
     check of the run: finite increments, a finite on-simplex history, the
-    pre-renormalization sum guard and the clamp budget.
+    pre-renormalization sum guard and the clamp budget. ``initial`` takes
+    only None: ``benchmark/tracing.py`` binds the call's arguments by name. A
+    run from another state hands a kernel state to ``drive``.
     """
+    if initial is not None:
+        raise ValueError("run_trajectory starts from the model; hand another start "
+                         "state to kernels.drive")
     kernel = _kernel(scheme)(model, grid.dt, grid.beta, correction_sign, sign_variant)
-    return drive(kernel, kernel.start(initial), grid.dy)
+    return drive(kernel, kernel.start(), grid.dy)
 
 
 # ---------------------------------------------------------------------------

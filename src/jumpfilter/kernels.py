@@ -5,8 +5,8 @@ sign_variant)``, and hoists every per-run constant (generator, correction
 diagonal, rate mask, propagators, transition matrix). A run is split so that
 the Python loop over the steps carries only the recurrence:
 
-* ``start(initial)``: the kernel state at t=0, from None (the model's
-  initial law) or a state of the scheme's ``initial_state`` type;
+* ``start()``: the kernel state at t=0, from the model's initial law
+  (or its floored start weights);
 * ``prepare(dy)``: the per-step inputs of a block of increments ``dy``,
   every term that depends on the increment alone, computed in one
   vectorized pass before the block's steps (by default the increments
@@ -366,8 +366,6 @@ class Kernel:
     # whether ``step`` also takes a states-first (K, R) batch and an (R,) row
     # of inputs, so that :func:`run_steps` runs (n, R) increments
     batches = False
-    # the public state type that ``start`` takes, and its attribute holding the array
-    initial_state = ("FilterState", "probs")
 
     def __init__(self, model, dt: float, beta: float, correction_sign: int = -1,
                  sign_variant: str = "innovation"):
@@ -388,20 +386,9 @@ class Kernel:
     def check_model(model: ChainModel) -> None:
         """Raises ValueError when the scheme cannot filter ``model``."""
 
-    def start(self, initial=None):
-        """The state at t=0: the model's initial law, or the array of ``initial``."""
-        return np.array(self.model.initial_dist) if initial is None else self.initial(initial)
-
-    def initial(self, state) -> np.ndarray:
-        """The array of a given start state; ValueError for another state type
-        or another K than the model's."""
-        type_name, attribute = self.initial_state
-        if not hasattr(state, attribute):
-            raise ValueError(
-                f"{self.scheme} starts from a {type_name}, not a {type(state).__name__}"
-            )
-        check_state_size(len(getattr(state, attribute)), self.model)
-        return getattr(state, attribute)
+    def start(self):
+        """The state at t=0: the model's initial law."""
+        return np.array(self.model.initial_dist)
 
     def prepare(self, dy: np.ndarray):
         """The inputs of the steps through ``dy``; here the increments
@@ -420,12 +407,8 @@ class _Unnormalized(Kernel):
     ``probs`` forms it, as one left-to-right ``np.add.accumulate``.
     """
 
-    initial_state = ("UnnormalizedState", "psi")
-
-    def start(self, initial=None):
-        if initial is None:
-            return self.model.start_weights, 0.0
-        return self.initial(initial), initial.log_normalizer
+    def start(self):
+        return self.model.start_weights, 0.0
 
     @staticmethod
     def rescale(raw):
@@ -490,8 +473,8 @@ class WonhamIto(Kernel):
         self.generator_t = self.generator.T
         self.innovation = self.sign_variant == "innovation"
 
-    def start(self, initial=None):
-        return super().start(initial), 1.0
+    def start(self):
+        return super().start(), 1.0
 
     def step(self, state, dy):
         probs = state[0]
@@ -545,7 +528,6 @@ class LogDomain(Kernel):
     """State theta = log psi, shifted so that max theta = 0 after every step."""
 
     scheme = "log"
-    initial_state = _Unnormalized.initial_state
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -558,9 +540,9 @@ class LogDomain(Kernel):
             self.levels, self.beta, self.correction_sign
         )
 
-    def start(self, initial=None):
-        psi = self.model.start_weights if initial is None else self.initial(initial)
-        return np.log(psi) - np.log(psi).max()
+    def start(self):
+        theta = np.log(self.model.start_weights)
+        return theta - theta.max()
 
     def prepare(self, dy):
         """The observation term  a (dy / beta^2)  of every step, (n, K)."""
@@ -645,8 +627,8 @@ class _Telegraph(Kernel):
         ):
             raise ValueError("telegraph schemes require K=2, levels (1, -1) and a symmetric rate")
 
-    def start(self, initial=None):
-        p0 = self.model.initial_dist if initial is None else self.initial(initial)
+    def start(self):
+        p0 = self.model.initial_dist
         return float(p0[0] - p0[1])
 
     def probs(self, q, _sums):

@@ -20,6 +20,7 @@ WONHAM = "src/jumpfilter/wonham.py"
 SIGNALPATH = "src/jumpfilter/signalpath.py"
 
 CONTRACT = "tests/test_kernel_contract.py::"
+ZAKAI_TESTS = "tests/test_zakai.py::"
 EXIT_CODE = "tests/test_cli_contract.py::test_one_edit_gives_its_exit_code"
 
 MUTANTS = {
@@ -46,7 +47,7 @@ MUTANTS = {
         KERNELS,
         "        return correction_sign * 0.5 * levels**2 / beta**2\n",
         "        return -correction_sign * 0.5 * levels**2 / beta**2\n",
-        [CONTRACT + "test_run_steps_equals_the_reference_loop_bitwise[zakai-langevin-kept]"],
+        [ZAKAI_TESTS + "TestGamma::test_drift_matrix_structure"],
     ),
     "check_run has no clamp budget": (
         KERNELS,
@@ -85,17 +86,30 @@ MUTANTS = {
         "        presum = total\n",
         [CONTRACT + "test_clamps_are_counted_and_the_budget_holds"],
     ),
-    "Kernel.initial skips check_state_size": (
-        KERNELS,
-        "        check_state_size(len(getattr(state, attribute)), self.model)\n",
-        "",
-        [CONTRACT + "test_start_is_the_scheme_state_type_with_the_model_k"],
-    ),
     "the log step does not shift": (
         KERNELS,
         "        return updated - np.maximum.reduce(updated), 0\n",
         "        return updated, 0\n",
-        [CONTRACT + "test_run_steps_equals_the_reference_loop_bitwise[log-kept]"],
+        [ZAKAI_TESTS + "TestLogStep::test_every_theta_row_has_max_zero"],
+    ),
+    # -- the start: the model's law, as each kernel holds its state
+    "_Unnormalized.start returns initial_dist instead of start_weights": (
+        KERNELS,
+        "        return self.model.start_weights, 0.0\n",
+        "        return self.model.initial_dist, 0.0\n",
+        [ZAKAI_TESTS + "TestInit::test_a_run_from_a_law_with_a_zero_starts_from_the_floored_weights"],
+    ),
+    "LogDomain.start drops its max shift": (
+        KERNELS,
+        "        return theta - theta.max()\n",
+        "        return theta\n",
+        [ZAKAI_TESTS + "TestLogStep::test_every_theta_row_has_max_zero"],
+    ),
+    "run_trajectory ignores a given initial": (
+        HARNESS,
+        "    if initial is not None:\n",
+        "    if False:\n",
+        ["tests/test_harness.py::TestConfig::test_run_trajectory_starts_from_the_model_only"],
     ),
     "check_scalars skips log_normalizer": (
         KERNELS,
@@ -398,6 +412,18 @@ MUTANTS = {
         '"usable_cpus": fanout.usable_cpus()',
         '"usable_cpus": len(__import__("os").sched_getaffinity(0))',
         ["tests/test_ab.py::test_the_runtime_probe_reports_the_cpus_the_fan_out_uses"],
+    ),
+    "the A/B verdict counts a gain when the change fails more operations": (
+        "tools/ab.py",
+        '    if not more_failed and s["wins"] >= 0.9 * s["pairs"] and -worse_by > s["parent_iqr"]:\n',
+        '    if s["wins"] >= 0.9 * s["pairs"] and -worse_by > s["parent_iqr"]:\n',
+        ["tests/test_ab.py::test_each_metric_gets_the_verdict_of_its_pairs"],
+    ),
+    "the A/B verdict is unresolved even where every change run is better": (
+        "tools/ab.py",
+        '    if s["parent_iqr"] > allowed and not beats_every_run:\n',
+        '    if s["parent_iqr"] > allowed:\n',
+        ["tests/test_ab.py::test_each_metric_gets_the_verdict_of_its_pairs"],
     ),
     "mutate kills a row on any failing exit code": (
         "tools/mutate.py",

@@ -1,7 +1,8 @@
 """``tools/ab.py``, the A/B runner of ``benchmark/run.py``, on canned output:
 it reads a run's last JSON line and reduces pairs of runs to medians, wins
-and the parent's quartiles, without running the benchmark; and its runtime
-probe reports the CPUs that the package's fan-out uses."""
+and the parent's quartiles, and each metric to its verdict, without running
+the benchmark; and its runtime probe reports the CPUs that the package's
+fan-out uses."""
 
 import importlib.util
 import json
@@ -74,3 +75,45 @@ def test_the_runtime_probe_reports_the_cpus_the_fan_out_uses(tmp_path, monkeypat
     info = json.loads(capsys.readouterr().out)
     assert info["usable_cpus"] == 3
     assert info["cpu_quota"] == {str(tmp_path / "cpu.max"): "250000 100000"}
+
+
+def summary_of(parent: list[float], change: list[float]) -> dict:
+    """The summaries of runs whose walls are ``parent`` and ``change``, pair by pair."""
+    pairs = [tuple(ab.last_json(output(wall, 8e6 / wall)) for wall in pair)
+             for pair in zip(parent, change)]
+    return ab.summarize(pairs, BETTER)
+
+
+STEADY = [1.00, 1.02, 0.98, 1.01, 0.99, 1.00, 1.03, 0.97, 1.00, 1.01]  # IQR 0.02
+SPREAD = [0.6, 1.4, 0.7, 1.3, 1.0, 0.8, 1.2, 0.9, 1.1, 1.0]  # IQR 0.35, over the bound
+# every run above 0.99, but the IQR (1.02-3.0) is wider than the medians' gap
+SKEWED = [1.01, 1.02, 1.03, 2.0, 3.0, 3.0, 3.0]
+
+
+@pytest.mark.parametrize("parent, change, more_failed, wanted", [
+    (STEADY, [wall - 0.1 for wall in STEADY], False, "gain"),
+    # a gain does not count when the change fails more operations
+    (STEADY, [wall - 0.1 for wall in STEADY], True, "within bound"),
+    # 9/10 pairs, but the medians are 0.01 apart and the IQR is 0.02
+    (STEADY, [wall - 0.01 for wall in STEADY[:9]] + [1.5], False, "within bound"),
+    (STEADY, [wall + 0.01 for wall in STEADY], False, "within bound"),
+    (STEADY, [wall * 1.4 for wall in STEADY], False, "regression"),
+    (STEADY, [wall * 1.4 for wall in STEADY], True, "regression"),
+    (SPREAD, SPREAD[::-1], False, "unresolved"),
+    (SPREAD, [wall * 1.1 for wall in SPREAD], False, "unresolved"),
+    (SKEWED, [0.99] * len(SKEWED), False, "within bound"),
+    (SKEWED, [0.99] * (len(SKEWED) - 1) + [1.015], False, "unresolved"),
+], ids=["gain", "gain-with-more-failures", "gap-inside-the-iqr", "slightly-worse", "regression",
+        "regression-with-more-failures", "wide-spread", "wide-spread-worse",
+        "better-than-every-run", "better-than-all-runs-but-one"])
+def test_each_metric_gets_the_verdict_of_its_pairs(parent, change, more_failed, wanted):
+    # ref_steps_per_s is 8e6 / ref_wall_s, so the higher-is-better metric
+    # reads the same
+    for name, s in summary_of(parent, change).items():
+        assert ab.verdict(s, 0.25, more_failed) == wanted, name
+
+
+def test_the_failed_share_counts_operations_over_every_run():
+    runs = [ab.last_json(output(0.6, 1e7, failed=failed)) for failed in (0, 3, 1)]
+    assert ab.failed_share(runs) == 4 / 24
+    assert ab.failed_share([]) == 0.0

@@ -28,6 +28,7 @@ from jumpfilter.harness import (
     run_trajectory,
     simulate_pair,
 )
+from jumpfilter.kernels import ZakaiIto, drive
 from jumpfilter.oracle import pathspace_expectation, tower_property_check
 from jumpfilter.signalpath import coarsen
 from jumpfilter.zakai import drift_matrix, from_gamma, to_gamma
@@ -118,12 +119,9 @@ def test_criterion_2_zakai_wonham_equivalence(refined_grids, wonham_runs):
 
 def test_criterion_3_scale_invariance(telegraph_grid):
     base = run_trajectory(TELEGRAPH, telegraph_grid, "zakai-ito")
-    scaled = run_trajectory(
-        TELEGRAPH,
-        telegraph_grid,
-        "zakai-ito",
-        initial=UnnormalizedState(psi=7.3 * np.asarray(TELEGRAPH.initial_dist)),
-    )
+    # from the zakai-ito kernel state of the scaled weights, log normalizer 0
+    kernel = ZakaiIto(TELEGRAPH, telegraph_grid.dt, telegraph_grid.beta)
+    scaled = drive(kernel, (7.3 * np.asarray(TELEGRAPH.initial_dist), 0.0), telegraph_grid.dy)
     dev = _sup(base.probs, scaled.probs)
     _report("3 (scale invariance)", dev <= 1e-12,
             f"scaling the initial weights by 7.3 moved no entry by more than {dev:.2e}")

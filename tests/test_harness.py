@@ -67,6 +67,12 @@ class TestConfig:
         assert str(from_config.value) == str(from_run.value)
         assert str(from_run.value) == f"unknown scheme 'x'; choose from {SCHEMES}"
 
+    def test_run_trajectory_starts_from_the_model_only(self):
+        # ``initial`` stays only as a name that the benchmark's tracer binds
+        grid = simulate_pair(telegraph_config(horizon=0.01))[1]
+        with pytest.raises(ValueError, match="hand another start state to kernels.drive"):
+            run_trajectory(TELEGRAPH, grid, "zakai-ito", initial=(np.array([0.5, 0.5]), 0.0))
+
     def test_jump_budget_is_checked_at_construction(self):
         # the jumps of one path are bounded before any is drawn
         with pytest.raises(ValueError, match="budget"):

@@ -4,9 +4,8 @@ The table of cases is every scheme of ``KERNELS`` with its history kept and
 not kept, plus the replica batch, over (n, R) increments, of each kernel that
 batches. The clauses follow the kernel rows of README "Where each check
 runs": a kernel is built only from valid options and a model it can filter;
-it starts from its own state type with the model's K; only a kernel that
-batches takes (n, R) increments; increments are finite before step 1; a
-history, extras included, is finite and on the simplex; the
+only a kernel that batches takes (n, R) increments; increments are finite
+before step 1; a history, extras included, is finite and on the simplex; the
 wonham-ito pre-renormalization sum stays near 1; every floored entry is
 counted, and a run fails past the clamp budget. Then the equalities: a run
 without a history ends on the last kept row, and hands ``probs`` only the
@@ -31,7 +30,6 @@ from jumpfilter import (
     FilterState,
     LogState,
     TelegraphState,
-    UnnormalizedState,
     bayes_forward_step,
     drift_matrix,
     gamma_langevin_step,
@@ -47,7 +45,6 @@ from jumpfilter import (
     zakai_langevin_step,
 )
 from jumpfilter.chain import FLOOR
-from jumpfilter.harness import run_trajectory
 from jumpfilter.kernels import (
     BLOCK_ROWS,
     CLAMP_FAILURE_FRACTION,
@@ -61,7 +58,6 @@ from jumpfilter.kernels import (
     run_history,
     run_steps,
 )
-from jumpfilter.signalpath import ObservationGrid
 
 TELEGRAPH = telegraph_model(1.0)
 THREE = ChainModel(
@@ -129,11 +125,6 @@ def checked(case: Case, dy: np.ndarray):
     return check_run(unchecked(case, dy))
 
 
-def grid_of(dy) -> ObservationGrid:
-    return ObservationGrid(dt=DT, beta=BETA, dy=dy, dw=np.zeros_like(dy),
-                           x_level=np.zeros_like(dy))
-
-
 def bits(a) -> bytes:
     return np.ascontiguousarray(a, dtype=float).tobytes()
 
@@ -160,43 +151,6 @@ def test_build_refuses_bad_options_steps_and_models(scheme):
                                  initial_dist=[0.5, 0.5])]:
             with pytest.raises(ValueError, match="telegraph schemes require"):
                 build(scheme, model)
-
-
-# ---------------------------------------------------------------------------
-# the start: the scheme's own state type, with the model's K
-
-
-@pytest.mark.parametrize("scheme", KERNELS)
-def test_start_is_the_scheme_state_type_with_the_model_k(scheme):
-    model, kernel = model_of(scheme), build(scheme)
-    k = model.n_states
-    probs = np.array([0.8, 0.2] if k == 2 else [0.2, 0.5, 0.3])
-    grid = grid_of(np.full(20, 0.01))
-    if kernel.initial_state[0] == "UnnormalizedState":
-        own = UnnormalizedState(psi=3.0 * probs, log_normalizer=1.5)
-        other = FilterState(probs=probs)
-        bigger = UnnormalizedState(psi=np.full(k + 1, 0.5))
-    else:
-        own = FilterState(probs=probs)
-        other = UnnormalizedState(psi=probs)
-        bigger = FilterState(probs=np.full(k + 1, 1 / (k + 1)))
-    run = run_trajectory(model, grid, scheme, initial=own)
-    assert np.abs(run.probs[0] - probs).max() <= 1e-15
-    if "log_weights" in run.extras:
-        assert np.abs(run.extras["log_weights"][0] - (1.5 + np.log(3.0 * probs))).max() <= 1e-15
-    wanted = kernel.initial_state[0]
-    for given, message in [
-        (other, f"{scheme} starts from a {wanted}, not a {type(other).__name__}"),
-        # the message names both K's; unchecked, the telegraph schemes would
-        # read the first two of K+1 probabilities as q
-        (bigger, f"the state has K={k + 1} entries but the model has K={k} states"),
-        # no start takes an array, not even replica rows: run_steps makes a batch
-        (probs, f"{scheme} starts from a {wanted}, not a ndarray"),
-        (np.tile(probs, (3, 1)), f"{scheme} starts from a {wanted}, not a ndarray"),
-        (np.tile(probs, (3, 1, 1)), f"{scheme} starts from a {wanted}, not a ndarray"),
-    ]:
-        with pytest.raises(ValueError, match=message):
-            run_trajectory(model, grid, scheme, initial=given)
 
 
 def test_batched_is_the_set_of_kernels_that_batch():
@@ -351,8 +305,9 @@ def test_a_run_without_history_ends_on_the_last_kept_row(case):
     # clamps and the pre-sum statistics
     kernel = build(case.scheme)
     start = kernel.start()
-    if kernel.initial_state[0] == "UnnormalizedState":
-        start = kernel.start(UnnormalizedState(psi=[0.6, 0.3, 0.1], log_normalizer=1.5))
+    if case.scheme in ("zakai-ito", "zakai-langevin", "gamma"):
+        # a (psi, log normalizer) state whose normalizer the first fold carries in
+        start = (np.array([0.6, 0.3, 0.1]), 1.5)
     dy = 3e-4 + BETA * np.sqrt(DT) * np.random.default_rng(4).standard_normal(400)
     dy[[100, 200]] = [1.0, -1.0]  # clamps, where the scheme floors
     dy = increments(case, dy)

@@ -33,15 +33,16 @@ from jumpfilter.chain import (ChainModel, JumpPath, add_path_integrals, model_fr
                               model_to_json, simulate_jump_path)
 from jumpfilter.harness import SCHEMES, ExperimentConfig, run_trajectory, simulate_pair
 from jumpfilter.kernels import (
+    KERNELS,
     SIMPLEX_TOLERANCE,
     FilterInstabilityError,
     GammaRangeError,
     drift_matrix,
+    drive,
     expm,
 )
 from jumpfilter.seeding import ROLE_JUMP, derive_rng, derive_states
 from jumpfilter.signalpath import ObservationGrid, coarsen
-from jumpfilter.zakai import UnnormalizedState
 
 PROPERTY = settings(max_examples=40, deadline=None)
 
@@ -215,10 +216,11 @@ def test_scaled_start_weights_leave_the_probabilities(scheme, model, scale, beta
     rng = np.random.default_rng(seed)
     weights = rng.uniform(0.1, 1.0, size=model.n_states)
     dy = model.levels[0] * dt + beta * np.sqrt(dt) * rng.standard_normal(n_steps)
-    grid = ObservationGrid(dt=dt, beta=beta, dy=dy, dw=np.zeros(n_steps),
-                           x_level=np.zeros(n_steps))
-    plain, scaled = (run_trajectory(model, grid, scheme, initial=UnnormalizedState(psi=c * weights))
-                     for c in (1.0, scale))
+    kernel = KERNELS[scheme](model, dt, beta)
+    # the kernel state of the weights: with log normalizer 0, or as log weights
+    # that the log scheme's first step shifts
+    plain, scaled = (drive(kernel, np.log(psi) if scheme == "log" else (psi, 0.0), dy)
+                     for psi in (weights, scale * weights))
     assert np.abs(plain.probs - scaled.probs).max() <= 1e-12
 
 

@@ -16,7 +16,8 @@ from jumpfilter import (
     zakai_ito_step,
 )
 from jumpfilter.harness import ExperimentConfig, run_trajectory, simulate_pair
-from jumpfilter.kernels import Gamma, ZakaiLangevin, propagator_pair, step_once
+from jumpfilter.kernels import (Gamma, ZakaiLangevin, correction_diagonal, propagator_pair,
+                                step_once)
 from jumpfilter.signalpath import coarsen
 from jumpfilter.zakai import (
     GammaState,
@@ -56,6 +57,13 @@ class TestInit:
             warnings.simplefilter("error")
             state = init_unnormalized(model)
         assert state.psi[1] == 1e-300
+
+    def test_a_run_from_a_law_with_a_zero_starts_from_the_floored_weights(self):
+        # the unfloored law would give row 0 a log weight of -inf, and fail the run
+        with pytest.warns(UserWarning, match="floored"):
+            model = telegraph_model(1.0, initial_dist=(1.0, 0.0))
+        run = run_trajectory(model, telegraph_grid(horizon=0.05), "zakai-ito")
+        assert run.extras["log_weights"][0].tolist() == [0.0, np.log(1e-300)]
 
     def test_init_weights_recover_initial_dist(self):
         model = telegraph_model(1.0, initial_dist=(0.25, 0.75))
@@ -180,6 +188,11 @@ class TestLogStep:
                 diff_expected += drift[0] - drift[1]
                 assert state.theta[0] - state.theta[1] == pytest.approx(diff_expected, abs=1e-12)
 
+    def test_every_theta_row_has_max_zero(self):
+        # the start and every step shift theta so that its largest entry is 0
+        run = run_trajectory(THREE_STATE, telegraph_grid(horizon=0.05), "log")
+        assert (run.extras["theta"].max(axis=1) == 0.0).all()
+
     def test_symmetric_telegraph_stays_balanced(self):
         state = LogState(theta=np.array([0.0, 0.0]))
         stepped = log_step(state, TELEGRAPH, 0.5, 1e-3, 0.0)
@@ -203,6 +216,9 @@ class TestGamma:
         a = drift_matrix(TELEGRAPH, 0.5, -1)
         expected = TELEGRAPH.generator.T - 0.5 * np.eye(2) / 0.25
         assert a == pytest.approx(expected, abs=1e-15)
+        # sign * (1/2) a^2 / beta^2, exact in binary for these levels and beta
+        levels = np.array([1.0, -2.0, 0.5])
+        assert correction_diagonal(levels, 0.5, -1).tolist() == [-2.0, -8.0, -0.5]
 
     def test_identity_at_time_zero(self):
         state = UnnormalizedState(psi=np.array([0.4, 0.6]))
@@ -345,8 +361,7 @@ class TestGamma:
         model = ChainModel(levels=[0.0, 0.0], rates=TELEGRAPH.rates, initial_dist=[0.5, 0.5])
         kernel = Gamma(model, 1e-3, 0.5)
         psi = np.array([0.3, 0.7])
-        (stepped, total), clamped = step_once(kernel, kernel.start(UnnormalizedState(psi=psi)),
-                                              0.37)
+        (stepped, total), clamped = step_once(kernel, (psi, 0.0), 0.37)
         propagated = kernel.step_forward @ psi
         assert np.array_equal(stepped, propagated / propagated.sum())
         assert (total, clamped) == (propagated.sum(), 0)

@@ -16,8 +16,9 @@ the parent first on even seeds. The last line of a run's standard output
 is its JSON result.
 
 For each metric the script prints both sides' medians, the pairs the change
-wins (by the metric's ``better`` in BENCHMARK.json) and the parent's
-interquartile range. ``--out`` gets those statistics, every raw value, the
+wins (by the metric's ``better`` in BENCHMARK.json), the parent's
+interquartile range and a verdict (:func:`verdict`, by the metric's ``bound``
+in BENCHMARK.json). ``--out`` gets those statistics, every raw value, the
 commits, the CPU count, the CPUs of this process's affinity, the CPUs that
 the package's fan-out uses (``jumpfilter.fanout.usable_cpus``, which the
 cgroup quota caps) and the quota file's text, the Python and numpy versions
@@ -155,12 +156,44 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
     return summary
 
 
+def failed_share(runs: list[dict]) -> float:
+    """The share of the runs' attempted operations that failed."""
+    return sum(r["failed"] for r in runs) / max(1, sum(r["attempted"] for r in runs))
+
+
+def verdict(s: dict, bound: float, more_failed: bool) -> str:
+    """The reading of one metric's :func:`summarize` entry ``s``, whose
+    ``bound`` is a fraction of the parent median:
+
+    * "gain": the change is better in at least 9/10 of the pairs and its
+      median is better than the parent's by more than the parent's IQR, and
+      the change does not fail a larger share of operations (``more_failed``);
+    * "regression": the change's median is worse than the parent's by more
+      than the bound;
+    * "unresolved": the parent's IQR is wider than the bound, unless every
+      run of the change is better than every run of the parent;
+    * "within bound": any other case.
+    """
+    lower = s["better"] == "lower"
+    worse_by = (s["change_median"] - s["parent_median"]) * (1 if lower else -1)
+    allowed = bound * abs(s["parent_median"])
+    if not more_failed and s["wins"] >= 0.9 * s["pairs"] and -worse_by > s["parent_iqr"]:
+        return "gain"
+    if worse_by > allowed:
+        return "regression"
+    beats_every_run = (max(s["change"]) < min(s["parent"]) if lower
+                       else min(s["change"]) > max(s["parent"]))
+    if s["parent_iqr"] > allowed and not beats_every_run:
+        return "unresolved"
+    return "within bound"
+
+
 def report(workload: str, summary: dict) -> str:
     lines = [f"{workload}:"]
     for name, s in summary.items():
         lines.append(f"  {name}: parent {s['parent_median']:.6g} (IQR {s['parent_q1']:.6g}-"
                      f"{s['parent_q3']:.6g}), change {s['change_median']:.6g} {s['unit']}; "
-                     f"change {s['better']} in {s['wins']}/{s['pairs']} pairs")
+                     f"change {s['better']} in {s['wins']}/{s['pairs']} pairs: {s['verdict']}")
     return "\n".join(lines)
 
 
@@ -191,6 +224,7 @@ def main(argv=None) -> int:
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {metric["name"]: metric["better"] for metric in declared["end_to_end"]}
+    bounds = {metric["name"]: metric["bound"] for metric in declared["end_to_end"]}
     record = {"environment": environment(args.parent), "first_seed": args.first_seed,
               "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="jumpfilter-ab-") as scratch:
@@ -208,11 +242,17 @@ def main(argv=None) -> int:
                     f"{side} {results[side]['metrics']['ref_wall_s']['value']:.4f} s"
                     for side in order), flush=True)
             summary = summarize(pairs, better)
+            shares = {side: failed_share([r[i] for r in pairs])
+                      for i, side in enumerate(("parent", "change"))}
+            for name, s in summary.items():
+                s["verdict"] = (verdict(s, bounds[name], shares["change"] > shares["parent"])
+                                if name in bounds else "no bound")
             print(report(workload, summary), flush=True)
             record["workloads"][workload] = {
                 "seeds": list(range(args.first_seed, args.first_seed + args.pairs)),
                 "failed": {side: [r[i]["failed"] for r in pairs] for i, side in
                            enumerate(("parent", "change"))},
+                "failed_share": shares,
                 "correct": all(r["correct"] for pair in pairs for r in pair),
                 "metrics": summary,
             }
