@@ -11,9 +11,10 @@ the Python loop over the steps carries only the recurrence:
   every term that depends on the increment alone, computed in one
   vectorized pass before the block's steps (by default the increments
   themselves, as floats or as (R,) rows);
-* ``step(state, inputs) -> (state, clamped)``: one pure step over a (K,)
-  state (or a (K, R) batch, see below), with no validation, doing only the
-  work that the next step reads; ``clamped`` counts floored entries;
+* ``step(state, inputs)``: one pure step over a (K,) state (or a (K, R)
+  batch, see below), with no validation, doing only the work that the next
+  step reads; of a state ``(array, sum)`` it takes the array and returns
+  the raw update, which the driver normalizes, else ``(state, clamped)``;
 * ``probs(states, sums) -> (probs, extras)``: the normalized (rows, K)
   rows of a block (its last row alone when nothing reads the others) and
   the scheme's extra columns, from the arrays that :func:`run_steps`
@@ -264,27 +265,26 @@ def _row_sums(x: np.ndarray):
     return np.add.reduce(x, axis=-1, keepdims=x.ndim > 1)
 
 
-def floor_and_total(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Floor nonpositive entries of a (K,) or (K, R) state; return the floored
-    array, its sums over the states (a scalar, or an (R,) row) and the number
-    of floored entries."""
+def normalize(raw: np.ndarray, presum: bool = False):
+    """A simplex kernel's raw (K,) or (K, R) update, floored and divided by its
+    total over the states, as ``(probs, sum, clamped)``: that total, or with
+    ``presum`` the unfloored one, and the count of floored entries."""
     # one argmin settles the common case, a positive minimum; a NaN, +-0 or
     # negative minimum fails it and is counted
     clamped = 0 if raw.flat[raw.argmin()] > 0.0 else int(np.count_nonzero(raw <= 0.0))
-    if clamped:
-        raw = np.maximum(raw, FLOOR)
-    return raw, np.add.reduce(raw), clamped
+    if not clamped:
+        total = np.add.reduce(raw)
+        return raw / total, total, 0
+    floored = np.maximum(raw, FLOOR)
+    total = np.add.reduce(floored)
+    return floored / total, np.add.reduce(raw) if presum else total, clamped
 
 
 def finish_simplex_step(raw: np.ndarray) -> tuple[np.ndarray, int]:
-    """Floor nonpositive entries and renormalize the 1e-12-level rounding drift.
-
-    Returns the renormalized vector and the number of floored entries. The
-    pre-renormalization sum is the caller's to inspect (it is an exact
-    invariant of the update in real arithmetic).
-    """
-    raw, total, clamped = floor_and_total(raw)
-    return raw / total, clamped
+    """:func:`normalize` of ``raw``: the renormalized vector and the number of
+    floored entries."""
+    probs, _, clamped = normalize(raw)
+    return probs, clamped
 
 
 def ito_update(psi, generator, levels, beta: float, dt: float, dy):
@@ -360,8 +360,8 @@ class Kernel:
     they differ from these, start, prepare and probs."""
 
     scheme = ""
-    # whether a state is (probs, presum), presum being the sums before the
-    # renormalization that produced probs
+    # whether the sum of a state (probs, sum) is the pre-sum, the total of
+    # the raw update before the floor
     carries_presum = False
     # whether ``step`` also takes a states-first (K, R) batch and an (R,) row
     # of inputs, so that :func:`run_steps` runs (n, R) increments
@@ -410,11 +410,6 @@ class _Unnormalized(Kernel):
     def start(self):
         return self.model.start_weights, 0.0
 
-    @staticmethod
-    def rescale(raw):
-        raw, total, clamped = floor_and_total(raw)
-        return (raw / total, total), clamped
-
     def probs(self, psi, log_normalizer):
         np.log(log_normalizer[1:], out=log_normalizer[1:])
         np.add.accumulate(log_normalizer, out=log_normalizer)
@@ -427,9 +422,8 @@ class _Unnormalized(Kernel):
 class ZakaiIto(_Unnormalized):
     scheme = "zakai-ito"
 
-    def step(self, state, dy):
-        raw = ito_update(state[0], self.generator, self.levels, self.beta, self.dt, dy)
-        return self.rescale(raw)
+    def step(self, psi, dy):
+        return ito_update(psi, self.generator, self.levels, self.beta, self.dt, dy)
 
 
 class ZakaiLangevin(_Unnormalized):
@@ -445,14 +439,12 @@ class ZakaiLangevin(_Unnormalized):
         diag += self.correction
         return diag
 
-    def step(self, state, diag):
+    def step(self, psi, diag):
         """Heun step of  psi @ Q + psi * diag(correction + a r / beta^2), r = dy/dt."""
-        psi = state[0]
         generator = self.generator
         now = psi.dot(generator) + psi * diag
         predictor = psi + self.dt * now
-        raw = psi + self.half_dt * (now + (predictor.dot(generator) + predictor * diag))
-        return self.rescale(raw)
+        return psi + self.half_dt * (now + (predictor.dot(generator) + predictor * diag))
 
 
 class WonhamIto(Kernel):
@@ -476,14 +468,10 @@ class WonhamIto(Kernel):
     def start(self):
         return super().start(), 1.0
 
-    def step(self, state, dy):
-        probs = state[0]
+    def step(self, probs, dy):
         levels = self.levels if probs.ndim == 1 else self.levels_column
-        raw = _wonham_raw(probs, self.generator_t, levels, self.beta_sq, self.dt, dy,
-                          self.innovation)
-        floored, total, clamped = floor_and_total(raw)
-        presum = np.add.reduce(raw) if clamped else total
-        return (floored / total, presum), clamped
+        return _wonham_raw(probs, self.generator_t, levels, self.beta_sq, self.dt, dy,
+                           self.innovation)
 
 
 class WonhamLangevin(Kernel):
@@ -504,6 +492,9 @@ class WonhamLangevin(Kernel):
         # x + (-1 * c) is x - c exactly, and x + (+1 * c) is x + c
         self.apply_correction = np.subtract if self.correction_sign == -1 else np.add
 
+    def start(self):
+        return super().start(), 1.0
+
     def prepare(self, dy):
         """The scaled rate  dy / dt / beta^2  of every step, as floats."""
         rate = dy / self.dt
@@ -519,9 +510,7 @@ class WonhamLangevin(Kernel):
     def step(self, probs, scaled_rate):
         now = self.field(probs, scaled_rate)
         predictor = probs + self.dt * now
-        return finish_simplex_step(
-            probs + self.half_dt * (now + self.field(predictor, scaled_rate))
-        )
+        return probs + self.half_dt * (now + self.field(predictor, scaled_rate))
 
 
 class LogDomain(Kernel):
@@ -568,11 +557,11 @@ class Gamma(_Unnormalized):
 
         psi <- F (psi + dt/2 (D psi + B D F (psi + dt D psi))),
 
-    with D = diag(a r / beta^2), r = dy/dt; then the rescale of the other
-    unnormalized kernels. F and B are ``step_forward`` and ``step_backward``
-    (both or neither, each (K, K) and finite, else ValueError), or else come
-    from :func:`propagator_pair` of the model's :func:`drift_matrix`, which
-    raises GammaRangeError here if they are not finite.
+    with D = diag(a r / beta^2), r = dy/dt, normalized by the driver. F and B
+    are ``step_forward`` and ``step_backward`` (both or neither, each (K, K)
+    and finite, else ValueError), or else come from :func:`propagator_pair`
+    of the model's :func:`drift_matrix`, which raises GammaRangeError here
+    if they are not finite.
     """
 
     scheme = "gamma"
@@ -597,13 +586,12 @@ class Gamma(_Unnormalized):
         correction is inside A."""
         return observation_diagonal(dy, self.dt, self.beta_sq, self.levels)
 
-    def step(self, state, diag):
-        psi = state[0]
+    def step(self, psi, diag):
         forward = self.step_forward
         now = psi * diag
         predictor = psi + self.dt * now
         after = self.step_backward.dot(diag * forward.dot(predictor))
-        return self.rescale(forward.dot(psi + self.half_dt * (now + after)))
+        return forward.dot(psi + self.half_dt * (now + after))
 
     def probs(self, psi, _scale):
         return psi / _row_sums(psi), {}
@@ -855,12 +843,17 @@ def run_steps(kernel: Kernel, state, dy, consume=None) -> Trajectory:
     pre-sum statistics are folded for :func:`check_run` to raise, and the
     returned run keeps the kernel state after the last step as ``state``.
 
+    Without ``consume`` each raw update is normalized by :func:`normalize`;
+    with it, a block is normalized without the floor and checked once, and
+    one that fails is stepped again from its start by :func:`normalize`.
+
     Raises ValueError before the first step for an array ``dy`` of another
     shape (so (n, R) to a kernel that does not batch) or with a non-finite
     increment; before its steps, for an iterable's block that is not (m,) or
     holds a non-finite increment; and for an iterable without a block.
     """
     array, total = state if isinstance(state, tuple) else (state, None)
+    simplex = total is not None  # the kernel's step returns a raw update
     batch = False
     if isinstance(dy, np.ndarray):
         batch = dy.ndim == 2
@@ -872,13 +865,12 @@ def run_steps(kernel: Kernel, state, dy, consume=None) -> Trajectory:
         if batch:
             array = np.repeat(array[:, None], dy.shape[1], axis=1)
             total = None if total is None else np.full(dy.shape[1], total)
-            state = array if total is None else (array, total)
             # a batch's row holds R states: at most CHUNK_VALUES states a block
             rows_per_block = max(1, min(BLOCK_ROWS, CHUNK_VALUES // dy.shape[1]))
         blocks = (dy[lo:hi] for lo, hi in block_steps(len(dy), rows_per_block))
     else:
         blocks = _checked(kernel, dy)
-    step = kernel.step
+    step, presum = kernel.step, kernel.carries_presum
     keep = consume is not None  # state rows for a consume only; else sums alone
     clamps = rows = last = 0
     nonfinite = off_simplex = False
@@ -886,31 +878,42 @@ def run_steps(kernel: Kernel, state, dy, consume=None) -> Trajectory:
     with np.errstate(**QUIET):
         for block in blocks:
             first = 0 if rows == 0 else 1
-            head = (array, total) if rows == 0 else (
-                held[-1], None if total is None else sums[last])
+            head = (array, total) if rows == 0 else (held[-1], sums[last] if simplex else None)
             # the blocks after the first take up to 4 steps more (block_steps)
             if rows == 0 or len(block) >= size:
                 size = len(block) + 5
                 states = np.empty((size if keep else 1, *np.shape(array)))
-                if total is not None:
+                if simplex:
                     sums = np.empty((size, *np.shape(total)))
             states[0] = head[0]
-            if total is not None:
+            if simplex:
                 sums[0] = head[1]
-            for i, inputs in enumerate(kernel.prepare(block), 1):
-                state, clamped = step(state, inputs)
-                clamps += clamped
-                if keep:
-                    if total is None:
-                        states[i] = state
-                    else:
-                        states[i], sums[i] = state
-                elif total is not None:
-                    sums[i] = state[1]
-            last = len(block)
+            inputs, last, start = kernel.prepare(block), len(block), array
+            floor = simplex
+            if simplex and keep:
+                for i, row in enumerate(inputs, 1):
+                    raw = step(array, row)
+                    sums[i] = total = np.add.reduce(raw)
+                    array = states[i] = raw / total
+                # all positive exactly when no raw entry is <= 0 or NaN
+                floor = not ((states[1:last + 1] > 0).all() and (sums[1:last + 1] > 0).all())
+            if floor:  # each step floored: a run without consume, or a failed block again
+                array = start
+                for i, row in enumerate(inputs, 1):
+                    array, total, clamped = normalize(step(array, row), presum)
+                    sums[i] = total
+                    clamps += clamped
+                    if keep:
+                        states[i] = array
+            elif not simplex:
+                for i, row in enumerate(inputs, 1):
+                    array, clamped = step(array, row)
+                    clamps += clamped
+                    if keep:
+                        states[i] = array
             if last and not keep:  # a block without steps keeps its row 0
-                states[0] = state if total is None else state[0]
-            if kernel.carries_presum:
+                states[0] = array
+            if presum:
                 # |presum - 1| in one temporary, then summed left to right:
                 # np.add.reduce adds the rows of an (m, R) array in order for
                 # R >= 2 but sums a column (one trajectory, R = 1) pairwise
@@ -922,7 +925,7 @@ def run_steps(kernel: Kernel, state, dy, consume=None) -> Trajectory:
                 presum_total = (np.add.reduce(devs) if devs[0].size > 1
                                 else np.add.accumulate(devs, out=devs)[last])
             held = states[:last + 1] if keep else states
-            probs, extras = kernel.probs(held, None if total is None else sums[:last + 1])
+            probs, extras = kernel.probs(held, sums[:last + 1] if simplex else None)
             if batch:
                 probs = probs.transpose(0, 2, 1)
             if keep:
@@ -938,6 +941,7 @@ def run_steps(kernel: Kernel, state, dy, consume=None) -> Trajectory:
     extras = {name: np.array(v[-1:], order="C") for name, v in extras.items()}
     if not keep:
         nonfinite, off_simplex = faults(probs, extras)
+    state = (array, total) if simplex else array
     return Trajectory(kernel.scheme, kernel.dt, rows - 1, probs, clamps, float(presum_max),
                       float(np.max(presum_total)), extras, nonfinite, off_simplex, state)
 

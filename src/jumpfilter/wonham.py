@@ -121,7 +121,7 @@ def wonham_langevin_step(
     """
     check_state_size(len(state.probs), model)
     kernel = WonhamLangevin(model, dt, beta, correction_sign)
-    probs, clamped = step_once(kernel, state.probs, dy)
+    (probs, _), clamped = step_once(kernel, (state.probs, 1.0), dy)
     return FilterState(probs=probs, t=state.t + dt, clamps=state.clamps + clamped)
 
 

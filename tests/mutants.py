@@ -31,16 +31,16 @@ MUTANTS = {
         "    if False:\n",
         [CONTRACT + "test_increments_are_finite_before_step_one"],
     ),
-    "floor_and_total never counts": (
+    "normalize never counts": (
         KERNELS,
         "    clamped = 0 if raw.flat[raw.argmin()] > 0.0 else int(np.count_nonzero(raw <= 0.0))\n",
         "    clamped = 0\n",
         [CONTRACT + "test_a_non_finite_extra_fails_the_run"],
     ),
-    "floor_and_total counts but returns 0": (
+    "normalize counts but returns 0": (
         KERNELS,
-        "    return raw, np.add.reduce(raw), clamped\n",
-        "    return raw, np.add.reduce(raw), 0\n",
+        "    return floored / total, np.add.reduce(raw) if presum else total, clamped\n",
+        "    return floored / total, np.add.reduce(raw) if presum else total, 0\n",
         [CONTRACT + "test_a_non_finite_extra_fails_the_run"],
     ),
     "correction_diagonal flips its sign": (
@@ -82,8 +82,8 @@ MUTANTS = {
     ),
     "wonham-ito's pre-sum ignores the floor": (
         KERNELS,
-        "        presum = np.add.reduce(raw) if clamped else total\n",
-        "        presum = total\n",
+        "    return floored / total, np.add.reduce(raw) if presum else total, clamped\n",
+        "    return floored / total, total, clamped\n",
         [CONTRACT + "test_clamps_are_counted_and_the_budget_holds"],
     ),
     "the log step does not shift": (
@@ -91,6 +91,31 @@ MUTANTS = {
         "        return updated - np.maximum.reduce(updated), 0\n",
         "        return updated, 0\n",
         [ZAKAI_TESTS + "TestLogStep::test_every_theta_row_has_max_zero"],
+    ),
+    # -- a kept run checks each block once, and floors a failing block again
+    "the block check ignores the sums": (
+        KERNELS,
+        "                floor = not ((states[1:last + 1] > 0).all() and (sums[1:last + 1] > 0).all())\n",
+        "                floor = not (states[1:last + 1] > 0).all()\n",
+        [CONTRACT + "test_the_block_check_reads_the_sums"],
+    ),
+    "a failed block keeps its unfloored rows": (
+        KERNELS,
+        "                floor = not ((states[1:last + 1] > 0).all() and (sums[1:last + 1] > 0).all())\n",
+        "                floor = False\n",
+        [CONTRACT + "test_a_clamping_block_of_a_kept_run_is_floored[zakai-ito-block-middle-7]"],
+    ),
+    "the second pass starts from the block's last row": (
+        KERNELS,
+        "                array = start\n",
+        "",
+        [CONTRACT + "test_a_clamping_block_of_a_kept_run_is_floored[wonham-ito-block-middle-7]"],
+    ),
+    "the block check skips the block's last row": (
+        KERNELS,
+        "                floor = not ((states[1:last + 1] > 0).all() and (sums[1:last + 1] > 0).all())\n",
+        "                floor = not ((states[1:last] > 0).all() and (sums[1:last] > 0).all())\n",
+        [CONTRACT + "test_a_clamping_block_of_a_kept_run_is_floored[gamma-block-last-7]"],
     ),
     # -- the start: the model's law, as each kernel holds its state
     "_Unnormalized.start returns initial_dist instead of start_weights": (
@@ -287,8 +312,8 @@ MUTANTS = {
     # -- a batch's rows are separate runs
     "run_steps counts no clamps in a batch": (
         KERNELS,
-        "                clamps += clamped\n",
-        "                clamps += 0 if batch else clamped\n",
+        "                    sums[i] = total\n                    clamps += clamped\n",
+        "                    sums[i] = total\n                    clamps += 0 if batch else clamped\n",
         ["tests/test_oracle.py::TestBlockJoin::test_a_failing_block_fails_as_the_one_batch",
          CONTRACT + "test_the_rows_of_a_batch_are_separate_runs"],
     ),

@@ -750,8 +750,10 @@ def test_presum_total_dev_sums_left_to_right(replicas, run_of):
     # for R >= 2 only: on (n,) and (n, 1) it sums pairwise, with other bits
     # than the running total
     class Drifting(WonhamIto):
-        def step(self, state, dy):
-            return (state[0], 1.0 + dy), 0
+        def step(self, probs, dy):
+            # from (1/2, 1/2), a raw update (1 + dy) / 2 per state sums to 1 + dy
+            # exactly, and normalizes back to (1/2, 1/2)
+            return probs * (1.0 + dy)
 
     kernel = Drifting(TELEGRAPH, 1e-3, 0.5)
     shape = (3000,) if replicas is None else (3000, replicas)

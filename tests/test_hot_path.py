@@ -1,10 +1,11 @@
 """Bit-for-bit checks of two trims in the kernels' per-step arithmetic.
 
 The step kernels take their products through ``ndarray.dot`` instead of
-``@``, and ``floor_and_total`` skips the count of floored entries when one
-``argmin`` shows a positive minimum. Both must leave every bit unchanged.
-The whole step of each kernel is compared with a plain reference loop in
-``tests/test_kernel_contract.py``.
+``@``, and ``normalize``, the driver's floored normalization of a simplex
+kernel's raw update, skips the count of floored entries when one ``argmin``
+shows a positive minimum. Both must leave every bit unchanged. The whole
+step of each kernel, normalization included, is compared with a plain
+reference loop in ``tests/test_kernel_contract.py``.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jumpfilter.chain import FLOOR
-from jumpfilter.kernels import QUIET, floor_and_total
+from jumpfilter.kernels import QUIET, normalize
 
 
 def bits(a) -> bytes:
@@ -31,12 +32,12 @@ def test_dot_equals_matmul_bitwise(k, replicas, seed):
     assert bits(matrix.T.dot(batch)) == bits(matrix.T @ batch)
 
 
-def counted_floor(raw):
-    """``floor_and_total`` as it was first written: count, then floor."""
+def counted_normalize(raw, presum):
+    """``normalize`` as it was first written: count, then floor."""
     clamped = int(np.count_nonzero(raw <= 0.0))
-    if clamped:
-        raw = np.maximum(raw, FLOOR)
-    return raw, np.add.reduce(raw, axis=0), clamped
+    floored = np.maximum(raw, FLOOR) if clamped else raw
+    total = np.add.reduce(floored, axis=0)
+    return floored / total, np.add.reduce(raw, axis=0) if presum else total, clamped
 
 
 EDGES = [0.0, -0.0, -1.0, -5e-324, np.nan, np.inf, -np.inf, 5e-324]
@@ -44,16 +45,17 @@ EDGES = [0.0, -0.0, -1.0, -5e-324, np.nan, np.inf, -np.inf, 5e-324]
 
 @settings(max_examples=300, deadline=None)
 @given(k=st.integers(1, 32), replicas=st.one_of(st.none(), st.integers(1, 40)),
-       edges=st.lists(st.sampled_from(EDGES), max_size=6), seed=st.integers(0, 2**32 - 1))
-def test_floor_and_total_equals_counting_first_bitwise(k, replicas, edges, seed):
+       edges=st.lists(st.sampled_from(EDGES), max_size=6), seed=st.integers(0, 2**32 - 1),
+       presum=st.booleans())
+def test_normalize_equals_counting_first_bitwise(k, replicas, edges, seed, presum):
     # the argmin test that skips the count must floor and count exactly
     # where counting first does: NaN, +-0, negatives and infinities included
     rng = np.random.default_rng(seed)
     raw = rng.uniform(1e-300, 1.0, k if replicas is None else (k, replicas))
     raw.flat[rng.integers(raw.size, size=len(edges))] = edges
     with np.errstate(**QUIET):
-        floored, total, clamped = floor_and_total(raw.copy())
-        expected = counted_floor(raw.copy())
+        probs, total, clamped = normalize(raw.copy(), presum)
+        expected = counted_normalize(raw.copy(), presum)
     assert clamped == expected[2]
-    assert bits(floored) == bits(expected[0])
+    assert bits(probs) == bits(expected[0])
     assert bits(total) == bits(expected[1])

@@ -9,11 +9,12 @@ before step 1; a history, extras included, is finite and on the simplex; the
 wonham-ito pre-renormalization sum stays near 1; every floored entry is
 counted, and a run fails past the clamp budget. Then the equalities: a run
 without a history ends on the last kept row, and hands ``probs`` only the
-last state of each block; the rows of a batch are the
-separate runs; ``run_steps`` is a plain reference loop bit for bit; and each
-public R=1 step function is a one-step ``run_steps`` run, is its ``drive``
-row bit for bit, refuses a state of another K and fails as a run does,
-without a numpy warning.
+last state of each block; a kept run floors a clamping block as a run
+without a history does, wherever in the block it clamps; the rows of a
+batch are the separate runs; ``run_steps`` is a plain reference loop bit for
+bit; and each public R=1 step function is a one-step ``run_steps`` run, is
+its ``drive`` row bit for bit, refuses a state of another K and fails as a
+run does, without a numpy warning.
 """
 
 import warnings
@@ -34,6 +35,7 @@ from jumpfilter import (
     drift_matrix,
     gamma_langevin_step,
     init_unnormalized,
+    kernels,
     log_step,
     telegraph_ito_step,
     telegraph_langevin_step,
@@ -312,14 +314,18 @@ def test_a_run_without_history_ends_on_the_last_kept_row(case):
     dy[[100, 200]] = [1.0, -1.0]  # clamps, where the scheme floors
     dy = increments(case, dy)
     full = run_history(kernel, start, dy)
-    last = run_steps(kernel, start, dy)
+    assert_ends_on_the_last_kept_row(run_steps(kernel, start, dy), full)
+    assert (full.clamps > 0) == (case.scheme in CLAMPING)
+
+
+def assert_ends_on_the_last_kept_row(last, full):
+    """Bit for bit: the final row, its extras, the clamps and the pre-sum statistics."""
     assert bits(last.probs) == bits(full.probs[-1:])
     assert last.extras.keys() == full.extras.keys()
     for name, rows in full.extras.items():
         assert bits(last.extras[name]) == bits(rows[-1:]), name
     assert (last.clamps, last.presum_max_dev, last.presum_total_dev) == (
         full.clamps, full.presum_max_dev, full.presum_total_dev)
-    assert (full.clamps > 0) == (case.scheme in CLAMPING)
 
 
 @pytest.mark.parametrize("case", UNKEPT, ids=str)
@@ -341,6 +347,45 @@ def test_a_run_without_history_keeps_no_state_history(case):
     assert len(handed[True]) == 3
     assert [len(rows) for rows in handed[False]] == [1, 1, 1]
     assert bits([rows[-1] for rows in handed[False]]) == bits([rows[-1] for rows in handed[True]])
+
+
+# ---------------------------------------------------------------------------
+# a kept run floors a block only when its one check fails: a clamping block
+# is stepped again from its start with the floor, as a run without a history
+# steps it
+
+# levels (1, 0), with a fast return to level 1, from the stationary law: an
+# increment of -30 floors an entry in each simplex scheme, at any step
+RETURNING = ChainModel(levels=[1.0, 0.0], rates=[[0.0, 1.0], [50.0, 0.0]],
+                       initial_dist=[50 / 51, 1 / 51])
+SIMPLEX = [scheme for scheme in KERNELS if isinstance(build(scheme).start(), tuple)]
+
+
+@pytest.mark.parametrize("rows", [BLOCK_ROWS, 7])
+@pytest.mark.parametrize("at", ["run-first", "block-first", "block-middle", "block-last"])
+@pytest.mark.parametrize("scheme", SIMPLEX)
+def test_a_clamping_block_of_a_kept_run_is_floored(scheme, at, rows, monkeypatch):
+    monkeypatch.setattr(kernels, "BLOCK_ROWS", rows)
+    # block 1 steps rows .. 2 rows - 1, and step s takes increment s - 1
+    step = {"run-first": 1, "block-first": rows, "block-middle": rows + rows // 2,
+            "block-last": 2 * rows - 1}[at]
+    dy = np.zeros(3 * rows)
+    dy[step - 1] = -30.0
+    kernel = build(scheme, RETURNING)
+    full = run_history(kernel, kernel.start(), dy)
+    assert full.clamps > 0
+    assert_ends_on_the_last_kept_row(run_steps(kernel, kernel.start(), dy), full)
+
+
+def test_the_block_check_reads_the_sums():
+    # every raw entry of zakai-ito's first step, about psi (1 - 4 a), is
+    # negative: raw / total is positive, and only the total shows the floor
+    model = ChainModel(levels=[1.0, 2.0], rates=[[0.0, 1.0], [1.0, 0.0]], initial_dist=[0.5, 0.5])
+    kernel = build("zakai-ito", model)
+    dy = np.r_[-1.0, np.zeros(99)]
+    full = run_history(kernel, kernel.start(), dy)
+    assert full.clamps == 2
+    assert_ends_on_the_last_kept_row(run_steps(kernel, kernel.start(), dy), full)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +450,7 @@ def test_the_rows_of_a_batch_are_separate_runs(scheme, kept, k, seed, replicas, 
 
 
 def rescale(raw):
-    """The unnormalized kernels' floor and rescale, as (psi, total)."""
+    """The floor and rescale of a simplex kernel but wonham-ito, as (probs, total)."""
     clamped = int(np.count_nonzero(raw <= 0.0))
     if clamped:
         raw = np.maximum(raw, FLOOR)
@@ -471,15 +516,12 @@ def wonham_langevin(kernel):
         drift = 0.5 * probs * (levels_sq - second_moment) / beta_sq
         return probs @ generator + sign * drift + (levels - xbar) * probs * (rate / beta_sq)
 
-    def step(probs, dy):
+    def step(state, dy):
         rate = dy / dt
+        probs = state[0]
         now = field(probs, rate)
         predictor = probs + dt * now
-        raw = probs + 0.5 * dt * (now + field(predictor, rate))
-        clamped = int(np.count_nonzero(raw <= 0.0))
-        if clamped:
-            raw = np.maximum(raw, FLOOR)
-        return raw / np.add.reduce(raw, axis=0), clamped
+        return rescale(probs + 0.5 * dt * (now + field(predictor, rate)))
 
     return step, list
 
