@@ -387,10 +387,11 @@ def add_path_integrals(model: ChainModel, horizon: float, dt: float, seed_words:
     return visited[np.cumsum(n_jumps + 1) - 1]
 
 
-# Values per temporary array of :func:`_segment_table`,
-# :func:`_add_step_integrals` and a block of a replica batch
-# (:func:`jumpfilter.kernels.run_steps`): 32 rows of a 1000-step grid, 256 kB,
-# so the few temporaries of a chunk stay under 1 MB.
+# Values per temporary array of :func:`_segment_table` and
+# :func:`_add_step_integrals`: 32 rows of a 1000-step grid, 256 kB, so the
+# few temporaries of a chunk stay under 1 MB. A block of a replica batch
+# (:func:`jumpfilter.kernels.run_steps`) takes CHUNK_VALUES // R rows, so
+# its state buffer holds rows x R x K floats, 256 kB times K.
 CHUNK_VALUES = 1 << 15
 
 

@@ -16,25 +16,27 @@ the Python loop over the steps carries only the recurrence:
   step reads; of a state ``(array, sum)`` it takes the array and returns
   the raw update, which the driver normalizes, else ``(state, clamped)``;
 * ``probs(states, sums) -> (probs, extras)``: the normalized (rows, K)
-  rows of a block (its last row alone when nothing reads the others) and
-  the scheme's extra columns, from the arrays that :func:`run_steps`
-  wrote, in one vectorized pass after the block's steps that may overwrite
-  them, including the work that is only ever written out (the running log
-  normalizer of the Zakai schemes, whose row 0 carries the previous block's
-  sum in).
+  rows of a block and the scheme's extra columns, from the arrays that
+  :func:`run_steps` wrote, in one vectorized pass after the block's steps
+  that may overwrite them, including the work that is only ever written out
+  (the running log normalizer of the Zakai schemes, whose row 0 carries the
+  previous block's sum in).
 
 Building a kernel also checks dt and beta (:func:`check_step`), its options
 (:func:`check_signs`) and, through the kernel's ``check_model``, that the
 scheme can filter the model.
 
 :func:`run_steps` is the one loop. It steps a run ``BLOCK_ROWS`` rows at a
-time and hands each block on, so no array of a run grows with its length;
-:func:`drive` keeps every block, a written ``filter`` writes each, and the
-tower check keeps the final row. It alone knows the batch layout: (n, R)
-increments run R copies of the state from ``start``, held states-first as a
-contiguous (K, R) array (so a step's operations run along length-R rows,
-not over a length-K inner axis), and come back as (rows, R, K). Only a
-kernel whose class sets ``batches`` (wonham-ito) takes them.
+time, normalizes a simplex kernel's raw updates by a bare total and divide,
+checks the block once and steps a failing block again with the floor
+(:func:`normalize`); then it hands the block on, so no array of a run grows
+with its length: :func:`drive` keeps every block, a written ``filter``
+writes each, and the tower check keeps the final row. It alone knows the
+batch layout: (n, R) increments run R copies of the state from ``start``,
+held states-first as a contiguous (K, R) array (so a step's operations run
+along length-R rows, not over a length-K inner axis), and come back as
+(rows, R, K). Only a kernel whose class sets ``batches`` (wonham-ito) takes
+them.
 
 The single error policy: finite increments before they are stepped
 (:func:`check_increments`, a ValueError), then the faults of the rows, the
@@ -268,14 +270,10 @@ def _row_sums(x: np.ndarray):
 def normalize(raw: np.ndarray, presum: bool = False):
     """A simplex kernel's raw (K,) or (K, R) update, floored and divided by its
     total over the states, as ``(probs, sum, clamped)``: that total, or with
-    ``presum`` the unfloored one, and the count of floored entries."""
-    # one argmin settles the common case, a positive minimum; a NaN, +-0 or
-    # negative minimum fails it and is counted
-    clamped = 0 if raw.flat[raw.argmin()] > 0.0 else int(np.count_nonzero(raw <= 0.0))
-    if not clamped:
-        total = np.add.reduce(raw)
-        return raw / total, total, 0
-    floored = np.maximum(raw, FLOOR)
+    ``presum`` the unfloored one, and the count of floored entries (a NaN
+    entry is neither floored nor counted)."""
+    clamped = int(np.count_nonzero(raw <= 0.0))
+    floored = np.maximum(raw, FLOOR) if clamped else raw
     total = np.add.reduce(floored)
     return floored / total, np.add.reduce(raw) if presum else total, clamped
 
@@ -414,7 +412,7 @@ class _Unnormalized(Kernel):
         np.log(log_normalizer[1:], out=log_normalizer[1:])
         np.add.accumulate(log_normalizer, out=log_normalizer)
         log_weights = np.log(psi)
-        log_weights += log_normalizer[-len(psi):, None]
+        log_weights += log_normalizer[:, None]
         psi /= _row_sums(psi)
         return psi, {"log_weights": log_weights}
 
@@ -708,9 +706,10 @@ class Trajectory:
 
     ``times`` is the grid r*dt, r = 0..n_steps. ``probs`` holds the normalized
     rows kept: every row for :func:`drive` and :func:`run_history`, the final
-    row for :func:`run_steps`. ``extras`` may carry 'log_weights' (rows, K)
-    for the Zakai schemes, 'q' (rows,) for telegraph schemes, and 'theta' for
-    the log-domain scheme. For (n, R) increments, ``probs`` is (rows, R, K):
+    row for :func:`run_steps`, which hands the others to its ``consume``
+    block by block. ``extras`` may carry 'log_weights' (rows, K) for the
+    Zakai schemes, 'q' (rows,) for telegraph schemes, and 'theta' for the
+    log-domain scheme. For (n, R) increments, ``probs`` is (rows, R, K):
     each kept row holds the R replicas' states. ``presum_max_dev`` and
     ``presum_total_dev`` track the pre-renormalization simplex defect of
     Euler steps where that invariant applies. ``nonfinite`` and
@@ -831,21 +830,20 @@ def run_steps(kernel: Kernel, state, dy, consume=None) -> Trajectory:
     step, whose rows come back as (rows, R, K); or an iterable of (m,)
     blocks of one trajectory, synthesized as the run goes.
 
-    A block of m steps writes rows 1..m of a buffer for the sum of a state
-    ``(array, sum)``, and for the state array only when ``consume`` reads
-    them (else the block's last state alone); row 0 carries the start or
-    the previous block's last row, so the Zakai log normalizer and the
-    pre-sum total enter the block's left-to-right fold as its first element.
-    ``probs`` normalizes the rows kept, and ``consume(lo, dy, probs,
+    A block of m steps writes rows 1..m of a buffer for the state array
+    and, for a state ``(array, sum)``, of one for the sum; row 0 carries the
+    start or the previous block's last row, so the Zakai log normalizer and
+    the pre-sum total enter the block's left-to-right fold as its first
+    element. A simplex kernel's raw update is divided by its total without
+    the floor; the block's rows and sums are then checked once, all
+    positive exactly when no raw entry was <= 0 or NaN, and a block that
+    fails is stepped again from its start through :func:`normalize`.
+    ``probs`` normalizes the block's rows, and ``consume(lo, dy, probs,
     extras)`` gets its new rows lo.. as views that the next block overwrites.
     The rows handed on, or without ``consume`` the final row alone, which
     the returned run keeps, are checked (:func:`faults`); faults, clamps and
     pre-sum statistics are folded for :func:`check_run` to raise, and the
     returned run keeps the kernel state after the last step as ``state``.
-
-    Without ``consume`` each raw update is normalized by :func:`normalize`;
-    with it, a block is normalized without the floor and checked once, and
-    one that fails is stepped again from its start by :func:`normalize`.
 
     Raises ValueError before the first step for an array ``dy`` of another
     shape (so (n, R) to a kernel that does not batch) or with a non-finite
@@ -871,48 +869,42 @@ def run_steps(kernel: Kernel, state, dy, consume=None) -> Trajectory:
     else:
         blocks = _checked(kernel, dy)
     step, presum = kernel.step, kernel.carries_presum
-    keep = consume is not None  # state rows for a consume only; else sums alone
     clamps = rows = last = 0
     nonfinite = off_simplex = False
     presum_max = presum_total = 0.0
     with np.errstate(**QUIET):
         for block in blocks:
             first = 0 if rows == 0 else 1
-            head = (array, total) if rows == 0 else (held[-1], sums[last] if simplex else None)
+            # row 0's sum: the start's, or the previous block's last as
+            # ``probs`` left it (the running log normalizer of the Zakai schemes)
+            carried = sums[last] if rows and simplex else total
             # the blocks after the first take up to 4 steps more (block_steps)
             if rows == 0 or len(block) >= size:
                 size = len(block) + 5
-                states = np.empty((size if keep else 1, *np.shape(array)))
+                states = np.empty((size, *np.shape(array)))
                 if simplex:
                     sums = np.empty((size, *np.shape(total)))
-            states[0] = head[0]
+            states[0] = array
             if simplex:
-                sums[0] = head[1]
+                sums[0] = carried
             inputs, last, start = kernel.prepare(block), len(block), array
-            floor = simplex
-            if simplex and keep:
+            if simplex:
                 for i, row in enumerate(inputs, 1):
                     raw = step(array, row)
                     sums[i] = total = np.add.reduce(raw)
                     array = states[i] = raw / total
                 # all positive exactly when no raw entry is <= 0 or NaN
-                floor = not ((states[1:last + 1] > 0).all() and (sums[1:last + 1] > 0).all())
-            if floor:  # each step floored: a run without consume, or a failed block again
-                array = start
-                for i, row in enumerate(inputs, 1):
-                    array, total, clamped = normalize(step(array, row), presum)
-                    sums[i] = total
-                    clamps += clamped
-                    if keep:
-                        states[i] = array
-            elif not simplex:
+                if not ((states[1:last + 1] > 0).all() and (sums[1:last + 1] > 0).all()):
+                    array = start  # the block again, each step floored
+                    for i, row in enumerate(inputs, 1):
+                        array, total, clamped = normalize(step(array, row), presum)
+                        states[i], sums[i] = array, total
+                        clamps += clamped
+            else:
                 for i, row in enumerate(inputs, 1):
                     array, clamped = step(array, row)
+                    states[i] = array
                     clamps += clamped
-                    if keep:
-                        states[i] = array
-            if last and not keep:  # a block without steps keeps its row 0
-                states[0] = array
             if presum:
                 # |presum - 1| in one temporary, then summed left to right:
                 # np.add.reduce adds the rows of an (m, R) array in order for
@@ -924,11 +916,10 @@ def run_steps(kernel: Kernel, state, dy, consume=None) -> Trajectory:
                     devs[0] = presum_total
                 presum_total = (np.add.reduce(devs) if devs[0].size > 1
                                 else np.add.accumulate(devs, out=devs)[last])
-            held = states[:last + 1] if keep else states
-            probs, extras = kernel.probs(held, sums[:last + 1] if simplex else None)
+            probs, extras = kernel.probs(states[:last + 1], sums[:last + 1] if simplex else None)
             if batch:
                 probs = probs.transpose(0, 2, 1)
-            if keep:
+            if consume is not None:
                 probs_on, extras_on = probs[first:], {k: v[first:] for k, v in extras.items()}
                 block_nonfinite, block_off_simplex = faults(probs_on, extras_on)
                 nonfinite |= block_nonfinite
@@ -939,7 +930,7 @@ def run_steps(kernel: Kernel, state, dy, consume=None) -> Trajectory:
         raise ValueError(f"{kernel.scheme} takes at least one block of increments")
     probs = np.array(probs[-1:], order="C")
     extras = {name: np.array(v[-1:], order="C") for name, v in extras.items()}
-    if not keep:
+    if consume is None:
         nonfinite, off_simplex = faults(probs, extras)
     state = (array, total) if simplex else array
     return Trajectory(kernel.scheme, kernel.dt, rows - 1, probs, clamps, float(presum_max),

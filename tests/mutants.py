@@ -33,7 +33,7 @@ MUTANTS = {
     ),
     "normalize never counts": (
         KERNELS,
-        "    clamped = 0 if raw.flat[raw.argmin()] > 0.0 else int(np.count_nonzero(raw <= 0.0))\n",
+        "    clamped = int(np.count_nonzero(raw <= 0.0))\n",
         "    clamped = 0\n",
         [CONTRACT + "test_a_non_finite_extra_fails_the_run"],
     ),
@@ -92,30 +92,43 @@ MUTANTS = {
         "        return updated, 0\n",
         [ZAKAI_TESTS + "TestLogStep::test_every_theta_row_has_max_zero"],
     ),
-    # -- a kept run checks each block once, and floors a failing block again
+    # -- every run checks each block once, and floors a failing block again
     "the block check ignores the sums": (
         KERNELS,
-        "                floor = not ((states[1:last + 1] > 0).all() and (sums[1:last + 1] > 0).all())\n",
-        "                floor = not (states[1:last + 1] > 0).all()\n",
+        "                if not ((states[1:last + 1] > 0).all() and (sums[1:last + 1] > 0).all()):\n",
+        "                if not (states[1:last + 1] > 0).all():\n",
         [CONTRACT + "test_the_block_check_reads_the_sums"],
     ),
     "a failed block keeps its unfloored rows": (
         KERNELS,
-        "                floor = not ((states[1:last + 1] > 0).all() and (sums[1:last + 1] > 0).all())\n",
-        "                floor = False\n",
+        "                if not ((states[1:last + 1] > 0).all() and (sums[1:last + 1] > 0).all()):\n",
+        "                if False:\n",
         [CONTRACT + "test_a_clamping_block_of_a_kept_run_is_floored[zakai-ito-block-middle-7]"],
     ),
     "the second pass starts from the block's last row": (
         KERNELS,
-        "                array = start\n",
+        "                    array = start  # the block again, each step floored\n",
         "",
         [CONTRACT + "test_a_clamping_block_of_a_kept_run_is_floored[wonham-ito-block-middle-7]"],
     ),
     "the block check skips the block's last row": (
         KERNELS,
-        "                floor = not ((states[1:last + 1] > 0).all() and (sums[1:last + 1] > 0).all())\n",
-        "                floor = not ((states[1:last] > 0).all() and (sums[1:last] > 0).all())\n",
+        "                if not ((states[1:last + 1] > 0).all() and (sums[1:last + 1] > 0).all()):\n",
+        "                if not ((states[1:last] > 0).all() and (sums[1:last] > 0).all()):\n",
         [CONTRACT + "test_a_clamping_block_of_a_kept_run_is_floored[gamma-block-last-7]"],
+    ),
+    "a run without consume never steps a failing block again": (
+        KERNELS,
+        "                if not ((states[1:last + 1] > 0).all() and (sums[1:last + 1] > 0).all()):\n",
+        "                if consume is not None and not ((states[1:last + 1] > 0).all()\n"
+        "                                                and (sums[1:last + 1] > 0).all()):\n",
+        [CONTRACT + "test_a_run_without_history_ends_on_the_last_kept_row[wonham-ito-unkept]"],
+    ),
+    "the fallback does not write the block's states": (
+        KERNELS,
+        "                        states[i], sums[i] = array, total\n",
+        "                        sums[i] = total\n",
+        [CONTRACT + "test_a_clamping_block_of_a_kept_run_is_floored[zakai-ito-block-middle-7]"],
     ),
     # -- the start: the model's law, as each kernel holds its state
     "_Unnormalized.start returns initial_dist instead of start_weights": (
@@ -312,8 +325,8 @@ MUTANTS = {
     # -- a batch's rows are separate runs
     "run_steps counts no clamps in a batch": (
         KERNELS,
-        "                    sums[i] = total\n                    clamps += clamped\n",
-        "                    sums[i] = total\n                    clamps += 0 if batch else clamped\n",
+        "                        states[i], sums[i] = array, total\n                        clamps += clamped\n",
+        "                        states[i], sums[i] = array, total\n                        clamps += 0 if batch else clamped\n",
         ["tests/test_oracle.py::TestBlockJoin::test_a_failing_block_fails_as_the_one_batch",
          CONTRACT + "test_the_rows_of_a_batch_are_separate_runs"],
     ),

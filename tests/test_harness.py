@@ -729,8 +729,9 @@ def test_run_history_peaks_near_its_output():
     assert peak <= 2 * (output + dy.nbytes)
 
 
-def test_batch_without_history_keeps_no_presum_column():
-    # a batch's (n+1, R) presum column would be as large as its increments
+def test_a_batch_without_history_holds_one_block_of_rows():
+    # a batch's (n+1, R) presum column, or its (n+1, K, R) states, would be
+    # as large as its increments; it holds a block of CHUNK_VALUES // R rows
     kernel = WonhamIto(TELEGRAPH, 1e-3, 0.5)
     start = kernel.start()
     dy = 1e-3 + 0.5 * np.sqrt(1e-3) * np.random.default_rng(6).standard_normal((1000, 500))

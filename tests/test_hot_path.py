@@ -1,11 +1,11 @@
-"""Bit-for-bit checks of two trims in the kernels' per-step arithmetic.
+"""Bit-for-bit checks of the kernels' per-step arithmetic at its edges.
 
 The step kernels take their products through ``ndarray.dot`` instead of
-``@``, and ``normalize``, the driver's floored normalization of a simplex
-kernel's raw update, skips the count of floored entries when one ``argmin``
-shows a positive minimum. Both must leave every bit unchanged. The whole
-step of each kernel, normalization included, is compared with a plain
-reference loop in ``tests/test_kernel_contract.py``.
+``@``, which must leave every bit unchanged; and ``normalize``, the floored
+normalization of a simplex kernel's raw update that a block failing its
+check is stepped again with, floors and counts at the edge values of a raw
+entry. The whole step of each kernel, normalization included, is compared
+with a plain reference loop in ``tests/test_kernel_contract.py``.
 """
 
 import numpy as np
@@ -33,7 +33,8 @@ def test_dot_equals_matmul_bitwise(k, replicas, seed):
 
 
 def counted_normalize(raw, presum):
-    """``normalize`` as it was first written: count, then floor."""
+    """The floored normalization written out: count the entries <= 0, floor
+    them, total and divide."""
     clamped = int(np.count_nonzero(raw <= 0.0))
     floored = np.maximum(raw, FLOOR) if clamped else raw
     total = np.add.reduce(floored, axis=0)
@@ -48,8 +49,8 @@ EDGES = [0.0, -0.0, -1.0, -5e-324, np.nan, np.inf, -np.inf, 5e-324]
        edges=st.lists(st.sampled_from(EDGES), max_size=6), seed=st.integers(0, 2**32 - 1),
        presum=st.booleans())
 def test_normalize_equals_counting_first_bitwise(k, replicas, edges, seed, presum):
-    # the argmin test that skips the count must floor and count exactly
-    # where counting first does: NaN, +-0, negatives and infinities included
+    # floored and counted exactly where an entry is <= 0 (+-0, -inf, a
+    # negative subnormal); NaN, a positive subnormal and +inf are neither
     rng = np.random.default_rng(seed)
     raw = rng.uniform(1e-300, 1.0, k if replicas is None else (k, replicas))
     raw.flat[rng.integers(raw.size, size=len(edges))] = edges

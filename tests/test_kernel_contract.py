@@ -8,13 +8,13 @@ only a kernel that batches takes (n, R) increments; increments are finite
 before step 1; a history, extras included, is finite and on the simplex; the
 wonham-ito pre-renormalization sum stays near 1; every floored entry is
 counted, and a run fails past the clamp budget. Then the equalities: a run
-without a history ends on the last kept row, and hands ``probs`` only the
-last state of each block; a kept run floors a clamping block as a run
-without a history does, wherever in the block it clamps; the rows of a
-batch are the separate runs; ``run_steps`` is a plain reference loop bit for
-bit; and each public R=1 step function is a one-step ``run_steps`` run, is
-its ``drive`` row bit for bit, refuses a state of another K and fails as a
-run does, without a numpy warning.
+without a history ends on the last kept row; a kept run floors a clamping
+block as the reference loop floors each step, wherever in the block it
+clamps; the rows of a batch are the separate runs; ``run_steps``, with a
+history or without, is a plain reference loop bit for bit; and each public
+R=1 step function is a one-step ``run_steps`` run, is its ``drive`` row bit
+for bit, refuses a state of another K and fails as a run does, without a
+numpy warning.
 """
 
 import warnings
@@ -90,7 +90,6 @@ CASES = [Case(scheme, kept, replicas)
          for scheme in KERNELS
          for replicas in ([None, REPLICAS] if scheme in BATCHED else [None])
          for kept in (True, False)]
-KEPT = [case for case in CASES if case.kept]
 UNKEPT = [case for case in CASES if not case.kept]
 
 
@@ -313,13 +312,8 @@ def test_a_run_without_history_ends_on_the_last_kept_row(case):
     dy = 3e-4 + BETA * np.sqrt(DT) * np.random.default_rng(4).standard_normal(400)
     dy[[100, 200]] = [1.0, -1.0]  # clamps, where the scheme floors
     dy = increments(case, dy)
-    full = run_history(kernel, start, dy)
-    assert_ends_on_the_last_kept_row(run_steps(kernel, start, dy), full)
+    full, last = run_history(kernel, start, dy), run_steps(kernel, start, dy)
     assert (full.clamps > 0) == (case.scheme in CLAMPING)
-
-
-def assert_ends_on_the_last_kept_row(last, full):
-    """Bit for bit: the final row, its extras, the clamps and the pre-sum statistics."""
     assert bits(last.probs) == bits(full.probs[-1:])
     assert last.extras.keys() == full.extras.keys()
     for name, rows in full.extras.items():
@@ -328,31 +322,10 @@ def assert_ends_on_the_last_kept_row(last, full):
         full.clamps, full.presum_max_dev, full.presum_total_dev)
 
 
-@pytest.mark.parametrize("case", UNKEPT, ids=str)
-def test_a_run_without_history_keeps_no_state_history(case):
-    # ``probs`` gets each block's last state alone, and it is the last row
-    # of that block in a run that keeps every row
-    handed = {True: [], False: []}
-
-    class Spy(KERNELS[case.scheme]):
-        def probs(self, states, sums):
-            handed[self.kept].append(np.array(states))
-            return super().probs(states, sums)
-
-    dy = 3e-4 + BETA * np.sqrt(DT) * np.random.default_rng(5).standard_normal(2 * BLOCK_ROWS + 100)
-    for kept in handed:
-        kernel = Spy(model_of(case.scheme), DT, BETA)
-        kernel.kept = kept
-        runner(kept)(kernel, kernel.start(), increments(case, dy))
-    assert len(handed[True]) == 3
-    assert [len(rows) for rows in handed[False]] == [1, 1, 1]
-    assert bits([rows[-1] for rows in handed[False]]) == bits([rows[-1] for rows in handed[True]])
-
-
 # ---------------------------------------------------------------------------
-# a kept run floors a block only when its one check fails: a clamping block
-# is stepped again from its start with the floor, as a run without a history
-# steps it
+# a block is floored only when its one check fails: a clamping block is
+# stepped again from its start with the floor, as the reference loop floors
+# every step
 
 # levels (1, 0), with a fast return to level 1, from the stationary law: an
 # increment of -30 floors an entry in each simplex scheme, at any step
@@ -372,9 +345,9 @@ def test_a_clamping_block_of_a_kept_run_is_floored(scheme, at, rows, monkeypatch
     dy = np.zeros(3 * rows)
     dy[step - 1] = -30.0
     kernel = build(scheme, RETURNING)
-    full = run_history(kernel, kernel.start(), dy)
-    assert full.clamps > 0
-    assert_ends_on_the_last_kept_row(run_steps(kernel, kernel.start(), dy), full)
+    run = run_history(kernel, kernel.start(), dy)
+    assert run.clamps > 0
+    assert_is_the_reference_run(run, kernel, kernel.start(), dy)
 
 
 def test_the_block_check_reads_the_sums():
@@ -383,9 +356,9 @@ def test_the_block_check_reads_the_sums():
     model = ChainModel(levels=[1.0, 2.0], rates=[[0.0, 1.0], [1.0, 0.0]], initial_dist=[0.5, 0.5])
     kernel = build("zakai-ito", model)
     dy = np.r_[-1.0, np.zeros(99)]
-    full = run_history(kernel, kernel.start(), dy)
-    assert full.clamps == 2
-    assert_ends_on_the_last_kept_row(run_steps(kernel, kernel.start(), dy), full)
+    run = run_history(kernel, kernel.start(), dy)
+    assert run.clamps == 2
+    assert_is_the_reference_run(run, kernel, kernel.start(), dy)
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +605,20 @@ def reference_run(kernel, start, dy):
     return probs, extras, clamps, presums
 
 
-@pytest.mark.parametrize("case", KEPT, ids=str)
+def assert_is_the_reference_run(run, kernel, start, dy):
+    """Bit for bit: the rows of ``run`` (its final row alone when it keeps
+    only that), their extras, the clamps and the pre-sum statistics are
+    those of :func:`reference_run`."""
+    probs, extras, clamps, presums = reference_run(kernel, start, dy)
+    rows = slice(-len(run.probs), None)
+    assert bits(run.probs) == bits(probs[rows])
+    assert run.extras.keys() == extras.keys()
+    for name in extras:
+        assert bits(run.extras[name]) == bits(extras[name][rows]), name
+    assert (run.clamps, run.presum_max_dev, run.presum_total_dev) == (clamps, *presums)
+
+
+@pytest.mark.parametrize("case", CASES, ids=str)
 @settings(max_examples=12, deadline=None)
 @given(k=st.integers(1, 8), beta=st.floats(0.3, 2.0), seed=st.integers(0, 2**32 - 1),
        correction_sign=st.sampled_from([-1, 1]),
@@ -648,13 +634,9 @@ def test_run_steps_equals_the_reference_loop_bitwise(case, k, beta, seed, correc
     start = kernel.start()
     shape = (300,) if case.replicas is None else (300, case.replicas)
     dy = random_increments(rng, model, beta, DT, shape)
-    run = run_history(kernel, start, dy)
-    probs, extras, clamps, presums = reference_run(kernel, start, dy)
-    assert bits(run.probs) == bits(probs)
-    assert run.extras.keys() == extras.keys()
-    for name in extras:
-        assert bits(run.extras[name]) == bits(extras[name]), name
-    assert (run.clamps, run.presum_max_dev, run.presum_total_dev) == (clamps, *presums)
+    run = runner(case.kept)(kernel, start, dy)
+    assert len(run.probs) == (301 if case.kept else 1)
+    assert_is_the_reference_run(run, kernel, start, dy)
 
 
 # ---------------------------------------------------------------------------
