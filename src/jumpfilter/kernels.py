@@ -19,8 +19,8 @@ the Python loop over the steps carries only the recurrence:
   rows of a block and the scheme's extra columns, from the arrays that
   :func:`run_steps` wrote, in one vectorized pass after the block's steps
   that may overwrite them, including the work that is only ever written out
-  (the running log normalizer of the Zakai schemes, whose row 0 carries the
-  previous block's sum in).
+  (the running log normalizer of the unnormalized kernels, in place of their
+  step totals: row 0 carries it in, and the last row on to the next block).
 
 Building a kernel also checks dt and beta (:func:`check_step`), its options
 (:func:`check_signs`) and, through the kernel's ``check_model``, that the
@@ -398,21 +398,24 @@ class Kernel:
 
 
 class _Unnormalized(Kernel):
-    """State (psi, scale): unit-sum weights, and as scale the start's log
-    normalizer or the sum before rescaling of the step that produced psi.
+    """State (psi, L): unit-sum weights psi and the log normalizer L of the
+    weights exp(L) psi that they stand for.
 
-    The log normalizer of step r is  L_0 + log t_1 + ... + log t_r ; only
+    L_r = L_{r-1} + log t_r, t_r the total of step r's raw update; only
     ``probs`` forms it, as one left-to-right ``np.add.accumulate``.
     """
 
     def start(self):
         return self.model.start_weights, 0.0
 
-    def probs(self, psi, log_normalizer):
-        np.log(log_normalizer[1:], out=log_normalizer[1:])
-        np.add.accumulate(log_normalizer, out=log_normalizer)
+    @staticmethod
+    def log_normalizer(sums):
+        np.log(sums[1:], out=sums[1:])
+        return np.add.accumulate(sums, out=sums)
+
+    def probs(self, psi, sums):
         log_weights = np.log(psi)
-        log_weights += log_normalizer[:, None]
+        log_weights += self.log_normalizer(sums)[:, None]
         psi /= _row_sums(psi)
         return psi, {"log_weights": log_weights}
 
@@ -591,7 +594,8 @@ class Gamma(_Unnormalized):
         after = self.step_backward.dot(diag * forward.dot(predictor))
         return forward.dot(psi + self.half_dt * (now + after))
 
-    def probs(self, psi, _scale):
+    def probs(self, psi, sums):
+        self.log_normalizer(sums)  # the state's L, written to no column
         return psi / _row_sums(psi), {}
 
 
@@ -715,7 +719,8 @@ class Trajectory:
     Euler steps where that invariant applies. ``nonfinite`` and
     ``off_simplex`` record whether a checked row, extras included, was not
     finite or was off the simplex; :func:`check_run` raises them. ``state``
-    is the kernel state after the last step (None for joined replica blocks).
+    starts the rest of a one-trajectory run bit for bit (a batch's (K, R)
+    state is not taken back; None for joined replica blocks).
     """
 
     scheme: str
@@ -832,18 +837,18 @@ def run_steps(kernel: Kernel, state, dy, consume=None) -> Trajectory:
 
     A block of m steps writes rows 1..m of a buffer for the state array
     and, for a state ``(array, sum)``, of one for the sum; row 0 carries the
-    start or the previous block's last row, so the Zakai log normalizer and
-    the pre-sum total enter the block's left-to-right fold as its first
-    element. A simplex kernel's raw update is divided by its total without
-    the floor; the block's rows and sums are then checked once, all
-    positive exactly when no raw entry was <= 0 or NaN, and a block that
-    fails is stepped again from its start through :func:`normalize`.
+    start or the previous block's last row and sum as ``probs`` left it (the
+    log normalizer of the unnormalized kernels, else the pre-sum or total).
+    A simplex kernel's raw update is divided by its total without the floor;
+    the block's rows and sums are then checked once, all positive exactly
+    when no raw entry was <= 0 or NaN, and a block that fails is stepped
+    again from its start through :func:`normalize`.
     ``probs`` normalizes the block's rows, and ``consume(lo, dy, probs,
     extras)`` gets its new rows lo.. as views that the next block overwrites.
     The rows handed on, or without ``consume`` the final row alone, which
     the returned run keeps, are checked (:func:`faults`); faults, clamps and
-    pre-sum statistics are folded for :func:`check_run` to raise, and the
-    returned run keeps the kernel state after the last step as ``state``.
+    pre-sum statistics of the steps are folded for :func:`check_run` to
+    raise, and the returned ``state`` is what a next block would start from.
 
     Raises ValueError before the first step for an array ``dy`` of another
     shape (so (n, R) to a kernel that does not batch) or with a non-finite
@@ -869,15 +874,12 @@ def run_steps(kernel: Kernel, state, dy, consume=None) -> Trajectory:
     else:
         blocks = _checked(kernel, dy)
     step, presum = kernel.step, kernel.carries_presum
-    clamps = rows = last = 0
+    clamps = rows = 0
     nonfinite = off_simplex = False
     presum_max = presum_total = 0.0
     with np.errstate(**QUIET):
         for block in blocks:
             first = 0 if rows == 0 else 1
-            # row 0's sum: the start's, or the previous block's last as
-            # ``probs`` left it (the running log normalizer of the Zakai schemes)
-            carried = sums[last] if rows and simplex else total
             # the blocks after the first take up to 4 steps more (block_steps)
             if rows == 0 or len(block) >= size:
                 size = len(block) + 5
@@ -886,19 +888,19 @@ def run_steps(kernel: Kernel, state, dy, consume=None) -> Trajectory:
                     sums = np.empty((size, *np.shape(total)))
             states[0] = array
             if simplex:
-                sums[0] = carried
+                sums[0] = total
             inputs, last, start = kernel.prepare(block), len(block), array
             if simplex:
                 for i, row in enumerate(inputs, 1):
                     raw = step(array, row)
-                    sums[i] = total = np.add.reduce(raw)
-                    array = states[i] = raw / total
+                    sums[i] = raw_total = np.add.reduce(raw)
+                    array = states[i] = raw / raw_total
                 # all positive exactly when no raw entry is <= 0 or NaN
                 if not ((states[1:last + 1] > 0).all() and (sums[1:last + 1] > 0).all()):
                     array = start  # the block again, each step floored
                     for i, row in enumerate(inputs, 1):
-                        array, total, clamped = normalize(step(array, row), presum)
-                        states[i], sums[i] = array, total
+                        array, raw_total, clamped = normalize(step(array, row), presum)
+                        states[i], sums[i] = array, raw_total
                         clamps += clamped
             else:
                 for i, row in enumerate(inputs, 1):
@@ -906,17 +908,18 @@ def run_steps(kernel: Kernel, state, dy, consume=None) -> Trajectory:
                     states[i] = array
                     clamps += clamped
             if presum:
-                # |presum - 1| in one temporary, then summed left to right:
-                # np.add.reduce adds the rows of an (m, R) array in order for
-                # R >= 2 but sums a column (one trajectory, R = 1) pairwise
+                # |presum - 1| of the block's steps, the running total in row
+                # 0, summed left to right: np.add.reduce adds the rows of an
+                # (m, R) array in order for R >= 2 but sums a column pairwise
                 devs = sums[:last + 1] - 1.0
                 np.abs(devs, out=devs)
-                presum_max = np.maximum(presum_max, devs[first:].max())
-                if first:
-                    devs[0] = presum_total
+                presum_max = devs[1:].max(initial=presum_max)
+                devs[0] = presum_total
                 presum_total = (np.add.reduce(devs) if devs[0].size > 1
                                 else np.add.accumulate(devs, out=devs)[last])
             probs, extras = kernel.probs(states[:last + 1], sums[:last + 1] if simplex else None)
+            if simplex:  # the one carried sum, as ``probs`` left it
+                total = sums[last]
             if batch:
                 probs = probs.transpose(0, 2, 1)
             if consume is not None:

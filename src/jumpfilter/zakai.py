@@ -156,14 +156,9 @@ def init_unnormalized(model: ChainModel) -> UnnormalizedState:
 def _unnormalized_step(kernel, state: UnnormalizedState, dy: float, kind=UnnormalizedState,
                        **fields) -> UnnormalizedState:
     """One ``kernel`` step of ``state``'s weights, as a ``kind`` with ``fields``."""
-    (psi, total), clamped = step_once(kernel, (state.psi, state.log_normalizer), dy)
-    return kind(
-        psi=psi,
-        log_normalizer=float(state.log_normalizer + np.log(total)),
-        t=state.t + kernel.dt,
-        clamps=state.clamps + clamped,
-        **fields,
-    )
+    (psi, log_normalizer), clamped = step_once(kernel, (state.psi, state.log_normalizer), dy)
+    return kind(psi=psi, log_normalizer=float(log_normalizer), t=state.t + kernel.dt,
+                clamps=state.clamps + clamped, **fields)
 
 
 def zakai_ito_step(

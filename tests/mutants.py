@@ -69,10 +69,28 @@ MUTANTS = {
     ),
     "run_steps keeps the last block's pre-sum maximum only": (
         KERNELS,
-        "                presum_max = np.maximum(presum_max, devs[first:].max())\n",
-        "                presum_max = devs[first:].max()\n",
+        "                presum_max = devs[1:].max(initial=presum_max)\n",
+        "                presum_max = devs[1:].max(initial=0.0)\n",
         # a run_report.json records presum_max_dev
         ["tests/test_golden_outputs.py::test_cli_outputs_match_golden_digests"],
+    ),
+    "the pre-sum fold counts the carried row": (
+        KERNELS,
+        "                devs[0] = presum_total\n",
+        "                devs[0] += presum_total\n",
+        [CONTRACT + "test_a_run_resumed_from_its_state_is_the_whole_run[wonham-ito-block-middle]"],
+    ),
+    "the pre-sum fold fails an empty block": (
+        KERNELS,
+        "                presum_max = devs[1:].max(initial=presum_max)\n",
+        "                presum_max = np.maximum(presum_max, devs[1:].max())\n",
+        [CONTRACT + "test_an_empty_block_adds_nothing[wonham-ito-0-between]"],
+    ),
+    "run_steps ends on the last step's raw total": (
+        KERNELS,
+        "    state = (array, total) if simplex else array\n",
+        "    state = (array, raw_total) if simplex else array\n",
+        [CONTRACT + "test_a_run_resumed_from_its_state_is_the_whole_run[zakai-ito-block-middle]"],
     ),
     "check_run joins the first block's clamps only": (
         KERNELS,
@@ -126,8 +144,8 @@ MUTANTS = {
     ),
     "the fallback does not write the block's states": (
         KERNELS,
-        "                        states[i], sums[i] = array, total\n",
-        "                        sums[i] = total\n",
+        "                        states[i], sums[i] = array, raw_total\n",
+        "                        sums[i] = raw_total\n",
         [CONTRACT + "test_a_clamping_block_of_a_kept_run_is_floored[zakai-ito-block-middle-7]"],
     ),
     # -- the start: the model's law, as each kernel holds its state
@@ -188,8 +206,8 @@ MUTANTS = {
     ),
     "the public unnormalized step drops log(total)": (
         "src/jumpfilter/zakai.py",
-        "        log_normalizer=float(state.log_normalizer + np.log(total)),\n",
-        "        log_normalizer=float(state.log_normalizer),\n",
+        "log_normalizer=float(log_normalizer)",
+        "log_normalizer=float(state.log_normalizer)",
         [CONTRACT + "test_each_public_step_is_its_drive_row_bitwise[zakai-ito]"],
     ),
     "wonham_step skips its K check": (
@@ -325,8 +343,8 @@ MUTANTS = {
     # -- a batch's rows are separate runs
     "run_steps counts no clamps in a batch": (
         KERNELS,
-        "                        states[i], sums[i] = array, total\n                        clamps += clamped\n",
-        "                        states[i], sums[i] = array, total\n                        clamps += 0 if batch else clamped\n",
+        "                        states[i], sums[i] = array, raw_total\n                        clamps += clamped\n",
+        "                        states[i], sums[i] = array, raw_total\n                        clamps += 0 if batch else clamped\n",
         ["tests/test_oracle.py::TestBlockJoin::test_a_failing_block_fails_as_the_one_batch",
          CONTRACT + "test_the_rows_of_a_batch_are_separate_runs"],
     ),

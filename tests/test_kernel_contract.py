@@ -8,7 +8,9 @@ only a kernel that batches takes (n, R) increments; increments are finite
 before step 1; a history, extras included, is finite and on the simplex; the
 wonham-ito pre-renormalization sum stays near 1; every floored entry is
 counted, and a run fails past the clamp budget. Then the equalities: a run
-without a history ends on the last kept row; a kept run floors a clamping
+without a history ends on the last kept row; a run resumed from a run's
+``state`` is the rest of the whole run, and a carried pre-sum is not a step;
+an empty block adds nothing; a kept run floors a clamping
 block as the reference loop floors each step, wherever in the block it
 clamps; the rows of a batch are the separate runs; ``run_steps``, with a
 history or without, is a plain reference loop bit for bit; and each public
@@ -320,6 +322,67 @@ def test_a_run_without_history_ends_on_the_last_kept_row(case):
         assert bits(last.extras[name]) == bits(rows[-1:]), name
     assert (last.clamps, last.presum_max_dev, last.presum_total_dev) == (
         full.clamps, full.presum_max_dev, full.presum_total_dev)
+
+
+# ---------------------------------------------------------------------------
+# a run's state starts the rest of the run, and an empty block adds nothing
+
+
+def clamping_increments(n_steps: int, spikes) -> np.ndarray:
+    """Increments of one level with noise, and +1, -1, ... at the steps
+    ``spikes``, where the schemes that floor do (4 beta**2 / max|a| = 1)."""
+    dy = 3e-4 + BETA * np.sqrt(DT) * np.random.default_rng(5).standard_normal(n_steps)
+    dy[list(spikes)] = [(-1.0) ** i for i in range(len(spikes))]
+    return dy
+
+
+@pytest.mark.parametrize("rows, cut", [(BLOCK_ROWS, 300), (BLOCK_ROWS, 511), (BLOCK_ROWS, 512),
+                                       (7, 24)], ids=["block-middle", "511", "512", "rows-7"])
+@pytest.mark.parametrize("scheme", KERNELS)
+def test_a_run_resumed_from_its_state_is_the_whole_run(scheme, rows, cut, monkeypatch):
+    # bit for bit: the rows and extras after the cut, the clamps summed and
+    # the largest pre-sum deviation; the Zakai log weights used to resume
+    # from the last step's total instead of the running log normalizer
+    monkeypatch.setattr(kernels, "BLOCK_ROWS", rows)
+    kernel = build(scheme)
+    dy = clamping_increments(1100, [10, 700])  # a clamp on each side of the cut
+    whole = run_history(kernel, kernel.start(), dy)
+    head = run_steps(kernel, kernel.start(), dy[:cut])
+    rest = run_history(kernel, head.state, dy[cut:])
+    assert (whole.clamps > 0) == (scheme in CLAMPING)
+    assert bits(head.probs) == bits(whole.probs[cut])
+    assert bits(rest.probs) == bits(whole.probs[cut:])
+    assert rest.extras.keys() == whole.extras.keys()
+    for name, kept in whole.extras.items():
+        assert bits(rest.extras[name]) == bits(kept[cut:]), name
+    assert head.clamps + rest.clamps == whole.clamps
+    assert max(head.presum_max_dev, rest.presum_max_dev) == whole.presum_max_dev
+    if kernel.carries_presum:
+        # the pre-sum that a state carries in is not a step of the run: a
+        # start that carries 1.5 has the pre-sum statistics of one that carries 1
+        array = kernel.start()[0]
+        one, off = (run_steps(kernel, (array, carried), dy[:cut]) for carried in (1.0, 1.5))
+        assert (off.presum_max_dev, off.presum_total_dev) == (
+            one.presum_max_dev, one.presum_total_dev)
+
+
+@pytest.mark.parametrize("sizes", [(50, 0, 70), (50, 70, 0)], ids=["0-between", "0-last"])
+@pytest.mark.parametrize("scheme", KERNELS)
+def test_an_empty_block_adds_nothing(scheme, sizes):
+    # an iterable's empty block after the first used to fail wonham-ito's
+    # pre-sum fold with numpy's untyped "zero-size array" error
+    kernel = build(scheme)
+    dy = clamping_increments(120, [60])
+    ends = np.cumsum([0, *sizes])
+    run = run_steps(kernel, kernel.start(), (dy[lo:hi] for lo, hi in zip(ends, ends[1:])))
+    whole = run_steps(kernel, kernel.start(), dy)
+    assert run.n_steps == whole.n_steps
+    assert bits(run.probs) == bits(whole.probs)
+    assert run.extras.keys() == whole.extras.keys()
+    for name, row in whole.extras.items():
+        assert bits(run.extras[name]) == bits(row), name
+    assert (run.clamps, run.presum_max_dev, run.presum_total_dev) == (
+        whole.clamps, whole.presum_max_dev, whole.presum_total_dev)
 
 
 # ---------------------------------------------------------------------------

@@ -125,9 +125,9 @@ class TestItoStep:
 
 def langevin_kernel_step(model, beta, dt, dy, sign, psi):
     """One zakai-langevin kernel step from weights ``psi`` (log scale 0): the
-    rescaled weights and the log of their sum before rescaling."""
-    (weights, total), _ = step_once(ZakaiLangevin(model, dt, beta, sign), (psi, 0.0), dy)
-    return weights, np.log(total)
+    rescaled weights and the log normalizer that the run carries, the log of
+    their sum before rescaling."""
+    return step_once(ZakaiLangevin(model, dt, beta, sign), (psi, 0.0), dy)[0]
 
 
 class TestLangevinStep:
@@ -361,10 +361,10 @@ class TestGamma:
         model = ChainModel(levels=[0.0, 0.0], rates=TELEGRAPH.rates, initial_dist=[0.5, 0.5])
         kernel = Gamma(model, 1e-3, 0.5)
         psi = np.array([0.3, 0.7])
-        (stepped, total), clamped = step_once(kernel, (psi, 0.0), 0.37)
+        (stepped, log_normalizer), clamped = step_once(kernel, (psi, 0.0), 0.37)
         propagated = kernel.step_forward @ psi
         assert np.array_equal(stepped, propagated / propagated.sum())
-        assert (total, clamped) == (propagated.sum(), 0)
+        assert (log_normalizer, clamped) == (np.log(propagated.sum()), 0)
 
     def test_tracks_langevin_filter_through_transform(self):
         cfg = ExperimentConfig(model=TELEGRAPH, horizon=1.0, dt=5e-4, beta=0.5, master_seed=9)
