@@ -22,6 +22,7 @@ import numpy as np
 from .seeding import stream
 
 __all__ = [
+    "FLOOR",
     "ChainModel",
     "JumpPath",
     "ReducibleChainError",

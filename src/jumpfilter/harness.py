@@ -63,7 +63,6 @@ def __getattr__(name: str):
 __all__ = [
     "SCHEMES",
     "ExperimentConfig",
-    "Trajectory",
     "run_trajectory",
     "run_simulate",
     "run_filter",
@@ -274,7 +273,7 @@ class _TrajectoryTables:
     def __init__(self, temp, path: JumpPath, model: ChainModel, dt: float, n_steps: int):
         self.temp, self.path, self.model, self.dt, self.n_steps = temp, path, model, dt, n_steps
         self.tables = {}
-        self.y = None  # y at the last row written, once a step has been
+        self.y = 0.0  # y at the last row written
         self.x_text = [FLOAT % level for level in model.levels.tolist()]
 
     def __enter__(self):
@@ -297,15 +296,11 @@ class _TrajectoryTables:
                 self.tables[name] = open_table(self.temp(name), columns)
         hi = lo + len(probs)
         rows, times = range(lo, hi), np.arange(lo, hi) * self.dt
-        # y carries its running sum into the block's cumsum as its first element
-        if self.y is None:
-            y = np.cumsum(dy)
-        else:
-            y = np.cumsum(np.concatenate(([self.y], dy)))[1:]
-        if lo == 0:
-            y = np.concatenate(([0.0], y))
-        if len(dy):
-            self.y = y[-1]
+        # y carries its running sum into the block's cumsum as its first
+        # element; 0.0 + dy0 is dy0, as a synthesized increment is never -0.0
+        y = np.cumsum(np.concatenate(([self.y], dy)))
+        self.y = y[-1]
+        y = y[len(y) - len(probs):]
         # the signal's state at each t; at t=T, the state the path ends in
         states = self.path.states_at(times)
         if hi == self.n_steps + 1:

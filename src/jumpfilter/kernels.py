@@ -33,10 +33,10 @@ checks the block once and steps a failing block again with the floor
 with its length: :func:`drive` keeps every block, a written ``filter``
 writes each, and the tower check keeps the final row. It alone knows the
 batch layout: (n, R) increments run R copies of the state from ``start``,
-held states-first as a contiguous (K, R) array (so a step's operations run
-along length-R rows, not over a length-K inner axis), and come back as
-(rows, R, K). Only a kernel whose class sets ``batches`` (wonham-ito) takes
-them.
+or a batch's state taken back, held states-first as a contiguous (K, R)
+array (so a step's operations run along length-R rows, not over a length-K
+inner axis), and come back as (rows, R, K). Only a kernel whose class sets
+``batches`` (wonham-ito) takes them.
 
 The single error policy: finite increments before they are stepped
 (:func:`check_increments`, a ValueError), then the faults of the rows, the
@@ -71,7 +71,6 @@ import numpy as np
 from .chain import CHUNK_VALUES, FLOOR, ChainModel, is_count, is_real, transition_matrix
 
 __all__ = [
-    "FLOOR",
     "CLAMP_FAILURE_FRACTION",
     "PRESUM_TOLERANCE",
     "SIMPLEX_TOLERANCE",
@@ -285,12 +284,6 @@ def finish_simplex_step(raw: np.ndarray) -> tuple[np.ndarray, int]:
     return probs, clamped
 
 
-def ito_update(psi, generator, levels, beta: float, dt: float, dy):
-    """Raw Euler-Maruyama update of the linear unnormalized equation on a
-    (K,) state; no floor or rescale applied."""
-    return psi + dt * psi.dot(generator) + psi * levels * (dy / beta**2)
-
-
 def wonham_update_raw(
     probs,
     generator: np.ndarray,
@@ -424,7 +417,8 @@ class ZakaiIto(_Unnormalized):
     scheme = "zakai-ito"
 
     def step(self, psi, dy):
-        return ito_update(psi, self.generator, self.levels, self.beta, self.dt, dy)
+        """Euler-Maruyama step of  d psi = psi Q dt + psi a dy / beta^2."""
+        return psi + self.dt * psi.dot(self.generator) + psi * self.levels * (dy / self.beta_sq)
 
 
 class ZakaiLangevin(_Unnormalized):
@@ -719,8 +713,8 @@ class Trajectory:
     Euler steps where that invariant applies. ``nonfinite`` and
     ``off_simplex`` record whether a checked row, extras included, was not
     finite or was off the simplex; :func:`check_run` raises them. ``state``
-    starts the rest of a one-trajectory run bit for bit (a batch's (K, R)
-    state is not taken back; None for joined replica blocks).
+    starts the rest of the run bit for bit, a batch's (K, R) state and (R,)
+    sums included (None for joined replica blocks).
     """
 
     scheme: str
@@ -829,11 +823,12 @@ def run_steps(kernel: Kernel, state, dy, consume=None) -> Trajectory:
     """Step ``kernel`` from ``state`` through the increments ``dy``, one
     block of rows (:func:`block_steps`) at a time; unchecked at exit.
 
-    ``dy`` is (n,) for one trajectory; or (n, R) for R copies of ``state``
-    stepped as a batch, by a kernel that ``batches`` only: a contiguous
-    states-first (K, R) array and an (R,) sum row, tiled before the first
-    step, whose rows come back as (rows, R, K); or an iterable of (m,)
-    blocks of one trajectory, synthesized as the run goes.
+    ``dy`` is (n,) for one trajectory; or (n, R) for a batch of R replicas,
+    by a kernel that ``batches`` only: a contiguous states-first (K, R)
+    array and an (R,) sum row, tiled from a (K,) start before the first step
+    or taken as they are from a batch's ``state``, whose rows come back as
+    (rows, R, K); or an iterable of (m,) blocks of one trajectory,
+    synthesized as the run goes.
 
     A block of m steps writes rows 1..m of a buffer for the state array
     and, for a state ``(array, sum)``, of one for the sum; row 0 carries the
@@ -851,9 +846,11 @@ def run_steps(kernel: Kernel, state, dy, consume=None) -> Trajectory:
     raise, and the returned ``state`` is what a next block would start from.
 
     Raises ValueError before the first step for an array ``dy`` of another
-    shape (so (n, R) to a kernel that does not batch) or with a non-finite
-    increment; before its steps, for an iterable's block that is not (m,) or
-    holds a non-finite increment; and for an iterable without a block.
+    shape (so (n, R) to a kernel that does not batch), with a non-finite
+    increment, or (n, R) with a state that is neither a (K,) start nor
+    (K, R) with (R,) sums; before its steps, for an iterable's block that
+    is not (m,) or holds a non-finite increment; and for an iterable
+    without a block.
     """
     array, total = state if isinstance(state, tuple) else (state, None)
     simplex = total is not None  # the kernel's step returns a raw update
@@ -866,10 +863,15 @@ def run_steps(kernel: Kernel, state, dy, consume=None) -> Trajectory:
         check_increments(dy)
         rows_per_block = BLOCK_ROWS
         if batch:
-            array = np.repeat(array[:, None], dy.shape[1], axis=1)
-            total = None if total is None else np.full(dy.shape[1], total)
+            replicas = dy.shape[1]
+            if np.ndim(array) == 1 and np.ndim(total) == 0:  # a start: R copies of it
+                array = np.repeat(array[:, None], replicas, axis=1)
+                total = np.full(replicas, total)
+            elif not np.shape(array)[1:] == np.shape(total) == (replicas,):
+                raise ValueError(f"{kernel.scheme} takes a (K,) start or a (K, {replicas}) state "
+                                 f"with ({replicas},) sums for {dy.shape} increments")
             # a batch's row holds R states: at most CHUNK_VALUES states a block
-            rows_per_block = max(1, min(BLOCK_ROWS, CHUNK_VALUES // dy.shape[1]))
+            rows_per_block = max(1, min(BLOCK_ROWS, CHUNK_VALUES // replicas))
         blocks = (dy[lo:hi] for lo, hi in block_steps(len(dy), rows_per_block))
     else:
         blocks = _checked(kernel, dy)

@@ -40,20 +40,16 @@ from .kernels import (
     check_probability_vector,
     check_scalars,
     check_state_size,
-    finish_simplex_step,
     step_once,
-    wonham_update_raw,
 )
 
 __all__ = [
     "FilterState",
     "TelegraphState",
-    "wonham_update_raw",
     "wonham_step",
     "wonham_langevin_step",
     "telegraph_ito_step",
     "telegraph_langevin_step",
-    "finish_simplex_step",
     "mean_estimate",
     "map_decision",
     "predict",

@@ -354,6 +354,18 @@ MUTANTS = {
         "    probs = probs[-1:]\n",
         [CONTRACT + "test_the_rows_of_a_batch_are_separate_runs"],
     ),
+    "run_steps tiles a batch's state again": (
+        KERNELS,
+        "            if np.ndim(array) == 1 and np.ndim(total) == 0:  # a start: R copies of it\n",
+        "            if True:\n",
+        [CONTRACT + "test_a_run_resumed_from_its_state_is_the_whole_run[wonham-ito-batch-326]"],
+    ),
+    "run_steps takes a batch state of another R": (
+        KERNELS,
+        "            elif not np.shape(array)[1:] == np.shape(total) == (replicas,):\n",
+        "            elif False:\n",
+        [CONTRACT + "test_a_batch_takes_back_only_a_state_of_its_shape"],
+    ),
     # -- prediction: the transition semigroup and its long-horizon law
     "the uniformization series stops early": (
         CHAIN,
@@ -431,6 +443,12 @@ MUTANTS = {
         '"mean",\n',
         ["tests/test_golden_outputs.py::test_cli_outputs_match_golden_digests[default]"],
     ),
+    "the filter's y restarts at each block": (
+        HARNESS,
+        "        self.y = y[-1]\n",
+        "        self.y = 0.0\n",
+        ["tests/test_golden_outputs.py::test_cli_outputs_match_golden_digests[7-row]"],
+    ),
     "the run report leaves out the sign variant": (
         HARNESS,
         '        "sign_variant": config.sign_variant,\n',
@@ -462,6 +480,13 @@ MUTANTS = {
         "    return list(results.values())\n",
         ["tests/test_fanout.py::test_runs_pinned_to_one_cpu_write_the_same_bytes"],
     ),
+    # -- one home per public name
+    "wonham.__all__ lists step_once": (
+        WONHAM,
+        '    "FilterState",\n',
+        '    "FilterState",\n    "step_once",\n',
+        ["tests/test_startup.py::test_each_public_name_has_one_home"],
+    ),
     # -- the tools: the A/B record, and this table's runner
     "the A/B runtime probe reports the affinity alone": (
         "tools/ab.py",
@@ -471,9 +496,15 @@ MUTANTS = {
     ),
     "the A/B verdict counts a gain when the change fails more operations": (
         "tools/ab.py",
-        '    if not more_failed and s["wins"] >= 0.9 * s["pairs"] and -worse_by > s["parent_iqr"]:\n',
-        '    if s["wins"] >= 0.9 * s["pairs"] and -worse_by > s["parent_iqr"]:\n',
+        '    claimable = s["pairs"] >= MIN_PAIRS and not more_failed\n',
+        '    claimable = s["pairs"] >= MIN_PAIRS\n',
         ["tests/test_ab.py::test_each_metric_gets_the_verdict_of_its_pairs"],
+    ),
+    "the A/B verdict counts a gain from fewer than 10 pairs": (
+        "tools/ab.py",
+        '    claimable = s["pairs"] >= MIN_PAIRS and not more_failed\n',
+        "    claimable = not more_failed\n",
+        ["tests/test_ab.py::test_each_metric_gets_the_verdict_of_its_pairs[gain-from-4-pairs]"],
     ),
     "the A/B verdict is unresolved even where every change run is better": (
         "tools/ab.py",

@@ -1,8 +1,8 @@
 """``tools/ab.py``, the A/B runner of ``benchmark/run.py``, on canned output:
 it reads a run's last JSON line and reduces pairs of runs to medians, wins
 and the parent's quartiles, and each metric to its verdict, without running
-the benchmark; and its runtime probe reports the CPUs that the package's
-fan-out uses."""
+the benchmark; it counts the lines of each side's package and tests; and its
+runtime probe reports the CPUs that the package's fan-out uses."""
 
 import importlib.util
 import json
@@ -103,9 +103,11 @@ SKEWED = [1.01, 1.02, 1.03, 2.0, 3.0, 3.0, 3.0]
     (SPREAD, [wall * 1.1 for wall in SPREAD], False, "unresolved"),
     (SKEWED, [0.99] * len(SKEWED), False, "within bound"),
     (SKEWED, [0.99] * (len(SKEWED) - 1) + [1.015], False, "unresolved"),
+    # 4/4 pairs better by 0.1, with an IQR of 0.0175, are too few pairs for a gain
+    (STEADY[:4], [wall - 0.1 for wall in STEADY[:4]], False, "within bound"),
 ], ids=["gain", "gain-with-more-failures", "gap-inside-the-iqr", "slightly-worse", "regression",
         "regression-with-more-failures", "wide-spread", "wide-spread-worse",
-        "better-than-every-run", "better-than-all-runs-but-one"])
+        "better-than-every-run", "better-than-all-runs-but-one", "gain-from-4-pairs"])
 def test_each_metric_gets_the_verdict_of_its_pairs(parent, change, more_failed, wanted):
     # ref_steps_per_s is 8e6 / ref_wall_s, so the higher-is-better metric
     # reads the same
@@ -117,3 +119,21 @@ def test_the_failed_share_counts_operations_over_every_run():
     runs = [ab.last_json(output(0.6, 1e7, failed=failed)) for failed in (0, 3, 1)]
     assert ab.failed_share(runs) == 4 / 24
     assert ab.failed_share([]) == 0.0
+
+
+def test_each_side_gets_the_lines_of_its_package_and_tests(tmp_path):
+    # newlines as wc -l counts them, in the two globs' own files only
+    files = {"parent": {"src/jumpfilter/a.py": "x = 1\ny = 2\n", "src/jumpfilter/b.py": "z\n",
+                        "tests/test_a.py": "pass\n", "tools/ab.py": "a\nb\n"},
+             "change": {"src/jumpfilter/a.py": "x = 1\n", "src/jumpfilter/notes.txt": "a\n",
+                        "tests/test_a.py": "pass\n\nw = 4", "tests/sub/test_b.py": "b\n"}}
+    lines = {}
+    for side, tree in files.items():
+        for name, text in tree.items():
+            (tmp_path / side / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / side / name).write_text(text)
+        lines[side] = ab.line_counts(tmp_path / side)
+    assert lines == {"parent": {"src/jumpfilter/*.py": 3, "tests/*.py": 1},
+                     "change": {"src/jumpfilter/*.py": 1, "tests/*.py": 2}}
+    assert ab.line_report(lines) == ("lines: src/jumpfilter/*.py parent 3, change 1 (-2); "
+                                     "tests/*.py parent 1, change 2 (+1)")

@@ -27,9 +27,9 @@ from jumpfilter import (
 )
 from jumpfilter import fanout, harness, kernels
 from jumpfilter.cli import main
-from jumpfilter.kernels import KERNELS, WonhamIto, drive, run_history, run_steps
+from jumpfilter.kernels import (KERNELS, FilterInstabilityError, WonhamIto, drive, run_history,
+                                run_steps)
 from jumpfilter.signalpath import ObservationGrid, observation_blocks
-from jumpfilter.zakai import FilterInstabilityError
 from jumpfilter.harness import (
     SCHEMES,
     ExperimentConfig,

@@ -9,7 +9,8 @@ before step 1; a history, extras included, is finite and on the simplex; the
 wonham-ito pre-renormalization sum stays near 1; every floored entry is
 counted, and a run fails past the clamp budget. Then the equalities: a run
 without a history ends on the last kept row; a run resumed from a run's
-``state`` is the rest of the whole run, and a carried pre-sum is not a step;
+``state``, a batch's included, is the rest of the whole run, a batch takes
+back no state of another shape, and a carried pre-sum is not a step;
 an empty block adds nothing; a kept run floors a clamping
 block as the reference loop floors each step, wherever in the block it
 clamps; the rows of a batch are the separate runs; ``run_steps``, with a
@@ -336,16 +337,32 @@ def clamping_increments(n_steps: int, spikes) -> np.ndarray:
     return dy
 
 
-@pytest.mark.parametrize("rows, cut", [(BLOCK_ROWS, 300), (BLOCK_ROWS, 511), (BLOCK_ROWS, 512),
-                                       (7, 24)], ids=["block-middle", "511", "512", "rows-7"])
-@pytest.mark.parametrize("scheme", KERNELS)
-def test_a_run_resumed_from_its_state_is_the_whole_run(scheme, rows, cut, monkeypatch):
+# (replicas, rows, cut): each block's middle and end, and the merged last
+# block; a batch of 100 replicas steps 327 rows a block
+CUTS = {None: {"block-middle": (BLOCK_ROWS, 300), "511": (BLOCK_ROWS, 511),
+               "512": (BLOCK_ROWS, 512), "rows-7": (7, 24)},
+        100: {"block-middle": (BLOCK_ROWS, 300), "326": (BLOCK_ROWS, 326),
+              "327": (BLOCK_ROWS, 327), "rows-7": (7, 24)}}
+RESUMED = [pytest.param(scheme, replicas, rows, cut,
+                        id=f"{scheme}{'' if replicas is None else '-batch'}-{name}")
+           for scheme in KERNELS
+           for replicas in ([None, 100] if scheme in BATCHED else [None])
+           for name, (rows, cut) in CUTS[replicas].items()]
+
+
+@pytest.mark.parametrize("scheme, replicas, rows, cut", RESUMED)
+def test_a_run_resumed_from_its_state_is_the_whole_run(scheme, replicas, rows, cut, monkeypatch):
     # bit for bit: the rows and extras after the cut, the clamps summed and
     # the largest pre-sum deviation; the Zakai log weights used to resume
-    # from the last step's total instead of the running log normalizer
+    # from the last step's total instead of the running log normalizer, and
+    # a batch's (K, R) state used to be tiled again
     monkeypatch.setattr(kernels, "BLOCK_ROWS", rows)
     kernel = build(scheme)
     dy = clamping_increments(1100, [10, 700])  # a clamp on each side of the cut
+    if replicas is not None:  # replica 1 clamps, the others see their own noise
+        noise = BETA * np.sqrt(DT) * np.random.default_rng(6).standard_normal((len(dy), replicas))
+        noise[:, 1] = dy
+        dy = noise
     whole = run_history(kernel, kernel.start(), dy)
     head = run_steps(kernel, kernel.start(), dy[:cut])
     rest = run_history(kernel, head.state, dy[cut:])
@@ -364,6 +381,18 @@ def test_a_run_resumed_from_its_state_is_the_whole_run(scheme, rows, cut, monkey
         one, off = (run_steps(kernel, (array, carried), dy[:cut]) for carried in (1.0, 1.5))
         assert (off.presum_max_dev, off.presum_total_dev) == (
             one.presum_max_dev, one.presum_total_dev)
+
+
+def test_a_batch_takes_back_only_a_state_of_its_shape():
+    # one of another R, or a (K, R) array without an (R,) sum row, used to
+    # fail with numpy's untyped broadcast error, or to be stepped
+    kernel = build("wonham-ito")
+    dy = np.full((20, REPLICAS), 0.01)
+    probs, sums = run_steps(kernel, kernel.start(), dy).state
+    for state in ((probs[:, 1:], sums[1:]), (probs, sums[1:]), (probs, 1.0), (probs[0], sums),
+                  (probs[:, :, None], sums)):
+        with pytest.raises(ValueError, match=r"wonham-ito takes a \(K,\) start"):
+            run_steps(kernel, state, dy)
 
 
 @pytest.mark.parametrize("sizes", [(50, 0, 70), (50, 70, 0)], ids=["0-between", "0-last"])

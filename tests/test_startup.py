@@ -13,15 +13,18 @@ loads no runner module (``harness``, ``cli``), no step-wrapper module
 ``adjudicate``, whose ladders fan out, loads ``fanout``; a tower check loads
 no ``harness``, ``cli``, ``zakai`` or ``wonham``; and no forked child imports
 a package module that its parent did not hold. The package namespace serves
-each public name from the module that defines it.
+each public name from the module that defines it, and each module's
+``__all__`` names only what that module defines, no name in two modules.
 
 Other tests import every package module into the pytest process, so these
 checks run in a fresh interpreter.
 """
 
 import importlib
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -30,7 +33,7 @@ from pathlib import Path
 import pytest
 
 import jumpfilter
-from jumpfilter import harness, kernels, oracle, telegraph_model, wonham
+from jumpfilter import harness, kernels, oracle, telegraph_model
 from jumpfilter.harness import ExperimentConfig
 
 
@@ -274,11 +277,11 @@ PUBLIC_NAMES = {
               "telegraph_model", "transition_matrix"),
     "signalpath": ("ObservationGrid", "coarsen", "synthesize_observations",
                    "write_observations_csv"),
+    "kernels": ("FilterInstabilityError", "GammaRangeError", "drift_matrix"),
     "wonham": ("FilterState", "TelegraphState", "map_decision", "mean_estimate", "predict",
                "telegraph_ito_step", "telegraph_langevin_step", "wonham_langevin_step",
                "wonham_step"),
-    "zakai": ("FilterInstabilityError", "GammaRangeError", "GammaState", "LogState",
-              "UnnormalizedState", "drift_matrix", "from_gamma", "gamma_langevin_step",
+    "zakai": ("GammaState", "LogState", "UnnormalizedState", "from_gamma", "gamma_langevin_step",
               "init_unnormalized", "log_step", "to_gamma", "zakai_ito_step",
               "zakai_langevin_step"),
     "oracle": ("DiscreteBayesState", "PathspaceResult", "TowerReport", "bayes_forward_step",
@@ -314,5 +317,20 @@ def test_harness_binds_the_tracer_names_to_the_defining_objects():
     # benchmark/tracing.py wraps these as attributes of harness
     assert harness.bayes_forward_step is oracle.bayes_forward_step
     for name in ("finish_simplex_step", "wonham_update_raw"):
-        assert getattr(harness, name) is getattr(wonham, name) is getattr(kernels, name)
-        assert getattr(oracle, name) is getattr(kernels, name)
+        assert getattr(harness, name) is getattr(oracle, name) is getattr(kernels, name)
+
+
+def test_each_public_name_has_one_home():
+    # every function or class that a package module's __all__ names is
+    # defined there, and no name is in the __all__ of two modules
+    foreign, repeated, homes = [], [], {}
+    for info in pkgutil.iter_modules(jumpfilter.__path__):
+        module = importlib.import_module(f"jumpfilter.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            value = getattr(module, name)
+            if inspect.isclass(value) or inspect.isfunction(value):
+                if value.__module__ != module.__name__:
+                    foreign.append(f"{info.name}.{name}")
+            if homes.setdefault(name, info.name) != info.name:
+                repeated.append(f"{info.name}.{name}")
+    assert (foreign, repeated) == ([], [])

@@ -18,8 +18,8 @@ from jumpfilter import (
     wonham_step,
 )
 from jumpfilter.harness import ExperimentConfig, run_trajectory, simulate_pair
+from jumpfilter.kernels import wonham_update_raw
 from jumpfilter.signalpath import coarsen
-from jumpfilter.wonham import wonham_update_raw
 
 TELEGRAPH = telegraph_model(1.0)
 

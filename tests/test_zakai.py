@@ -16,15 +16,10 @@ from jumpfilter import (
     zakai_ito_step,
 )
 from jumpfilter.harness import ExperimentConfig, run_trajectory, simulate_pair
-from jumpfilter.kernels import (Gamma, ZakaiLangevin, correction_diagonal, propagator_pair,
-                                step_once)
+from jumpfilter.kernels import (Gamma, ZakaiIto, ZakaiLangevin, correction_diagonal,
+                                propagator_pair, step_once)
 from jumpfilter.signalpath import coarsen
-from jumpfilter.zakai import (
-    GammaState,
-    LogState,
-    gamma_langevin_step,
-    ito_update,
-)
+from jumpfilter.zakai import GammaState, LogState, gamma_langevin_step
 
 TELEGRAPH = telegraph_model(1.0)
 THREE_STATE = ChainModel(
@@ -80,7 +75,7 @@ class TestItoStep:
         # K=1, a=2, nu=0, beta=1: pre-rescale update from psi=1 with
         # dy=0.1, dt=0.01 is 1 + 2*0.1 = 1.2
         model = single_state_model(2.0)
-        raw = ito_update(np.array([1.0]), model.generator, model.levels, 1.0, 0.01, 0.1)
+        raw = ZakaiIto(model, 0.01, 1.0).step(np.array([1.0]), 0.1)
         assert raw[0] == pytest.approx(1.2, abs=1e-15)
         state = zakai_ito_step(UnnormalizedState(psi=np.array([1.0])), model, 1.0, 0.01, 0.1)
         assert state.psi[0] == 1.0  # rescaled back to unit sum
@@ -107,11 +102,12 @@ class TestItoStep:
         # the generator contributes nothing because its rows sum to zero
         rng = np.random.default_rng(5)
         beta = 0.5
+        kernel = ZakaiIto(TELEGRAPH, 1e-3, beta)
         for _ in range(100):
             psi = rng.uniform(0.05, 1.0, size=2)
             psi /= psi.sum()
             dy = rng.normal(scale=0.05)
-            raw = ito_update(psi, TELEGRAPH.generator, TELEGRAPH.levels, beta, 1e-3, dy)
+            raw = kernel.step(psi, dy)
             observed = raw.sum() - psi.sum()
             expected = (TELEGRAPH.levels * psi).sum() * dy / beta**2
             assert abs(observed - expected) <= 1e-12

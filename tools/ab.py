@@ -18,13 +18,14 @@ is its JSON result.
 For each metric the script prints both sides' medians, the pairs the change
 wins (by the metric's ``better`` in BENCHMARK.json), the parent's
 interquartile range and a verdict (:func:`verdict`, by the metric's ``bound``
-in BENCHMARK.json). ``--out`` gets those statistics, every raw value, the
-commits, the CPU count, the CPUs of this process's affinity, the CPUs that
-the package's fan-out uses (``jumpfilter.fanout.usable_cpus``, which the
-cgroup quota caps) and the quota file's text, the Python and numpy versions
-and, where they can be read, the OpenBLAS core type and numpy's CPU
-dispatch. The script uses the standard library only; numpy is read in a
-child interpreter.
+in BENCHMARK.json); and for each side the lines of ``src/jumpfilter/*.py``
+and of ``tests/*.py`` (:func:`line_counts`). ``--out`` gets those
+statistics and counts, every raw value, the commits, the CPU count, the
+CPUs of this process's affinity, the CPUs that the package's fan-out uses
+(``jumpfilter.fanout.usable_cpus``, which the cgroup quota caps) and the
+quota file's text, the Python and numpy versions and, where they can be
+read, the OpenBLAS core type and numpy's CPU dispatch. The script uses the
+standard library only; numpy is read in a child interpreter.
 """
 
 from __future__ import annotations
@@ -42,6 +43,12 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# the fewest pairs from which a verdict may read "gain"
+MIN_PAIRS = 10
+
+# the files whose lines are counted on each side, as globs from a tree's root
+COUNTED = ("src/jumpfilter/*.py", "tests/*.py")
 
 # printed by a child interpreter on the working tree's package: numpy's
 # version and CPU dispatch, the core that the OpenBLAS it loaded chose (read
@@ -156,6 +163,20 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
     return summary
 
 
+def line_counts(tree: Path) -> dict[str, int]:
+    """The newlines of the files of each ``COUNTED`` glob under ``tree``, as
+    ``wc -l`` counts them."""
+    return {pattern: sum(path.read_bytes().count(b"\n") for path in tree.glob(pattern))
+            for pattern in COUNTED}
+
+
+def line_report(lines: dict[str, dict[str, int]]) -> str:
+    """Both sides' :func:`line_counts` and the change's difference, per glob."""
+    return "lines: " + "; ".join(
+        f"{pattern} parent {lines['parent'][pattern]}, change {lines['change'][pattern]} "
+        f"({lines['change'][pattern] - lines['parent'][pattern]:+d})" for pattern in COUNTED)
+
+
 def failed_share(runs: list[dict]) -> float:
     """The share of the runs' attempted operations that failed."""
     return sum(r["failed"] for r in runs) / max(1, sum(r["attempted"] for r in runs))
@@ -165,9 +186,10 @@ def verdict(s: dict, bound: float, more_failed: bool) -> str:
     """The reading of one metric's :func:`summarize` entry ``s``, whose
     ``bound`` is a fraction of the parent median:
 
-    * "gain": the change is better in at least 9/10 of the pairs and its
-      median is better than the parent's by more than the parent's IQR, and
-      the change does not fail a larger share of operations (``more_failed``);
+    * "gain": of at least MIN_PAIRS pairs, the change is better in at least
+      9/10 and its median is better than the parent's by more than the
+      parent's IQR, and the change does not fail a larger share of
+      operations (``more_failed``);
     * "regression": the change's median is worse than the parent's by more
       than the bound;
     * "unresolved": the parent's IQR is wider than the bound, unless every
@@ -177,7 +199,8 @@ def verdict(s: dict, bound: float, more_failed: bool) -> str:
     lower = s["better"] == "lower"
     worse_by = (s["change_median"] - s["parent_median"]) * (1 if lower else -1)
     allowed = bound * abs(s["parent_median"])
-    if not more_failed and s["wins"] >= 0.9 * s["pairs"] and -worse_by > s["parent_iqr"]:
+    claimable = s["pairs"] >= MIN_PAIRS and not more_failed
+    if claimable and s["wins"] >= 0.9 * s["pairs"] and -worse_by > s["parent_iqr"]:
         return "gain"
     if worse_by > allowed:
         return "regression"
@@ -231,6 +254,8 @@ def main(argv=None) -> int:
         copies = {"parent": Path(scratch, "parent"), "change": Path(scratch, "change")}
         extract_commit(args.parent, copies["parent"])
         copy_working_tree(copies["change"])
+        record["lines"] = {side: line_counts(copy) for side, copy in copies.items()}
+        print(line_report(record["lines"]), flush=True)
         for workload in args.workload:
             pairs = []
             for seed in range(args.first_seed, args.first_seed + args.pairs):
