@@ -179,13 +179,9 @@ def _choice_cdf(p: np.ndarray) -> list:
     """The CDF that ``Generator.choice(len(p), p=p)`` searches, as a list.
 
     Draws ``bisect_right(cdf, rng.random())`` then equal the draws of
-    ``rng.choice(len(p), p=p)`` and consume the same random numbers; p is
-    checked as ``choice`` checks it.
+    ``rng.choice(len(p), p=p)`` and consume the same random numbers; p is a
+    law of a :class:`ChainModel`, which has checked it.
     """
-    if not np.all(p >= 0):
-        raise ValueError("probabilities are not non-negative")
-    if abs(math.fsum(p) - 1.0) > math.sqrt(np.finfo(np.float64).eps):
-        raise ValueError("probabilities do not sum to 1")
     cdf = p.cumsum()
     cdf /= cdf[-1]
     return cdf.tolist()

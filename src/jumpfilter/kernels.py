@@ -38,12 +38,13 @@ array (so a step's operations run along length-R rows, not over a length-K
 inner axis), and come back as (rows, R, K). Only a kernel whose class sets
 ``batches`` (wonham-ito) takes them.
 
-The single error policy: finite increments before they are stepped
-(:func:`check_increments`, a ValueError), then the faults of the rows, the
-pre-sum statistics and the clamps, folded as the run goes, raised at exit by
-:func:`check_run` as FilterInstabilityError. :func:`check_run` joins the
-runs of replica blocks itself, so a batch stepped in blocks (the tower
-check) is checked once, as one batch would be. No step checks anything.
+The single error policy: a state like the kernel's ``start()`` and finite
+increments before step 1 (:func:`run_steps`, :func:`check_increments`, a
+ValueError), then the faults of the rows, the pre-sum statistics and the
+clamps, folded as the run goes, raised at exit by :func:`check_run` as
+FilterInstabilityError. :func:`check_run` joins the runs of replica blocks
+itself, so a batch stepped in blocks (the tower check) is checked once, as
+one batch would be. No step checks anything.
 
 The arithmetic of each scheme lives here exactly once, and so does the loop:
 the public step functions of :mod:`jumpfilter.zakai`, :mod:`jumpfilter.wonham`
@@ -846,14 +847,20 @@ def run_steps(kernel: Kernel, state, dy, consume=None) -> Trajectory:
     raise, and the returned ``state`` is what a next block would start from.
 
     Raises ValueError before the first step for an array ``dy`` of another
-    shape (so (n, R) to a kernel that does not batch), with a non-finite
-    increment, or (n, R) with a state that is neither a (K,) start nor
-    (K, R) with (R,) sums; before its steps, for an iterable's block that
-    is not (m,) or holds a non-finite increment; and for an iterable
-    without a block.
+    shape (so (n, R) to a kernel that does not batch) or with a non-finite
+    increment, and for a state unlike ``kernel.start()`` in kind (a tuple or
+    not) or shape (with R columns for (n, R), its sum an (R,) row; another K
+    gets :func:`check_state_size`'s message); before its steps, for an
+    iterable's block that is not (m,) or holds a non-finite increment; and
+    for an iterable without a block.
     """
-    array, total = state if isinstance(state, tuple) else (state, None)
-    simplex = total is not None  # the kernel's step returns a raw update
+    start = kernel.start()
+    simplex = isinstance(start, tuple)  # a state (array, sum): the step returns a raw update
+    if isinstance(state, tuple) != simplex:
+        raise ValueError(f"{kernel.scheme} takes a state of its start's kind "
+                         f"({type(start).__name__}), not {type(state).__name__}")
+    array, total = state if simplex else (state, None)
+    shape = np.shape(start[0] if simplex else start)
     batch = False
     if isinstance(dy, np.ndarray):
         batch = dy.ndim == 2
@@ -867,14 +874,19 @@ def run_steps(kernel: Kernel, state, dy, consume=None) -> Trajectory:
             if np.ndim(array) == 1 and np.ndim(total) == 0:  # a start: R copies of it
                 array = np.repeat(array[:, None], replicas, axis=1)
                 total = np.full(replicas, total)
-            elif not np.shape(array)[1:] == np.shape(total) == (replicas,):
-                raise ValueError(f"{kernel.scheme} takes a (K,) start or a (K, {replicas}) state "
-                                 f"with ({replicas},) sums for {dy.shape} increments")
+            shape = (*shape, replicas)
             # a batch's row holds R states: at most CHUNK_VALUES states a block
             rows_per_block = max(1, min(BLOCK_ROWS, CHUNK_VALUES // replicas))
         blocks = (dy[lo:hi] for lo, hi in block_steps(len(dy), rows_per_block))
     else:
         blocks = _checked(kernel, dy)
+    got = np.shape(array)
+    if got != shape:
+        if len(got) == len(shape) and got[1:] == shape[1:]:  # another K
+            check_state_size(got[0], kernel.model)
+        raise ValueError(f"{kernel.scheme} takes a state of shape {shape}, not {got}")
+    if simplex and np.shape(total) != shape[1:]:
+        raise ValueError(f"{kernel.scheme} takes sums of shape {shape[1:]}, not {np.shape(total)}")
     step, presum = kernel.step, kernel.carries_presum
     clamps = rows = 0
     nonfinite = off_simplex = False

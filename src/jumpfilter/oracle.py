@@ -33,7 +33,7 @@ from .chain import (STEP_BUDGET, ChainModel, add_path_integrals, is_count, is_re
                     transition_matrix)
 from .fanout import fan_out, fork_workers
 from .kernels import (BayesOracle, WonhamIto, check_probability_vector, check_run, check_scalars,
-                      check_state_size, run_steps, step_once)
+                      run_steps, step_once)
 from .seeding import ROLE_JUMP, ROLE_NOISE, _seed_words_class, derive_states, stream
 from .signalpath import ObservationGrid, _step_count, cumulative_observation
 
@@ -83,7 +83,6 @@ def bayes_forward_step(
 
     ``trans`` may carry a precomputed transition matrix for this dt.
     """
-    check_state_size(len(state.probs), model)
     probs, _ = step_once(BayesOracle(model, dt, beta, trans=trans), state.probs, dy)
     return DiscreteBayesState(probs=probs, step=state.step + 1)
 

@@ -39,7 +39,6 @@ from .kernels import (
     WonhamLangevin,
     check_probability_vector,
     check_scalars,
-    check_state_size,
     step_once,
 )
 
@@ -96,7 +95,6 @@ def wonham_step(
     from 1 by more than 1e-6 (an exact invariant of the update in real
     arithmetic).
     """
-    check_state_size(len(state.probs), model)
     kernel = WonhamIto(model, dt, beta, sign_variant=sign_variant)
     (probs, _), clamped = step_once(kernel, (state.probs, 1.0), dy)
     return FilterState(probs=probs, t=state.t + dt, clamps=state.clamps + clamped)
@@ -115,7 +113,6 @@ def wonham_langevin_step(
     The correction term sums to zero over states for either sign, so the
     simplex sum is preserved exactly in real arithmetic.
     """
-    check_state_size(len(state.probs), model)
     kernel = WonhamLangevin(model, dt, beta, correction_sign)
     (probs, _), clamped = step_once(kernel, (state.probs, 1.0), dy)
     return FilterState(probs=probs, t=state.t + dt, clamps=state.clamps + clamped)
@@ -123,8 +120,6 @@ def wonham_langevin_step(
 
 def _telegraph_step(kernel_type, state: TelegraphState, nu, beta, dt, dy) -> TelegraphState:
     """One step of ``kernel_type`` on the telegraph chain of rate ``nu``."""
-    if not 0 <= nu < np.inf:
-        raise ValueError(f"nu must be finite and nonnegative, not {nu!r}")
     q, clamped = step_once(kernel_type(telegraph_model(nu), dt, beta), state.q, dy)
     return TelegraphState(q=q, t=state.t + dt, clamps=state.clamps + clamped)
 

@@ -160,7 +160,6 @@ def zakai_ito_step(
     state: UnnormalizedState, model: ChainModel, beta: float, dt: float, dy: float
 ) -> UnnormalizedState:
     """Euler-Maruyama step, then rescale by 1/sum(psi), accumulating the log."""
-    check_state_size(len(state.psi), model)
     return _unnormalized_step(ZakaiIto(model, dt, beta), state, dy)
 
 
@@ -173,7 +172,6 @@ def zakai_langevin_step(
     correction_sign: int = -1,
 ) -> UnnormalizedState:
     """Heun step of the smooth-noise form; same rescale and floor policy."""
-    check_state_size(len(state.psi), model)
     return _unnormalized_step(ZakaiLangevin(model, dt, beta, correction_sign), state, dy)
 
 
@@ -192,7 +190,6 @@ def log_step(
     Ito and the smooth-noise scheme. Exponent differences are evaluated after
     the per-step max-shift, which bounds every exponent by the current spread.
     """
-    check_state_size(len(state.theta), model)
     theta, _ = step_once(LogDomain(model, dt, beta, correction_sign), state.theta, dy)
     return LogState(theta=theta, t=state.t + dt)
 

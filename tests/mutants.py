@@ -210,11 +210,17 @@ MUTANTS = {
         "log_normalizer=float(state.log_normalizer)",
         [CONTRACT + "test_each_public_step_is_its_drive_row_bitwise[zakai-ito]"],
     ),
-    "wonham_step skips its K check": (
-        WONHAM,
-        "    check_state_size(len(state.probs), model)\n    kernel = WonhamIto(",
-        "    kernel = WonhamIto(",
+    "run_steps skips its state check": (
+        KERNELS,
+        "    if got != shape:\n",
+        "    if False:\n",
         [CONTRACT + "test_a_public_step_refuses_another_k_and_fails_as_a_run_does[wonham-ito]"],
+    ),
+    "run_steps takes a state of another kind": (
+        KERNELS,
+        "    if isinstance(state, tuple) != simplex:\n",
+        "    if False:\n",
+        [CONTRACT + "test_a_run_refuses_a_state_unlike_its_start"],
     ),
     "a ValueError exits 1": (
         CLI,
@@ -362,8 +368,8 @@ MUTANTS = {
     ),
     "run_steps takes a batch state of another R": (
         KERNELS,
-        "            elif not np.shape(array)[1:] == np.shape(total) == (replicas,):\n",
-        "            elif False:\n",
+        "            shape = (*shape, replicas)\n",
+        "            shape = (*shape, np.shape(array)[-1])\n",
         [CONTRACT + "test_a_batch_takes_back_only_a_state_of_its_shape"],
     ),
     # -- prediction: the transition semigroup and its long-horizon law

@@ -1,11 +1,13 @@
 """``tools/ab.py``, the A/B runner of ``benchmark/run.py``, on canned output:
 it reads a run's last JSON line and reduces pairs of runs to medians, wins
 and the parent's quartiles, and each metric to its verdict, without running
-the benchmark; it counts the lines of each side's package and tests; and its
-runtime probe reports the CPUs that the package's fan-out uses."""
+the benchmark; it counts the lines of each side's package, tests and tools;
+it records whether the runs write bytecode; and its runtime probe reports
+the CPUs that the package's fan-out uses."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -133,7 +135,24 @@ def test_each_side_gets_the_lines_of_its_package_and_tests(tmp_path):
             (tmp_path / side / name).parent.mkdir(parents=True, exist_ok=True)
             (tmp_path / side / name).write_text(text)
         lines[side] = ab.line_counts(tmp_path / side)
-    assert lines == {"parent": {"src/jumpfilter/*.py": 3, "tests/*.py": 1},
-                     "change": {"src/jumpfilter/*.py": 1, "tests/*.py": 2}}
+    assert lines == {"parent": {"src/jumpfilter/*.py": 3, "tests/*.py": 1, "tools/*.py": 2},
+                     "change": {"src/jumpfilter/*.py": 1, "tests/*.py": 2, "tools/*.py": 0}}
     assert ab.line_report(lines) == ("lines: src/jumpfilter/*.py parent 3, change 1 (-2); "
-                                     "tests/*.py parent 1, change 2 (+1)")
+                                     "tests/*.py parent 1, change 2 (+1); "
+                                     "tools/*.py parent 2, change 0 (-2)")
+
+
+@pytest.mark.parametrize("value", ["1", None])
+def test_the_environment_records_whether_bytecode_is_written(value, monkeypatch):
+    # with PYTHONDONTWRITEBYTECODE set, each run compiles the package from
+    # source, and its setup_s and peak_rss_mb include that
+    if value is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+    monkeypatch.setattr(ab, "git", lambda *args, binary=False: "")
+    monkeypatch.setattr(ab.subprocess, "run", lambda *args, **kwargs: subprocess.CompletedProcess(
+        args, 0, stdout=json.dumps({"numpy": "2.4.6"})))
+    record = ab.environment("HEAD")
+    assert record["PYTHONDONTWRITEBYTECODE"] == value
+    assert record["numpy"] == "2.4.6"

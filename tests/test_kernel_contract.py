@@ -10,7 +10,10 @@ wonham-ito pre-renormalization sum stays near 1; every floored entry is
 counted, and a run fails past the clamp budget. Then the equalities: a run
 without a history ends on the last kept row; a run resumed from a run's
 ``state``, a batch's included, is the rest of the whole run, a batch takes
-back no state of another shape, and a carried pre-sum is not a step;
+back no state of another shape, a run refuses a state unlike its start (of
+the other kind, of another K or of another shape) through each of
+``run_steps``, ``run_history`` and ``drive``, and a carried pre-sum is not
+a step;
 an empty block adds nothing; a kept run floors a clamping
 block as the reference loop floors each step, wherever in the block it
 clamps; the rows of a batch are the separate runs; ``run_steps``, with a
@@ -383,16 +386,59 @@ def test_a_run_resumed_from_its_state_is_the_whole_run(scheme, replicas, rows, c
             one.presum_max_dev, one.presum_total_dev)
 
 
+def refusal(run, kernel: Kernel, state, dy) -> str:
+    """The message of the ValueError with which ``run`` refuses ``state``."""
+    with pytest.raises(ValueError) as refused:
+        run(kernel, state, dy)
+    return str(refused.value)
+
+
 def test_a_batch_takes_back_only_a_state_of_its_shape():
     # one of another R, or a (K, R) array without an (R,) sum row, used to
     # fail with numpy's untyped broadcast error, or to be stepped
     kernel = build("wonham-ito")
     dy = np.full((20, REPLICAS), 0.01)
     probs, sums = run_steps(kernel, kernel.start(), dy).state
-    for state in ((probs[:, 1:], sums[1:]), (probs, sums[1:]), (probs, 1.0), (probs[0], sums),
-                  (probs[:, :, None], sums)):
-        with pytest.raises(ValueError, match=r"wonham-ito takes a \(K,\) start"):
-            run_steps(kernel, state, dy)
+    for state, message in (((probs[:, 1:], sums[1:]), "a state of shape (3, 4), not (3, 3)"),
+                           ((probs, sums[1:]), "sums of shape (4,), not (3,)"),
+                           ((probs, 1.0), "sums of shape (4,), not ()"),
+                           ((probs[0], sums), "a state of shape (3, 4), not (4,)"),
+                           ((probs[:, :, None], sums), "a state of shape (3, 4), not (3, 4, 1)")):
+        assert refusal(run_steps, kernel, state, dy) == f"wonham-ito takes {message}"
+
+
+RUNS = {"run_steps": run_steps, "run_history": run_history, "drive": drive}
+
+
+@pytest.mark.parametrize("run", RUNS.values(), ids=RUNS)
+@pytest.mark.parametrize("scheme", KERNELS)
+def test_a_run_refuses_a_state_unlike_its_start(scheme, run):
+    # a state of the other kind used to fail with an untyped error of numpy
+    # or Python ("too many values to unpack", an inhomogeneous shape), one
+    # of another K with numpy's "not aligned" or broadcast error, and a
+    # (K, 2) one, a batch's state with its (2,) sums, was stepped: wonham-ito's
+    # drive failed as a run, off the simplex
+    kernel = build(scheme)
+    start = kernel.start()
+    simplex = isinstance(start, tuple)
+    array = start[0] if simplex else start
+
+    def like_start(state):
+        return (state, np.full(np.shape(state)[1:], start[1])) if simplex else state
+
+    dy = np.full(20, 0.01)
+    other = array if simplex else (array, 1.0)
+    assert refusal(run, kernel, other, dy) == (f"{scheme} takes a state of its start's kind "
+                                               f"({type(start).__name__}), "
+                                               f"not {type(other).__name__}")
+    k = kernel.model.n_states
+    if not scheme.startswith("telegraph"):  # a float q has no K
+        for size in (k - 1, k + 1):
+            assert refusal(run, kernel, like_start(np.resize(array, size)), dy) == (
+                f"the state has K={size} entries but the model has K={k} states")
+    columns = np.full((k, 2), np.reshape(array, (-1, 1)))
+    assert refusal(run, kernel, like_start(columns), dy) == (
+        f"{scheme} takes a state of shape {np.shape(array)}, not ({k}, 2)")
 
 
 @pytest.mark.parametrize("sizes", [(50, 0, 70), (50, 70, 0)], ids=["0-between", "0-last"])
@@ -850,7 +896,8 @@ def test_a_public_step_refuses_another_k_and_fails_as_a_run_does(scheme):
     model = model_of(scheme)
     start, step, _ = public(scheme, model)
     if not scheme.startswith("telegraph"):  # the telegraph steps take no model
-        # checked before any kernel or propagator is built
+        # by run_steps, after the kernel is built; gamma checks it before any
+        # kernel or propagator is built, as it builds exp(+-A dt) from the state
         with pytest.raises(ValueError, match="K=3 entries but the model has K=2 states"):
             step(start, 0.01, TELEGRAPH)
     with pytest.raises(ValueError, match="observation increments must be finite"):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jumpfilter.chain import ChainModel, _choice_cdf, simulate_jump_path
+from jumpfilter.chain import ChainModel, simulate_jump_path
 
 PROPERTY = settings(max_examples=40, deadline=None)
 
@@ -69,11 +69,3 @@ def test_tables_draw_the_per_draw_paths(model, seed, horizon):
         assert path.jump_times.tolist() == times
         assert path.jump_states.tolist() == states
     assert tables.bit_generator.state == per_draw.bit_generator.state
-
-
-def test_invalid_laws_rejected_like_choice():
-    # a model cannot hold these laws; the tables check them as rng.choice does
-    with pytest.raises(ValueError, match="sum to 1"):
-        _choice_cdf(np.array([0.5, 0.6]))
-    with pytest.raises(ValueError, match="non-negative"):
-        _choice_cdf(np.array([np.nan, 1.0]))

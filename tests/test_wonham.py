@@ -142,8 +142,10 @@ class TestTelegraphSteps:
     @pytest.mark.parametrize("nu", [-5.0, np.nan, np.inf])
     def test_switching_rate_must_be_finite_and_nonnegative(self, step, nu):
         # a negative nu used to step silently (q = 0.04 from 0 at nu = -5), and
-        # a NaN one raised FilterInstabilityError, the run-failure type
-        with pytest.raises(ValueError, match="nu must be finite and nonnegative"):
+        # a NaN one raised FilterInstabilityError, the run-failure type; the
+        # chain model of the rate refuses both
+        violation = "negative rate" if nu < 0 else "nonfinite rate"
+        with pytest.raises(ValueError, match=f"^invalid model: {violation}$"):
             step(TelegraphState(q=0.0), nu, 0.5, 1e-3, 0.01)
 
 

@@ -18,13 +18,15 @@ is its JSON result.
 For each metric the script prints both sides' medians, the pairs the change
 wins (by the metric's ``better`` in BENCHMARK.json), the parent's
 interquartile range and a verdict (:func:`verdict`, by the metric's ``bound``
-in BENCHMARK.json); and for each side the lines of ``src/jumpfilter/*.py``
-and of ``tests/*.py`` (:func:`line_counts`). ``--out`` gets those
-statistics and counts, every raw value, the commits, the CPU count, the
+in BENCHMARK.json); and for each side the lines of ``src/jumpfilter/*.py``,
+``tests/*.py`` and ``tools/*.py`` (:func:`line_counts`). ``--out`` gets
+those statistics and counts, every raw value, the commits, the CPU count, the
 CPUs of this process's affinity, the CPUs that the package's fan-out uses
 (``jumpfilter.fanout.usable_cpus``, which the cgroup quota caps) and the
-quota file's text, the Python and numpy versions and, where they can be
-read, the OpenBLAS core type and numpy's CPU dispatch. The script uses the
+quota file's text, the Python and numpy versions, the value of
+``PYTHONDONTWRITEBYTECODE`` (when set, every run compiles the package from
+source, and its ``setup_s`` and ``peak_rss_mb`` include that) and, where
+they can be read, the OpenBLAS core type and numpy's CPU dispatch. The script uses the
 standard library only; numpy is read in a child interpreter.
 """
 
@@ -48,7 +50,7 @@ ROOT = Path(__file__).resolve().parents[1]
 MIN_PAIRS = 10
 
 # the files whose lines are counted on each side, as globs from a tree's root
-COUNTED = ("src/jumpfilter/*.py", "tests/*.py")
+COUNTED = ("src/jumpfilter/*.py", "tests/*.py", "tools/*.py")
 
 # printed by a child interpreter on the working tree's package: numpy's
 # version and CPU dispatch, the core that the OpenBLAS it loaded chose (read
@@ -231,6 +233,7 @@ def environment(parent: str) -> dict:
         "cpu_count": os.cpu_count(),
         "affinity_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
         "python": sys.version.split()[0],
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         **runtime,
     }
 
